@@ -128,6 +128,8 @@ def _sphere_antipodal(n: int) -> C2Cover:
     (hence contractible, connected) lens, so the intersection poset is the
     boundary complex of the cross-polytope; an antipodal pair is disjoint.
     """
+    if not isinstance(n, int):
+        raise UnsupportedDimension(f"sphere dimension must be an integer, got {n!r}")
     if n < 0:
         raise UnsupportedDimension("sphere dimension must be nonnegative")
     if n > 3:
@@ -197,7 +199,8 @@ def build(name: str, *params) -> C2Cover:
     """Construct a validated catalog cover by name.
 
     Raises :class:`UnknownSpace` for unknown names and
-    :class:`UnsupportedDimension` for out-of-range sphere dimensions.
+    :class:`UnsupportedDimension` for sphere dimensions that are not
+    integers or out of range.
     """
     if name == "point_trivial":
         return double_fixed_indices(_point_raw(1, name))

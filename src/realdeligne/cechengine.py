@@ -7,6 +7,11 @@ relabeling tuples and components and multiplying by the coefficient sign;
 equivariant cochains are its fixed vectors, extracted as a subcomplex with
 an explicit integral basis.
 
+A cover's cache holds one plain complex and one fixed complex per sign.
+``max_degree`` only says how far a caller needs them; a larger one grows
+them in place, one degree at a time, so each degree is built and checked
+once and its Smith reductions serve every later question.
+
 Rational and mod-n results are derived from the integral fixed complex: the
 basis involution is free (the index involution is), so fixing commutes with
 the change of coefficients and universal coefficients applies degreewise.
@@ -28,10 +33,10 @@ from .exactalg import (
     GroupDescriptor,
     IntegerCochainComplex,
     SparseIntMatrix,
+    _grow_fixed,
     _quotient_data,
     _smith,
     complex_cohomology,
-    fixed_subcomplex,
     integer_rank,
 )
 
@@ -39,11 +44,7 @@ _covercache: WeakKeyDictionary = WeakKeyDictionary()
 
 
 def _cache(cover: C2Cover) -> dict:
-    cache = _covercache.get(cover)
-    if cache is None:
-        cache = {}
-        _covercache[cover] = cache
-    return cache
+    return _covercache.setdefault(cover, {})
 
 
 @dataclass(eq=False)
@@ -149,18 +150,20 @@ def build_full_complex(
     cover: C2Cover, max_degree: int, include_degenerate: bool = False
 ) -> IntegerCochainComplex:
     """The plain (non-equivariant) normalized cochain complex, carried in
-    degrees ``0 .. max_degree + 1``."""
+    degrees ``0 .. max_degree + 1`` at least: one per cover, grown in place."""
     if max_degree < 0:
         raise DegreeOutOfRange("max_degree must be nonnegative")
-    key = ("full", max_degree, include_degenerate)
+    key = ("full", include_degenerate)
     cache = _cache(cover)
-    if key in cache:
-        return cache[key]
-    hi = max_degree + 1
-    ranks = {k: len(tuple_basis(cover, k, include_degenerate)) for k in range(hi + 1)}
-    diffs = {k: cech_differential(cover, k, include_degenerate) for k in range(hi)}
-    c = IntegerCochainComplex(lo=0, hi=hi, ranks=ranks, diffs=diffs).validate()
-    cache[key] = c
+    if key not in cache:
+        rank0 = len(tuple_basis(cover, 0, include_degenerate))
+        cache[key] = IntegerCochainComplex(lo=0, hi=0, ranks={0: rank0}, diffs={})
+    c = cache[key]
+    while c.hi <= max_degree:
+        c.extend(
+            len(tuple_basis(cover, c.hi + 1, include_degenerate)),
+            cech_differential(cover, c.hi, include_degenerate),
+        )
     return c
 
 
@@ -173,29 +176,27 @@ def build_equivariant_complex(
     """Integral complex of equivariant cochains, with its embedding.
 
     Returns ``(sub, bases)`` where ``bases[k]`` embeds the fixed basis into
-    the full degree-``k`` cochain space.  The involution matrices are checked
-    to square to the identity and commute with the coboundary on every call
-    (inside :func:`fixed_subcomplex`); the coefficient base is ignored here —
-    this is the integral model, and rational or mod-n answers are derived
-    from it downstream.
+    the full degree-``k`` cochain space.  There is one pair per cover and
+    sign, grown in place to degree ``max_degree + 1``; the involution is
+    checked to square to the identity and commute with the coboundary once
+    per degree, when that degree is first built.  The coefficient base is
+    ignored here — this is the integral model, and rational or mod-n
+    answers are derived from it downstream.
     """
     if not cover.is_free():
         raise CoverNotFree(
             f"cover {cover.name!r} has an involution-fixed index; "
             "double_fixed_indices produces a free model"
         )
-    key = ("equivariant", coeff.sign, max_degree, include_degenerate)
-    cache = _cache(cover)
-    if key in cache:
-        return cache[key]
     full = build_full_complex(cover, max_degree, include_degenerate)
-    t_maps = {
-        k: involution_matrix(cover, k, coeff.sign, include_degenerate)
-        for k in full.degrees()
-    }
-    sub, bases = fixed_subcomplex(full, t_maps)
-    cache[key] = (sub, bases)
-    return sub, bases
+
+    def t(k):
+        return involution_matrix(cover, k, coeff.sign, include_degenerate)
+
+    key = ("equivariant", coeff.sign, include_degenerate)
+    cache = _cache(cover)
+    cache[key] = _grow_fixed(full, t, cache.get(key), max_degree + 1)
+    return cache[key]
 
 
 def _check_degree(k: int, max_degree: int):
@@ -227,6 +228,14 @@ def _rational_rank(c: IntegerCochainComplex, k: int) -> int:
     return c._cache[key]
 
 
+def _descriptor(c: IntegerCochainComplex, k: int, coeff: CoefficientSystem) -> GroupDescriptor:
+    if coeff.base == "Z":
+        return complex_cohomology(c, k)
+    if coeff.base == "Q":
+        return GroupDescriptor(_rational_rank(c, k))
+    return _descriptor_mod_n(c, k, coeff.modulus)
+
+
 def equivariant_cohomology(
     cover: C2Cover,
     coeff: CoefficientSystem,
@@ -243,11 +252,7 @@ def equivariant_cohomology(
     """
     _check_degree(k, max_degree)
     sub, _ = build_equivariant_complex(cover, coeff, max_degree, include_degenerate)
-    if coeff.base == "Z":
-        return complex_cohomology(sub, k)
-    if coeff.base == "Q":
-        return GroupDescriptor(_rational_rank(sub, k))
-    return _descriptor_mod_n(sub, k, coeff.modulus)
+    return _descriptor(sub, k, coeff)
 
 
 def nonequivariant_cohomology(
@@ -260,12 +265,7 @@ def nonequivariant_cohomology(
     """H^k of the plain cochain complex, the involution forgotten (the sign
     of ``coeff`` is irrelevant here)."""
     _check_degree(k, max_degree)
-    full = build_full_complex(cover, max_degree, include_degenerate)
-    if coeff.base == "Z":
-        return complex_cohomology(full, k)
-    if coeff.base == "Q":
-        return GroupDescriptor(_rational_rank(full, k))
-    return _descriptor_mod_n(full, k, coeff.modulus)
+    return _descriptor(build_full_complex(cover, max_degree, include_degenerate), k, coeff)
 
 
 # ---------------------------------------------------------------------------
@@ -359,47 +359,40 @@ def _total_blocks(cover, fstar, n, max_degree, include_degenerate):
                 segs.append((i, j, t, subs[t.sign].rank(j)))
         return segs
 
-    def split(segs):
-        z_part = [s for s in segs if s[2].base == "Z"]
-        q_part = [s for s in segs if s[2].base == "Q"]
-        zoff, off = {}, 0
-        for i, _j, _t, size in z_part:
-            zoff[i] = off
-            off += size
-        zsize = off
-        qoff, off = {}, 0
-        for i, _j, _t, size in q_part:
-            qoff[i] = off
-            off += size
-        return z_part, q_part, zoff, qoff, zsize, off
+    def offsets(segs, base):
+        out, off = {}, 0
+        for i, _j, t, size in segs:
+            if t.base == base:
+                out[i] = off
+                off += size
+        return out, off
 
     src = segments(n)
     dst = segments(n + 1)
-    sz, sq, szoff, sqoff, s_zsize, s_qsize = split(src)
-    dz, dq, dzoff, dqoff, d_zsize, d_qsize = split(dst)
+    szoff, s_zsize = offsets(src, "Z")
+    sqoff, s_qsize = offsets(src, "Q")
+    dzoff, d_zsize = offsets(dst, "Z")
+    dqoff, d_qsize = offsets(dst, "Q")
 
     a = SparseIntMatrix(d_zsize, s_zsize)
     b = SparseIntMatrix(d_qsize, s_zsize)
     c = SparseIntMatrix(d_qsize, s_qsize)
-    dz_index = {i: off for i, off in dzoff.items()}
-    dq_index = {i: off for i, off in dqoff.items()}
 
     for i, j, t, size in src:
         is_q = t.base == "Q"
         col = sqoff[i] if is_q else szoff[i]
         sub = subs[t.sign]
         # vertical: same term, Cech degree up one
-        if i in (dq_index if is_q else dz_index) and size:
-            target = c if is_q else a
-            row = (dq_index if is_q else dz_index)[i]
-            target.set_block(row, col, sub.diff(j), scale=-1 if i % 2 else 1)
+        index = dqoff if is_q else dzoff
+        if i in index and size:
+            (c if is_q else a).set_block(index[i], col, sub.diff(j), scale=-1 if i % 2 else 1)
         # horizontal: next term, same Cech degree
         if i + 1 < len(fstar.terms):
             r = fstar.rate(i)
             if r:
                 t2 = fstar.terms[i + 1]
                 tgt_q = t2.base == "Q"
-                index = dq_index if tgt_q else dz_index
+                index = dqoff if tgt_q else dzoff
                 if i + 1 in index:
                     target = (c if is_q else b) if tgt_q else a
                     row = index[i + 1]

@@ -13,7 +13,7 @@ import argparse
 import json
 import sys
 import time
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 from . import __version__, catalog
 from . import verify as verify_suites
@@ -50,15 +50,6 @@ class RunReport:
     cover: dict | None
     results: list
     timings: dict
-
-    def to_json(self) -> dict:
-        return {
-            "invocation": self.invocation,
-            "version": self.version,
-            "cover": self.cover,
-            "results": self.results,
-            "timings": self.timings,
-        }
 
 
 def _parse_coeff(text: str) -> CoefficientSystem:
@@ -125,6 +116,8 @@ def _cmd_compute(args, cover):
         degrees = [args.degree]
     else:
         max_degree = args.max_degree
+        if max_degree < 1:
+            raise DegreeOutOfRange(f"--max-degree must be at least 1, got {max_degree}")
         degrees = list(range(max_degree))
     fn = nonequivariant_cohomology if args.nonequivariant else equivariant_cohomology
     records, lines = [], []
@@ -164,7 +157,7 @@ def _cmd_classify(args, cover):
 
 def _emit(args, report: RunReport, lines):
     if args.json:
-        print(json.dumps(report.to_json(), indent=2, default=str))
+        print(json.dumps(asdict(report), indent=2, default=str))
     else:
         for line in lines:
             print(line)
@@ -179,7 +172,7 @@ def _dispatch(args) -> int:
         report = RunReport(invocation, __version__, None, failures, timings)
         if failures:
             if args.json:
-                print(json.dumps(report.to_json(), indent=2, default=str))
+                print(json.dumps(asdict(report), indent=2, default=str))
             else:
                 for rec in failures:
                     print(json.dumps(rec, default=str))

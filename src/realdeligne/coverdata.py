@@ -21,6 +21,7 @@ from .errors import (
     FIXED_INDEX_PRESENT,
     INVOLUTION_FACE_MISMATCH,
     INVOLUTION_NOT_SELF_INVERSE,
+    MALFORMED_DESCRIPTION,
     NOT_DOWNWARD_CLOSED,
     CoverValidationError,
     InvalidCocycle,
@@ -123,9 +124,6 @@ class C2Cover:
     def support_of(self, component: str):
         return self._support[component]
 
-    def max_intersection_size(self) -> int:
-        return max((len(s) for s in self.intersections), default=0)
-
     def is_free(self) -> bool:
         return all(self.involution[i] != i for i in self.indices)
 
@@ -172,6 +170,50 @@ class C2Cover:
         )
 
 
+def _names(v) -> bool:
+    return isinstance(v, (list, tuple)) and all(isinstance(x, str) for x in v)
+
+
+def _name_map(v) -> bool:
+    return isinstance(v, dict) and _names([*v, *v.values()])
+
+
+def _entries(v, names=(), lists=()) -> bool:
+    return isinstance(v, (list, tuple)) and all(
+        isinstance(e, dict)
+        and _names([e.get(f) for f in names])
+        and all(_names(e.get(f)) for f in lists)
+        for e in v
+    )
+
+
+# field, required, test, what the field must be
+_SHAPE = (
+    ("name", True, lambda v: isinstance(v, str), "a string"),
+    ("involution_name", False, lambda v: isinstance(v, str), "a string"),
+    ("indices", True, _names, "a list of names"),
+    ("involution", True, _name_map, "an object of names"),
+    ("intersections", True, lambda v: _entries(v, lists=("sets", "components")),
+     "a list of objects with name lists 'sets' and 'components'"),
+    ("faces", False, lambda v: _entries(v, names=("component", "drop", "in_component")),
+     "a list of objects with names 'component', 'drop' and 'in_component'"),
+    ("component_involution", False, _name_map, "an object of names"),
+)
+
+
+def _shape_violations(raw) -> list:
+    """Missing fields and wrong types, which every later check relies on."""
+    if not isinstance(raw, dict):
+        return [(MALFORMED_DESCRIPTION, f"a cover description is an object, not {type(raw).__name__}")]
+    out = []
+    for key, required, ok, what in _SHAPE:
+        if key not in raw and required:
+            out.append((MALFORMED_DESCRIPTION, f"required field {key!r} is missing"))
+        elif key in raw and not ok(raw[key]):
+            out.append((MALFORMED_DESCRIPTION, f"field {key!r} must be {what}"))
+    return out
+
+
 def _raw_parts(raw: dict):
     indices = tuple(raw["indices"])
     involution = dict(raw["involution"])
@@ -195,8 +237,11 @@ def validate_cover(raw) -> C2Cover:
     """
     if isinstance(raw, C2Cover):
         raw = raw.to_raw()
+    violations = _shape_violations(raw)
+    if violations:
+        # the description cannot even be read; nothing else can be checked
+        raise CoverValidationError(violations)
     indices, involution, intersections, faces, comp_inv = _raw_parts(raw)
-    violations = []
     index_set = set(indices)
     if len(index_set) != len(indices):
         violations.append((INVOLUTION_NOT_SELF_INVERSE, "duplicate index names"))
@@ -485,23 +530,17 @@ def double_fixed_indices(raw) -> C2Cover:
         new_comp_inv[cid] = decorate(comp_inv[c], t_subset)
 
     return validate_cover(
-        {
-            "name": raw["name"],
-            "involution_name": raw.get("involution_name", "t"),
-            "indices": new_indices,
-            "involution": new_involution,
-            "intersections": [
-                {"sets": sorted(s), "components": list(new_intersections[s])}
-                for s in sorted(new_intersections, key=lambda s: (len(s), sorted(s)))
-            ],
-            "faces": [
-                {"component": c, "drop": i, "in_component": new_faces[(c, i)]}
-                for (c, i) in sorted(new_faces)
-            ],
-            "component_involution": {c: new_comp_inv[c] for c in sorted(new_comp_inv)},
-            "good": bool(raw.get("good", False)),
-            "compact": bool(raw.get("compact", False)),
-        }
+        C2Cover(
+            name=raw["name"],
+            involution_name=raw.get("involution_name", "t"),
+            indices=tuple(new_indices),
+            involution=new_involution,
+            intersections=new_intersections,
+            faces=new_faces,
+            component_involution=new_comp_inv,
+            good=bool(raw.get("good", False)),
+            compact=bool(raw.get("compact", False)),
+        )
     )
 
 
@@ -571,23 +610,17 @@ def product_cover(a: C2Cover, b: C2Cover, name: str | None = None) -> C2Cover:
         comp_inv[cid] = comp_id(a.sigma(ca), b.sigma(cb), t_subset)
 
     return validate_cover(
-        {
-            "name": name or f"{a.name}*{b.name}",
-            "involution_name": f"{a.involution_name}*{b.involution_name}",
-            "indices": indices,
-            "involution": involution,
-            "intersections": [
-                {"sets": sorted(s), "components": list(intersections[s])}
-                for s in sorted(intersections, key=lambda s: (len(s), sorted(s)))
-            ],
-            "faces": [
-                {"component": c, "drop": i, "in_component": faces[(c, i)]}
-                for (c, i) in sorted(faces)
-            ],
-            "component_involution": {c: comp_inv[c] for c in sorted(comp_inv)},
-            "good": a.good and b.good,
-            "compact": a.compact and b.compact,
-        }
+        C2Cover(
+            name=name or f"{a.name}*{b.name}",
+            involution_name=f"{a.involution_name}*{b.involution_name}",
+            indices=tuple(indices),
+            involution=involution,
+            intersections=intersections,
+            faces=faces,
+            component_involution=comp_inv,
+            good=a.good and b.good,
+            compact=a.compact and b.compact,
+        )
     )
 
 

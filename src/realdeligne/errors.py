@@ -40,6 +40,7 @@ class CoverValidationError(EngineError):
         super().__init__("invalid cover description:\n" + "\n".join(lines))
 
 
+MALFORMED_DESCRIPTION = "MalformedDescription"
 INVOLUTION_NOT_SELF_INVERSE = "InvolutionNotSelfInverse"
 FIXED_INDEX_PRESENT = "FixedIndexPresent"
 FACE_INCOHERENCE = "FaceIncoherence"

@@ -15,30 +15,15 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from math import gcd
 
 import numpy as np
-from sympy import factorint
 
 from .errors import DegreeOutOfRange, NotACocycle, NotAnInvolution, NotEquivariant
 
 
 def zeros(nrows: int, ncols: int) -> np.ndarray:
     return np.zeros((nrows, ncols), dtype=object)
-
-
-def eye(n: int) -> np.ndarray:
-    a = zeros(n, n)
-    for i in range(n):
-        a[i, i] = 1
-    return a
-
-
-def intmat(rows) -> np.ndarray:
-    """Dense exact-integer matrix from a nested list (or 2-d array)."""
-    a = np.array(rows, dtype=object)
-    if a.ndim != 2:
-        a = a.reshape(len(rows), -1)
-    return a
 
 
 class SparseIntMatrix:
@@ -175,25 +160,24 @@ def as_sparse(m) -> SparseIntMatrix:
 # ---------------------------------------------------------------------------
 
 
+@dataclass(eq=False, slots=True)
 class _SmithData:
     """Result of a Smith reduction ``u @ m @ v == d``.
 
     ``diag`` lists the diagonal of ``d`` (nonnegative, divisibility chain).
     Transforms are kept sparse: ``u`` and ``vinv`` as plain row dicts,
     ``v`` and ``uinv`` through their transposes (so that the column
-    operations performed on them become row operations).
+    operations performed on them become row operations).  Without
+    transforms all four are None.
     """
 
-    __slots__ = ("nrows", "ncols", "diag", "u", "vT", "uinvT", "vinv")
-
-    def __init__(self, nrows, ncols, diag, u, vT, uinvT, vinv):
-        self.nrows = nrows
-        self.ncols = ncols
-        self.diag = diag
-        self.u = u
-        self.vT = vT
-        self.uinvT = uinvT
-        self.vinv = vinv
+    nrows: int
+    ncols: int
+    diag: list
+    u: SparseIntMatrix | None
+    vT: SparseIntMatrix | None
+    uinvT: SparseIntMatrix | None
+    vinv: SparseIntMatrix | None
 
     # -- dense views used by tests and callers that want matrices
 
@@ -278,6 +262,16 @@ class _SmithData:
         return x[:, 0] if vector_in else x
 
 
+def _axpy(dst: dict, src: dict, q) -> None:
+    """``dst += q * src`` on sparse rows."""
+    for j, x in src.items():
+        v = dst.get(j, 0) + q * x
+        if v:
+            dst[j] = v
+        else:
+            dst.pop(j, None)
+
+
 def _smith(m: SparseIntMatrix, transforms: bool = True) -> _SmithData:
     nr, nc = m.nrows, m.ncols
     a = [dict(r) for r in m.rows]
@@ -306,21 +300,9 @@ def _smith(m: SparseIntMatrix, transforms: bool = True) -> _SmithData:
                 ai.pop(j, None)
                 colrows[j].discard(i)
         if transforms:
-            ur, ut = u.rows[i], u.rows[t]
-            for j, x in ut.items():
-                v = ur.get(j, 0) - q * x
-                if v:
-                    ur[j] = v
-                else:
-                    ur.pop(j, None)
+            _axpy(u.rows[i], u.rows[t], -q)
             # u_inv column t += q * column i  (stored transposed)
-            wt, wi = uinvT.rows[t], uinvT.rows[i]
-            for j, x in wi.items():
-                v = wt.get(j, 0) + q * x
-                if v:
-                    wt[j] = v
-                else:
-                    wt.pop(j, None)
+            _axpy(uinvT.rows[t], uinvT.rows[i], q)
 
     def col_axpy(j, t, q):
         # col_j -= q * col_t
@@ -337,20 +319,8 @@ def _smith(m: SparseIntMatrix, transforms: bool = True) -> _SmithData:
                 a[i].pop(j, None)
                 colrows[j].discard(i)
         if transforms:
-            vj, vt = vT.rows[j], vT.rows[t]
-            for i, x in vt.items():
-                v = vj.get(i, 0) - q * x
-                if v:
-                    vj[i] = v
-                else:
-                    vj.pop(i, None)
-            wt, wj = vinv.rows[t], vinv.rows[j]
-            for i, x in wj.items():
-                v = wt.get(i, 0) + q * x
-                if v:
-                    wt[i] = v
-                else:
-                    wt.pop(i, None)
+            _axpy(vT.rows[j], vT.rows[t], -q)
+            _axpy(vinv.rows[t], vinv.rows[j], q)
 
     def row_swap(i, t):
         if i == t:
@@ -544,23 +514,15 @@ class GroupDescriptor:
 
     @classmethod
     def from_cyclic_orders(cls, rank, orders) -> "GroupDescriptor":
-        """Canonicalize a direct sum of cyclic groups of the given orders."""
-        primes: dict = {}
-        for n in orders:
-            n = abs(int(n))
-            if n <= 1:
-                continue
-            for p, e in factorint(n).items():
-                primes.setdefault(p, []).append(e)
-        if not primes:
-            return cls(rank)
-        count = max(len(v) for v in primes.values())
-        factors = [1] * count
-        for p, exps in primes.items():
-            exps = sorted(exps)
-            exps = [0] * (count - len(exps)) + exps
-            for i, e in enumerate(exps):
-                factors[i] *= p**e
+        """Canonicalize a direct sum of cyclic groups of the given orders,
+        skipping orders of at most 1.  ``Z/a + Z/b = Z/gcd + Z/lcm``, and a
+        sweep over every pair ``i < j`` leaves each order dividing the next."""
+        factors = [n for n in (abs(int(n)) for n in orders) if n > 1]
+        for i in range(len(factors)):
+            for j in range(i + 1, len(factors)):
+                a, b = factors[i], factors[j]
+                g = gcd(a, b)
+                factors[i], factors[j] = g, a * b // g
         return cls(rank, tuple(d for d in factors if d > 1))
 
     @property
@@ -625,15 +587,28 @@ class IntegerCochainComplex:
     def degrees(self):
         return range(self.lo, self.hi + 1)
 
+    def _check(self, k: int, d: SparseIntMatrix, rank_above: int) -> None:
+        if d.shape != (rank_above, self.rank(k)):
+            raise ValueError(f"differential at degree {k} has shape {d.shape}")
+        if not d.matmul(self.diff(k - 1)).is_zero():
+            raise ValueError(f"d∘d != 0 between degrees {k - 1} and {k + 1}")
+
     def validate(self) -> "IntegerCochainComplex":
         for k in range(self.lo, self.hi):
-            d = self.diff(k)
-            if d.shape != (self.rank(k + 1), self.rank(k)):
-                raise ValueError(f"differential at degree {k} has shape {d.shape}")
-        for k in range(self.lo, self.hi - 1):
-            if not self.diff(k + 1).matmul(self.diff(k)).is_zero():
-                raise ValueError(f"d∘d != 0 between degrees {k} and {k + 2}")
+            self._check(k, self.diff(k), self.rank(k + 1))
         return self
+
+    def extend(self, rank: int, diff: SparseIntMatrix) -> None:
+        """Carry the complex one degree higher, in place, checking only the
+        new differential ``diff`` into a new top term of rank ``rank``.
+        Answers cached from the old top degree up saw a zero map there and
+        are dropped."""
+        k = self.hi
+        self._check(k, diff, rank)
+        self.hi = k + 1
+        self.ranks[k + 1] = rank
+        self.diffs[k] = diff
+        self._cache = {key: v for key, v in self._cache.items() if key[1] < k}
 
 
 def _quotient_data(a_smith: _SmithData, generators: SparseIntMatrix) -> dict:
@@ -761,6 +736,45 @@ def rational_class_free_coordinates(c: IntegerCochainComplex, k: int, cocycle):
 # ---------------------------------------------------------------------------
 
 
+def _fixed_lattice(k: int, tk: SparseIntMatrix, n: int) -> _SmithData:
+    """Check that ``tk`` is an involution of ``Z^n``; return the Smith
+    reduction of ``t_k - id``, whose kernel is the saturated fixed lattice."""
+    if tk.shape != (n, n):
+        raise NotAnInvolution(f"map at degree {k} has shape {tk.shape}, want ({n}, {n})")
+    if tk.matmul(tk) != SparseIntMatrix.identity(n):
+        raise NotAnInvolution(f"map at degree {k} does not square to the identity")
+    delta = tk.copy()
+    delta.set_block(0, 0, SparseIntMatrix.identity(n), scale=-1)
+    return _smith(delta, transforms=True)
+
+
+def _grow_fixed(c: IntegerCochainComplex, t, fixed, hi: int):
+    """Carry ``fixed = (sub, bases)``, the fixed subcomplex of ``c`` with its
+    embeddings, up to degree ``hi`` in place, one degree at a time; None
+    starts it in degree ``c.lo``.  ``t(k)`` is the involution in degree k."""
+    if fixed is None:
+        basis = _fixed_lattice(c.lo, t(c.lo), c.rank(c.lo)).kernel_basis()
+        fixed = IntegerCochainComplex(c.lo, c.lo, {c.lo: basis.ncols}, {}), {c.lo: basis}
+    sub, bases = fixed
+    t_top = t(sub.hi) if sub.hi < hi else None
+    while sub.hi < hi:
+        k = sub.hi
+        t_next = t(k + 1)
+        sm = _fixed_lattice(k + 1, t_next, c.rank(k + 1))
+        d = c.diff(k)
+        if t_next.matmul(d) != d.matmul(t_top):
+            raise NotEquivariant(f"map does not commute with the differential at degree {k}")
+        basis = sm.kernel_basis()
+        image = d.matmul(bases[k])
+        dk = sm.kernel_left_inverse().matmul(image)
+        if basis.matmul(dk) != image:
+            raise NotEquivariant(f"differential at degree {k} does not preserve the fixed sublattice")
+        bases[k + 1] = basis
+        sub.extend(basis.ncols, dk)
+        t_top = t_next
+    return fixed
+
+
 def fixed_subcomplex(c: IntegerCochainComplex, involution: dict):
     """Subcomplex of vectors fixed by a degreewise involution.
 
@@ -770,44 +784,4 @@ def fixed_subcomplex(c: IntegerCochainComplex, involution: dict):
     ``ker(t_k - id)`` (computed from its Smith form) and ``sub`` carries the
     rewritten differentials in those bases.
     """
-    t_sparse = {}
-    for k in c.degrees():
-        tk = as_sparse(involution[k])
-        n = c.rank(k)
-        if tk.shape != (n, n):
-            raise NotAnInvolution(f"map at degree {k} has shape {tk.shape}, want ({n}, {n})")
-        if tk.matmul(tk) != SparseIntMatrix.identity(n):
-            raise NotAnInvolution(f"map at degree {k} does not square to the identity")
-        t_sparse[k] = tk
-    for k in range(c.lo, c.hi):
-        d = c.diff(k)
-        if t_sparse[k + 1].matmul(d) != d.matmul(t_sparse[k]):
-            raise NotEquivariant(f"map does not commute with the differential at degree {k}")
-
-    bases = {}
-    left_inverses = {}
-    for k in c.degrees():
-        tk = t_sparse[k]
-        delta = tk.copy()
-        for i in range(c.rank(k)):
-            delta.set(i, i, delta.get(i, i) - 1)
-        sm = _smith(delta, transforms=True)
-        bases[k] = sm.kernel_basis()
-        left_inverses[k] = sm.kernel_left_inverse()
-
-    diffs = {}
-    for k in range(c.lo, c.hi):
-        image = c.diff(k).matmul(bases[k])
-        dk = left_inverses[k + 1].matmul(image)
-        if bases[k + 1].matmul(dk) != image:
-            raise NotEquivariant(
-                f"differential at degree {k} does not preserve the fixed sublattice"
-            )
-        diffs[k] = dk
-    sub = IntegerCochainComplex(
-        lo=c.lo,
-        hi=c.hi,
-        ranks={k: bases[k].ncols for k in c.degrees()},
-        diffs=diffs,
-    )
-    return sub.validate(), bases
+    return _grow_fixed(c, lambda k: as_sparse(involution[k]), None, c.hi)

@@ -135,3 +135,37 @@ def sphere_quotient(n: int, sign: int, k: int):
 def frac_mod1(x) -> Fraction:
     f = Fraction(x)
     return f - (f.numerator // f.denominator)
+
+
+# ---------------------------------------------------------------------------
+# invariant factors of a direct sum of cyclic groups
+# ---------------------------------------------------------------------------
+
+
+def invariant_factors(orders):
+    """Invariant factors of the direct sum of cyclic groups of the given
+    orders, through the primary decomposition.
+
+    Each order is split into prime powers by trial division; the largest
+    power of every prime goes into the last factor, the next largest into
+    the one before, and so on.  Orders of at most 1 (in absolute value)
+    are trivial summands.
+    """
+    powers = {}
+    for n in orders:
+        n = abs(n)
+        p = 2
+        while n > 1:
+            e = 0
+            while n % p == 0:
+                n //= p
+                e += 1
+            if e:
+                powers.setdefault(p, []).append(p**e)
+            p += 1
+    count = max((len(v) for v in powers.values()), default=0)
+    factors = [1] * count
+    for prime_powers in powers.values():
+        for i, q in enumerate(sorted(prime_powers, reverse=True)):
+            factors[count - 1 - i] *= q
+    return tuple(factors)

@@ -5,8 +5,10 @@ import numpy as np
 import pytest
 
 import oracles
+from realdeligne import catalog, deligne, exactalg
 from realdeligne.cechengine import (
     CoefficientComplex,
+    _rational_rank,
     build_equivariant_complex,
     build_full_complex,
     cech_differential,
@@ -28,7 +30,7 @@ from realdeligne.errors import (
     DegreeOutOfRange,
     InvalidCoefficientComplex,
 )
-from realdeligne.exactalg import GroupDescriptor, complex_cohomology
+from realdeligne.exactalg import GroupDescriptor, complex_cohomology, fixed_subcomplex
 
 Q_TRIVIAL = CoefficientSystem.rationals(+1)
 
@@ -307,3 +309,93 @@ def test_cone_matches_direct_mod_n_on_curved_spaces(spaces):
                 cover, CoefficientSystem.integers_mod(3, -1), k, k + 2
             )
             assert hypercohomology(cover, cone, k + 1, k + 2) == direct, (name, k)
+
+
+# ---------------------------------------------------------------------------
+# one complex per (cover, sign), grown degree by degree
+# ---------------------------------------------------------------------------
+
+
+def _fresh(entry):
+    return catalog.build(entry.name, *entry.params)
+
+
+@pytest.mark.parametrize("entry", catalog.ENTRIES, ids=catalog.entry_label)
+def test_grown_complex_matches_fixed_subcomplex(entry):
+    """Asking one cover for max_degree 2, then 5, then 3 gives bit for bit
+    the complex that fixed_subcomplex builds in one go on a fresh cover."""
+    cover = _fresh(entry)
+    for sign in (-1, 1):
+        coeff = CoefficientSystem.integers(sign)
+        for md in (2, 5, 3):
+            sub, bases = build_equivariant_complex(cover, coeff, md)
+            assert sub.hi >= md + 1
+            fresh = _fresh(entry)
+            full = build_full_complex(fresh, md)
+            t_maps = {k: involution_matrix(fresh, k, sign) for k in full.degrees()}
+            ref_sub, ref_bases = fixed_subcomplex(full, t_maps)
+            for k in ref_sub.degrees():
+                assert sub.rank(k) == ref_sub.rank(k), (sign, md, k)
+                assert bases[k] == ref_bases[k], (sign, md, k)
+                if k < ref_sub.hi:
+                    assert sub.diff(k) == ref_sub.diff(k), (sign, md, k)
+        assert build_equivariant_complex(cover, coeff, 3)[0] is sub
+
+
+def test_growth_drops_answers_cached_at_the_old_top():
+    """H^hi and the rational rank at hi were computed against a zero d_hi;
+    after growing, both must be recomputed against the real one."""
+    changed = 0
+    for entry in catalog.ENTRIES:
+        cover = _fresh(entry)
+        for coeff in (IZ, Z_TRIVIAL):
+            sub, _ = build_equivariant_complex(cover, coeff, 1)
+            top = sub.hi
+            truncated = (complex_cohomology(sub, top), _rational_rank(sub, top))
+            grown, _ = build_equivariant_complex(cover, coeff, 3)
+            assert grown is sub and sub.hi > top
+            got = (complex_cohomology(sub, top), _rational_rank(sub, top))
+            ref, _ = build_equivariant_complex(_fresh(entry), coeff, 3)
+            assert got == (complex_cohomology(ref, top), _rational_rank(ref, top))
+            changed += got != truncated
+    assert changed  # the catalog does exercise a nonzero top differential
+
+
+def test_session_reduces_each_involution_once(monkeypatch):
+    """A session of every public question on one cover, each at the
+    max_degree its entry point uses, runs the Smith reduction of
+    t_k - id at most once per (sign, k)."""
+    cover = catalog.build("sphere_antipodal", 2)
+    calls = []
+    inner = exactalg._smith
+
+    def counting(m, transforms=True):
+        calls.append(m)
+        return inner(m, transforms)
+
+    monkeypatch.setattr(exactalg, "_smith", counting)
+    for k in range(3):
+        for coeff in (IZ, Z_TRIVIAL, IQ, CoefficientSystem.integers_mod(2, -1)):
+            equivariant_cohomology(cover, coeff, k, k + 1)
+        nonequivariant_cohomology(cover, Z_TRIVIAL, k, k + 1)
+        hypercohomology(cover, CoefficientComplex((IZ, IZ), (3,)), k + 1, k + 2)
+    for p in range(4):
+        for q in range(3):
+            deligne.deligne_descriptor(cover, p, q)
+    deligne.classify_line_bundles(cover)
+    deligne.classify_line_bundles_with_connection(cover)
+    deligne.classify_flat_line_bundles(cover)
+    deligne.real_circle_maps(cover)
+    for k in (0, 1):
+        deligne.quotient_coefficients_cohomology(cover, k)
+    monkeypatch.undo()
+
+    reduced = {}
+    for sign in (-1, 1):
+        for k in range(6):
+            t_minus_id = involution_matrix(cover, k, sign)
+            for i in range(t_minus_id.nrows):
+                t_minus_id.set(i, i, t_minus_id.get(i, i) - 1)
+            reduced[sign, k] = sum(1 for m in calls if m == t_minus_id)
+    assert all(n <= 1 for n in reduced.values()), reduced
+    assert reduced[-1, 4] == 1 and reduced[1, 3] == 1, reduced

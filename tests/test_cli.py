@@ -1,6 +1,9 @@
 """End-to-end command-line behaviour: channels, exit codes, JSON reports."""
 
 import json
+import os
+import subprocess
+import sys
 
 import jsonschema
 import pytest
@@ -200,6 +203,61 @@ def test_exit_degree_range(capsys):
         "3",
     )
     assert code == 3
+
+
+@pytest.mark.parametrize(
+    "argv, code, message",
+    [
+        (["--max-degree", "0"], 3, "at least 1, got 0"),
+        (["--max-degree", "-1"], 3, "at least 1, got -1"),
+    ],
+)
+def test_compute_degree_exit_codes(capsys, argv, code, message):
+    got, out, err = run(
+        capsys, "compute", "--space", "point_trivial", "--coeff", "iZ", *argv
+    )
+    assert got == code
+    assert out == ""
+    assert message in err
+
+
+def test_exit_cover_file_without_indices(tmp_path, capsys, spaces):
+    raw = spaces["free_orbit"].to_raw()
+    del raw["indices"]
+    path = tmp_path / "no-indices.json"
+    path.write_text(json.dumps(raw))
+    code, out, err = run(
+        capsys, "compute", "--space", f"@{path}", "--coeff", "iZ", "--max-degree", "2"
+    )
+    assert code == 2
+    assert out == ""
+    assert "'indices' is missing" in err
+
+
+def test_exit_non_integer_catalog_parameter(capsys):
+    code, out, err = run(
+        capsys,
+        "compute",
+        "--space",
+        "sphere_antipodal:x",
+        "--coeff",
+        "iZ",
+        "--max-degree",
+        "2",
+    )
+    assert code == 2
+    assert out == ""
+    assert "integer" in err and "'x'" in err
+
+
+def test_cli_import_leaves_sympy_unloaded():
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    probe = "import realdeligne.cli, sys; print('sympy' in sys.modules)"
+    proc = subprocess.run(
+        [sys.executable, "-c", probe], capture_output=True, text=True, env=env, check=True
+    )
+    assert proc.stdout.strip() == "False"
 
 
 def test_exit_not_compact(tmp_path, capsys, spaces):

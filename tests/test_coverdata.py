@@ -20,6 +20,7 @@ from realdeligne.errors import (
     FIXED_INDEX_PRESENT,
     INVOLUTION_FACE_MISMATCH,
     INVOLUTION_NOT_SELF_INVERSE,
+    MALFORMED_DESCRIPTION,
     NOT_DOWNWARD_CLOSED,
     CoverValidationError,
     InvalidCocycle,
@@ -55,6 +56,24 @@ def test_free_orbit_validates():
     assert cover.t("U") == "V"
     assert cover.sigma("cU") == "cV"
     assert cover.components_of(frozenset({"U", "V"})) == ()
+
+
+def test_malformed_descriptions_collected():
+    raw = free_orbit_raw()
+    del raw["indices"]
+    raw["involution"] = {"U": 1}
+    raw["intersections"] = [{"sets": "U", "components": ["cU"]}]
+    raw["faces"] = {}
+    with pytest.raises(CoverValidationError) as err:
+        validate_cover(raw)
+    found = err.value.violations
+    assert {kind for kind, _ in found} == {MALFORMED_DESCRIPTION}
+    assert len(found) == 4
+    for field in ("indices", "involution", "intersections", "faces"):
+        assert any(f"'{field}'" in msg for _, msg in found), field
+    assert kinds_of(["not", "an", "object"]) == {MALFORMED_DESCRIPTION}
+    with pytest.raises(CoverValidationError):
+        double_fixed_indices({"name": "no_sets"})
 
 
 def test_fixed_index_reported():

@@ -4,8 +4,9 @@ cochain complexes, class coordinates, fixed subcomplexes."""
 import numpy as np
 import pytest
 from fractions import Fraction
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
+import oracles
 from realdeligne.errors import (
     DegreeOutOfRange,
     NotACocycle,
@@ -336,6 +337,15 @@ def test_descriptor_canonical_forms():
     assert GroupDescriptor.from_cyclic_orders(0, [2, 2, 2]) == GroupDescriptor(
         0, (2, 2, 2)
     )
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.integers(-400, 400), max_size=7))
+@example([0, 1, -1])  # orders of at most 1 are skipped, 0 included
+@example([0, -6, 4])
+def test_from_cyclic_orders_matches_primary_decomposition(orders):
+    got = GroupDescriptor.from_cyclic_orders(3, orders)
+    assert got == GroupDescriptor(3, oracles.invariant_factors(orders))
 
 
 def test_descriptor_rejects_broken_chain():
