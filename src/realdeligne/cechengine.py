@@ -3,9 +3,13 @@
 Cochains live on ordered index tuples with repeats, normalized by dropping
 tuples with two equal consecutive entries; each tuple contributes one basis
 vector per component of its support intersection.  The involution acts by
-relabeling tuples and components and multiplying by the coefficient sign;
-equivariant cochains are its fixed vectors, extracted as a subcomplex with
-an explicit integral basis.
+relabeling tuples and components and multiplying by the coefficient sign.
+The index involution is free, so the tuple involution is too, and
+equivariant cochains are spanned by orbit sums ``e + sign * t(e)``: the
+fixed complex has one basis vector per orbit, its differential is read off
+the representative rows of the full coboundary, and a fixed cochain's
+coordinates are its entries at the representatives (the induced-module
+picture; K. S. Brown, *Cohomology of Groups*, §III.5).
 
 A cover's cache holds one plain complex and one fixed complex per sign.
 ``max_degree`` only says how far a caller needs them; a larger one grows
@@ -33,7 +37,7 @@ from .exactalg import (
     GroupDescriptor,
     IntegerCochainComplex,
     SparseIntMatrix,
-    _grow_fixed,
+    _grow_orbit_complex,
     _quotient_data,
     _smith,
     complex_cohomology,
@@ -132,18 +136,27 @@ def cech_differential(cover: C2Cover, p: int, include_degenerate: bool = False) 
     return m
 
 
+def basis_involution(cover: C2Cover, p: int, include_degenerate: bool = False) -> list:
+    """The index/component involution on degree-``p`` basis positions:
+    entry ``pos`` is the position of the image of element ``pos``."""
+    key = ("involution", p, include_degenerate)
+    cache = _cache(cover)
+    if key not in cache:
+        basis = tuple_basis(cover, p, include_degenerate)
+        cache[key] = [
+            basis.position[(tuple(cover.t(i) for i in tup), cover.sigma(c))]
+            for tup, c in basis.elements
+        ]
+    return cache[key]
+
+
 def involution_matrix(
     cover: C2Cover, p: int, sign: int, include_degenerate: bool = False
 ) -> SparseIntMatrix:
     """Action of the involution on degree-``p`` cochains: permute basis
     elements by the index/component involution, times the coefficient sign."""
-    basis = tuple_basis(cover, p, include_degenerate)
-    n = len(basis)
-    m = SparseIntMatrix(n, n)
-    for pos, (tup, c) in enumerate(basis.elements):
-        image = (tuple(cover.t(i) for i in tup), cover.sigma(c))
-        m.rows[pos][basis.position[image]] = sign
-    return m
+    perm = basis_involution(cover, p, include_degenerate)
+    return SparseIntMatrix(len(perm), len(perm), [{j: sign} for j in perm])
 
 
 def build_full_complex(
@@ -176,10 +189,14 @@ def build_equivariant_complex(
     """Integral complex of equivariant cochains, with its embedding.
 
     Returns ``(sub, bases)`` where ``bases[k]`` embeds the fixed basis into
-    the full degree-``k`` cochain space.  There is one pair per cover and
-    sign, grown in place to degree ``max_degree + 1``; the involution is
-    checked to square to the identity and commute with the coboundary once
-    per degree, when that degree is first built.  The coefficient base is
+    the full degree-``k`` cochain space.  The basis has one orbit sum
+    ``e_r + sign * e_t(r)`` per orbit of the (free) basis involution, with
+    ``r`` the later position of the pair, and the fixed differential is read
+    off the representative rows of the full coboundary; no Smith reduction
+    is involved.  There is one pair per cover and sign, grown in place to
+    degree ``max_degree + 1``; the involution is checked to be free, to
+    square to the identity and to commute with the coboundary once per
+    degree, when that degree is first built.  The coefficient base is
     ignored here — this is the integral model, and rational or mod-n
     answers are derived from it downstream.
     """
@@ -190,12 +207,12 @@ def build_equivariant_complex(
         )
     full = build_full_complex(cover, max_degree, include_degenerate)
 
-    def t(k):
-        return involution_matrix(cover, k, coeff.sign, include_degenerate)
+    def perm(k):
+        return basis_involution(cover, k, include_degenerate)
 
     key = ("equivariant", coeff.sign, include_degenerate)
     cache = _cache(cover)
-    cache[key] = _grow_fixed(full, t, cache.get(key), max_degree + 1)
+    cache[key] = _grow_orbit_complex(full, perm, coeff.sign, cache.get(key), max_degree + 1)
     return cache[key]
 
 

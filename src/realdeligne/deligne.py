@@ -20,6 +20,7 @@ from fractions import Fraction
 import numpy as np
 
 from .cechengine import (
+    basis_involution,
     build_equivariant_complex,
     cech_differential,
     equivariant_cohomology,
@@ -36,9 +37,9 @@ from .exactalg import (
     ElementCoordinates,
     GroupDescriptor,
     class_coordinates,
+    coboundary_preimage,
+    orbit_coordinates,
     rational_class_free_coordinates,
-    solve_int,
-    solve_rational,
 )
 
 SMOOTH_PART_SYMBOL = "E^{p-1}/E^{p-1}_0(M)"
@@ -288,31 +289,21 @@ class FlatCocycleClass:
     trivial: bool
 
 
-def _fixed_data(cover: C2Cover, max_degree: int = 3):
-    """Fixed complex with embeddings, plus the full degree-1 coboundary."""
-    sub, bases = build_equivariant_complex(cover, IZ, max_degree)
-    return sub, bases, cech_differential(cover, 1)
-
-
 def _equivariant_lift(cover: C2Cover, fc: FlatCocycle) -> np.ndarray:
     """Rational degree-1 cochain, fixed on the nose, reducing to the angles.
 
     One angle per involution orbit of basis elements is lifted verbatim to
-    its representative and propagated with a flipped sign to the partner;
+    its first position and propagated with a flipped sign to the partner;
     freeness of the index involution means no basis element partners itself.
     """
     basis = tuple_basis(cover, 1)
+    perm = basis_involution(cover, 1)
     lift = np.zeros(len(basis), dtype=object)
-    seen = set()
     for pos, ((i, j), c) in enumerate(basis.elements):
-        if pos in seen:
-            continue
-        partner = basis.position[((cover.t(i), cover.t(j)), cover.sigma(c))]
-        theta = _mod1(fc.angles[(i, j, c)])
-        lift[pos] = theta
-        lift[partner] = -theta
-        seen.add(pos)
-        seen.add(partner)
+        if pos < perm[pos]:
+            theta = _mod1(fc.angles[(i, j, c)])
+            lift[pos] = theta
+            lift[perm[pos]] = -theta
     return lift
 
 
@@ -327,10 +318,10 @@ def flat_cocycle_class(fc: FlatCocycle, max_degree: int = 3) -> FlatCocycleClass
     """
     fc.validate()
     cover = fc.cover
-    sub, bases, delta1 = _fixed_data(cover, max_degree)
+    sub, _ = build_equivariant_complex(cover, IZ, max_degree)
 
     lift = _equivariant_lift(cover, fc)
-    raw = delta1.matvec(lift)
+    raw = cech_differential(cover, 1).matvec(lift)
     if any(Fraction(x).denominator != 1 for x in raw):
         raise InvalidCocycle(
             "coboundary of the lift is not integral; the angle data "
@@ -338,9 +329,9 @@ def flat_cocycle_class(fc: FlatCocycle, max_degree: int = 3) -> FlatCocycleClass
         )
     beta = np.array([int(x) for x in raw], dtype=object)
 
-    y_beta = solve_int(bases[2], beta)
-    if y_beta is None:
-        raise AssertionError("integral coboundary of a fixed lift must be fixed")
+    # fixed cochains in orbit coordinates: their entries at the representatives
+    sign = IZ.sign
+    y_beta = orbit_coordinates(basis_involution(cover, 2), sign, beta)
     bockstein = class_coordinates(sub, 2, y_beta)
     if any(bockstein.free_part):
         raise AssertionError("obstruction class of a flat cocycle must be torsion")
@@ -352,12 +343,10 @@ def flat_cocycle_class(fc: FlatCocycle, max_degree: int = 3) -> FlatCocycleClass
 
     # obstruction vanishes: peel off an integral cochain and read the
     # residual rational class on the torus
-    mu = solve_int(sub.diff(1), y_beta)
+    mu = coboundary_preimage(sub, 2, y_beta)
     if mu is None:
         raise AssertionError("vanishing obstruction class must bound integrally")
-    lift_fixed = solve_rational(bases[1], lift)
-    if lift_fixed is None:
-        raise AssertionError("the equivariant lift must lie in the fixed lattice span")
+    lift_fixed = orbit_coordinates(basis_involution(cover, 1), sign, lift)
     residual = np.array(
         [Fraction(a) - Fraction(int(b)) for a, b in zip(lift_fixed, mu)], dtype=object
     )

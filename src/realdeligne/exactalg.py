@@ -7,8 +7,12 @@ keeps Smith reduction of the large but very sparse coboundary matrices cheap.
 Dense interchange uses numpy arrays with ``dtype=object``.
 
 The main entry points are :func:`smith_normal_form`,
-:func:`complex_cohomology`, :func:`fixed_subcomplex` and
-:func:`class_coordinates`.
+:func:`complex_cohomology` and :func:`class_coordinates`.  The subcomplex
+fixed by a degreewise involution has two routes: :func:`fixed_subcomplex`
+reads it off the Smith form of ``t_k - id`` for any involution, and
+:func:`_grow_orbit_complex`, which the Cech engine uses, reads it off the
+orbits of a free signed permutation, one orbit sum per basis vector, with
+no reduction at all (:func:`orbit_coordinates` is its left inverse).
 """
 
 from __future__ import annotations
@@ -363,21 +367,24 @@ def _smith(m: SparseIntMatrix, transforms: bool = True) -> _SmithData:
                 for j in r:
                     r[j] = -r[j]
 
+    # Invariant: when step t starts, rows and columns below t hold only
+    # their diagonal entries, so every entry of a column j >= t lies in a
+    # row >= t.  The helpers above keep ``colrows`` exact (no stale rows),
+    # so a column is nonzero in the remaining block iff its set is nonempty.
     n = min(nr, nc)
     t = 0
     while t < n:
-        # find the first column (from t) with a nonzero entry in rows >= t
+        # find the first nonzero column from t on
         pivot_col = None
         for j in range(t, nc):
-            if any(i >= t for i in colrows[j]):
+            if colrows[j]:
                 pivot_col = j
                 break
         if pivot_col is None:
             break
         col_swap(pivot_col, t)
         # smallest |entry| in that column as pivot (deterministic tiebreak)
-        cand = [i for i in colrows[t] if i >= t]
-        piv = min(cand, key=lambda i: (abs(a[i][t]), i))
+        piv = min(colrows[t], key=lambda i: (abs(a[i][t]), i))
         row_swap(piv, t)
 
         while True:
@@ -695,6 +702,21 @@ def class_coordinates(c: IntegerCochainComplex, k: int, cocycle) -> ElementCoord
     return ElementCoordinates(free, torsion)
 
 
+def coboundary_preimage(c: IntegerCochainComplex, k: int, cocycle):
+    """An integral ``x`` with ``d_(k-1) @ x == cocycle``, or None when the
+    cocycle's class is nonzero.
+
+    In kernel coordinates ``w`` the question is ``(left @ d_(k-1)) x == w``,
+    and the Smith reduction of that matrix is the one behind
+    :func:`class_coordinates`, so no further reduction is made.
+    """
+    v = np.asarray(cocycle, dtype=object).reshape(-1)
+    if any(x for x in c.diff(k).matvec(v)):
+        raise NotACocycle("vector is not annihilated by the differential")
+    data = _cohomology_data(c, k)
+    return data["x_smith"].solve(data["left"].matvec(v), rational=False)
+
+
 def class_representative(c: IntegerCochainComplex, k: int, coords: ElementCoordinates):
     """An integral cocycle whose class has the given coordinates."""
     data = _cohomology_data(c, k)
@@ -736,6 +758,98 @@ def rational_class_free_coordinates(c: IntegerCochainComplex, k: int, cocycle):
 # ---------------------------------------------------------------------------
 
 
+def _orbit_basis(k: int, perm, sign: int, n: int):
+    """Orbit-sum basis of the lattice fixed by ``e_i -> sign * e_perm[i]``.
+
+    ``perm`` must be an involution of the positions ``0 .. n-1`` that fixes
+    none of them.  Each orbit ``{r, perm[r]}`` gives one column,
+    ``e_r + sign * e_perm[r]``, where the representative ``r`` is the larger
+    position; columns run in ascending ``r``.  A vector ``v`` is fixed iff
+    ``v[perm[r]] == sign * v[r]`` on every orbit, and then it is the
+    combination of the columns with coefficients ``v[r]``: the columns span
+    the saturated fixed lattice, and reading the entries at the
+    representatives is their left inverse.  Returns ``(reps, basis)``.
+    """
+    if len(perm) != n:
+        raise NotAnInvolution(f"permutation at degree {k} has {len(perm)} entries, want {n}")
+    reps = []
+    for i, j in enumerate(perm):
+        if not 0 <= j < n or perm[j] != i:
+            raise NotAnInvolution(f"permutation at degree {k} does not square to the identity")
+        if j == i:
+            raise NotAnInvolution(f"permutation at degree {k} fixes position {i}")
+        if j < i:
+            reps.append(i)
+    basis = SparseIntMatrix(n, len(reps))
+    for col, r in enumerate(reps):
+        basis.rows[r][col] = 1
+        basis.rows[perm[r]][col] = sign
+    return reps, basis
+
+
+def _grow_orbit_complex(c: IntegerCochainComplex, perm, sign: int, fixed, hi: int):
+    """Carry ``fixed = (sub, bases)``, the subcomplex of ``c`` fixed by the
+    signed permutations ``e_i -> sign * e_perm(k)[i]`` with its orbit-sum
+    embeddings (:func:`_orbit_basis`), up to degree ``hi`` in place, one
+    degree at a time; None starts it in degree ``c.lo``.
+
+    Each new degree checks that its permutation is a free involution and
+    that the differential into it commutes with the action,
+    ``d[π(i), π(j)] == d[i, j]``.  Commutation carries fixed vectors to
+    fixed vectors, so ``d @ bases[k]`` lies in the span of ``bases[k + 1]``
+    (the fixed lattice is preserved with no further check) and its
+    coordinates are its representative rows:
+    ``dk[r', r] = d[r', r] + sign * d[r', π(r)]``, one pass over those rows.
+    """
+    if fixed is None:
+        _, basis = _orbit_basis(c.lo, perm(c.lo), sign, c.rank(c.lo))
+        fixed = IntegerCochainComplex(c.lo, c.lo, {c.lo: basis.ncols}, {}), {c.lo: basis}
+    sub, bases = fixed
+    p_top = perm(sub.hi) if sub.hi < hi else None
+    while sub.hi < hi:
+        k = sub.hi
+        p_next = perm(k + 1)
+        reps, basis = _orbit_basis(k + 1, p_next, sign, c.rank(k + 1))
+        d = c.diff(k)
+        for i, row in enumerate(d.rows):
+            mirror = d.rows[p_next[i]]
+            for j, x in row.items():
+                if mirror.get(p_top[j]) != x:
+                    raise NotEquivariant(
+                        f"map does not commute with the differential at degree {k}"
+                    )
+        # each row of the source embedding holds one entry: (its orbit, 1 or sign)
+        src = bases[k].rows
+        dk = SparseIntMatrix(len(reps), bases[k].ncols)
+        for out, r in zip(dk.rows, reps):
+            for j, x in d.rows[r].items():
+                for col, coef in src[j].items():
+                    v = out.get(col, 0) + coef * x
+                    if v:
+                        out[col] = v
+                    else:
+                        del out[col]
+        bases[k + 1] = basis
+        sub.extend(basis.ncols, dk)
+        p_top = p_next
+    return fixed
+
+
+def orbit_coordinates(perm, sign: int, v) -> np.ndarray:
+    """Coordinates of ``v`` against the orbit-sum basis of the signed
+    permutation ``perm`` (see :func:`_orbit_basis`): its entries at the
+    representatives.  Raises NotEquivariant when ``v`` is not fixed."""
+    out = []
+    for r, j in enumerate(perm):
+        if j < r:
+            if v[j] != sign * v[r]:
+                raise NotEquivariant(
+                    f"vector is not fixed: entry {j} is not {sign} times entry {r}"
+                )
+            out.append(v[r])
+    return np.array(out, dtype=object)
+
+
 def _fixed_lattice(k: int, tk: SparseIntMatrix, n: int) -> _SmithData:
     """Check that ``tk`` is an involution of ``Z^n``; return the Smith
     reduction of ``t_k - id``, whose kernel is the saturated fixed lattice."""
@@ -748,33 +862,6 @@ def _fixed_lattice(k: int, tk: SparseIntMatrix, n: int) -> _SmithData:
     return _smith(delta, transforms=True)
 
 
-def _grow_fixed(c: IntegerCochainComplex, t, fixed, hi: int):
-    """Carry ``fixed = (sub, bases)``, the fixed subcomplex of ``c`` with its
-    embeddings, up to degree ``hi`` in place, one degree at a time; None
-    starts it in degree ``c.lo``.  ``t(k)`` is the involution in degree k."""
-    if fixed is None:
-        basis = _fixed_lattice(c.lo, t(c.lo), c.rank(c.lo)).kernel_basis()
-        fixed = IntegerCochainComplex(c.lo, c.lo, {c.lo: basis.ncols}, {}), {c.lo: basis}
-    sub, bases = fixed
-    t_top = t(sub.hi) if sub.hi < hi else None
-    while sub.hi < hi:
-        k = sub.hi
-        t_next = t(k + 1)
-        sm = _fixed_lattice(k + 1, t_next, c.rank(k + 1))
-        d = c.diff(k)
-        if t_next.matmul(d) != d.matmul(t_top):
-            raise NotEquivariant(f"map does not commute with the differential at degree {k}")
-        basis = sm.kernel_basis()
-        image = d.matmul(bases[k])
-        dk = sm.kernel_left_inverse().matmul(image)
-        if basis.matmul(dk) != image:
-            raise NotEquivariant(f"differential at degree {k} does not preserve the fixed sublattice")
-        bases[k + 1] = basis
-        sub.extend(basis.ncols, dk)
-        t_top = t_next
-    return fixed
-
-
 def fixed_subcomplex(c: IntegerCochainComplex, involution: dict):
     """Subcomplex of vectors fixed by a degreewise involution.
 
@@ -783,5 +870,27 @@ def fixed_subcomplex(c: IntegerCochainComplex, involution: dict):
     ``bases[k]`` has as columns a basis of the saturated fixed sublattice
     ``ker(t_k - id)`` (computed from its Smith form) and ``sub`` carries the
     rewritten differentials in those bases.
+
+    This is the general route, for any involution: the engine's free
+    signed permutations go through :func:`_grow_orbit_complex`, and this
+    one serves as its independent cross-check.
     """
-    return _grow_fixed(c, lambda k: as_sparse(involution[k]), None, c.hi)
+    t = {k: as_sparse(involution[k]) for k in c.degrees()}
+    basis = _fixed_lattice(c.lo, t[c.lo], c.rank(c.lo)).kernel_basis()
+    sub = IntegerCochainComplex(c.lo, c.lo, {c.lo: basis.ncols}, {})
+    bases = {c.lo: basis}
+    for k in range(c.lo, c.hi):
+        sm = _fixed_lattice(k + 1, t[k + 1], c.rank(k + 1))
+        d = c.diff(k)
+        if t[k + 1].matmul(d) != d.matmul(t[k]):
+            raise NotEquivariant(f"map does not commute with the differential at degree {k}")
+        basis = sm.kernel_basis()
+        image = d.matmul(bases[k])
+        dk = sm.kernel_left_inverse().matmul(image)
+        if basis.matmul(dk) != image:
+            raise NotEquivariant(
+                f"differential at degree {k} does not preserve the fixed sublattice"
+            )
+        bases[k + 1] = basis
+        sub.extend(basis.ncols, dk)
+    return sub, bases

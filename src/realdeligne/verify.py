@@ -12,15 +12,23 @@ import numpy as np
 from . import catalog
 from .cechengine import (
     CoefficientComplex,
+    build_equivariant_complex,
     build_full_complex,
     equivariant_cohomology,
     hypercohomology,
+    involution_matrix,
 )
 from .coverdata import IQ, IZ, CoefficientSystem, Z_TRIVIAL
 from .deligne import deligne_descriptor, quotient_coefficients_cohomology
-from .exactalg import kernel_basis, smith_normal_form
+from .exactalg import (
+    SparseIntMatrix,
+    complex_cohomology,
+    fixed_subcomplex,
+    kernel_basis,
+    smith_normal_form,
+)
 
-SUITES = ("snf", "les", "refinement", "bockstein")
+SUITES = ("snf", "les", "refinement", "bockstein", "fixed")
 
 Q_TRIVIAL = CoefficientSystem.rationals(+1)
 
@@ -187,6 +195,64 @@ def suite_bockstein():
     return out
 
 
+def column_permutation(a: SparseIntMatrix, b: SparseIntMatrix):
+    """The permutation matrix ``p`` with ``a == b @ p`` when the columns of
+    ``a`` are those of ``b`` in some order, else None."""
+    if a.shape != b.shape:
+        return None
+
+    def columns(m):
+        cols = [[] for _ in range(m.ncols)]
+        for i, row in enumerate(m.rows):
+            for j, x in row.items():
+                cols[j].append((i, x))
+        return [tuple(c) for c in cols]
+
+    where = {col: j for j, col in enumerate(columns(b))}
+    p = SparseIntMatrix(b.ncols, a.ncols)
+    for j, col in enumerate(columns(a)):
+        i = where.pop(col, None)
+        if i is None:
+            return None
+        p.rows[i][j] = 1
+    return p
+
+
+def suite_fixed():
+    """The engine's orbit-sum fixed complex against the Smith form of
+    ``t_k - id``: the same basis columns, differentials conjugate by the
+    column permutations, equal cohomology."""
+    out = []
+    md = 4
+    for label, cover in _spaces():
+        full = build_full_complex(cover, md)
+        for sign in (-1, 1):
+            coeff = CoefficientSystem.integers(sign)
+            sub, bases = build_equivariant_complex(cover, coeff, md)
+            t_maps = {k: involution_matrix(cover, k, sign) for k in full.degrees()}
+            ref, ref_bases = fixed_subcomplex(full, t_maps)
+
+            def fail(check, detail):
+                out.append(_record("fixed", label, f"{check} sign {sign}", detail))
+
+            perms = {}
+            for k in ref.degrees():
+                perms[k] = p = column_permutation(bases[k], ref_bases[k])
+                if p is None or bases[k] != ref_bases[k].matmul(p):
+                    fail(f"basis {k}", "columns differ as a set")
+            for k in range(ref.lo, ref.hi):
+                p, q = perms[k], perms[k + 1]
+                if p is None or q is None:
+                    continue
+                if sub.diff(k) != q.transpose().matmul(ref.diff(k)).matmul(p):
+                    fail(f"d_{k}", "not conjugate by the basis permutations")
+            for k in range(md):
+                a, b = complex_cohomology(sub, k), complex_cohomology(ref, k)
+                if a != b:
+                    fail(f"H^{k}", f"orbit {a} vs Smith {b}")
+    return out
+
+
 def run_suite(name: str):
     """Run one named suite (or ``all``); returns the failure records."""
     table = {
@@ -194,6 +260,7 @@ def run_suite(name: str):
         "les": suite_les,
         "refinement": suite_refinement,
         "bockstein": suite_bockstein,
+        "fixed": suite_fixed,
     }
     if name == "all":
         failures = []

@@ -169,3 +169,46 @@ def invariant_factors(orders):
         for i, q in enumerate(sorted(prime_powers, reverse=True)):
             factors[count - 1 - i] *= q
     return tuple(factors)
+
+
+# ---------------------------------------------------------------------------
+# Smith diagonal from determinantal divisors
+# ---------------------------------------------------------------------------
+
+
+def _det(rows):
+    """Exact determinant by Fraction elimination."""
+    a = [[Fraction(x) for x in r] for r in rows]
+    n, det = len(a), Fraction(1)
+    for c in range(n):
+        p = next((r for r in range(c, n) if a[r][c]), None)
+        if p is None:
+            return 0
+        if p != c:
+            a[c], a[p] = a[p], a[c]
+            det = -det
+        det *= a[c][c]
+        for r in range(c + 1, n):
+            f = a[r][c] / a[c][c]
+            a[r] = [x - f * y for x, y in zip(a[r], a[c])]
+    return int(det)
+
+
+def smith_diagonal(rows):
+    """Nonzero invariant factors ``D_k / D_(k-1)``, where ``D_k`` is the gcd
+    of the k-by-k minors; for small matrices only."""
+    from itertools import combinations
+    from math import gcd
+
+    nr, nc = len(rows), len(rows[0])
+    out, prev = [], 1
+    for k in range(1, min(nr, nc) + 1):
+        g = 0
+        for rs in combinations(range(nr), k):
+            for cs in combinations(range(nc), k):
+                g = gcd(g, _det([[rows[r][c] for c in cs] for r in rs]))
+        if g == 0:
+            break
+        out.append(g // prev)
+        prev = g
+    return out

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 import oracles
-from realdeligne import catalog, deligne, exactalg
+from realdeligne import catalog, cechengine, deligne, exactalg
 from realdeligne.cechengine import (
     CoefficientComplex,
     _rational_rank,
@@ -31,6 +31,7 @@ from realdeligne.errors import (
     InvalidCoefficientComplex,
 )
 from realdeligne.exactalg import GroupDescriptor, complex_cohomology, fixed_subcomplex
+from realdeligne.verify import column_permutation
 
 Q_TRIVIAL = CoefficientSystem.rationals(+1)
 
@@ -320,10 +321,19 @@ def _fresh(entry):
     return catalog.build(entry.name, *entry.params)
 
 
+def _is_permutation(p):
+    """Square, one entry 1 in each row, and each column hit once."""
+    cols = sorted(j for row in p.rows for j, x in row.items() if x == 1)
+    return p.nrows == p.ncols and all(len(r) == 1 for r in p.rows) and cols == list(range(p.ncols))
+
+
 @pytest.mark.parametrize("entry", catalog.ENTRIES, ids=catalog.entry_label)
 def test_grown_complex_matches_fixed_subcomplex(entry):
-    """Asking one cover for max_degree 2, then 5, then 3 gives bit for bit
-    the complex that fixed_subcomplex builds in one go on a fresh cover."""
+    """Asking one cover for max_degree 2, then 5, then 3 gives the complex
+    that fixed_subcomplex builds in one go on a fresh cover from the Smith
+    form of t_k - id, up to the order of the basis columns: bit for bit
+    ``bases[k] == ref_bases[k] @ P_k`` for a permutation matrix ``P_k``,
+    and ``sub.diff(k) == P_(k+1)^-1 @ ref.diff(k) @ P_k``."""
     cover = _fresh(entry)
     for sign in (-1, 1):
         coeff = CoefficientSystem.integers(sign)
@@ -334,12 +344,28 @@ def test_grown_complex_matches_fixed_subcomplex(entry):
             full = build_full_complex(fresh, md)
             t_maps = {k: involution_matrix(fresh, k, sign) for k in full.degrees()}
             ref_sub, ref_bases = fixed_subcomplex(full, t_maps)
+            perms = {}
             for k in ref_sub.degrees():
                 assert sub.rank(k) == ref_sub.rank(k), (sign, md, k)
-                assert bases[k] == ref_bases[k], (sign, md, k)
-                if k < ref_sub.hi:
-                    assert sub.diff(k) == ref_sub.diff(k), (sign, md, k)
+                p = perms[k] = column_permutation(bases[k], ref_bases[k])
+                assert p is not None and _is_permutation(p), (sign, md, k)
+                assert bases[k] == ref_bases[k].matmul(p), (sign, md, k)
+            for k in range(ref_sub.lo, ref_sub.hi):
+                conjugated = perms[k + 1].transpose().matmul(ref_sub.diff(k)).matmul(perms[k])
+                assert sub.diff(k) == conjugated, (sign, md, k)
         assert build_equivariant_complex(cover, coeff, 3)[0] is sub
+
+
+@pytest.mark.parametrize("entry", catalog.ENTRIES, ids=catalog.entry_label)
+def test_embedding_is_a_chain_map(entry):
+    """The orbit-sum embedding intertwines the fixed and the full
+    coboundaries: bases[k+1] @ sub.diff(k) == full.diff(k) @ bases[k]."""
+    cover = _fresh(entry)
+    full = build_full_complex(cover, 4)
+    for sign in (-1, 1):
+        sub, bases = build_equivariant_complex(cover, CoefficientSystem.integers(sign), 4)
+        for k in range(sub.lo, sub.hi):
+            assert bases[k + 1].matmul(sub.diff(k)) == full.diff(k).matmul(bases[k]), (sign, k)
 
 
 def test_growth_drops_answers_cached_at_the_old_top():
@@ -361,19 +387,43 @@ def test_growth_drops_answers_cached_at_the_old_top():
     assert changed  # the catalog does exercise a nonzero top differential
 
 
-def test_session_reduces_each_involution_once(monkeypatch):
+def test_session_builds_each_fixed_degree_once(monkeypatch):
     """A session of every public question on one cover, each at the
-    max_degree its entry point uses, runs the Smith reduction of
-    t_k - id at most once per (sign, k)."""
+    max_degree its entry point uses, builds each (sign, k) fixed degree
+    exactly once, and its equivariant builds make no Smith reduction and
+    no involution matrix."""
     cover = catalog.build("sphere_antipodal", 2)
-    calls = []
-    inner = exactalg._smith
+    inside, smith_inside, matrices_inside, built = [0], [], [], []
+    inner_build = cechengine.build_equivariant_complex
+    inner_smith, inner_orbit = exactalg._smith, exactalg._orbit_basis
+    inner_matrix = cechengine.involution_matrix
 
-    def counting(m, transforms=True):
-        calls.append(m)
-        return inner(m, transforms)
+    def building(*args, **kwargs):
+        inside[0] += 1
+        try:
+            return inner_build(*args, **kwargs)
+        finally:
+            inside[0] -= 1
 
-    monkeypatch.setattr(exactalg, "_smith", counting)
+    def smith(m, transforms=True):
+        if inside[0]:
+            smith_inside.append(m)
+        return inner_smith(m, transforms)
+
+    def matrix(*args, **kwargs):
+        if inside[0]:
+            matrices_inside.append(args)
+        return inner_matrix(*args, **kwargs)
+
+    def orbit_basis(k, perm, sign, n):
+        built.append((sign, k))
+        return inner_orbit(k, perm, sign, n)
+
+    for module in (cechengine, deligne):
+        monkeypatch.setattr(module, "build_equivariant_complex", building)
+    monkeypatch.setattr(cechengine, "involution_matrix", matrix)
+    monkeypatch.setattr(exactalg, "_smith", smith)
+    monkeypatch.setattr(exactalg, "_orbit_basis", orbit_basis)
     for k in range(3):
         for coeff in (IZ, Z_TRIVIAL, IQ, CoefficientSystem.integers_mod(2, -1)):
             equivariant_cohomology(cover, coeff, k, k + 1)
@@ -390,12 +440,12 @@ def test_session_reduces_each_involution_once(monkeypatch):
         deligne.quotient_coefficients_cohomology(cover, k)
     monkeypatch.undo()
 
-    reduced = {}
-    for sign in (-1, 1):
-        for k in range(6):
-            t_minus_id = involution_matrix(cover, k, sign)
-            for i in range(t_minus_id.nrows):
-                t_minus_id.set(i, i, t_minus_id.get(i, i) - 1)
-            reduced[sign, k] = sum(1 for m in calls if m == t_minus_id)
-    assert all(n <= 1 for n in reduced.values()), reduced
-    assert reduced[-1, 4] == 1 and reduced[1, 3] == 1, reduced
+    assert smith_inside == [] and matrices_inside == []
+    top = {
+        sign: build_equivariant_complex(cover, CoefficientSystem.integers(sign), 1)[0].hi
+        for sign in (-1, 1)
+    }
+    assert top == {-1: 5, 1: 4}
+    assert sorted(built) == sorted(
+        (sign, k) for sign, hi in top.items() for k in range(hi + 1)
+    )

@@ -293,6 +293,12 @@ def test_verify_suite_passes(capsys):
     assert out.strip() == "suite snf: pass"
 
 
+def test_verify_fixed_suite_passes(capsys):
+    code, out, _ = run(capsys, "verify", "--suite", "fixed")
+    assert code == 0
+    assert out.strip() == "suite fixed: pass"
+
+
 def test_verify_json_report(capsys):
     code, out, _ = run(capsys, "verify", "--suite", "refinement", "--json")
     assert code == 0

@@ -15,16 +15,19 @@ from realdeligne.errors import (
 )
 from realdeligne.exactalg import (
     ElementCoordinates,
+    _grow_orbit_complex,
     GroupDescriptor,
     IntegerCochainComplex,
     class_coordinates,
     class_representative,
+    coboundary_preimage,
     complex_cohomology,
     fixed_subcomplex,
     integer_rank,
     is_unimodular,
     kernel_basis,
     kernel_quotient,
+    orbit_coordinates,
     rational_class_free_coordinates,
     smith_normal_form,
     solve_int,
@@ -85,6 +88,50 @@ def test_smith_postconditions(rows):
     if k.size:
         assert not np.any(m @ k)
     assert integer_rank(m) + k.shape[1] == m.shape[1]
+
+
+@st.composite
+def structured_matrices(draw):
+    """Tall, wide and square matrices whose columns are zero, random, or
+    integer combinations of earlier columns (emptied during elimination),
+    interleaved in any order."""
+    nr, nc = draw(st.integers(1, 6)), draw(st.integers(1, 6))
+    cols = []
+    for _ in range(nc):
+        kind = draw(st.sampled_from(("zero", "random", "combination")))
+        if kind == "random" or (kind == "combination" and not cols):
+            col = draw(st.lists(st.integers(-6, 6), min_size=nr, max_size=nr))
+        elif kind == "combination":
+            coeffs = draw(st.lists(st.integers(-3, 3), min_size=len(cols), max_size=len(cols)))
+            col = [sum(c * v[i] for c, v in zip(coeffs, cols)) for i in range(nr)]
+        else:
+            col = [0] * nr
+        cols.append(col)
+    return [[cols[j][i] for j in range(nc)] for i in range(nr)]
+
+
+@settings(max_examples=200, deadline=None)
+@given(structured_matrices())
+@example([[0, 2, 0, 4], [0, 0, 0, 0], [0, 4, 0, 8]])
+@example([[0], [3], [0], [6], [0], [9]])
+@example([[1, 1, 0, 2, 0, 3]])
+def test_smith_pivot_scan_on_structured_matrices(rows):
+    """The pivot search takes the first nonempty column and the smallest
+    entry of it: sound because after step t no column past t has an entry in
+    a row up to t.  Postconditions, and the diagonal against the
+    determinantal divisors."""
+    m = intmat(rows)
+    d, u, v = smith_normal_form(m)
+    assert np.array_equal(u @ m @ v, d)
+    assert is_unimodular(u) and is_unimodular(v)
+    diag = [d[i, i] for i in range(min(d.shape))]
+    for i in range(d.shape[0]):
+        for j in range(d.shape[1]):
+            if i != j:
+                assert d[i, j] == 0
+    nonzero = [x for x in diag if x]
+    assert diag[: len(nonzero)] == nonzero  # zeros come last
+    assert nonzero == oracles.smith_diagonal(rows)
 
 
 def test_solve_int_known():
@@ -221,6 +268,21 @@ def test_representative_roundtrip_mixed():
             assert class_coordinates(c, 1, class_representative(c, 1, y)) == y
 
 
+def test_coboundary_preimage_exactly_on_zero_classes():
+    c = periodic_complex(-1, 4)  # H^1 = Z/2, d_0 = -2
+    assert list(coboundary_preimage(c, 1, [6])) == [-3]
+    assert coboundary_preimage(c, 1, [1]) is None
+    with pytest.raises(NotACocycle):
+        coboundary_preimage(times_two_complex(), 0, [1])
+    rng = np.random.RandomState(5)
+    d0 = intmat([[1, 2, 0], [0, 2, 4], [3, 0, 6], [1, 1, 1]])
+    wide = IntegerCochainComplex(lo=0, hi=1, ranks={0: 3, 1: 4}, diffs={0: d0}).validate()
+    for _ in range(20):
+        v = d0 @ np.array(rng.randint(-5, 6, size=3), dtype=object)
+        x = coboundary_preimage(wide, 1, v)
+        assert x is not None and np.array_equal(d0 @ x, v)
+
+
 def test_rational_free_coordinates_align_with_integral():
     c = IntegerCochainComplex(
         lo=0,
@@ -293,6 +355,70 @@ def test_fixed_subcomplex_rejects_non_equivariant():
     ident = intmat([[1, 0], [0, 1]])
     with pytest.raises(NotEquivariant):
         fixed_subcomplex(c, {0: swap, 1: ident})
+
+
+def swap_pairs_complex(d):
+    """Rank 4 in degrees 0 and 1; the involution swaps 0<->1 and 2<->3."""
+    return IntegerCochainComplex(lo=0, hi=1, ranks={0: 4, 1: 4}, diffs={0: intmat(d)}).validate()
+
+
+SWAP_PAIRS = [1, 0, 3, 2]
+
+
+def test_orbit_complex_of_swapped_pairs():
+    """Orbit sums e_r + sign e_perm(r), r the larger position, ascending,
+    and the differential read off the representative rows."""
+    d = [[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 0, 2], [0, 0, 2, 0]]
+    for sign in (-1, 1):
+        sub, bases = _grow_orbit_complex(
+            swap_pairs_complex(d), lambda k: SWAP_PAIRS, sign, None, 1
+        )
+        assert bases[0].to_dense().T.tolist() == [[sign, 1, 0, 0], [0, 0, sign, 1]]
+        assert bases[1] == bases[0]
+        assert sub.diff(0).to_dense().tolist() == [[1, 0], [0, 2 * sign]]
+        ref, _ = fixed_subcomplex(
+            swap_pairs_complex(d), {k: _signed_permutation(SWAP_PAIRS, sign) for k in (0, 1)}
+        )
+        for k in (0, 1):
+            assert complex_cohomology(sub, k) == complex_cohomology(ref, k)
+
+
+def _signed_permutation(perm, sign):
+    t = np.zeros((len(perm), len(perm)), dtype=object)
+    for i, j in enumerate(perm):
+        t[i, j] = sign
+    return t
+
+
+@pytest.mark.parametrize(
+    "perm",
+    [[1, 2, 3, 0], [1, 0, 2, 3], [1, 0, 3], [1, 0, 3, 4]],
+    ids=["four-cycle", "fixed-positions", "short", "out-of-range"],
+)
+def test_orbit_complex_rejects_non_involution(perm):
+    """A permutation that does not square to the identity, fixes a position
+    or does not fit the degree is refused before anything is built."""
+    c = swap_pairs_complex(np.eye(4, dtype=object).tolist())
+    with pytest.raises(NotAnInvolution):
+        _grow_orbit_complex(c, lambda k: perm, -1, None, 1)
+
+
+def test_orbit_complex_rejects_non_equivariant():
+    """d[perm(i), perm(j)] must equal d[i, j]: here d fixes e_0 but sends
+    e_1 to 2 e_1, so it does not commute with the swap."""
+    c = swap_pairs_complex([[1, 0, 0, 0], [0, 2, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]])
+    for sign in (-1, 1):
+        with pytest.raises(NotEquivariant):
+            _grow_orbit_complex(c, lambda k: SWAP_PAIRS, sign, None, 1)
+
+
+def test_orbit_coordinates_read_representatives():
+    v = np.array([-5, 5, 7, -7], dtype=object)
+    assert list(orbit_coordinates(SWAP_PAIRS, -1, v)) == [5, -7]
+    with pytest.raises(NotEquivariant):
+        orbit_coordinates(SWAP_PAIRS, 1, v)
+    half = [Fraction(1, 2), Fraction(1, 2), 0, 0]
+    assert list(orbit_coordinates(SWAP_PAIRS, 1, half)) == [Fraction(1, 2), 0]
 
 
 @settings(max_examples=60, deadline=None)
