@@ -11,10 +11,13 @@ the representative rows of the full coboundary, and a fixed cochain's
 coordinates are its entries at the representatives (the induced-module
 picture; K. S. Brown, *Cohomology of Groups*, §III.5).
 
-A cover's cache holds one plain complex and one fixed complex per sign.
-``max_degree`` only says how far a caller needs them; a larger one grows
-them in place, one degree at a time, so each degree is built and checked
-once and its Smith reductions serve every later question.
+A cover's cache holds one plain complex, one fixed complex per sign and
+one total complex per all-integer coefficient complex (the hypercohomology
+of, say, the cone of multiplication by n).  Each is grown in place, one
+degree at a time: the plain and fixed complexes to ``max_degree + 1``, the
+total complex only to total degree k + 1, which is all H^k reads (there
+``max_degree`` is only the range check).  So each degree is built and
+checked once and its Smith reductions serve every later question.
 
 Rational and mod-n results are derived from the integral fixed complex: the
 basis involution is free (the index involution is), so fixing commutes with
@@ -31,6 +34,7 @@ from .coverdata import C2Cover, CoefficientSystem
 from .errors import (
     CoverNotFree,
     DegreeOutOfRange,
+    InternalInvariantError,
     InvalidCoefficientComplex,
 )
 from .exactalg import (
@@ -76,24 +80,25 @@ def tuple_basis(cover: C2Cover, p: int, include_degenerate: bool = False) -> Tup
     if key in cache:
         return cache[key]
     order = sorted(cover.indices)
-    elements = []
-
-    def extend(tup, support):
-        if len(tup) == p + 1:
-            for c in sorted(cover.components_of(support)):
-                elements.append((tup, c))
-            return
-        for i in order:
-            if not include_degenerate and tup and tup[-1] == i:
-                continue
-            if i in support:
-                extend(tup + (i,), support)
-            else:
-                grown = support | frozenset([i])
-                if grown in cover.intersections:
-                    extend(tup + (i,), grown)
-
-    extend((), frozenset())
+    # prefixes grown one entry at a time stay in lexicographic order.  No
+    # self-calling nested function here: its closure is a reference cycle
+    # that would keep the cover, and so its cache, alive until the cyclic
+    # garbage collector runs
+    prefixes = [((), frozenset())]
+    for _ in range(p + 1):
+        longer = []
+        for tup, support in prefixes:
+            for i in order:
+                if not include_degenerate and tup and tup[-1] == i:
+                    continue
+                if i in support:
+                    longer.append((tup + (i,), support))
+                elif (grown := support | {i}) in cover.intersections:
+                    longer.append((tup + (i,), grown))
+        prefixes = longer
+    elements = [
+        (tup, c) for tup, support in prefixes for c in sorted(cover.components_of(support))
+    ]
     basis = TupleBasis(p, tuple(elements), {e: n for n, e in enumerate(elements)})
     cache[key] = basis
     return basis
@@ -143,9 +148,10 @@ def basis_involution(cover: C2Cover, p: int, include_degenerate: bool = False) -
     cache = _cache(cover)
     if key not in cache:
         basis = tuple_basis(cover, p, include_degenerate)
+        inv = cover.involution.__getitem__
+        sigma = cover.component_involution
         cache[key] = [
-            basis.position[(tuple(cover.t(i) for i in tup), cover.sigma(c))]
-            for tup, c in basis.elements
+            basis.position[(tuple(map(inv, tup)), sigma[c])] for tup, c in basis.elements
         ]
     return cache[key]
 
@@ -352,7 +358,7 @@ class CoefficientComplex:
         return len(self.terms)
 
 
-def _total_blocks(cover, fstar, n, max_degree, include_degenerate):
+def _total_blocks(cover, fstar, n, include_degenerate):
     """Blocks of the total differential at total degree ``n``.
 
     Columns are the summands (term degree i, Cech degree j = n - i); rows
@@ -360,19 +366,21 @@ def _total_blocks(cover, fstar, n, max_degree, include_degenerate):
     coboundary; horizontal maps are the coefficient maps degreewise.
     Returns (A, B, C): integer-to-integer, integer-to-rational and
     rational-to-rational blocks (there are no rational-to-integer maps).
+    The summands reach Cech degree n + 1 at most, so each sign's fixed
+    complex is carried just that far.
     """
     subs = {}
     for t in fstar.terms:
         if t.sign not in subs:
             subs[t.sign], _ = build_equivariant_complex(
-                cover, t, max_degree, include_degenerate
+                cover, t, max(n, 0), include_degenerate
             )
 
     def segments(total):
         segs = []
         for i, t in enumerate(fstar.terms):
             j = total - i
-            if 0 <= j <= max_degree + 1:
+            if j >= 0:
                 segs.append((i, j, t, subs[t.sign].rank(j)))
         return segs
 
@@ -418,6 +426,32 @@ def _total_blocks(cover, fstar, n, max_degree, include_degenerate):
     return a, b, c
 
 
+def build_total_complex(
+    cover: C2Cover,
+    fstar: CoefficientComplex,
+    max_degree: int,
+    include_degenerate: bool = False,
+) -> IntegerCochainComplex:
+    """Total complex of the equivariant double complex of an all-integer
+    ``fstar``, carried in total degrees ``0 .. max_degree + 1`` at least.
+
+    There is one per cover and coefficient complex, grown in place one
+    total degree at a time; each new total differential is checked (shape,
+    d∘d = 0) once, when it is first built, and the Smith answers cached on
+    the complex serve every later question.
+    """
+    key = ("total", fstar, include_degenerate)
+    cache = _cache(cover)
+    c = cache.get(key)
+    while c is None or c.hi <= max_degree:
+        n = 0 if c is None else c.hi
+        a, _, _ = _total_blocks(cover, fstar, n, include_degenerate)
+        if c is None:
+            c = cache[key] = IntegerCochainComplex(lo=0, hi=0, ranks={0: a.ncols}, diffs={})
+        c.extend(a.nrows, a)
+    return c
+
+
 def hypercohomology(
     cover: C2Cover,
     fstar: CoefficientComplex,
@@ -428,9 +462,12 @@ def hypercohomology(
     """H^k of the total complex of the equivariant double complex of
     ``fstar``.
 
-    All-integer complexes produce the honest finitely generated group.  When
-    rational terms are present the divisible summand is not representable in
-    a :class:`GroupDescriptor`; the result then describes the reduced
+    All-integer complexes produce the honest finitely generated group, from
+    the cover's one cached total complex (:func:`build_total_complex`),
+    grown to total degree k + 1: H^k reads only d_(k-1) and d_k.
+    ``max_degree`` is only the range check.  When rational terms are
+    present the divisible summand is not representable in a
+    :class:`GroupDescriptor`; the result then describes the reduced
     quotient (classes modulo divisible ones), whose integral part is
     computed from the kernel-with-rational-image presentation.
     """
@@ -440,25 +477,12 @@ def hypercohomology(
             cover, fstar.terms[0], k, max_degree, include_degenerate
         )
 
-    bases = {t.base for t in fstar.terms}
-    if bases == {"Z"}:
-        a_blocks = {
-            n: _total_blocks(cover, fstar, n, max_degree, include_degenerate)[0]
-            for n in range(max_degree + 2)
-        }
-        ranks = {n: a_blocks[n].ncols for n in range(max_degree + 2)}
-        ranks[max_degree + 2] = a_blocks[max_degree + 1].nrows
-        total = IntegerCochainComplex(
-            lo=0,
-            hi=max_degree + 2,
-            ranks=ranks,
-            diffs={n: a_blocks[n] for n in range(max_degree + 2)},
-        ).validate()
-        return complex_cohomology(total, k)
+    if {t.base for t in fstar.terms} == {"Z"}:
+        return complex_cohomology(build_total_complex(cover, fstar, k, include_degenerate), k)
 
     # mixed integers/rationals: block-triangular total differential
-    a_k, b_k, c_k = _total_blocks(cover, fstar, k, max_degree, include_degenerate)
-    a_prev, _, _ = _total_blocks(cover, fstar, k - 1, max_degree, include_degenerate)
+    a_k, b_k, c_k = _total_blocks(cover, fstar, k, include_degenerate)
+    a_prev, _, _ = _total_blocks(cover, fstar, k - 1, include_degenerate)
 
     # E: saturated basis of the left kernel of the rational block, so that
     # "E @ (B x) = 0" says B x lies in the rational column span of C
@@ -467,6 +491,6 @@ def hypercohomology(
     stacked.set_block(0, 0, a_k)
     stacked.set_block(a_k.nrows, 0, e.matmul(b_k))
     if not stacked.matmul(a_prev).is_zero():
-        raise AssertionError("total differential blocks do not compose to zero")
+        raise InternalInvariantError("total differential blocks do not compose to zero")
     data = _quotient_data(_smith(stacked, transforms=True), a_prev)
     return data["descriptor"]

@@ -4,7 +4,8 @@ Subcommands: ``compute`` (cohomology tables), ``deligne`` (descriptors for a
 bidegree), ``classify`` (bundle-flavoured queries), ``verify`` (internal
 cross-check suites).  Results go to stdout, diagnostics to stderr.  Exit
 codes: 0 success, 1 verification failure, 2 cover/input validation failure,
-3 degree-range failure, 4 compactness required but absent.
+3 degree-range failure, 4 compactness required but absent, 5 internal
+invariant failure (a defect in the package, not in the input).
 """
 
 from __future__ import annotations
@@ -31,6 +32,7 @@ from .errors import (
     CoverValidationError,
     DegreeOutOfRange,
     InsufficientDegree,
+    InternalInvariantError,
     NotCompact,
     UnknownSpace,
     UnsupportedDimension,
@@ -41,6 +43,7 @@ EXIT_VERIFY_FAILED = 1
 EXIT_VALIDATION = 2
 EXIT_DEGREE_RANGE = 3
 EXIT_NOT_COMPACT = 4
+EXIT_INTERNAL = 5
 
 
 @dataclass
@@ -263,6 +266,9 @@ def main(argv=None) -> int:
     except CoverValidationError as exc:
         print(str(exc), file=sys.stderr)
         return EXIT_VALIDATION
+    except InternalInvariantError as exc:
+        print(f"internal invariant failure: {exc}", file=sys.stderr)
+        return EXIT_INTERNAL
     except (UnknownSpace, UnsupportedDimension, OSError, ValueError) as exc:
         print(str(exc), file=sys.stderr)
         return EXIT_VALIDATION

@@ -30,6 +30,7 @@ from .coverdata import IQ, IZ, C2Cover, FlatCocycle, _mod1
 from .errors import (
     CoverMismatch,
     InsufficientDegree,
+    InternalInvariantError,
     InvalidCocycle,
     NotCompact,
 )
@@ -187,7 +188,7 @@ def deligne_descriptor(
         torus_dim = equivariant_cohomology(cover, IZ, q - 1, max_degree).rank
         rational_dim = equivariant_cohomology(cover, IQ, q - 1, max_degree).rank
         if rational_dim != torus_dim:
-            raise AssertionError(
+            raise InternalInvariantError(
                 f"torus dimension mismatch: integral rank {torus_dim}, "
                 f"rational dimension {rational_dim}"
             )
@@ -334,7 +335,7 @@ def flat_cocycle_class(fc: FlatCocycle, max_degree: int = 3) -> FlatCocycleClass
     y_beta = orbit_coordinates(basis_involution(cover, 2), sign, beta)
     bockstein = class_coordinates(sub, 2, y_beta)
     if any(bockstein.free_part):
-        raise AssertionError("obstruction class of a flat cocycle must be torsion")
+        raise InternalInvariantError("obstruction class of a flat cocycle must be torsion")
 
     torsion_part = tuple(bockstein.torsion_part)
     if any(torsion_part):
@@ -345,7 +346,7 @@ def flat_cocycle_class(fc: FlatCocycle, max_degree: int = 3) -> FlatCocycleClass
     # residual rational class on the torus
     mu = coboundary_preimage(sub, 2, y_beta)
     if mu is None:
-        raise AssertionError("vanishing obstruction class must bound integrally")
+        raise InternalInvariantError("vanishing obstruction class must bound integrally")
     lift_fixed = orbit_coordinates(basis_involution(cover, 1), sign, lift)
     residual = np.array(
         [Fraction(a) - Fraction(int(b)) for a, b in zip(lift_fixed, mu)], dtype=object

@@ -25,6 +25,12 @@ class NotACocycle(EngineError):
     """A vector that is not annihilated by the differential."""
 
 
+class InternalInvariantError(EngineError, ValueError):
+    """An invariant the engine maintains itself failed: a differential of
+    the wrong shape, d∘d != 0, or a class that contradicts its own
+    derivation.  This is a defect in the package, never bad input."""
+
+
 # --- cover data --------------------------------------------------------------
 
 class CoverValidationError(EngineError):

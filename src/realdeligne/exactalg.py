@@ -7,7 +7,12 @@ keeps Smith reduction of the large but very sparse coboundary matrices cheap.
 Dense interchange uses numpy arrays with ``dtype=object``.
 
 The main entry points are :func:`smith_normal_form`,
-:func:`complex_cohomology` and :func:`class_coordinates`.  The subcomplex
+:func:`complex_cohomology` and :func:`class_coordinates`.  Descriptors need
+only the Smith diagonals of the differentials, reduced without transforms
+and cached on the complex; the unimodular transforms are built only for
+the coordinate questions (:func:`class_coordinates`,
+:func:`coboundary_preimage`, :func:`class_representative`,
+:func:`rational_class_free_coordinates`).  The subcomplex
 fixed by a degreewise involution has two routes: :func:`fixed_subcomplex`
 reads it off the Smith form of ``t_k - id`` for any involution, and
 :func:`_grow_orbit_complex`, which the Cech engine uses, reads it off the
@@ -23,7 +28,13 @@ from math import gcd
 
 import numpy as np
 
-from .errors import DegreeOutOfRange, NotACocycle, NotAnInvolution, NotEquivariant
+from .errors import (
+    DegreeOutOfRange,
+    InternalInvariantError,
+    NotACocycle,
+    NotAnInvolution,
+    NotEquivariant,
+)
 
 
 def zeros(nrows: int, ncols: int) -> np.ndarray:
@@ -596,9 +607,9 @@ class IntegerCochainComplex:
 
     def _check(self, k: int, d: SparseIntMatrix, rank_above: int) -> None:
         if d.shape != (rank_above, self.rank(k)):
-            raise ValueError(f"differential at degree {k} has shape {d.shape}")
+            raise InternalInvariantError(f"differential at degree {k} has shape {d.shape}")
         if not d.matmul(self.diff(k - 1)).is_zero():
-            raise ValueError(f"d∘d != 0 between degrees {k - 1} and {k + 1}")
+            raise InternalInvariantError(f"d∘d != 0 between degrees {k - 1} and {k + 1}")
 
     def validate(self) -> "IntegerCochainComplex":
         for k in range(self.lo, self.hi):
@@ -660,6 +671,8 @@ def kernel_quotient(matrix, generators) -> GroupDescriptor:
 
 
 def _cohomology_data(c: IntegerCochainComplex, k: int):
+    """Kernel basis, its left inverse and the Smith reduction of
+    ``left @ d_(k-1)``, with transforms: the class coordinates' basis."""
     key = ("cohomology", k)
     hit = c._cache.get(key)
     if hit is not None:
@@ -669,23 +682,41 @@ def _cohomology_data(c: IntegerCochainComplex, k: int):
     return data
 
 
+def _diagonal(c: IntegerCochainComplex, k: int) -> list:
+    """Smith diagonal of ``d_k``, reduced once without transforms."""
+    key = ("diag", k)
+    hit = c._cache.get(key)
+    if hit is None:
+        hit = c._cache[key] = _smith(c.diff(k), transforms=False).diag
+    return hit
+
+
 def complex_cohomology(c: IntegerCochainComplex, k: int) -> GroupDescriptor:
     """Cohomology ``ker d_k / im d_(k-1)`` in canonical form.
+
+    Read off the Smith diagonals of ``d_k`` and ``d_(k-1)`` alone: the rank
+    is ``n_k - rank d_k - rank d_(k-1)``, and since ``ker d_k`` is
+    saturated the torsion is that of ``coker d_(k-1)``, its diagonal
+    entries above 1.  No transforms are built; :func:`class_coordinates`
+    and its kin build them on demand.
 
     Differentials just outside the carried range count as zero maps, but
     ``k`` itself must lie inside ``[lo, hi]``.
     """
     if k < c.lo or k > c.hi:
         raise DegreeOutOfRange(f"degree {k} outside complex range [{c.lo}, {c.hi}]")
-    return _cohomology_data(c, k)["descriptor"]
+    below = _diagonal(c, k - 1)
+    rank = c.rank(k) - sum(1 for x in _diagonal(c, k) if x) - sum(1 for x in below if x)
+    return GroupDescriptor.from_invariant_factors(rank, below)
 
 
 def class_coordinates(c: IntegerCochainComplex, k: int, cocycle) -> ElementCoordinates:
     """Coordinates of an integral cocycle's class, deterministically.
 
-    The basis is the one produced by the Smith reductions in
-    :func:`complex_cohomology`, so repeated calls against the same complex
-    are mutually consistent.
+    The basis is the one produced by the Smith reductions with transforms
+    in ``_cohomology_data``, made on the first coordinate question for
+    degree ``k`` and kept, so repeated calls against the same complex are
+    mutually consistent.
     """
     if k < c.lo or k > c.hi:
         raise DegreeOutOfRange(f"degree {k} outside complex range [{c.lo}, {c.hi}]")

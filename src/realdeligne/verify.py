@@ -14,6 +14,7 @@ from .cechengine import (
     CoefficientComplex,
     build_equivariant_complex,
     build_full_complex,
+    build_total_complex,
     equivariant_cohomology,
     hypercohomology,
     involution_matrix,
@@ -25,6 +26,7 @@ from .exactalg import (
     complex_cohomology,
     fixed_subcomplex,
     kernel_basis,
+    kernel_quotient,
     smith_normal_form,
 )
 
@@ -60,7 +62,10 @@ def _check_smith(out, m, space, check):
 
 
 def suite_snf():
-    """Smith-form postconditions on random matrices and real differentials."""
+    """Smith-form postconditions on random matrices and real differentials,
+    and descriptors read off the Smith diagonals (``complex_cohomology``)
+    against the kernel-quotient route with transforms (``kernel_quotient``)
+    on the fixed complexes and the cone total complexes."""
     out = []
     rng = np.random.RandomState(20240917)
     for case in range(25):
@@ -71,6 +76,27 @@ def suite_snf():
         full = build_full_complex(cover, 2)
         for k in (0, 1):
             _check_smith(out, full.diff(k).to_dense(), label, f"differential d_{k}")
+        complexes = [
+            (f"fixed sign {sign}", build_equivariant_complex(cover, coeff, 3)[0])
+            for sign, coeff in ((-1, IZ), (1, Z_TRIVIAL))
+        ]
+        complexes += [
+            (f"cone {n}", build_total_complex(cover, CoefficientComplex((IZ, IZ), (n,)), 3))
+            for n in (2, 3)
+        ]
+        for name, c in complexes:
+            for k in range(4):
+                diagonal = complex_cohomology(c, k)
+                quotient = kernel_quotient(c.diff(k), c.diff(k - 1))
+                if diagonal != quotient:
+                    out.append(
+                        _record(
+                            "snf",
+                            label,
+                            f"H^{k} of the {name} complex",
+                            f"diagonals {diagonal} vs kernel quotient {quotient}",
+                        )
+                    )
     return out
 
 

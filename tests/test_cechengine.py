@@ -1,6 +1,10 @@
 """Engine-level tests: bases, differentials, equivariant cohomology,
 hypercohomology of coefficient complexes."""
 
+import gc
+import random
+import weakref
+
 import numpy as np
 import pytest
 
@@ -11,6 +15,7 @@ from realdeligne.cechengine import (
     _rational_rank,
     build_equivariant_complex,
     build_full_complex,
+    build_total_complex,
     cech_differential,
     equivariant_cohomology,
     hypercohomology,
@@ -445,7 +450,97 @@ def test_session_builds_each_fixed_degree_once(monkeypatch):
         sign: build_equivariant_complex(cover, CoefficientSystem.integers(sign), 1)[0].hi
         for sign in (-1, 1)
     }
-    assert top == {-1: 5, 1: 4}
+    assert top == {-1: 4, 1: 4}
     assert sorted(built) == sorted(
         (sign, k) for sign, hi in top.items() for k in range(hi + 1)
     )
+
+
+TOTAL_COMPLEXES = (
+    CoefficientComplex((IZ, IZ), (2,)),
+    CoefficientComplex((IZ, IZ), (3,)),
+    CoefficientComplex((IZ, IZ, Z_TRIVIAL), (2, 0)),
+)
+
+
+@pytest.mark.parametrize("entry", catalog.ENTRIES, ids=catalog.entry_label)
+def test_total_complex_grown_once(entry, monkeypatch):
+    """Hypercohomology asked in a shuffled order of degrees, with max_degree
+    going up and then down, answers as a fresh cover does, from one cached
+    total complex per coefficient complex, each total degree extended once."""
+    extended = []
+    inner_extend = exactalg.IntegerCochainComplex.extend
+
+    def extend(self, rank, diff):
+        extended.append((self, self.hi))
+        return inner_extend(self, rank, diff)
+
+    monkeypatch.setattr(exactalg.IntegerCochainComplex, "extend", extend)
+    cover = _fresh(entry)
+    rng = random.Random(entry.name + str(entry.params))
+    fresh = {}
+    for fstar in TOTAL_COMPLEXES:
+        totals = set()
+        for md in (1, 3, 4, 2):
+            degrees = list(range(md))
+            rng.shuffle(degrees)
+            for k in degrees:
+                got = hypercohomology(cover, fstar, k, md)
+                totals.add(id(build_total_complex(cover, fstar, 0)))
+                if (fstar, k) not in fresh:
+                    fresh[fstar, k] = hypercohomology(_fresh(entry), fstar, k, k + 1)
+                assert got == fresh[fstar, k], (fstar, k, md)
+        total = build_total_complex(cover, fstar, 0)
+        assert totals == {id(total)}
+        assert total.hi == 4
+        assert sorted(n for c, n in extended if c is total) == list(range(4))
+
+
+def test_descriptors_make_no_smith_transforms(monkeypatch):
+    """Descriptor questions read Smith diagonals only; the transforms are
+    built on the first coordinate question."""
+    cover = catalog.build("sphere_antipodal", 2)
+    calls = []
+    inner = exactalg._smith
+
+    def smith(m, transforms=True):
+        calls.append(transforms)
+        return inner(m, transforms)
+
+    monkeypatch.setattr(exactalg, "_smith", smith)
+    for k in range(3):
+        for coeff in (IZ, Z_TRIVIAL, IQ, CoefficientSystem.integers_mod(2, -1)):
+            equivariant_cohomology(cover, coeff, k, k + 1)
+        nonequivariant_cohomology(cover, Z_TRIVIAL, k, k + 1)
+        for fstar in TOTAL_COMPLEXES:
+            hypercohomology(cover, fstar, k + 1, k + 2)
+    for p in range(4):
+        for q in range(3):
+            deligne.deligne_descriptor(cover, p, q)
+    deligne.quotient_coefficients_cohomology(cover, 1)
+    assert calls and True not in calls
+    sub, _ = build_equivariant_complex(cover, IZ, 3)
+    exactalg.class_coordinates(sub, 1, [0] * sub.rank(1))
+    assert True in calls
+
+
+@pytest.mark.parametrize("name", ["circle_antipodal", "circle_conjugation", "torus"])
+def test_cover_and_its_cache_die_with_the_last_reference(name):
+    """Nothing reachable from a cover's cache refers back to the cover, so
+    dropping the last reference frees it and its complexes at once, without
+    waiting for the cyclic garbage collector."""
+    gc.collect()
+    gc.disable()
+    try:
+        cover = catalog.build(name)
+        for coeff in (IZ, Z_TRIVIAL, IQ):
+            equivariant_cohomology(cover, coeff, 1, 3)
+        nonequivariant_cohomology(cover, Z_TRIVIAL, 1, 2)
+        hypercohomology(cover, TOTAL_COMPLEXES[0], 2, 3)
+        hypercohomology(cover, CoefficientComplex((IZ, IQ), ("incl",)), 2, 3)
+        deligne.deligne_descriptor(cover, 3, 2)
+        ref = weakref.ref(cover)
+        del cover
+        assert ref() is None
+    finally:
+        gc.enable()

@@ -8,7 +8,7 @@ import sys
 import jsonschema
 import pytest
 
-from realdeligne import cli
+from realdeligne import cechengine, cli
 from realdeligne.deligne import RESULT_RECORD_SCHEMA
 
 
@@ -248,6 +248,31 @@ def test_exit_non_integer_catalog_parameter(capsys):
     assert code == 2
     assert out == ""
     assert "integer" in err and "'x'" in err
+
+
+def test_exit_internal_invariant_failure(capsys, monkeypatch):
+    """A coboundary with d∘d != 0 is the package's fault, not the input's:
+    exit 5 with a message, not exit 2 and not a traceback."""
+    inner = cechengine.cech_differential
+
+    def broken(cover, p, include_degenerate=False):
+        d = inner(cover, p, include_degenerate)
+        if p != 1:
+            return d
+        d0 = inner(cover, 0, include_degenerate)
+        bad = d.copy()
+        # a new entry in row 0 against a nonzero row of d_0 spoils d_1 @ d_0
+        col = next(j for j, row in enumerate(d0.rows) if row)
+        bad.set(0, col, bad.get(0, col) + 1)
+        return bad
+
+    monkeypatch.setattr(cechengine, "cech_differential", broken)
+    code, out, err = run(
+        capsys, "compute", "--space", "circle_antipodal", "--coeff", "iZ", "--max-degree", "2"
+    )
+    assert code == cli.EXIT_INTERNAL == 5
+    assert out == ""
+    assert "internal invariant failure" in err and "d∘d != 0" in err
 
 
 def test_cli_import_leaves_sympy_unloaded():
