@@ -9,6 +9,7 @@ __version__ = "0.1.0"
 
 from .cechengine import (
     CoefficientComplex,
+    build_borel_complex,
     build_equivariant_complex,
     build_full_complex,
     equivariant_cohomology,
@@ -68,6 +69,7 @@ __all__ = [
     "IZ",
     "QuotientCoefficients",
     "Z_TRIVIAL",
+    "build_borel_complex",
     "build_equivariant_complex",
     "build_full_complex",
     "class_coordinates",

@@ -1,27 +1,50 @@
 """Cech cochain complexes of a cover with involution, and their cohomology.
 
-Cochains live on ordered index tuples with repeats, normalized by dropping
-tuples with two equal consecutive entries; each tuple contributes one basis
-vector per component of its support intersection.  The involution acts by
-relabeling tuples and components and multiplying by the coefficient sign.
-The index involution is free, so the tuple involution is too, and
-equivariant cochains are spanned by orbit sums ``e + sign * t(e)``: the
-fixed complex has one basis vector per orbit, its differential is read off
-the representative rows of the full coboundary, and a fixed cochain's
-coordinates are its entries at the representatives (the induced-module
-picture; K. S. Brown, *Cohomology of Groups*, §III.5).
+Two cochain models live here.
 
-A cover's cache holds one plain complex, one fixed complex per sign and
-one total complex per all-integer coefficient complex (the hypercohomology
-of, say, the cone of multiplication by n).  Each is grown in place, one
-degree at a time: the plain and fixed complexes to ``max_degree + 1``, the
-total complex only to total degree k + 1, which is all H^k reads (there
-``max_degree`` is only the range check).  So each degree is built and
-checked once and its Smith reductions serve every later question.
+*Alternating cochains* ``C_alt`` have one basis vector per (sorted
+``(j + 1)``-subset of indices with a nonempty intersection, component of
+that intersection); the coboundary ``δ_alt`` is the alternating sum over
+faces.  The involution ``T`` relabels indices and components, re-sorts the
+subset and multiplies by the sign of that sort and by the coefficient sign.
+Every descriptor is read from the Borel complex ``Hom_C2(W, C_alt)``, with
+``W`` the 2-periodic free resolution of Z over Z[C2] (K. S. Brown,
+*Cohomology of Groups*, GTM 87: Ch. I §6 for ``W``, Ch. VII for the
+equivariant cohomology of a G-complex)::
 
-Rational and mod-n results are derived from the integral fixed complex: the
-basis involution is free (the index involution is), so fixing commutes with
-the change of coefficients and universal coefficients applies degreewise.
+    Tot^n = ⊕_{i + j = n} C^j_alt,   0 <= j <= dim N (N the nerve),
+
+where ``D`` carries summand ``(i, j)`` by ``(-1)^i δ_alt`` into
+``(i, j + 1)`` and by ``1 - T`` (``i + 1`` odd) or ``1 + T`` (``i + 1``
+even) into ``(i + 1, j)``.  Its rank is constant, ``Σ_j |C^j_alt|``, once
+``n >= dim N``.  When T fixes no basis element, even up to sign (every
+antipodal cover), each ``C^j_alt`` is Z[C2]-free and descriptors read the
+smaller fixed complex ``C_alt^{C2}`` instead, which is quasi-isomorphic
+(:func:`build_descriptor_complex`).  Plain cohomology reads ``C_alt``.
+
+*Ordered cochains* ``C_ord`` live on ordered index tuples, normalized by
+dropping tuples with two equal consecutive entries (or, on request, keeping
+them); the tuple involution is free because the index involution is, so the
+fixed complex has one orbit sum ``e + sign * t(e)`` per orbit, read off the
+representative rows of the full coboundary (the induced-module picture;
+Brown, §III.5).  The flat classifier takes its torus and torsion
+coordinates against this complex's Smith bases, and ``verify`` keeps it as
+the independent cross-check of the descriptor route.
+
+The two agree: ``C_alt -> C_ord`` (extend by the sort sign, zero on
+repeats) is an equivariant quasi-isomorphism (Serre, FAC §20), ``Hom_C2(W,
+-)`` preserves it, and ``C_ord`` is degreewise Z[C2]-free, so ``Hom_C2(W,
+C_ord)`` is quasi-isomorphic to the orbit complex ``C_ord^{C2}``.
+
+A cover's cache holds one alternating complex, one descriptor complex
+(Borel or alternating fixed) per sign, one ordered and one orbit complex per
+sign (and per choice of degenerate tuples), and one total complex per all-integer coefficient complex (the
+hypercohomology of, say, the cone of multiplication by n).  Each is grown
+in place, one degree at a time, to ``max_degree + 1``; the total complex
+only to total degree k + 1, which is all H^k reads (there ``max_degree`` is
+only the range check).  So each degree is built and checked once and its
+Smith reductions serve every later question.  Rational and mod-n results
+come from the integral complexes by universal coefficients degreewise.
 """
 
 from __future__ import annotations
@@ -41,6 +64,7 @@ from .exactalg import (
     GroupDescriptor,
     IntegerCochainComplex,
     SparseIntMatrix,
+    _check_commutes,
     _grow_orbit_complex,
     _quotient_data,
     _smith,
@@ -53,6 +77,14 @@ _covercache: WeakKeyDictionary = WeakKeyDictionary()
 
 def _cache(cover: C2Cover) -> dict:
     return _covercache.setdefault(cover, {})
+
+
+def _require_free(cover: C2Cover) -> None:
+    if not cover.is_free():
+        raise CoverNotFree(
+            f"cover {cover.name!r} has an involution-fixed index; "
+            "double_fixed_indices produces a free model"
+        )
 
 
 @dataclass(eq=False)
@@ -206,11 +238,7 @@ def build_equivariant_complex(
     ignored here — this is the integral model, and rational or mod-n
     answers are derived from it downstream.
     """
-    if not cover.is_free():
-        raise CoverNotFree(
-            f"cover {cover.name!r} has an involution-fixed index; "
-            "double_fixed_indices produces a free model"
-        )
+    _require_free(cover)
     full = build_full_complex(cover, max_degree, include_degenerate)
 
     def perm(k):
@@ -220,6 +248,197 @@ def build_equivariant_complex(
     cache = _cache(cover)
     cache[key] = _grow_orbit_complex(full, perm, coeff.sign, cache.get(key), max_degree + 1)
     return cache[key]
+
+
+# ---------------------------------------------------------------------------
+# Alternating cochains and the Borel complex
+# ---------------------------------------------------------------------------
+
+
+def alternating_basis(cover: C2Cover, j: int) -> TupleBasis:
+    """Basis of alternating degree-``j`` cochains: sorted ``(j + 1)``-subsets
+    with a nonempty intersection, one element per component, listed like
+    :func:`tuple_basis`.  Empty above the nerve's dimension."""
+    key = ("alt_basis", j)
+    cache = _cache(cover)
+    if key not in cache:
+        elements = [
+            (tup, c)
+            for tup in sorted(tuple(sorted(s)) for s in cover.intersections if len(s) == j + 1)
+            for c in sorted(cover.components_of(tup))
+        ]
+        cache[key] = TupleBasis(j, tuple(elements), {e: n for n, e in enumerate(elements)})
+    return cache[key]
+
+
+def alternating_differential(cover: C2Cover, j: int) -> SparseIntMatrix:
+    """``δ_alt`` from degree ``j`` to ``j + 1``: the value on a sorted subset
+    is the alternating sum over its faces, transported along the face maps."""
+    key = ("alt_delta", j)
+    cache = _cache(cover)
+    if key not in cache:
+        src = alternating_basis(cover, j)
+        dst = alternating_basis(cover, j + 1)
+        m = SparseIntMatrix(len(dst), len(src))
+        for row, (tup, c) in zip(m.rows, dst.elements):
+            for k, i in enumerate(tup):
+                row[src.position[(tup[:k] + tup[k + 1 :], cover.face(c, i))]] = -1 if k % 2 else 1
+        cache[key] = m
+    return cache[key]
+
+
+def alternating_involution(cover: C2Cover, j: int):
+    """The relabelling on alternating degree-``j`` cochains as a signed
+    permutation ``(perm, eps)``: the image of element ``r`` is ``eps[r]``
+    times element ``perm[r]``, with ``eps[r]`` the sign of the sort that
+    puts the relabelled subset back in order."""
+    key = ("alt_involution", j)
+    cache = _cache(cover)
+    if key not in cache:
+        basis = alternating_basis(cover, j)
+        inv = cover.involution.__getitem__
+        sigma = cover.component_involution
+        perm, eps = [], []
+        for tup, c in basis.elements:
+            image = tuple(map(inv, tup))
+            inversions = sum(a > b for n, a in enumerate(image) for b in image[n + 1 :])
+            perm.append(basis.position[(tuple(sorted(image)), sigma[c])])
+            eps.append(-1 if inversions % 2 else 1)
+        cache[key] = perm, eps
+    return cache[key]
+
+
+def build_alternating_complex(cover: C2Cover, max_degree: int) -> IntegerCochainComplex:
+    """The plain alternating cochain complex, carried in degrees
+    ``0 .. max_degree + 1`` at least: one per cover, grown in place."""
+    if max_degree < 0:
+        raise DegreeOutOfRange("max_degree must be nonnegative")
+    cache = _cache(cover)
+    if "alt" not in cache:
+        rank0 = len(alternating_basis(cover, 0))
+        cache["alt"] = IntegerCochainComplex(lo=0, hi=0, ranks={0: rank0}, diffs={})
+    c = cache["alt"]
+    while c.hi <= max_degree:
+        c.extend(len(alternating_basis(cover, c.hi + 1)), alternating_differential(cover, c.hi))
+    return c
+
+
+def _checked_involution(cover: C2Cover, j: int):
+    """``alternating_involution`` at degree ``j``, checked to be an
+    involution, ``T^2 = id``, of the degree-``j`` basis."""
+    perm, eps = alternating_involution(cover, j)
+    n = len(alternating_basis(cover, j))
+    if len(perm) != n or len(eps) != n or not all(
+        0 <= p < n and perm[p] == r and eps[r] * eps[p] == 1 for r, p in enumerate(perm)
+    ):
+        raise InternalInvariantError(f"alternating action at degree {j}: T^2 != id")
+    return perm, eps
+
+
+def _nerve_dimension(cover: C2Cover) -> int:
+    return max(map(len, cover.intersections), default=1) - 1
+
+
+def build_borel_complex(cover: C2Cover, sign: int, max_degree: int) -> IntegerCochainComplex:
+    """The Borel complex ``Hom_C2(W, C_alt)`` with coefficient sign ``sign``,
+    carried in total degrees ``0 .. max_degree + 1`` at least.
+
+    Summand ``(i, j)`` of ``Tot^n`` sits at offset ``Σ_{j' < j} |C^j'_alt|``
+    for every ``n >= j``.  ``D_n`` carries it by ``(-1)^i δ_alt`` to
+    ``(i, j + 1)`` and by ``1 - T`` or ``1 + T`` (``i + 1`` odd or even) to
+    ``(i + 1, j)``, where ``T`` is ``sign`` times the alternating
+    involution.  There is one complex per cover and sign, grown in place.
+    Its first build checks ``T^2 = id`` and ``T δ_alt = δ_alt T`` in every
+    Cech degree (there are dim N + 1 of them), and ``extend`` checks each
+    new differential's shape and D∘D = 0.
+    """
+    if max_degree < 0:
+        raise DegreeOutOfRange("max_degree must be nonnegative")
+    _require_free(cover)
+    top = _nerve_dimension(cover)
+    alt = build_alternating_complex(cover, top)
+    key = ("borel", sign)
+    cache = _cache(cover)
+    c = cache.get(key)
+    if c is None:
+        actions = [_checked_involution(cover, j) for j in range(top + 1)]
+        for j in range(top):
+            _check_commutes(alt.diff(j), actions[j], actions[j + 1], j)
+        c = cache[key] = IntegerCochainComplex(lo=0, hi=0, ranks={0: alt.rank(0)}, diffs={})
+    offset = [0]
+    for j in range(top + 1):
+        offset.append(offset[-1] + alt.rank(j))
+    while c.hi <= max_degree:
+        n = c.hi
+        d = SparseIntMatrix(offset[min(n + 1, top) + 1], offset[min(n, top) + 1])
+        for j in range(min(n, top) + 1):
+            i, col = n - j, offset[j]
+            vertical = -1 if i % 2 else 1
+            for r, row in enumerate(alt.diff(j).rows):
+                d.rows[offset[j + 1] + r] = {col + cj: vertical * x for cj, x in row.items()}
+            horizontal = sign if i % 2 else -sign  # 1 - T into odd i + 1, 1 + T into even
+            perm, eps = alternating_involution(cover, j)
+            rows = d.rows[offset[j] : offset[j + 1]]
+            for r, (target, p, e) in enumerate(zip(rows, perm, eps)):
+                target[col + r] = 1
+                v = target.get(col + p, 0) + horizontal * e
+                if v:
+                    target[col + p] = v
+                else:
+                    del target[col + p]
+        c.extend(d.nrows, d)
+    return c
+
+
+def _alternating_action_is_free(cover: C2Cover) -> bool:
+    """True when T fixes no alternating basis element, even up to sign, in
+    any degree; then every ``C^j_alt`` is a free Z[C2]-module."""
+    cache = _cache(cover)
+    if "alt_free" not in cache:
+        cache["alt_free"] = all(
+            p != r
+            for j in range(_nerve_dimension(cover) + 1)
+            for r, p in enumerate(_checked_involution(cover, j)[0])
+        )
+    return cache["alt_free"]
+
+
+def build_descriptor_complex(
+    cover: C2Cover, sign: int, max_degree: int
+) -> IntegerCochainComplex:
+    """The complex every descriptor reads for coefficient sign ``sign``,
+    carried in degrees ``0 .. max_degree + 1`` at least.
+
+    When the alternating action is free (no subset with ``t(S) = S`` meets
+    in a component that ``σ`` fixes; every antipodal cover), each
+    ``C^j_alt`` is Z[C2]-free, so the Borel complex is quasi-isomorphic to
+    the fixed complex ``C_alt^{C2}``: one orbit sum ``e_r + sign * ε_r *
+    e_π(r)`` per orbit, at most half the Borel rank in every degree and zero
+    above the nerve's dimension.  Otherwise it is :func:`build_borel_complex`.
+    """
+    if max_degree < 0:
+        raise DegreeOutOfRange("max_degree must be nonnegative")
+    cache = _cache(cover)
+    c = cache.get(("descriptor", sign))
+    if c is not None and c.hi > max_degree:
+        return c  # the common case: every descriptor question comes through here
+    _require_free(cover)
+    if not _alternating_action_is_free(cover):
+        c = build_borel_complex(cover, sign, max_degree)
+    else:
+        alt = build_alternating_complex(cover, max_degree)
+
+        def perm(j):
+            return alternating_involution(cover, j)[0]
+
+        def eps(j):
+            return alternating_involution(cover, j)[1]
+
+        key = ("alt_fixed", sign)
+        cache[key] = _grow_orbit_complex(alt, perm, sign, cache.get(key), max_degree + 1, eps)
+        c = cache[key][0]
+    cache["descriptor", sign] = c
+    return c
 
 
 def _check_degree(k: int, max_degree: int):
@@ -266,16 +485,23 @@ def equivariant_cohomology(
     max_degree: int,
     include_degenerate: bool = False,
 ) -> GroupDescriptor:
-    """H^k of the equivariant cochain complex with the given coefficients.
+    """H^k of the cover with the given equivariant coefficients, read from
+    the descriptor complex of the coefficient sign
+    (:func:`build_descriptor_complex`).
 
     Integral coefficients give the full descriptor; rational ones report the
     dimension (computed by the independent rank formula, not by reusing the
     integral kernel data); mod-n ones use universal coefficients over the
-    integral fixed complex.
+    integral complex.  ``include_degenerate=True`` answers from a different
+    model instead, the orbit complex of ordered cochains with degenerate
+    tuples kept, so that the two can be compared.
     """
     _check_degree(k, max_degree)
-    sub, _ = build_equivariant_complex(cover, coeff, max_degree, include_degenerate)
-    return _descriptor(sub, k, coeff)
+    if include_degenerate:
+        c, _ = build_equivariant_complex(cover, coeff, max_degree, include_degenerate=True)
+    else:
+        c = build_descriptor_complex(cover, coeff.sign, max_degree)
+    return _descriptor(c, k, coeff)
 
 
 def nonequivariant_cohomology(
@@ -283,12 +509,11 @@ def nonequivariant_cohomology(
     coeff: CoefficientSystem,
     k: int,
     max_degree: int,
-    include_degenerate: bool = False,
 ) -> GroupDescriptor:
-    """H^k of the plain cochain complex, the involution forgotten (the sign
-    of ``coeff`` is irrelevant here)."""
+    """H^k of the plain alternating cochain complex, the involution
+    forgotten (the sign of ``coeff`` is irrelevant here)."""
     _check_degree(k, max_degree)
-    return _descriptor(build_full_complex(cover, max_degree, include_degenerate), k, coeff)
+    return _descriptor(build_alternating_complex(cover, max_degree), k, coeff)
 
 
 # ---------------------------------------------------------------------------
@@ -358,7 +583,7 @@ class CoefficientComplex:
         return len(self.terms)
 
 
-def _total_blocks(cover, fstar, n, include_degenerate):
+def _total_blocks(cover, fstar, n):
     """Blocks of the total differential at total degree ``n``.
 
     Columns are the summands (term degree i, Cech degree j = n - i); rows
@@ -366,15 +591,13 @@ def _total_blocks(cover, fstar, n, include_degenerate):
     coboundary; horizontal maps are the coefficient maps degreewise.
     Returns (A, B, C): integer-to-integer, integer-to-rational and
     rational-to-rational blocks (there are no rational-to-integer maps).
-    The summands reach Cech degree n + 1 at most, so each sign's fixed
-    complex is carried just that far.
+    The Cech direction is each sign's descriptor complex, and the summands
+    reach its degree n + 1 at most, so it is carried just that far.
     """
     subs = {}
     for t in fstar.terms:
         if t.sign not in subs:
-            subs[t.sign], _ = build_equivariant_complex(
-                cover, t, max(n, 0), include_degenerate
-            )
+            subs[t.sign] = build_descriptor_complex(cover, t.sign, max(n, 0))
 
     def segments(total):
         segs = []
@@ -430,7 +653,6 @@ def build_total_complex(
     cover: C2Cover,
     fstar: CoefficientComplex,
     max_degree: int,
-    include_degenerate: bool = False,
 ) -> IntegerCochainComplex:
     """Total complex of the equivariant double complex of an all-integer
     ``fstar``, carried in total degrees ``0 .. max_degree + 1`` at least.
@@ -440,12 +662,12 @@ def build_total_complex(
     d∘d = 0) once, when it is first built, and the Smith answers cached on
     the complex serve every later question.
     """
-    key = ("total", fstar, include_degenerate)
+    key = ("total", fstar)
     cache = _cache(cover)
     c = cache.get(key)
     while c is None or c.hi <= max_degree:
         n = 0 if c is None else c.hi
-        a, _, _ = _total_blocks(cover, fstar, n, include_degenerate)
+        a, _, _ = _total_blocks(cover, fstar, n)
         if c is None:
             c = cache[key] = IntegerCochainComplex(lo=0, hi=0, ranks={0: a.ncols}, diffs={})
         c.extend(a.nrows, a)
@@ -457,10 +679,10 @@ def hypercohomology(
     fstar: CoefficientComplex,
     k: int,
     max_degree: int,
-    include_degenerate: bool = False,
 ) -> GroupDescriptor:
     """H^k of the total complex of the equivariant double complex of
-    ``fstar``.
+    ``fstar``, whose Cech direction is the descriptor complex of each term's
+    sign.
 
     All-integer complexes produce the honest finitely generated group, from
     the cover's one cached total complex (:func:`build_total_complex`),
@@ -473,16 +695,14 @@ def hypercohomology(
     """
     _check_degree(k, max_degree)
     if len(fstar) == 1:
-        return equivariant_cohomology(
-            cover, fstar.terms[0], k, max_degree, include_degenerate
-        )
+        return equivariant_cohomology(cover, fstar.terms[0], k, max_degree)
 
     if {t.base for t in fstar.terms} == {"Z"}:
-        return complex_cohomology(build_total_complex(cover, fstar, k, include_degenerate), k)
+        return complex_cohomology(build_total_complex(cover, fstar, k), k)
 
     # mixed integers/rationals: block-triangular total differential
-    a_k, b_k, c_k = _total_blocks(cover, fstar, k, include_degenerate)
-    a_prev, _, _ = _total_blocks(cover, fstar, k - 1, include_degenerate)
+    a_k, b_k, c_k = _total_blocks(cover, fstar, k)
+    a_prev, _, _ = _total_blocks(cover, fstar, k - 1)
 
     # E: saturated basis of the left kernel of the rational block, so that
     # "E @ (B x) = 0" says B x lies in the rational column span of C

@@ -316,10 +316,18 @@ def flat_cocycle_class(fc: FlatCocycle, max_degree: int = 3) -> FlatCocycleClass
     vanishes the lift differs from an integral cochain by an honest rational
     cocycle whose free coordinates, taken mod 1, locate the class on the
     torus.  ``trivial`` is equivalent to both coordinate vectors vanishing.
+
+    The coordinates are taken against the Smith bases of the ordered orbit
+    complex, which is read in degrees 0..2 only and so carried to degree 3;
+    ``max_degree`` is the range check.
     """
+    if max_degree < 3:
+        raise InsufficientDegree(
+            f"the flat class reads degree 2, which needs max_degree >= 3, got {max_degree}"
+        )
     fc.validate()
     cover = fc.cover
-    sub, _ = build_equivariant_complex(cover, IZ, max_degree)
+    sub, _ = build_equivariant_complex(cover, IZ, 2)
 
     lift = _equivariant_lift(cover, fc)
     raw = cech_differential(cover, 1).matvec(lift)

@@ -789,67 +789,89 @@ def rational_class_free_coordinates(c: IntegerCochainComplex, k: int, cocycle):
 # ---------------------------------------------------------------------------
 
 
-def _orbit_basis(k: int, perm, sign: int, n: int):
-    """Orbit-sum basis of the lattice fixed by ``e_i -> sign * e_perm[i]``.
+def _orbit_basis(k: int, perm, sign: int, n: int, eps):
+    """Orbit-sum basis of the lattice fixed by ``e_i -> sign * eps[i] *
+    e_perm[i]``.
 
     ``perm`` must be an involution of the positions ``0 .. n-1`` that fixes
-    none of them.  Each orbit ``{r, perm[r]}`` gives one column,
-    ``e_r + sign * e_perm[r]``, where the representative ``r`` is the larger
-    position; columns run in ascending ``r``.  A vector ``v`` is fixed iff
-    ``v[perm[r]] == sign * v[r]`` on every orbit, and then it is the
-    combination of the columns with coefficients ``v[r]``: the columns span
-    the saturated fixed lattice, and reading the entries at the
-    representatives is their left inverse.  Returns ``(reps, basis)``.
+    none of them, and ``eps`` constant on its orbits.  Each orbit
+    ``{r, perm[r]}`` gives one column, ``e_r + sign * eps[r] * e_perm[r]``,
+    where the representative ``r`` is the larger position; columns run in
+    ascending ``r``.  A vector ``v`` is fixed iff ``v[perm[r]] == sign *
+    eps[r] * v[r]`` on every orbit, and then it is the combination of the
+    columns with coefficients ``v[r]``: the columns span the saturated fixed
+    lattice, and reading the entries at the representatives is their left
+    inverse.  Returns ``(reps, basis)``.
     """
-    if len(perm) != n:
-        raise NotAnInvolution(f"permutation at degree {k} has {len(perm)} entries, want {n}")
+    if len(perm) != n or len(eps) != n:
+        raise InternalInvariantError(
+            f"permutation at degree {k} has {len(perm)} entries, want {n}"
+        )
     reps = []
     for i, j in enumerate(perm):
-        if not 0 <= j < n or perm[j] != i:
-            raise NotAnInvolution(f"permutation at degree {k} does not square to the identity")
+        if not 0 <= j < n or perm[j] != i or eps[j] != eps[i]:
+            raise InternalInvariantError(
+                f"permutation at degree {k} does not square to the identity"
+            )
         if j == i:
-            raise NotAnInvolution(f"permutation at degree {k} fixes position {i}")
+            raise InternalInvariantError(f"permutation at degree {k} fixes position {i}")
         if j < i:
             reps.append(i)
     basis = SparseIntMatrix(n, len(reps))
     for col, r in enumerate(reps):
         basis.rows[r][col] = 1
-        basis.rows[perm[r]][col] = sign
+        basis.rows[perm[r]][col] = sign * eps[r]
     return reps, basis
 
 
-def _grow_orbit_complex(c: IntegerCochainComplex, perm, sign: int, fixed, hi: int):
+def _check_commutes(d: SparseIntMatrix, src, dst, k: int) -> None:
+    """Check that the signed permutations ``src = (perm, eps)`` on degree
+    ``k`` and ``dst`` on degree ``k + 1`` commute with ``d``, which for
+    signed permutations reads ``d[π(i), π(j)] == ε_i ε_j d[i, j]`` on every
+    entry.  The entry map is a bijection, so entries sent to equal entries
+    cover them all.  The engine supplies these maps itself, so a failure
+    raises InternalInvariantError."""
+    (perm, eps), (perm1, eps1) = src, dst
+    for i, row in enumerate(d.rows):
+        mirror = d.rows[perm1[i]]
+        for j, x in row.items():
+            if mirror.get(perm[j]) != eps1[i] * eps[j] * x:
+                raise InternalInvariantError(
+                    f"map does not commute with the differential at degree {k}"
+                )
+
+
+def _grow_orbit_complex(c: IntegerCochainComplex, perm, sign: int, fixed, hi: int, eps=None):
     """Carry ``fixed = (sub, bases)``, the subcomplex of ``c`` fixed by the
-    signed permutations ``e_i -> sign * e_perm(k)[i]`` with its orbit-sum
-    embeddings (:func:`_orbit_basis`), up to degree ``hi`` in place, one
-    degree at a time; None starts it in degree ``c.lo``.
+    signed permutations ``e_i -> sign * eps(k)[i] * e_perm(k)[i]`` (``eps``
+    all 1 when None) with its orbit-sum embeddings (:func:`_orbit_basis`),
+    up to degree ``hi`` in place, one degree at a time; None starts it in
+    degree ``c.lo``.
 
     Each new degree checks that its permutation is a free involution and
-    that the differential into it commutes with the action,
-    ``d[π(i), π(j)] == d[i, j]``.  Commutation carries fixed vectors to
-    fixed vectors, so ``d @ bases[k]`` lies in the span of ``bases[k + 1]``
-    (the fixed lattice is preserved with no further check) and its
-    coordinates are its representative rows:
-    ``dk[r', r] = d[r', r] + sign * d[r', π(r)]``, one pass over those rows.
+    that the differential into it commutes with the action
+    (:func:`_check_commutes`); these are the engine's own invariants, so a
+    failure raises InternalInvariantError.  Commutation
+    carries fixed vectors to fixed vectors, so ``d @ bases[k]`` lies in the
+    span of ``bases[k + 1]`` (the fixed lattice is preserved with no further
+    check) and its coordinates are its representative rows:
+    ``dk[r', r] = d[r', r] + sign * ε_r * d[r', π(r)]``, one pass over
+    those rows.
     """
+    signs = eps or (lambda k: [1] * c.rank(k))
     if fixed is None:
-        _, basis = _orbit_basis(c.lo, perm(c.lo), sign, c.rank(c.lo))
+        _, basis = _orbit_basis(c.lo, perm(c.lo), sign, c.rank(c.lo), signs(c.lo))
         fixed = IntegerCochainComplex(c.lo, c.lo, {c.lo: basis.ncols}, {}), {c.lo: basis}
     sub, bases = fixed
-    p_top = perm(sub.hi) if sub.hi < hi else None
+    if sub.hi < hi:
+        p_top, e_top = perm(sub.hi), signs(sub.hi)
     while sub.hi < hi:
         k = sub.hi
-        p_next = perm(k + 1)
-        reps, basis = _orbit_basis(k + 1, p_next, sign, c.rank(k + 1))
+        p_next, e_next = perm(k + 1), signs(k + 1)
+        reps, basis = _orbit_basis(k + 1, p_next, sign, c.rank(k + 1), e_next)
         d = c.diff(k)
-        for i, row in enumerate(d.rows):
-            mirror = d.rows[p_next[i]]
-            for j, x in row.items():
-                if mirror.get(p_top[j]) != x:
-                    raise NotEquivariant(
-                        f"map does not commute with the differential at degree {k}"
-                    )
-        # each row of the source embedding holds one entry: (its orbit, 1 or sign)
+        _check_commutes(d, (p_top, e_top), (p_next, e_next), k)
+        # each row of the source embedding holds one entry: (its orbit, ±1)
         src = bases[k].rows
         dk = SparseIntMatrix(len(reps), bases[k].ncols)
         for out, r in zip(dk.rows, reps):
@@ -862,7 +884,7 @@ def _grow_orbit_complex(c: IntegerCochainComplex, perm, sign: int, fixed, hi: in
                         del out[col]
         bases[k + 1] = basis
         sub.extend(basis.ncols, dk)
-        p_top = p_next
+        p_top, e_top = p_next, e_next
     return fixed
 
 

@@ -12,6 +12,8 @@ import numpy as np
 from . import catalog
 from .cechengine import (
     CoefficientComplex,
+    _descriptor,
+    build_borel_complex,
     build_equivariant_complex,
     build_full_complex,
     build_total_complex,
@@ -22,6 +24,8 @@ from .cechengine import (
 from .coverdata import IQ, IZ, CoefficientSystem, Z_TRIVIAL
 from .deligne import deligne_descriptor, quotient_coefficients_cohomology
 from .exactalg import (
+    GroupDescriptor,
+    IntegerCochainComplex,
     SparseIntMatrix,
     complex_cohomology,
     fixed_subcomplex,
@@ -30,7 +34,7 @@ from .exactalg import (
     smith_normal_form,
 )
 
-SUITES = ("snf", "les", "refinement", "bockstein", "fixed")
+SUITES = ("snf", "les", "refinement", "bockstein", "fixed", "borel")
 
 Q_TRIVIAL = CoefficientSystem.rationals(+1)
 
@@ -65,7 +69,7 @@ def suite_snf():
     """Smith-form postconditions on random matrices and real differentials,
     and descriptors read off the Smith diagonals (``complex_cohomology``)
     against the kernel-quotient route with transforms (``kernel_quotient``)
-    on the fixed complexes and the cone total complexes."""
+    on the orbit and Borel complexes and the cone total complexes."""
     out = []
     rng = np.random.RandomState(20240917)
     for case in range(25):
@@ -79,6 +83,9 @@ def suite_snf():
         complexes = [
             (f"fixed sign {sign}", build_equivariant_complex(cover, coeff, 3)[0])
             for sign, coeff in ((-1, IZ), (1, Z_TRIVIAL))
+        ]
+        complexes += [
+            (f"Borel sign {sign}", build_borel_complex(cover, sign, 3)) for sign in (-1, 1)
         ]
         complexes += [
             (f"cone {n}", build_total_complex(cover, CoefficientComplex((IZ, IZ), (n,)), 3))
@@ -279,6 +286,67 @@ def suite_fixed():
     return out
 
 
+def _multiplication_cone(c, n: int, hi: int):
+    """Total complex of ``c --n--> c`` in degrees ``0 .. hi``: ``Tot^k =
+    C^k + C^(k-1)`` and ``D_k = [[d_k, 0], [n, -d_(k-1)]]``."""
+    cone = IntegerCochainComplex(lo=0, hi=0, ranks={0: c.rank(0)}, diffs={})
+    for k in range(hi):
+        d = SparseIntMatrix(c.rank(k + 1) + c.rank(k), c.rank(k) + c.rank(k - 1))
+        d.set_block(0, 0, c.diff(k))
+        for s in range(c.rank(k)):
+            d.set(c.rank(k + 1) + s, s, n)
+        d.set_block(c.rank(k + 1), c.rank(k), c.diff(k - 1), scale=-1)
+        cone.extend(d.nrows, d)
+    return cone
+
+
+def suite_borel():
+    """The descriptor route (``equivariant_cohomology`` and
+    ``hypercohomology``, which read the alternating fixed complex or the
+    Borel complex ``Hom_C2(W, C_alt)``) and the Borel complex itself,
+    against the orbit complex of ordered cochains: H^0..H^4 with Z, Q, Z/2
+    and Z/3 coefficients and both signs, and the cones of multiplication by
+    2 and 3."""
+    out = []
+    top = 5
+    for label, cover in _spaces():
+        for sign in (-1, 1):
+            integral = CoefficientSystem.integers(sign)
+            orbit, _ = build_equivariant_complex(cover, integral, top - 1)
+            borel = build_borel_complex(cover, sign, top - 1)
+
+            def compare(check, ordered, route, direct):
+                if not ordered == route == direct:
+                    detail = f"orbit {ordered} vs descriptor {route} vs Borel {direct}"
+                    out.append(_record("borel", label, f"{check} sign {sign}", detail))
+
+            for coeff in (
+                integral,
+                CoefficientSystem.rationals(sign),
+                CoefficientSystem.integers_mod(2, sign),
+                CoefficientSystem.integers_mod(3, sign),
+            ):
+                for k in range(top):
+                    if coeff.base == "Q":  # the integral rank, not a second reduction
+                        ordered = GroupDescriptor(complex_cohomology(orbit, k).rank)
+                    else:
+                        ordered = _descriptor(orbit, k, coeff)
+                    route = equivariant_cohomology(cover, coeff, k, top)
+                    compare(f"H^{k} coeff {coeff}", ordered, route, _descriptor(borel, k, coeff))
+            for n in (2, 3):
+                fstar = CoefficientComplex((integral, integral), (n,))
+                ordered = _multiplication_cone(orbit, n, top)
+                direct = _multiplication_cone(borel, n, top)
+                for k in range(top):
+                    compare(
+                        f"H^{k} cone {n}",
+                        complex_cohomology(ordered, k),
+                        hypercohomology(cover, fstar, k, top),
+                        complex_cohomology(direct, k),
+                    )
+    return out
+
+
 def run_suite(name: str):
     """Run one named suite (or ``all``); returns the failure records."""
     table = {
@@ -287,6 +355,7 @@ def run_suite(name: str):
         "refinement": suite_refinement,
         "bockstein": suite_bockstein,
         "fixed": suite_fixed,
+        "borel": suite_borel,
     }
     if name == "all":
         failures = []

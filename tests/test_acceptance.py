@@ -190,7 +190,9 @@ def test_acceptance_08_flat_cocycle_coherence(spaces):
 
 def test_acceptance_09_degenerate_tuple_soundness(spaces, entries):
     """Keeping degenerate tuples in the cochain model changes nothing
-    (small covers, k <= 3)."""
+    (small covers, k <= 3): the descriptor route (the Borel or alternating
+    fixed complex) against the orbit complex of ordered cochains with
+    degenerate tuples."""
     for label, cover in spaces.items():
         if len(cover.indices) > 4:
             continue

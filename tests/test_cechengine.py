@@ -136,6 +136,8 @@ def test_cover_not_free_rejected():
     )
     with pytest.raises(CoverNotFree):
         build_equivariant_complex(stuck, IZ, 2)
+    with pytest.raises(CoverNotFree):
+        equivariant_cohomology(stuck, IZ, 0, 2)
 
 
 def test_degree_range_enforced(spaces):
@@ -157,6 +159,32 @@ def test_doubled_point_tables(spaces):
         for k in range(6):
             expected = desc(oracles.cyclic_two_integer(sign, k))
             assert equivariant_cohomology(pt, coeff, k, 6) == expected
+
+
+def test_fine_point_group_cohomology_to_degree_twelve():
+    """Far past the ordered-tuple route's reach (rank 39366 in degree 8):
+    the 2-periodic group cohomology of C2 in every degree up to 12."""
+    cover = catalog.build("point_trivial_fine")
+    for sign in (-1, 1):
+        coeff = CoefficientSystem.integers(sign)
+        for k in range(13):
+            expected = desc(oracles.cyclic_two_integer(sign, k))
+            assert equivariant_cohomology(cover, coeff, k, 13) == expected, (sign, k)
+
+
+def test_three_sphere_matches_projective_space_to_degree_ten():
+    """The free antipodal S^3 against cellular RP^3, twisted for sign -1,
+    up to degree 10: zero above the dimension.  Descriptors read the
+    alternating fixed complex here; the Borel complex (rank 80 from degree
+    3 on) must give the same groups."""
+    cover = catalog.build("sphere_antipodal", 3)
+    for sign in (-1, 1):
+        coeff = CoefficientSystem.integers(sign)
+        borel = cechengine.build_borel_complex(cover, sign, 10)
+        for k in range(11):
+            expected = desc(oracles.sphere_quotient(3, sign, k))
+            assert equivariant_cohomology(cover, coeff, k, 11) == expected, (sign, k)
+            assert complex_cohomology(borel, k) == expected, (sign, k)
 
 
 def test_doubled_point_mod_n(spaces):
@@ -223,6 +251,9 @@ def test_nonequivariant_point_acyclic(spaces):
 
 
 def test_degenerate_inclusion_changes_nothing(spaces):
+    """The descriptor route (the Borel or alternating fixed complex)
+    against a different model, the orbit complex of ordered cochains with
+    degenerate tuples kept."""
     small = [
         name
         for name, cover in spaces.items()
@@ -238,6 +269,91 @@ def test_degenerate_inclusion_changes_nothing(spaces):
                     cover, coeff, k, 3, include_degenerate=True
                 )
                 assert lean == fat, (name, coeff, k)
+
+
+# ---------------------------------------------------------------------------
+# alternating cochains and the Borel complex
+# ---------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("entry", catalog.ENTRIES, ids=catalog.entry_label)
+def test_borel_rank_saturates(entry):
+    """Tot^n has rank Σ_{j <= n} |C^j_alt|, constant once n passes the
+    nerve's dimension, and one complex per sign serves every max_degree."""
+    cover = _fresh(entry)
+    alt = [len(cechengine.alternating_basis(cover, j)) for j in range(8)]
+    for sign in (-1, 1):
+        borel = cechengine.build_borel_complex(cover, sign, 2)
+        assert cechengine.build_borel_complex(cover, sign, 6) is borel
+        assert cechengine.build_borel_complex(cover, sign, 3) is borel
+        for n in range(8):
+            assert borel.rank(n) == sum(alt[: n + 1]), (sign, n)
+
+
+def _sort_sign(seq):
+    """Sign of the permutation sorting ``seq``, from its cycle count."""
+    order = sorted(range(len(seq)), key=seq.__getitem__)
+    seen, cycles = set(), 0
+    for start in range(len(seq)):
+        if start not in seen:
+            cycles += 1
+            while start not in seen:
+                seen.add(start)
+                start = order[start]
+    return -1 if (len(seq) - cycles) % 2 else 1
+
+
+@pytest.mark.parametrize("entry", catalog.ENTRIES, ids=catalog.entry_label)
+def test_descriptor_complex_follows_the_alternating_action(entry):
+    """Covers of free actions have a free alternating action and read the
+    fixed complex C_alt^{C2} (rank |C^j_alt| / 2, zero above the nerve);
+    the doubled points and the conjugation circle read the Borel complex."""
+    cover = _fresh(entry)
+    assert cechengine._alternating_action_is_free(cover) == entry.free_action
+    alt = [len(cechengine.alternating_basis(cover, j)) for j in range(7)]
+    plain = cechengine.build_alternating_complex(cover, 5)
+    for sign in (-1, 1):
+        c = cechengine.build_descriptor_complex(cover, sign, 5)
+        if not entry.free_action:
+            assert c is cechengine.build_borel_complex(cover, sign, 0)
+            continue
+        assert [c.rank(j) for j in range(7)] == [r // 2 for r in alt]
+        # the orbit sums are fixed by T and embed the complex as a chain map
+        sub, bases = cechengine._cache(cover)[("alt_fixed", sign)]
+        assert sub is c
+        for k in sub.degrees():
+            perm, eps = cechengine.alternating_involution(cover, k)
+            t = exactalg.SparseIntMatrix(
+                len(perm), len(perm), [{p: sign * e} for p, e in zip(perm, eps)]
+            )
+            assert t.matmul(bases[k]) == bases[k], (sign, k)
+            if k < sub.hi:
+                assert bases[k + 1].matmul(sub.diff(k)) == plain.diff(k).matmul(bases[k])
+
+
+def test_alternating_involution_is_signed_and_self_inverse(spaces):
+    """On sorted subsets, T relabels, re-sorts and multiplies by the sign of
+    that sort, and it squares to the identity."""
+    flipped = 0
+    for cover in spaces.values():
+        for j in range(4):
+            basis = cechengine.alternating_basis(cover, j)
+            perm, eps = cechengine.alternating_involution(cover, j)
+            for r, ((tup, c), p, e) in enumerate(zip(basis.elements, perm, eps)):
+                image = tuple(cover.t(i) for i in tup)
+                assert basis.elements[p] == (tuple(sorted(image)), cover.sigma(c))
+                assert e == _sort_sign(image)
+                assert perm[p] == r and eps[p] * e == 1
+                flipped += e == -1
+    assert flipped  # the catalog does exercise odd sorts
+
+
+def test_plain_alternating_and_ordered_complexes_agree(spaces):
+    for cover in spaces.values():
+        alt = cechengine.build_alternating_complex(cover, 4)
+        full = build_full_complex(cover, 4)
+        for k in range(5):
+            assert complex_cohomology(alt, k) == complex_cohomology(full, k)
 
 
 # ---------------------------------------------------------------------------
@@ -394,66 +510,79 @@ def test_growth_drops_answers_cached_at_the_old_top():
 
 def test_session_builds_each_fixed_degree_once(monkeypatch):
     """A session of every public question on one cover, each at the
-    max_degree its entry point uses, builds each (sign, k) fixed degree
-    exactly once, and its equivariant builds make no Smith reduction and
-    no involution matrix."""
-    cover = catalog.build("sphere_antipodal", 2)
-    inside, smith_inside, matrices_inside, built = [0], [], [], []
-    inner_build = cechengine.build_equivariant_complex
-    inner_smith, inner_orbit = exactalg._smith, exactalg._orbit_basis
-    inner_matrix = cechengine.involution_matrix
+    max_degree its entry point uses, builds each (sign, n) degree of the
+    descriptor complexes exactly once, and those builds make no Smith
+    reduction and no involution matrix.  No descriptor reads the ordered
+    orbit complex, so it is never built.  The antipodal sphere's
+    alternating action is free, so it reads the alternating fixed complex;
+    the conjugation circle's is not, so it reads the Borel complex."""
+    for name, params, route, other in (
+        ("sphere_antipodal", (2,), "alt_fixed", "borel"),
+        ("circle_conjugation", (), "borel", "alt_fixed"),
+    ):
+        cover = catalog.build(name, *params)
+        inside, smith_inside, matrices_inside, orbit_builds = [0], [], [], []
+        extended = []
+        inner_build = cechengine.build_descriptor_complex
+        inner_smith, inner_extend = exactalg._smith, exactalg.IntegerCochainComplex.extend
+        inner_matrix = cechengine.involution_matrix
+        inner_orbit = cechengine.build_equivariant_complex
 
-    def building(*args, **kwargs):
-        inside[0] += 1
-        try:
-            return inner_build(*args, **kwargs)
-        finally:
-            inside[0] -= 1
+        def building(*args, **kwargs):
+            inside[0] += 1
+            try:
+                return inner_build(*args, **kwargs)
+            finally:
+                inside[0] -= 1
 
-    def smith(m, transforms=True):
-        if inside[0]:
-            smith_inside.append(m)
-        return inner_smith(m, transforms)
+        def smith(m, transforms=True):
+            if inside[0]:
+                smith_inside.append(m)
+            return inner_smith(m, transforms)
 
-    def matrix(*args, **kwargs):
-        if inside[0]:
-            matrices_inside.append(args)
-        return inner_matrix(*args, **kwargs)
+        def matrix(*args, **kwargs):
+            if inside[0]:
+                matrices_inside.append(args)
+            return inner_matrix(*args, **kwargs)
 
-    def orbit_basis(k, perm, sign, n):
-        built.append((sign, k))
-        return inner_orbit(k, perm, sign, n)
+        def orbit(*args, **kwargs):
+            orbit_builds.append(args)
+            return inner_orbit(*args, **kwargs)
 
-    for module in (cechengine, deligne):
-        monkeypatch.setattr(module, "build_equivariant_complex", building)
-    monkeypatch.setattr(cechengine, "involution_matrix", matrix)
-    monkeypatch.setattr(exactalg, "_smith", smith)
-    monkeypatch.setattr(exactalg, "_orbit_basis", orbit_basis)
-    for k in range(3):
-        for coeff in (IZ, Z_TRIVIAL, IQ, CoefficientSystem.integers_mod(2, -1)):
-            equivariant_cohomology(cover, coeff, k, k + 1)
-        nonequivariant_cohomology(cover, Z_TRIVIAL, k, k + 1)
-        hypercohomology(cover, CoefficientComplex((IZ, IZ), (3,)), k + 1, k + 2)
-    for p in range(4):
-        for q in range(3):
-            deligne.deligne_descriptor(cover, p, q)
-    deligne.classify_line_bundles(cover)
-    deligne.classify_line_bundles_with_connection(cover)
-    deligne.classify_flat_line_bundles(cover)
-    deligne.real_circle_maps(cover)
-    for k in (0, 1):
-        deligne.quotient_coefficients_cohomology(cover, k)
-    monkeypatch.undo()
+        def extend(self, rank, diff):
+            extended.append((self, self.hi))
+            return inner_extend(self, rank, diff)
 
-    assert smith_inside == [] and matrices_inside == []
-    top = {
-        sign: build_equivariant_complex(cover, CoefficientSystem.integers(sign), 1)[0].hi
-        for sign in (-1, 1)
-    }
-    assert top == {-1: 4, 1: 4}
-    assert sorted(built) == sorted(
-        (sign, k) for sign, hi in top.items() for k in range(hi + 1)
-    )
+        monkeypatch.setattr(cechengine, "build_descriptor_complex", building)
+        for module in (cechengine, deligne):
+            monkeypatch.setattr(module, "build_equivariant_complex", orbit)
+        monkeypatch.setattr(cechengine, "involution_matrix", matrix)
+        monkeypatch.setattr(exactalg, "_smith", smith)
+        monkeypatch.setattr(exactalg.IntegerCochainComplex, "extend", extend)
+        for k in range(3):
+            for coeff in (IZ, Z_TRIVIAL, IQ, CoefficientSystem.integers_mod(2, -1)):
+                equivariant_cohomology(cover, coeff, k, k + 1)
+            nonequivariant_cohomology(cover, Z_TRIVIAL, k, k + 1)
+            hypercohomology(cover, CoefficientComplex((IZ, IZ), (3,)), k + 1, k + 2)
+        for p in range(4):
+            for q in range(3):
+                deligne.deligne_descriptor(cover, p, q)
+        deligne.classify_line_bundles(cover)
+        deligne.classify_line_bundles_with_connection(cover)
+        deligne.classify_flat_line_bundles(cover)
+        deligne.real_circle_maps(cover)
+        for k in (0, 1):
+            deligne.quotient_coefficients_cohomology(cover, k)
+        monkeypatch.undo()
+
+        assert smith_inside == [] and matrices_inside == [] and orbit_builds == [], name
+        keys = {key if isinstance(key, str) else key[0] for key in cechengine._cache(cover)}
+        assert route in keys and other not in keys, name
+        assert not keys & {"equivariant", "full", "basis"}, name
+        for sign in (-1, 1):
+            c = cechengine.build_descriptor_complex(cover, sign, 0)
+            assert c.hi == 4, (name, sign)
+            assert sorted(n for grown, n in extended if grown is c) == [0, 1, 2, 3], (name, sign)
 
 
 TOTAL_COMPLEXES = (
@@ -467,7 +596,8 @@ TOTAL_COMPLEXES = (
 def test_total_complex_grown_once(entry, monkeypatch):
     """Hypercohomology asked in a shuffled order of degrees, with max_degree
     going up and then down, answers as a fresh cover does, from one cached
-    total complex per coefficient complex, each total degree extended once."""
+    total complex per coefficient complex, each total degree extended once,
+    over one descriptor complex per sign, each of its degrees extended once."""
     extended = []
     inner_extend = exactalg.IntegerCochainComplex.extend
 
@@ -494,6 +624,10 @@ def test_total_complex_grown_once(entry, monkeypatch):
         assert totals == {id(total)}
         assert total.hi == 4
         assert sorted(n for c, n in extended if c is total) == list(range(4))
+    for sign in (-1, 1):
+        column = cechengine.build_descriptor_complex(cover, sign, 0)
+        assert column.hi == 4
+        assert sorted(n for c, n in extended if c is column) == list(range(4))
 
 
 def test_descriptors_make_no_smith_transforms(monkeypatch):

@@ -253,26 +253,46 @@ def test_exit_non_integer_catalog_parameter(capsys):
 def test_exit_internal_invariant_failure(capsys, monkeypatch):
     """A coboundary with d∘d != 0 is the package's fault, not the input's:
     exit 5 with a message, not exit 2 and not a traceback."""
-    inner = cechengine.cech_differential
+    inner = cechengine.alternating_differential
 
-    def broken(cover, p, include_degenerate=False):
-        d = inner(cover, p, include_degenerate)
-        if p != 1:
+    def broken(cover, j):
+        d = inner(cover, j)
+        if j != 1:
             return d
-        d0 = inner(cover, 0, include_degenerate)
+        d0 = inner(cover, 0)
         bad = d.copy()
         # a new entry in row 0 against a nonzero row of d_0 spoils d_1 @ d_0
         col = next(j for j, row in enumerate(d0.rows) if row)
         bad.set(0, col, bad.get(0, col) + 1)
         return bad
 
-    monkeypatch.setattr(cechengine, "cech_differential", broken)
+    monkeypatch.setattr(cechengine, "alternating_differential", broken)
+    code, out, err = run(
+        capsys, "compute", "--space", "sphere_antipodal:2", "--coeff", "iZ", "--max-degree", "2"
+    )
+    assert code == cli.EXIT_INTERNAL == 5
+    assert out == ""
+    assert "internal invariant failure" in err and "d∘d != 0" in err
+    assert "Traceback" not in err
+
+
+def test_exit_broken_involution_is_internal(capsys, monkeypatch):
+    """An alternating action whose square is not the identity is caught by
+    the engine's own T^2 = id check: exit 5, naming the check."""
+    inner = cechengine.alternating_involution
+
+    def rotated(cover, j):
+        perm, eps = inner(cover, j)
+        return perm[1:] + perm[:1], eps
+
+    monkeypatch.setattr(cechengine, "alternating_involution", rotated)
     code, out, err = run(
         capsys, "compute", "--space", "circle_antipodal", "--coeff", "iZ", "--max-degree", "2"
     )
     assert code == cli.EXIT_INTERNAL == 5
     assert out == ""
-    assert "internal invariant failure" in err and "d∘d != 0" in err
+    assert "internal invariant failure" in err and "T^2 != id" in err
+    assert "Traceback" not in err
 
 
 def test_cli_import_leaves_sympy_unloaded():
@@ -322,6 +342,12 @@ def test_verify_fixed_suite_passes(capsys):
     code, out, _ = run(capsys, "verify", "--suite", "fixed")
     assert code == 0
     assert out.strip() == "suite fixed: pass"
+
+
+def test_verify_borel_suite_passes(capsys):
+    code, out, _ = run(capsys, "verify", "--suite", "borel")
+    assert code == 0
+    assert out.strip() == "suite borel: pass"
 
 
 def test_verify_json_report(capsys):

@@ -9,6 +9,7 @@ import pytest
 
 import flathelp
 import oracles
+from realdeligne import catalog
 from realdeligne.cechengine import (
     build_equivariant_complex,
     cech_differential,
@@ -278,3 +279,29 @@ def test_obstruction_class_survives_lift_shifts(spaces):
         got = class_coordinates(sub, 2, y)
         assert got.free_part == base.bockstein.free_part
         assert got.torsion_part == base.bockstein.torsion_part
+
+
+@pytest.mark.parametrize("entry", catalog.ENTRIES, ids=catalog.entry_label)
+def test_flat_class_reads_the_orbit_complex_to_degree_three(entry):
+    """The flat classifier carries its orbit complex to degree 3 only, and
+    its coordinates and obstruction class are bit-identical to those taken
+    against a complex already grown to degree 4."""
+    warm = entry.build()
+    assert build_equivariant_complex(warm, IZ, 3)[0].hi == 4
+    rng = np.random.RandomState(5)
+    gens = flathelp.class_generators(warm)
+    cocycles = [flathelp.random_flat_cocycle(warm, rng, gens)[0] for _ in range(3)]
+    cocycles += [flathelp.random_coboundary(warm, rng), FlatCocycle.zero(warm)]
+    for fc in cocycles:
+        cold = entry.build()
+        got = flat_cocycle_class(FlatCocycle(cold, dict(fc.angles)))
+        assert build_equivariant_complex(cold, IZ, 0)[0].hi == 3
+        want = flat_cocycle_class(fc)
+        assert repr(got) == repr(want)
+
+
+def test_flat_class_degree_window_too_small(spaces):
+    fc = FlatCocycle.zero(spaces["circle_conjugation"])
+    with pytest.raises(InsufficientDegree):
+        flat_cocycle_class(fc, max_degree=2)
+    assert flat_cocycle_class(fc, max_degree=3).trivial

@@ -9,6 +9,7 @@ from hypothesis import example, given, settings, strategies as st
 import oracles
 from realdeligne.errors import (
     DegreeOutOfRange,
+    InternalInvariantError,
     NotACocycle,
     NotAnInvolution,
     NotEquivariant,
@@ -408,6 +409,28 @@ def test_orbit_complex_of_swapped_pairs():
             assert complex_cohomology(sub, k) == complex_cohomology(ref, k)
 
 
+def test_orbit_complex_of_sign_twisted_pairs():
+    """With per-position signs eps (constant on orbits) the action is
+    e_i -> sign * eps[i] * e_perm(i) and the orbit sums are
+    e_r + sign * eps[r] * e_perm(r)."""
+    d = [[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 0, 2], [0, 0, 2, 0]]
+    eps = [1, 1, -1, -1]
+    for sign in (-1, 1):
+        sub, bases = _grow_orbit_complex(
+            swap_pairs_complex(d), lambda k: SWAP_PAIRS, sign, None, 1, lambda k: eps
+        )
+        assert bases[0].to_dense().T.tolist() == [[sign, 1, 0, 0], [0, 0, -sign, 1]]
+        assert sub.diff(0).to_dense().tolist() == [[1, 0], [0, -2 * sign]]
+        t = np.array(_signed_permutation(SWAP_PAIRS, sign)) * np.array(eps, dtype=object)[:, None]
+        ref, _ = fixed_subcomplex(swap_pairs_complex(d), {0: t, 1: t})
+        for k in (0, 1):
+            assert complex_cohomology(sub, k) == complex_cohomology(ref, k)
+    with pytest.raises(InternalInvariantError):  # eps not constant on an orbit
+        _grow_orbit_complex(
+            swap_pairs_complex(d), lambda k: SWAP_PAIRS, 1, None, 1, lambda k: [1, -1, 1, 1]
+        )
+
+
 def _signed_permutation(perm, sign):
     t = np.zeros((len(perm), len(perm)), dtype=object)
     for i, j in enumerate(perm):
@@ -422,18 +445,21 @@ def _signed_permutation(perm, sign):
 )
 def test_orbit_complex_rejects_non_involution(perm):
     """A permutation that does not square to the identity, fixes a position
-    or does not fit the degree is refused before anything is built."""
+    or does not fit the degree is refused before anything is built.  The
+    engine supplies these permutations itself, so this is an internal
+    invariant failure."""
     c = swap_pairs_complex(np.eye(4, dtype=object).tolist())
-    with pytest.raises(NotAnInvolution):
+    with pytest.raises(InternalInvariantError):
         _grow_orbit_complex(c, lambda k: perm, -1, None, 1)
 
 
 def test_orbit_complex_rejects_non_equivariant():
     """d[perm(i), perm(j)] must equal d[i, j]: here d fixes e_0 but sends
-    e_1 to 2 e_1, so it does not commute with the swap."""
+    e_1 to 2 e_1, so it does not commute with the swap (an internal
+    invariant failure, like a non-involution)."""
     c = swap_pairs_complex([[1, 0, 0, 0], [0, 2, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]])
     for sign in (-1, 1):
-        with pytest.raises(NotEquivariant):
+        with pytest.raises(InternalInvariantError):
             _grow_orbit_complex(c, lambda k: SWAP_PAIRS, sign, None, 1)
 
 
