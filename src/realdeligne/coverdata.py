@@ -65,10 +65,6 @@ class CoefficientSystem:
     def integers_mod(cls, n: int, sign: int = 1) -> "CoefficientSystem":
         return cls("Z/n", sign, n)
 
-    @property
-    def is_rational(self) -> bool:
-        return self.base == "Q"
-
     def __str__(self):
         name = f"Z/{self.modulus}" if self.base == "Z/n" else self.base
         return f"({name}, {'+1' if self.sign == 1 else '-1'})"

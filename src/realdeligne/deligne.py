@@ -17,8 +17,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-import numpy as np
-
 from .cechengine import (
     basis_involution,
     build_equivariant_complex,
@@ -290,7 +288,7 @@ class FlatCocycleClass:
     trivial: bool
 
 
-def _equivariant_lift(cover: C2Cover, fc: FlatCocycle) -> np.ndarray:
+def _equivariant_lift(cover: C2Cover, fc: FlatCocycle) -> list:
     """Rational degree-1 cochain, fixed on the nose, reducing to the angles.
 
     One angle per involution orbit of basis elements is lifted verbatim to
@@ -299,7 +297,7 @@ def _equivariant_lift(cover: C2Cover, fc: FlatCocycle) -> np.ndarray:
     """
     basis = tuple_basis(cover, 1)
     perm = basis_involution(cover, 1)
-    lift = np.zeros(len(basis), dtype=object)
+    lift = [0] * len(basis)
     for pos, ((i, j), c) in enumerate(basis.elements):
         if pos < perm[pos]:
             theta = _mod1(fc.angles[(i, j, c)])
@@ -336,7 +334,7 @@ def flat_cocycle_class(fc: FlatCocycle, max_degree: int = 3) -> FlatCocycleClass
             "coboundary of the lift is not integral; the angle data "
             "violates the cocycle condition"
         )
-    beta = np.array([int(x) for x in raw], dtype=object)
+    beta = [int(x) for x in raw]
 
     # fixed cochains in orbit coordinates: their entries at the representatives
     sign = IZ.sign
@@ -356,9 +354,7 @@ def flat_cocycle_class(fc: FlatCocycle, max_degree: int = 3) -> FlatCocycleClass
     if mu is None:
         raise InternalInvariantError("vanishing obstruction class must bound integrally")
     lift_fixed = orbit_coordinates(basis_involution(cover, 1), sign, lift)
-    residual = np.array(
-        [Fraction(a) - Fraction(int(b)) for a, b in zip(lift_fixed, mu)], dtype=object
-    )
+    residual = [Fraction(a) - Fraction(int(b)) for a, b in zip(lift_fixed, mu)]
     free = rational_class_free_coordinates(sub, 1, residual)
     torus = tuple(_mod1(x) for x in free)
     coords = FlatClassCoordinates(torus_part=torus, torsion_part=torsion_part)

@@ -3,8 +3,12 @@
 Everything here runs on arbitrary-precision Python integers (Fractions for
 the few rational solves); no floating point is ever involved, so results are
 exact by construction.  Matrices are stored sparsely as dicts of rows, which
-keeps Smith reduction of the large but very sparse coboundary matrices cheap.
-Dense interchange uses numpy arrays with ``dtype=object``.
+keeps Smith reduction of the large but very sparse coboundary matrices cheap;
+vectors are plain lists.  Matrix arguments may be nested sequences of rows.
+numpy is imported only by the functions that return dense ``dtype=object``
+arrays (:meth:`SparseIntMatrix.to_dense`, :func:`smith_normal_form`,
+:func:`kernel_basis`, :func:`solve_int`, :func:`solve_rational` and
+:func:`class_representative`), so the rest of the engine never loads it.
 
 The main entry points are :func:`smith_normal_form`,
 :func:`complex_cohomology` and :func:`class_coordinates`.  Descriptors need
@@ -26,8 +30,6 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from math import gcd
 
-import numpy as np
-
 from .errors import (
     DegreeOutOfRange,
     InternalInvariantError,
@@ -35,10 +37,6 @@ from .errors import (
     NotAnInvolution,
     NotEquivariant,
 )
-
-
-def zeros(nrows: int, ncols: int) -> np.ndarray:
-    return np.zeros((nrows, ncols), dtype=object)
 
 
 class SparseIntMatrix:
@@ -58,15 +56,20 @@ class SparseIntMatrix:
 
     @classmethod
     def from_dense(cls, a) -> "SparseIntMatrix":
-        a = np.asarray(a, dtype=object)
-        if a.ndim == 1:
-            a = a.reshape(-1, 1)
-        m = cls(a.shape[0], a.shape[1])
-        for i in range(a.shape[0]):
-            row = m.rows[i]
-            for j in range(a.shape[1]):
-                x = a[i, j]
+        """Read a sequence of rows (lists, tuples or a 2-D array); a flat
+        sequence is read as one column.  With no rows, the column count is
+        taken from a 2-D ``shape`` if there is one."""
+        rows = [r if hasattr(r, "__len__") else (r,) for r in a]
+        shape = getattr(a, "shape", ())
+        ncols = len(rows[0]) if rows else (shape[1] if len(shape) == 2 else 0)
+        m = cls(len(rows), ncols)
+        for row, r in zip(m.rows, rows):
+            if len(r) != ncols:
+                raise ValueError(f"row of length {len(r)} in a matrix with {ncols} columns")
+            for j, x in enumerate(r):
                 if x:
+                    if x != int(x):
+                        raise ValueError(f"entry {x} is not an integer")
                     row[j] = int(x)
         return m
 
@@ -126,13 +129,6 @@ class SparseIntMatrix:
             out[i] = acc
         return out
 
-    def matmat_dense(self, b: np.ndarray) -> np.ndarray:
-        out = zeros(self.nrows, b.shape[1])
-        for i, row in enumerate(self.rows):
-            for j, x in row.items():
-                out[i, :] += x * b[j, :]
-        return out
-
     def matmul(self, other: "SparseIntMatrix") -> "SparseIntMatrix":
         assert self.ncols == other.nrows
         out = SparseIntMatrix(self.nrows, other.ncols)
@@ -148,8 +144,11 @@ class SparseIntMatrix:
             out.rows[i] = acc
         return out
 
-    def to_dense(self) -> np.ndarray:
-        a = zeros(self.nrows, self.ncols)
+    def to_dense(self):
+        """The matrix as a dense numpy array with ``dtype=object``."""
+        import numpy as np
+
+        a = np.zeros((self.nrows, self.ncols), dtype=object)
         for i, row in enumerate(self.rows):
             for j, x in row.items():
                 a[i, j] = x
@@ -167,7 +166,16 @@ class SparseIntMatrix:
 def as_sparse(m) -> SparseIntMatrix:
     if isinstance(m, SparseIntMatrix):
         return m
-    return SparseIntMatrix.from_dense(np.asarray(m, dtype=object))
+    return SparseIntMatrix.from_dense(m)
+
+
+def _object_array(v):
+    """The list ``v`` as a numpy ``dtype=object`` vector; None stays None."""
+    if v is None:
+        return None
+    import numpy as np
+
+    return np.array(v, dtype=object)
 
 
 # ---------------------------------------------------------------------------
@@ -193,20 +201,6 @@ class _SmithData:
     vT: SparseIntMatrix | None
     uinvT: SparseIntMatrix | None
     vinv: SparseIntMatrix | None
-
-    # -- dense views used by tests and callers that want matrices
-
-    def d_dense(self) -> np.ndarray:
-        a = zeros(self.nrows, self.ncols)
-        for t, x in enumerate(self.diag):
-            a[t, t] = x
-        return a
-
-    def u_dense(self) -> np.ndarray:
-        return self.u.to_dense()
-
-    def v_dense(self) -> np.ndarray:
-        return self.vT.to_dense().T
 
     def kernel_columns(self):
         ncols = self.ncols
@@ -238,43 +232,34 @@ class _SmithData:
     def rank(self) -> int:
         return sum(1 for x in self.diag if x)
 
-    def solve(self, b: np.ndarray, rational: bool):
-        """Solve ``m @ x == b`` for each column of ``b``; None if unsolvable.
+    def solve(self, b, rational: bool):
+        """Solve ``m @ x == b`` for a vector ``b``: a list, or None if
+        unsolvable.
 
         With ``rational=False`` solutions are integral (divisibility
         enforced); with ``rational=True`` entries may be Fractions.
         """
-        b = np.asarray(b, dtype=object)
-        vector_in = b.ndim == 1
-        if vector_in:
-            b = b.reshape(-1, 1)
-        ncols_b = b.shape[1]
-        y = self.u.matmat_dense(b)
+        y = self.u.matvec(b)
         nd = len(self.diag)
-        z = zeros(self.ncols, ncols_b)
-        for i in range(self.nrows):
+        z = [0] * self.ncols
+        for i, yi in enumerate(y):
             di = self.diag[i] if i < nd else 0
             if di == 0:
-                if any(y[i, c] != 0 for c in range(ncols_b)):
+                if yi:
                     return None
-            elif i < self.ncols:
-                for c in range(ncols_b):
-                    val = y[i, c]
-                    if rational:
-                        z[i, c] = Fraction(val, di)
-                    else:
-                        q, r = divmod(val, di)
-                        if r:
-                            return None
-                        z[i, c] = q
-        x = zeros(self.ncols, ncols_b)
-        for j in range(self.ncols):
-            zr = z[j, :]
-            if not any(zr):
-                continue
-            for i, vx in self.vT.rows[j].items():
-                x[i, :] += vx * zr
-        return x[:, 0] if vector_in else x
+            elif rational:
+                z[i] = Fraction(yi, di)
+            else:
+                q, r = divmod(yi, di)
+                if r:
+                    return None
+                z[i] = q
+        x = [0] * self.ncols
+        for j, zj in enumerate(z):
+            if zj:
+                for i, vx in self.vT.rows[j].items():
+                    x[i] += vx * zj
+        return x
 
 
 def _axpy(dst: dict, src: dict, q) -> None:
@@ -471,10 +456,13 @@ def smith_normal_form(m):
     ``u @ m @ v == d``, ``u`` and ``v`` unimodular, and the diagonal of ``d``
     nonnegative with each entry dividing the next."""
     res = _smith(as_sparse(m), transforms=True)
-    return res.d_dense(), res.u_dense(), res.v_dense()
+    d = SparseIntMatrix(res.nrows, res.ncols)
+    for t, x in enumerate(res.diag):
+        d.set(t, t, x)
+    return d.to_dense(), res.u.to_dense(), res.vT.to_dense().T
 
 
-def kernel_basis(m) -> np.ndarray:
+def kernel_basis(m):
     """Columns form a basis of the integer kernel (a saturated sublattice)."""
     return _smith(as_sparse(m), transforms=True).kernel_basis().to_dense()
 
@@ -484,13 +472,13 @@ def integer_rank(m) -> int:
 
 
 def solve_int(m, b):
-    """Exact integral solution of ``m @ x == b`` (columnwise), or None."""
-    return _smith(as_sparse(m), transforms=True).solve(b, rational=False)
+    """Exact integral solution of ``m @ x == b`` for a vector ``b``, or None."""
+    return _object_array(_smith(as_sparse(m), transforms=True).solve(b, rational=False))
 
 
 def solve_rational(m, b):
-    """Exact rational solution of ``m @ x == b`` (columnwise), or None."""
-    return _smith(as_sparse(m), transforms=True).solve(b, rational=True)
+    """Exact rational solution of ``m @ x == b`` for a vector ``b``, or None."""
+    return _object_array(_smith(as_sparse(m), transforms=True).solve(b, rational=True))
 
 
 def is_unimodular(m) -> bool:
@@ -710,6 +698,21 @@ def complex_cohomology(c: IntegerCochainComplex, k: int) -> GroupDescriptor:
     return GroupDescriptor.from_invariant_factors(rank, below)
 
 
+def _kernel_coordinates(c: IntegerCochainComplex, k: int, cocycle):
+    """Check that the flat sequence ``cocycle`` is a cocycle of ``c`` in
+    degree ``k``; return the degree's coordinate data and the cocycle's
+    coordinates against its kernel basis."""
+    if k < c.lo or k > c.hi:
+        raise DegreeOutOfRange(f"degree {k} outside complex range [{c.lo}, {c.hi}]")
+    v = list(cocycle)
+    if len(v) != c.rank(k):
+        raise NotACocycle(f"vector has length {len(v)}, expected {c.rank(k)}")
+    if any(x for x in c.diff(k).matvec(v)):
+        raise NotACocycle("vector is not annihilated by the differential")
+    data = _cohomology_data(c, k)
+    return data, data["left"].matvec(v)
+
+
 def class_coordinates(c: IntegerCochainComplex, k: int, cocycle) -> ElementCoordinates:
     """Coordinates of an integral cocycle's class, deterministically.
 
@@ -718,15 +721,7 @@ def class_coordinates(c: IntegerCochainComplex, k: int, cocycle) -> ElementCoord
     degree ``k`` and kept, so repeated calls against the same complex are
     mutually consistent.
     """
-    if k < c.lo or k > c.hi:
-        raise DegreeOutOfRange(f"degree {k} outside complex range [{c.lo}, {c.hi}]")
-    v = np.asarray(cocycle, dtype=object).reshape(-1)
-    if v.shape[0] != c.rank(k):
-        raise NotACocycle(f"vector has length {v.shape[0]}, expected {c.rank(k)}")
-    if any(x for x in c.diff(k).matvec(v)):
-        raise NotACocycle("vector is not annihilated by the differential")
-    data = _cohomology_data(c, k)
-    w = data["left"].matvec(v)
+    data, w = _kernel_coordinates(c, k, cocycle)
     y = data["x_smith"].u.matvec(w)
     free = tuple(y[i] for i in data["free_pos"])
     torsion = tuple(y[i] % d for i, d in data["torsion_pos"])
@@ -741,11 +736,8 @@ def coboundary_preimage(c: IntegerCochainComplex, k: int, cocycle):
     and the Smith reduction of that matrix is the one behind
     :func:`class_coordinates`, so no further reduction is made.
     """
-    v = np.asarray(cocycle, dtype=object).reshape(-1)
-    if any(x for x in c.diff(k).matvec(v)):
-        raise NotACocycle("vector is not annihilated by the differential")
-    data = _cohomology_data(c, k)
-    return data["x_smith"].solve(data["left"].matvec(v), rational=False)
+    data, w = _kernel_coordinates(c, k, cocycle)
+    return data["x_smith"].solve(w, rational=False)
 
 
 def class_representative(c: IntegerCochainComplex, k: int, coords: ElementCoordinates):
@@ -765,7 +757,7 @@ def class_representative(c: IntegerCochainComplex, k: int, coords: ElementCoordi
             continue
         for j, x in uinvT.rows[i].items():
             w[j] += yi * x
-    return np.array(data["kernel"].matvec(w), dtype=object)
+    return _object_array(data["kernel"].matvec(w))
 
 
 def rational_class_free_coordinates(c: IntegerCochainComplex, k: int, cocycle):
@@ -775,11 +767,7 @@ def rational_class_free_coordinates(c: IntegerCochainComplex, k: int, cocycle):
     free coordinates agree with its integral ones, and the image of the
     integral classes is exactly the integer points.
     """
-    v = np.asarray(cocycle, dtype=object).reshape(-1)
-    if any(x for x in c.diff(k).matvec(v)):
-        raise NotACocycle("vector is not annihilated by the differential")
-    data = _cohomology_data(c, k)
-    w = data["left"].matvec(v)
+    data, w = _kernel_coordinates(c, k, cocycle)
     y = data["x_smith"].u.matvec(w)
     return tuple(Fraction(y[i]) for i in data["free_pos"])
 
@@ -888,7 +876,7 @@ def _grow_orbit_complex(c: IntegerCochainComplex, perm, sign: int, fixed, hi: in
     return fixed
 
 
-def orbit_coordinates(perm, sign: int, v) -> np.ndarray:
+def orbit_coordinates(perm, sign: int, v) -> list:
     """Coordinates of ``v`` against the orbit-sum basis of the signed
     permutation ``perm`` (see :func:`_orbit_basis`): its entries at the
     representatives.  Raises NotEquivariant when ``v`` is not fixed."""
@@ -900,7 +888,7 @@ def orbit_coordinates(perm, sign: int, v) -> np.ndarray:
                     f"vector is not fixed: entry {j} is not {sign} times entry {r}"
                 )
             out.append(v[r])
-    return np.array(out, dtype=object)
+    return out
 
 
 def _fixed_lattice(k: int, tk: SparseIntMatrix, n: int) -> _SmithData:

@@ -7,8 +7,6 @@ An empty list means the suite passed.
 
 from __future__ import annotations
 
-import numpy as np
-
 from . import catalog
 from .cechengine import (
     CoefficientComplex,
@@ -48,6 +46,8 @@ def _record(suite, space, check, detail):
 
 
 def _check_smith(out, m, space, check):
+    import numpy as np
+
     m = np.asarray(m, dtype=object)
     d, u, v = smith_normal_form(m)
     if not np.array_equal(u @ m @ v, d):
@@ -70,6 +70,8 @@ def suite_snf():
     and descriptors read off the Smith diagonals (``complex_cohomology``)
     against the kernel-quotient route with transforms (``kernel_quotient``)
     on the orbit and Borel complexes and the cone total complexes."""
+    import numpy as np
+
     out = []
     rng = np.random.RandomState(20240917)
     for case in range(25):

@@ -295,14 +295,51 @@ def test_exit_broken_involution_is_internal(capsys, monkeypatch):
     assert "Traceback" not in err
 
 
-def test_cli_import_leaves_sympy_unloaded():
+def run_probe(probe):
+    """Run ``probe`` in a fresh interpreter on this checkout; its stdout."""
     src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
     env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
-    probe = "import realdeligne.cli, sys; print('sympy' in sys.modules)"
     proc = subprocess.run(
         [sys.executable, "-c", probe], capture_output=True, text=True, env=env, check=True
     )
-    assert proc.stdout.strip() == "False"
+    return proc.stdout
+
+
+@pytest.mark.parametrize("module", ["sympy", "numpy"])
+def test_cli_import_leaves_module_unloaded(module):
+    probe = f"import realdeligne.cli, sys; print({module!r} in sys.modules)"
+    assert run_probe(probe).strip() == "False"
+
+
+def test_cli_runs_and_flat_class_leave_numpy_unloaded():
+    """numpy is loaded only by the dense-interchange functions, so a CLI
+    table, a Deligne descriptor, a classifier and a flat class never load
+    it."""
+    probe = """if True:
+        import sys
+        from fractions import Fraction
+        from realdeligne import catalog, cli
+        from realdeligne.cechengine import build_equivariant_complex, cech_differential, tuple_basis
+        from realdeligne.coverdata import IZ, FlatCocycle
+        from realdeligne.deligne import flat_cocycle_class
+
+        for argv in (
+            ["compute", "--space", "circle_antipodal", "--coeff", "iZ", "--max-degree", "4"],
+            ["deligne", "--space", "circle_antipodal", "-p", "2", "-q", "2"],
+            ["classify", "--space", "circle_conjugation", "--what", "flat"],
+        ):
+            assert cli.main(argv) == 0, argv
+        cover = catalog.build("circle_conjugation")
+        _, bases = build_equivariant_complex(cover, IZ, 3)
+        eta = bases[0].matvec([Fraction(k + 1, 3) for k in range(bases[0].ncols)])
+        vec = cech_differential(cover, 0).matvec(eta)
+        basis = tuple_basis(cover, 1)
+        angles = {(i, j, c): vec[pos] for pos, ((i, j), c) in enumerate(basis.elements)}
+        assert any(angles.values())
+        assert flat_cocycle_class(FlatCocycle(cover, angles)).trivial
+        print("numpy" in sys.modules)
+    """
+    assert run_probe(probe).splitlines()[-1] == "False"
 
 
 def test_exit_not_compact(tmp_path, capsys, spaces):

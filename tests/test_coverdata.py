@@ -392,7 +392,7 @@ def test_cocycle_difference_same_cover(spaces):
 def test_coefficient_system_spellings():
     assert str(CoefficientSystem.integers(-1)) == "(Z, -1)"
     assert str(CoefficientSystem.integers_mod(4, -1)) == "(Z/4, -1)"
-    assert CoefficientSystem.rationals(-1).is_rational
+    assert CoefficientSystem.rationals(-1).base == "Q"
     with pytest.raises(ValueError):
         CoefficientSystem.integers_mod(1, -1)
     with pytest.raises(ValueError):

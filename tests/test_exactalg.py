@@ -19,6 +19,8 @@ from realdeligne.exactalg import (
     _grow_orbit_complex,
     GroupDescriptor,
     IntegerCochainComplex,
+    SparseIntMatrix,
+    as_sparse,
     class_coordinates,
     class_representative,
     coboundary_preimage,
@@ -51,6 +53,22 @@ small_matrices = st.integers(1, 5).flatmap(
 )
 
 
+def test_as_sparse_reads_rows_of_any_sequence():
+    rows = [[0, 2, 0], [-1, 0, 3]]
+    want = as_sparse(rows)
+    assert (want.shape, want.rows) == ((2, 3), [{1: 2}, {0: -1, 2: 3}])
+    assert as_sparse(tuple(tuple(r) for r in rows)) == want
+    assert as_sparse(intmat(rows)) == want
+    column = SparseIntMatrix(3, 1, [{0: 4}, {}, {0: -5}])
+    assert as_sparse([4, 0, -5]) == column
+    assert as_sparse(np.array([4, 0, -5], dtype=object)) == column
+    assert as_sparse(np.zeros((0, 3), dtype=object)).shape == (0, 3)
+    assert as_sparse([[], []]).shape == as_sparse(np.zeros((2, 0), dtype=object)).shape == (2, 0)
+    for bad in ([[1, 2], [3]], [[Fraction(1, 2), 3]]):
+        with pytest.raises(ValueError):
+            as_sparse(bad)
+
+
 # ---------------------------------------------------------------------------
 # Smith normal form
 # ---------------------------------------------------------------------------
@@ -58,6 +76,7 @@ small_matrices = st.integers(1, 5).flatmap(
 
 def test_smith_known_diagonal():
     d, u, v = smith_normal_form(intmat([[2, 0], [0, 3]]))
+    assert all(isinstance(x, np.ndarray) for x in (d, u, v))
     assert [d[0, 0], d[1, 1]] == [1, 6]
     assert np.array_equal(u @ intmat([[2, 0], [0, 3]]) @ v, d)
 
@@ -86,6 +105,7 @@ def test_smith_postconditions(rows):
             if i != j:
                 assert d[i, j] == 0
     k = kernel_basis(m)
+    assert isinstance(k, np.ndarray)
     if k.size:
         assert not np.any(m @ k)
     assert integer_rank(m) + k.shape[1] == m.shape[1]
@@ -137,12 +157,14 @@ def test_smith_pivot_scan_on_structured_matrices(rows):
 
 def test_solve_int_known():
     x = solve_int(intmat([[2, 0], [0, 3]]), np.array([4, 9], dtype=object))
+    assert isinstance(x, np.ndarray)
     assert list(x) == [2, 3]
     assert solve_int(intmat([[2]]), np.array([1], dtype=object)) is None
 
 
 def test_solve_rational_known():
     x = solve_rational(intmat([[2, 0], [0, 3]]), np.array([1, 1], dtype=object))
+    assert isinstance(x, np.ndarray)
     assert list(x) == [Fraction(1, 2), Fraction(1, 3)]
     # inconsistent systems stay unsolvable over the rationals
     assert solve_rational(intmat([[1], [1]]), np.array([0, 1], dtype=object)) is None
@@ -249,6 +271,7 @@ def test_class_coordinates_torsion_generator():
     # twice the generator is exact
     assert class_coordinates(c, 1, [2]).is_zero
     rep = class_representative(c, 1, coords)
+    assert isinstance(rep, np.ndarray)
     assert class_coordinates(c, 1, rep) == coords
 
 
@@ -258,6 +281,12 @@ def test_class_coordinates_rejects_noncocycle():
         class_coordinates(c, 0, [1])
     with pytest.raises(NotACocycle):
         class_coordinates(c, 1, [1, 2])
+    for route in (coboundary_preimage, rational_class_free_coordinates):
+        for wrong_length in ([2, 0], []):
+            with pytest.raises(NotACocycle):
+                route(c, 1, wrong_length)
+        with pytest.raises(DegreeOutOfRange):
+            route(c, 2, [2])
 
 
 def test_coordinates_vanish_exactly_on_images():
