@@ -38,20 +38,24 @@ C_ord)`` is quasi-isomorphic to the orbit complex ``C_ord^{C2}``.
 
 A cover's cache holds one alternating complex, one descriptor complex
 (Borel or alternating fixed) per sign, one ordered and one orbit complex per
-sign (and per choice of degenerate tuples), and one total complex per all-integer coefficient complex (the
-hypercohomology of, say, the cone of multiplication by n).  Each is grown
-in place, one degree at a time, to ``max_degree + 1``; the total complex
-only to total degree k + 1, which is all H^k reads (there ``max_degree`` is
-only the range check).  So each degree is built and checked once and its
-Smith reductions serve every later question.  Rational and mod-n results
-come from the integral complexes by universal coefficients degreewise.
+sign (and per choice of degenerate tuples), and one total complex per
+all-integer coefficient complex (the hypercohomology of, say, the cone of
+multiplication by n).  Each is a seed plus a step that reading a degree
+runs until the complex reaches it, so, as H^k reads d_(k-1) and d_k, each
+degree is built and checked once and never past the highest degree read +
+1; ``max_degree`` is only a range check.  The alternating complexes are
+built at once to degree dim N + 1 and grow only zero terms above it.  No
+step holds the cover (the ordered ones reach it through a weak reference),
+so a cover and its cache die with its last reference.  Rational and mod-n
+results come from the integral complexes by universal coefficients
+degreewise.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from math import gcd
-from weakref import WeakKeyDictionary
+from weakref import WeakKeyDictionary, ref
 
 from .coverdata import C2Cover, CoefficientSystem
 from .errors import (
@@ -77,6 +81,39 @@ _covercache: WeakKeyDictionary = WeakKeyDictionary()
 
 def _cache(cover: C2Cover) -> dict:
     return _covercache.setdefault(cover, {})
+
+
+def _growing(rank0: int, step) -> IntegerCochainComplex:
+    """A complex with degree 0 of rank ``rank0`` that ``step`` grows."""
+    c = IntegerCochainComplex(lo=0, hi=0, ranks={0: rank0}, diffs={})
+    c._grow = step
+    return c
+
+
+def _zero_step(c: IntegerCochainComplex) -> None:
+    c.extend(0, SparseIntMatrix(0, c.rank(c.hi)))
+
+
+def _finite(c: IntegerCochainComplex, top: int) -> IntegerCochainComplex:
+    """Build ``c``, zero above ``top``, to degree ``top + 1`` with its own
+    step (which may hold the cover); from there it grows zero terms."""
+    c.rank(top + 1)
+    c._grow = _zero_step
+    return c
+
+
+def _carried(c: IntegerCochainComplex, max_degree: int) -> IntegerCochainComplex:
+    if max_degree < 0:
+        raise DegreeOutOfRange("max_degree must be nonnegative")
+    c.rank(max_degree + 1)
+    return c
+
+
+def _cover_of(cover_ref) -> C2Cover:
+    cover = cover_ref()
+    if cover is None:
+        raise DegreeOutOfRange("the complex's cover is gone, so it cannot grow")
+    return cover
 
 
 def _require_free(cover: C2Cover) -> None:
@@ -197,25 +234,43 @@ def involution_matrix(
     return SparseIntMatrix(len(perm), len(perm), [{j: sign} for j in perm])
 
 
+def _full_complex(cover: C2Cover, include_degenerate: bool) -> IntegerCochainComplex:
+    key = ("full", include_degenerate)
+    cache = _cache(cover)
+    if key not in cache:
+        cover_ref = ref(cover)
+
+        def step(c):
+            cover = _cover_of(cover_ref)
+            c.extend(
+                len(tuple_basis(cover, c.hi + 1, include_degenerate)),
+                cech_differential(cover, c.hi, include_degenerate),
+            )
+
+        cache[key] = _growing(len(tuple_basis(cover, 0, include_degenerate)), step)
+    return cache[key]
+
+
 def build_full_complex(
     cover: C2Cover, max_degree: int, include_degenerate: bool = False
 ) -> IntegerCochainComplex:
     """The plain (non-equivariant) normalized cochain complex, carried in
     degrees ``0 .. max_degree + 1`` at least: one per cover, grown in place."""
-    if max_degree < 0:
-        raise DegreeOutOfRange("max_degree must be nonnegative")
-    key = ("full", include_degenerate)
+    return _carried(_full_complex(cover, include_degenerate), max_degree)
+
+
+def _orbit_complex(cover: C2Cover, sign: int, include_degenerate: bool = False):
+    key = ("equivariant", sign, include_degenerate)
     cache = _cache(cover)
     if key not in cache:
-        rank0 = len(tuple_basis(cover, 0, include_degenerate))
-        cache[key] = IntegerCochainComplex(lo=0, hi=0, ranks={0: rank0}, diffs={})
-    c = cache[key]
-    while c.hi <= max_degree:
-        c.extend(
-            len(tuple_basis(cover, c.hi + 1, include_degenerate)),
-            cech_differential(cover, c.hi, include_degenerate),
+        _require_free(cover)
+        cover_ref = ref(cover)
+        cache[key] = _grow_orbit_complex(
+            _full_complex(cover, include_degenerate),
+            lambda k: basis_involution(_cover_of(cover_ref), k, include_degenerate),
+            sign,
         )
-    return c
+    return cache[key]
 
 
 def build_equivariant_complex(
@@ -231,23 +286,16 @@ def build_equivariant_complex(
     ``e_r + sign * e_t(r)`` per orbit of the (free) basis involution, with
     ``r`` the later position of the pair, and the fixed differential is read
     off the representative rows of the full coboundary; no Smith reduction
-    is involved.  There is one pair per cover and sign, grown in place to
-    degree ``max_degree + 1``; the involution is checked to be free, to
-    square to the identity and to commute with the coboundary once per
-    degree, when that degree is first built.  The coefficient base is
-    ignored here — this is the integral model, and rational or mod-n
-    answers are derived from it downstream.
+    is involved.  There is one pair per cover and sign, carried to degree
+    ``max_degree + 1`` at least; reading ``sub`` further grows both.  The
+    involution is checked to be free, to square to the identity and to
+    commute with the coboundary once per degree, when that degree is first
+    built.  The coefficient base is ignored here — this is the integral
+    model, and rational or mod-n answers are derived from it downstream.
     """
-    _require_free(cover)
-    full = build_full_complex(cover, max_degree, include_degenerate)
-
-    def perm(k):
-        return basis_involution(cover, k, include_degenerate)
-
-    key = ("equivariant", coeff.sign, include_degenerate)
-    cache = _cache(cover)
-    cache[key] = _grow_orbit_complex(full, perm, coeff.sign, cache.get(key), max_degree + 1)
-    return cache[key]
+    fixed = _orbit_complex(cover, coeff.sign, include_degenerate)
+    _carried(fixed[0], max_degree)
+    return fixed
 
 
 # ---------------------------------------------------------------------------
@@ -308,19 +356,18 @@ def alternating_involution(cover: C2Cover, j: int):
     return cache[key]
 
 
-def build_alternating_complex(cover: C2Cover, max_degree: int) -> IntegerCochainComplex:
-    """The plain alternating cochain complex, carried in degrees
-    ``0 .. max_degree + 1`` at least: one per cover, grown in place."""
-    if max_degree < 0:
-        raise DegreeOutOfRange("max_degree must be nonnegative")
+def build_alternating_complex(cover: C2Cover) -> IntegerCochainComplex:
+    """The plain alternating cochain complex, one per cover: built to
+    degree dim N + 1 at once, zero above."""
     cache = _cache(cover)
     if "alt" not in cache:
-        rank0 = len(alternating_basis(cover, 0))
-        cache["alt"] = IntegerCochainComplex(lo=0, hi=0, ranks={0: rank0}, diffs={})
-    c = cache["alt"]
-    while c.hi <= max_degree:
-        c.extend(len(alternating_basis(cover, c.hi + 1)), alternating_differential(cover, c.hi))
-    return c
+
+        def step(c):
+            c.extend(len(alternating_basis(cover, c.hi + 1)), alternating_differential(cover, c.hi))
+
+        c = _growing(len(alternating_basis(cover, 0)), step)
+        cache["alt"] = _finite(c, _nerve_dimension(cover))
+    return cache["alt"]
 
 
 def _checked_involution(cover: C2Cover, j: int):
@@ -339,6 +386,45 @@ def _nerve_dimension(cover: C2Cover) -> int:
     return max(map(len, cover.intersections), default=1) - 1
 
 
+def _borel_complex(cover: C2Cover, sign: int) -> IntegerCochainComplex:
+    key = ("borel", sign)
+    cache = _cache(cover)
+    if key in cache:
+        return cache[key]
+    _require_free(cover)
+    top = _nerve_dimension(cover)
+    alt = build_alternating_complex(cover)
+    actions = [_checked_involution(cover, j) for j in range(top + 1)]
+    for j in range(top):
+        _check_commutes(alt.diff(j), actions[j], actions[j + 1], j)
+    offset = [0]
+    for j in range(top + 1):
+        offset.append(offset[-1] + alt.rank(j))
+
+    def step(c):
+        n = c.hi
+        d = SparseIntMatrix(offset[min(n + 1, top) + 1], offset[min(n, top) + 1])
+        for j in range(min(n, top) + 1):
+            i, col = n - j, offset[j]
+            vertical = -1 if i % 2 else 1
+            for r, row in enumerate(alt.diff(j).rows):
+                d.rows[offset[j + 1] + r] = {col + cj: vertical * x for cj, x in row.items()}
+            horizontal = sign if i % 2 else -sign  # 1 - T into odd i + 1, 1 + T into even
+            perm, eps = actions[j]
+            rows = d.rows[offset[j] : offset[j + 1]]
+            for r, (target, p, e) in enumerate(zip(rows, perm, eps)):
+                target[col + r] = 1
+                v = target.get(col + p, 0) + horizontal * e
+                if v:
+                    target[col + p] = v
+                else:
+                    del target[col + p]
+        c.extend(d.nrows, d)
+
+    cache[key] = _growing(alt.rank(0), step)
+    return cache[key]
+
+
 def build_borel_complex(cover: C2Cover, sign: int, max_degree: int) -> IntegerCochainComplex:
     """The Borel complex ``Hom_C2(W, C_alt)`` with coefficient sign ``sign``,
     carried in total degrees ``0 .. max_degree + 1`` at least.
@@ -352,42 +438,7 @@ def build_borel_complex(cover: C2Cover, sign: int, max_degree: int) -> IntegerCo
     Cech degree (there are dim N + 1 of them), and ``extend`` checks each
     new differential's shape and D∘D = 0.
     """
-    if max_degree < 0:
-        raise DegreeOutOfRange("max_degree must be nonnegative")
-    _require_free(cover)
-    top = _nerve_dimension(cover)
-    alt = build_alternating_complex(cover, top)
-    key = ("borel", sign)
-    cache = _cache(cover)
-    c = cache.get(key)
-    if c is None:
-        actions = [_checked_involution(cover, j) for j in range(top + 1)]
-        for j in range(top):
-            _check_commutes(alt.diff(j), actions[j], actions[j + 1], j)
-        c = cache[key] = IntegerCochainComplex(lo=0, hi=0, ranks={0: alt.rank(0)}, diffs={})
-    offset = [0]
-    for j in range(top + 1):
-        offset.append(offset[-1] + alt.rank(j))
-    while c.hi <= max_degree:
-        n = c.hi
-        d = SparseIntMatrix(offset[min(n + 1, top) + 1], offset[min(n, top) + 1])
-        for j in range(min(n, top) + 1):
-            i, col = n - j, offset[j]
-            vertical = -1 if i % 2 else 1
-            for r, row in enumerate(alt.diff(j).rows):
-                d.rows[offset[j + 1] + r] = {col + cj: vertical * x for cj, x in row.items()}
-            horizontal = sign if i % 2 else -sign  # 1 - T into odd i + 1, 1 + T into even
-            perm, eps = alternating_involution(cover, j)
-            rows = d.rows[offset[j] : offset[j + 1]]
-            for r, (target, p, e) in enumerate(zip(rows, perm, eps)):
-                target[col + r] = 1
-                v = target.get(col + p, 0) + horizontal * e
-                if v:
-                    target[col + p] = v
-                else:
-                    del target[col + p]
-        c.extend(d.nrows, d)
-    return c
+    return _carried(_borel_complex(cover, sign), max_degree)
 
 
 def _alternating_action_is_free(cover: C2Cover) -> bool:
@@ -395,6 +446,7 @@ def _alternating_action_is_free(cover: C2Cover) -> bool:
     any degree; then every ``C^j_alt`` is a free Z[C2]-module."""
     cache = _cache(cover)
     if "alt_free" not in cache:
+        _require_free(cover)
         cache["alt_free"] = all(
             p != r
             for j in range(_nerve_dimension(cover) + 1)
@@ -403,42 +455,30 @@ def _alternating_action_is_free(cover: C2Cover) -> bool:
     return cache["alt_free"]
 
 
-def build_descriptor_complex(
-    cover: C2Cover, sign: int, max_degree: int
-) -> IntegerCochainComplex:
-    """The complex every descriptor reads for coefficient sign ``sign``,
-    carried in degrees ``0 .. max_degree + 1`` at least.
+def build_descriptor_complex(cover: C2Cover, sign: int) -> IntegerCochainComplex:
+    """The complex every descriptor reads for coefficient sign ``sign``.
 
     When the alternating action is free (no subset with ``t(S) = S`` meets
     in a component that ``σ`` fixes; every antipodal cover), each
     ``C^j_alt`` is Z[C2]-free, so the Borel complex is quasi-isomorphic to
     the fixed complex ``C_alt^{C2}``: one orbit sum ``e_r + sign * ε_r *
     e_π(r)`` per orbit, at most half the Borel rank in every degree and zero
-    above the nerve's dimension.  Otherwise it is :func:`build_borel_complex`.
+    above the nerve's dimension.  Otherwise it is the Borel complex
+    (:func:`build_borel_complex`).
     """
-    if max_degree < 0:
-        raise DegreeOutOfRange("max_degree must be nonnegative")
-    cache = _cache(cover)
-    c = cache.get(("descriptor", sign))
-    if c is not None and c.hi > max_degree:
-        return c  # the common case: every descriptor question comes through here
-    _require_free(cover)
     if not _alternating_action_is_free(cover):
-        c = build_borel_complex(cover, sign, max_degree)
-    else:
-        alt = build_alternating_complex(cover, max_degree)
-
-        def perm(j):
-            return alternating_involution(cover, j)[0]
-
-        def eps(j):
-            return alternating_involution(cover, j)[1]
-
-        key = ("alt_fixed", sign)
-        cache[key] = _grow_orbit_complex(alt, perm, sign, cache.get(key), max_degree + 1, eps)
-        c = cache[key][0]
-    cache["descriptor", sign] = c
-    return c
+        return _borel_complex(cover, sign)
+    key = ("alt_fixed", sign)
+    cache = _cache(cover)
+    if key not in cache:
+        sub, bases = _grow_orbit_complex(
+            build_alternating_complex(cover),
+            lambda j: alternating_involution(cover, j)[0],
+            sign,
+            lambda j: alternating_involution(cover, j)[1],
+        )
+        cache[key] = _finite(sub, _nerve_dimension(cover)), bases
+    return cache[key][0]
 
 
 def _check_degree(k: int, max_degree: int):
@@ -483,7 +523,6 @@ def equivariant_cohomology(
     coeff: CoefficientSystem,
     k: int,
     max_degree: int,
-    include_degenerate: bool = False,
 ) -> GroupDescriptor:
     """H^k of the cover with the given equivariant coefficients, read from
     the descriptor complex of the coefficient sign
@@ -492,16 +531,10 @@ def equivariant_cohomology(
     Integral coefficients give the full descriptor; rational ones report the
     dimension (computed by the independent rank formula, not by reusing the
     integral kernel data); mod-n ones use universal coefficients over the
-    integral complex.  ``include_degenerate=True`` answers from a different
-    model instead, the orbit complex of ordered cochains with degenerate
-    tuples kept, so that the two can be compared.
+    integral complex.
     """
     _check_degree(k, max_degree)
-    if include_degenerate:
-        c, _ = build_equivariant_complex(cover, coeff, max_degree, include_degenerate=True)
-    else:
-        c = build_descriptor_complex(cover, coeff.sign, max_degree)
-    return _descriptor(c, k, coeff)
+    return _descriptor(build_descriptor_complex(cover, coeff.sign), k, coeff)
 
 
 def nonequivariant_cohomology(
@@ -513,7 +546,7 @@ def nonequivariant_cohomology(
     """H^k of the plain alternating cochain complex, the involution
     forgotten (the sign of ``coeff`` is irrelevant here)."""
     _check_degree(k, max_degree)
-    return _descriptor(build_alternating_complex(cover, max_degree), k, coeff)
+    return _descriptor(build_alternating_complex(cover), k, coeff)
 
 
 # ---------------------------------------------------------------------------
@@ -583,95 +616,66 @@ class CoefficientComplex:
         return len(self.terms)
 
 
-def _total_blocks(cover, fstar, n):
-    """Blocks of the total differential at total degree ``n``.
+def _total_blocks(cover, fstar):
+    """The blocks of the total differential, as a function of the total
+    degree ``n``.
 
     Columns are the summands (term degree i, Cech degree j = n - i); rows
     the same at n + 1.  Vertical maps carry the sign (-1)^i on the Cech
-    coboundary; horizontal maps are the coefficient maps degreewise.
-    Returns (A, B, C): integer-to-integer, integer-to-rational and
+    coboundary; horizontal maps are the coefficient maps degreewise.  Each
+    call returns (A, B, C): integer-to-integer, integer-to-rational and
     rational-to-rational blocks (there are no rational-to-integer maps).
-    The Cech direction is each sign's descriptor complex, and the summands
-    reach its degree n + 1 at most, so it is carried just that far.
+    The Cech direction is each sign's descriptor complex; the function
+    holds those, not the cover.
     """
-    subs = {}
-    for t in fstar.terms:
-        if t.sign not in subs:
-            subs[t.sign] = build_descriptor_complex(cover, t.sign, max(n, 0))
+    subs = {t.sign: build_descriptor_complex(cover, t.sign) for t in fstar.terms}
 
-    def segments(total):
-        segs = []
-        for i, t in enumerate(fstar.terms):
-            j = total - i
-            if j >= 0:
-                segs.append((i, j, t, subs[t.sign].rank(j)))
-        return segs
+    def layout(n):
+        # offset of each summand (i, n - i) in its term's part of Tot^n
+        offset, size = {}, {"Z": 0, "Q": 0}
+        for i, t in enumerate(fstar.terms[: n + 1]):
+            offset[i] = size[t.base]
+            size[t.base] += subs[t.sign].rank(n - i)
+        return offset, size
 
-    def offsets(segs, base):
-        out, off = {}, 0
-        for i, _j, t, size in segs:
-            if t.base == base:
-                out[i] = off
-                off += size
-        return out, off
+    def blocks(n):
+        (src, ssize), (dst, dsize) = layout(n), layout(n + 1)
+        m = {(x, y): SparseIntMatrix(dsize[y], ssize[x]) for x, y in ("ZZ", "ZQ", "QQ")}
+        for i, col in src.items():
+            t, sub = fstar.terms[i], subs[fstar.terms[i].sign]
+            # vertical: same term, Cech degree up one
+            m[t.base, t.base].set_block(dst[i], col, sub.diff(n - i), scale=-1 if i % 2 else 1)
+            # horizontal: next term, same Cech degree
+            if i + 1 < len(fstar) and fstar.rate(i):
+                target = m[t.base, fstar.terms[i + 1].base]
+                for s in range(sub.rank(n - i)):
+                    target.set(dst[i + 1] + s, col + s, fstar.rate(i))
+        return m["Z", "Z"], m["Z", "Q"], m["Q", "Q"]
 
-    src = segments(n)
-    dst = segments(n + 1)
-    szoff, s_zsize = offsets(src, "Z")
-    sqoff, s_qsize = offsets(src, "Q")
-    dzoff, d_zsize = offsets(dst, "Z")
-    dqoff, d_qsize = offsets(dst, "Q")
-
-    a = SparseIntMatrix(d_zsize, s_zsize)
-    b = SparseIntMatrix(d_qsize, s_zsize)
-    c = SparseIntMatrix(d_qsize, s_qsize)
-
-    for i, j, t, size in src:
-        is_q = t.base == "Q"
-        col = sqoff[i] if is_q else szoff[i]
-        sub = subs[t.sign]
-        # vertical: same term, Cech degree up one
-        index = dqoff if is_q else dzoff
-        if i in index and size:
-            (c if is_q else a).set_block(index[i], col, sub.diff(j), scale=-1 if i % 2 else 1)
-        # horizontal: next term, same Cech degree
-        if i + 1 < len(fstar.terms):
-            r = fstar.rate(i)
-            if r:
-                t2 = fstar.terms[i + 1]
-                tgt_q = t2.base == "Q"
-                index = dqoff if tgt_q else dzoff
-                if i + 1 in index:
-                    target = (c if is_q else b) if tgt_q else a
-                    row = index[i + 1]
-                    for s in range(size):
-                        target.set(row + s, col + s, r)
-    return a, b, c
+    return blocks
 
 
-def build_total_complex(
-    cover: C2Cover,
-    fstar: CoefficientComplex,
-    max_degree: int,
-) -> IntegerCochainComplex:
+def build_total_complex(cover: C2Cover, fstar: CoefficientComplex) -> IntegerCochainComplex:
     """Total complex of the equivariant double complex of an all-integer
-    ``fstar``, carried in total degrees ``0 .. max_degree + 1`` at least.
+    ``fstar``.
 
     There is one per cover and coefficient complex, grown in place one
-    total degree at a time; each new total differential is checked (shape,
-    d∘d = 0) once, when it is first built, and the Smith answers cached on
-    the complex serve every later question.
+    total degree at a time as it is read; each new total differential is
+    checked (shape, d∘d = 0) once, when it is first built, and the Smith
+    answers cached on the complex serve every later question.
     """
     key = ("total", fstar)
     cache = _cache(cover)
-    c = cache.get(key)
-    while c is None or c.hi <= max_degree:
-        n = 0 if c is None else c.hi
-        a, _, _ = _total_blocks(cover, fstar, n)
-        if c is None:
-            c = cache[key] = IntegerCochainComplex(lo=0, hi=0, ranks={0: a.ncols}, diffs={})
-        c.extend(a.nrows, a)
-    return c
+    if key not in cache:
+        blocks = _total_blocks(cover, fstar)
+
+        def step(c):
+            a = blocks(c.hi)[0]
+            c.extend(a.nrows, a)
+
+        # the map into total degree 0 has Tot^0 as its target
+        cache[key] = _growing(blocks(-1)[0].nrows, step)
+    return cache[key]
 
 
 def hypercohomology(
@@ -685,8 +689,7 @@ def hypercohomology(
     sign.
 
     All-integer complexes produce the honest finitely generated group, from
-    the cover's one cached total complex (:func:`build_total_complex`),
-    grown to total degree k + 1: H^k reads only d_(k-1) and d_k.
+    the cover's one cached total complex (:func:`build_total_complex`).
     ``max_degree`` is only the range check.  When rational terms are
     present the divisible summand is not representable in a
     :class:`GroupDescriptor`; the result then describes the reduced
@@ -698,11 +701,12 @@ def hypercohomology(
         return equivariant_cohomology(cover, fstar.terms[0], k, max_degree)
 
     if {t.base for t in fstar.terms} == {"Z"}:
-        return complex_cohomology(build_total_complex(cover, fstar, k), k)
+        return complex_cohomology(build_total_complex(cover, fstar), k)
 
     # mixed integers/rationals: block-triangular total differential
-    a_k, b_k, c_k = _total_blocks(cover, fstar, k)
-    a_prev, _, _ = _total_blocks(cover, fstar, k - 1)
+    blocks = _total_blocks(cover, fstar)
+    a_k, b_k, c_k = blocks(k)
+    a_prev = blocks(k - 1)[0]
 
     # E: saturated basis of the left kernel of the rational block, so that
     # "E @ (B x) = 0" says B x lies in the rational column span of C

@@ -194,6 +194,8 @@ _SHAPE = (
     ("faces", False, lambda v: _entries(v, names=("component", "drop", "in_component")),
      "a list of objects with names 'component', 'drop' and 'in_component'"),
     ("component_involution", False, _name_map, "an object of names"),
+    ("good", False, lambda v: isinstance(v, bool), "true or false"),
+    ("compact", False, lambda v: isinstance(v, bool), "true or false"),
 )
 
 
@@ -423,8 +425,8 @@ def validate_cover(raw) -> C2Cover:
         intersections=intersections,
         faces=faces,
         component_involution=comp_inv,
-        good=bool(raw.get("good", False)),
-        compact=bool(raw.get("compact", False)),
+        good=raw.get("good", False),
+        compact=raw.get("compact", False),
     )
 
 
@@ -534,8 +536,8 @@ def double_fixed_indices(raw) -> C2Cover:
             intersections=new_intersections,
             faces=new_faces,
             component_involution=new_comp_inv,
-            good=bool(raw.get("good", False)),
-            compact=bool(raw.get("compact", False)),
+            good=raw.get("good", False),
+            compact=raw.get("compact", False),
         )
     )
 

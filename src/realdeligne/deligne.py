@@ -18,8 +18,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .cechengine import (
+    _orbit_complex,
     basis_involution,
-    build_equivariant_complex,
     cech_differential,
     equivariant_cohomology,
     tuple_basis,
@@ -316,8 +316,8 @@ def flat_cocycle_class(fc: FlatCocycle, max_degree: int = 3) -> FlatCocycleClass
     torus.  ``trivial`` is equivalent to both coordinate vectors vanishing.
 
     The coordinates are taken against the Smith bases of the ordered orbit
-    complex, which is read in degrees 0..2 only and so carried to degree 3;
-    ``max_degree`` is the range check.
+    complex, which is read in degrees 0..2 only; ``max_degree`` is the
+    range check.
     """
     if max_degree < 3:
         raise InsufficientDegree(
@@ -325,7 +325,7 @@ def flat_cocycle_class(fc: FlatCocycle, max_degree: int = 3) -> FlatCocycleClass
         )
     fc.validate()
     cover = fc.cover
-    sub, _ = build_equivariant_complex(cover, IZ, 2)
+    sub, _ = _orbit_complex(cover, IZ.sign)
 
     lift = _equivariant_lift(cover, fc)
     raw = cech_differential(cover, 1).matvec(lift)

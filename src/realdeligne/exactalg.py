@@ -566,10 +566,16 @@ class ElementCoordinates:
 
 @dataclass(eq=False)
 class IntegerCochainComplex:
-    """A finite complex of free Z-modules ``C^lo -> ... -> C^hi``.
+    """A complex of free Z-modules ``C^lo -> ... -> C^hi``.
 
     ``diffs[k]`` is the map ``C^k -> C^(k+1)``; missing keys mean the zero
     map.  Consecutive differentials must compose to zero (``validate``).
+
+    A complex built by hand is zero outside ``[lo, hi]``.  The Cech engine
+    sets a private grower on its own complexes, which builds the next degree
+    with :meth:`extend`; reading ``rank(k)`` or ``diff(k)`` first grows such
+    a complex to degree ``k`` or ``k + 1``, so its ``hi`` is only how far
+    it has been read.
     """
 
     lo: int
@@ -577,14 +583,21 @@ class IntegerCochainComplex:
     ranks: dict
     diffs: dict
     _cache: dict = field(default_factory=dict, repr=False)
+    _grow: object = field(default=None, init=False, repr=False)
 
     def __post_init__(self):
         self.diffs = {k: as_sparse(d) for k, d in self.diffs.items()}
 
+    def _reach(self, k: int) -> None:
+        while self.hi < k and self._grow is not None:
+            self._grow(self)
+
     def rank(self, k: int) -> int:
+        self._reach(k)
         return self.ranks.get(k, 0)
 
     def diff(self, k: int) -> SparseIntMatrix:
+        self._reach(k + 1)
         d = self.diffs.get(k)
         if d is None:
             return SparseIntMatrix(self.rank(k + 1), self.rank(k))
@@ -688,10 +701,10 @@ def complex_cohomology(c: IntegerCochainComplex, k: int) -> GroupDescriptor:
     entries above 1.  No transforms are built; :func:`class_coordinates`
     and its kin build them on demand.
 
-    Differentials just outside the carried range count as zero maps, but
-    ``k`` itself must lie inside ``[lo, hi]``.
+    On a complex built by hand, differentials just outside the range count
+    as zero maps, but ``k`` itself must lie inside ``[lo, hi]``.
     """
-    if k < c.lo or k > c.hi:
+    if k < c.lo or (k > c.hi and c._grow is None):
         raise DegreeOutOfRange(f"degree {k} outside complex range [{c.lo}, {c.hi}]")
     below = _diagonal(c, k - 1)
     rank = c.rank(k) - sum(1 for x in _diagonal(c, k) if x) - sum(1 for x in below if x)
@@ -702,7 +715,7 @@ def _kernel_coordinates(c: IntegerCochainComplex, k: int, cocycle):
     """Check that the flat sequence ``cocycle`` is a cocycle of ``c`` in
     degree ``k``; return the degree's coordinate data and the cocycle's
     coordinates against its kernel basis."""
-    if k < c.lo or k > c.hi:
+    if k < c.lo or (k > c.hi and c._grow is None):
         raise DegreeOutOfRange(f"degree {k} outside complex range [{c.lo}, {c.hi}]")
     v = list(cocycle)
     if len(v) != c.rank(k):
@@ -829,12 +842,13 @@ def _check_commutes(d: SparseIntMatrix, src, dst, k: int) -> None:
                 )
 
 
-def _grow_orbit_complex(c: IntegerCochainComplex, perm, sign: int, fixed, hi: int, eps=None):
-    """Carry ``fixed = (sub, bases)``, the subcomplex of ``c`` fixed by the
-    signed permutations ``e_i -> sign * eps(k)[i] * e_perm(k)[i]`` (``eps``
-    all 1 when None) with its orbit-sum embeddings (:func:`_orbit_basis`),
-    up to degree ``hi`` in place, one degree at a time; None starts it in
-    degree ``c.lo``.
+def _grow_orbit_complex(c: IntegerCochainComplex, perm, sign: int, eps=None):
+    """The subcomplex of ``c`` fixed by the signed permutations ``e_i ->
+    sign * eps(k)[i] * e_perm(k)[i]`` (``eps`` all 1 when None), with its
+    orbit-sum embeddings (:func:`_orbit_basis`): ``(sub, bases)`` in
+    degree ``c.lo``, with a grower that carries both, and ``c``, one degree
+    higher.  ``perm(k)`` must fit degree k, so for a ``c`` built by hand it
+    is empty above the top.
 
     Each new degree checks that its permutation is a free involution and
     that the differential into it commutes with the action
@@ -847,18 +861,16 @@ def _grow_orbit_complex(c: IntegerCochainComplex, perm, sign: int, fixed, hi: in
     those rows.
     """
     signs = eps or (lambda k: [1] * c.rank(k))
-    if fixed is None:
-        _, basis = _orbit_basis(c.lo, perm(c.lo), sign, c.rank(c.lo), signs(c.lo))
-        fixed = IntegerCochainComplex(c.lo, c.lo, {c.lo: basis.ncols}, {}), {c.lo: basis}
-    sub, bases = fixed
-    if sub.hi < hi:
-        p_top, e_top = perm(sub.hi), signs(sub.hi)
-    while sub.hi < hi:
+    _, basis = _orbit_basis(c.lo, perm(c.lo), sign, c.rank(c.lo), signs(c.lo))
+    sub = IntegerCochainComplex(c.lo, c.lo, {c.lo: basis.ncols}, {})
+    bases = {c.lo: basis}
+
+    def step(sub):
         k = sub.hi
         p_next, e_next = perm(k + 1), signs(k + 1)
         reps, basis = _orbit_basis(k + 1, p_next, sign, c.rank(k + 1), e_next)
         d = c.diff(k)
-        _check_commutes(d, (p_top, e_top), (p_next, e_next), k)
+        _check_commutes(d, (perm(k), signs(k)), (p_next, e_next), k)
         # each row of the source embedding holds one entry: (its orbit, ±1)
         src = bases[k].rows
         dk = SparseIntMatrix(len(reps), bases[k].ncols)
@@ -872,8 +884,9 @@ def _grow_orbit_complex(c: IntegerCochainComplex, perm, sign: int, fixed, hi: in
                         del out[col]
         bases[k + 1] = basis
         sub.extend(basis.ncols, dk)
-        p_top, e_top = p_next, e_next
-    return fixed
+
+    sub._grow = step
+    return sub, bases
 
 
 def orbit_coordinates(perm, sign: int, v) -> list:

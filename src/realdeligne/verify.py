@@ -10,8 +10,9 @@ from __future__ import annotations
 from . import catalog
 from .cechengine import (
     CoefficientComplex,
+    _borel_complex,
     _descriptor,
-    build_borel_complex,
+    _orbit_complex,
     build_equivariant_complex,
     build_full_complex,
     build_total_complex,
@@ -82,15 +83,10 @@ def suite_snf():
         full = build_full_complex(cover, 2)
         for k in (0, 1):
             _check_smith(out, full.diff(k).to_dense(), label, f"differential d_{k}")
-        complexes = [
-            (f"fixed sign {sign}", build_equivariant_complex(cover, coeff, 3)[0])
-            for sign, coeff in ((-1, IZ), (1, Z_TRIVIAL))
-        ]
+        complexes = [(f"fixed sign {sign}", _orbit_complex(cover, sign)[0]) for sign in (-1, 1)]
+        complexes += [(f"Borel sign {sign}", _borel_complex(cover, sign)) for sign in (-1, 1)]
         complexes += [
-            (f"Borel sign {sign}", build_borel_complex(cover, sign, 3)) for sign in (-1, 1)
-        ]
-        complexes += [
-            (f"cone {n}", build_total_complex(cover, CoefficientComplex((IZ, IZ), (n,)), 3))
+            (f"cone {n}", build_total_complex(cover, CoefficientComplex((IZ, IZ), (n,))))
             for n in (2, 3)
         ]
         for name, c in complexes:
@@ -314,8 +310,8 @@ def suite_borel():
     for label, cover in _spaces():
         for sign in (-1, 1):
             integral = CoefficientSystem.integers(sign)
-            orbit, _ = build_equivariant_complex(cover, integral, top - 1)
-            borel = build_borel_complex(cover, sign, top - 1)
+            orbit, _ = _orbit_complex(cover, sign)
+            borel = _borel_complex(cover, sign)
 
             def compare(check, ordered, route, direct):
                 if not ordered == route == direct:

@@ -29,6 +29,7 @@ from realdeligne.coverdata import (
     Z_TRIVIAL,
     C2Cover,
     CoefficientSystem,
+    FlatCocycle,
 )
 from realdeligne.errors import (
     CoverNotFree,
@@ -265,10 +266,8 @@ def test_degenerate_inclusion_changes_nothing(spaces):
         for coeff in (IZ, Z_TRIVIAL):
             for k in range(3):
                 lean = equivariant_cohomology(cover, coeff, k, 3)
-                fat = equivariant_cohomology(
-                    cover, coeff, k, 3, include_degenerate=True
-                )
-                assert lean == fat, (name, coeff, k)
+                fat, _ = build_equivariant_complex(cover, coeff, 4, include_degenerate=True)
+                assert lean == complex_cohomology(fat, k), (name, coeff, k)
 
 
 # ---------------------------------------------------------------------------
@@ -307,28 +306,33 @@ def _sort_sign(seq):
 def test_descriptor_complex_follows_the_alternating_action(entry):
     """Covers of free actions have a free alternating action and read the
     fixed complex C_alt^{C2} (rank |C^j_alt| / 2, zero above the nerve);
-    the doubled points and the conjugation circle read the Borel complex."""
+    the doubled points and the conjugation circle read the Borel complex.
+    The fixed complex and its embeddings are built at once to degree
+    dim N + 1, the first zero term, and above that only zero terms grow."""
     cover = _fresh(entry)
     assert cechengine._alternating_action_is_free(cover) == entry.free_action
     alt = [len(cechengine.alternating_basis(cover, j)) for j in range(7)]
-    plain = cechengine.build_alternating_complex(cover, 5)
+    top = cechengine._nerve_dimension(cover)
+    assert alt[top] and not any(alt[top + 1 :])
+    plain = cechengine.build_alternating_complex(cover)
     for sign in (-1, 1):
-        c = cechengine.build_descriptor_complex(cover, sign, 5)
+        c = cechengine.build_descriptor_complex(cover, sign)
         if not entry.free_action:
             assert c is cechengine.build_borel_complex(cover, sign, 0)
             continue
-        assert [c.rank(j) for j in range(7)] == [r // 2 for r in alt]
         # the orbit sums are fixed by T and embed the complex as a chain map
         sub, bases = cechengine._cache(cover)[("alt_fixed", sign)]
-        assert sub is c
-        for k in sub.degrees():
+        assert sub is c and sub.hi == top + 1 and sorted(bases) == list(range(top + 2))
+        for k in bases:
             perm, eps = cechengine.alternating_involution(cover, k)
             t = exactalg.SparseIntMatrix(
                 len(perm), len(perm), [{p: sign * e} for p, e in zip(perm, eps)]
             )
             assert t.matmul(bases[k]) == bases[k], (sign, k)
-            if k < sub.hi:
+            if k + 1 in bases:
                 assert bases[k + 1].matmul(sub.diff(k)) == plain.diff(k).matmul(bases[k])
+        assert [c.rank(j) for j in range(7)] == [r // 2 for r in alt]
+        assert sorted(bases) == list(range(top + 2))
 
 
 def test_alternating_involution_is_signed_and_self_inverse(spaces):
@@ -350,7 +354,7 @@ def test_alternating_involution_is_signed_and_self_inverse(spaces):
 
 def test_plain_alternating_and_ordered_complexes_agree(spaces):
     for cover in spaces.values():
-        alt = cechengine.build_alternating_complex(cover, 4)
+        alt = cechengine.build_alternating_complex(cover)
         full = build_full_complex(cover, 4)
         for k in range(5):
             assert complex_cohomology(alt, k) == complex_cohomology(full, k)
@@ -454,13 +458,17 @@ def test_grown_complex_matches_fixed_subcomplex(entry):
     that fixed_subcomplex builds in one go on a fresh cover from the Smith
     form of t_k - id, up to the order of the basis columns: bit for bit
     ``bases[k] == ref_bases[k] @ P_k`` for a permutation matrix ``P_k``,
-    and ``sub.diff(k) == P_(k+1)^-1 @ ref.diff(k) @ P_k``."""
+    and ``sub.diff(k) == P_(k+1)^-1 @ ref.diff(k) @ P_k``.  Each call reads
+    degree max_degree + 1, so the complex reaches the highest such degree
+    asked so far and no further."""
     cover = _fresh(entry)
     for sign in (-1, 1):
         coeff = CoefficientSystem.integers(sign)
+        top = 0
         for md in (2, 5, 3):
             sub, bases = build_equivariant_complex(cover, coeff, md)
-            assert sub.hi >= md + 1
+            top = max(top, md + 1)
+            assert sub.hi == top and sorted(bases) == list(range(top + 1))
             fresh = _fresh(entry)
             full = build_full_complex(fresh, md)
             t_maps = {k: involution_matrix(fresh, k, sign) for k in full.degrees()}
@@ -490,20 +498,26 @@ def test_embedding_is_a_chain_map(entry):
 
 
 def test_growth_drops_answers_cached_at_the_old_top():
-    """H^hi and the rational rank at hi were computed against a zero d_hi;
-    after growing, both must be recomputed against the real one."""
+    """An engine complex read at its top first grows by exactly one degree,
+    so H^hi and the rational rank at hi see the real d_hi, never a zero
+    map.  A bounded copy of the same degrees does read a zero d_hi; once
+    it is extended by hand, those answers are dropped and recomputed."""
     changed = 0
     for entry in catalog.ENTRIES:
         cover = _fresh(entry)
         for coeff in (IZ, Z_TRIVIAL):
             sub, _ = build_equivariant_complex(cover, coeff, 1)
             top = sub.hi
-            truncated = (complex_cohomology(sub, top), _rational_rank(sub, top))
-            grown, _ = build_equivariant_complex(cover, coeff, 3)
-            assert grown is sub and sub.hi > top
+            bounded = exactalg.IntegerCochainComplex(
+                0, top, dict(sub.ranks), {k: sub.diff(k) for k in range(top)}
+            )
+            truncated = (complex_cohomology(bounded, top), _rational_rank(bounded, top))
             got = (complex_cohomology(sub, top), _rational_rank(sub, top))
+            assert sub.hi == top + 1
             ref, _ = build_equivariant_complex(_fresh(entry), coeff, 3)
             assert got == (complex_cohomology(ref, top), _rational_rank(ref, top))
+            bounded.extend(sub.rank(top + 1), sub.diff(top))
+            assert (complex_cohomology(bounded, top), _rational_rank(bounded, top)) == got
             changed += got != truncated
     assert changed  # the catalog does exercise a nonzero top differential
 
@@ -511,11 +525,15 @@ def test_growth_drops_answers_cached_at_the_old_top():
 def test_session_builds_each_fixed_degree_once(monkeypatch):
     """A session of every public question on one cover, each at the
     max_degree its entry point uses, builds each (sign, n) degree of the
-    descriptor complexes exactly once, and those builds make no Smith
+    descriptor complexes exactly once, and that growth makes no Smith
     reduction and no involution matrix.  No descriptor reads the ordered
     orbit complex, so it is never built.  The antipodal sphere's
     alternating action is free, so it reads the alternating fixed complex;
-    the conjugation circle's is not, so it reads the Borel complex."""
+    the conjugation circle's is not, so it reads the Borel complex.  With
+    sign -1 the highest degree read is 4: the mod-2 H^2 reads the torsion
+    of H^3, and so d_3, and the cone's H^3 reads D_3 into Tot^4 = C^4 + C^3.
+    With sign +1 the highest read is H^2, so degree 3.  The two descriptor
+    complexes are built that far and no further."""
     for name, params, route, other in (
         ("sphere_antipodal", (2,), "alt_fixed", "borel"),
         ("circle_conjugation", (), "borel", "alt_fixed"),
@@ -523,15 +541,15 @@ def test_session_builds_each_fixed_degree_once(monkeypatch):
         cover = catalog.build(name, *params)
         inside, smith_inside, matrices_inside, orbit_builds = [0], [], [], []
         extended = []
-        inner_build = cechengine.build_descriptor_complex
+        inner_reach = exactalg.IntegerCochainComplex._reach
         inner_smith, inner_extend = exactalg._smith, exactalg.IntegerCochainComplex.extend
         inner_matrix = cechengine.involution_matrix
-        inner_orbit = cechengine.build_equivariant_complex
+        inner_orbit = cechengine._orbit_complex
 
-        def building(*args, **kwargs):
+        def reach(self, k):
             inside[0] += 1
             try:
-                return inner_build(*args, **kwargs)
+                return inner_reach(self, k)
             finally:
                 inside[0] -= 1
 
@@ -553,9 +571,9 @@ def test_session_builds_each_fixed_degree_once(monkeypatch):
             extended.append((self, self.hi))
             return inner_extend(self, rank, diff)
 
-        monkeypatch.setattr(cechengine, "build_descriptor_complex", building)
+        monkeypatch.setattr(exactalg.IntegerCochainComplex, "_reach", reach)
         for module in (cechengine, deligne):
-            monkeypatch.setattr(module, "build_equivariant_complex", orbit)
+            monkeypatch.setattr(module, "_orbit_complex", orbit)
         monkeypatch.setattr(cechengine, "involution_matrix", matrix)
         monkeypatch.setattr(exactalg, "_smith", smith)
         monkeypatch.setattr(exactalg.IntegerCochainComplex, "extend", extend)
@@ -579,10 +597,10 @@ def test_session_builds_each_fixed_degree_once(monkeypatch):
         keys = {key if isinstance(key, str) else key[0] for key in cechengine._cache(cover)}
         assert route in keys and other not in keys, name
         assert not keys & {"equivariant", "full", "basis"}, name
-        for sign in (-1, 1):
-            c = cechengine.build_descriptor_complex(cover, sign, 0)
-            assert c.hi == 4, (name, sign)
-            assert sorted(n for grown, n in extended if grown is c) == [0, 1, 2, 3], (name, sign)
+        for sign, top in ((-1, 4), (1, 3)):
+            c = cechengine.build_descriptor_complex(cover, sign)
+            assert c.hi == top, (name, sign)
+            assert sorted(n for grown, n in extended if grown is c) == list(range(top)), (name, sign)
 
 
 TOTAL_COMPLEXES = (
@@ -597,7 +615,12 @@ def test_total_complex_grown_once(entry, monkeypatch):
     """Hypercohomology asked in a shuffled order of degrees, with max_degree
     going up and then down, answers as a fresh cover does, from one cached
     total complex per coefficient complex, each total degree extended once,
-    over one descriptor complex per sign, each of its degrees extended once."""
+    over one descriptor complex per sign, each of its degrees extended once.
+    The highest total degree read is 4 (H^3 reads D_3).  Tot^4 of a cone
+    holds the sign -1 column's degree 4, so that column is built to 4; the
+    sign +1 column is the third term of the last complex, read up to Cech
+    degree 4 - 2 = 2.  Neither is built further, except that the
+    alternating fixed complex is built at once to degree dim N + 1."""
     extended = []
     inner_extend = exactalg.IntegerCochainComplex.extend
 
@@ -616,18 +639,59 @@ def test_total_complex_grown_once(entry, monkeypatch):
             rng.shuffle(degrees)
             for k in degrees:
                 got = hypercohomology(cover, fstar, k, md)
-                totals.add(id(build_total_complex(cover, fstar, 0)))
+                totals.add(id(build_total_complex(cover, fstar)))
                 if (fstar, k) not in fresh:
                     fresh[fstar, k] = hypercohomology(_fresh(entry), fstar, k, k + 1)
                 assert got == fresh[fstar, k], (fstar, k, md)
-        total = build_total_complex(cover, fstar, 0)
+        total = build_total_complex(cover, fstar)
         assert totals == {id(total)}
         assert total.hi == 4
         assert sorted(n for c, n in extended if c is total) == list(range(4))
+    at_once = cechengine._nerve_dimension(cover) + 1 if entry.free_action else 0
+    for sign, read in ((-1, 4), (1, 2)):
+        column = cechengine.build_descriptor_complex(cover, sign)
+        assert column.hi == max(read, at_once), sign
+        assert sorted(n for c, n in extended if c is column) == list(range(column.hi))
+
+
+def _built(kind, cover, sign, max_degree):
+    """The engine complex of one kind, carried as a public builder carries
+    it for ``max_degree``: to degree max_degree + 1."""
+    coeff = CoefficientSystem.integers(sign)
+    if kind == "borel":
+        return cechengine.build_borel_complex(cover, sign, max_degree)
+    if kind == "orbit":
+        return build_equivariant_complex(cover, coeff, max_degree)[0]
+    if kind == "descriptor":
+        c = cechengine.build_descriptor_complex(cover, sign)
+    else:
+        c = build_total_complex(cover, CoefficientComplex((coeff, coeff), (2,)))
+    c.rank(max_degree + 1)
+    return c
+
+
+@pytest.mark.parametrize("entry", catalog.ENTRIES, ids=catalog.entry_label)
+def test_no_cohomology_is_read_from_a_truncated_top(entry):
+    """A complex carried to max_degree 2 answers H^k at its top and three
+    degrees beyond as a fresh cover does when asked for H^k with
+    max_degree k + 2: reading H^k grows the complex to degree k + 1 first,
+    instead of reading a zero map beyond the top (which gave Z + Z/2 for
+    the Borel H^3 of the doubled point with sign -1, whose true group is
+    Z/2).  The Borel, descriptor and orbit complexes all compute the
+    descriptor route's groups."""
+    cover, fresh = _fresh(entry), _fresh(entry)
     for sign in (-1, 1):
-        column = cechengine.build_descriptor_complex(cover, sign, 0)
-        assert column.hi == 4
-        assert sorted(n for c, n in extended if c is column) == list(range(4))
+        coeff = CoefficientSystem.integers(sign)
+        cone = CoefficientComplex((coeff, coeff), (2,))
+        for kind in ("borel", "descriptor", "orbit", "total"):
+            c = _built(kind, cover, sign, 2)
+            top = c.hi
+            for k in range(top, top + 4):
+                if kind == "total":
+                    want = hypercohomology(fresh, cone, k, k + 2)
+                else:
+                    want = equivariant_cohomology(fresh, coeff, k, k + 2)
+                assert complex_cohomology(c, k) == want, (sign, kind, k)
 
 
 def test_descriptors_make_no_smith_transforms(monkeypatch):
@@ -658,23 +722,41 @@ def test_descriptors_make_no_smith_transforms(monkeypatch):
     assert True in calls
 
 
-@pytest.mark.parametrize("name", ["circle_antipodal", "circle_conjugation", "torus"])
-def test_cover_and_its_cache_die_with_the_last_reference(name):
+@pytest.mark.parametrize(
+    "name, params",
+    [(e.name, e.params) for e in catalog.ENTRIES] + [("torus", ())],
+    ids=[catalog.entry_label(e) for e in catalog.ENTRIES] + ["torus"],
+)
+def test_cover_and_its_cache_die_with_the_last_reference(name, params):
     """Nothing reachable from a cover's cache refers back to the cover, so
     dropping the last reference frees it and its complexes at once, without
-    waiting for the cyclic garbage collector."""
+    waiting for the cyclic garbage collector.  The Borel, descriptor and
+    total complexes grow on without it; the ordered complexes, which reach
+    it through a weak reference, refuse to."""
     gc.collect()
     gc.disable()
     try:
-        cover = catalog.build(name)
+        cover = catalog.build(name, *params)
         for coeff in (IZ, Z_TRIVIAL, IQ):
             equivariant_cohomology(cover, coeff, 1, 3)
         nonequivariant_cohomology(cover, Z_TRIVIAL, 1, 2)
         hypercohomology(cover, TOTAL_COMPLEXES[0], 2, 3)
         hypercohomology(cover, CoefficientComplex((IZ, IQ), ("incl",)), 2, 3)
         deligne.deligne_descriptor(cover, 3, 2)
+        assert deligne.flat_cocycle_class(FlatCocycle.zero(cover)).trivial
+        growing = [cechengine.build_borel_complex(cover, sign, 2) for sign in (-1, 1)]
+        growing += [cechengine.build_descriptor_complex(cover, sign) for sign in (-1, 1)]
+        growing.append(build_total_complex(cover, TOTAL_COMPLEXES[0]))
+        ordered = [build_full_complex(cover, 2), build_equivariant_complex(cover, IZ, 2)[0]]
         ref = weakref.ref(cover)
         del cover
         assert ref() is None
+        for c in growing:
+            top = c.hi
+            complex_cohomology(c, top + 1)
+            assert c.hi == top + 2
+        for c in ordered:
+            with pytest.raises(DegreeOutOfRange, match="cover is gone"):
+                c.rank(c.hi + 1)
     finally:
         gc.enable()

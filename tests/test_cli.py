@@ -355,6 +355,22 @@ def test_exit_not_compact(tmp_path, capsys, spaces):
     assert "compact" in err
 
 
+def test_exit_cover_flags_must_be_booleans(tmp_path, capsys, spaces):
+    """A string "false" or a 0 is not a JSON boolean; read with bool(), the
+    first would count as compact and the second as not good."""
+    raw = spaces["circle_antipodal"].to_raw()
+    raw["compact"], raw["good"] = "false", 0
+    path = tmp_path / "flags.json"
+    path.write_text(json.dumps(raw))
+    code, out, err = run(
+        capsys, "classify", "--space", f"@{path}", "--what", "circle-maps"
+    )
+    assert code == 2
+    assert out == ""
+    assert "field 'compact' must be true or false" in err
+    assert "field 'good' must be true or false" in err
+
+
 def test_compute_requires_a_degree_flag(capsys):
     with pytest.raises(SystemExit) as ei:
         cli.main(["compute", "--space", "point_trivial", "--coeff", "iZ"])

@@ -420,17 +420,24 @@ def swap_pairs_complex(d):
 SWAP_PAIRS = [1, 0, 3, 2]
 
 
+def _swap_pairs_to(top):
+    """The swap in every degree up to ``top``, and nothing above."""
+    return lambda k: SWAP_PAIRS if k <= top else []
+
+
 def test_orbit_complex_of_swapped_pairs():
     """Orbit sums e_r + sign e_perm(r), r the larger position, ascending,
-    and the differential read off the representative rows."""
+    and the differential read off the representative rows.  The fixed part
+    is seeded in the lowest degree and grows as it is read, with zero terms
+    above the top of the complex, where the permutation is empty."""
     d = [[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 0, 2], [0, 0, 2, 0]]
     for sign in (-1, 1):
-        sub, bases = _grow_orbit_complex(
-            swap_pairs_complex(d), lambda k: SWAP_PAIRS, sign, None, 1
-        )
+        sub, bases = _grow_orbit_complex(swap_pairs_complex(d), _swap_pairs_to(1), sign)
+        assert (sub.hi, list(bases)) == (0, [0])
+        assert sub.diff(0).to_dense().tolist() == [[1, 0], [0, 2 * sign]]
         assert bases[0].to_dense().T.tolist() == [[sign, 1, 0, 0], [0, 0, sign, 1]]
         assert bases[1] == bases[0]
-        assert sub.diff(0).to_dense().tolist() == [[1, 0], [0, 2 * sign]]
+        assert (sub.rank(2), sub.hi, bases[2].shape) == (0, 2, (0, 0))
         ref, _ = fixed_subcomplex(
             swap_pairs_complex(d), {k: _signed_permutation(SWAP_PAIRS, sign) for k in (0, 1)}
         )
@@ -446,7 +453,7 @@ def test_orbit_complex_of_sign_twisted_pairs():
     eps = [1, 1, -1, -1]
     for sign in (-1, 1):
         sub, bases = _grow_orbit_complex(
-            swap_pairs_complex(d), lambda k: SWAP_PAIRS, sign, None, 1, lambda k: eps
+            swap_pairs_complex(d), _swap_pairs_to(1), sign, lambda k: eps if k <= 1 else []
         )
         assert bases[0].to_dense().T.tolist() == [[sign, 1, 0, 0], [0, 0, -sign, 1]]
         assert sub.diff(0).to_dense().tolist() == [[1, 0], [0, -2 * sign]]
@@ -456,7 +463,7 @@ def test_orbit_complex_of_sign_twisted_pairs():
             assert complex_cohomology(sub, k) == complex_cohomology(ref, k)
     with pytest.raises(InternalInvariantError):  # eps not constant on an orbit
         _grow_orbit_complex(
-            swap_pairs_complex(d), lambda k: SWAP_PAIRS, 1, None, 1, lambda k: [1, -1, 1, 1]
+            swap_pairs_complex(d), lambda k: SWAP_PAIRS, 1, lambda k: [1, -1, 1, 1]
         )
 
 
@@ -474,22 +481,25 @@ def _signed_permutation(perm, sign):
 )
 def test_orbit_complex_rejects_non_involution(perm):
     """A permutation that does not square to the identity, fixes a position
-    or does not fit the degree is refused before anything is built.  The
-    engine supplies these permutations itself, so this is an internal
-    invariant failure."""
+    or does not fit the degree is refused before anything is built, here
+    in the seed degree.  The engine supplies these permutations itself, so
+    this is an internal invariant failure."""
     c = swap_pairs_complex(np.eye(4, dtype=object).tolist())
     with pytest.raises(InternalInvariantError):
-        _grow_orbit_complex(c, lambda k: perm, -1, None, 1)
+        _grow_orbit_complex(c, lambda k: perm, -1)
 
 
 def test_orbit_complex_rejects_non_equivariant():
     """d[perm(i), perm(j)] must equal d[i, j]: here d fixes e_0 but sends
     e_1 to 2 e_1, so it does not commute with the swap (an internal
-    invariant failure, like a non-involution)."""
+    invariant failure, like a non-involution).  The check runs when the
+    degree is first read, and leaves the fixed part unextended."""
     c = swap_pairs_complex([[1, 0, 0, 0], [0, 2, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]])
     for sign in (-1, 1):
+        sub, _ = _grow_orbit_complex(c, lambda k: SWAP_PAIRS, sign)
         with pytest.raises(InternalInvariantError):
-            _grow_orbit_complex(c, lambda k: SWAP_PAIRS, sign, None, 1)
+            sub.diff(0)
+        assert sub.hi == 0
 
 
 def test_orbit_coordinates_read_representatives():

@@ -1,0 +1,63 @@
+"""What the benchmark harness relies on in the package.
+
+``perfbench/tracer.py`` wraps a fixed list of package functions by name, and
+the flat-classify workload reads the ordered orbit complex directly.  A
+rename or a changed return shape would break only the benchmark, so these
+tests load the tracer by path and exercise both hooks.
+"""
+
+import importlib
+import importlib.util
+import os
+
+from realdeligne import catalog, cechengine, exactalg
+from realdeligne.coverdata import IZ
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+
+
+def _load_tracer():
+    path = os.path.join(ROOT, "perfbench", "tracer.py")
+    spec = importlib.util.spec_from_file_location("perfbench_tracer", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_every_traced_function_resolves():
+    """``Tracer.install`` looks each name up with no default."""
+    tracer = _load_tracer()
+    for module, name in tracer.TRACED:
+        assert callable(getattr(importlib.import_module(f"realdeligne.{module}"), name, None)), (
+            module,
+            name,
+        )
+    originals = {(m, n): getattr(importlib.import_module(f"realdeligne.{m}"), n) for m, n in tracer.TRACED}
+    tr = tracer.Tracer().install()
+    try:
+        assert tr._patched
+    finally:
+        tr.uninstall()
+    for (m, n), fn in originals.items():
+        assert getattr(importlib.import_module(f"realdeligne.{m}"), n) is fn
+
+
+def test_flat_workload_reads_the_orbit_complex_and_its_bases():
+    """As the flat-classify workload does: H^1 of the orbit complex built
+    with max_degree 3, a representative of each generator, and its image
+    under ``bases[1]``; ``bases[0]`` embeds degree 0."""
+    for name in ("circle_conjugation", "torus"):
+        cover = catalog.build(name)
+        sub, bases = cechengine.build_equivariant_complex(cover, IZ, 3)
+        assert bases[0].shape == (len(cechengine.tuple_basis(cover, 0)), sub.rank(0))
+        delta1 = cechengine.cech_differential(cover, 1)
+        h1 = exactalg.complex_cohomology(sub, 1)
+        n = h1.rank + len(h1.torsion)
+        assert n, name
+        for i in range(n):
+            unit = [1 if j == i else 0 for j in range(n)]
+            coords = exactalg.ElementCoordinates(tuple(unit[: h1.rank]), tuple(unit[h1.rank :]))
+            w = exactalg.class_representative(sub, 1, coords)
+            assert exactalg.class_coordinates(sub, 1, list(w)) == coords, (name, i)
+            full = bases[1].matvec([int(x) for x in w])
+            assert not any(delta1.matvec(full)), (name, i)
