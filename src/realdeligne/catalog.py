@@ -7,6 +7,7 @@ the underlying space as a sanity anchor.
 
 from __future__ import annotations
 
+import inspect
 from dataclasses import dataclass
 
 from .coverdata import C2Cover, double_fixed_indices, product_cover, validate_cover
@@ -120,7 +121,7 @@ def _conjugation_circle_raw() -> dict:
     }
 
 
-def _sphere_antipodal(n: int) -> C2Cover:
+def _sphere_antipodal(n: int = 2) -> C2Cover:
     """Sphere of dimension ``n`` covered by the 2(n+1) open hemispheres
     x_i > 0 and x_i < 0, with the antipodal involution.
 
@@ -195,51 +196,60 @@ class CatalogEntry:
         return build(self.name, *self.params)
 
 
-def build(name: str, *params) -> C2Cover:
-    """Construct a validated catalog cover by name.
+_FREE_ORBIT = {
+    "name": "free_orbit",
+    "involution_name": "swap",
+    "indices": ["a", "b"],
+    "involution": {"a": "b", "b": "a"},
+    "intersections": [
+        {"sets": ["a"], "components": ["ca"]},
+        {"sets": ["b"], "components": ["cb"]},
+    ],
+    "faces": [],
+    "component_involution": {"ca": "cb", "cb": "ca"},
+    "good": True,
+    "compact": True,
+}
 
-    Raises :class:`UnknownSpace` for unknown names and
-    :class:`UnsupportedDimension` for sphere dimensions that are not
-    integers or out of range.
-    """
-    if name == "point_trivial":
-        return double_fixed_indices(_point_raw(1, name))
-    if name == "point_trivial_fine":
-        return double_fixed_indices(_point_raw(2, name))
-    if name == "free_orbit":
-        return validate_cover(
-            {
-                "name": "free_orbit",
-                "involution_name": "swap",
-                "indices": ["a", "b"],
-                "involution": {"a": "b", "b": "a"},
-                "intersections": [
-                    {"sets": ["a"], "components": ["ca"]},
-                    {"sets": ["b"], "components": ["cb"]},
-                ],
-                "faces": [],
-                "component_involution": {"ca": "cb", "cb": "ca"},
-                "good": True,
-                "compact": True,
-            }
-        )
-    if name == "circle_antipodal":
-        return _circle_arcs(4, "circle_antipodal")
-    if name == "circle_antipodal_fine":
-        return _circle_arcs(8, "circle_antipodal_fine")
-    if name == "circle_conjugation":
-        return double_fixed_indices(_conjugation_circle_raw())
-    if name == "sphere_antipodal":
-        n = params[0] if params else 2
-        return _sphere_antipodal(n)
-    if name == "torus":
-        factors = params if params else ("circle_antipodal", "circle_antipodal")
-        out = build(factors[0])
-        for pos, nxt in enumerate(factors[1:]):
-            label = "torus(" + ",".join(factors) + ")" if pos == len(factors) - 2 else None
-            out = product_cover(out, build(nxt), name=label)
-        return out
-    raise UnknownSpace(f"no catalog space named {name!r}")
+
+def _torus(*factors) -> C2Cover:
+    """Product of the named catalog covers, two antipodal circles by default."""
+    factors = factors or ("circle_antipodal", "circle_antipodal")
+    out = build(factors[0])
+    for pos, nxt in enumerate(factors[1:]):
+        label = "torus(" + ",".join(map(str, factors)) + ")" if pos == len(factors) - 2 else None
+        out = product_cover(out, build(nxt), name=label)
+    return out
+
+
+# each builder takes exactly the parameters its catalog name accepts
+_BUILDERS = {
+    "point_trivial": lambda: double_fixed_indices(_point_raw(1, "point_trivial")),
+    "point_trivial_fine": lambda: double_fixed_indices(_point_raw(2, "point_trivial_fine")),
+    "free_orbit": lambda: validate_cover(_FREE_ORBIT),
+    "circle_antipodal": lambda: _circle_arcs(4, "circle_antipodal"),
+    "circle_antipodal_fine": lambda: _circle_arcs(8, "circle_antipodal_fine"),
+    "circle_conjugation": lambda: double_fixed_indices(_conjugation_circle_raw()),
+    "sphere_antipodal": _sphere_antipodal,
+    "torus": _torus,
+}
+
+
+def build(name: str, *params) -> C2Cover:
+    """Construct a validated catalog cover by name; only ``sphere_antipodal``
+    (its dimension, 2 by default) and ``torus`` (its factors' names) take
+    parameters.  Raises :class:`UnknownSpace` for unknown names and
+    :class:`UnsupportedDimension` for parameters a space does not take and
+    sphere dimensions that are not integers or in range."""
+    builder = _BUILDERS.get(name)
+    if builder is None:
+        raise UnknownSpace(f"no catalog space named {name!r}")
+    try:
+        if params:  # every builder can be called with none
+            inspect.signature(builder).bind(*params)
+    except TypeError:
+        raise UnsupportedDimension(f"too many parameters for catalog space {name!r}: {len(params)}") from None
+    return builder(*params)
 
 
 ENTRIES = (

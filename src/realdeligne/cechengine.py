@@ -36,17 +36,17 @@ repeats) is an equivariant quasi-isomorphism (Serre, FAC §20), ``Hom_C2(W,
 -)`` preserves it, and ``C_ord`` is degreewise Z[C2]-free, so ``Hom_C2(W,
 C_ord)`` is quasi-isomorphic to the orbit complex ``C_ord^{C2}``.
 
-A cover's cache holds one alternating complex, one descriptor complex
-(Borel or alternating fixed) per sign, one ordered and one orbit complex per
-sign (and per choice of degenerate tuples), and one total complex per
-all-integer coefficient complex (the hypercohomology of, say, the cone of
-multiplication by n).  Each is a seed plus a step that reading a degree
-runs until the complex reaches it, so, as H^k reads d_(k-1) and d_k, each
-degree is built and checked once and never past the highest degree read +
-1; ``max_degree`` is only a range check.  The alternating complexes are
-built at once to degree dim N + 1 and grow only zero terms above it.  No
-step holds the cover (the ordered ones reach it through a weak reference),
-so a cover and its cache die with its last reference.  Rational and mod-n
+Every per-cover object (bases, coboundaries, the involution's action and
+the complexes built on them) comes from one builder under
+:func:`_per_cover`, which keeps it in the cover's cache entry under the
+builder's name and arguments.  A complex is a seed plus a grower that
+returns the differential out of its top degree, and reading a degree
+extends it to there, so, as H^k reads d_(k-1) and d_k, each degree is
+built and checked once and never past the highest degree read + 1;
+``max_degree`` is only a range check.  The alternating complexes are built
+at once to degree dim N + 1 and grow only zero terms above it.  No grower
+holds the cover (the ordered ones reach it through a weak reference), so a
+cover and its cache die with its last reference.  Rational and mod-n
 results come from the integral complexes by universal coefficients
 degreewise.
 """
@@ -54,6 +54,7 @@ degreewise.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import wraps
 from math import gcd
 from weakref import WeakKeyDictionary, ref
 
@@ -71,34 +72,52 @@ from .exactalg import (
     _check_commutes,
     _grow_orbit_complex,
     _quotient_data,
+    _rational_rank,
     _smith,
     complex_cohomology,
-    integer_rank,
 )
 
 _covercache: WeakKeyDictionary = WeakKeyDictionary()
 
 
-def _cache(cover: C2Cover) -> dict:
-    return _covercache.setdefault(cover, {})
+def _per_cover(builder):
+    """Memoize ``builder(cover, *args)`` in the cover's cache entry under the
+    builder's name and its arguments, defaults filled in, so positional and
+    keyword calls share one entry; the entry dies with the cover."""
+    code = builder.__code__
+    params = code.co_varnames[1 : code.co_argcount]
+    defaults = dict(zip(reversed(params), reversed(builder.__defaults__ or ())))
+
+    @wraps(builder)
+    def memo(cover, *args, **kwargs):
+        if kwargs or len(args) < len(params):
+            rest = params[len(args) :]
+            if not kwargs.keys() <= {*rest} <= kwargs.keys() | defaults.keys():
+                return builder(cover, *args, **kwargs)  # refused: raises its TypeError
+            args += tuple(kwargs[p] if p in kwargs else defaults[p] for p in rest)
+        key = (builder.__name__, args)
+        entry = _covercache.get(cover)
+        if entry is None:
+            entry = _covercache[cover] = {}
+        if key not in entry:
+            entry[key] = builder(cover, *args)
+        return entry[key]
+
+    return memo
 
 
 def _growing(rank0: int, step) -> IntegerCochainComplex:
-    """A complex with degree 0 of rank ``rank0`` that ``step`` grows."""
+    """A complex with degree 0 of rank ``rank0``, grown by ``step(n) = d_n``."""
     c = IntegerCochainComplex(lo=0, hi=0, ranks={0: rank0}, diffs={})
     c._grow = step
     return c
 
 
-def _zero_step(c: IntegerCochainComplex) -> None:
-    c.extend(0, SparseIntMatrix(0, c.rank(c.hi)))
-
-
 def _finite(c: IntegerCochainComplex, top: int) -> IntegerCochainComplex:
     """Build ``c``, zero above ``top``, to degree ``top + 1`` with its own
-    step (which may hold the cover); from there it grows zero terms."""
+    grower (which may hold the cover); from there it grows zero terms."""
     c.rank(top + 1)
-    c._grow = _zero_step
+    c._grow = lambda n: SparseIntMatrix(0, 0)
     return c
 
 
@@ -140,14 +159,11 @@ class TupleBasis:
         return len(self.elements)
 
 
+@_per_cover
 def tuple_basis(cover: C2Cover, p: int, include_degenerate: bool = False) -> TupleBasis:
     """Basis of degree-``p`` cochains: tuples of ``p + 1`` indices whose
     support intersects, no two consecutive entries equal (unless degenerate
     tuples are explicitly requested), one element per component."""
-    key = ("basis", p, include_degenerate)
-    cache = _cache(cover)
-    if key in cache:
-        return cache[key]
     order = sorted(cover.indices)
     # prefixes grown one entry at a time stay in lexicographic order.  No
     # self-calling nested function here: its closure is a reference cycle
@@ -168,11 +184,10 @@ def tuple_basis(cover: C2Cover, p: int, include_degenerate: bool = False) -> Tup
     elements = [
         (tup, c) for tup, support in prefixes for c in sorted(cover.components_of(support))
     ]
-    basis = TupleBasis(p, tuple(elements), {e: n for n, e in enumerate(elements)})
-    cache[key] = basis
-    return basis
+    return TupleBasis(p, tuple(elements), {e: n for n, e in enumerate(elements)})
 
 
+@_per_cover
 def cech_differential(cover: C2Cover, p: int, include_degenerate: bool = False) -> SparseIntMatrix:
     """Coboundary matrix from degree ``p`` to degree ``p + 1``.
 
@@ -182,10 +197,6 @@ def cech_differential(cover: C2Cover, p: int, include_degenerate: bool = False) 
     outside the basis (a degenerate one, in the normalized model) contribute
     nothing.
     """
-    key = ("delta", p, include_degenerate)
-    cache = _cache(cover)
-    if key in cache:
-        return cache[key]
     src = tuple_basis(cover, p, include_degenerate)
     dst = tuple_basis(cover, p + 1, include_degenerate)
     m = SparseIntMatrix(len(dst), len(src))
@@ -206,23 +217,17 @@ def cech_differential(cover: C2Cover, p: int, include_degenerate: bool = False) 
                 row[col] = val
             else:
                 del row[col]
-    cache[key] = m
     return m
 
 
+@_per_cover
 def basis_involution(cover: C2Cover, p: int, include_degenerate: bool = False) -> list:
     """The index/component involution on degree-``p`` basis positions:
     entry ``pos`` is the position of the image of element ``pos``."""
-    key = ("involution", p, include_degenerate)
-    cache = _cache(cover)
-    if key not in cache:
-        basis = tuple_basis(cover, p, include_degenerate)
-        inv = cover.involution.__getitem__
-        sigma = cover.component_involution
-        cache[key] = [
-            basis.position[(tuple(map(inv, tup)), sigma[c])] for tup, c in basis.elements
-        ]
-    return cache[key]
+    basis = tuple_basis(cover, p, include_degenerate)
+    inv = cover.involution.__getitem__
+    sigma = cover.component_involution
+    return [basis.position[(tuple(map(inv, tup)), sigma[c])] for tup, c in basis.elements]
 
 
 def involution_matrix(
@@ -234,21 +239,13 @@ def involution_matrix(
     return SparseIntMatrix(len(perm), len(perm), [{j: sign} for j in perm])
 
 
+@_per_cover
 def _full_complex(cover: C2Cover, include_degenerate: bool) -> IntegerCochainComplex:
-    key = ("full", include_degenerate)
-    cache = _cache(cover)
-    if key not in cache:
-        cover_ref = ref(cover)
-
-        def step(c):
-            cover = _cover_of(cover_ref)
-            c.extend(
-                len(tuple_basis(cover, c.hi + 1, include_degenerate)),
-                cech_differential(cover, c.hi, include_degenerate),
-            )
-
-        cache[key] = _growing(len(tuple_basis(cover, 0, include_degenerate)), step)
-    return cache[key]
+    cover_ref = ref(cover)
+    return _growing(
+        len(tuple_basis(cover, 0, include_degenerate)),
+        lambda n: cech_differential(_cover_of(cover_ref), n, include_degenerate),
+    )
 
 
 def build_full_complex(
@@ -259,18 +256,15 @@ def build_full_complex(
     return _carried(_full_complex(cover, include_degenerate), max_degree)
 
 
+@_per_cover
 def _orbit_complex(cover: C2Cover, sign: int, include_degenerate: bool = False):
-    key = ("equivariant", sign, include_degenerate)
-    cache = _cache(cover)
-    if key not in cache:
-        _require_free(cover)
-        cover_ref = ref(cover)
-        cache[key] = _grow_orbit_complex(
-            _full_complex(cover, include_degenerate),
-            lambda k: basis_involution(_cover_of(cover_ref), k, include_degenerate),
-            sign,
-        )
-    return cache[key]
+    _require_free(cover)
+    cover_ref = ref(cover)
+    return _grow_orbit_complex(
+        _full_complex(cover, include_degenerate),
+        lambda k: basis_involution(_cover_of(cover_ref), k, include_degenerate),
+        sign,
+    )
 
 
 def build_equivariant_complex(
@@ -303,71 +297,56 @@ def build_equivariant_complex(
 # ---------------------------------------------------------------------------
 
 
+@_per_cover
 def alternating_basis(cover: C2Cover, j: int) -> TupleBasis:
     """Basis of alternating degree-``j`` cochains: sorted ``(j + 1)``-subsets
     with a nonempty intersection, one element per component, listed like
     :func:`tuple_basis`.  Empty above the nerve's dimension."""
-    key = ("alt_basis", j)
-    cache = _cache(cover)
-    if key not in cache:
-        elements = [
-            (tup, c)
-            for tup in sorted(tuple(sorted(s)) for s in cover.intersections if len(s) == j + 1)
-            for c in sorted(cover.components_of(tup))
-        ]
-        cache[key] = TupleBasis(j, tuple(elements), {e: n for n, e in enumerate(elements)})
-    return cache[key]
+    elements = [
+        (tup, c)
+        for tup in sorted(tuple(sorted(s)) for s in cover.intersections if len(s) == j + 1)
+        for c in sorted(cover.components_of(tup))
+    ]
+    return TupleBasis(j, tuple(elements), {e: n for n, e in enumerate(elements)})
 
 
+@_per_cover
 def alternating_differential(cover: C2Cover, j: int) -> SparseIntMatrix:
     """``δ_alt`` from degree ``j`` to ``j + 1``: the value on a sorted subset
     is the alternating sum over its faces, transported along the face maps."""
-    key = ("alt_delta", j)
-    cache = _cache(cover)
-    if key not in cache:
-        src = alternating_basis(cover, j)
-        dst = alternating_basis(cover, j + 1)
-        m = SparseIntMatrix(len(dst), len(src))
-        for row, (tup, c) in zip(m.rows, dst.elements):
-            for k, i in enumerate(tup):
-                row[src.position[(tup[:k] + tup[k + 1 :], cover.face(c, i))]] = -1 if k % 2 else 1
-        cache[key] = m
-    return cache[key]
+    src = alternating_basis(cover, j)
+    dst = alternating_basis(cover, j + 1)
+    m = SparseIntMatrix(len(dst), len(src))
+    for row, (tup, c) in zip(m.rows, dst.elements):
+        for k, i in enumerate(tup):
+            row[src.position[(tup[:k] + tup[k + 1 :], cover.face(c, i))]] = -1 if k % 2 else 1
+    return m
 
 
+@_per_cover
 def alternating_involution(cover: C2Cover, j: int):
     """The relabelling on alternating degree-``j`` cochains as a signed
     permutation ``(perm, eps)``: the image of element ``r`` is ``eps[r]``
     times element ``perm[r]``, with ``eps[r]`` the sign of the sort that
     puts the relabelled subset back in order."""
-    key = ("alt_involution", j)
-    cache = _cache(cover)
-    if key not in cache:
-        basis = alternating_basis(cover, j)
-        inv = cover.involution.__getitem__
-        sigma = cover.component_involution
-        perm, eps = [], []
-        for tup, c in basis.elements:
-            image = tuple(map(inv, tup))
-            inversions = sum(a > b for n, a in enumerate(image) for b in image[n + 1 :])
-            perm.append(basis.position[(tuple(sorted(image)), sigma[c])])
-            eps.append(-1 if inversions % 2 else 1)
-        cache[key] = perm, eps
-    return cache[key]
+    basis = alternating_basis(cover, j)
+    inv = cover.involution.__getitem__
+    sigma = cover.component_involution
+    perm, eps = [], []
+    for tup, c in basis.elements:
+        image = tuple(map(inv, tup))
+        inversions = sum(a > b for n, a in enumerate(image) for b in image[n + 1 :])
+        perm.append(basis.position[(tuple(sorted(image)), sigma[c])])
+        eps.append(-1 if inversions % 2 else 1)
+    return perm, eps
 
 
+@_per_cover
 def build_alternating_complex(cover: C2Cover) -> IntegerCochainComplex:
     """The plain alternating cochain complex, one per cover: built to
     degree dim N + 1 at once, zero above."""
-    cache = _cache(cover)
-    if "alt" not in cache:
-
-        def step(c):
-            c.extend(len(alternating_basis(cover, c.hi + 1)), alternating_differential(cover, c.hi))
-
-        c = _growing(len(alternating_basis(cover, 0)), step)
-        cache["alt"] = _finite(c, _nerve_dimension(cover))
-    return cache["alt"]
+    c = _growing(len(alternating_basis(cover, 0)), lambda n: alternating_differential(cover, n))
+    return _finite(c, _nerve_dimension(cover))
 
 
 def _checked_involution(cover: C2Cover, j: int):
@@ -386,11 +365,8 @@ def _nerve_dimension(cover: C2Cover) -> int:
     return max(map(len, cover.intersections), default=1) - 1
 
 
+@_per_cover
 def _borel_complex(cover: C2Cover, sign: int) -> IntegerCochainComplex:
-    key = ("borel", sign)
-    cache = _cache(cover)
-    if key in cache:
-        return cache[key]
     _require_free(cover)
     top = _nerve_dimension(cover)
     alt = build_alternating_complex(cover)
@@ -401,8 +377,7 @@ def _borel_complex(cover: C2Cover, sign: int) -> IntegerCochainComplex:
     for j in range(top + 1):
         offset.append(offset[-1] + alt.rank(j))
 
-    def step(c):
-        n = c.hi
+    def step(n):
         d = SparseIntMatrix(offset[min(n + 1, top) + 1], offset[min(n, top) + 1])
         for j in range(min(n, top) + 1):
             i, col = n - j, offset[j]
@@ -419,10 +394,9 @@ def _borel_complex(cover: C2Cover, sign: int) -> IntegerCochainComplex:
                     target[col + p] = v
                 else:
                     del target[col + p]
-        c.extend(d.nrows, d)
+        return d
 
-    cache[key] = _growing(alt.rank(0), step)
-    return cache[key]
+    return _growing(alt.rank(0), step)
 
 
 def build_borel_complex(cover: C2Cover, sign: int, max_degree: int) -> IntegerCochainComplex:
@@ -441,20 +415,32 @@ def build_borel_complex(cover: C2Cover, sign: int, max_degree: int) -> IntegerCo
     return _carried(_borel_complex(cover, sign), max_degree)
 
 
+@_per_cover
 def _alternating_action_is_free(cover: C2Cover) -> bool:
     """True when T fixes no alternating basis element, even up to sign, in
     any degree; then every ``C^j_alt`` is a free Z[C2]-module."""
-    cache = _cache(cover)
-    if "alt_free" not in cache:
-        _require_free(cover)
-        cache["alt_free"] = all(
-            p != r
-            for j in range(_nerve_dimension(cover) + 1)
-            for r, p in enumerate(_checked_involution(cover, j)[0])
-        )
-    return cache["alt_free"]
+    _require_free(cover)
+    return all(
+        p != r
+        for j in range(_nerve_dimension(cover) + 1)
+        for r, p in enumerate(_checked_involution(cover, j)[0])
+    )
 
 
+@_per_cover
+def _alternating_fixed_complex(cover: C2Cover, sign: int):
+    """``(sub, bases)``: the fixed complex ``C_alt^{C2}`` of a free alternating
+    action and its orbit-sum embeddings, built at once to dim N + 1."""
+    sub, bases = _grow_orbit_complex(
+        build_alternating_complex(cover),
+        lambda j: alternating_involution(cover, j)[0],
+        sign,
+        lambda j: alternating_involution(cover, j)[1],
+    )
+    return _finite(sub, _nerve_dimension(cover)), bases
+
+
+@_per_cover
 def build_descriptor_complex(cover: C2Cover, sign: int) -> IntegerCochainComplex:
     """The complex every descriptor reads for coefficient sign ``sign``.
 
@@ -466,19 +452,9 @@ def build_descriptor_complex(cover: C2Cover, sign: int) -> IntegerCochainComplex
     above the nerve's dimension.  Otherwise it is the Borel complex
     (:func:`build_borel_complex`).
     """
-    if not _alternating_action_is_free(cover):
-        return _borel_complex(cover, sign)
-    key = ("alt_fixed", sign)
-    cache = _cache(cover)
-    if key not in cache:
-        sub, bases = _grow_orbit_complex(
-            build_alternating_complex(cover),
-            lambda j: alternating_involution(cover, j)[0],
-            sign,
-            lambda j: alternating_involution(cover, j)[1],
-        )
-        cache[key] = _finite(sub, _nerve_dimension(cover)), bases
-    return cache[key][0]
+    if _alternating_action_is_free(cover):
+        return _alternating_fixed_complex(cover, sign)[0]
+    return _borel_complex(cover, sign)
 
 
 def _check_degree(k: int, max_degree: int):
@@ -499,15 +475,6 @@ def _descriptor_mod_n(c: IntegerCochainComplex, k: int, n: int) -> GroupDescript
     orders += [gcd(d, n) for d in hk.torsion]
     orders += [gcd(d, n) for d in hk1.torsion]
     return GroupDescriptor.from_cyclic_orders(0, orders)
-
-
-def _rational_rank(c: IntegerCochainComplex, k: int) -> int:
-    key = ("qrank", k)
-    if key not in c._cache:
-        c._cache[key] = (
-            c.rank(k) - integer_rank(c.diff(k)) - integer_rank(c.diff(k - 1))
-        )
-    return c._cache[key]
 
 
 def _descriptor(c: IntegerCochainComplex, k: int, coeff: CoefficientSystem) -> GroupDescriptor:
@@ -655,6 +622,7 @@ def _total_blocks(cover, fstar):
     return blocks
 
 
+@_per_cover
 def build_total_complex(cover: C2Cover, fstar: CoefficientComplex) -> IntegerCochainComplex:
     """Total complex of the equivariant double complex of an all-integer
     ``fstar``.
@@ -664,18 +632,9 @@ def build_total_complex(cover: C2Cover, fstar: CoefficientComplex) -> IntegerCoc
     checked (shape, d∘d = 0) once, when it is first built, and the Smith
     answers cached on the complex serve every later question.
     """
-    key = ("total", fstar)
-    cache = _cache(cover)
-    if key not in cache:
-        blocks = _total_blocks(cover, fstar)
-
-        def step(c):
-            a = blocks(c.hi)[0]
-            c.extend(a.nrows, a)
-
-        # the map into total degree 0 has Tot^0 as its target
-        cache[key] = _growing(blocks(-1)[0].nrows, step)
-    return cache[key]
+    blocks = _total_blocks(cover, fstar)
+    # the map into total degree 0 has Tot^0 as its target
+    return _growing(blocks(-1)[0].nrows, lambda n: blocks(n)[0])
 
 
 def hypercohomology(

@@ -572,10 +572,10 @@ class IntegerCochainComplex:
     map.  Consecutive differentials must compose to zero (``validate``).
 
     A complex built by hand is zero outside ``[lo, hi]``.  The Cech engine
-    sets a private grower on its own complexes, which builds the next degree
-    with :meth:`extend`; reading ``rank(k)`` or ``diff(k)`` first grows such
-    a complex to degree ``k`` or ``k + 1``, so its ``hi`` is only how far
-    it has been read.
+    sets a private grower on its own complexes, ``_grow(n)`` returning
+    ``d_n``; reading ``rank(k)`` or ``diff(k)`` first extends such a complex
+    by ``_grow(hi)`` until it reaches degree ``k`` or ``k + 1``, so its
+    ``hi`` is only how far it has been read.
     """
 
     lo: int
@@ -590,7 +590,8 @@ class IntegerCochainComplex:
 
     def _reach(self, k: int) -> None:
         while self.hi < k and self._grow is not None:
-            self._grow(self)
+            d = self._grow(self.hi)
+            self.extend(d.nrows, d)
 
     def rank(self, k: int) -> int:
         self._reach(k)
@@ -692,6 +693,14 @@ def _diagonal(c: IntegerCochainComplex, k: int) -> list:
     return hit
 
 
+def _rational_rank(c: IntegerCochainComplex, k: int) -> int:
+    """The rank of H^k from its own reductions: ``n_k - rank d_k - rank d_(k-1)``."""
+    key = ("qrank", k)
+    if key not in c._cache:
+        c._cache[key] = c.rank(k) - integer_rank(c.diff(k)) - integer_rank(c.diff(k - 1))
+    return c._cache[key]
+
+
 def complex_cohomology(c: IntegerCochainComplex, k: int) -> GroupDescriptor:
     """Cohomology ``ker d_k / im d_(k-1)`` in canonical form.
 
@@ -755,7 +764,12 @@ def coboundary_preimage(c: IntegerCochainComplex, k: int, cocycle):
 
 def class_representative(c: IntegerCochainComplex, k: int, coords: ElementCoordinates):
     """An integral cocycle whose class has the given coordinates."""
+    if k < c.lo or (k > c.hi and c._grow is None):
+        raise DegreeOutOfRange(f"degree {k} outside complex range [{c.lo}, {c.hi}]")
     data = _cohomology_data(c, k)
+    want = (len(data["free_pos"]), len(data["torsion_pos"]))
+    if (len(coords.free_part), len(coords.torsion_part)) != want:
+        raise ValueError(f"coordinates need {want[0]} free and {want[1]} torsion entries")
     z = data["kernel"].ncols
     y = [0] * z
     for val, i in zip(coords.free_part, data["free_pos"]):
@@ -865,8 +879,7 @@ def _grow_orbit_complex(c: IntegerCochainComplex, perm, sign: int, eps=None):
     sub = IntegerCochainComplex(c.lo, c.lo, {c.lo: basis.ncols}, {})
     bases = {c.lo: basis}
 
-    def step(sub):
-        k = sub.hi
+    def step(k):
         p_next, e_next = perm(k + 1), signs(k + 1)
         reps, basis = _orbit_basis(k + 1, p_next, sign, c.rank(k + 1), e_next)
         d = c.diff(k)
@@ -883,7 +896,7 @@ def _grow_orbit_complex(c: IntegerCochainComplex, perm, sign: int, eps=None):
                     else:
                         del out[col]
         bases[k + 1] = basis
-        sub.extend(basis.ncols, dk)
+        return dk
 
     sub._grow = step
     return sub, bases

@@ -321,7 +321,7 @@ def test_descriptor_complex_follows_the_alternating_action(entry):
             assert c is cechengine.build_borel_complex(cover, sign, 0)
             continue
         # the orbit sums are fixed by T and embed the complex as a chain map
-        sub, bases = cechengine._cache(cover)[("alt_fixed", sign)]
+        sub, bases = cechengine._alternating_fixed_complex(cover, sign)
         assert sub is c and sub.hi == top + 1 and sorted(bases) == list(range(top + 2))
         for k in bases:
             perm, eps = cechengine.alternating_involution(cover, k)
@@ -522,6 +522,31 @@ def test_growth_drops_answers_cached_at_the_old_top():
     assert changed  # the catalog does exercise a nonzero top differential
 
 
+def test_memo_keys_calls_with_defaults_filled_in():
+    """A per-cover builder is memoized under its arguments with defaults
+    filled in, so a call that leaves the default out, passes it
+    positionally or passes it by keyword gets one object; the degenerate
+    choice is a second one.  The descriptor complex is one object per
+    sign.  A call the builder refuses raises its own TypeError."""
+    cover = catalog.build("circle_antipodal")
+    for builder in (tuple_basis, cech_differential, cechengine.basis_involution):
+        first = builder(cover, 1)
+        assert builder(cover, 1, False) is first, builder.__name__
+        assert builder(cover, 1, include_degenerate=False) is first, builder.__name__
+        assert builder(cover, p=1) is first, builder.__name__
+        degenerate = builder(cover, 1, True)
+        assert degenerate is not first and builder(cover, 1, include_degenerate=True) is degenerate
+    minus, plus = (cechengine.build_descriptor_complex(cover, sign) for sign in (-1, 1))
+    assert minus is not plus
+    assert cechengine.build_descriptor_complex(cover, -1) is minus
+    assert cechengine.build_descriptor_complex(cover, sign=1) is plus
+    for bad in ({}, {"p": 1, "typo": True}):
+        with pytest.raises(TypeError):
+            tuple_basis(cover, **bad)
+    with pytest.raises(TypeError):
+        tuple_basis(cover, 1, p=1)
+
+
 def test_session_builds_each_fixed_degree_once(monkeypatch):
     """A session of every public question on one cover, each at the
     max_degree its entry point uses, builds each (sign, n) degree of the
@@ -535,8 +560,8 @@ def test_session_builds_each_fixed_degree_once(monkeypatch):
     With sign +1 the highest read is H^2, so degree 3.  The two descriptor
     complexes are built that far and no further."""
     for name, params, route, other in (
-        ("sphere_antipodal", (2,), "alt_fixed", "borel"),
-        ("circle_conjugation", (), "borel", "alt_fixed"),
+        ("sphere_antipodal", (2,), "_alternating_fixed_complex", "_borel_complex"),
+        ("circle_conjugation", (), "_borel_complex", "_alternating_fixed_complex"),
     ):
         cover = catalog.build(name, *params)
         inside, smith_inside, matrices_inside, orbit_builds = [0], [], [], []
@@ -594,9 +619,9 @@ def test_session_builds_each_fixed_degree_once(monkeypatch):
         monkeypatch.undo()
 
         assert smith_inside == [] and matrices_inside == [] and orbit_builds == [], name
-        keys = {key if isinstance(key, str) else key[0] for key in cechengine._cache(cover)}
+        keys = {key[0] for key in cechengine._covercache[cover]}
         assert route in keys and other not in keys, name
-        assert not keys & {"equivariant", "full", "basis"}, name
+        assert not keys & {"_orbit_complex", "_full_complex", "tuple_basis"}, name
         for sign, top in ((-1, 4), (1, 3)):
             c = cechengine.build_descriptor_complex(cover, sign)
             assert c.hi == top, (name, sign)

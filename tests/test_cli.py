@@ -155,6 +155,25 @@ def test_exit_unknown_space(capsys):
     assert "klein_bottle" in err
 
 
+@pytest.mark.parametrize(
+    "space, message",
+    [
+        ("point_trivial:7", "too many parameters for catalog space 'point_trivial': 1"),
+        ("free_orbit:3", "too many parameters for catalog space 'free_orbit': 1"),
+        ("circle_conjugation:x", "too many parameters for catalog space 'circle_conjugation': 1"),
+        ("sphere_antipodal:1,5", "too many parameters for catalog space 'sphere_antipodal': 2"),
+        ("torus:circle_antipodal,3", "no catalog space named 3"),
+    ],
+)
+def test_exit_catalog_parameters_the_space_does_not_take(capsys, space, message):
+    """A parameter the named catalog space does not take is an input error
+    (exit 2), not silently dropped; a torus factor must be a catalog name."""
+    code, out, err = run(capsys, "classify", "--what", "line-bundles", "--space", space)
+    assert code == 2
+    assert out == ""
+    assert message in err and "Traceback" not in err
+
+
 def test_exit_invalid_cover_file(tmp_path, capsys):
     bad = {
         "name": "bad",

@@ -289,6 +289,19 @@ def test_class_coordinates_rejects_noncocycle():
             route(c, 2, [2])
 
 
+def test_class_representative_checks_degree_and_coordinate_counts():
+    """As ``class_coordinates`` does, it refuses a degree outside the
+    complex, and coordinates with one entry too many or too few for the
+    group's free or torsion generators are refused, not cut to fit."""
+    c = times_two_complex()  # H^1 = Z/2: no free and one torsion generator
+    with pytest.raises(DegreeOutOfRange):
+        class_representative(c, 5, ElementCoordinates((), ()))
+    for free, torsion in (((), (1, 1, 1)), ((1,), (1,)), ((), ())):
+        with pytest.raises(ValueError, match="need 0 free and 1 torsion"):
+            class_representative(c, 1, ElementCoordinates(free, torsion))
+    assert list(class_representative(c, 1, ElementCoordinates((), (1,)))) == [1]
+
+
 def test_coordinates_vanish_exactly_on_images():
     """class_coordinates(v) == 0 iff v is a coboundary."""
     d0 = intmat([[2, 0], [0, 3], [0, 0]])

@@ -2,16 +2,17 @@
 
 ``perfbench/tracer.py`` wraps a fixed list of package functions by name, and
 the flat-classify workload reads the ordered orbit complex directly.  A
-rename or a changed return shape would break only the benchmark, so these
-tests load the tracer by path and exercise both hooks.
+rename, a changed return shape or a builder called other than through its
+module name would break only the benchmark, so these tests load the tracer
+by path and exercise both hooks.
 """
 
 import importlib
 import importlib.util
 import os
 
-from realdeligne import catalog, cechengine, exactalg
-from realdeligne.coverdata import IZ
+from realdeligne import catalog, cechengine, deligne, exactalg
+from realdeligne.coverdata import IZ, FlatCocycle
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
@@ -61,3 +62,23 @@ def test_flat_workload_reads_the_orbit_complex_and_its_bases():
             assert exactalg.class_coordinates(sub, 1, list(w)) == coords, (name, i)
             full = bases[1].matvec([int(x) for x in w])
             assert not any(delta1.matvec(full)), (name, i)
+
+
+def test_traced_pass_counts_calls_made_inside_the_engine():
+    """The engine reaches each memoized builder through its module name, so
+    the tracer's wrappers count the calls the flat classifier and the
+    descriptor route make, not only the ones a caller makes directly.  The
+    positional call with ``include_degenerate`` reads the flat classifier's
+    orbit complex."""
+    tr = _load_tracer().Tracer().install()
+    try:
+        cover = catalog.build("circle_conjugation")
+        assert deligne.flat_cocycle_class(FlatCocycle.zero(cover)).trivial
+        assert str(cechengine.equivariant_cohomology(cover, IZ, 1, 2)) == "Z + Z/2"
+        built = cechengine.build_equivariant_complex(cover, IZ, 3, False)
+    finally:
+        tr.uninstall()
+    assert built is cechengine._orbit_complex(cover, IZ.sign)
+    for name in ("cechengine.tuple_basis", "cechengine.cech_differential", "deligne.flat_cocycle_class"):
+        assert tr.calls.get(name, 0) > 0, name
+    assert tr.counters["cechengine.equivariant_builds"] == 1
