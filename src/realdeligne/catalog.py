@@ -1,49 +1,49 @@
 """Builders for the standard covers with involution.
 
-Every entry is constructed combinatorially (no geometry at runtime), passes
-full validation, and carries the expected nonequivariant Betti signature of
-the underlying space as a sanity anchor.
+Every entry is constructed combinatorially (no geometry at runtime) as a
+cover's parts, passes every structural check of
+:func:`~realdeligne.coverdata.validate_cover` (the JSON shape check is for
+descriptions read from outside), and carries the expected nonequivariant
+Betti signature of the underlying space as a sanity anchor.
 """
 
 from __future__ import annotations
 
 import inspect
 from dataclasses import dataclass
+from itertools import product
 
-from .coverdata import C2Cover, double_fixed_indices, product_cover, validate_cover
+from .coverdata import C2Cover, _checked, double_fixed_indices, product_cover
 from .errors import UnknownSpace, UnsupportedDimension
 
 
-def _point_raw(copies: int, name: str) -> dict:
-    """Raw one-point cover given by ``copies`` identical sets, all fixed by
-    the involution (doubling turns them into swapped pairs)."""
+def _one_piece(name: str, involution_name: str, involution: dict, piece: dict) -> C2Cover:
+    """The unchecked cover on the indices of ``involution`` whose nonempty
+    intersections are the subsets keying ``piece``, each in one piece named
+    ``piece[subset]``: dropping an index lands in the piece of the smaller
+    subset, and the involution sends a piece to the piece of the image."""
+    return C2Cover(
+        name=name,
+        involution_name=involution_name,
+        indices=tuple(involution),
+        involution=involution,
+        intersections={s: (c,) for s, c in piece.items()},
+        faces={(c, i): piece[s - {i}] for s, c in piece.items() if len(s) > 1 for i in s},
+        component_involution={c: piece[frozenset(map(involution.get, s))] for s, c in piece.items()},
+        good=True,
+        compact=True,
+    )
+
+
+def _point(copies: int, name: str) -> C2Cover:
+    """One-point cover given by ``copies`` identical sets, all fixed by the
+    involution (doubling turns them into swapped pairs)."""
     names = [f"U{k}" for k in range(copies)] if copies > 1 else ["U"]
-    subsets = []
+    piece = {}
     for mask in range(1, 1 << copies):
         chosen = [names[k] for k in range(copies) if mask >> k & 1]
-        subsets.append(sorted(chosen))
-    subsets.sort(key=lambda s: (len(s), s))
-    comp = {tuple(s): "c" + "".join(x[1:] or "0" for x in s) for s in subsets}
-    faces = []
-    for s in subsets:
-        if len(s) < 2:
-            continue
-        for i in s:
-            smaller = [x for x in s if x != i]
-            faces.append(
-                {"component": comp[tuple(s)], "drop": i, "in_component": comp[tuple(smaller)]}
-            )
-    return {
-        "name": name,
-        "involution_name": "trivial",
-        "indices": names,
-        "involution": {n: n for n in names},
-        "intersections": [{"sets": s, "components": [comp[tuple(s)]]} for s in subsets],
-        "faces": faces,
-        "component_involution": {c: c for c in comp.values()},
-        "good": True,
-        "compact": True,
-    }
+        piece[frozenset(chosen)] = "c" + "".join(x[1:] or "0" for x in chosen)
+    return _one_piece(name, "trivial", {n: n for n in names}, piece)
 
 
 def _circle_arcs(count: int, name: str) -> C2Cover:
@@ -54,71 +54,23 @@ def _circle_arcs(count: int, name: str) -> C2Cover:
     opposite arcs stay disjoint.
     """
     names = [f"a{k}" for k in range(count)]
-    half = count // 2
-    involution = {names[k]: names[(k + half) % count] for k in range(count)}
-    subsets = [{"sets": [n], "components": [f"c{k}"] } for k, n in enumerate(names)]
-    comp_pair = {}
+    involution = {names[k]: names[(k + count // 2) % count] for k in range(count)}
+    piece = {frozenset([n]): f"c{k}" for k, n in enumerate(names)}
     for k in range(count):
-        pair = sorted([names[k], names[(k + 1) % count]])
-        comp_pair[k] = f"c{k}{(k + 1) % count}"
-        subsets.append({"sets": pair, "components": [comp_pair[k]]})
-    faces = []
-    for k in range(count):
-        faces.append({"component": comp_pair[k], "drop": names[k], "in_component": f"c{(k + 1) % count}"})
-        faces.append({"component": comp_pair[k], "drop": names[(k + 1) % count], "in_component": f"c{k}"})
-    comp_inv = {f"c{k}": f"c{(k + half) % count}" for k in range(count)}
-    for k in range(count):
-        comp_inv[comp_pair[k]] = comp_pair[(k + half) % count]
-    return validate_cover(
-        {
-            "name": name,
-            "involution_name": "antipodal",
-            "indices": names,
-            "involution": involution,
-            "intersections": subsets,
-            "faces": faces,
-            "component_involution": comp_inv,
-            "good": True,
-            "compact": True,
-        }
-    )
+        piece[frozenset([names[k], names[(k + 1) % count]])] = f"c{k}{(k + 1) % count}"
+    return _checked(_one_piece(name, "antipodal", involution, piece))
 
 
-def _conjugation_circle_raw() -> dict:
+def _conjugation_circle() -> C2Cover:
     """Circle with complex conjugation: invariant caps P (around +1) and
     Q (around -1), swapped open arcs A (upper half) and B (lower half)."""
-    return {
-        "name": "circle_conjugation",
-        "involution_name": "conjugation",
-        "indices": ["P", "Q", "A", "B"],
-        "involution": {"P": "P", "Q": "Q", "A": "B", "B": "A"},
-        "intersections": [
-            {"sets": ["A"], "components": ["a"]},
-            {"sets": ["B"], "components": ["b"]},
-            {"sets": ["P"], "components": ["p"]},
-            {"sets": ["Q"], "components": ["q"]},
-            {"sets": ["A", "P"], "components": ["pa"]},
-            {"sets": ["A", "Q"], "components": ["qa"]},
-            {"sets": ["B", "P"], "components": ["pb"]},
-            {"sets": ["B", "Q"], "components": ["qb"]},
-        ],
-        "faces": [
-            {"component": "pa", "drop": "A", "in_component": "p"},
-            {"component": "pa", "drop": "P", "in_component": "a"},
-            {"component": "pb", "drop": "B", "in_component": "p"},
-            {"component": "pb", "drop": "P", "in_component": "b"},
-            {"component": "qa", "drop": "A", "in_component": "q"},
-            {"component": "qa", "drop": "Q", "in_component": "a"},
-            {"component": "qb", "drop": "B", "in_component": "q"},
-            {"component": "qb", "drop": "Q", "in_component": "b"},
-        ],
-        "component_involution": {
-            "a": "b", "b": "a", "p": "p", "q": "q",
-            "pa": "pb", "pb": "pa", "qa": "qb", "qb": "qa",
-        },
-        "good": True,
-        "compact": True,
+    piece = {
+        frozenset(sets): c  # one-letter index names: "AP" is {A, P}
+        for sets, c in (("A", "a"), ("B", "b"), ("P", "p"), ("Q", "q"),
+                        ("AP", "pa"), ("AQ", "qa"), ("BP", "pb"), ("BQ", "qb"))
     }
+    involution = {"P": "P", "Q": "Q", "A": "B", "B": "A"}
+    return _one_piece("circle_conjugation", "conjugation", involution, piece)
 
 
 def _sphere_antipodal(n: int = 2) -> C2Cover:
@@ -137,48 +89,16 @@ def _sphere_antipodal(n: int = 2) -> C2Cover:
         raise UnsupportedDimension(
             f"sphere dimension {n} exceeds the supported desk-scale bound of 3"
         )
-    caps = []
-    for i in range(n + 1):
-        caps.append(f"x{i}+")
-        caps.append(f"x{i}-")
-    axis = {c: c[:-1] for c in caps}
-    opposite = {f"x{i}+": f"x{i}-" for i in range(n + 1)}
-    opposite.update({v: k for k, v in opposite.items()})
-
-    def comp_id(subset):
-        return "|".join(sorted(subset))
-
-    subsets = []
-    for mask in range(1, 1 << len(caps)):
-        chosen = [caps[k] for k in range(len(caps)) if mask >> k & 1]
-        if len({axis[c] for c in chosen}) != len(chosen):
-            continue  # contains an antipodal pair; empty intersection
-        subsets.append(sorted(chosen))
-    subsets.sort(key=lambda s: (len(s), s))
-
-    faces = []
-    for s in subsets:
-        if len(s) < 2:
-            continue
-        for i in s:
-            smaller = [x for x in s if x != i]
-            faces.append(
-                {"component": comp_id(s), "drop": i, "in_component": comp_id(smaller)}
-            )
-    comp_inv = {comp_id(s): comp_id([opposite[x] for x in s]) for s in subsets}
-    return validate_cover(
-        {
-            "name": f"sphere_antipodal_{n}",
-            "involution_name": "antipodal",
-            "indices": caps,
-            "involution": opposite,
-            "intersections": [{"sets": s, "components": [comp_id(s)]} for s in subsets],
-            "faces": faces,
-            "component_involution": comp_inv,
-            "good": True,
-            "compact": True,
-        }
-    )
+    opposite = {f"x{i}{s}": f"x{i}{t}" for i in range(n + 1) for s, t in ("+-", "-+")}
+    # each axis contributes its + cap, its - cap or neither: the
+    # 3^(n+1) - 1 nonempty faces of the cross-polytope
+    choices = product(*(("", f"x{i}+", f"x{i}-") for i in range(n + 1)))
+    piece = {}
+    for choice in choices:
+        caps = sorted(c for c in choice if c)
+        if caps:
+            piece[frozenset(caps)] = "|".join(caps)
+    return _checked(_one_piece(f"sphere_antipodal_{n}", "antipodal", opposite, piece))
 
 
 @dataclass(frozen=True)
@@ -196,22 +116,6 @@ class CatalogEntry:
         return build(self.name, *self.params)
 
 
-_FREE_ORBIT = {
-    "name": "free_orbit",
-    "involution_name": "swap",
-    "indices": ["a", "b"],
-    "involution": {"a": "b", "b": "a"},
-    "intersections": [
-        {"sets": ["a"], "components": ["ca"]},
-        {"sets": ["b"], "components": ["cb"]},
-    ],
-    "faces": [],
-    "component_involution": {"ca": "cb", "cb": "ca"},
-    "good": True,
-    "compact": True,
-}
-
-
 def _torus(*factors) -> C2Cover:
     """Product of the named catalog covers, two antipodal circles by default."""
     factors = factors or ("circle_antipodal", "circle_antipodal")
@@ -224,12 +128,14 @@ def _torus(*factors) -> C2Cover:
 
 # each builder takes exactly the parameters its catalog name accepts
 _BUILDERS = {
-    "point_trivial": lambda: double_fixed_indices(_point_raw(1, "point_trivial")),
-    "point_trivial_fine": lambda: double_fixed_indices(_point_raw(2, "point_trivial_fine")),
-    "free_orbit": lambda: validate_cover(_FREE_ORBIT),
+    "point_trivial": lambda: double_fixed_indices(_point(1, "point_trivial")),
+    "point_trivial_fine": lambda: double_fixed_indices(_point(2, "point_trivial_fine")),
+    "free_orbit": lambda: _checked(
+        _one_piece("free_orbit", "swap", {"a": "b", "b": "a"}, {frozenset(["a"]): "ca", frozenset(["b"]): "cb"})
+    ),
     "circle_antipodal": lambda: _circle_arcs(4, "circle_antipodal"),
     "circle_antipodal_fine": lambda: _circle_arcs(8, "circle_antipodal_fine"),
-    "circle_conjugation": lambda: double_fixed_indices(_conjugation_circle_raw()),
+    "circle_conjugation": lambda: double_fixed_indices(_conjugation_circle()),
     "sphere_antipodal": _sphere_antipodal,
     "torus": _torus,
 }

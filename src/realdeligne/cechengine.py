@@ -86,15 +86,20 @@ def _per_cover(builder):
     keyword calls share one entry; the entry dies with the cover."""
     code = builder.__code__
     params = code.co_varnames[1 : code.co_argcount]
-    defaults = dict(zip(reversed(params), reversed(builder.__defaults__ or ())))
+    tail = builder.__defaults__ or ()
+    defaults = dict(zip(params[len(params) - len(tail) :], tail))
 
     @wraps(builder)
     def memo(cover, *args, **kwargs):
-        if kwargs or len(args) < len(params):
+        if kwargs:
             rest = params[len(args) :]
             if not kwargs.keys() <= {*rest} <= kwargs.keys() | defaults.keys():
                 return builder(cover, *args, **kwargs)  # refused: raises its TypeError
             args += tuple(kwargs[p] if p in kwargs else defaults[p] for p in rest)
+        elif (missing := len(params) - len(args)) > 0:
+            if missing > len(tail):
+                return builder(cover, *args)  # refused: raises its TypeError
+            args += tail[-missing:]
         key = (builder.__name__, args)
         entry = _covercache.get(cover)
         if entry is None:

@@ -13,8 +13,10 @@ export -> parse -> export is byte identical.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
+from functools import cache
+from itertools import combinations
 
 from .errors import (
     FACE_INCOHERENCE,
@@ -81,7 +83,8 @@ class C2Cover:
     """A validated combinatorial cover with a free index involution.
 
     Construct through :func:`validate_cover` (or the convenience
-    :meth:`from_raw`); direct instantiation skips the invariant checks.
+    :meth:`from_raw`) or a package builder; direct instantiation skips the
+    invariant checks.
     Instances are immutable by convention and hashable by identity, so they
     can key caches.
     """
@@ -95,13 +98,6 @@ class C2Cover:
     component_involution: dict
     good: bool
     compact: bool
-    _support: dict = field(default_factory=dict, repr=False)
-
-    def __post_init__(self):
-        if not self._support:
-            for subset, comps in self.intersections.items():
-                for c in comps:
-                    self._support[c] = subset
 
     # -- lookups ----------------------------------------------------------
 
@@ -116,9 +112,6 @@ class C2Cover:
 
     def face(self, component: str, drop: str) -> str:
         return self.faces[(component, drop)]
-
-    def support_of(self, component: str):
-        return self._support[component]
 
     def is_free(self) -> bool:
         return all(self.involution[i] != i for i in self.indices)
@@ -212,34 +205,46 @@ def _shape_violations(raw) -> list:
     return out
 
 
-def _raw_parts(raw: dict):
-    indices = tuple(raw["indices"])
-    involution = dict(raw["involution"])
-    intersections = {}
-    for entry in raw["intersections"]:
-        intersections[frozenset(entry["sets"])] = tuple(entry["components"])
-    faces = {}
-    for entry in raw.get("faces", []):
-        faces[(entry["component"], entry["drop"])] = entry["in_component"]
-    comp_inv = dict(raw.get("component_involution", {}))
-    return indices, involution, intersections, faces, comp_inv
-
-
-def validate_cover(raw) -> C2Cover:
-    """Check every structural invariant of a raw cover description.
-
-    ``raw`` is a dict in the cover file format (or an existing
-    :class:`C2Cover`, revalidated).  All violations are collected and
-    reported together in a :class:`CoverValidationError`; a clean
-    description returns the validated cover.
-    """
-    if isinstance(raw, C2Cover):
-        raw = raw.to_raw()
+def _read(raw) -> C2Cover:
+    """The unchecked cover a description read from outside spells out, after
+    the JSON shape check."""
     violations = _shape_violations(raw)
     if violations:
         # the description cannot even be read; nothing else can be checked
         raise CoverValidationError(violations)
-    indices, involution, intersections, faces, comp_inv = _raw_parts(raw)
+    return C2Cover(
+        name=raw["name"],
+        involution_name=raw.get("involution_name", "t"),
+        indices=tuple(raw["indices"]),
+        involution=dict(raw["involution"]),
+        intersections={frozenset(e["sets"]): tuple(e["components"]) for e in raw["intersections"]},
+        faces={(e["component"], e["drop"]): e["in_component"] for e in raw.get("faces", [])},
+        component_involution=dict(raw.get("component_involution", {})),
+        good=raw.get("good", False),
+        compact=raw.get("compact", False),
+    )
+
+
+def validate_cover(raw) -> C2Cover:
+    """Check a cover description read from outside the package.
+
+    ``raw`` is a dict in the cover file format, or an existing
+    :class:`C2Cover`, which is checked as its file would be.  The JSON shape
+    check (required fields and their types) applies to such descriptions
+    only; then come the structural checks that every cover the package
+    builds (catalog, doubling, products) passes too.  All violations are
+    collected and reported together in a :class:`CoverValidationError`; a
+    clean description returns the validated cover.
+    """
+    return _checked(_read(raw.to_raw() if isinstance(raw, C2Cover) else raw))
+
+
+def _checked(cover: C2Cover) -> C2Cover:
+    """Every structural check on a cover's parts: ``cover`` itself when it
+    passes, else a :class:`CoverValidationError` with every violation."""
+    indices, involution, intersections = cover.indices, cover.involution, cover.intersections
+    faces, comp_inv = cover.faces, cover.component_involution
+    violations = []
     index_set = set(indices)
     if len(index_set) != len(indices):
         violations.append((INVOLUTION_NOT_SELF_INVERSE, "duplicate index names"))
@@ -301,13 +306,15 @@ def validate_cover(raw) -> C2Cover:
                 (NOT_DOWNWARD_CLOSED, f"singleton {{{i!r}}} missing from intersections")
             )
 
-    # downward closure, one step at a time
+    # downward closure, one step at a time; ``below`` lists each subset's
+    # one-step drops in index order
+    below = {}
     for subset in intersections:
         if len(subset) < 2:
             continue
-        for i in sorted(subset):
-            smaller = subset - {i}
-            if smaller and smaller not in intersections:
+        below[subset] = [(i, subset - {i}) for i in sorted(subset)]
+        for i, smaller in below[subset]:
+            if smaller not in intersections:
                 violations.append(
                     (
                         NOT_DOWNWARD_CLOSED,
@@ -316,19 +323,22 @@ def validate_cover(raw) -> C2Cover:
                 )
 
     # face maps: defined exactly on (component, member of support), landing
-    # in the right subset, coherent under dropping two elements
+    # in the right subset, coherent under dropping two elements.  The faces
+    # that land right are kept; the later checks read only those
+    face_of = {}
     for c, subset in support_of.items():
         if len(subset) < 2:
             continue
-        for i in sorted(subset):
+        for i, smaller in below[subset]:
             target = faces.get((c, i))
             if target is None:
                 violations.append(
                     (FACE_INCOHERENCE, f"face of component {c!r} dropping {i!r} is missing")
                 )
                 continue
-            smaller = subset - {i}
-            if support_of.get(target) != smaller:
+            if support_of.get(target) == smaller:
+                face_of[(c, i)] = target
+            else:
                 violations.append(
                     (
                         FACE_INCOHERENCE,
@@ -343,31 +353,24 @@ def validate_cover(raw) -> C2Cover:
                 (FACE_INCOHERENCE, f"face entry ({c!r}, drop {i!r}) does not match any component support")
             )
 
-    def face_ok(c, i):
-        f = faces.get((c, i))
-        return f if f is not None and support_of.get(f) == support_of.get(c, frozenset()) - {i} else None
-
     for c, subset in support_of.items():
         if len(subset) < 3:
             continue
-        for i in sorted(subset):
-            for j in sorted(subset):
-                if j <= i:
-                    continue
-                ci = face_ok(c, i)
-                cj = face_ok(c, j)
-                if ci is None or cj is None:
-                    continue  # already reported above
-                via_i = face_ok(ci, j)
-                via_j = face_ok(cj, i)
-                if via_i is not None and via_j is not None and via_i != via_j:
-                    violations.append(
-                        (
-                            FACE_INCOHERENCE,
-                            f"dropping {i!r} then {j!r} from {c!r} gives {via_i!r} "
-                            f"but the other order gives {via_j!r}",
-                        )
+        for i, j in combinations(sorted(subset), 2):
+            ci = face_of.get((c, i))
+            cj = face_of.get((c, j))
+            if ci is None or cj is None:
+                continue  # already reported above
+            via_i = face_of.get((ci, j))
+            via_j = face_of.get((cj, i))
+            if via_i is not None and via_j is not None and via_i != via_j:
+                violations.append(
+                    (
+                        FACE_INCOHERENCE,
+                        f"dropping {i!r} then {j!r} from {c!r} gives {via_i!r} "
+                        f"but the other order gives {via_j!r}",
                     )
+                )
 
     # component involution: self-inverse bijection, support-compatible,
     # commuting with faces
@@ -385,7 +388,7 @@ def validate_cover(raw) -> C2Cover:
             violations.append(
                 (INVOLUTION_NOT_SELF_INVERSE, f"component involution not self-inverse at {c!r}")
             )
-        expected = frozenset(involution[i] for i in support_of[c])
+        expected = frozenset(map(involution.__getitem__, support_of[c]))
         if support_of[sc] != expected:
             violations.append(
                 (
@@ -398,36 +401,22 @@ def validate_cover(raw) -> C2Cover:
         violations.append(
             (INVOLUTION_FACE_MISMATCH, f"component involution defined on unknown component {c!r}")
         )
-    for c, subset in support_of.items():
-        if len(subset) < 2 or c not in comp_inv or comp_inv[c] not in support_of:
+    for (c, i), f in face_of.items():
+        sc = comp_inv.get(c)
+        if sc not in support_of or f not in comp_inv:
             continue
-        for i in sorted(subset):
-            f = face_ok(c, i)
-            if f is None or f not in comp_inv:
-                continue
-            lhs = comp_inv[f]
-            rhs = faces.get((comp_inv[c], involution[i]))
-            if rhs is not None and lhs != rhs:
-                violations.append(
-                    (
-                        INVOLUTION_FACE_MISMATCH,
-                        f"involution and face maps disagree on component {c!r} dropping {i!r}",
-                    )
+        rhs = faces.get((sc, involution[i]))
+        if rhs is not None and comp_inv[f] != rhs:
+            violations.append(
+                (
+                    INVOLUTION_FACE_MISMATCH,
+                    f"involution and face maps disagree on component {c!r} dropping {i!r}",
                 )
+            )
 
     if violations:
         raise CoverValidationError(violations)
-    return C2Cover(
-        name=raw["name"],
-        involution_name=raw.get("involution_name", "t"),
-        indices=indices,
-        involution=involution,
-        intersections=intersections,
-        faces=faces,
-        component_involution=comp_inv,
-        good=raw.get("good", False),
-        compact=raw.get("compact", False),
-    )
+    return cover
 
 
 # ---------------------------------------------------------------------------
@@ -449,15 +438,18 @@ def double_fixed_indices(raw) -> C2Cover:
     indices inherits the components of its set of underlying indices; in
     particular the pair {U, U'} of copies intersects in all of U.  A cover
     that is already free passes through unchanged (up to validation).
+    ``raw`` is a cover description, shape-checked as by
+    :func:`validate_cover`, or a :class:`C2Cover`, whose parts are checked
+    as they stand.
     """
-    if isinstance(raw, C2Cover):
-        raw = raw.to_raw()
+    cover = raw if isinstance(raw, C2Cover) else _read(raw)
     try:
-        return validate_cover(raw)
+        return _checked(cover)
     except CoverValidationError as err:
         if any(kind != FIXED_INDEX_PRESENT for kind, _ in err.violations):
             raise
-    indices, involution, intersections, faces, comp_inv = _raw_parts(raw)
+    indices, involution = cover.indices, cover.involution
+    faces, comp_inv = cover.faces, cover.component_involution
     fixed = [i for i in indices if involution.get(i) == i]
 
     used = set(indices)
@@ -493,7 +485,7 @@ def double_fixed_indices(raw) -> C2Cover:
     # the support may appear as the original, the copy, or both
     new_intersections = {}
     comp_origin = {}  # new component id -> (old component id, new subset)
-    for subset, comps in intersections.items():
+    for subset, comps in cover.intersections.items():
         stack = [()]
         for i in sorted(subset):
             if i in copy_of:
@@ -527,17 +519,17 @@ def double_fixed_indices(raw) -> C2Cover:
         t_subset = frozenset(new_involution[x] for x in new_subset)
         new_comp_inv[cid] = decorate(comp_inv[c], t_subset)
 
-    return validate_cover(
+    return _checked(
         C2Cover(
-            name=raw["name"],
-            involution_name=raw.get("involution_name", "t"),
+            name=cover.name,
+            involution_name=cover.involution_name,
             indices=tuple(new_indices),
             involution=new_involution,
             intersections=new_intersections,
             faces=new_faces,
             component_involution=new_comp_inv,
-            good=raw.get("good", False),
-            compact=raw.get("compact", False),
+            good=cover.good,
+            compact=cover.compact,
         )
     )
 
@@ -547,6 +539,18 @@ def double_fixed_indices(raw) -> C2Cover:
 # ---------------------------------------------------------------------------
 
 
+@cache
+def _filling(m: int, n: int) -> list:
+    """The subsets of the cells of an ``m`` by ``n`` grid (cell ``r * n + c``)
+    that meet every row and every column, in the order of their bit masks."""
+    out = []
+    for mask in range(1, 1 << m * n):
+        cells = [k for k in range(m * n) if mask >> k & 1]
+        if len({k // n for k in cells}) == m and len({k % n for k in cells}) == n:
+            out.append(cells)
+    return out
+
+
 def product_cover(a: C2Cover, b: C2Cover, name: str | None = None) -> C2Cover:
     """Cover of a product space: indices are pairs, everything componentwise.
 
@@ -554,64 +558,56 @@ def product_cover(a: C2Cover, b: C2Cover, name: str | None = None) -> C2Cover:
     and its components are the pairs of projection components (a product of
     connected sets being connected).
     """
-    pair_name = {}
-    indices = []
-    for i in a.indices:
-        for j in b.indices:
-            ij = f"{i}*{j}"
-            pair_name[(i, j)] = ij
-            indices.append(ij)
-    involution = {
-        pair_name[(i, j)]: pair_name[(a.t(i), b.t(j))]
-        for i in a.indices
-        for j in b.indices
-    }
+    pair_name = {(i, j): f"{i}*{j}" for i in a.indices for j in b.indices}
+    split = {ij: pair for pair, ij in pair_name.items()}
+    involution = {ij: pair_name[(a.t(i), b.t(j))] for (i, j), ij in pair_name.items()}
+    ids = {}
 
     def comp_id(ca, cb, subset):
-        return f"{ca}*{cb}|" + ",".join(sorted(subset))
+        key = (ca, cb, subset)
+        if key not in ids:
+            ids[key] = f"{ca}*{cb}|" + ",".join(sorted(subset))
+        return ids[key]
 
     intersections = {}
-    comp_data = {}  # id -> (ca, cb, subset, proj_a, proj_b)
+    comp_data = {}  # id -> (ca, cb, subset)
     for sa, comps_a in a.intersections.items():
         for sb, comps_b in b.intersections.items():
-            members = [(i, j) for i in sorted(sa) for j in sorted(sb)]
-            # subsets of the grid whose projections fill both factors
-            for mask in range(1, 1 << len(members)):
-                chosen = [members[k] for k in range(len(members)) if mask >> k & 1]
-                if {i for i, _ in chosen} != set(sa) or {j for _, j in chosen} != set(sb):
-                    continue
-                subset = frozenset(pair_name[m] for m in chosen)
-                ids = []
+            members = [pair_name[(i, j)] for i in sorted(sa) for j in sorted(sb)]
+            for cells in _filling(len(sa), len(sb)):
+                subset = frozenset([members[k] for k in cells])
+                cids = []
                 for ca in comps_a:
                     for cb in comps_b:
                         cid = comp_id(ca, cb, subset)
-                        ids.append(cid)
-                        comp_data[cid] = (ca, cb, subset, sa, sb)
-                intersections[subset] = tuple(ids)
+                        cids.append(cid)
+                        comp_data[cid] = (ca, cb, subset)
+                intersections[subset] = tuple(cids)
 
-    split = {pair_name[(i, j)]: (i, j) for i in a.indices for j in b.indices}
     faces = {}
-    for cid, (ca, cb, subset, sa, sb) in comp_data.items():
+    for cid, (ca, cb, subset) in comp_data.items():
         if len(subset) < 2:
             continue
-        for x in sorted(subset):
-            smaller = subset - {x}
-            proj_a = {split[y][0] for y in smaller}
-            proj_b = {split[y][1] for y in smaller}
-            fa = ca if proj_a == set(sa) else a.face(ca, split[x][0])
-            fb = cb if proj_b == set(sb) else b.face(cb, split[x][1])
-            faces[(cid, x)] = comp_id(fa, fb, smaller)
+        # dropping x keeps a factor's projection when another member shares
+        # x's index there; otherwise that factor takes its own face
+        firsts = [split[y][0] for y in subset]
+        seconds = [split[y][1] for y in subset]
+        for x in subset:
+            i, j = split[x]
+            fa = ca if firsts.count(i) > 1 else a.face(ca, i)
+            fb = cb if seconds.count(j) > 1 else b.face(cb, j)
+            faces[(cid, x)] = comp_id(fa, fb, subset - {x})
 
     comp_inv = {}
-    for cid, (ca, cb, subset, _sa, _sb) in comp_data.items():
+    for cid, (ca, cb, subset) in comp_data.items():
         t_subset = frozenset(involution[x] for x in subset)
         comp_inv[cid] = comp_id(a.sigma(ca), b.sigma(cb), t_subset)
 
-    return validate_cover(
+    return _checked(
         C2Cover(
             name=name or f"{a.name}*{b.name}",
             involution_name=f"{a.involution_name}*{b.involution_name}",
-            indices=tuple(indices),
+            indices=tuple(pair_name.values()),
             involution=involution,
             intersections=intersections,
             faces=faces,

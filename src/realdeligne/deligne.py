@@ -16,6 +16,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 
 from .cechengine import (
     _orbit_complex,
@@ -328,13 +329,15 @@ def flat_cocycle_class(fc: FlatCocycle, max_degree: int = 3) -> FlatCocycleClass
     sub, _ = _orbit_complex(cover, IZ.sign)
 
     lift = _equivariant_lift(cover, fc)
-    raw = cech_differential(cover, 1).matvec(lift)
-    if any(Fraction(x).denominator != 1 for x in raw):
+    # the coboundary on integers: scale by the lift's common denominator
+    den = lcm(*(x.denominator for x in lift))
+    raw = cech_differential(cover, 1).matvec([x.numerator * (den // x.denominator) for x in lift])
+    if any(x % den for x in raw):
         raise InvalidCocycle(
             "coboundary of the lift is not integral; the angle data "
             "violates the cocycle condition"
         )
-    beta = [int(x) for x in raw]
+    beta = [x // den for x in raw]
 
     # fixed cochains in orbit coordinates: their entries at the representatives
     sign = IZ.sign

@@ -28,7 +28,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 
 from .errors import (
     DegreeOutOfRange,
@@ -794,9 +794,11 @@ def rational_class_free_coordinates(c: IntegerCochainComplex, k: int, cocycle):
     free coordinates agree with its integral ones, and the image of the
     integral classes is exactly the integer points.
     """
-    data, w = _kernel_coordinates(c, k, cocycle)
+    v = [Fraction(x) for x in cocycle]
+    den = lcm(*(x.denominator for x in v))  # coordinates are linear: solve on integers
+    data, w = _kernel_coordinates(c, k, [x.numerator * (den // x.denominator) for x in v])
     y = data["x_smith"].u.matvec(w)
-    return tuple(Fraction(y[i]) for i in data["free_pos"])
+    return tuple(Fraction(y[i], den) for i in data["free_pos"])
 
 
 # ---------------------------------------------------------------------------

@@ -1,10 +1,11 @@
 """Independent closed-form references the tests freeze expected values from.
 
-Everything here is elementary integer arithmetic on one-dimensional cochain
-groups — deliberately sharing no code with the package under test.  Groups
+Everything here but the reference route at the end is elementary integer
+arithmetic on one-dimensional cochain groups — deliberately sharing no code
+with the package under test.  Groups
 are reported as ``(rank, torsion_tuple)`` pairs.
 
-Two families:
+Two families, and one reference route:
 
 * cohomology of the two-element group acting on cyclic coefficient modules,
   via the 2-periodic free resolution (differentials alternate between
@@ -14,6 +15,11 @@ Two families:
   circle with a monodromy-twisted local system, and real projective space
   with twisted/untwisted integer coefficients (differentials alternate
   between 0 and multiplication by 2).
+
+The reference route, :func:`flat_class_fraction_route`, is the flat
+classifier's arithmetic done the slow way, every cochain product on
+Fractions.  It reads the package's bases and Smith data, so it checks the
+integer scaling of the classifier, not its algebra.
 """
 
 from fractions import Fraction
@@ -212,3 +218,43 @@ def smith_diagonal(rows):
         out.append(g // prev)
         prev = g
     return out
+
+
+# ---------------------------------------------------------------------------
+# flat classes with every product on Fractions
+# ---------------------------------------------------------------------------
+
+
+def flat_class_fraction_route(fc):
+    """``(torus_part, torsion_part)`` of a flat cocycle's class, as
+    :func:`realdeligne.deligne.flat_cocycle_class` reports them, with the
+    lift's coboundary and the rational class coordinates taken on
+    Fractions; ``torus_part`` is None when the obstruction is nonzero.
+    Raises InvalidCocycle when the lift's coboundary is not integral."""
+    from realdeligne import cechengine, exactalg
+    from realdeligne.errors import InvalidCocycle
+
+    cover = fc.cover
+    sub, _ = cechengine._orbit_complex(cover, -1)
+    basis = cechengine.tuple_basis(cover, 1)
+    perm = cechengine.basis_involution(cover, 1)
+    lift = [Fraction(0)] * len(basis)
+    for pos, ((i, j), c) in enumerate(basis.elements):
+        if pos < perm[pos]:
+            lift[pos] = frac_mod1(fc.angles[(i, j, c)])
+            lift[perm[pos]] = -lift[pos]
+    raw = [
+        sum((x * lift[col] for col, x in row.items()), Fraction(0))
+        for row in cechengine.cech_differential(cover, 1).rows
+    ]
+    if any(x.denominator != 1 for x in raw):
+        raise InvalidCocycle("coboundary of the lift is not integral")
+    y_beta = exactalg.orbit_coordinates(cechengine.basis_involution(cover, 2), -1, [int(x) for x in raw])
+    torsion = tuple(exactalg.class_coordinates(sub, 2, y_beta).torsion_part)
+    if any(torsion):
+        return None, torsion
+    mu = exactalg.coboundary_preimage(sub, 2, y_beta)
+    residual = [a - b for a, b in zip(exactalg.orbit_coordinates(perm, -1, lift), mu)]
+    data, w = exactalg._kernel_coordinates(sub, 1, residual)
+    y = data["x_smith"].u.matvec(w)
+    return tuple(frac_mod1(y[i]) for i in data["free_pos"]), torsion

@@ -1,8 +1,11 @@
 """Cover descriptions: validation, serialization, doubling, products, and
 flat transition angles."""
 
+import copy
+import hashlib
 import json
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -143,9 +146,9 @@ def test_involution_face_mismatch():
     assert INVOLUTION_FACE_MISMATCH in kinds_of(raw)
 
 
-def test_face_incoherence():
+def incoherent_raw():
     """Two deletion orders reaching different components."""
-    raw = {
+    return {
         "name": "incoherent",
         "involution_name": "t",
         "indices": ["A", "B", "C", "A'", "B'", "C'"],
@@ -206,10 +209,142 @@ def test_face_incoherence():
         "good": True,
         "compact": True,
     }
-    kinds = kinds_of(raw)
+
+
+def test_face_incoherence():
+    kinds = kinds_of(incoherent_raw())
     # abc drops C into ab but abc' drops C' into ab2': involution+face clash,
     # and with both routes stored the two-step coherence check trips too
     assert INVOLUTION_FACE_MISMATCH in kinds or FACE_INCOHERENCE in kinds
+
+
+def two_route_raw():
+    """The incoherent cover made consistent with the involution, but with a
+    second component over {A}: dropping B then C from abc reaches a, the
+    other order reaches a2."""
+    raw = incoherent_raw()
+    for entry in raw["intersections"]:
+        if entry["sets"] in (["A"], ["A'"]):
+            entry["components"].append(entry["components"][0].replace("a", "a2"))
+    for entry in raw["faces"]:
+        if entry["component"] in ("ab2", "ab2'") and entry["drop"] in ("B", "B'"):
+            entry["in_component"] = entry["in_component"].replace("a", "a2")
+    raw["faces"][-4]["in_component"] = "ab2"  # abc dropping C
+    raw["component_involution"].update({"a2": "a2'", "a2'": "a2"})
+    return raw
+
+
+# ---------------------------------------------------------------------------
+# goldens (tests/cover_goldens.json): sha256 of the catalog covers' JSON, and
+# the exact violation lists of fixed corruptions
+# ---------------------------------------------------------------------------
+
+GOLDENS = json.loads((Path(__file__).parent / "cover_goldens.json").read_text())
+
+GOLDEN_SPACES = (
+    ("point_trivial",), ("point_trivial_fine",), ("free_orbit",),
+    ("circle_antipodal",), ("circle_antipodal_fine",), ("circle_conjugation",),
+    ("sphere_antipodal",), ("sphere_antipodal", 0), ("sphere_antipodal", 1),
+    ("sphere_antipodal", 2), ("sphere_antipodal", 3), ("torus",),
+    ("torus", "circle_antipodal", "circle_antipodal_fine"),
+    ("torus", "circle_conjugation", "sphere_antipodal"),
+    ("torus", "point_trivial", "circle_antipodal"),
+)
+
+
+def unchecked(raw):
+    """The cover a raw description spells out, made without any check."""
+    return C2Cover(
+        name=raw["name"],
+        involution_name=raw["involution_name"],
+        indices=tuple(raw["indices"]),
+        involution=dict(raw["involution"]),
+        intersections={frozenset(e["sets"]): tuple(e["components"]) for e in raw["intersections"]},
+        faces={(e["component"], e["drop"]): e["in_component"] for e in raw["faces"]},
+        component_involution=dict(raw["component_involution"]),
+        good=raw["good"],
+        compact=raw["compact"],
+    )
+
+
+def drop_face(raw):
+    del raw["faces"][0]
+
+
+def repoint_face(raw):
+    raw["faces"][0]["in_component"] = raw["faces"][-1]["component"]
+
+
+def break_sigma(raw):
+    c = next(iter(raw["component_involution"]))
+    raw["component_involution"][c] = c
+
+
+def drop_subset(raw):
+    del raw["intersections"][next(k for k, e in enumerate(raw["intersections"]) if len(e["sets"]) == 2)]
+
+
+def fix_index(raw):
+    i = raw["indices"][0]
+    raw["involution"][i] = i
+
+
+def number_name(raw):
+    raw["indices"][0] = 0
+
+
+CORRUPTIONS = (drop_face, repoint_face, break_sigma, drop_subset, fix_index, number_name)
+CORRUPTED_SPACES = (("circle_antipodal",), ("circle_conjugation",), ("sphere_antipodal", 2), ("point_trivial_fine",))
+
+
+def space_key(space):
+    return ":".join(map(str, space))
+
+
+def corrupted(space, corruption):
+    raw = copy.deepcopy(catalog.build(*space).to_raw())
+    corruption(raw)
+    return raw
+
+
+def violations_of(raw):
+    with pytest.raises(CoverValidationError) as err:
+        validate_cover(raw)
+    return [list(v) for v in err.value.violations]
+
+
+@pytest.mark.parametrize("space", GOLDEN_SPACES, ids=space_key)
+def test_cover_json_matches_golden(space):
+    text = catalog.build(*space).to_json()
+    assert hashlib.sha256(text.encode()).hexdigest() == GOLDENS["to_json_sha256"][space_key(space)]
+
+
+@pytest.mark.parametrize("corruption", CORRUPTIONS, ids=lambda f: f.__name__)
+@pytest.mark.parametrize("space", CORRUPTED_SPACES, ids=space_key)
+def test_violations_match_golden(space, corruption):
+    """Same kinds and messages in the same order, for a description and,
+    where it can be serialized, for the hand-made cover it spells out."""
+    raw = corrupted(space, corruption)
+    want = GOLDENS["violations"][f"{space_key(space)}/{corruption.__name__}"]
+    assert violations_of(raw) == want
+    if corruption is not number_name:
+        assert violations_of(unchecked(raw)) == want
+
+
+@pytest.mark.parametrize("make", (incoherent_raw, two_route_raw), ids=lambda f: f.__name__)
+def test_hand_made_violations_match_golden(make):
+    assert violations_of(make()) == GOLDENS["violations"][make.__name__]
+
+
+@pytest.mark.parametrize("corruption", (repoint_face, break_sigma, drop_subset, fix_index), ids=lambda f: f.__name__)
+def test_builders_check_hand_made_covers(corruption):
+    """Products and doubling run every structural check on what they make,
+    so a broken factor or a broken cover to double is refused."""
+    bad = unchecked(corrupted(("circle_antipodal",), corruption))
+    free = catalog.build("free_orbit")
+    for make in (lambda: product_cover(bad, free), lambda: product_cover(free, bad), lambda: double_fixed_indices(bad)):
+        with pytest.raises(CoverValidationError):
+            make()
 
 
 def test_validation_is_idempotent_on_catalog(spaces):

@@ -263,6 +263,52 @@ def test_nonclosed_triple_data_is_rejected(spaces):
         flat_cocycle_class(fc)
 
 
+def test_lift_coboundary_must_be_integral(spaces, monkeypatch):
+    """With the angle checks switched off, angles that no triple can close
+    over are still refused, by the integrality of the lift's coboundary."""
+    cover = spaces["sphere_antipodal(2)"]
+    fc = FlatCocycle.zero(cover)
+    (i, j), c = next(e for e in cechengine.tuple_basis(cover, 1).elements if e[0][0] < e[0][1])
+    ti, tj, tc = cover.t(i), cover.t(j), cover.sigma(c)
+    fc.angles.update({(i, j, c): Fraction(1, 7), (j, i, c): Fraction(6, 7)})
+    fc.angles.update({(ti, tj, tc): Fraction(6, 7), (tj, ti, tc): Fraction(1, 7)})
+    with pytest.raises(InvalidCocycle, match="cocycle condition"):
+        flat_cocycle_class(fc)
+    monkeypatch.setattr(FlatCocycle, "validate", lambda self: self)
+    with pytest.raises(InvalidCocycle, match="not integral"):
+        flat_cocycle_class(fc)
+    with pytest.raises(InvalidCocycle, match="not integral"):
+        oracles.flat_class_fraction_route(fc)
+
+
+@pytest.mark.parametrize(
+    "space",
+    [("circle_conjugation",), ("circle_antipodal_fine",), ("sphere_antipodal", 2), ("torus",)],
+    ids=lambda s: ":".join(map(str, s)),
+)
+def test_coprime_denominators_match_the_fraction_route(space):
+    """Cocycles mixing angles over 7, 11 and 13 (free generators, torsion
+    generators and a coboundary, each over a different one) classify to
+    the Fraction route's coordinates and to the free generators' weights."""
+    cover = catalog.build(*space)
+    free_gens, torsion_gens = flathelp.class_generators(cover)
+    _, bases = build_equivariant_complex(cover, IZ, 3)
+    dens = (7, 11, 13)
+    for shift in range(3):
+        vec = np.full(len(cechengine.tuple_basis(cover, 1)), Fraction(0), dtype=object)
+        weights = [Fraction(5 + n, dens[(n + shift) % 3]) for n in range(len(free_gens))]
+        for g, q in zip(free_gens, weights):
+            vec = vec + g * q
+        for n, g in enumerate(torsion_gens):
+            vec = vec + g * Fraction(3, dens[(n + shift + 1) % 3])
+        eta = [Fraction(k + 1, dens[(k + shift + 2) % 3]) for k in range(bases[0].ncols)]
+        vec = vec + np.array(cech_differential(cover, 0).matvec(bases[0].matvec(eta)), dtype=object)
+        fc = FlatCocycle(cover, flathelp.angles_from_vector(cover, vec))
+        got = flat_cocycle_class(fc).coords
+        assert (got.torus_part, got.torsion_part) == oracles.flat_class_fraction_route(fc)
+        assert got.torus_part == tuple(oracles.frac_mod1(q) for q in weights)
+
+
 def test_obstruction_class_survives_lift_shifts(spaces):
     cover = spaces["circle_conjugation"]
     rng = np.random.RandomState(11)
