@@ -120,9 +120,10 @@ def _growing(rank0: int, step) -> IntegerCochainComplex:
 
 def _finite(c: IntegerCochainComplex, top: int) -> IntegerCochainComplex:
     """Build ``c``, zero above ``top``, to degree ``top + 1`` with its own
-    grower (which may hold the cover); from there it grows zero terms."""
+    grower (which may hold the cover); from there it reads as zero and
+    grows no further."""
     c.rank(top + 1)
-    c._grow = lambda n: SparseIntMatrix(0, 0)
+    c._grow = lambda n: None
     return c
 
 

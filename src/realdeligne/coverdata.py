@@ -17,6 +17,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
 from itertools import combinations
+from math import lcm
 
 from .errors import (
     FACE_INCOHERENCE,
@@ -623,11 +624,6 @@ def product_cover(a: C2Cover, b: C2Cover, name: str | None = None) -> C2Cover:
 # ---------------------------------------------------------------------------
 
 
-def _mod1(x) -> Fraction:
-    x = Fraction(x)
-    return x - (x.numerator // x.denominator)
-
-
 @dataclass(eq=False)
 class FlatCocycle:
     """Locally constant circle-valued transition data on a cover.
@@ -643,7 +639,7 @@ class FlatCocycle:
     angles: dict  # (i, j, component) -> Fraction in [0, 1)
 
     def __post_init__(self):
-        self.angles = {k: _mod1(v) for k, v in self.angles.items()}
+        self.angles = {k: Fraction(v) % 1 for k, v in self.angles.items()}
 
     @classmethod
     def zero(cls, cover: C2Cover) -> "FlatCocycle":
@@ -656,6 +652,12 @@ class FlatCocycle:
                 angles[(i, j, c)] = Fraction(0)
                 angles[(j, i, c)] = Fraction(0)
         return cls(cover, angles)
+
+    def _integer_angles(self) -> tuple:
+        """``(D, table)``: the angles as integers in ``[0, D)`` over their
+        least common denominator ``D``; the checks and the lift read it."""
+        den = lcm(*(v.denominator for v in self.angles.values()))
+        return den, {k: v.numerator * (den // v.denominator) % den for k, v in self.angles.items()}
 
     def validate(self) -> "FlatCocycle":
         """Raise :class:`InvalidCocycle` on the first violated invariant."""
@@ -677,11 +679,12 @@ class FlatCocycle:
                 if missing or stray
                 else "angle table mismatch"
             )
-        for (i, j, c), theta in self.angles.items():
-            if _mod1(self.angles[(j, i, c)] + theta) != 0:
+        den, table = self._integer_angles()
+        for (i, j, c), theta in table.items():
+            if (table[(j, i, c)] + theta) % den:
                 raise InvalidCocycle(f"antisymmetry fails on ({i}, {j}) component {c}")
             tc = cover.sigma(c)
-            if _mod1(self.angles[(cover.t(i), cover.t(j), tc)] + theta) != 0:
+            if (table[(cover.t(i), cover.t(j), tc)] + theta) % den:
                 raise InvalidCocycle(f"equivariance fails on ({i}, {j}) component {c}")
         for subset, comps in cover.intersections.items():
             if len(subset) != 3:
@@ -689,11 +692,11 @@ class FlatCocycle:
             i, j, k = sorted(subset)
             for c in comps:
                 value = (
-                    self.angles[(j, k, cover.face(c, i))]
-                    - self.angles[(i, k, cover.face(c, j))]
-                    + self.angles[(i, j, cover.face(c, k))]
+                    table[(j, k, cover.face(c, i))]
+                    - table[(i, k, cover.face(c, j))]
+                    + table[(i, j, cover.face(c, k))]
                 )
-                if _mod1(value) != 0:
+                if value % den:
                     raise InvalidCocycle(
                         f"cocycle condition fails on {sorted(subset)} component {c}"
                     )

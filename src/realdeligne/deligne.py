@@ -7,16 +7,17 @@ or a quotient of an infinite-dimensional smooth part that is only carried
 symbolically (q = p >= 1).
 
 The flat classifier takes concrete locally constant transition angles,
-lifts them equivariantly to rationals, reads off the integral obstruction
-class of the lift's coboundary, and — when that vanishes — the residual
-torus coordinates.
+lifts them equivariantly, reads off the integral obstruction class of the
+lift's coboundary, and — when that vanishes — the residual torus
+coordinates.  It runs on integers, ``D`` times the rational cochains for
+``D`` the angles' least common denominator; Fractions appear only in the
+angles that come in and the torus coordinates that go out.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import lcm
 
 from .cechengine import (
     _orbit_complex,
@@ -25,9 +26,10 @@ from .cechengine import (
     equivariant_cohomology,
     tuple_basis,
 )
-from .coverdata import IQ, IZ, C2Cover, FlatCocycle, _mod1
+from .coverdata import IQ, IZ, C2Cover, FlatCocycle
 from .errors import (
     CoverMismatch,
+    DegreeOutOfRange,
     InsufficientDegree,
     InternalInvariantError,
     InvalidCocycle,
@@ -39,7 +41,6 @@ from .exactalg import (
     class_coordinates,
     coboundary_preimage,
     orbit_coordinates,
-    rational_class_free_coordinates,
 )
 
 SMOOTH_PART_SYMBOL = "E^{p-1}/E^{p-1}_0(M)"
@@ -153,8 +154,10 @@ def deligne_descriptor(
     as the rank of integral H^(q-1) and as the rational dimension — and the
     two must agree.
     """
-    if p < 0 or q < 0:
-        raise ValueError("p and q must be nonnegative")
+    if p < 0:
+        raise ValueError("p must be nonnegative")
+    if q < 0:
+        raise DegreeOutOfRange("negative cohomological degree")
     if max_degree is None:
         max_degree = q + 1
     if q > max_degree - 1:
@@ -289,22 +292,22 @@ class FlatCocycleClass:
     trivial: bool
 
 
-def _equivariant_lift(cover: C2Cover, fc: FlatCocycle) -> list:
-    """Rational degree-1 cochain, fixed on the nose, reducing to the angles.
+def _equivariant_lift(cover: C2Cover, fc: FlatCocycle) -> tuple:
+    """``(D, lift)``: an integral degree-1 cochain, fixed on the nose, that
+    is ``D`` times a rational lift of the angles.
 
     One angle per involution orbit of basis elements is lifted verbatim to
     its first position and propagated with a flipped sign to the partner;
     freeness of the index involution means no basis element partners itself.
     """
-    basis = tuple_basis(cover, 1)
+    den, table = fc._integer_angles()
     perm = basis_involution(cover, 1)
-    lift = [0] * len(basis)
-    for pos, ((i, j), c) in enumerate(basis.elements):
+    lift = [0] * len(perm)
+    for pos, ((i, j), c) in enumerate(tuple_basis(cover, 1).elements):
         if pos < perm[pos]:
-            theta = _mod1(fc.angles[(i, j, c)])
-            lift[pos] = theta
-            lift[perm[pos]] = -theta
-    return lift
+            lift[pos] = table[(i, j, c)]
+            lift[perm[pos]] = -lift[pos]
+    return den, lift
 
 
 def flat_cocycle_class(fc: FlatCocycle, max_degree: int = 3) -> FlatCocycleClass:
@@ -328,10 +331,8 @@ def flat_cocycle_class(fc: FlatCocycle, max_degree: int = 3) -> FlatCocycleClass
     cover = fc.cover
     sub, _ = _orbit_complex(cover, IZ.sign)
 
-    lift = _equivariant_lift(cover, fc)
-    # the coboundary on integers: scale by the lift's common denominator
-    den = lcm(*(x.denominator for x in lift))
-    raw = cech_differential(cover, 1).matvec([x.numerator * (den // x.denominator) for x in lift])
+    den, lift = _equivariant_lift(cover, fc)
+    raw = cech_differential(cover, 1).matvec(lift)
     if any(x % den for x in raw):
         raise InvalidCocycle(
             "coboundary of the lift is not integral; the angle data "
@@ -352,14 +353,14 @@ def flat_cocycle_class(fc: FlatCocycle, max_degree: int = 3) -> FlatCocycleClass
         return FlatCocycleClass(coords=coords, bockstein=bockstein, trivial=False)
 
     # obstruction vanishes: peel off an integral cochain and read the
-    # residual rational class on the torus
+    # residual class, D times a rational cocycle, on the torus
     mu = coboundary_preimage(sub, 2, y_beta)
     if mu is None:
         raise InternalInvariantError("vanishing obstruction class must bound integrally")
     lift_fixed = orbit_coordinates(basis_involution(cover, 1), sign, lift)
-    residual = [Fraction(a) - Fraction(int(b)) for a, b in zip(lift_fixed, mu)]
-    free = rational_class_free_coordinates(sub, 1, residual)
-    torus = tuple(_mod1(x) for x in free)
+    residual = [a - den * b for a, b in zip(lift_fixed, mu)]
+    free = class_coordinates(sub, 1, residual).free_part
+    torus = tuple(Fraction(x % den, den) for x in free)
     coords = FlatClassCoordinates(torus_part=torus, torsion_part=torsion_part)
     return FlatCocycleClass(
         coords=coords, bockstein=bockstein, trivial=not any(torus)

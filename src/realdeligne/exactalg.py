@@ -15,8 +15,7 @@ The main entry points are :func:`smith_normal_form`,
 only the Smith diagonals of the differentials, reduced without transforms
 and cached on the complex; the unimodular transforms are built only for
 the coordinate questions (:func:`class_coordinates`,
-:func:`coboundary_preimage`, :func:`class_representative`,
-:func:`rational_class_free_coordinates`).  The subcomplex
+:func:`coboundary_preimage`, :func:`class_representative`).  The subcomplex
 fixed by a degreewise involution has two routes: :func:`fixed_subcomplex`
 reads it off the Smith form of ``t_k - id`` for any involution, and
 :func:`_grow_orbit_complex`, which the Cech engine uses, reads it off the
@@ -28,7 +27,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from math import gcd, lcm
+from math import gcd
 
 from .errors import (
     DegreeOutOfRange,
@@ -573,8 +572,9 @@ class IntegerCochainComplex:
 
     A complex built by hand is zero outside ``[lo, hi]``.  The Cech engine
     sets a private grower on its own complexes, ``_grow(n)`` returning
-    ``d_n``; reading ``rank(k)`` or ``diff(k)`` first extends such a complex
-    by ``_grow(hi)`` until it reaches degree ``k`` or ``k + 1``, so its
+    ``d_n``, or None when the complex is zero from degree ``n`` up; reading
+    ``rank(k)`` or ``diff(k)`` first extends such a complex by ``_grow(hi)``
+    until it reaches degree ``k`` or ``k + 1`` or its zero top, so its
     ``hi`` is only how far it has been read.
     """
 
@@ -591,7 +591,14 @@ class IntegerCochainComplex:
     def _reach(self, k: int) -> None:
         while self.hi < k and self._grow is not None:
             d = self._grow(self.hi)
+            if d is None:
+                return
             self.extend(d.nrows, d)
+
+    def _require(self, k: int) -> None:
+        """Refuse a degree outside ``[lo, hi]``, unless the complex grows."""
+        if k < self.lo or (k > self.hi and self._grow is None):
+            raise DegreeOutOfRange(f"degree {k} outside complex range [{self.lo}, {self.hi}]")
 
     def rank(self, k: int) -> int:
         self._reach(k)
@@ -713,8 +720,7 @@ def complex_cohomology(c: IntegerCochainComplex, k: int) -> GroupDescriptor:
     On a complex built by hand, differentials just outside the range count
     as zero maps, but ``k`` itself must lie inside ``[lo, hi]``.
     """
-    if k < c.lo or (k > c.hi and c._grow is None):
-        raise DegreeOutOfRange(f"degree {k} outside complex range [{c.lo}, {c.hi}]")
+    c._require(k)
     below = _diagonal(c, k - 1)
     rank = c.rank(k) - sum(1 for x in _diagonal(c, k) if x) - sum(1 for x in below if x)
     return GroupDescriptor.from_invariant_factors(rank, below)
@@ -724,8 +730,7 @@ def _kernel_coordinates(c: IntegerCochainComplex, k: int, cocycle):
     """Check that the flat sequence ``cocycle`` is a cocycle of ``c`` in
     degree ``k``; return the degree's coordinate data and the cocycle's
     coordinates against its kernel basis."""
-    if k < c.lo or (k > c.hi and c._grow is None):
-        raise DegreeOutOfRange(f"degree {k} outside complex range [{c.lo}, {c.hi}]")
+    c._require(k)
     v = list(cocycle)
     if len(v) != c.rank(k):
         raise NotACocycle(f"vector has length {len(v)}, expected {c.rank(k)}")
@@ -764,8 +769,7 @@ def coboundary_preimage(c: IntegerCochainComplex, k: int, cocycle):
 
 def class_representative(c: IntegerCochainComplex, k: int, coords: ElementCoordinates):
     """An integral cocycle whose class has the given coordinates."""
-    if k < c.lo or (k > c.hi and c._grow is None):
-        raise DegreeOutOfRange(f"degree {k} outside complex range [{c.lo}, {c.hi}]")
+    c._require(k)
     data = _cohomology_data(c, k)
     want = (len(data["free_pos"]), len(data["torsion_pos"]))
     if (len(coords.free_part), len(coords.torsion_part)) != want:
@@ -785,20 +789,6 @@ def class_representative(c: IntegerCochainComplex, k: int, coords: ElementCoordi
         for j, x in uinvT.rows[i].items():
             w[j] += yi * x
     return _object_array(data["kernel"].matvec(w))
-
-
-def rational_class_free_coordinates(c: IntegerCochainComplex, k: int, cocycle):
-    """Free-part coordinates (Fractions) of a rational cocycle's class.
-
-    Aligned with :func:`class_coordinates`: an integral cocycle's rational
-    free coordinates agree with its integral ones, and the image of the
-    integral classes is exactly the integer points.
-    """
-    v = [Fraction(x) for x in cocycle]
-    den = lcm(*(x.denominator for x in v))  # coordinates are linear: solve on integers
-    data, w = _kernel_coordinates(c, k, [x.numerator * (den // x.denominator) for x in v])
-    y = data["x_smith"].u.matvec(w)
-    return tuple(Fraction(y[i], den) for i in data["free_pos"])
 
 
 # ---------------------------------------------------------------------------

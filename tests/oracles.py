@@ -16,10 +16,12 @@ Two families, and one reference route:
   with twisted/untwisted integer coefficients (differentials alternate
   between 0 and multiplication by 2).
 
-The reference route, :func:`flat_class_fraction_route`, is the flat
-classifier's arithmetic done the slow way, every cochain product on
-Fractions.  It reads the package's bases and Smith data, so it checks the
-integer scaling of the classifier, not its algebra.
+The reference routes, :func:`flat_checks_fraction_route` and
+:func:`flat_class_fraction_route`, are the flat cocycle checks and the flat
+classifier's arithmetic done the slow way, every angle sum and cochain
+product on Fractions.  The classifier route reads the package's bases and
+Smith data, so it checks the integer scaling of the classifier, not its
+algebra.
 """
 
 from fractions import Fraction
@@ -223,6 +225,34 @@ def smith_diagonal(rows):
 # ---------------------------------------------------------------------------
 # flat classes with every product on Fractions
 # ---------------------------------------------------------------------------
+
+
+def flat_checks_fraction_route(fc):
+    """The antisymmetry, equivariance and cocycle checks of
+    :meth:`realdeligne.coverdata.FlatCocycle.validate` on a table with the
+    expected keys, every angle sum reduced mod 1 as a Fraction: raises the
+    same InvalidCocycle on the first violation, in the same order."""
+    from realdeligne.errors import InvalidCocycle
+
+    cover, angles = fc.cover, fc.angles
+    for (i, j, c), theta in angles.items():
+        if frac_mod1(angles[(j, i, c)] + theta) != 0:
+            raise InvalidCocycle(f"antisymmetry fails on ({i}, {j}) component {c}")
+        tc = cover.sigma(c)
+        if frac_mod1(angles[(cover.t(i), cover.t(j), tc)] + theta) != 0:
+            raise InvalidCocycle(f"equivariance fails on ({i}, {j}) component {c}")
+    for subset, comps in cover.intersections.items():
+        if len(subset) != 3:
+            continue
+        i, j, k = sorted(subset)
+        for c in comps:
+            value = (
+                angles[(j, k, cover.face(c, i))]
+                - angles[(i, k, cover.face(c, j))]
+                + angles[(i, j, cover.face(c, k))]
+            )
+            if frac_mod1(value) != 0:
+                raise InvalidCocycle(f"cocycle condition fails on {sorted(subset)} component {c}")
 
 
 def flat_class_fraction_route(fc):

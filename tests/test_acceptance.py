@@ -170,14 +170,15 @@ def test_acceptance_08_flat_cocycle_coherence(spaces):
             assert res.coords.torus_part == expected, (label, trial)
             assert res.trivial == (not any(expected)), (label, trial)
             if trial % 10 == 0:
-                # shift the rational lift by an integral fixed cochain and
-                # re-read the obstruction class directly
-                lift = _equivariant_lift(cover, fc)
-                shift = [int(rng.randint(-2, 3)) for _ in range(bases[1].ncols)]
-                shifted = lift + np.array(bases[1].matvec(shift), dtype=object)
-                beta = np.array(
-                    [int(x) for x in delta1.matvec(shifted)], dtype=object
-                )
+                # shift the lift, D times a rational lift, by D times an
+                # integral fixed cochain and re-read the obstruction class
+                # directly
+                den, lift = _equivariant_lift(cover, fc)
+                shift = [den * int(rng.randint(-2, 3)) for _ in range(bases[1].ncols)]
+                shifted = np.array(lift, dtype=object) + bases[1].matvec(shift)
+                raw = delta1.matvec(shifted)
+                assert not any(x % den for x in raw), (label, trial)
+                beta = np.array([x // den for x in raw], dtype=object)
                 y = solve_int(bases[2], beta)
                 got = class_coordinates(sub, 2, y)
                 assert got.free_part == res.bockstein.free_part, (label, trial)

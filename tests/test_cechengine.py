@@ -308,7 +308,8 @@ def test_descriptor_complex_follows_the_alternating_action(entry):
     fixed complex C_alt^{C2} (rank |C^j_alt| / 2, zero above the nerve);
     the doubled points and the conjugation circle read the Borel complex.
     The fixed complex and its embeddings are built at once to degree
-    dim N + 1, the first zero term, and above that only zero terms grow."""
+    dim N + 1, the first zero term, and never past it: H^k read far above
+    reads zero and leaves ``hi`` where it was."""
     cover = _fresh(entry)
     assert cechengine._alternating_action_is_free(cover) == entry.free_action
     alt = [len(cechengine.alternating_basis(cover, j)) for j in range(7)]
@@ -332,7 +333,8 @@ def test_descriptor_complex_follows_the_alternating_action(entry):
             if k + 1 in bases:
                 assert bases[k + 1].matmul(sub.diff(k)) == plain.diff(k).matmul(bases[k])
         assert [c.rank(j) for j in range(7)] == [r // 2 for r in alt]
-        assert sorted(bases) == list(range(top + 2))
+        assert complex_cohomology(c, 10**20).is_trivial
+        assert c.hi == top + 1 and sorted(bases) == list(range(top + 2))
 
 
 def test_alternating_involution_is_signed_and_self_inverse(spaces):
@@ -557,11 +559,12 @@ def test_session_builds_each_fixed_degree_once(monkeypatch):
     the conjugation circle's is not, so it reads the Borel complex.  With
     sign -1 the highest degree read is 4: the mod-2 H^2 reads the torsion
     of H^3, and so d_3, and the cone's H^3 reads D_3 into Tot^4 = C^4 + C^3.
-    With sign +1 the highest read is H^2, so degree 3.  The two descriptor
-    complexes are built that far and no further."""
-    for name, params, route, other in (
-        ("sphere_antipodal", (2,), "_alternating_fixed_complex", "_borel_complex"),
-        ("circle_conjugation", (), "_borel_complex", "_alternating_fixed_complex"),
+    With sign +1 the highest read is H^2, so degree 3.  The Borel complexes
+    are built that far and no further; the alternating fixed complexes are
+    built at once to dim N + 1 = 3, their first zero term, and no further."""
+    for name, params, route, other, tops in (
+        ("sphere_antipodal", (2,), "_alternating_fixed_complex", "_borel_complex", (3, 3)),
+        ("circle_conjugation", (), "_borel_complex", "_alternating_fixed_complex", (4, 3)),
     ):
         cover = catalog.build(name, *params)
         inside, smith_inside, matrices_inside, orbit_builds = [0], [], [], []
@@ -622,7 +625,7 @@ def test_session_builds_each_fixed_degree_once(monkeypatch):
         keys = {key[0] for key in cechengine._covercache[cover]}
         assert route in keys and other not in keys, name
         assert not keys & {"_orbit_complex", "_full_complex", "tuple_basis"}, name
-        for sign, top in ((-1, 4), (1, 3)):
+        for sign, top in zip((-1, 1), tops):
             c = cechengine.build_descriptor_complex(cover, sign)
             assert c.hi == top, (name, sign)
             assert sorted(n for grown, n in extended if grown is c) == list(range(top)), (name, sign)
@@ -645,7 +648,8 @@ def test_total_complex_grown_once(entry, monkeypatch):
     holds the sign -1 column's degree 4, so that column is built to 4; the
     sign +1 column is the third term of the last complex, read up to Cech
     degree 4 - 2 = 2.  Neither is built further, except that the
-    alternating fixed complex is built at once to degree dim N + 1."""
+    alternating fixed complex is built at once to degree dim N + 1, its
+    first zero term, and never past it."""
     extended = []
     inner_extend = exactalg.IntegerCochainComplex.extend
 
@@ -675,7 +679,7 @@ def test_total_complex_grown_once(entry, monkeypatch):
     at_once = cechengine._nerve_dimension(cover) + 1 if entry.free_action else 0
     for sign, read in ((-1, 4), (1, 2)):
         column = cechengine.build_descriptor_complex(cover, sign)
-        assert column.hi == max(read, at_once), sign
+        assert column.hi == (at_once or read), sign
         assert sorted(n for c, n in extended if c is column) == list(range(column.hi))
 
 
@@ -756,8 +760,9 @@ def test_cover_and_its_cache_die_with_the_last_reference(name, params):
     """Nothing reachable from a cover's cache refers back to the cover, so
     dropping the last reference frees it and its complexes at once, without
     waiting for the cyclic garbage collector.  The Borel, descriptor and
-    total complexes grow on without it; the ordered complexes, which reach
-    it through a weak reference, refuse to."""
+    total complexes grow on without it, up to the zero top dim N + 1 of an
+    alternating fixed complex; the ordered complexes, which reach it
+    through a weak reference, refuse to."""
     gc.collect()
     gc.disable()
     try:
@@ -772,6 +777,8 @@ def test_cover_and_its_cache_die_with_the_last_reference(name, params):
         growing = [cechengine.build_borel_complex(cover, sign, 2) for sign in (-1, 1)]
         growing += [cechengine.build_descriptor_complex(cover, sign) for sign in (-1, 1)]
         growing.append(build_total_complex(cover, TOTAL_COMPLEXES[0]))
+        finite = growing[2:4] if cechengine._alternating_action_is_free(cover) else []
+        zero_top = cechengine._nerve_dimension(cover) + 1
         ordered = [build_full_complex(cover, 2), build_equivariant_complex(cover, IZ, 2)[0]]
         ref = weakref.ref(cover)
         del cover
@@ -779,7 +786,7 @@ def test_cover_and_its_cache_die_with_the_last_reference(name, params):
         for c in growing:
             top = c.hi
             complex_cohomology(c, top + 1)
-            assert c.hi == top + 2
+            assert c.hi == (zero_top if c in finite else top + 2)
         for c in ordered:
             with pytest.raises(DegreeOutOfRange, match="cover is gone"):
                 c.rank(c.hi + 1)

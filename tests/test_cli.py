@@ -240,6 +240,26 @@ def test_compute_degree_exit_codes(capsys, argv, code, message):
     assert message in err
 
 
+@pytest.mark.parametrize(
+    "argv, code, message",
+    [
+        (["deligne", "--space", "circle_antipodal", "-p", "2", "-q", "-1"], 3, "negative cohomological degree"),
+        (["deligne", "--space", "circle_antipodal", "-p", "-1", "-q", "1"], 2, "p must be nonnegative"),
+        (["compute", "--space", "free_orbit", "--coeff", "iZ", "--degree", "-1"], 3, "negative cohomological degree"),
+        (["compute", "--space", "free_orbit", "--coeff", "iZ", "--degree", str(10**20)], 0, ""),
+    ],
+)
+def test_degree_sign_exit_codes(capsys, argv, code, message):
+    """A negative q is a degree-range failure, as a negative --degree is; a
+    negative p is an input failure.  A degree far above a finite complex's
+    top reads zero at once."""
+    got, out, err = run(capsys, *argv)
+    assert got == code
+    assert message in err
+    if code == 0:
+        assert out.strip().endswith("= 0")
+
+
 def test_exit_cover_file_without_indices(tmp_path, capsys, spaces):
     raw = spaces["free_orbit"].to_raw()
     del raw["indices"]

@@ -7,8 +7,12 @@ import json
 from fractions import Fraction
 from pathlib import Path
 
+import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+import flathelp
+import oracles
 from realdeligne import catalog
 from realdeligne.coverdata import (
     C2Cover,
@@ -28,6 +32,7 @@ from realdeligne.errors import (
     CoverValidationError,
     InvalidCocycle,
 )
+from realdeligne.deligne import flat_cocycle_class
 
 
 def free_orbit_raw():
@@ -514,6 +519,67 @@ def test_cocycle_angles_normalized(spaces):
     bumped[key] = Fraction(7, 3)
     fc2 = FlatCocycle(cover, bumped)
     assert fc2.angles[key] == Fraction(1, 3)
+
+
+FLAT_COVERS = {catalog.entry_label(e): e.build() for e in catalog.ENTRIES}
+FLAT_GENERATORS = {}
+
+
+def _perturbed_keys(cover, key, reach):
+    """The angles a perturbation of ``key`` moves, and the sign it moves
+    each by: ``key`` alone (reach 1), with its reversed pair (2), and with
+    their orbit partners too (3), which keeps antisymmetry and equivariance
+    so that only a triple can fail."""
+    i, j, c = key
+    moved = {key: 1}
+    if reach >= 2:
+        moved[(j, i, c)] = -1
+    if reach >= 3:
+        ti, tj, tc = cover.t(i), cover.t(j), cover.sigma(c)
+        moved[(ti, tj, tc)] = moved.get((ti, tj, tc), 0) - 1
+        moved[(tj, ti, tc)] = moved.get((tj, ti, tc), 0) + 1
+    return moved
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_integer_checks_match_the_fraction_checks(data):
+    """A valid cocycle with no angle or one angle moved by a random rational
+    (alone, with its reversed pair, or with its orbit partners too, on a
+    triple leg when the cover has triples) is accepted or refused, with the
+    same message, by ``validate`` on integers mod the common denominator and
+    by the Fraction checks it replaced.  An accepted one classifies as the
+    Fraction route does."""
+    label = data.draw(st.sampled_from(sorted(FLAT_COVERS)))
+    cover = FLAT_COVERS[label]
+    if label not in FLAT_GENERATORS:
+        FLAT_GENERATORS[label] = flathelp.class_generators(cover)
+    rng = np.random.RandomState(data.draw(st.integers(0, 2**32 - 1)))
+    fc, _ = flathelp.random_flat_cocycle(cover, rng, FLAT_GENERATORS[label])
+    reach = data.draw(st.integers(0, 3))
+    if reach and fc.angles:
+        legs = sorted(
+            (i, j, cover.face(c, k))
+            for s in cover.intersections
+            if len(s) == 3
+            for c in cover.components_of(s)
+            for i, j, k in (sorted(s),)
+        )
+        key = data.draw(st.sampled_from(legs if reach == 3 and legs else sorted(fc.angles)))
+        r = Fraction(data.draw(st.integers(-30, 30)), data.draw(st.integers(1, 12)))
+        for k, sign in _perturbed_keys(cover, key, reach).items():
+            fc.angles[k] += sign * r
+    outcomes = []
+    for check in (FlatCocycle.validate, oracles.flat_checks_fraction_route):
+        try:
+            check(fc)
+            outcomes.append(None)
+        except InvalidCocycle as err:
+            outcomes.append(str(err))
+    assert outcomes[0] == outcomes[1], (label, reach)
+    if outcomes[0] is None:
+        got = flat_cocycle_class(fc).coords
+        assert (got.torus_part, got.torsion_part) == oracles.flat_class_fraction_route(fc)
 
 
 def test_cocycle_difference_same_cover(spaces):

@@ -316,11 +316,13 @@ def test_obstruction_class_survives_lift_shifts(spaces):
     base = flat_cocycle_class(fc)
     sub, bases = build_equivariant_complex(cover, IZ, 3)
     delta1 = cech_differential(cover, 1)
-    lift = _equivariant_lift(cover, fc)
+    den, lift = _equivariant_lift(cover, fc)
     for _ in range(5):
-        shift_fix = [int(rng.randint(-3, 4)) for _ in range(bases[1].ncols)]
-        shifted = lift + np.array(bases[1].matvec(shift_fix), dtype=object)
-        beta = np.array([int(x) for x in delta1.matvec(shifted)], dtype=object)
+        shift_fix = [den * int(rng.randint(-3, 4)) for _ in range(bases[1].ncols)]
+        shifted = np.array(lift, dtype=object) + bases[1].matvec(shift_fix)
+        raw = delta1.matvec(shifted)
+        assert not any(x % den for x in raw)
+        beta = np.array([x // den for x in raw], dtype=object)
         y = solve_int(bases[2], beta)
         got = class_coordinates(sub, 2, y)
         assert got.free_part == base.bockstein.free_part

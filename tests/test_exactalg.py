@@ -31,7 +31,6 @@ from realdeligne.exactalg import (
     kernel_basis,
     kernel_quotient,
     orbit_coordinates,
-    rational_class_free_coordinates,
     smith_normal_form,
     solve_int,
     solve_rational,
@@ -281,12 +280,11 @@ def test_class_coordinates_rejects_noncocycle():
         class_coordinates(c, 0, [1])
     with pytest.raises(NotACocycle):
         class_coordinates(c, 1, [1, 2])
-    for route in (coboundary_preimage, rational_class_free_coordinates):
-        for wrong_length in ([2, 0], []):
-            with pytest.raises(NotACocycle):
-                route(c, 1, wrong_length)
-        with pytest.raises(DegreeOutOfRange):
-            route(c, 2, [2])
+    for wrong_length in ([2, 0], []):
+        with pytest.raises(NotACocycle):
+            coboundary_preimage(c, 1, wrong_length)
+    with pytest.raises(DegreeOutOfRange):
+        coboundary_preimage(c, 2, [2])
 
 
 def test_class_representative_checks_degree_and_coordinate_counts():
@@ -349,20 +347,6 @@ def test_coboundary_preimage_exactly_on_zero_classes():
         v = d0 @ np.array(rng.randint(-5, 6, size=3), dtype=object)
         x = coboundary_preimage(wide, 1, v)
         assert x is not None and np.array_equal(d0 @ x, v)
-
-
-def test_rational_free_coordinates_align_with_integral():
-    c = IntegerCochainComplex(
-        lo=0,
-        hi=2,
-        ranks={0: 2, 1: 3, 2: 1},
-        diffs={0: intmat([[2, 0], [0, 3], [0, 0]]), 1: intmat([[0, 0, 0]])},
-    ).validate()
-    y = ElementCoordinates((3,), (2,))
-    rep = class_representative(c, 1, y)
-    assert rational_class_free_coordinates(c, 1, rep) == (Fraction(3),)
-    half = np.array([Fraction(x, 2) for x in rep], dtype=object)
-    assert rational_class_free_coordinates(c, 1, half) == (Fraction(3, 2),)
 
 
 def test_kernel_quotient_checks_generators():
