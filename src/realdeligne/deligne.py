@@ -38,8 +38,8 @@ from .errors import (
 from .exactalg import (
     ElementCoordinates,
     GroupDescriptor,
+    _class_and_preimage,
     class_coordinates,
-    coboundary_preimage,
     orbit_coordinates,
 )
 
@@ -343,7 +343,7 @@ def flat_cocycle_class(fc: FlatCocycle, max_degree: int = 3) -> FlatCocycleClass
     # fixed cochains in orbit coordinates: their entries at the representatives
     sign = IZ.sign
     y_beta = orbit_coordinates(basis_involution(cover, 2), sign, beta)
-    bockstein = class_coordinates(sub, 2, y_beta)
+    bockstein, mu = _class_and_preimage(sub, 2, y_beta)
     if any(bockstein.free_part):
         raise InternalInvariantError("obstruction class of a flat cocycle must be torsion")
 
@@ -354,7 +354,6 @@ def flat_cocycle_class(fc: FlatCocycle, max_degree: int = 3) -> FlatCocycleClass
 
     # obstruction vanishes: peel off an integral cochain and read the
     # residual class, D times a rational cocycle, on the torus
-    mu = coboundary_preimage(sub, 2, y_beta)
     if mu is None:
         raise InternalInvariantError("vanishing obstruction class must bound integrally")
     lift_fixed = orbit_coordinates(basis_involution(cover, 1), sign, lift)

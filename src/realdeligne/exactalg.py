@@ -13,14 +13,23 @@ arrays (:meth:`SparseIntMatrix.to_dense`, :func:`smith_normal_form`,
 The main entry points are :func:`smith_normal_form`,
 :func:`complex_cohomology` and :func:`class_coordinates`.  Descriptors need
 only the Smith diagonals of the differentials, reduced without transforms
-and cached on the complex; the unimodular transforms are built only for
-the coordinate questions (:func:`class_coordinates`,
-:func:`coboundary_preimage`, :func:`class_representative`).  The subcomplex
-fixed by a degreewise involution has two routes: :func:`fixed_subcomplex`
-reads it off the Smith form of ``t_k - id`` for any involution, and
-:func:`_grow_orbit_complex`, which the Cech engine uses, reads it off the
-orbits of a free signed permutation, one orbit sum per basis vector, with
-no reduction at all (:func:`orbit_coordinates` is its left inverse).
+and cached on the complex (:func:`_diagonal`): the ±1 pivots, nearly every
+pivot of a coboundary, are eliminated first in Markowitz order
+(:func:`_unit_pivots`), and only the residual goes to Smith.  Every other
+reduction stays plain Smith on the whole matrix and so checks the
+descriptor path independently: ranks (:func:`integer_rank`, behind the
+rational descriptors), :func:`kernel_quotient`, the transforms of the
+coordinate questions (:func:`class_coordinates`,
+:func:`coboundary_preimage`, :func:`class_representative`, built only
+there), :func:`smith_normal_form`, the solves and
+:func:`fixed_subcomplex`.
+
+The subcomplex fixed by a degreewise involution has two routes:
+:func:`fixed_subcomplex` reads it off the Smith form of ``t_k - id`` for
+any involution, and :func:`_grow_orbit_complex`, which the Cech engine
+uses, reads it off the orbits of a free signed permutation, one orbit sum
+per basis vector, with no reduction at all (:func:`orbit_coordinates` is
+its left inverse).
 """
 
 from __future__ import annotations
@@ -238,7 +247,11 @@ class _SmithData:
         With ``rational=False`` solutions are integral (divisibility
         enforced); with ``rational=True`` entries may be Fractions.
         """
-        y = self.u.matvec(b)
+        return self.back_solve(self.u.matvec(b), rational)
+
+    def back_solve(self, y, rational: bool):
+        """:meth:`solve` from ``y = u @ b``: divide by the diagonal and map
+        back through ``v``."""
         nd = len(self.diag)
         z = [0] * self.ncols
         for i, yi in enumerate(y):
@@ -691,12 +704,70 @@ def _cohomology_data(c: IntegerCochainComplex, k: int):
     return data
 
 
+def _unit_pivots(m: SparseIntMatrix):
+    """Eliminate the ±1 pivots of ``m`` in Markowitz order; return how many
+    were eliminated and the residual, compacted to its nonempty rows and
+    columns.
+
+    Rows are visited shortest first, and each takes as pivot its unit entry
+    whose column is sparsest.  Row operations clear that column, and the
+    pivot row and column are dropped: since the pivot is a unit this is
+    exact over Z and splits off one diagonal 1, so the Smith diagonal of
+    ``m`` is that many 1s followed by the residual's (Kaczynski, Mrozek and
+    Ślusarek 1998; Dumas, Heckenbach, Saunders and Welker 2003).  The
+    working copy is freed on return, before the residual is reduced.
+    """
+    a = [dict(r) for r in m.rows]
+    cols = [set() for _ in range(m.ncols)]
+    for i, row in enumerate(a):
+        for j in row:
+            cols[j].add(i)
+    eliminated = 0
+    for r in sorted(range(m.nrows), key=lambda i: len(a[i])):
+        row = a[r]
+        units = (j for j, x in row.items() if x == 1 or x == -1)
+        c = min(units, key=lambda j: len(cols[j]), default=None)
+        if c is None:
+            continue
+        p = row[c]
+        for i in list(cols[c]):
+            if i == r:
+                continue
+            ai = a[i]
+            q = ai[c] * p
+            for j, x in row.items():
+                v = ai.get(j, 0) - q * x
+                if v:
+                    if j not in ai:
+                        cols[j].add(i)
+                    ai[j] = v
+                else:
+                    del ai[j]
+                    cols[j].discard(i)
+        for j in row:
+            cols[j].discard(r)
+        a[r] = {}
+        eliminated += 1
+    kept = {j: t for t, j in enumerate(j for j, s in enumerate(cols) if s)}
+    rows = [{kept[j]: x for j, x in row.items()} for row in a if row]
+    return eliminated, SparseIntMatrix(len(rows), len(kept), rows)
+
+
 def _diagonal(c: IntegerCochainComplex, k: int) -> list:
-    """Smith diagonal of ``d_k``, reduced once without transforms."""
+    """Smith diagonal of ``d_k``, reduced once without transforms and
+    cached: the unit pivots are eliminated first (:func:`_unit_pivots`) and
+    only the residual goes to :func:`_smith`.  The list is the one plain
+    ``_smith`` gives, zeros padded to ``min`` of the shape.  This is the
+    descriptor path only; ranks (:func:`integer_rank`), coordinates and
+    the other solves reduce the whole matrix with plain ``_smith``."""
     key = ("diag", k)
     hit = c._cache.get(key)
     if hit is None:
-        hit = c._cache[key] = _smith(c.diff(k), transforms=False).diag
+        d = c.diff(k)
+        eliminated, residual = _unit_pivots(d)
+        hit = [1] * eliminated + [x for x in _smith(residual, transforms=False).diag if x]
+        hit += [0] * (min(d.nrows, d.ncols) - len(hit))
+        c._cache[key] = hit
     return hit
 
 
@@ -740,6 +811,25 @@ def _kernel_coordinates(c: IntegerCochainComplex, k: int, cocycle):
     return data, data["left"].matvec(v)
 
 
+def _class_and_preimage(c: IntegerCochainComplex, k: int, cocycle):
+    """Coordinates of an integral cocycle's class and an integral ``x`` with
+    ``d_(k-1) @ x == cocycle`` (None when the class is nonzero), from one
+    pass through :func:`_kernel_coordinates`.
+
+    In kernel coordinates ``w`` the preimage solves ``(left @ d_(k-1)) x ==
+    w``; the Smith reduction of that matrix is the one behind the
+    coordinates, and ``u @ w`` is shared, so nothing is reduced or
+    multiplied twice.
+    """
+    data, w = _kernel_coordinates(c, k, cocycle)
+    x_smith = data["x_smith"]
+    y = x_smith.u.matvec(w)
+    free = tuple(y[i] for i in data["free_pos"])
+    torsion = tuple(y[i] % d for i, d in data["torsion_pos"])
+    coords = ElementCoordinates(free, torsion)
+    return coords, x_smith.back_solve(y, rational=False) if coords.is_zero else None
+
+
 def class_coordinates(c: IntegerCochainComplex, k: int, cocycle) -> ElementCoordinates:
     """Coordinates of an integral cocycle's class, deterministically.
 
@@ -748,23 +838,13 @@ def class_coordinates(c: IntegerCochainComplex, k: int, cocycle) -> ElementCoord
     degree ``k`` and kept, so repeated calls against the same complex are
     mutually consistent.
     """
-    data, w = _kernel_coordinates(c, k, cocycle)
-    y = data["x_smith"].u.matvec(w)
-    free = tuple(y[i] for i in data["free_pos"])
-    torsion = tuple(y[i] % d for i, d in data["torsion_pos"])
-    return ElementCoordinates(free, torsion)
+    return _class_and_preimage(c, k, cocycle)[0]
 
 
 def coboundary_preimage(c: IntegerCochainComplex, k: int, cocycle):
     """An integral ``x`` with ``d_(k-1) @ x == cocycle``, or None when the
-    cocycle's class is nonzero.
-
-    In kernel coordinates ``w`` the question is ``(left @ d_(k-1)) x == w``,
-    and the Smith reduction of that matrix is the one behind
-    :func:`class_coordinates`, so no further reduction is made.
-    """
-    data, w = _kernel_coordinates(c, k, cocycle)
-    return data["x_smith"].solve(w, rational=False)
+    cocycle's class is nonzero (see :func:`_class_and_preimage`)."""
+    return _class_and_preimage(c, k, cocycle)[1]
 
 
 def class_representative(c: IntegerCochainComplex, k: int, coords: ElementCoordinates):

@@ -26,6 +26,8 @@ from .exactalg import (
     GroupDescriptor,
     IntegerCochainComplex,
     SparseIntMatrix,
+    _diagonal,
+    _smith,
     complex_cohomology,
     fixed_subcomplex,
     kernel_basis,
@@ -66,11 +68,21 @@ def _check_smith(out, m, space, check):
         out.append(_record("snf", space, check, "kernel basis not annihilated"))
 
 
+def _check_diagonal(out, c, k, space, check):
+    """The descriptor diagonal (unit pivots, then Smith on the residual)
+    against plain ``_smith`` of the whole differential, entry by entry."""
+    fast, plain = _diagonal(c, k), _smith(c.diff(k), transforms=False).diag
+    if fast != plain:
+        out.append(_record("snf", space, check, f"unit-pass diagonal {fast} vs Smith {plain}"))
+
+
 def suite_snf():
     """Smith-form postconditions on random matrices and real differentials,
-    and descriptors read off the Smith diagonals (``complex_cohomology``)
-    against the kernel-quotient route with transforms (``kernel_quotient``)
-    on the orbit and Borel complexes and the cone total complexes."""
+    the descriptor diagonals (unit pivots first) against plain Smith on
+    those matrices, and descriptors read off the Smith diagonals
+    (``complex_cohomology``) against the kernel-quotient route with
+    transforms (``kernel_quotient``) on the orbit and Borel complexes and
+    the cone total complexes."""
     import numpy as np
 
     out = []
@@ -78,7 +90,10 @@ def suite_snf():
     for case in range(25):
         shape = rng.randint(1, 8, size=2)
         m = rng.randint(-4, 5, size=tuple(shape))
-        _check_smith(out, m, "random", f"case {case} shape {tuple(shape)}")
+        check = f"case {case} shape {tuple(shape)}"
+        _check_smith(out, m, "random", check)
+        single = IntegerCochainComplex(0, 1, {0: m.shape[1], 1: m.shape[0]}, {0: m})
+        _check_diagonal(out, single, 0, "random", f"diagonal of {check}")
     for label, cover in _spaces():
         full = build_full_complex(cover, 2)
         for k in (0, 1):
@@ -91,6 +106,7 @@ def suite_snf():
         ]
         for name, c in complexes:
             for k in range(4):
+                _check_diagonal(out, c, k, label, f"diagonal of d_{k} of the {name} complex")
                 diagonal = complex_cohomology(c, k)
                 quotient = kernel_quotient(c.diff(k), c.diff(k - 1))
                 if diagonal != quotient:

@@ -751,6 +751,43 @@ def test_descriptors_make_no_smith_transforms(monkeypatch):
     assert True in calls
 
 
+def test_unit_pass_does_the_work_on_the_borel_torus(monkeypatch):
+    """On the Borel complex of ``circle_conjugation`` squared, sign -1, the
+    descriptor diagonal eliminates at least 99% of ``rank D_k`` as unit
+    pivots in degrees 2..4, and Smith sees only the residual: the cut is
+    structural, so a silent fallback to plain Smith fails here.  Degrees 2
+    and 3 are also compared with plain Smith (degree 4 alone would take it
+    over a second)."""
+    cover = catalog.build("torus", "circle_conjugation", "circle_conjugation")
+    borel = cechengine.build_descriptor_complex(cover, -1)
+    passes, smith_shapes = [], []
+    unit_pivots, smith = exactalg._unit_pivots, exactalg._smith
+
+    def counted_unit_pivots(m):
+        eliminated, residual = unit_pivots(m)
+        passes.append((eliminated, residual.shape))
+        return eliminated, residual
+
+    def shaped_smith(m, transforms=True):
+        smith_shapes.append(m.shape)
+        return smith(m, transforms)
+
+    monkeypatch.setattr(exactalg, "_unit_pivots", counted_unit_pivots)
+    monkeypatch.setattr(exactalg, "_smith", shaped_smith)
+    for k in (2, 3, 4):
+        d = borel.diff(k)
+        alone = exactalg.IntegerCochainComplex(k, k + 1, {k: d.ncols, k + 1: d.nrows}, {k: d})
+        passes.clear()
+        smith_shapes.clear()
+        diag = exactalg._diagonal(alone, k)
+        rank = sum(1 for x in diag if x)
+        [(eliminated, residual_shape)] = passes
+        assert eliminated >= 0.99 * rank, (k, eliminated, rank)
+        assert smith_shapes == [residual_shape]
+        if k < 4:
+            assert diag == smith(d, transforms=False).diag
+
+
 @pytest.mark.parametrize(
     "name, params",
     [(e.name, e.params) for e in catalog.ENTRIES] + [("torus", ())],

@@ -217,6 +217,28 @@ def test_third_rotation_class_on_conjugation_circle(spaces):
     assert res.coords.torsion_part == ()
 
 
+def test_flat_class_reads_each_degree_once(spaces, monkeypatch):
+    """The obstruction's coordinates and its preimage come from one pass
+    through the kernel coordinates of degree 2, and the torus part from one
+    of degree 1: two passes per flat class, one per degree."""
+    from realdeligne import exactalg
+
+    degrees = []
+    inner = exactalg._kernel_coordinates
+
+    def kernel_coordinates(c, k, cocycle):
+        degrees.append(k)
+        return inner(c, k, cocycle)
+
+    monkeypatch.setattr(exactalg, "_kernel_coordinates", kernel_coordinates)
+    cover = spaces["circle_conjugation"]
+    (gen,), _ = flathelp.class_generators(cover)
+    degrees.clear()
+    fc = FlatCocycle(cover, flathelp.angles_from_vector(cover, gen * Fraction(1, 3)))
+    assert flat_cocycle_class(fc).coords.torus_part == (Fraction(1, 3),)
+    assert degrees == [2, 1]
+
+
 def test_equivalence_relation(spaces):
     cover = spaces["circle_conjugation"]
     rng = np.random.RandomState(7)

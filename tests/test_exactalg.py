@@ -20,6 +20,9 @@ from realdeligne.exactalg import (
     GroupDescriptor,
     IntegerCochainComplex,
     SparseIntMatrix,
+    _diagonal,
+    _smith,
+    _unit_pivots,
     as_sparse,
     class_coordinates,
     class_representative,
@@ -152,6 +155,69 @@ def test_smith_pivot_scan_on_structured_matrices(rows):
     nonzero = [x for x in diag if x]
     assert diag[: len(nonzero)] == nonzero  # zeros come last
     assert nonzero == oracles.smith_diagonal(rows)
+
+
+@st.composite
+def nonunit_matrices(draw):
+    """Sparse matrices whose entries mix units with non-units (±2, ±3, ±4,
+    ±6), some rows and columns zeroed out, so that elimination meets
+    torsion and runs out of unit pivots."""
+    nr, nc = draw(st.integers(1, 6)), draw(st.integers(1, 6))
+    entries = st.sampled_from((0, 0, 0, 1, -1, 2, -2, 3, -3, 4, -4, 6, -6))
+    rows = draw(st.lists(st.lists(entries, min_size=nc, max_size=nc), min_size=nr, max_size=nr))
+    zero_rows = draw(st.sets(st.integers(0, nr - 1)))
+    zero_cols = draw(st.sets(st.integers(0, nc - 1)))
+    return [
+        [0 if i in zero_rows or j in zero_cols else x for j, x in enumerate(row)]
+        for i, row in enumerate(rows)
+    ]
+
+
+def unit_pass_diagonal(m):
+    """``_diagonal`` of ``m`` as the only differential of a complex."""
+    m = as_sparse(m)
+    return _diagonal(IntegerCochainComplex(0, 1, {0: m.ncols, 1: m.nrows}, {0: m}), 0)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.one_of(structured_matrices(), nonunit_matrices()))
+@example([[0, 2, 0, 4], [0, 0, 0, 0], [0, 4, 0, 8]])
+@example([[1, 2, 0], [1, 0, 2], [0, 0, 0]])
+def test_unit_pass_diagonal_matches_smith(rows):
+    """Eliminating the unit pivots first, then reducing the residual, gives
+    the diagonal of plain ``_smith`` entry by entry, zeros included, and
+    the invariant factors of the determinantal divisors."""
+    m = as_sparse(rows)
+    diag = unit_pass_diagonal(m)
+    assert diag == _smith(m, transforms=False).diag
+    assert [x for x in diag if x] == oracles.smith_diagonal(rows)
+
+
+@pytest.mark.parametrize(
+    "rows, eliminated, want",
+    [
+        ([[2, 1], [1, 2]], 1, [1, 3]),
+        ([[2, 0], [0, 3]], 0, [1, 6]),  # no unit pivot, but Smith makes one
+        ([[0, 0, -1, 0], [1, 0, 0, 0], [0, 0, 0, 1], [0, -1, 0, 0]], 4, [1, 1, 1, 1]),
+        ([[2, 4, 1], [0, 0, 0]], 1, [1, 0]),
+    ],
+)
+def test_unit_pass_examples(rows, eliminated, want):
+    """Known eliminations and diagonals; the residual keeps no empty row or
+    column."""
+    m = as_sparse(rows)
+    count, residual = _unit_pivots(m)
+    assert count == eliminated
+    assert residual.shape[0] + count <= m.nrows and residual.shape[1] + count <= m.ncols
+    assert all(residual.rows) and all(any(j in r for r in residual.rows) for j in range(residual.ncols))
+    assert unit_pass_diagonal(m) == _smith(m, transforms=False).diag == want
+
+
+@pytest.mark.parametrize("shape", [(0, 3), (3, 0), (0, 0)])
+def test_unit_pass_on_empty_shapes(shape):
+    m = SparseIntMatrix(*shape)
+    assert _unit_pivots(m)[0] == 0
+    assert unit_pass_diagonal(m) == _smith(m, transforms=False).diag == []
 
 
 def test_solve_int_known():
