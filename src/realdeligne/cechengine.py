@@ -22,6 +22,14 @@ antipodal cover), each ``C^j_alt`` is Z[C2]-free and descriptors read the
 smaller fixed complex ``C_alt^{C2}`` instead, which is quasi-isomorphic
 (:func:`build_descriptor_complex`).  Plain cohomology reads ``C_alt``.
 
+All of these read the cover's :class:`AlternatingModel`, taken from its
+nerve or, for a product, the tensor model ``C_alt(A) ⊗ C_alt(B)`` of its
+factors' models (recursively), which Eilenberg–Zilber (Amer. J. Math. 75,
+1953; Dold–Puppe 1961) makes naturally, so equivariantly,
+quasi-isomorphic to the product's cochains.  A product's nerve is built
+only when read: ``to_json``, the ordered cochains, ``FlatCocycle``,
+``verify``.
+
 *Ordered cochains* ``C_ord`` live on ordered index tuples, normalized by
 dropping tuples with two equal consecutive entries (or, on request, keeping
 them); the tuple involution is free because the index involution is, so the
@@ -347,19 +355,9 @@ def alternating_involution(cover: C2Cover, j: int):
     return perm, eps
 
 
-@_per_cover
-def build_alternating_complex(cover: C2Cover) -> IntegerCochainComplex:
-    """The plain alternating cochain complex, one per cover: built to
-    degree dim N + 1 at once, zero above."""
-    c = _growing(len(alternating_basis(cover, 0)), lambda n: alternating_differential(cover, n))
-    return _finite(c, _nerve_dimension(cover))
-
-
-def _checked_involution(cover: C2Cover, j: int):
-    """``alternating_involution`` at degree ``j``, checked to be an
-    involution, ``T^2 = id``, of the degree-``j`` basis."""
-    perm, eps = alternating_involution(cover, j)
-    n = len(alternating_basis(cover, j))
+def _checked_action(j: int, perm, eps, n: int):
+    """The signed permutation ``(perm, eps)`` of a degree-``j`` basis of
+    size ``n``, checked to be an involution, ``T^2 = id``."""
     if len(perm) != n or len(eps) != n or not all(
         0 <= p < n and perm[p] == r and eps[r] * eps[p] == 1 for r, p in enumerate(perm)
     ):
@@ -367,16 +365,98 @@ def _checked_involution(cover: C2Cover, j: int):
     return perm, eps
 
 
-def _nerve_dimension(cover: C2Cover) -> int:
-    return max(map(len, cover.intersections), default=1) - 1
+class AlternatingModel:
+    """The alternating cochains of a cover as every descriptor reads them:
+    the plain complex, built to ``top + 1`` and zero above ``top``, and the
+    involution on each degree ``0 .. top`` as a signed permutation ``(perm,
+    eps)``, checked to square to the identity.  It holds no cover."""
+
+    __slots__ = ("complex", "actions", "top")
+
+    def __init__(self, complex: IntegerCochainComplex, actions: list, top: int):
+        self.complex, self.actions, self.top = complex, actions, top
+
+    def action(self, j: int):
+        return self.actions[j] if j <= self.top else ([], [])
+
+
+def _tensor_model(a: AlternatingModel, b: AlternatingModel) -> AlternatingModel:
+    """``C_alt(A) ⊗ C_alt(B)``: degree ``n`` lists the blocks ``(p, n - p)``
+    by ascending ``p``, each ``|A^p| × |B^(n-p)|`` row-major; ``d(a ⊗ b) =
+    da ⊗ b + (-1)^p a ⊗ db`` and ``T(a ⊗ b) = T_A a ⊗ T_B b``."""
+    top = a.top + b.top
+    ra = [a.complex.rank(p) for p in range(a.top + 2)]
+    rb = [b.complex.rank(q) for q in range(b.top + 2)]
+
+    def blocks(n):
+        """Offset of each block ``(p, n - p)`` in degree ``n``, and the rank."""
+        offset, size = {}, 0
+        for p in range(max(0, n - b.top), min(n, a.top) + 1):
+            offset[p] = size
+            size += ra[p] * rb[n - p]
+        return offset, size
+
+    def step(n):
+        src, ncols = blocks(n)
+        dst, nrows = blocks(n + 1)
+        d = SparseIntMatrix(nrows, ncols)
+        for p, col in src.items():
+            q = n - p
+            w, w1 = rb[q], rb[q + 1]
+            if p + 1 in dst:  # da ⊗ b
+                row0 = dst[p + 1]
+                for r1, row in enumerate(a.complex.diff(p).rows):
+                    for r, x in row.items():
+                        for s in range(w):
+                            d.rows[row0 + r1 * w + s][col + r * w + s] = x
+            if p in dst and w1:  # (-1)^p a ⊗ db
+                row0, sign = dst[p], -1 if p % 2 else 1
+                db = b.complex.diff(q).rows
+                for r in range(ra[p]):
+                    for s1, row in enumerate(db):
+                        target = d.rows[row0 + r * w1 + s1]
+                        for s, x in row.items():
+                            target[col + r * w + s] = sign * x
+        return d
+
+    c = _finite(_growing(ra[0] * rb[0], step), top)
+    actions = []
+    for n in range(top + 1):
+        perm, eps = [], []
+        for p, off in blocks(n)[0].items():
+            (pa, ea), (pb, eb), w = a.actions[p], b.actions[n - p], rb[n - p]
+            for r in range(ra[p]):
+                base, e = off + pa[r] * w, ea[r]
+                perm += [base + x for x in pb]
+                eps += [e * x for x in eb]
+        actions.append(_checked_action(n, perm, eps, c.rank(n)))
+    return AlternatingModel(c, actions, top)
+
+
+@_per_cover
+def _alternating_model(cover: C2Cover) -> AlternatingModel:
+    """The tensor model of a product's factors' models, or else the model
+    read off the nerve, with top its dimension."""
+    if cover.factors:
+        return _tensor_model(*map(_alternating_model, cover.factors))
+    top = max(map(len, cover.intersections), default=1) - 1
+    c = _growing(len(alternating_basis(cover, 0)), lambda n: alternating_differential(cover, n))
+    c = _finite(c, top)
+    actions = [_checked_action(j, *alternating_involution(cover, j), c.rank(j)) for j in range(top + 1)]
+    return AlternatingModel(c, actions, top)
+
+
+def build_alternating_complex(cover: C2Cover) -> IntegerCochainComplex:
+    """The plain alternating cochain complex of the cover's model, one per
+    cover: built to its top + 1 at once, zero above."""
+    return _alternating_model(cover).complex
 
 
 @_per_cover
 def _borel_complex(cover: C2Cover, sign: int) -> IntegerCochainComplex:
     _require_free(cover)
-    top = _nerve_dimension(cover)
-    alt = build_alternating_complex(cover)
-    actions = [_checked_involution(cover, j) for j in range(top + 1)]
+    model = _alternating_model(cover)
+    alt, actions, top = model.complex, model.actions, model.top
     for j in range(top):
         _check_commutes(alt.diff(j), actions[j], actions[j + 1], j)
     offset = [0]
@@ -413,10 +493,11 @@ def build_borel_complex(cover: C2Cover, sign: int, max_degree: int) -> IntegerCo
     for every ``n >= j``.  ``D_n`` carries it by ``(-1)^i δ_alt`` to
     ``(i, j + 1)`` and by ``1 - T`` or ``1 + T`` (``i + 1`` odd or even) to
     ``(i + 1, j)``, where ``T`` is ``sign`` times the alternating
-    involution.  There is one complex per cover and sign, grown in place.
-    Its first build checks ``T^2 = id`` and ``T δ_alt = δ_alt T`` in every
-    Cech degree (there are dim N + 1 of them), and ``extend`` checks each
-    new differential's shape and D∘D = 0.
+    involution, both from the cover's alternating model.  There is one
+    complex per cover and sign, grown in place.  Its first build checks
+    ``T δ_alt = δ_alt T`` in every degree of the model (``T^2 = id`` was
+    checked when the model was built), and ``extend`` checks each new
+    differential's shape and D∘D = 0.
     """
     return _carried(_borel_complex(cover, sign), max_degree)
 
@@ -426,24 +507,18 @@ def _alternating_action_is_free(cover: C2Cover) -> bool:
     """True when T fixes no alternating basis element, even up to sign, in
     any degree; then every ``C^j_alt`` is a free Z[C2]-module."""
     _require_free(cover)
-    return all(
-        p != r
-        for j in range(_nerve_dimension(cover) + 1)
-        for r, p in enumerate(_checked_involution(cover, j)[0])
-    )
+    return all(p != r for perm, _ in _alternating_model(cover).actions for r, p in enumerate(perm))
 
 
 @_per_cover
 def _alternating_fixed_complex(cover: C2Cover, sign: int):
     """``(sub, bases)``: the fixed complex ``C_alt^{C2}`` of a free alternating
-    action and its orbit-sum embeddings, built at once to dim N + 1."""
+    action and its orbit-sum embeddings, built at once to ``top + 1``."""
+    model = _alternating_model(cover)
     sub, bases = _grow_orbit_complex(
-        build_alternating_complex(cover),
-        lambda j: alternating_involution(cover, j)[0],
-        sign,
-        lambda j: alternating_involution(cover, j)[1],
+        model.complex, lambda j: model.action(j)[0], sign, lambda j: model.action(j)[1]
     )
-    return _finite(sub, _nerve_dimension(cover)), bases
+    return _finite(sub, model.top), bases
 
 
 @_per_cover

@@ -79,15 +79,19 @@ Z_TRIVIAL = CoefficientSystem.integers(+1)
 IQ = CoefficientSystem.rationals(-1)
 
 
-@dataclass(eq=False)
-class C2Cover:
+class _WeaklyReferenced:
+    __slots__ = ("__weakref__",)  # the engine's caches key covers weakly
+
+
+@dataclass(eq=False, slots=True)
+class C2Cover(_WeaklyReferenced):
     """A validated combinatorial cover with a free index involution.
 
     Construct through :func:`validate_cover` (or the convenience
     :meth:`from_raw`) or a package builder; direct instantiation skips the
     invariant checks.
     Instances are immutable by convention and hashable by identity, so they
-    can key caches.
+    can key caches.  A product keeps its two factors in ``factors``.
     """
 
     name: str
@@ -99,6 +103,7 @@ class C2Cover:
     component_involution: dict
     good: bool
     compact: bool
+    factors: tuple = ()  # a product's factors; () for every other cover
 
     # -- lookups ----------------------------------------------------------
 
@@ -240,6 +245,13 @@ def validate_cover(raw) -> C2Cover:
     return _checked(_read(raw.to_raw() if isinstance(raw, C2Cover) else raw))
 
 
+def _fixed_index_violation(i: str) -> tuple:
+    return (
+        FIXED_INDEX_PRESENT,
+        f"index {i!r} is fixed by the involution; apply double_fixed_indices to obtain a free cover",
+    )
+
+
 def _checked(cover: C2Cover) -> C2Cover:
     """Every structural check on a cover's parts: ``cover`` itself when it
     passes, else a :class:`CoverValidationError` with every violation."""
@@ -270,13 +282,7 @@ def _checked(cover: C2Cover) -> C2Cover:
 
     for i in indices:
         if involution[i] == i:
-            violations.append(
-                (
-                    FIXED_INDEX_PRESENT,
-                    f"index {i!r} is fixed by the involution; "
-                    "apply double_fixed_indices to obtain a free cover",
-                )
-            )
+            violations.append(_fixed_index_violation(i))
 
     # intersection bookkeeping: supports are known indices, component ids
     # are globally unique, singletons are present
@@ -432,6 +438,19 @@ def _primed(name: str, used) -> str:
     return fresh
 
 
+def _checked_but_freeness(cover: C2Cover) -> bool:
+    """Every structural check on ``cover`` but freeness: whether it is
+    free too, or a :class:`CoverValidationError` with every other
+    violation."""
+    try:
+        _checked(cover)
+        return True
+    except CoverValidationError as err:
+        if any(kind != FIXED_INDEX_PRESENT for kind, _ in err.violations):
+            raise
+        return False
+
+
 def double_fixed_indices(raw) -> C2Cover:
     """Replace every involution-fixed index by a swapped pair of copies.
 
@@ -444,11 +463,8 @@ def double_fixed_indices(raw) -> C2Cover:
     as they stand.
     """
     cover = raw if isinstance(raw, C2Cover) else _read(raw)
-    try:
-        return _checked(cover)
-    except CoverValidationError as err:
-        if any(kind != FIXED_INDEX_PRESENT for kind, _ in err.violations):
-            raise
+    if _checked_but_freeness(cover):
+        return cover
     indices, involution = cover.indices, cover.involution
     faces, comp_inv = cover.faces, cover.component_involution
     fixed = [i for i in indices if involution.get(i) == i]
@@ -552,14 +568,19 @@ def _filling(m: int, n: int) -> list:
     return out
 
 
-def product_cover(a: C2Cover, b: C2Cover, name: str | None = None) -> C2Cover:
-    """Cover of a product space: indices are pairs, everything componentwise.
+def _pair(i: str, j: str) -> str:
+    return f"{i}*{j}"
+
+
+def _nerve_of_product(a: C2Cover, b: C2Cover):
+    """``(intersections, faces, component_involution)`` of the product of
+    ``a`` and ``b`` on the pair indices :func:`_pair`.
 
     A set of product indices intersects exactly when both projections do,
     and its components are the pairs of projection components (a product of
     connected sets being connected).
     """
-    pair_name = {(i, j): f"{i}*{j}" for i in a.indices for j in b.indices}
+    pair_name = {(i, j): _pair(i, j) for i in a.indices for j in b.indices}
     split = {ij: pair for pair, ij in pair_name.items()}
     involution = {ij: pair_name[(a.t(i), b.t(j))] for (i, j), ij in pair_name.items()}
     ids = {}
@@ -603,20 +624,70 @@ def product_cover(a: C2Cover, b: C2Cover, name: str | None = None) -> C2Cover:
     for cid, (ca, cb, subset) in comp_data.items():
         t_subset = frozenset(involution[x] for x in subset)
         comp_inv[cid] = comp_id(a.sigma(ca), b.sigma(cb), t_subset)
+    return intersections, faces, comp_inv
 
-    return _checked(
-        C2Cover(
-            name=name or f"{a.name}*{b.name}",
-            involution_name=f"{a.involution_name}*{b.involution_name}",
-            indices=tuple(pair_name.values()),
-            involution=involution,
-            intersections=intersections,
-            faces=faces,
-            component_involution=comp_inv,
-            good=a.good and b.good,
-            compact=a.compact and b.compact,
-        )
-    )
+
+_NERVE = ("intersections", "faces", "component_involution")
+
+
+class _ProductCover(C2Cover):
+    """A product whose first read of a nerve field builds and checks the
+    nerve, then makes the cover a plain :class:`C2Cover` (same slots), so
+    later reads cost what they cost on any cover."""
+
+    __slots__ = ()
+
+    def __init__(self, a: C2Cover, b: C2Cover, name: str):
+        self.name = name
+        self.involution_name = f"{a.involution_name}*{b.involution_name}"
+        self.indices = tuple(_pair(i, j) for i in a.indices for j in b.indices)
+        self.involution = {_pair(i, j): _pair(a.t(i), b.t(j)) for i in a.indices for j in b.indices}
+        self.good = a.good and b.good
+        self.compact = a.compact and b.compact
+        self.factors = (a, b)
+
+    def __getattr__(self, name):
+        # reached only for a slot not yet set: an unread nerve
+        if name not in _NERVE:
+            raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
+        parts = dict(zip(_NERVE, _nerve_of_product(*self.factors)))
+        _checked(C2Cover(self.name, self.involution_name, self.indices, self.involution,
+                         good=self.good, compact=self.compact, **parts))
+        self.intersections, self.faces, self.component_involution = parts.values()
+        # a class with __getattr__ reads every attribute the slow way
+        self.__class__ = C2Cover
+        return parts[name]
+
+    def __repr__(self):
+        names = " x ".join(repr(f.name) for f in self.factors)
+        return f"C2Cover({self.name!r}, {len(self.indices)} indices, product of {names})"
+
+
+def product_cover(a: C2Cover, b: C2Cover, name: str | None = None) -> C2Cover:
+    """Cover of a product space: indices are pairs, everything componentwise.
+
+    A set of product indices intersects exactly when both projections do,
+    and its components are the pairs of projection components (a product of
+    connected sets being connected).
+
+    The cover keeps its factors, and cohomology is read from their
+    alternating complexes.  The nerve (``intersections``, ``faces``,
+    ``component_involution``) stays lazy: it is built, and every structural
+    check runs on it, on first read (``to_json``, the flat classifier,
+    :class:`FlatCocycle`, ``verify``).  Here each factor runs every check
+    but freeness (a product factor ran them when built), and the pair
+    indices must be distinct and free, else :class:`CoverValidationError`.
+    """
+    for factor in (a, b):
+        if not factor.factors:  # a product factor was checked when it was built
+            _checked_but_freeness(factor)
+    cover = _ProductCover(a, b, name or f"{a.name}*{b.name}")
+    if len(set(cover.indices)) != len(cover.indices):  # factor names with "*" can collide
+        raise CoverValidationError([(INVOLUTION_NOT_SELF_INVERSE, "duplicate index names")])
+    fixed = [i for i in cover.indices if cover.involution[i] == i]
+    if fixed:
+        raise CoverValidationError([_fixed_index_violation(i) for i in fixed])
+    return cover
 
 
 # ---------------------------------------------------------------------------

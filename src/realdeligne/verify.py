@@ -7,6 +7,8 @@ An empty list means the suite passed.
 
 from __future__ import annotations
 
+from itertools import combinations_with_replacement
+
 from . import catalog
 from .cechengine import (
     CoefficientComplex,
@@ -20,7 +22,7 @@ from .cechengine import (
     hypercohomology,
     involution_matrix,
 )
-from .coverdata import IQ, IZ, CoefficientSystem, Z_TRIVIAL
+from .coverdata import IQ, IZ, C2Cover, CoefficientSystem, Z_TRIVIAL
 from .deligne import deligne_descriptor, quotient_coefficients_cohomology
 from .exactalg import (
     GroupDescriptor,
@@ -35,7 +37,7 @@ from .exactalg import (
     smith_normal_form,
 )
 
-SUITES = ("snf", "les", "refinement", "bockstein", "fixed", "borel")
+SUITES = ("snf", "les", "refinement", "bockstein", "fixed", "borel", "product")
 
 Q_TRIVIAL = CoefficientSystem.rationals(+1)
 
@@ -361,6 +363,55 @@ def suite_borel():
     return out
 
 
+# The catalog names a torus takes as factors, but point_trivial_fine: its
+# square's nerve alone has 65535 subsets (8 s to build)
+PRODUCT_FACTORS = (
+    "point_trivial", "free_orbit", "circle_antipodal", "circle_antipodal_fine",
+    "circle_conjugation", "sphere_antipodal",
+)
+# Rational ranks and cones on the nerve side cost seconds past this size
+SMALL_NERVE = 5000
+
+
+def _nerve_only(cover: C2Cover) -> C2Cover:
+    """The product's nerve, checked, as a cover without factors, as its
+    file reads back."""
+    return C2Cover(
+        cover.name, cover.involution_name, cover.indices, cover.involution,
+        cover.intersections, cover.faces, cover.component_involution,
+        cover.good, cover.compact,
+    )
+
+
+def suite_product():
+    """Every two-factor torus over ``PRODUCT_FACTORS`` (21 unordered pairs):
+    the tensor complex of the factors against the product nerve, both
+    signs, H^0..H^4, with Z and Z/2 coefficients, and with Q and the cone
+    of multiplication by 2 where the nerve has at most ``SMALL_NERVE``
+    subsets."""
+    out = []
+    top = 5
+    for a, b in combinations_with_replacement(PRODUCT_FACTORS, 2):
+        label = f"torus:{a},{b}"
+        product = catalog.build("torus", a, b)
+        nerve = _nerve_only(product)
+        small = len(nerve.intersections) <= SMALL_NERVE
+        for sign in (-1, 1):
+            integral = CoefficientSystem.integers(sign)
+            coeffs = [integral, CoefficientSystem.integers_mod(2, sign)]
+            coeffs += [CoefficientSystem.rationals(sign)] if small else []
+            questions = [(f"coeff {c}", CoefficientComplex((c,))) for c in coeffs]
+            if small:
+                questions.append(("cone 2", CoefficientComplex((integral, integral), (2,))))
+            for name, fstar in questions:
+                for k in range(top):
+                    tensor, direct = (hypercohomology(c, fstar, k, top) for c in (product, nerve))
+                    if tensor != direct:
+                        detail = f"tensor {tensor} vs nerve {direct}"
+                        out.append(_record("product", label, f"H^{k} {name} sign {sign}", detail))
+    return out
+
+
 def run_suite(name: str):
     """Run one named suite (or ``all``); returns the failure records."""
     table = {
@@ -370,6 +421,7 @@ def run_suite(name: str):
         "bockstein": suite_bockstein,
         "fixed": suite_fixed,
         "borel": suite_borel,
+        "product": suite_product,
     }
     if name == "all":
         failures = []

@@ -2,14 +2,17 @@
 hypercohomology of coefficient complexes."""
 
 import gc
+import hashlib
+import json
 import random
 import weakref
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 import oracles
-from realdeligne import catalog, cechengine, deligne, exactalg
+from realdeligne import catalog, cechengine, coverdata, deligne, exactalg
 from realdeligne.cechengine import (
     CoefficientComplex,
     _rational_rank,
@@ -30,9 +33,12 @@ from realdeligne.coverdata import (
     C2Cover,
     CoefficientSystem,
     FlatCocycle,
+    product_cover,
 )
 from realdeligne.errors import (
+    FIXED_INDEX_PRESENT,
     CoverNotFree,
+    CoverValidationError,
     DegreeOutOfRange,
     InvalidCoefficientComplex,
 )
@@ -313,7 +319,7 @@ def test_descriptor_complex_follows_the_alternating_action(entry):
     cover = _fresh(entry)
     assert cechengine._alternating_action_is_free(cover) == entry.free_action
     alt = [len(cechengine.alternating_basis(cover, j)) for j in range(7)]
-    top = cechengine._nerve_dimension(cover)
+    top = cechengine._alternating_model(cover).top
     assert alt[top] and not any(alt[top + 1 :])
     plain = cechengine.build_alternating_complex(cover)
     for sign in (-1, 1):
@@ -631,6 +637,64 @@ def test_session_builds_each_fixed_degree_once(monkeypatch):
             assert sorted(n for grown, n in extended if grown is c) == list(range(top)), (name, sign)
 
 
+def test_torus_session_never_builds_the_product_nerve(monkeypatch):
+    """Every question of a session on the default torus (every degree and
+    coefficient, cones, Deligne descriptors and classifiers) reads the
+    tensor model of its factors: the product nerve is never built, and the
+    memo holds no ordered cochains.  Its JSON builds the nerve exactly once
+    and is the golden one."""
+    built = []
+    inner = coverdata._nerve_of_product
+
+    def counted(*args):
+        built.append(args)
+        return inner(*args)
+
+    monkeypatch.setattr(coverdata, "_nerve_of_product", counted)
+    cover = catalog.build("torus")
+    repr(cover)
+    for k in range(3):
+        for coeff in (IZ, Z_TRIVIAL, IQ, CoefficientSystem.integers_mod(2, -1),
+                      CoefficientSystem.integers_mod(3, -1)):
+            equivariant_cohomology(cover, coeff, k, k + 1)
+        nonequivariant_cohomology(cover, Z_TRIVIAL, k, k + 1)
+        for fstar in TOTAL_COMPLEXES + (CoefficientComplex((IZ, IQ), ("incl",)),):
+            hypercohomology(cover, fstar, k + 1, k + 2)
+    for p in range(4):
+        for q in range(3):
+            deligne.deligne_descriptor(cover, p, q)
+    deligne.classify_line_bundles(cover)
+    deligne.classify_line_bundles_with_connection(cover)
+    deligne.classify_flat_line_bundles(cover)
+    deligne.real_circle_maps(cover)
+    for k in (0, 1):
+        deligne.quotient_coefficients_cohomology(cover, k)
+    assert built == []
+    assert not {key[0] for key in cechengine._covercache[cover]} & {"tuple_basis", "_full_complex"}
+    text = cover.to_json()
+    assert cover.to_json() == text and len(built) == 1
+    goldens = json.loads((Path(__file__).parent / "cover_goldens.json").read_text())
+    assert hashlib.sha256(text.encode()).hexdigest() == goldens["to_json_sha256"]["torus"]
+
+
+def test_product_of_a_fixed_point_reads_its_factors():
+    """A free product may have a factor that fixes an index: the undoubled
+    point times the antipodal circle is the antipodal circle, through the
+    tensor model and through the product nerve alike.  Two factors that
+    both fix an index make a product that does, and it is refused."""
+    point = catalog._point(1, "point")
+    circle = catalog.build("circle_antipodal")
+    product = product_cover(point, circle)
+    nerve = C2Cover.from_json(product.to_json())
+    for coeff in (IZ, Z_TRIVIAL):
+        for k in range(4):
+            want = equivariant_cohomology(circle, coeff, k, 4)
+            assert equivariant_cohomology(product, coeff, k, 4) == want == equivariant_cohomology(nerve, coeff, k, 4)
+    with pytest.raises(CoverValidationError) as err:
+        product_cover(point, point)
+    assert {kind for kind, _ in err.value.violations} == {FIXED_INDEX_PRESENT}
+
+
 TOTAL_COMPLEXES = (
     CoefficientComplex((IZ, IZ), (2,)),
     CoefficientComplex((IZ, IZ), (3,)),
@@ -676,7 +740,7 @@ def test_total_complex_grown_once(entry, monkeypatch):
         assert totals == {id(total)}
         assert total.hi == 4
         assert sorted(n for c, n in extended if c is total) == list(range(4))
-    at_once = cechengine._nerve_dimension(cover) + 1 if entry.free_action else 0
+    at_once = cechengine._alternating_model(cover).top + 1 if entry.free_action else 0
     for sign, read in ((-1, 4), (1, 2)):
         column = cechengine.build_descriptor_complex(cover, sign)
         assert column.hi == (at_once or read), sign
@@ -757,8 +821,11 @@ def test_unit_pass_does_the_work_on_the_borel_torus(monkeypatch):
     pivots in degrees 2..4, and Smith sees only the residual: the cut is
     structural, so a silent fallback to plain Smith fails here.  Degrees 2
     and 3 are also compared with plain Smith (degree 4 alone would take it
-    over a second)."""
-    cover = catalog.build("torus", "circle_conjugation", "circle_conjugation")
+    over a second).  The matrices are those of the product nerve: the cover
+    is re-read from its JSON, which has no factors, so the engine reads its
+    nerve and not the smaller tensor complex of the factors."""
+    product = catalog.build("torus", "circle_conjugation", "circle_conjugation")
+    cover = C2Cover.from_json(product.to_json())
     borel = cechengine.build_descriptor_complex(cover, -1)
     passes, smith_shapes = [], []
     unit_pivots, smith = exactalg._unit_pivots, exactalg._smith
@@ -815,7 +882,7 @@ def test_cover_and_its_cache_die_with_the_last_reference(name, params):
         growing += [cechengine.build_descriptor_complex(cover, sign) for sign in (-1, 1)]
         growing.append(build_total_complex(cover, TOTAL_COMPLEXES[0]))
         finite = growing[2:4] if cechengine._alternating_action_is_free(cover) else []
-        zero_top = cechengine._nerve_dimension(cover) + 1
+        zero_top = cechengine._alternating_model(cover).top + 1
         ordered = [build_full_complex(cover, 2), build_equivariant_complex(cover, IZ, 2)[0]]
         ref = weakref.ref(cover)
         del cover

@@ -8,7 +8,8 @@ import sys
 import jsonschema
 import pytest
 
-from realdeligne import cechengine, cli
+from realdeligne import catalog, cechengine, cli
+from realdeligne.coverdata import IZ, product_cover
 from realdeligne.deligne import RESULT_RECORD_SCHEMA
 
 
@@ -287,6 +288,23 @@ def test_exit_non_integer_catalog_parameter(capsys):
     assert code == 2
     assert out == ""
     assert "integer" in err and "'x'" in err
+
+
+def test_three_factor_torus_answers(capsys):
+    """A three-factor torus answers from the tensor model of its factors,
+    without building its nerve: the action is free and the quotient a
+    4-manifold, so H^5 = H^6 = 0.  Products associate: the right-nested
+    product gives the same strings as the left-nested one the CLI builds."""
+    factors = ("sphere_antipodal", "circle_antipodal", "circle_antipodal")
+    code, out, err = run(
+        capsys, "compute", "--space", "torus:" + ",".join(factors), "--coeff", "iZ", "--max-degree", "7"
+    )
+    assert code == 0 and "Traceback" not in err
+    groups = [line.split(" = ")[1] for line in out.strip().splitlines()]
+    assert len(groups) == 7 and groups[5] == groups[6] == "0"
+    a, b, c = map(catalog.build, factors)
+    right = product_cover(a, product_cover(b, c))
+    assert [str(cechengine.equivariant_cohomology(right, IZ, k, 7)) for k in range(7)] == groups
 
 
 def test_exit_internal_invariant_failure(capsys, monkeypatch):

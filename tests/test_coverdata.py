@@ -436,6 +436,20 @@ def test_product_free_orbits():
     assert p.good and p.compact
 
 
+def test_product_refuses_colliding_pair_names():
+    """Pair indices are named ``i*j``, so factor names holding ``*`` can
+    spell one pair twice; such a pair of factors is refused when the
+    product is made, before any nerve is built."""
+    a, b = free_orbit_raw(), free_orbit_raw()
+    a["indices"], a["involution"] = ["u*v", "u"], {"u*v": "u", "u": "u*v"}
+    b["indices"], b["involution"] = ["w", "v*w"], {"w": "v*w", "v*w": "w"}
+    for raw, (x, y) in ((a, ("u*v", "u")), (b, ("w", "v*w"))):
+        raw["intersections"] = [{"sets": [x], "components": ["cU"]}, {"sets": [y], "components": ["cV"]}]
+    with pytest.raises(CoverValidationError) as err:
+        product_cover(validate_cover(a), validate_cover(b))
+    assert [kind for kind, _ in err.value.violations] == [INVOLUTION_NOT_SELF_INVERSE]
+
+
 def test_product_torus_index_count(spaces):
     t = product_cover(spaces["circle_antipodal"], spaces["circle_conjugation"])
     assert len(t.indices) == 24
