@@ -79,7 +79,6 @@ from .exactalg import (
     SparseIntMatrix,
     _check_commutes,
     _grow_orbit_complex,
-    _quotient_data,
     _rational_rank,
     _smith,
     complex_cohomology,
@@ -734,7 +733,8 @@ def hypercohomology(
     present the divisible summand is not representable in a
     :class:`GroupDescriptor`; the result then describes the reduced
     quotient (classes modulo divisible ones), whose integral part is
-    computed from the kernel-with-rational-image presentation.
+    computed from the kernel-with-rational-image presentation, a two-map
+    complex read off its Smith diagonals like any other.
     """
     _check_degree(k, max_degree)
     if len(fstar) == 1:
@@ -756,5 +756,7 @@ def hypercohomology(
     stacked.set_block(a_k.nrows, 0, e.matmul(b_k))
     if not stacked.matmul(a_prev).is_zero():
         raise InternalInvariantError("total differential blocks do not compose to zero")
-    data = _quotient_data(_smith(stacked, transforms=True), a_prev)
-    return data["descriptor"]
+    # ker(stacked) is saturated, so ker(stacked) / im(a_prev) is the middle
+    # cohomology of the two-map complex a_prev, stacked: Smith diagonals only
+    ranks = {0: a_prev.ncols, 1: a_prev.nrows, 2: stacked.nrows}
+    return complex_cohomology(IntegerCochainComplex(0, 2, ranks, {0: a_prev, 1: stacked}), 1)

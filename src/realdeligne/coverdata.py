@@ -726,12 +726,19 @@ class FlatCocycle:
 
     def _integer_angles(self) -> tuple:
         """``(D, table)``: the angles as integers in ``[0, D)`` over their
-        least common denominator ``D``; the checks and the lift read it."""
+        least common denominator ``D``; :meth:`_checked_angles` checks it and
+        hands it to the flat classifier."""
         den = lcm(*(v.denominator for v in self.angles.values()))
         return den, {k: v.numerator * (den // v.denominator) % den for k, v in self.angles.items()}
 
     def validate(self) -> "FlatCocycle":
         """Raise :class:`InvalidCocycle` on the first violated invariant."""
+        self._checked_angles()
+        return self
+
+    def _checked_angles(self) -> tuple:
+        """:meth:`_integer_angles` once every check of :meth:`validate` has
+        passed on it; the flat classifier reads the table from here."""
         cover = self.cover
         expected_keys = set()
         for subset, comps in cover.intersections.items():
@@ -771,7 +778,7 @@ class FlatCocycle:
                     raise InvalidCocycle(
                         f"cocycle condition fails on {sorted(subset)} component {c}"
                     )
-        return self
+        return den, table
 
     def __sub__(self, other: "FlatCocycle") -> "FlatCocycle":
         if other.cover is not self.cover:

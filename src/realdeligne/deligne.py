@@ -9,9 +9,10 @@ symbolically (q = p >= 1).
 The flat classifier takes concrete locally constant transition angles,
 lifts them equivariantly, reads off the integral obstruction class of the
 lift's coboundary, and — when that vanishes — the residual torus
-coordinates.  It runs on integers, ``D`` times the rational cochains for
-``D`` the angles' least common denominator; Fractions appear only in the
-angles that come in and the torus coordinates that go out.
+coordinates, all in the orbit coordinates of one complex, the ordered
+orbit complex of sign -1.  It runs on integers, ``D`` times the rational
+cochains for ``D`` the angles' least common denominator; Fractions appear
+only in the angles that come in and the torus coordinates that go out.
 """
 
 from __future__ import annotations
@@ -22,7 +23,6 @@ from fractions import Fraction
 from .cechengine import (
     _orbit_complex,
     basis_involution,
-    cech_differential,
     equivariant_cohomology,
     tuple_basis,
 )
@@ -40,7 +40,6 @@ from .exactalg import (
     GroupDescriptor,
     _class_and_preimage,
     class_coordinates,
-    orbit_coordinates,
 )
 
 SMOOTH_PART_SYMBOL = "E^{p-1}/E^{p-1}_0(M)"
@@ -292,22 +291,20 @@ class FlatCocycleClass:
     trivial: bool
 
 
-def _equivariant_lift(cover: C2Cover, fc: FlatCocycle) -> tuple:
-    """``(D, lift)``: an integral degree-1 cochain, fixed on the nose, that
-    is ``D`` times a rational lift of the angles.
+def _equivariant_lift(cover: C2Cover, table: dict) -> list:
+    """An integral degree-1 cochain, fixed on the nose, that is ``D`` times
+    a rational lift of the angles ``table`` (``D`` and ``table`` from
+    :meth:`FlatCocycle._checked_angles`), in the orbit coordinates of the
+    sign -1 orbit complex: one integer per orbit of basis elements.
 
-    One angle per involution orbit of basis elements is lifted verbatim to
-    its first position and propagated with a flipped sign to the partner;
-    freeness of the index involution means no basis element partners itself.
+    The earlier element of each orbit takes its angle verbatim and its
+    partner, the later one, minus that; the orbit coordinate is the entry
+    at the later position.  Freeness of the index involution means no
+    basis element partners itself.
     """
-    den, table = fc._integer_angles()
+    keys = [(i, j, c) for (i, j), c in tuple_basis(cover, 1).elements]
     perm = basis_involution(cover, 1)
-    lift = [0] * len(perm)
-    for pos, ((i, j), c) in enumerate(tuple_basis(cover, 1).elements):
-        if pos < perm[pos]:
-            lift[pos] = table[(i, j, c)]
-            lift[perm[pos]] = -lift[pos]
-    return den, lift
+    return [-table[keys[pos]] for r, pos in enumerate(perm) if pos < r]
 
 
 def flat_cocycle_class(fc: FlatCocycle, max_degree: int = 3) -> FlatCocycleClass:
@@ -319,30 +316,29 @@ def flat_cocycle_class(fc: FlatCocycle, max_degree: int = 3) -> FlatCocycleClass
     cocycle whose free coordinates, taken mod 1, locate the class on the
     torus.  ``trivial`` is equivalent to both coordinate vectors vanishing.
 
-    The coordinates are taken against the Smith bases of the ordered orbit
-    complex, which is read in degrees 0..2 only; ``max_degree`` is the
-    range check.
+    Everything is read on the ordered orbit complex of sign -1, in degrees
+    0..2 only: the lift is built in its orbit coordinates, its coboundary is
+    the orbit complex's ``d_1``, and the coordinates are taken against that
+    complex's Smith bases.  ``max_degree`` is the range check.
     """
     if max_degree < 3:
         raise InsufficientDegree(
             f"the flat class reads degree 2, which needs max_degree >= 3, got {max_degree}"
         )
-    fc.validate()
+    den, table = fc._checked_angles()
     cover = fc.cover
     sub, _ = _orbit_complex(cover, IZ.sign)
 
-    den, lift = _equivariant_lift(cover, fc)
-    raw = cech_differential(cover, 1).matvec(lift)
+    lift = _equivariant_lift(cover, table)
+    # the coboundary of a fixed cochain is fixed, so its entries at the
+    # orbit representatives, its orbit coordinates, decide integrality
+    raw = sub.diff(1).matvec(lift)
     if any(x % den for x in raw):
         raise InvalidCocycle(
             "coboundary of the lift is not integral; the angle data "
             "violates the cocycle condition"
         )
-    beta = [x // den for x in raw]
-
-    # fixed cochains in orbit coordinates: their entries at the representatives
-    sign = IZ.sign
-    y_beta = orbit_coordinates(basis_involution(cover, 2), sign, beta)
+    y_beta = [x // den for x in raw]
     bockstein, mu = _class_and_preimage(sub, 2, y_beta)
     if any(bockstein.free_part):
         raise InternalInvariantError("obstruction class of a flat cocycle must be torsion")
@@ -356,8 +352,7 @@ def flat_cocycle_class(fc: FlatCocycle, max_degree: int = 3) -> FlatCocycleClass
     # residual class, D times a rational cocycle, on the torus
     if mu is None:
         raise InternalInvariantError("vanishing obstruction class must bound integrally")
-    lift_fixed = orbit_coordinates(basis_involution(cover, 1), sign, lift)
-    residual = [a - den * b for a, b in zip(lift_fixed, mu)]
+    residual = [a - den * b for a, b in zip(lift, mu)]
     free = class_coordinates(sub, 1, residual).free_part
     torus = tuple(Fraction(x % den, den) for x in free)
     coords = FlatClassCoordinates(torus_part=torus, torsion_part=torsion_part)

@@ -28,8 +28,7 @@ The subcomplex fixed by a degreewise involution has two routes:
 :func:`fixed_subcomplex` reads it off the Smith form of ``t_k - id`` for
 any involution, and :func:`_grow_orbit_complex`, which the Cech engine
 uses, reads it off the orbits of a free signed permutation, one orbit sum
-per basis vector, with no reduction at all (:func:`orbit_coordinates` is
-its left inverse).
+per basis vector, with no reduction at all.
 """
 
 from __future__ import annotations
@@ -972,21 +971,6 @@ def _grow_orbit_complex(c: IntegerCochainComplex, perm, sign: int, eps=None):
 
     sub._grow = step
     return sub, bases
-
-
-def orbit_coordinates(perm, sign: int, v) -> list:
-    """Coordinates of ``v`` against the orbit-sum basis of the signed
-    permutation ``perm`` (see :func:`_orbit_basis`): its entries at the
-    representatives.  Raises NotEquivariant when ``v`` is not fixed."""
-    out = []
-    for r, j in enumerate(perm):
-        if j < r:
-            if v[j] != sign * v[r]:
-                raise NotEquivariant(
-                    f"vector is not fixed: entry {j} is not {sign} times entry {r}"
-                )
-            out.append(v[r])
-    return out
 
 
 def _fixed_lattice(k: int, tk: SparseIntMatrix, n: int) -> _SmithData:

@@ -21,7 +21,10 @@ The reference routes, :func:`flat_checks_fraction_route` and
 classifier's arithmetic done the slow way, every angle sum and cochain
 product on Fractions.  The classifier route reads the package's bases and
 Smith data, so it checks the integer scaling of the classifier, not its
-algebra.
+algebra.  Unlike the classifier, which builds its lift in orbit
+coordinates, it lifts to full ordered cochains, takes their coboundary
+with the full ``cech_differential`` and projects back with
+:func:`orbit_coordinates`.
 """
 
 from fractions import Fraction
@@ -255,6 +258,24 @@ def flat_checks_fraction_route(fc):
                 raise InvalidCocycle(f"cocycle condition fails on {sorted(subset)} component {c}")
 
 
+def orbit_coordinates(perm, sign, v):
+    """Coordinates of ``v`` against the orbit-sum basis of the signed
+    permutation ``perm`` (one column ``e_r + sign * e_perm[r]`` per orbit,
+    ``r`` the later position, in ascending ``r``): its entries at the
+    representatives.  Raises NotEquivariant when ``v`` is not fixed."""
+    from realdeligne.errors import NotEquivariant
+
+    out = []
+    for r, j in enumerate(perm):
+        if j < r:
+            if v[j] != sign * v[r]:
+                raise NotEquivariant(
+                    f"vector is not fixed: entry {j} is not {sign} times entry {r}"
+                )
+            out.append(v[r])
+    return out
+
+
 def flat_class_fraction_route(fc):
     """``(torus_part, torsion_part)`` of a flat cocycle's class, as
     :func:`realdeligne.deligne.flat_cocycle_class` reports them, with the
@@ -279,12 +300,12 @@ def flat_class_fraction_route(fc):
     ]
     if any(x.denominator != 1 for x in raw):
         raise InvalidCocycle("coboundary of the lift is not integral")
-    y_beta = exactalg.orbit_coordinates(cechengine.basis_involution(cover, 2), -1, [int(x) for x in raw])
+    y_beta = orbit_coordinates(cechengine.basis_involution(cover, 2), -1, [int(x) for x in raw])
     torsion = tuple(exactalg.class_coordinates(sub, 2, y_beta).torsion_part)
     if any(torsion):
         return None, torsion
     mu = exactalg.coboundary_preimage(sub, 2, y_beta)
-    residual = [a - b for a, b in zip(exactalg.orbit_coordinates(perm, -1, lift), mu)]
+    residual = [a - b for a, b in zip(orbit_coordinates(perm, -1, lift), mu)]
     data, w = exactalg._kernel_coordinates(sub, 1, residual)
     y = data["x_smith"].u.matvec(w)
     return tuple(frac_mod1(y[i]) for i in data["free_pos"]), torsion

@@ -173,7 +173,8 @@ def test_acceptance_08_flat_cocycle_coherence(spaces):
                 # shift the lift, D times a rational lift, by D times an
                 # integral fixed cochain and re-read the obstruction class
                 # directly
-                den, lift = _equivariant_lift(cover, fc)
+                den, table = fc._checked_angles()
+                lift = bases[1].matvec(_equivariant_lift(cover, table))
                 shift = [den * int(rng.randint(-2, 3)) for _ in range(bases[1].ncols)]
                 shifted = np.array(lift, dtype=object) + bases[1].matvec(shift)
                 raw = delta1.matvec(shifted)

@@ -445,6 +445,32 @@ def test_cone_matches_direct_mod_n_on_curved_spaces(spaces):
             assert hypercohomology(cover, cone, k + 1, k + 2) == direct, (name, k)
 
 
+MIXED_COMPLEXES = (
+    CoefficientComplex((IZ, IQ), ("incl",)),
+    CoefficientComplex((Z_TRIVIAL, Q_TRIVIAL), ("incl",)),
+    CoefficientComplex((IZ, IZ, IQ), (2, 0)),
+)
+
+
+@pytest.mark.parametrize("entry", catalog.ENTRIES, ids=catalog.entry_label)
+def test_mixed_hypercohomology_matches_the_kernel_quotient(entry):
+    """With rational terms present, the reduced quotient is read off the
+    Smith diagonals of the two-map complex ``A_(k-1)``, ``[A_k; E B_k]``;
+    it equals the transform route's ``ker [A_k; E B_k] / im A_(k-1)``,
+    with ``E`` the left kernel of the rational block."""
+    cover = _fresh(entry)
+    for fstar in MIXED_COMPLEXES:
+        blocks = cechengine._total_blocks(cover, fstar)
+        for k in range(5):
+            a_k, b_k, c_k = blocks(k)
+            e = exactalg.as_sparse(exactalg.kernel_basis(c_k.transpose().to_dense())).transpose()
+            stacked = exactalg.SparseIntMatrix(a_k.nrows + e.nrows, a_k.ncols)
+            stacked.set_block(0, 0, a_k)
+            stacked.set_block(a_k.nrows, 0, e.matmul(b_k))
+            want = exactalg.kernel_quotient(stacked, blocks(k - 1)[0])
+            assert hypercohomology(cover, fstar, k, k + 1) == want, (fstar, k)
+
+
 # ---------------------------------------------------------------------------
 # one complex per (cover, sign), grown degree by degree
 # ---------------------------------------------------------------------------

@@ -399,6 +399,24 @@ def test_cli_runs_and_flat_class_leave_numpy_unloaded():
     assert run_probe(probe).splitlines()[-1] == "False"
 
 
+def test_cli_runs_leave_verify_unloaded():
+    """Only the verify command imports the cross-check suites: a table, a
+    Deligne descriptor and a classifier run without them."""
+    probe = """if True:
+        import sys
+        from realdeligne import cli
+
+        for argv in (
+            ["compute", "--space", "circle_antipodal", "--coeff", "iZ", "--max-degree", "4"],
+            ["deligne", "--space", "circle_antipodal", "-p", "2", "-q", "2"],
+            ["classify", "--space", "circle_conjugation", "--what", "flat"],
+        ):
+            assert cli.main(argv) == 0, argv
+        print("realdeligne.verify" in sys.modules)
+    """
+    assert run_probe(probe).splitlines()[-1] == "False"
+
+
 def test_exit_not_compact(tmp_path, capsys, spaces):
     raw = spaces["free_orbit"].to_raw()
     raw["name"] = "open_orbit"
@@ -458,6 +476,16 @@ def test_verify_borel_suite_passes(capsys):
     code, out, _ = run(capsys, "verify", "--suite", "borel")
     assert code == 0
     assert out.strip() == "suite borel: pass"
+
+
+def test_verify_unknown_suite_names_the_suites(capsys):
+    from realdeligne.verify import SUITES
+
+    code, out, err = run(capsys, "verify", "--suite", "nonsense")
+    assert code == 2
+    assert out == ""
+    assert "nonsense" in err and "Traceback" not in err
+    assert all(name in err for name in SUITES + ("all",))
 
 
 def test_verify_json_report(capsys):

@@ -239,6 +239,26 @@ def test_flat_class_reads_each_degree_once(spaces, monkeypatch):
     assert degrees == [2, 1]
 
 
+@pytest.mark.parametrize("name", ["circle_conjugation", "sphere_antipodal(2)"])
+def test_flat_class_reads_the_angles_once_and_no_full_coboundary(spaces, monkeypatch, name):
+    """A warm flat class reads the integer angle table once, for the checks
+    and the lift together, and never multiplies by the full ordered d_1:
+    the lift and its coboundary stay in the orbit complex's coordinates."""
+    from realdeligne.exactalg import SparseIntMatrix
+
+    cover = spaces[name]
+    fc, _ = flathelp.random_flat_cocycle(cover, np.random.RandomState(3))
+    flat_cocycle_class(fc)
+    delta1 = cech_differential(cover, 1)
+    tables, products = [], []
+    read, matvec = FlatCocycle._integer_angles, SparseIntMatrix.matvec
+    monkeypatch.setattr(FlatCocycle, "_integer_angles", lambda self: tables.append(None) or read(self))
+    monkeypatch.setattr(SparseIntMatrix, "matvec", lambda m, v: products.append(m) or matvec(m, v))
+    flat_cocycle_class(fc)
+    assert len(tables) == 1
+    assert products and all(m is not delta1 for m in products)
+
+
 def test_equivalence_relation(spaces):
     cover = spaces["circle_conjugation"]
     rng = np.random.RandomState(7)
@@ -296,17 +316,29 @@ def test_lift_coboundary_must_be_integral(spaces, monkeypatch):
     fc.angles.update({(ti, tj, tc): Fraction(6, 7), (tj, ti, tc): Fraction(1, 7)})
     with pytest.raises(InvalidCocycle, match="cocycle condition"):
         flat_cocycle_class(fc)
-    monkeypatch.setattr(FlatCocycle, "validate", lambda self: self)
+    monkeypatch.setattr(FlatCocycle, "_checked_angles", FlatCocycle._integer_angles)
     with pytest.raises(InvalidCocycle, match="not integral"):
         flat_cocycle_class(fc)
     with pytest.raises(InvalidCocycle, match="not integral"):
         oracles.flat_class_fraction_route(fc)
 
 
+def _space_id(space):
+    name, *params = space
+    return name + (":" + ",".join(map(str, params)) if params else "")
+
+
 @pytest.mark.parametrize(
     "space",
-    [("circle_conjugation",), ("circle_antipodal_fine",), ("sphere_antipodal", 2), ("torus",)],
-    ids=lambda s: ":".join(map(str, s)),
+    [
+        ("circle_conjugation",),
+        ("circle_antipodal_fine",),
+        ("sphere_antipodal", 2),
+        ("torus",),
+        ("point_trivial_fine",),
+        ("torus", "circle_antipodal", "circle_antipodal_fine"),
+    ],
+    ids=_space_id,
 )
 def test_coprime_denominators_match_the_fraction_route(space):
     """Cocycles mixing angles over 7, 11 and 13 (free generators, torsion
@@ -338,7 +370,8 @@ def test_obstruction_class_survives_lift_shifts(spaces):
     base = flat_cocycle_class(fc)
     sub, bases = build_equivariant_complex(cover, IZ, 3)
     delta1 = cech_differential(cover, 1)
-    den, lift = _equivariant_lift(cover, fc)
+    den, table = fc._checked_angles()
+    lift = bases[1].matvec(_equivariant_lift(cover, table))
     for _ in range(5):
         shift_fix = [den * int(rng.randint(-3, 4)) for _ in range(bases[1].ncols)]
         shifted = np.array(lift, dtype=object) + bases[1].matvec(shift_fix)

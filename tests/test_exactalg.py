@@ -33,7 +33,6 @@ from realdeligne.exactalg import (
     is_unimodular,
     kernel_basis,
     kernel_quotient,
-    orbit_coordinates,
     smith_normal_form,
     solve_int,
     solve_rational,
@@ -566,12 +565,20 @@ def test_orbit_complex_rejects_non_equivariant():
 
 
 def test_orbit_coordinates_read_representatives():
+    """The reference route's projection (``oracles.orbit_coordinates``) is
+    the left inverse of the orbit-sum embedding the engine grows."""
     v = np.array([-5, 5, 7, -7], dtype=object)
-    assert list(orbit_coordinates(SWAP_PAIRS, -1, v)) == [5, -7]
+    assert list(oracles.orbit_coordinates(SWAP_PAIRS, -1, v)) == [5, -7]
     with pytest.raises(NotEquivariant):
-        orbit_coordinates(SWAP_PAIRS, 1, v)
+        oracles.orbit_coordinates(SWAP_PAIRS, 1, v)
     half = [Fraction(1, 2), Fraction(1, 2), 0, 0]
-    assert list(orbit_coordinates(SWAP_PAIRS, 1, half)) == [Fraction(1, 2), 0]
+    assert list(oracles.orbit_coordinates(SWAP_PAIRS, 1, half)) == [Fraction(1, 2), 0]
+    c = swap_pairs_complex([[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]])
+    for sign in (-1, 1):
+        _, bases = _grow_orbit_complex(c, lambda k: SWAP_PAIRS, sign)
+        for w in ([5, -7], [0, 3]):
+            full = bases[0].matvec(w)
+            assert oracles.orbit_coordinates(SWAP_PAIRS, sign, full) == w
 
 
 @settings(max_examples=60, deadline=None)
