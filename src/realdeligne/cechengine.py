@@ -305,6 +305,48 @@ def build_equivariant_complex(
     return fixed
 
 
+@dataclass(frozen=True, slots=True)
+class AngleLayout:
+    """What checking and lifting a flat angle table needs of its cover.
+
+    ``pairs`` maps every angle key ``(i, j, c)``, one per element of
+    ``tuple_basis(cover, 1)`` (so its keys are the key set), to its
+    reversal partner ``(j, i, c)`` and its image ``(t i, t j, σ c)``.
+    ``triples`` lists ``((i, j, k), c, (j, k, c_i), (i, k, c_j), (i, j,
+    c_k))`` for each component ``c`` of each triple intersection, indices
+    sorted, faces ``c_x`` of ``c``, in the order of ``cover.intersections``.
+    ``orbit_keys`` has, per orbit of the sign -1 orbit complex's degree-1
+    basis, the key of its earlier element.  Only keys are kept, never the
+    cover.
+    """
+
+    pairs: dict
+    triples: tuple
+    orbit_keys: tuple
+
+
+@_per_cover
+def _angle_layout(cover: C2Cover) -> AngleLayout:
+    keys = [(i, j, c) for (i, j), c in tuple_basis(cover, 1).elements]
+    held = {key: key for key in keys}  # so that every key tuple is held once
+    t, sigma = cover.involution, cover.component_involution
+    pairs = {}
+    for key in keys:
+        i, j, c = key
+        pairs[key] = (held[(j, i, c)], held[(t[i], t[j], sigma[c])])
+    triples = []
+    for subset, comps in cover.intersections.items():
+        if len(subset) != 3:
+            continue
+        i, j, k = ijk = tuple(sorted(subset))
+        for c in comps:
+            jk, ik, ij = (j, k, cover.face(c, i)), (i, k, cover.face(c, j)), (i, j, cover.face(c, k))
+            triples.append((ijk, c, held[jk], held[ik], held[ij]))
+    perm = basis_involution(cover, 1)
+    orbit_keys = tuple(keys[pos] for r, pos in enumerate(perm) if pos < r)
+    return AngleLayout(pairs, tuple(triples), orbit_keys)
+
+
 # ---------------------------------------------------------------------------
 # Alternating cochains and the Borel complex
 # ---------------------------------------------------------------------------

@@ -732,66 +732,94 @@ class FlatCocycle:
         return den, {k: v.numerator * (den // v.denominator) % den for k, v in self.angles.items()}
 
     def validate(self) -> "FlatCocycle":
-        """Raise :class:`InvalidCocycle` on the first violated invariant."""
+        """Raise :class:`InvalidCocycle` on the first violated invariant: a
+        key set other than the cover's, then, in the table's own order, a
+        key whose reversal partner or image under the involution does not
+        carry minus its angle, then, in the order of the cover's
+        intersections, a triple whose faces do not sum to zero mod 1."""
         self._checked_angles()
         return self
 
     def _checked_angles(self) -> tuple:
         """:meth:`_integer_angles` once every check of :meth:`validate` has
-        passed on it; the flat classifier reads the table from here."""
-        cover = self.cover
-        expected_keys = set()
-        for subset, comps in cover.intersections.items():
-            if len(subset) != 2:
-                continue
-            i, j = sorted(subset)
-            for c in comps:
-                expected_keys.add((i, j, c))
-                expected_keys.add((j, i, c))
-        have = set(self.angles)
-        if have != expected_keys:
-            missing = sorted(expected_keys - have)
-            stray = sorted(have - expected_keys)
-            raise InvalidCocycle(
-                f"angle table mismatch: missing {missing[:3]}..., stray {stray[:3]}..."
-                if missing or stray
-                else "angle table mismatch"
-            )
-        den, table = self._integer_angles()
-        for (i, j, c), theta in table.items():
-            if (table[(j, i, c)] + theta) % den:
-                raise InvalidCocycle(f"antisymmetry fails on ({i}, {j}) component {c}")
-            tc = cover.sigma(c)
-            if (table[(cover.t(i), cover.t(j), tc)] + theta) % den:
-                raise InvalidCocycle(f"equivariance fails on ({i}, {j}) component {c}")
-        for subset, comps in cover.intersections.items():
-            if len(subset) != 3:
-                continue
-            i, j, k = sorted(subset)
-            for c in comps:
-                value = (
-                    table[(j, k, cover.face(c, i))]
-                    - table[(i, k, cover.face(c, j))]
-                    + table[(i, j, cover.face(c, k))]
-                )
-                if value % den:
-                    raise InvalidCocycle(
-                        f"cocycle condition fails on {sorted(subset)} component {c}"
-                    )
-        return den, table
+        passed on it; the flat classifier reads the table from here.  What
+        the checks need of the cover (the key set, each key's partner and
+        image, the faces of each triple) is read from its angle layout,
+        built once per cover by the engine."""
+        layout = _keys_checked(self.cover, self.angles)
+        return _checked_values(layout, *self._integer_angles())
 
-    def __sub__(self, other: "FlatCocycle") -> "FlatCocycle":
+    def _checked_difference(self, other: "FlatCocycle") -> tuple:
+        """``(D, table)`` of ``self - other`` on integers: ``D`` is the lcm
+        of the two tables' denominators and ``table``, in this table's key
+        order, holds ``t_self * D/D_self - t_other * D/D_other`` mod ``D``.
+        It runs the checks, and raises the messages, of ``(self -
+        other).validate()``, but forms no Fraction and no FlatCocycle.  Any
+        common denominator gives the classifier the same answers as the
+        least one."""
+        layout = _keys_checked(self.cover, self.angles, other.angles)
+        da, ta = self._integer_angles()
+        db, tb = other._integer_angles()
+        den = lcm(da, db)
+        ma, mb = den // da, den // db
+        table = {k: (x * ma - tb[k] * mb) % den for k, x in ta.items()}
+        return _checked_values(layout, den, table)
+
+    def _same_keys(self, other: "FlatCocycle") -> None:
+        """Refuse arithmetic across covers (ValueError) or across angle
+        tables with different key sets (:class:`InvalidCocycle`, naming the
+        first of the two tables whose keys are not the cover's)."""
         if other.cover is not self.cover:
             raise ValueError("cocycles live on different covers")
+        if self.angles.keys() != other.angles.keys():  # so one is not the cover's
+            _keys_checked(self.cover, self.angles, other.angles)
+
+    def __sub__(self, other: "FlatCocycle") -> "FlatCocycle":
+        self._same_keys(other)
         return FlatCocycle(
             self.cover,
             {k: self.angles[k] - other.angles[k] for k in self.angles},
         )
 
     def __add__(self, other: "FlatCocycle") -> "FlatCocycle":
-        if other.cover is not self.cover:
-            raise ValueError("cocycles live on different covers")
+        self._same_keys(other)
         return FlatCocycle(
             self.cover,
             {k: self.angles[k] + other.angles[k] for k in self.angles},
         )
+
+
+def _keys_checked(cover: C2Cover, *tables: dict):
+    """The cover's angle layout (``cechengine.AngleLayout``, built once per
+    cover under the engine's memo) once every table has the cover's key
+    set; else :class:`InvalidCocycle` on the first table that has not."""
+    from .cechengine import _angle_layout  # the engine imports this module
+
+    layout = _angle_layout(cover)
+    expected = layout.pairs.keys()
+    for angles in tables:
+        if angles.keys() != expected:
+            missing = sorted(expected - angles.keys())
+            stray = sorted(angles.keys() - expected)
+            raise InvalidCocycle(
+                f"angle table mismatch: missing {missing[:3]}..., stray {stray[:3]}..."
+            )
+    return layout
+
+
+def _checked_values(layout, den: int, table: dict) -> tuple:
+    """``(den, table)`` once the integer angles ``table`` over ``den``, with
+    the cover's key set, are antisymmetric, equivariant and closed on
+    triples mod ``den``; else :class:`InvalidCocycle` on the first failure
+    (see :meth:`FlatCocycle.validate` for the order)."""
+    pairs = layout.pairs
+    for key, theta in table.items():
+        partner, image = pairs[key]
+        if (table[partner] + theta) % den:
+            raise InvalidCocycle(f"antisymmetry fails on ({key[0]}, {key[1]}) component {key[2]}")
+        if (table[image] + theta) % den:
+            raise InvalidCocycle(f"equivariance fails on ({key[0]}, {key[1]}) component {key[2]}")
+    for ijk, c, jk, ik, ij in layout.triples:
+        if (table[jk] - table[ik] + table[ij]) % den:
+            raise InvalidCocycle(f"cocycle condition fails on {list(ijk)} component {c}")
+    return den, table

@@ -20,12 +20,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .cechengine import (
-    _orbit_complex,
-    basis_involution,
-    equivariant_cohomology,
-    tuple_basis,
-)
+from .cechengine import _angle_layout, _orbit_complex, equivariant_cohomology
 from .coverdata import IQ, IZ, C2Cover, FlatCocycle
 from .errors import (
     CoverMismatch,
@@ -299,12 +294,11 @@ def _equivariant_lift(cover: C2Cover, table: dict) -> list:
 
     The earlier element of each orbit takes its angle verbatim and its
     partner, the later one, minus that; the orbit coordinate is the entry
-    at the later position.  Freeness of the index involution means no
-    basis element partners itself.
+    at the later position.  ``AngleLayout.orbit_keys`` lists the earlier
+    elements' keys.  Freeness of the index involution means no basis
+    element partners itself.
     """
-    keys = [(i, j, c) for (i, j), c in tuple_basis(cover, 1).elements]
-    perm = basis_involution(cover, 1)
-    return [-table[keys[pos]] for r, pos in enumerate(perm) if pos < r]
+    return [-table[key] for key in _angle_layout(cover).orbit_keys]
 
 
 def flat_cocycle_class(fc: FlatCocycle, max_degree: int = 3) -> FlatCocycleClass:
@@ -319,14 +313,22 @@ def flat_cocycle_class(fc: FlatCocycle, max_degree: int = 3) -> FlatCocycleClass
     Everything is read on the ordered orbit complex of sign -1, in degrees
     0..2 only: the lift is built in its orbit coordinates, its coboundary is
     the orbit complex's ``d_1``, and the coordinates are taken against that
-    complex's Smith bases.  ``max_degree`` is the range check.
+    complex's Smith bases.  ``max_degree`` is the range check.  The angle
+    table is checked (:meth:`FlatCocycle.validate`) and read once.
     """
     if max_degree < 3:
         raise InsufficientDegree(
             f"the flat class reads degree 2, which needs max_degree >= 3, got {max_degree}"
         )
-    den, table = fc._checked_angles()
-    cover = fc.cover
+    return _flat_class(fc.cover, *fc._checked_angles())
+
+
+def _flat_class(cover: C2Cover, den: int, table: dict) -> FlatCocycleClass:
+    """The class of a checked integer angle table ``table`` over ``den``
+    (:meth:`FlatCocycle._checked_angles` or ``_checked_difference``); see
+    :func:`flat_cocycle_class`.  Scaling ``den`` and the table by ``m``
+    scales the lift, its coboundary and the residual by ``m`` and leaves the
+    obstruction and the torus coordinates as they are."""
     sub, _ = _orbit_complex(cover, IZ.sign)
 
     lift = _equivariant_lift(cover, table)
@@ -362,7 +364,14 @@ def flat_cocycle_class(fc: FlatCocycle, max_degree: int = 3) -> FlatCocycleClass
 
 
 def cocycles_equivalent(a: FlatCocycle, b: FlatCocycle) -> bool:
-    """True when the two angle systems differ by an equivariant coboundary."""
+    """True when the two angle systems differ by an equivariant coboundary.
+
+    This is ``flat_cocycle_class(a - b).trivial``, with the same
+    :class:`InvalidCocycle` messages as ``(a - b).validate()`` (key sets are
+    checked for ``a``, then ``b``), read from the two integer angle tables
+    over the lcm of their denominators: no Fraction difference and no
+    :class:`FlatCocycle` is formed.
+    """
     if a.cover is not b.cover:
         raise CoverMismatch("cocycles live on different covers")
-    return flat_cocycle_class(a - b).trivial
+    return _flat_class(a.cover, *a._checked_difference(b)).trivial

@@ -799,15 +799,25 @@ def complex_cohomology(c: IntegerCochainComplex, k: int) -> GroupDescriptor:
 def _kernel_coordinates(c: IntegerCochainComplex, k: int, cocycle):
     """Check that the flat sequence ``cocycle`` is a cocycle of ``c`` in
     degree ``k``; return the degree's coordinate data and the cocycle's
-    coordinates against its kernel basis."""
+    coordinates against its kernel basis.
+
+    The check reads the kernel coordinates ``w = L v`` it returns anyway:
+    ``v`` is a cocycle exactly when ``K w == v``, for ``K`` the saturated
+    kernel basis and ``L`` its left inverse.  If ``d_k v == 0``, ``v`` is in
+    the span of ``K`` (over Q too: the basis of a lattice spans its rational
+    span), so ``w`` is its coordinate vector; if ``K w == v``, ``v`` lies in
+    the image of ``K``, inside the kernel.  So integer and Fraction vectors
+    are checked exactly, at the cost of ``nnz(K)``, not of ``nnz(d_k)``.
+    """
     c._require(k)
     v = list(cocycle)
     if len(v) != c.rank(k):
         raise NotACocycle(f"vector has length {len(v)}, expected {c.rank(k)}")
-    if any(x for x in c.diff(k).matvec(v)):
-        raise NotACocycle("vector is not annihilated by the differential")
     data = _cohomology_data(c, k)
-    return data, data["left"].matvec(v)
+    w = data["left"].matvec(v)
+    if data["kernel"].matvec(w) != v:
+        raise NotACocycle("vector is not annihilated by the differential")
+    return data, w
 
 
 def _class_and_preimage(c: IntegerCochainComplex, k: int, cocycle):
@@ -835,14 +845,18 @@ def class_coordinates(c: IntegerCochainComplex, k: int, cocycle) -> ElementCoord
     The basis is the one produced by the Smith reductions with transforms
     in ``_cohomology_data``, made on the first coordinate question for
     degree ``k`` and kept, so repeated calls against the same complex are
-    mutually consistent.
+    mutually consistent.  A vector of the wrong length or outside the
+    kernel of ``d_k`` raises :class:`NotACocycle`; the kernel is tested on
+    the kernel coordinates (:func:`_kernel_coordinates`), never with a
+    product by ``d_k``.
     """
     return _class_and_preimage(c, k, cocycle)[0]
 
 
 def coboundary_preimage(c: IntegerCochainComplex, k: int, cocycle):
     """An integral ``x`` with ``d_(k-1) @ x == cocycle``, or None when the
-    cocycle's class is nonzero (see :func:`_class_and_preimage`)."""
+    cocycle's class is nonzero (see :func:`_class_and_preimage`).  Checks
+    the cocycle as :func:`class_coordinates` does."""
     return _class_and_preimage(c, k, cocycle)[1]
 
 

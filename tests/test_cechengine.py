@@ -904,6 +904,7 @@ def test_cover_and_its_cache_die_with_the_last_reference(name, params):
         hypercohomology(cover, CoefficientComplex((IZ, IQ), ("incl",)), 2, 3)
         deligne.deligne_descriptor(cover, 3, 2)
         assert deligne.flat_cocycle_class(FlatCocycle.zero(cover)).trivial
+        assert deligne.cocycles_equivalent(FlatCocycle.zero(cover), FlatCocycle.zero(cover))
         growing = [cechengine.build_borel_complex(cover, sign, 2) for sign in (-1, 1)]
         growing += [cechengine.build_descriptor_complex(cover, sign) for sign in (-1, 1)]
         growing.append(build_total_complex(cover, TOTAL_COMPLEXES[0]))

@@ -1,6 +1,7 @@
 """Descriptor shapes, classification wrappers, and the flat-angle classifier."""
 
 import json
+import math
 from fractions import Fraction
 
 import jsonschema
@@ -259,6 +260,201 @@ def test_flat_class_reads_the_angles_once_and_no_full_coboundary(spaces, monkeyp
     assert products and all(m is not delta1 for m in products)
 
 
+def _space_id(space):
+    name, *params = space
+    return name + (":" + ",".join(map(str, params)) if params else "")
+
+
+class _WatchedIntersections(dict):
+    """A cover's intersections that log every walk over them."""
+
+    def __init__(self, table, log):
+        super().__init__(table)
+        self.log = log
+
+    def __iter__(self):
+        self.log.append("iter")
+        return super().__iter__()
+
+    def items(self):
+        self.log.append("items")
+        return super().items()
+
+    def keys(self):
+        self.log.append("keys")
+        return super().keys()
+
+    def values(self):
+        self.log.append("values")
+        return super().values()
+
+
+@pytest.mark.parametrize(
+    "space", [("circle_conjugation",), ("torus", "circle_antipodal", "circle_antipodal_fine")], ids=_space_id
+)
+def test_warm_flat_class_reads_neither_the_cover_nor_d2(space, monkeypatch):
+    """A warm class and a warm equivalence test do only per-cocycle work:
+    the angle checks read the cover's angle layout, never its
+    intersections, and the cocycle checks read kernel coordinates, never a
+    product with the orbit complex's ``d_2``; ``d_1`` is applied once per
+    class, to the lift."""
+    from realdeligne.exactalg import SparseIntMatrix
+
+    cover = catalog.build(*space)
+    rng = np.random.RandomState(4)
+    gens = flathelp.class_generators(cover)
+    a, _ = flathelp.random_flat_cocycle(cover, rng, gens)
+    b, _ = flathelp.random_flat_cocycle(cover, rng, gens)
+    flat_cocycle_class(a)
+    sub = cechengine._orbit_complex(cover, -1)[0]
+    d1, d2 = sub.diff(1), sub.diff(2)
+    walks, products = [], []
+    matvec = SparseIntMatrix.matvec
+    monkeypatch.setattr(cover, "intersections", _WatchedIntersections(cover.intersections, walks))
+    monkeypatch.setattr(SparseIntMatrix, "matvec", lambda m, v: products.append(m) or matvec(m, v))
+    flat_cocycle_class(a)
+    cocycles_equivalent(a, b)
+    assert walks == []
+    assert not any(m is d2 for m in products)
+    assert sum(m is d1 for m in products) == 2
+
+
+def test_angle_layout_is_built_once_per_cover(monkeypatch):
+    built = []
+    layout = cechengine.AngleLayout
+    monkeypatch.setattr(cechengine, "AngleLayout", lambda *parts: built.append(parts) or layout(*parts))
+    cover = catalog.build("circle_conjugation")
+    rng = np.random.RandomState(9)
+    gens = flathelp.class_generators(cover)
+    for _ in range(10):
+        fc, expected = flathelp.random_flat_cocycle(cover, rng, gens)
+        assert flat_cocycle_class(fc).coords.torus_part == expected
+        assert cocycles_equivalent(fc, fc)
+    assert len(built) == 1
+
+
+def test_cocycles_equivalent_forms_no_flat_cocycle(spaces, monkeypatch):
+    cover = spaces["circle_conjugation"]
+    rng = np.random.RandomState(8)
+    a, _ = flathelp.random_flat_cocycle(cover, rng)
+    b = a + flathelp.random_coboundary(cover, rng)
+    made = []
+    init = FlatCocycle.__post_init__
+    monkeypatch.setattr(FlatCocycle, "__post_init__", lambda self: made.append(self) or init(self))
+    assert cocycles_equivalent(a, b)
+    assert made == []
+
+
+def _outcome(run):
+    """What ``run()`` returns, or the message of the InvalidCocycle it raises."""
+    try:
+        return run()
+    except InvalidCocycle as err:
+        return f"InvalidCocycle: {err}"
+
+
+def _perturbed(cover, fc, rng):
+    """Copies of ``fc`` broken in each way the checks look for: one angle
+    moved (antisymmetry), a reversal pair moved (equivariance), a whole
+    orbit moved (the cocycle condition, or nothing on a cover whose pairs
+    close no triple), and one angle moved in a reversed table, so the first
+    violation depends on the table's order."""
+    keys = list(fc.angles)
+    out = []
+    for kind in range(4):
+        angles = dict(fc.angles)
+        i, j, c = keys[rng.randint(len(keys))]
+        q = Fraction(1, int(rng.randint(2, 9)))
+        if kind == 0:
+            angles[(i, j, c)] += q
+        elif kind == 1:
+            angles[(i, j, c)] += q
+            angles[(j, i, c)] -= q
+        elif kind == 2:
+            ti, tj, tc = cover.t(i), cover.t(j), cover.sigma(c)
+            angles[(i, j, c)] += q
+            angles[(j, i, c)] -= q
+            angles[(ti, tj, tc)] -= q
+            angles[(tj, ti, tc)] += q
+        else:
+            angles = dict(reversed(list(angles.items())))
+            angles[(i, j, c)] += q
+        out.append(FlatCocycle(cover, angles))
+    return out
+
+
+@pytest.mark.parametrize(
+    "space",
+    [
+        ("circle_conjugation",),
+        ("circle_antipodal_fine",),
+        ("sphere_antipodal", 2),
+        ("point_trivial_fine",),
+        ("torus",),
+        ("torus", "circle_antipodal", "circle_antipodal_fine"),
+    ],
+    ids=_space_id,
+)
+def test_integer_table_equivalence_matches_the_fraction_route(space):
+    """``cocycles_equivalent`` reads the two integer tables over the lcm of
+    their denominators; it agrees with the class of the Fraction difference
+    ``a - b`` and with the Fraction reference route, also where that lcm is
+    larger than the difference's least denominator, and on broken tables it
+    raises what ``(a - b).validate()`` raises."""
+    cover = catalog.build(*space)
+    rng = np.random.RandomState(17)
+    gens = flathelp.class_generators(cover)
+    cocycles = [flathelp.random_flat_cocycle(cover, rng, gens)[0] for _ in range(6)]
+    pairs = [(a, a) for a in cocycles[:2]]
+    pairs += [(a, a + flathelp.random_coboundary(cover, rng)) for a in cocycles[:3]]
+    pairs += list(zip(cocycles, cocycles[1:]))
+    wider = 0
+    for a, b in pairs:
+        diff = a - b
+        torus, torsion = oracles.flat_class_fraction_route(diff)
+        reference = torus is not None and not any(torus) and not any(torsion)
+        assert cocycles_equivalent(a, b) == flat_cocycle_class(diff).trivial == reference
+        common = math.lcm(a._integer_angles()[0], b._integer_angles()[0])
+        wider += common > diff._integer_angles()[0]
+    assert wider >= 2
+    raised = 0
+    for a in cocycles[:3]:
+        for p in _perturbed(cover, a + flathelp.random_coboundary(cover, rng), rng):
+            for x, y in ((a, p), (p, a)):
+                want = _outcome(lambda: (x - y).validate() and flat_cocycle_class(x - y).trivial)
+                assert _outcome(lambda: cocycles_equivalent(x, y)) == want
+                raised += str(want).startswith("InvalidCocycle")
+    assert raised >= 12
+
+
+def test_mismatched_angle_tables_raise_invalid_cocycle(spaces):
+    """Tables with a key missing or a stray key are refused with the key
+    check's message, whichever side they are on, by ``cocycles_equivalent``
+    and by ``-`` and ``+``, as by ``validate``."""
+    cover = spaces["circle_conjugation"]
+    a, _ = flathelp.random_flat_cocycle(cover, np.random.RandomState(6))
+    key = sorted(a.angles)[2]
+    stray_key = ("X", "Y", "xy")
+    short = FlatCocycle(cover, {k: v for k, v in a.angles.items() if k != key})
+    stray = FlatCocycle(cover, {**a.angles, stray_key: Fraction(1, 2)})
+    for b, message in (
+        (short, f"angle table mismatch: missing {[key]}..., stray []..."),
+        (stray, f"angle table mismatch: missing []..., stray {[stray_key]}..."),
+    ):
+        assert _outcome(b.validate) == f"InvalidCocycle: {message}"
+        for run in (
+            lambda: cocycles_equivalent(a, b),
+            lambda: cocycles_equivalent(b, a),
+            lambda: a - b,
+            lambda: b - a,
+            lambda: a + b,
+            lambda: b + a,
+        ):
+            with pytest.raises(InvalidCocycle) as err:
+                run()
+            assert str(err.value) == message
+
+
 def test_equivalence_relation(spaces):
     cover = spaces["circle_conjugation"]
     rng = np.random.RandomState(7)
@@ -321,11 +517,6 @@ def test_lift_coboundary_must_be_integral(spaces, monkeypatch):
         flat_cocycle_class(fc)
     with pytest.raises(InvalidCocycle, match="not integral"):
         oracles.flat_class_fraction_route(fc)
-
-
-def _space_id(space):
-    name, *params = space
-    return name + (":" + ",".join(map(str, params)) if params else "")
 
 
 @pytest.mark.parametrize(

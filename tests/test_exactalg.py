@@ -1,12 +1,15 @@
 """Exact integer linear algebra: Smith reduction, cohomology of integer
 cochain complexes, class coordinates, fixed subcomplexes."""
 
+import functools
+from fractions import Fraction
+
 import numpy as np
 import pytest
-from fractions import Fraction
 from hypothesis import example, given, settings, strategies as st
 
 import oracles
+from realdeligne import catalog, cechengine
 from realdeligne.errors import (
     DegreeOutOfRange,
     InternalInvariantError,
@@ -20,7 +23,9 @@ from realdeligne.exactalg import (
     GroupDescriptor,
     IntegerCochainComplex,
     SparseIntMatrix,
+    _cohomology_data,
     _diagonal,
+    _kernel_coordinates,
     _smith,
     _unit_pivots,
     as_sparse,
@@ -412,6 +417,100 @@ def test_coboundary_preimage_exactly_on_zero_classes():
         v = d0 @ np.array(rng.randint(-5, 6, size=3), dtype=object)
         x = coboundary_preimage(wide, 1, v)
         assert x is not None and np.array_equal(d0 @ x, v)
+
+
+FLAT_CLASSIFY_SPACES = (
+    ("circle_conjugation",),
+    ("circle_antipodal_fine",),
+    ("sphere_antipodal", 2),
+    ("point_trivial_fine",),
+    ("torus",),
+    ("torus", "circle_antipodal", "circle_antipodal_fine"),
+)
+
+
+@functools.cache
+def flat_orbit_complex(space):
+    """The sign -1 ordered orbit complex the flat classifier reads, built to
+    degree 3, with its cover (which the complex holds only weakly)."""
+    cover = catalog.build(*space)
+    sub = cechengine._orbit_complex(cover, -1)[0]
+    sub.rank(3)
+    return cover, sub
+
+
+integers_or_fractions = st.integers(-3, 3) | st.fractions(-2, 2, max_denominator=6)
+
+
+@st.composite
+def degree_vectors(draw, c, k):
+    """A degree-``k`` vector of ``c`` with integer or Fraction entries: a
+    sparse random one, a true cocycle ``K w`` (``K`` the kernel basis of
+    ``d_k``), or such a cocycle with one entry moved."""
+    n = c.rank(k)
+    if n == 0:
+        return []
+    kind = draw(st.sampled_from(("random", "cocycle", "perturbed")))
+    if kind == "random":
+        v = [0] * n
+        for pos, x in draw(st.dictionaries(st.integers(0, n - 1), integers_or_fractions, max_size=6)).items():
+            v[pos] = x
+        return v
+    kernel = _cohomology_data(c, k)["kernel"]
+    w = draw(st.lists(integers_or_fractions, min_size=kernel.ncols, max_size=kernel.ncols))
+    v = kernel.matvec(w)
+    if kind == "perturbed":
+        v[draw(st.integers(0, n - 1))] += draw(integers_or_fractions.filter(bool))
+    return v
+
+
+def assert_cocycle_check_is_the_differential_check(c, k, v):
+    """``NotACocycle`` is raised exactly when ``d_k v != 0``, by the
+    coordinate pass and, on integer vectors, by the public entry points;
+    a cocycle's kernel coordinates give it back."""
+    closed = not any(c.diff(k).matvec(v))
+    integral = all(Fraction(x).denominator == 1 for x in v)
+    if closed:
+        data, w = _kernel_coordinates(c, k, v)
+        assert data["kernel"].matvec(w) == v
+        if integral:
+            class_coordinates(c, k, v)
+        return
+    with pytest.raises(NotACocycle, match="not annihilated"):
+        _kernel_coordinates(c, k, v)
+    if integral:
+        with pytest.raises(NotACocycle, match="not annihilated"):
+            class_coordinates(c, k, v)
+        with pytest.raises(NotACocycle, match="not annihilated"):
+            coboundary_preimage(c, k, v)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_kernel_coordinate_check_is_the_differential_check_on_flat_covers(data):
+    """On the orbit complexes the flat classifier reads, degrees 1 and 2."""
+    _, c = flat_orbit_complex(data.draw(st.sampled_from(FLAT_CLASSIFY_SPACES)))
+    k = data.draw(st.sampled_from((1, 2)))
+    assert_cocycle_check_is_the_differential_check(c, k, data.draw(degree_vectors(c, k)))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_kernel_coordinate_check_is_the_differential_check_with_torsion(data):
+    """On hand-built complexes with torsion, every degree, the top (where
+    ``d`` is the zero map and every vector is a cocycle) included."""
+    c = data.draw(complexes_with_torsion())
+    k = data.draw(st.integers(c.lo, c.hi))
+    assert_cocycle_check_is_the_differential_check(c, k, data.draw(degree_vectors(c, k)))
+
+
+def test_kernel_coordinate_check_on_a_top_degree_and_torsion():
+    c = periodic_complex(1, 4)  # d_3 = 2 into the top, so H^4 = Z/2
+    assert complex_cohomology(c, 4) == GroupDescriptor(0, (2,))
+    for v in ([1], [Fraction(1, 3)], [0]):
+        assert_cocycle_check_is_the_differential_check(c, 4, v)
+    for v in ([1], [Fraction(1, 2)], [0]):
+        assert_cocycle_check_is_the_differential_check(c, 3, v)
 
 
 def test_kernel_quotient_checks_generators():
