@@ -31,13 +31,13 @@ only when read: ``to_json``, the ordered cochains, ``FlatCocycle``,
 ``verify``.
 
 *Ordered cochains* ``C_ord`` live on ordered index tuples, normalized by
-dropping tuples with two equal consecutive entries (or, on request, keeping
-them); the tuple involution is free because the index involution is, so the
-fixed complex has one orbit sum ``e + sign * t(e)`` per orbit, read off the
-representative rows of the full coboundary (the induced-module picture;
-Brown, §III.5).  The flat classifier takes its torus and torsion
-coordinates against this complex's Smith bases, and ``verify`` keeps it as
-the independent cross-check of the descriptor route.
+dropping tuples with two equal consecutive entries; the tuple involution
+is free because the index involution is, so the fixed complex has one
+orbit sum ``e + sign * t(e)`` per orbit, read off the representative rows
+of the full coboundary (the induced-module picture; Brown, §III.5).  The
+flat classifier takes its torus and torsion coordinates against this
+complex's Smith bases, and ``verify`` keeps it as the independent
+cross-check of the descriptor route.
 
 The two agree: ``C_alt -> C_ord`` (extend by the sort sign, zero on
 repeats) is an equivariant quasi-isomorphism (Serre, FAC §20), ``Hom_C2(W,
@@ -47,10 +47,10 @@ C_ord)`` is quasi-isomorphic to the orbit complex ``C_ord^{C2}``.
 Every per-cover object (bases, coboundaries, the involution's action and
 the complexes built on them) comes from one builder under
 :func:`_per_cover`, which keeps it in the cover's cache entry under the
-builder's name and arguments.  A complex is a seed plus a grower that
-returns the differential out of its top degree, and reading a degree
-extends it to there, so, as H^k reads d_(k-1) and d_k, each degree is
-built and checked once and never past the highest degree read + 1;
+builder's name and positional arguments.  A complex is a seed plus a
+grower that returns the differential out of its top degree, and reading a
+degree extends it to there, so, as H^k reads d_(k-1) and d_k, each degree
+is built and checked once and never past the highest degree read + 1;
 ``max_degree`` is only a range check.  The alternating complexes are built
 at once to degree dim N + 1 and grow only zero terms above it.  No grower
 holds the cover (the ordered ones reach it through a weak reference), so a
@@ -89,24 +89,11 @@ _covercache: WeakKeyDictionary = WeakKeyDictionary()
 
 def _per_cover(builder):
     """Memoize ``builder(cover, *args)`` in the cover's cache entry under the
-    builder's name and its arguments, defaults filled in, so positional and
-    keyword calls share one entry; the entry dies with the cover."""
-    code = builder.__code__
-    params = code.co_varnames[1 : code.co_argcount]
-    tail = builder.__defaults__ or ()
-    defaults = dict(zip(params[len(params) - len(tail) :], tail))
+    builder's name and its positional arguments; the entry dies with the
+    cover."""
 
     @wraps(builder)
-    def memo(cover, *args, **kwargs):
-        if kwargs:
-            rest = params[len(args) :]
-            if not kwargs.keys() <= {*rest} <= kwargs.keys() | defaults.keys():
-                return builder(cover, *args, **kwargs)  # refused: raises its TypeError
-            args += tuple(kwargs[p] if p in kwargs else defaults[p] for p in rest)
-        elif (missing := len(params) - len(args)) > 0:
-            if missing > len(tail):
-                return builder(cover, *args)  # refused: raises its TypeError
-            args += tail[-missing:]
+    def memo(cover, *args):
         key = (builder.__name__, args)
         entry = _covercache.get(cover)
         if entry is None:
@@ -137,7 +124,7 @@ def _finite(c: IntegerCochainComplex, top: int) -> IntegerCochainComplex:
 def _carried(c: IntegerCochainComplex, max_degree: int) -> IntegerCochainComplex:
     if max_degree < 0:
         raise DegreeOutOfRange("max_degree must be nonnegative")
-    c.rank(max_degree + 1)
+    c.rank(max_degree)
     return c
 
 
@@ -173,10 +160,10 @@ class TupleBasis:
 
 
 @_per_cover
-def tuple_basis(cover: C2Cover, p: int, include_degenerate: bool = False) -> TupleBasis:
+def tuple_basis(cover: C2Cover, p: int) -> TupleBasis:
     """Basis of degree-``p`` cochains: tuples of ``p + 1`` indices whose
-    support intersects, no two consecutive entries equal (unless degenerate
-    tuples are explicitly requested), one element per component."""
+    support intersects, no two consecutive entries equal, one element per
+    component."""
     order = sorted(cover.indices)
     # prefixes grown one entry at a time stay in lexicographic order.  No
     # self-calling nested function here: its closure is a reference cycle
@@ -187,7 +174,7 @@ def tuple_basis(cover: C2Cover, p: int, include_degenerate: bool = False) -> Tup
         longer = []
         for tup, support in prefixes:
             for i in order:
-                if not include_degenerate and tup and tup[-1] == i:
+                if tup and tup[-1] == i:
                     continue
                 if i in support:
                     longer.append((tup + (i,), support))
@@ -201,17 +188,16 @@ def tuple_basis(cover: C2Cover, p: int, include_degenerate: bool = False) -> Tup
 
 
 @_per_cover
-def cech_differential(cover: C2Cover, p: int, include_degenerate: bool = False) -> SparseIntMatrix:
+def cech_differential(cover: C2Cover, p: int) -> SparseIntMatrix:
     """Coboundary matrix from degree ``p`` to degree ``p + 1``.
 
     Entry rule: the value on a target tuple is the alternating sum over
     deletions of one entry, transported along the face map when the deleted
     entry was the last occurrence of its index.  Deletions producing a tuple
-    outside the basis (a degenerate one, in the normalized model) contribute
-    nothing.
+    outside the basis (a degenerate one) contribute nothing.
     """
-    src = tuple_basis(cover, p, include_degenerate)
-    dst = tuple_basis(cover, p + 1, include_degenerate)
+    src = tuple_basis(cover, p)
+    dst = tuple_basis(cover, p + 1)
     m = SparseIntMatrix(len(dst), len(src))
     for r, (tup, c) in enumerate(dst.elements):
         row = m.rows[r]
@@ -234,58 +220,46 @@ def cech_differential(cover: C2Cover, p: int, include_degenerate: bool = False) 
 
 
 @_per_cover
-def basis_involution(cover: C2Cover, p: int, include_degenerate: bool = False) -> list:
+def basis_involution(cover: C2Cover, p: int) -> list:
     """The index/component involution on degree-``p`` basis positions:
     entry ``pos`` is the position of the image of element ``pos``."""
-    basis = tuple_basis(cover, p, include_degenerate)
+    basis = tuple_basis(cover, p)
     inv = cover.involution.__getitem__
     sigma = cover.component_involution
     return [basis.position[(tuple(map(inv, tup)), sigma[c])] for tup, c in basis.elements]
 
 
-def involution_matrix(
-    cover: C2Cover, p: int, sign: int, include_degenerate: bool = False
-) -> SparseIntMatrix:
+def involution_matrix(cover: C2Cover, p: int, sign: int) -> SparseIntMatrix:
     """Action of the involution on degree-``p`` cochains: permute basis
     elements by the index/component involution, times the coefficient sign."""
-    perm = basis_involution(cover, p, include_degenerate)
+    perm = basis_involution(cover, p)
     return SparseIntMatrix(len(perm), len(perm), [{j: sign} for j in perm])
 
 
 @_per_cover
-def _full_complex(cover: C2Cover, include_degenerate: bool) -> IntegerCochainComplex:
+def _full_complex(cover: C2Cover) -> IntegerCochainComplex:
     cover_ref = ref(cover)
     return _growing(
-        len(tuple_basis(cover, 0, include_degenerate)),
-        lambda n: cech_differential(_cover_of(cover_ref), n, include_degenerate),
+        len(tuple_basis(cover, 0)), lambda n: cech_differential(_cover_of(cover_ref), n)
     )
 
 
-def build_full_complex(
-    cover: C2Cover, max_degree: int, include_degenerate: bool = False
-) -> IntegerCochainComplex:
+def build_full_complex(cover: C2Cover, max_degree: int) -> IntegerCochainComplex:
     """The plain (non-equivariant) normalized cochain complex, carried in
-    degrees ``0 .. max_degree + 1`` at least: one per cover, grown in place."""
-    return _carried(_full_complex(cover, include_degenerate), max_degree)
+    degrees ``0 .. max_degree`` at least: one per cover, grown in place."""
+    return _carried(_full_complex(cover), max_degree)
 
 
 @_per_cover
-def _orbit_complex(cover: C2Cover, sign: int, include_degenerate: bool = False):
+def _orbit_complex(cover: C2Cover, sign: int):
     _require_free(cover)
     cover_ref = ref(cover)
     return _grow_orbit_complex(
-        _full_complex(cover, include_degenerate),
-        lambda k: basis_involution(_cover_of(cover_ref), k, include_degenerate),
-        sign,
+        _full_complex(cover), lambda k: basis_involution(_cover_of(cover_ref), k), sign
     )
 
 
-def build_equivariant_complex(
-    cover: C2Cover,
-    coeff: CoefficientSystem,
-    max_degree: int,
-    include_degenerate: bool = False,
-):
+def build_equivariant_complex(cover: C2Cover, coeff: CoefficientSystem, max_degree: int):
     """Integral complex of equivariant cochains, with its embedding.
 
     Returns ``(sub, bases)`` where ``bases[k]`` embeds the fixed basis into
@@ -294,13 +268,13 @@ def build_equivariant_complex(
     ``r`` the later position of the pair, and the fixed differential is read
     off the representative rows of the full coboundary; no Smith reduction
     is involved.  There is one pair per cover and sign, carried to degree
-    ``max_degree + 1`` at least; reading ``sub`` further grows both.  The
+    ``max_degree`` at least; reading ``sub`` further grows both.  The
     involution is checked to be free, to square to the identity and to
     commute with the coboundary once per degree, when that degree is first
     built.  The coefficient base is ignored here — this is the integral
     model, and rational or mod-n answers are derived from it downstream.
     """
-    fixed = _orbit_complex(cover, coeff.sign, include_degenerate)
+    fixed = _orbit_complex(cover, coeff.sign)
     _carried(fixed[0], max_degree)
     return fixed
 
@@ -528,7 +502,7 @@ def _borel_complex(cover: C2Cover, sign: int) -> IntegerCochainComplex:
 
 def build_borel_complex(cover: C2Cover, sign: int, max_degree: int) -> IntegerCochainComplex:
     """The Borel complex ``Hom_C2(W, C_alt)`` with coefficient sign ``sign``,
-    carried in total degrees ``0 .. max_degree + 1`` at least.
+    carried in total degrees ``0 .. max_degree`` at least.
 
     Summand ``(i, j)`` of ``Tot^n`` sits at offset ``Σ_{j' < j} |C^j'_alt|``
     for every ``n >= j``.  ``D_n`` carries it by ``(-1)^i δ_alt`` to

@@ -492,13 +492,6 @@ def solve_rational(m, b):
     return _object_array(_smith(as_sparse(m), transforms=True).solve(b, rational=True))
 
 
-def is_unimodular(m) -> bool:
-    m = as_sparse(m)
-    if m.nrows != m.ncols:
-        return False
-    return all(x == 1 for x in _smith(m, transforms=False).diag)
-
-
 # ---------------------------------------------------------------------------
 # Group descriptors
 # ---------------------------------------------------------------------------
@@ -594,7 +587,7 @@ class IntegerCochainComplex:
     hi: int
     ranks: dict
     diffs: dict
-    _cache: dict = field(default_factory=dict, repr=False)
+    _cache: dict = field(default_factory=dict, init=False, repr=False)
     _grow: object = field(default=None, init=False, repr=False)
 
     def __post_init__(self):

@@ -1,11 +1,11 @@
 """Independent closed-form references the tests freeze expected values from.
 
-Everything here but the reference route at the end is elementary integer
+Everything here but the reference routes at the end is elementary integer
 arithmetic on one-dimensional cochain groups — deliberately sharing no code
 with the package under test.  Groups
 are reported as ``(rank, torsion_tuple)`` pairs.
 
-Two families, and one reference route:
+Two families, and three reference routes:
 
 * cohomology of the two-element group acting on cyclic coefficient modules,
   via the 2-periodic free resolution (differentials alternate between
@@ -25,6 +25,15 @@ algebra.  Unlike the classifier, which builds its lift in orbit
 coordinates, it lifts to full ordered cochains, takes their coboundary
 with the full ``cech_differential`` and projects back with
 :func:`orbit_coordinates`.
+
+The third, :func:`degenerate_orbit_complex`, is the unnormalized ordered
+cochain model, every word of indices with repeats kept: its face rule
+written out here, its complex assembled by hand, and its fixed complex
+taken by the general Smith route on ``t - id``
+(:func:`realdeligne.exactalg.fixed_subcomplex`).  It shares neither the
+normalized bases and coboundaries nor the orbit-sum construction with the
+engine, so its cohomology is an independent check on every descriptor
+(Serre, FAC §20: the normalized and unnormalized models agree).
 """
 
 from fractions import Fraction
@@ -309,3 +318,51 @@ def flat_class_fraction_route(fc):
     data, w = exactalg._kernel_coordinates(sub, 1, residual)
     y = data["x_smith"].u.matvec(w)
     return tuple(frac_mod1(y[i]) for i in data["free_pos"]), torsion
+
+
+# ---------------------------------------------------------------------------
+# unnormalized ordered cochains, fixed complex by the Smith route
+# ---------------------------------------------------------------------------
+
+
+def degenerate_tuples(cover, p):
+    """Basis of unnormalized degree-``p`` cochains: every word of ``p + 1``
+    indices, repeats allowed anywhere, whose support intersects, one
+    element ``(word, component)`` per component of that intersection."""
+    from itertools import product
+
+    return [
+        (word, c)
+        for word in product(sorted(cover.indices), repeat=p + 1)
+        for c in sorted(cover.components_of(word))
+    ]
+
+
+def degenerate_orbit_complex(cover, sign, top):
+    """The fixed complex, in degrees ``0 .. top``, of the unnormalized
+    ordered cochains of a free cover under the word involution times
+    ``sign``.  Face ``k`` of ``(word, c)`` deletes entry ``k`` with sign
+    ``(-1)^k``, moving ``c`` to the face component when that was the last
+    occurrence of its index; every face of a word lies in the basis."""
+    from realdeligne.exactalg import IntegerCochainComplex, SparseIntMatrix, fixed_subcomplex
+
+    bases = [degenerate_tuples(cover, p) for p in range(top + 1)]
+    where = [{e: n for n, e in enumerate(b)} for b in bases]
+    diffs = {}
+    for p in range(top):
+        d = SparseIntMatrix(len(bases[p + 1]), len(bases[p]))
+        for row, (word, c) in zip(d.rows, bases[p + 1]):
+            for k, i in enumerate(word):
+                face = word[:k] + word[k + 1 :]
+                col = where[p][face, c if i in face else cover.face(c, i)]
+                row[col] = row.get(col, 0) + (-1) ** k
+                if not row[col]:
+                    del row[col]
+        diffs[p] = d
+    full = IntegerCochainComplex(0, top, {p: len(b) for p, b in enumerate(bases)}, diffs)
+    full.validate()
+    t = {}
+    for p, basis in enumerate(bases):
+        image = [where[p][tuple(map(cover.t, word)), cover.sigma(c)] for word, c in basis]
+        t[p] = SparseIntMatrix(len(basis), len(basis), [{j: sign} for j in image])
+    return fixed_subcomplex(full, t)[0]

@@ -63,8 +63,8 @@ def test_doubled_point_basis_counts(spaces):
         basis = tuple_basis(pt, p)
         # alternating words in two letters, one component each
         assert len(basis) == 2
-        degen = tuple_basis(pt, p, include_degenerate=True)
-        assert len(degen) == 2 ** (p + 1)
+        # every word in two letters, in the unnormalized model
+        assert len(oracles.degenerate_tuples(pt, p)) == 2 ** (p + 1)
 
 
 def test_free_orbit_basis_collapse(spaces):
@@ -85,7 +85,8 @@ def test_basis_enumeration_deterministic(spaces):
 def test_differentials_square_to_zero(spaces):
     for cover in spaces.values():
         build_full_complex(cover, 3).validate()
-        build_full_complex(cover, 3, include_degenerate=True).validate()
+        # the oracle validates the unnormalized complex as it builds it
+        oracles.degenerate_orbit_complex(cover, 1, 4).validate()
 
 
 def test_involution_matrix_is_signed_permutation(spaces):
@@ -259,8 +260,9 @@ def test_nonequivariant_point_acyclic(spaces):
 
 def test_degenerate_inclusion_changes_nothing(spaces):
     """The descriptor route (the Borel or alternating fixed complex)
-    against a different model, the orbit complex of ordered cochains with
-    degenerate tuples kept."""
+    against a different model, the fixed complex of ordered cochains with
+    degenerate tuples kept, taken by the Smith route
+    (:func:`oracles.degenerate_orbit_complex`)."""
     small = [
         name
         for name, cover in spaces.items()
@@ -270,10 +272,27 @@ def test_degenerate_inclusion_changes_nothing(spaces):
     for name in small:
         cover = spaces[name]
         for coeff in (IZ, Z_TRIVIAL):
+            fat = oracles.degenerate_orbit_complex(cover, coeff.sign, 3)
             for k in range(3):
                 lean = equivariant_cohomology(cover, coeff, k, 3)
-                fat, _ = build_equivariant_complex(cover, coeff, 4, include_degenerate=True)
                 assert lean == complex_cohomology(fat, k), (name, coeff, k)
+
+
+def test_degenerate_oracle_is_a_larger_model(spaces):
+    """The degenerate oracle is not the normalized model again: on every
+    cover with at most 4 indices, in degrees 1..3, it has more words than
+    the normalized basis and a fixed complex of higher rank than the
+    engine's orbit complex, so comparing their cohomology compares two
+    different complexes."""
+    small = [cover for cover in spaces.values() if len(cover.indices) <= 4]
+    assert small
+    for cover in small:
+        for sign in (-1, 1):
+            fat = oracles.degenerate_orbit_complex(cover, sign, 3)
+            lean = cechengine._orbit_complex(cover, sign)[0]
+            for p in (1, 2, 3):
+                assert len(oracles.degenerate_tuples(cover, p)) > len(tuple_basis(cover, p))
+                assert fat.rank(p) > lean.rank(p), (cover.name, sign, p)
 
 
 # ---------------------------------------------------------------------------
@@ -493,15 +512,15 @@ def test_grown_complex_matches_fixed_subcomplex(entry):
     form of t_k - id, up to the order of the basis columns: bit for bit
     ``bases[k] == ref_bases[k] @ P_k`` for a permutation matrix ``P_k``,
     and ``sub.diff(k) == P_(k+1)^-1 @ ref.diff(k) @ P_k``.  Each call reads
-    degree max_degree + 1, so the complex reaches the highest such degree
-    asked so far and no further."""
+    degree max_degree, so the complex reaches the highest such degree asked
+    so far and no further."""
     cover = _fresh(entry)
     for sign in (-1, 1):
         coeff = CoefficientSystem.integers(sign)
         top = 0
         for md in (2, 5, 3):
             sub, bases = build_equivariant_complex(cover, coeff, md)
-            top = max(top, md + 1)
+            top = max(top, md)
             assert sub.hi == top and sorted(bases) == list(range(top + 1))
             fresh = _fresh(entry)
             full = build_full_complex(fresh, md)
@@ -556,29 +575,26 @@ def test_growth_drops_answers_cached_at_the_old_top():
     assert changed  # the catalog does exercise a nonzero top differential
 
 
-def test_memo_keys_calls_with_defaults_filled_in():
-    """A per-cover builder is memoized under its arguments with defaults
-    filled in, so a call that leaves the default out, passes it
-    positionally or passes it by keyword gets one object; the degenerate
-    choice is a second one.  The descriptor complex is one object per
-    sign.  A call the builder refuses raises its own TypeError."""
+def test_memo_keys_calls_on_their_positional_arguments():
+    """A per-cover builder is memoized under its name and positional
+    arguments: the same call returns the same object and another argument
+    a second one.  The memo takes no keywords, so a keyword call raises
+    TypeError, as does a call missing an argument."""
     cover = catalog.build("circle_antipodal")
     for builder in (tuple_basis, cech_differential, cechengine.basis_involution):
         first = builder(cover, 1)
-        assert builder(cover, 1, False) is first, builder.__name__
-        assert builder(cover, 1, include_degenerate=False) is first, builder.__name__
-        assert builder(cover, p=1) is first, builder.__name__
-        degenerate = builder(cover, 1, True)
-        assert degenerate is not first and builder(cover, 1, include_degenerate=True) is degenerate
+        assert builder(cover, 1) is first, builder.__name__
+        assert builder(cover, 2) is not first, builder.__name__
+        for bad in ({"p": 1}, {"typo": True}):
+            with pytest.raises(TypeError):
+                builder(cover, **bad)
+        with pytest.raises(TypeError):
+            builder(cover)
     minus, plus = (cechengine.build_descriptor_complex(cover, sign) for sign in (-1, 1))
     assert minus is not plus
     assert cechengine.build_descriptor_complex(cover, -1) is minus
-    assert cechengine.build_descriptor_complex(cover, sign=1) is plus
-    for bad in ({}, {"p": 1, "typo": True}):
-        with pytest.raises(TypeError):
-            tuple_basis(cover, **bad)
     with pytest.raises(TypeError):
-        tuple_basis(cover, 1, p=1)
+        cechengine.build_descriptor_complex(cover, sign=1)
 
 
 def test_session_builds_each_fixed_degree_once(monkeypatch):

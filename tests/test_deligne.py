@@ -581,9 +581,9 @@ def test_flat_class_reads_the_orbit_complex_to_degree_three(entry):
     obstruction is a 2-cocycle, checked against d_2), so a cold cover's
     complex is built to degree 3 and no further; its coordinates and
     obstruction class are bit-identical to those taken against a complex
-    built with max_degree 3, which is carried to degree 4 and no further."""
+    built with max_degree 3, which is carried to degree 3 and no further."""
     warm = entry.build()
-    assert build_equivariant_complex(warm, IZ, 3)[0].hi == 4
+    assert build_equivariant_complex(warm, IZ, 3)[0].hi == 3
     rng = np.random.RandomState(5)
     gens = flathelp.class_generators(warm)
     cocycles = [flathelp.random_flat_cocycle(warm, rng, gens)[0] for _ in range(3)]

@@ -35,7 +35,6 @@ from realdeligne.exactalg import (
     complex_cohomology,
     fixed_subcomplex,
     integer_rank,
-    is_unimodular,
     kernel_basis,
     kernel_quotient,
     smith_normal_form,
@@ -90,7 +89,7 @@ def test_smith_known_diagonal():
 def test_smith_zero_matrix():
     d, u, v = smith_normal_form(intmat([[0, 0], [0, 0], [0, 0]]))
     assert not np.any(d)
-    assert is_unimodular(u) and is_unimodular(v)
+    assert abs(oracles._det(u)) == abs(oracles._det(v)) == 1
 
 
 @settings(max_examples=200, deadline=None)
@@ -99,8 +98,7 @@ def test_smith_postconditions(rows):
     m = intmat(rows)
     d, u, v = smith_normal_form(m)
     assert np.array_equal(u @ m @ v, d)
-    assert is_unimodular(u)
-    assert is_unimodular(v)
+    assert abs(oracles._det(u)) == abs(oracles._det(v)) == 1
     diag = [d[i, i] for i in range(min(d.shape))]
     assert all(x >= 0 for x in diag)
     chain = [x for x in diag if x]
@@ -150,7 +148,7 @@ def test_smith_pivot_scan_on_structured_matrices(rows):
     m = intmat(rows)
     d, u, v = smith_normal_form(m)
     assert np.array_equal(u @ m @ v, d)
-    assert is_unimodular(u) and is_unimodular(v)
+    assert abs(oracles._det(u)) == abs(oracles._det(v)) == 1
     diag = [d[i, i] for i in range(min(d.shape))]
     for i in range(d.shape[0]):
         for j in range(d.shape[1]):

@@ -68,14 +68,13 @@ def test_traced_pass_counts_calls_made_inside_the_engine():
     """The engine reaches each memoized builder through its module name, so
     the tracer's wrappers count the calls the flat classifier and the
     descriptor route make, not only the ones a caller makes directly.  The
-    positional call with ``include_degenerate`` reads the flat classifier's
-    orbit complex."""
+    direct call reads the flat classifier's orbit complex."""
     tr = _load_tracer().Tracer().install()
     try:
         cover = catalog.build("circle_conjugation")
         assert deligne.flat_cocycle_class(FlatCocycle.zero(cover)).trivial
         assert str(cechengine.equivariant_cohomology(cover, IZ, 1, 2)) == "Z + Z/2"
-        built = cechengine.build_equivariant_complex(cover, IZ, 3, False)
+        built = cechengine.build_equivariant_complex(cover, IZ, 3)
     finally:
         tr.uninstall()
     assert built is cechengine._orbit_complex(cover, IZ.sign)
