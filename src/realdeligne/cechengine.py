@@ -22,13 +22,17 @@ antipodal cover), each ``C^j_alt`` is Z[C2]-free and descriptors read the
 smaller fixed complex ``C_alt^{C2}`` instead, which is quasi-isomorphic
 (:func:`build_descriptor_complex`).  Plain cohomology reads ``C_alt``.
 
-All of these read the cover's :class:`AlternatingModel`, taken from its
+All of these read the cover's :class:`AlternatingModel`: the model of its
 nerve or, for a product, the tensor model ``C_alt(A) ⊗ C_alt(B)`` of its
 factors' models (recursively), which Eilenberg–Zilber (Amer. J. Math. 75,
 1953; Dold–Puppe 1961) makes naturally, so equivariantly,
-quasi-isomorphic to the product's cochains.  A product's nerve is built
-only when read: ``to_json``, the ordered cochains, ``FlatCocycle``,
-``verify``.
+quasi-isomorphic to the product's cochains.  Each model is reduced as soon
+as it is built, by equivariant Gaussian elimination of its unit pivots
+(:func:`_reduced`), to a Z[C2]-chain homotopy equivalent model that is
+much smaller (the conjugation circle's 6/10/4 becomes 2/2), so the ranks
+and offsets of every complex above are those of the reduced model, not of
+the alternating basis.  A product's nerve is built only when read:
+``to_json``, the ordered cochains, ``FlatCocycle``, ``verify``.
 
 *Ordered cochains* ``C_ord`` live on ordered index tuples, normalized by
 dropping tuples with two equal consecutive entries; the tuple involution
@@ -47,16 +51,18 @@ C_ord)`` is quasi-isomorphic to the orbit complex ``C_ord^{C2}``.
 Every per-cover object (bases, coboundaries, the involution's action and
 the complexes built on them) comes from one builder under
 :func:`_per_cover`, which keeps it in the cover's cache entry under the
-builder's name and positional arguments.  A complex is a seed plus a
+builder's name and positional arguments.  The unreduced nerve model's
+coboundaries and action are the exception: they are built once, for the
+reduction, and not kept.  A complex is a seed plus a
 grower that returns the differential out of its top degree, and reading a
 degree extends it to there, so, as H^k reads d_(k-1) and d_k, each degree
 is built and checked once and never past the highest degree read + 1;
 ``max_degree`` is only a range check.  The alternating complexes are built
-at once to degree dim N + 1 and grow only zero terms above it.  No grower
-holds the cover (the ordered ones reach it through a weak reference), so a
-cover and its cache die with its last reference.  Rational and mod-n
-results come from the integral complexes by universal coefficients
-degreewise.
+at once to degree top + 1 of their model and grow only zero terms above
+it.  No grower holds the cover (the ordered ones reach it through a weak
+reference), so a cover and its cache die with its last reference.
+Rational and mod-n results come from the integral complexes by universal
+coefficients degreewise.
 """
 
 from __future__ import annotations
@@ -78,6 +84,8 @@ from .exactalg import (
     IntegerCochainComplex,
     SparseIntMatrix,
     _check_commutes,
+    _column_sets,
+    _eliminate,
     _grow_orbit_complex,
     _rational_rank,
     _smith,
@@ -339,10 +347,10 @@ def alternating_basis(cover: C2Cover, j: int) -> TupleBasis:
     return TupleBasis(j, tuple(elements), {e: n for n, e in enumerate(elements)})
 
 
-@_per_cover
 def alternating_differential(cover: C2Cover, j: int) -> SparseIntMatrix:
     """``δ_alt`` from degree ``j`` to ``j + 1``: the value on a sorted subset
-    is the alternating sum over its faces, transported along the face maps."""
+    is the alternating sum over its faces, transported along the face maps.
+    Not memoized: only the nerve model reads it, once, before reducing."""
     src = alternating_basis(cover, j)
     dst = alternating_basis(cover, j + 1)
     m = SparseIntMatrix(len(dst), len(src))
@@ -352,12 +360,12 @@ def alternating_differential(cover: C2Cover, j: int) -> SparseIntMatrix:
     return m
 
 
-@_per_cover
 def alternating_involution(cover: C2Cover, j: int):
     """The relabelling on alternating degree-``j`` cochains as a signed
     permutation ``(perm, eps)``: the image of element ``r`` is ``eps[r]``
     times element ``perm[r]``, with ``eps[r]`` the sign of the sort that
-    puts the relabelled subset back in order."""
+    puts the relabelled subset back in order.  Not memoized, like
+    :func:`alternating_differential`."""
     basis = alternating_basis(cover, j)
     inv = cover.involution.__getitem__
     sigma = cover.component_involution
@@ -384,11 +392,15 @@ class AlternatingModel:
     """The alternating cochains of a cover as every descriptor reads them:
     the plain complex, built to ``top + 1`` and zero above ``top``, and the
     involution on each degree ``0 .. top`` as a signed permutation ``(perm,
-    eps)``, checked to square to the identity.  It holds no cover."""
+    eps)``.  A model is checked when it is made: each action squares to the
+    identity and commutes with the differential.  It holds no cover."""
 
     __slots__ = ("complex", "actions", "top")
 
     def __init__(self, complex: IntegerCochainComplex, actions: list, top: int):
+        actions = [_checked_action(j, *act, complex.rank(j)) for j, act in enumerate(actions)]
+        for j in range(top):
+            _check_commutes(complex.diff(j), actions[j], actions[j + 1], j)
         self.complex, self.actions, self.top = complex, actions, top
 
     def action(self, j: int):
@@ -444,36 +456,100 @@ def _tensor_model(a: AlternatingModel, b: AlternatingModel) -> AlternatingModel:
                 base, e = off + pa[r] * w, ea[r]
                 perm += [base + x for x in pb]
                 eps += [e * x for x in eb]
-        actions.append(_checked_action(n, perm, eps, c.rank(n)))
+        actions.append((perm, eps))
     return AlternatingModel(c, actions, top)
+
+
+def _nerve_model(cover: C2Cover) -> AlternatingModel:
+    """The model read off the nerve, unreduced, with top its dimension."""
+    top = max(map(len, cover.intersections), default=1) - 1
+    c = _growing(len(alternating_basis(cover, 0)), lambda n: alternating_differential(cover, n))
+    c = _finite(c, top)
+    return AlternatingModel(c, [alternating_involution(cover, j) for j in range(top + 1)], top)
+
+
+def _reduced(model: AlternatingModel) -> AlternatingModel:
+    """``model`` with its unit pivots eliminated equivariantly: a
+    Z[C2]-chain homotopy equivalent model, so one with the same plain,
+    Borel and fixed cohomology (the elimination lemma: Barnes and Lambe,
+    Proc. AMS 112, 1991; Sköldberg, Trans. AMS 358, 2006).
+
+    A pivot of ``d_j`` is an entry ``d[r][c] = ±1`` with ``c`` and ``r``
+    both fixed by the signed permutation, or both free with ``d[T r][c] ==
+    0``, so that the Z[C2] entry between their orbits is a unit; a free
+    pair takes its image ``(T c, T r)`` with it.  Rows are visited shortest
+    first, each taking its pivot of sparsest column, as in
+    :func:`exactalg._unit_pivots`.  Eliminating ``(c, r)`` clears column
+    ``c`` of ``d_j`` by row operations and drops ``c`` and ``r`` from the
+    model, so row ``c`` of ``d_(j-1)`` and column ``r`` of ``d_(j+1)`` go
+    with them.  That makes no new pivot below degree ``j + 1``, so one pass
+    up the degrees leaves none.  The survivors keep their order and the
+    restricted action, the new model is checked like any other, and its
+    top is its highest nonzero degree."""
+    alive = [[True] * model.complex.rank(j) for j in range(model.top + 2)]
+    rows = []
+    for j in range(model.top):
+        (perm, _), (perm1, _) = model.actions[j], model.actions[j + 1]
+        live, live1 = alive[j], alive[j + 1]
+        a = [{c: x for c, x in row.items() if live[c]} for row in model.complex.diff(j).rows]
+        cols = _column_sets(a, len(live))
+        for r in sorted(range(len(a)), key=lambda i: len(a[i])):
+            t = perm1[r]
+            units = (
+                c for c, x in a[r].items()
+                if (x == 1 or x == -1) and (perm[c] == c) == (t == r) and (t == r or c not in a[t])
+            )
+            c = min(units, key=lambda c: len(cols[c]), default=None)
+            if c is None:
+                continue
+            for pc, pr in ((c, r),) if t == r else ((c, r), (perm[c], t)):
+                _eliminate(a, cols, pr, pc)
+                live[pc] = live1[pr] = False
+        rows.append(a)
+    # each survivor's new position, per degree, in the old order
+    new = [{old: n for n, old in enumerate(i for i, x in enumerate(live) if x)} for live in alive]
+    top = max((j for j in range(model.top + 1) if new[j]), default=0)
+    diffs = [
+        SparseIntMatrix(len(new[j + 1]), len(new[j]), [
+            {new[j][c]: x for c, x in row.items()} for row, kept in zip(rows[j], alive[j + 1]) if kept
+        ])
+        for j in range(top)
+    ]
+    diffs.append(SparseIntMatrix(0, len(new[top])))
+    # a survivor whose partner is gone maps to -1, which _checked_action refuses
+    actions = [
+        ([new[j].get(perm[r], -1) for r in new[j]], [eps[r] for r in new[j]])
+        for j, (perm, eps) in enumerate(model.actions[: top + 1])
+    ]
+    return AlternatingModel(_finite(_growing(len(new[0]), diffs.__getitem__), top), actions, top)
 
 
 @_per_cover
 def _alternating_model(cover: C2Cover) -> AlternatingModel:
-    """The tensor model of a product's factors' models, or else the model
-    read off the nerve, with top its dimension."""
+    """The model every reader reads: the nerve's, or for a product the
+    tensor model of its factors' models, reduced (:func:`_reduced`)."""
     if cover.factors:
-        return _tensor_model(*map(_alternating_model, cover.factors))
-    top = max(map(len, cover.intersections), default=1) - 1
-    c = _growing(len(alternating_basis(cover, 0)), lambda n: alternating_differential(cover, n))
-    c = _finite(c, top)
-    actions = [_checked_action(j, *alternating_involution(cover, j), c.rank(j)) for j in range(top + 1)]
-    return AlternatingModel(c, actions, top)
+        return _reduced(_tensor_model(*map(_alternating_model, cover.factors)))
+    return _reduced(_nerve_model(cover))
 
 
 def build_alternating_complex(cover: C2Cover) -> IntegerCochainComplex:
-    """The plain alternating cochain complex of the cover's model, one per
-    cover: built to its top + 1 at once, zero above."""
+    """The plain complex of the cover's reduced alternating model, one per
+    cover: built to its top + 1 at once, zero above.  It is chain homotopy
+    equivalent to the alternating cochains; its ranks are the reduced
+    model's, not the sizes of ``alternating_basis``."""
     return _alternating_model(cover).complex
 
 
 @_per_cover
 def _borel_complex(cover: C2Cover, sign: int) -> IntegerCochainComplex:
     _require_free(cover)
-    model = _alternating_model(cover)
+    return _borel_of(_alternating_model(cover), sign)
+
+
+def _borel_of(model: AlternatingModel, sign: int) -> IntegerCochainComplex:
+    """The Borel complex of one model (see :func:`build_borel_complex`)."""
     alt, actions, top = model.complex, model.actions, model.top
-    for j in range(top):
-        _check_commutes(alt.diff(j), actions[j], actions[j + 1], j)
     offset = [0]
     for j in range(top + 1):
         offset.append(offset[-1] + alt.rank(j))
@@ -504,32 +580,36 @@ def build_borel_complex(cover: C2Cover, sign: int, max_degree: int) -> IntegerCo
     """The Borel complex ``Hom_C2(W, C_alt)`` with coefficient sign ``sign``,
     carried in total degrees ``0 .. max_degree`` at least.
 
-    Summand ``(i, j)`` of ``Tot^n`` sits at offset ``Σ_{j' < j} |C^j'_alt|``
-    for every ``n >= j``.  ``D_n`` carries it by ``(-1)^i δ_alt`` to
+    ``C_alt`` here is the cover's reduced alternating model
+    (:func:`_reduced`), so ranks and offsets are the reduced model's.
+    Summand ``(i, j)`` of ``Tot^n`` sits at offset ``Σ_{j' < j} rank
+    C^j'`` for every ``n >= j``.  ``D_n`` carries it by ``(-1)^i δ`` to
     ``(i, j + 1)`` and by ``1 - T`` or ``1 + T`` (``i + 1`` odd or even) to
-    ``(i + 1, j)``, where ``T`` is ``sign`` times the alternating
-    involution, both from the cover's alternating model.  There is one
-    complex per cover and sign, grown in place.  Its first build checks
-    ``T δ_alt = δ_alt T`` in every degree of the model (``T^2 = id`` was
-    checked when the model was built), and ``extend`` checks each new
-    differential's shape and D∘D = 0.
+    ``(i + 1, j)``, where ``T`` is ``sign`` times the model's action.
+    There is one complex per cover and sign, grown in place.  The model
+    was checked when it was made (``T^2 = id`` and ``T δ = δ T`` in every
+    degree), and ``extend`` checks each new differential's shape and D∘D =
+    0.
     """
     return _carried(_borel_complex(cover, sign), max_degree)
 
 
+def _acts_freely(model: AlternatingModel) -> bool:
+    """True when T fixes no basis element of ``model``, even up to sign, in
+    any degree; then every degree is a free Z[C2]-module."""
+    return all(p != r for perm, _ in model.actions for r, p in enumerate(perm))
+
+
 @_per_cover
 def _alternating_action_is_free(cover: C2Cover) -> bool:
-    """True when T fixes no alternating basis element, even up to sign, in
-    any degree; then every ``C^j_alt`` is a free Z[C2]-module."""
+    """Whether the cover's reduced model has a free action (:func:`_acts_freely`)."""
     _require_free(cover)
-    return all(p != r for perm, _ in _alternating_model(cover).actions for r, p in enumerate(perm))
+    return _acts_freely(_alternating_model(cover))
 
 
-@_per_cover
-def _alternating_fixed_complex(cover: C2Cover, sign: int):
-    """``(sub, bases)``: the fixed complex ``C_alt^{C2}`` of a free alternating
-    action and its orbit-sum embeddings, built at once to ``top + 1``."""
-    model = _alternating_model(cover)
+def _fixed_of(model: AlternatingModel, sign: int):
+    """``(sub, bases)``: the fixed complex of a free action on ``model`` and
+    its orbit-sum embeddings, built at once to ``top + 1``."""
     sub, bases = _grow_orbit_complex(
         model.complex, lambda j: model.action(j)[0], sign, lambda j: model.action(j)[1]
     )
@@ -537,15 +617,21 @@ def _alternating_fixed_complex(cover: C2Cover, sign: int):
 
 
 @_per_cover
+def _alternating_fixed_complex(cover: C2Cover, sign: int):
+    """The fixed complex ``C_alt^{C2}`` of the cover's model (:func:`_fixed_of`)."""
+    return _fixed_of(_alternating_model(cover), sign)
+
+
+@_per_cover
 def build_descriptor_complex(cover: C2Cover, sign: int) -> IntegerCochainComplex:
     """The complex every descriptor reads for coefficient sign ``sign``.
 
-    When the alternating action is free (no subset with ``t(S) = S`` meets
-    in a component that ``σ`` fixes; every antipodal cover), each
-    ``C^j_alt`` is Z[C2]-free, so the Borel complex is quasi-isomorphic to
-    the fixed complex ``C_alt^{C2}``: one orbit sum ``e_r + sign * ε_r *
+    When the action on the cover's reduced model is free (T fixes no basis
+    element even up to sign; every antipodal cover), each degree is
+    Z[C2]-free, so the Borel complex is quasi-isomorphic to the fixed
+    complex ``C_alt^{C2}``: one orbit sum ``e_r + sign * ε_r *
     e_π(r)`` per orbit, at most half the Borel rank in every degree and zero
-    above the nerve's dimension.  Otherwise it is the Borel complex
+    above the model's top.  Otherwise it is the Borel complex
     (:func:`build_borel_complex`).
     """
     if _alternating_action_is_free(cover):

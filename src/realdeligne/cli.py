@@ -5,7 +5,8 @@ bidegree), ``classify`` (bundle-flavoured queries), ``verify`` (internal
 cross-check suites).  Results go to stdout, diagnostics to stderr.  Exit
 codes: 0 success, 1 verification failure, 2 cover/input validation failure,
 3 degree-range failure, 4 compactness required but absent, 5 internal
-invariant failure (a defect in the package, not in the input).
+invariant failure (a defect in the package, not in the input), 6 out of
+memory (the question needs more memory than the process can get).
 """
 
 from __future__ import annotations
@@ -43,6 +44,7 @@ EXIT_VALIDATION = 2
 EXIT_DEGREE_RANGE = 3
 EXIT_NOT_COMPACT = 4
 EXIT_INTERNAL = 5
+EXIT_OUT_OF_MEMORY = 6
 
 
 @dataclass
@@ -279,6 +281,10 @@ def main(argv=None) -> int:
     except NotCompact as exc:
         print(str(exc), file=sys.stderr)
         return EXIT_NOT_COMPACT
+    except MemoryError:
+        print("out of memory: this question needs more memory than the process can get",
+              file=sys.stderr)
+        return EXIT_OUT_OF_MEMORY
 
 
 if __name__ == "__main__":

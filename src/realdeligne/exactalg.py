@@ -696,6 +696,40 @@ def _cohomology_data(c: IntegerCochainComplex, k: int):
     return data
 
 
+def _column_sets(a: list, ncols: int) -> list:
+    """Per column, the set of rows of the sparse rows ``a`` with an entry there."""
+    cols = [set() for _ in range(ncols)]
+    for i, row in enumerate(a):
+        for j in row:
+            cols[j].add(i)
+    return cols
+
+
+def _eliminate(a: list, cols: list, r: int, c: int) -> None:
+    """Clear column ``c`` of the sparse rows ``a`` by row operations against
+    the unit pivot ``a[r][c]``, then empty row ``r``; ``cols[j]`` is the set
+    of rows with an entry in column ``j``, kept up to date."""
+    row = a[r]
+    p = row[c]
+    for i in list(cols[c]):
+        if i == r:
+            continue
+        ai = a[i]
+        q = ai[c] * p
+        for j, x in row.items():
+            v = ai.get(j, 0) - q * x
+            if v:
+                if j not in ai:
+                    cols[j].add(i)
+                ai[j] = v
+            else:
+                del ai[j]
+                cols[j].discard(i)
+    for j in row:
+        cols[j].discard(r)
+    a[r] = {}
+
+
 def _unit_pivots(m: SparseIntMatrix):
     """Eliminate the ±1 pivots of ``m`` in Markowitz order; return how many
     were eliminated and the residual, compacted to its nonempty rows and
@@ -710,35 +744,14 @@ def _unit_pivots(m: SparseIntMatrix):
     working copy is freed on return, before the residual is reduced.
     """
     a = [dict(r) for r in m.rows]
-    cols = [set() for _ in range(m.ncols)]
-    for i, row in enumerate(a):
-        for j in row:
-            cols[j].add(i)
+    cols = _column_sets(a, m.ncols)
     eliminated = 0
     for r in sorted(range(m.nrows), key=lambda i: len(a[i])):
-        row = a[r]
-        units = (j for j, x in row.items() if x == 1 or x == -1)
+        units = (j for j, x in a[r].items() if x == 1 or x == -1)
         c = min(units, key=lambda j: len(cols[j]), default=None)
         if c is None:
             continue
-        p = row[c]
-        for i in list(cols[c]):
-            if i == r:
-                continue
-            ai = a[i]
-            q = ai[c] * p
-            for j, x in row.items():
-                v = ai.get(j, 0) - q * x
-                if v:
-                    if j not in ai:
-                        cols[j].add(i)
-                    ai[j] = v
-                else:
-                    del ai[j]
-                    cols[j].discard(i)
-        for j in row:
-            cols[j].discard(r)
-        a[r] = {}
+        _eliminate(a, cols, r, c)
         eliminated += 1
     kept = {j: t for t, j in enumerate(j for j, s in enumerate(cols) if s)}
     rows = [{kept[j]: x for j, x in row.items()} for row in a if row]

@@ -11,16 +11,23 @@ from itertools import combinations_with_replacement
 
 from . import catalog
 from .cechengine import (
+    AlternatingModel,
     CoefficientComplex,
     _borel_complex,
+    _acts_freely,
+    _borel_of,
     _descriptor,
+    _fixed_of,
+    _nerve_model,
     _orbit_complex,
+    _tensor_model,
     build_equivariant_complex,
     build_full_complex,
     build_total_complex,
     equivariant_cohomology,
     hypercohomology,
     involution_matrix,
+    nonequivariant_cohomology,
 )
 from .coverdata import IQ, IZ, C2Cover, CoefficientSystem, Z_TRIVIAL
 from .deligne import deligne_descriptor, quotient_coefficients_cohomology
@@ -37,7 +44,7 @@ from .exactalg import (
     smith_normal_form,
 )
 
-SUITES = ("snf", "les", "refinement", "bockstein", "fixed", "borel", "product")
+SUITES = ("snf", "les", "refinement", "bockstein", "fixed", "borel", "product", "reduction")
 
 Q_TRIVIAL = CoefficientSystem.rationals(+1)
 
@@ -383,11 +390,28 @@ def _nerve_only(cover: C2Cover) -> C2Cover:
     )
 
 
+def _unreduced_model(cover: C2Cover) -> AlternatingModel:
+    """The alternating model as it is built, before the engine reduces it:
+    the nerve's, or for a product the tensor model of its factors'
+    unreduced models."""
+    if cover.factors:
+        return _tensor_model(*map(_unreduced_model, cover.factors))
+    return _nerve_model(cover)
+
+
+def _descriptor_complex_of(model: AlternatingModel, sign: int) -> IntegerCochainComplex:
+    """The complex the engine would read off ``model`` unreduced: its fixed
+    complex when the action is free, else its Borel complex."""
+    return _fixed_of(model, sign)[0] if _acts_freely(model) else _borel_of(model, sign)
+
+
 def suite_product():
     """Every two-factor torus over ``PRODUCT_FACTORS`` (21 unordered pairs):
-    the tensor complex of the factors against the product nerve, both
-    signs, H^0..H^4, with Z and Z/2 coefficients, and with Q and the cone
-    of multiplication by 2 where the nerve has at most ``SMALL_NERVE``
+    the engine's route (the reduced tensor model of the factors) against
+    the descriptor complex of the product nerve's unreduced model
+    (:func:`_descriptor_complex_of`), both signs,
+    H^0..H^4, with Z and Z/2 coefficients, and with Q and the cone of
+    multiplication by 2 where the nerve has at most ``SMALL_NERVE``
     subsets."""
     out = []
     top = 5
@@ -395,20 +419,62 @@ def suite_product():
         label = f"torus:{a},{b}"
         product = catalog.build("torus", a, b)
         nerve = _nerve_only(product)
+        model = _nerve_model(nerve)
         small = len(nerve.intersections) <= SMALL_NERVE
         for sign in (-1, 1):
             integral = CoefficientSystem.integers(sign)
+            unreduced = _descriptor_complex_of(model, sign)
             coeffs = [integral, CoefficientSystem.integers_mod(2, sign)]
             coeffs += [CoefficientSystem.rationals(sign)] if small else []
-            questions = [(f"coeff {c}", CoefficientComplex((c,))) for c in coeffs]
-            if small:
-                questions.append(("cone 2", CoefficientComplex((integral, integral), (2,))))
-            for name, fstar in questions:
+
+            def compare(check, tensor, direct):
+                if tensor != direct:
+                    detail = f"tensor {tensor} vs nerve {direct}"
+                    out.append(_record("product", label, f"{check} sign {sign}", detail))
+
+            for coeff in coeffs:
                 for k in range(top):
-                    tensor, direct = (hypercohomology(c, fstar, k, top) for c in (product, nerve))
-                    if tensor != direct:
-                        detail = f"tensor {tensor} vs nerve {direct}"
-                        out.append(_record("product", label, f"H^{k} {name} sign {sign}", detail))
+                    compare(f"H^{k} coeff {coeff}", equivariant_cohomology(product, coeff, k, top),
+                            _descriptor(unreduced, k, coeff))
+            if small:
+                cone = CoefficientComplex((integral, integral), (2,))
+                direct = _multiplication_cone(unreduced, 2, top)
+                for k in range(top):
+                    compare(f"H^{k} cone 2", hypercohomology(product, cone, k, top),
+                            complex_cohomology(direct, k))
+    return out
+
+
+def suite_reduction():
+    """The engine's reduced models against the unreduced ones they come
+    from, on the catalog and every two-factor torus over
+    ``PRODUCT_FACTORS``: H^0..H^(top + 4) with Z and Z/2 coefficients and
+    both signs, read from the engine's descriptor route and from the
+    unreduced model's descriptor complex, and the plain H^k of both
+    models."""
+    out = []
+    covers = _spaces() + [
+        (f"torus:{a},{b}", catalog.build("torus", a, b))
+        for a, b in combinations_with_replacement(PRODUCT_FACTORS, 2)
+    ]
+    for label, cover in covers:
+        model = _unreduced_model(cover)
+        top = model.top + 5
+
+        def compare(check, got, want):
+            if got != want:
+                detail = f"reduced {got} vs unreduced {want}"
+                out.append(_record("reduction", label, check, detail))
+
+        for k in range(top):
+            compare(f"plain H^{k}", nonequivariant_cohomology(cover, Z_TRIVIAL, k, top),
+                    complex_cohomology(model.complex, k))
+        for sign in (-1, 1):
+            unreduced = _descriptor_complex_of(model, sign)
+            for coeff in (CoefficientSystem.integers(sign), CoefficientSystem.integers_mod(2, sign)):
+                for k in range(top):
+                    compare(f"H^{k} coeff {coeff}", equivariant_cohomology(cover, coeff, k, top),
+                            _descriptor(unreduced, k, coeff))
     return out
 
 
@@ -422,6 +488,7 @@ def run_suite(name: str):
         "fixed": suite_fixed,
         "borel": suite_borel,
         "product": suite_product,
+        "reduction": suite_reduction,
     }
     if name == "all":
         failures = []

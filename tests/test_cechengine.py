@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 import oracles
-from realdeligne import catalog, cechengine, coverdata, deligne, exactalg
+from realdeligne import catalog, cechengine, coverdata, deligne, exactalg, verify
 from realdeligne.cechengine import (
     CoefficientComplex,
     _rational_rank,
@@ -302,10 +302,12 @@ def test_degenerate_oracle_is_a_larger_model(spaces):
 
 @pytest.mark.parametrize("entry", catalog.ENTRIES, ids=catalog.entry_label)
 def test_borel_rank_saturates(entry):
-    """Tot^n has rank Σ_{j <= n} |C^j_alt|, constant once n passes the
-    nerve's dimension, and one complex per sign serves every max_degree."""
+    """Tot^n has rank Σ_{j <= n} of the ranks of the cover's (reduced)
+    alternating model, constant once n passes the model's top, and one
+    complex per sign serves every max_degree."""
     cover = _fresh(entry)
-    alt = [len(cechengine.alternating_basis(cover, j)) for j in range(8)]
+    model = cechengine._alternating_model(cover)
+    alt = [model.complex.rank(j) for j in range(8)]
     for sign in (-1, 1):
         borel = cechengine.build_borel_complex(cover, sign, 2)
         assert cechengine.build_borel_complex(cover, sign, 6) is borel
@@ -330,17 +332,18 @@ def _sort_sign(seq):
 @pytest.mark.parametrize("entry", catalog.ENTRIES, ids=catalog.entry_label)
 def test_descriptor_complex_follows_the_alternating_action(entry):
     """Covers of free actions have a free alternating action and read the
-    fixed complex C_alt^{C2} (rank |C^j_alt| / 2, zero above the nerve);
-    the doubled points and the conjugation circle read the Borel complex.
-    The fixed complex and its embeddings are built at once to degree
-    dim N + 1, the first zero term, and never past it: H^k read far above
-    reads zero and leaves ``hi`` where it was."""
+    fixed complex of their reduced model (half its rank, zero above its
+    top); the doubled points and the conjugation circle read the Borel
+    complex.  The fixed complex and its embeddings are built at once to
+    degree top + 1, the first zero term, and never past it: H^k read far
+    above reads zero and leaves ``hi`` where it was."""
     cover = _fresh(entry)
     assert cechengine._alternating_action_is_free(cover) == entry.free_action
-    alt = [len(cechengine.alternating_basis(cover, j)) for j in range(7)]
-    top = cechengine._alternating_model(cover).top
+    model = cechengine._alternating_model(cover)
+    plain, top = model.complex, model.top
+    assert plain is cechengine.build_alternating_complex(cover)
+    alt = [plain.rank(j) for j in range(7)]
     assert alt[top] and not any(alt[top + 1 :])
-    plain = cechengine.build_alternating_complex(cover)
     for sign in (-1, 1):
         c = cechengine.build_descriptor_complex(cover, sign)
         if not entry.free_action:
@@ -350,7 +353,7 @@ def test_descriptor_complex_follows_the_alternating_action(entry):
         sub, bases = cechengine._alternating_fixed_complex(cover, sign)
         assert sub is c and sub.hi == top + 1 and sorted(bases) == list(range(top + 2))
         for k in bases:
-            perm, eps = cechengine.alternating_involution(cover, k)
+            perm, eps = model.action(k)
             t = exactalg.SparseIntMatrix(
                 len(perm), len(perm), [{p: sign * e} for p, e in zip(perm, eps)]
             )
@@ -385,6 +388,67 @@ def test_plain_alternating_and_ordered_complexes_agree(spaces):
         full = build_full_complex(cover, 4)
         for k in range(5):
             assert complex_cohomology(alt, k) == complex_cohomology(full, k)
+
+
+def _ranks(model):
+    return [model.complex.rank(j) for j in range(model.top + 2)]
+
+
+@pytest.mark.parametrize(
+    "name, params, unreduced, reduced",
+    [
+        ("circle_conjugation", (), [6, 10, 4, 0], [2, 2, 0]),
+        ("sphere_antipodal", (3,), [8, 24, 32, 16, 0], [2, 2, 2, 2, 0]),
+        ("torus", ("circle_conjugation",) * 3, [4, 16, 20, 8, 0], [2, 8, 14, 8, 0]),
+    ],
+)
+def test_reduced_ranks_are_pinned(name, params, unreduced, reduced):
+    """Equivariant elimination shrinks each model to these ranks.  The
+    unreduced model is the nerve's, or for the torus the tensor model of
+    its factors' reduced models; the reduced model's top is its highest
+    nonzero degree."""
+    cover = catalog.build(name, *params)
+    if cover.factors:
+        before = cechengine._tensor_model(*map(cechengine._alternating_model, cover.factors))
+    else:
+        before = cechengine._nerve_model(cover)
+    assert _ranks(before) == unreduced
+    assert _ranks(cechengine._alternating_model(cover)) == reduced
+
+
+REDUCTION_COVERS = [pytest.param(e.name, e.params, id=catalog.entry_label(e)) for e in catalog.ENTRIES]
+REDUCTION_COVERS += [pytest.param("sphere_antipodal", (3,), id="sphere_antipodal:3")]
+REDUCTION_COVERS += [
+    pytest.param("torus", factors, id=",".join(factors))
+    for factors in (
+        ("circle_conjugation", "circle_conjugation"),
+        ("circle_antipodal", "circle_conjugation"),
+        ("point_trivial", "sphere_antipodal"),
+        ("point_trivial", "circle_antipodal", "circle_conjugation"),
+        ("free_orbit", "circle_conjugation", "circle_antipodal"),
+    )
+]
+
+
+@pytest.mark.parametrize("name, params", REDUCTION_COVERS)
+def test_reduced_and_unreduced_descriptors_agree(name, params):
+    """Every descriptor read from the reduced model equals the one read
+    from the unreduced model it came from (``verify._unreduced_model``,
+    which for a product tensors the factors' unreduced models): Z, Z/2 and
+    Q of sign -1, Z/4 of sign +1 and plain Z, in degrees 0..top + 4, and
+    plain cohomology."""
+    cover = catalog.build(name, *params)
+    model = verify._unreduced_model(cover)
+    top = model.top + 5
+    for k in range(top):
+        want = complex_cohomology(model.complex, k)
+        assert nonequivariant_cohomology(cover, Z_TRIVIAL, k, top) == want, k
+    for coeff in (IZ, Z_TRIVIAL, IQ, CoefficientSystem.integers_mod(2, -1),
+                  CoefficientSystem.integers_mod(4, 1)):
+        unreduced = verify._descriptor_complex_of(model, coeff.sign)
+        for k in range(top):
+            want = cechengine._descriptor(unreduced, k, coeff)
+            assert equivariant_cohomology(cover, coeff, k, top) == want, (coeff, k)
 
 
 # ---------------------------------------------------------------------------
@@ -863,12 +927,11 @@ def test_unit_pass_does_the_work_on_the_borel_torus(monkeypatch):
     pivots in degrees 2..4, and Smith sees only the residual: the cut is
     structural, so a silent fallback to plain Smith fails here.  Degrees 2
     and 3 are also compared with plain Smith (degree 4 alone would take it
-    over a second).  The matrices are those of the product nerve: the cover
-    is re-read from its JSON, which has no factors, so the engine reads its
-    nerve and not the smaller tensor complex of the factors."""
+    over a second).  The matrices are those of the product nerve's
+    unreduced model, which still has its pivots; the engine reads the
+    reduced tensor model of the factors, where few are left."""
     product = catalog.build("torus", "circle_conjugation", "circle_conjugation")
-    cover = C2Cover.from_json(product.to_json())
-    borel = cechengine.build_descriptor_complex(cover, -1)
+    borel = cechengine._borel_of(cechengine._nerve_model(product), -1)
     passes, smith_shapes = [], []
     unit_pivots, smith = exactalg._unit_pivots, exactalg._smith
 

@@ -352,6 +352,49 @@ def test_exit_broken_involution_is_internal(capsys, monkeypatch):
     assert "Traceback" not in err
 
 
+def test_exit_out_of_memory(capsys, monkeypatch):
+    """Work that runs out of memory ends with exit 6 and a one-line
+    message, not a traceback with exit 1 (verification failure).  The
+    builder is made to raise; no memory is exhausted for real."""
+
+    def exhausted(cover, sign):
+        raise MemoryError
+
+    monkeypatch.setattr(cechengine, "build_descriptor_complex", exhausted)
+    code, out, err = run(
+        capsys, "compute", "--space", "circle_conjugation", "--coeff", "iZ", "--degree", "300000"
+    )
+    assert code == cli.EXIT_OUT_OF_MEMORY == 6
+    assert out == ""
+    assert [line for line in err.splitlines() if not line.startswith("# cover")] == [
+        "out of memory: this question needs more memory than the process can get"
+    ]
+
+
+@pytest.mark.parametrize("coeff, tail", [("iZ", 1), ("Z", 0)])
+def test_four_conjugation_circles_localize(capsys, coeff, tail):
+    """Four conjugation circles answer through the CLI from their reduced
+    models.  Above the dimension, equivariant cohomology is that of the
+    2^4 = 16 fixed points (localization; Quillen, Ann. Math. 1971): each
+    gives H^k(C2; Z_s), which is Z/2 for k of the parity ``tail`` (odd for
+    sign -1, even for sign +1) and 0 otherwise."""
+    code, out, err = run(
+        capsys, "compute", "--space", "torus:" + ",".join(["circle_conjugation"] * 4),
+        "--coeff", coeff, "--max-degree", "10",
+    )
+    assert code == 0 and "Traceback" not in err
+    groups = [line.split(" = ")[1] for line in out.strip().splitlines()]
+    assert len(groups) == 10
+    for k in range(5, 10):
+        assert groups[k] == (" + ".join(["Z/2"] * 16) if k % 2 == tail else "0"), k
+
+
+def test_verify_reduction_suite_passes(capsys):
+    code, out, _ = run(capsys, "verify", "--suite", "reduction")
+    assert code == 0
+    assert out.strip() == "suite reduction: pass"
+
+
 def run_probe(probe):
     """Run ``probe`` in a fresh interpreter on this checkout; its stdout."""
     src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
