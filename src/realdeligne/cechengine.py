@@ -17,10 +17,13 @@ equivariant cohomology of a G-complex)::
 where ``D`` carries summand ``(i, j)`` by ``(-1)^i δ_alt`` into
 ``(i, j + 1)`` and by ``1 - T`` (``i + 1`` odd) or ``1 + T`` (``i + 1``
 even) into ``(i + 1, j)``.  Its rank is constant, ``Σ_j |C^j_alt|``, once
-``n >= dim N``.  When T fixes no basis element, even up to sign (every
-antipodal cover), each ``C^j_alt`` is Z[C2]-free and descriptors read the
-smaller fixed complex ``C_alt^{C2}`` instead, which is quasi-isomorphic
-(:func:`build_descriptor_complex`).  Plain cohomology reads ``C_alt``.
+``n >= dim N``, and ``D_n = D_(n+2)`` from there, so H^k is 2-periodic
+above ``dim N`` and every degree is read in a finite window
+(:func:`equivariant_cohomology`).  When T fixes no basis element, even up
+to sign (every antipodal cover), each ``C^j_alt`` is Z[C2]-free and
+descriptors read the smaller fixed complex ``C_alt^{C2}`` instead, which
+is quasi-isomorphic; one function makes that choice
+(:func:`_descriptor_of`).  Plain cohomology reads ``C_alt``.
 
 All of these read the cover's :class:`AlternatingModel`: the model of its
 nerve or, for a product, the tensor model ``C_alt(A) ⊗ C_alt(B)`` of its
@@ -52,8 +55,8 @@ Every per-cover object (bases, coboundaries, the involution's action and
 the complexes built on them) comes from one builder under
 :func:`_per_cover`, which keeps it in the cover's cache entry under the
 builder's name and positional arguments.  The unreduced nerve model's
-coboundaries and action are the exception: they are built once, for the
-reduction, and not kept.  A complex is a seed plus a
+bases, coboundaries and action are the exception: they are built once, for
+the reduction, and not kept.  A complex is a seed plus a
 grower that returns the differential out of its top degree, and reading a
 degree extends it to there, so, as H^k reads d_(k-1) and d_k, each degree
 is built and checked once and never past the highest degree read + 1;
@@ -61,7 +64,8 @@ is built and checked once and never past the highest degree read + 1;
 at once to degree top + 1 of their model and grow only zero terms above
 it.  No grower holds the cover (the ordered ones reach it through a weak
 reference), so a cover and its cache die with its last reference.
-Rational and mod-n results come from the integral complexes by universal
+Rational ranks are read off the same Smith diagonals as the integral
+groups, and mod-n results come from the integral complexes by universal
 coefficients degreewise.
 """
 
@@ -87,7 +91,6 @@ from .exactalg import (
     _column_sets,
     _eliminate,
     _grow_orbit_complex,
-    _rational_rank,
     _smith,
     complex_cohomology,
 )
@@ -334,11 +337,11 @@ def _angle_layout(cover: C2Cover) -> AngleLayout:
 # ---------------------------------------------------------------------------
 
 
-@_per_cover
 def alternating_basis(cover: C2Cover, j: int) -> TupleBasis:
     """Basis of alternating degree-``j`` cochains: sorted ``(j + 1)``-subsets
     with a nonempty intersection, one element per component, listed like
-    :func:`tuple_basis`.  Empty above the nerve's dimension."""
+    :func:`tuple_basis`.  Empty above the nerve's dimension.  Not memoized:
+    only the nerve model reads it, once per degree, before reducing."""
     elements = [
         (tup, c)
         for tup in sorted(tuple(sorted(s)) for s in cover.intersections if len(s) == j + 1)
@@ -347,12 +350,10 @@ def alternating_basis(cover: C2Cover, j: int) -> TupleBasis:
     return TupleBasis(j, tuple(elements), {e: n for n, e in enumerate(elements)})
 
 
-def alternating_differential(cover: C2Cover, j: int) -> SparseIntMatrix:
-    """``δ_alt`` from degree ``j`` to ``j + 1``: the value on a sorted subset
-    is the alternating sum over its faces, transported along the face maps.
-    Not memoized: only the nerve model reads it, once, before reducing."""
-    src = alternating_basis(cover, j)
-    dst = alternating_basis(cover, j + 1)
+def alternating_differential(cover: C2Cover, src: TupleBasis, dst: TupleBasis) -> SparseIntMatrix:
+    """``δ_alt`` from the alternating basis ``src`` of degree ``j`` to
+    ``dst`` of degree ``j + 1``: the value on a sorted subset is the
+    alternating sum over its faces, transported along the face maps."""
     m = SparseIntMatrix(len(dst), len(src))
     for row, (tup, c) in zip(m.rows, dst.elements):
         for k, i in enumerate(tup):
@@ -360,13 +361,11 @@ def alternating_differential(cover: C2Cover, j: int) -> SparseIntMatrix:
     return m
 
 
-def alternating_involution(cover: C2Cover, j: int):
-    """The relabelling on alternating degree-``j`` cochains as a signed
+def alternating_involution(cover: C2Cover, basis: TupleBasis):
+    """The relabelling on the alternating basis ``basis`` as a signed
     permutation ``(perm, eps)``: the image of element ``r`` is ``eps[r]``
     times element ``perm[r]``, with ``eps[r]`` the sign of the sort that
-    puts the relabelled subset back in order.  Not memoized, like
-    :func:`alternating_differential`."""
-    basis = alternating_basis(cover, j)
+    puts the relabelled subset back in order."""
     inv = cover.involution.__getitem__
     sigma = cover.component_involution
     perm, eps = [], []
@@ -461,11 +460,13 @@ def _tensor_model(a: AlternatingModel, b: AlternatingModel) -> AlternatingModel:
 
 
 def _nerve_model(cover: C2Cover) -> AlternatingModel:
-    """The model read off the nerve, unreduced, with top its dimension."""
+    """The model read off the nerve, unreduced, with top its dimension.
+    Each basis is built once, here, and dropped with the call."""
     top = max(map(len, cover.intersections), default=1) - 1
-    c = _growing(len(alternating_basis(cover, 0)), lambda n: alternating_differential(cover, n))
-    c = _finite(c, top)
-    return AlternatingModel(c, [alternating_involution(cover, j) for j in range(top + 1)], top)
+    bases = [alternating_basis(cover, j) for j in range(top + 2)]
+    diffs = [alternating_differential(cover, bases[j], bases[j + 1]) for j in range(top + 1)]
+    c = _finite(_growing(len(bases[0]), diffs.__getitem__), top)
+    return AlternatingModel(c, [alternating_involution(cover, b) for b in bases[: top + 1]], top)
 
 
 def _reduced(model: AlternatingModel) -> AlternatingModel:
@@ -600,13 +601,6 @@ def _acts_freely(model: AlternatingModel) -> bool:
     return all(p != r for perm, _ in model.actions for r, p in enumerate(perm))
 
 
-@_per_cover
-def _alternating_action_is_free(cover: C2Cover) -> bool:
-    """Whether the cover's reduced model has a free action (:func:`_acts_freely`)."""
-    _require_free(cover)
-    return _acts_freely(_alternating_model(cover))
-
-
 def _fixed_of(model: AlternatingModel, sign: int):
     """``(sub, bases)``: the fixed complex of a free action on ``model`` and
     its orbit-sum embeddings, built at once to ``top + 1``."""
@@ -616,27 +610,29 @@ def _fixed_of(model: AlternatingModel, sign: int):
     return _finite(sub, model.top), bases
 
 
-@_per_cover
-def _alternating_fixed_complex(cover: C2Cover, sign: int):
-    """The fixed complex ``C_alt^{C2}`` of the cover's model (:func:`_fixed_of`)."""
-    return _fixed_of(_alternating_model(cover), sign)
+def _descriptor_of(model: AlternatingModel, sign: int) -> IntegerCochainComplex:
+    """The complex descriptors read off ``model`` for coefficient sign
+    ``sign``: its fixed complex when the action is free, else its Borel
+    complex (see :func:`build_descriptor_complex`)."""
+    return _fixed_of(model, sign)[0] if _acts_freely(model) else _borel_of(model, sign)
 
 
 @_per_cover
 def build_descriptor_complex(cover: C2Cover, sign: int) -> IntegerCochainComplex:
-    """The complex every descriptor reads for coefficient sign ``sign``.
+    """The complex every descriptor reads for coefficient sign ``sign``:
+    :func:`_descriptor_of` the cover's reduced model, one per cover and
+    sign.
 
-    When the action on the cover's reduced model is free (T fixes no basis
-    element even up to sign; every antipodal cover), each degree is
-    Z[C2]-free, so the Borel complex is quasi-isomorphic to the fixed
-    complex ``C_alt^{C2}``: one orbit sum ``e_r + sign * ε_r *
-    e_π(r)`` per orbit, at most half the Borel rank in every degree and zero
-    above the model's top.  Otherwise it is the Borel complex
-    (:func:`build_borel_complex`).
+    When the action on the model is free (T fixes no basis element even up
+    to sign; every antipodal cover), each degree is Z[C2]-free, so the
+    Borel complex is quasi-isomorphic to the fixed complex ``C_alt^{C2}``:
+    one orbit sum ``e_r + sign * ε_r * e_π(r)`` per orbit, at most half the
+    Borel rank in every degree and zero above the model's top.  Otherwise
+    it is the Borel complex of the model (:func:`build_borel_complex`
+    builds the same complex, and keeps its own).
     """
-    if _alternating_action_is_free(cover):
-        return _alternating_fixed_complex(cover, sign)[0]
-    return _borel_complex(cover, sign)
+    _require_free(cover)
+    return _descriptor_of(_alternating_model(cover), sign)
 
 
 def _check_degree(k: int, max_degree: int):
@@ -660,11 +656,19 @@ def _descriptor_mod_n(c: IntegerCochainComplex, k: int, n: int) -> GroupDescript
 
 
 def _descriptor(c: IntegerCochainComplex, k: int, coeff: CoefficientSystem) -> GroupDescriptor:
+    """H^k of ``c`` itself, unfolded: integral from the Smith diagonals,
+    rational as the rank of that, mod-n by universal coefficients."""
     if coeff.base == "Z":
         return complex_cohomology(c, k)
     if coeff.base == "Q":
-        return GroupDescriptor(_rational_rank(c, k))
+        return GroupDescriptor(complex_cohomology(c, k).rank)
     return _descriptor_mod_n(c, k, coeff.modulus)
+
+
+def _folded(k: int, s: int) -> int:
+    """``k`` moved into the window ``0 .. s + 1`` of a complex whose
+    cohomology is 2-periodic from degree ``s`` on."""
+    return k if k < s else s + (k - s) % 2
 
 
 def equivariant_cohomology(
@@ -675,15 +679,21 @@ def equivariant_cohomology(
 ) -> GroupDescriptor:
     """H^k of the cover with the given equivariant coefficients, read from
     the descriptor complex of the coefficient sign
-    (:func:`build_descriptor_complex`).
+    (:func:`build_descriptor_complex`) in the degree ``k`` folds to.
 
-    Integral coefficients give the full descriptor; rational ones report the
-    dimension (computed by the independent rank formula, not by reusing the
-    integral kernel data); mod-n ones use universal coefficients over the
-    integral complex.
+    The Borel differential ``D_n`` depends on ``n`` only through ``min(n,
+    top)`` and the parity of ``n - j``, so ``D_n = D_(n+2)`` from ``n =
+    top`` on and H^k = H^(k+2) from ``k = top + 1`` on (the fixed complex
+    is zero there); every degree is read in ``0 .. top + 2`` of the reduced
+    model, and the time and memory of one degree do not grow with ``k``.
+    ``max_degree`` is only the range check.  Integral coefficients give the
+    full descriptor; rational ones report the rank of the integral group,
+    read off the same Smith diagonals; mod-n ones use universal
+    coefficients over the integral complex.
     """
     _check_degree(k, max_degree)
-    return _descriptor(build_descriptor_complex(cover, coeff.sign), k, coeff)
+    c = build_descriptor_complex(cover, coeff.sign)
+    return _descriptor(c, _folded(k, _alternating_model(cover).top + 1), coeff)
 
 
 def nonequivariant_cohomology(
@@ -829,19 +839,29 @@ def hypercohomology(
     ``fstar``, whose Cech direction is the descriptor complex of each term's
     sign.
 
-    All-integer complexes produce the honest finitely generated group, from
-    the cover's one cached total complex (:func:`build_total_complex`).
-    ``max_degree`` is only the range check.  When rational terms are
-    present the divisible summand is not representable in a
-    :class:`GroupDescriptor`; the result then describes the reduced
-    quotient (classes modulo divisible ones), whose integral part is
-    computed from the kernel-with-rational-image presentation, a two-map
-    complex read off its Smith diagonals like any other.
+    Each column's differential is 2-periodic from its model's top on, so
+    the total differential is from ``top + len(fstar) - 1`` on, and degree
+    ``k`` is read folded into the window below ``top + len(fstar) + 2``, as
+    in :func:`equivariant_cohomology`; ``max_degree`` is only the range
+    check.  All-integer complexes produce the honest finitely generated
+    group, from the cover's one cached total complex
+    (:func:`build_total_complex`).  When rational terms are present the
+    divisible summand is not representable in a :class:`GroupDescriptor`;
+    the result then describes the reduced quotient (classes modulo
+    divisible ones), whose integral part is computed from the
+    kernel-with-rational-image presentation, a two-map complex read off its
+    Smith diagonals like any other.
     """
     _check_degree(k, max_degree)
     if len(fstar) == 1:
         return equivariant_cohomology(cover, fstar.terms[0], k, max_degree)
+    _require_free(cover)
+    return _hyper_descriptor(cover, fstar, _folded(k, _alternating_model(cover).top + len(fstar)))
 
+
+def _hyper_descriptor(cover: C2Cover, fstar: CoefficientComplex, k: int) -> GroupDescriptor:
+    """H^k of the total complex of a ``fstar`` of two or more terms itself,
+    unfolded (see :func:`hypercohomology`)."""
     if {t.base for t in fstar.terms} == {"Z"}:
         return complex_cohomology(build_total_complex(cover, fstar), k)
 

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .cechengine import _angle_layout, _orbit_complex, equivariant_cohomology
-from .coverdata import IQ, IZ, C2Cover, FlatCocycle
+from .coverdata import IZ, C2Cover, FlatCocycle
 from .errors import (
     CoverMismatch,
     DegreeOutOfRange,
@@ -144,9 +144,9 @@ def deligne_descriptor(
 ) -> DeligneDescriptor:
     """The (p, q) descriptor, populated from twisted integral cohomology.
 
-    For the compact-extension shape the torus dimension is computed twice —
-    as the rank of integral H^(q-1) and as the rational dimension — and the
-    two must agree.
+    For the compact-extension shape the torus dimension is the rank of
+    integral H^(q-1), which is also the rational dimension: both are read
+    off the same Smith diagonals.
     """
     if p < 0:
         raise ValueError("p must be nonnegative")
@@ -178,16 +178,7 @@ def deligne_descriptor(
             **meta,
         )
     # q < p: torus from degree q-1, finite part from the degree-q torsion
-    if q == 0:
-        torus_dim = 0
-    else:
-        torus_dim = equivariant_cohomology(cover, IZ, q - 1, max_degree).rank
-        rational_dim = equivariant_cohomology(cover, IQ, q - 1, max_degree).rank
-        if rational_dim != torus_dim:
-            raise InternalInvariantError(
-                f"torus dimension mismatch: integral rank {torus_dim}, "
-                f"rational dimension {rational_dim}"
-            )
+    torus_dim = equivariant_cohomology(cover, IZ, q - 1, max_degree).rank if q else 0
     hq = equivariant_cohomology(cover, IZ, q, max_degree)
     return DeligneDescriptor(
         rank=0,

@@ -17,8 +17,9 @@ and cached on the complex (:func:`_diagonal`): the ±1 pivots, nearly every
 pivot of a coboundary, are eliminated first in Markowitz order
 (:func:`_unit_pivots`), and only the residual goes to Smith.  Every other
 reduction stays plain Smith on the whole matrix and so checks the
-descriptor path independently: ranks (:func:`integer_rank`, behind the
-rational descriptors), :func:`kernel_quotient`, the transforms of the
+descriptor path independently: ranks (:func:`integer_rank`, the check
+``verify`` and the tests make on the rational descriptors, which read the
+integral ones' diagonals), :func:`kernel_quotient`, the transforms of the
 coordinate questions (:func:`class_coordinates`,
 :func:`coboundary_preimage`, :func:`class_representative`, built only
 there), :func:`smith_normal_form`, the solves and
@@ -774,14 +775,6 @@ def _diagonal(c: IntegerCochainComplex, k: int) -> list:
         hit += [0] * (min(d.nrows, d.ncols) - len(hit))
         c._cache[key] = hit
     return hit
-
-
-def _rational_rank(c: IntegerCochainComplex, k: int) -> int:
-    """The rank of H^k from its own reductions: ``n_k - rank d_k - rank d_(k-1)``."""
-    key = ("qrank", k)
-    if key not in c._cache:
-        c._cache[key] = c.rank(k) - integer_rank(c.diff(k)) - integer_rank(c.diff(k - 1))
-    return c._cache[key]
 
 
 def complex_cohomology(c: IntegerCochainComplex, k: int) -> GroupDescriptor:

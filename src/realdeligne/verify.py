@@ -14,13 +14,12 @@ from .cechengine import (
     AlternatingModel,
     CoefficientComplex,
     _borel_complex,
-    _acts_freely,
-    _borel_of,
     _descriptor,
-    _fixed_of,
+    _descriptor_of,
     _nerve_model,
     _orbit_complex,
     _tensor_model,
+    build_descriptor_complex,
     build_equivariant_complex,
     build_full_complex,
     build_total_complex,
@@ -39,14 +38,13 @@ from .exactalg import (
     _smith,
     complex_cohomology,
     fixed_subcomplex,
+    integer_rank,
     kernel_basis,
     kernel_quotient,
     smith_normal_form,
 )
 
 SUITES = ("snf", "les", "refinement", "bockstein", "fixed", "borel", "product", "reduction")
-
-Q_TRIVIAL = CoefficientSystem.rationals(+1)
 
 
 def _spaces():
@@ -90,8 +88,8 @@ def suite_snf():
     the descriptor diagonals (unit pivots first) against plain Smith on
     those matrices, and descriptors read off the Smith diagonals
     (``complex_cohomology``) against the kernel-quotient route with
-    transforms (``kernel_quotient``) on the orbit and Borel complexes and
-    the cone total complexes."""
+    transforms (``kernel_quotient``) on the orbit, Borel and descriptor
+    complexes and the cone total complexes."""
     import numpy as np
 
     out = []
@@ -109,6 +107,9 @@ def suite_snf():
             _check_smith(out, full.diff(k).to_dense(), label, f"differential d_{k}")
         complexes = [(f"fixed sign {sign}", _orbit_complex(cover, sign)[0]) for sign in (-1, 1)]
         complexes += [(f"Borel sign {sign}", _borel_complex(cover, sign)) for sign in (-1, 1)]
+        complexes += [
+            (f"descriptor sign {sign}", build_descriptor_complex(cover, sign)) for sign in (-1, 1)
+        ]
         complexes += [
             (f"cone {n}", build_total_complex(cover, CoefficientComplex((IZ, IZ), (n,))))
             for n in (2, 3)
@@ -133,39 +134,24 @@ def suite_snf():
 def suite_les():
     """Rank accounting across the coefficient sequences.
 
-    Free ranks must agree between the integral computation and the rational
-    one (two unrelated code paths), and mod-n cohomology computed through
-    lifted torsion invariants must match the two-term total complex of
+    The rational rank from the descriptor route must equal the rank of H^k
+    of the descriptor complex by plain Smith, ``n_k - rank d_k - rank
+    d_(k-1)`` with :func:`integer_rank` (the route reads the unit-pivot
+    diagonals instead), and mod-n cohomology computed through lifted
+    torsion invariants must match the two-term total complex of
     multiplication by n.
     """
     out = []
     n_deg = 4
     for label, cover in _spaces():
-        for sign_name, integral, rational in (
-            ("-1", IZ, IQ),
-            ("+1", Z_TRIVIAL, Q_TRIVIAL),
-        ):
+        for sign in (-1, 1):
+            c = build_descriptor_complex(cover, sign)
             for k in range(n_deg):
-                gz = equivariant_cohomology(cover, integral, k, n_deg)
-                gq = equivariant_cohomology(cover, rational, k, n_deg)
-                if gz.rank != gq.rank:
-                    out.append(
-                        _record(
-                            "les",
-                            label,
-                            f"rank H^{k} sign {sign_name}",
-                            f"integral {gz.rank} vs rational {gq.rank}",
-                        )
-                    )
-                if gq.torsion:
-                    out.append(
-                        _record(
-                            "les",
-                            label,
-                            f"H^{k} rational sign {sign_name}",
-                            f"torsion {gq.torsion} in a rational group",
-                        )
-                    )
+                gq = equivariant_cohomology(cover, CoefficientSystem.rationals(sign), k, n_deg)
+                plain = c.rank(k) - integer_rank(c.diff(k)) - integer_rank(c.diff(k - 1))
+                if gq != GroupDescriptor(plain):
+                    detail = f"route {gq} vs plain Smith rank {plain}"
+                    out.append(_record("les", label, f"rational H^{k} sign {sign}", detail))
         for n in (2, 3):
             cone = CoefficientComplex((IZ, IZ), (n,))
             for k in range(3):
@@ -399,17 +385,11 @@ def _unreduced_model(cover: C2Cover) -> AlternatingModel:
     return _nerve_model(cover)
 
 
-def _descriptor_complex_of(model: AlternatingModel, sign: int) -> IntegerCochainComplex:
-    """The complex the engine would read off ``model`` unreduced: its fixed
-    complex when the action is free, else its Borel complex."""
-    return _fixed_of(model, sign)[0] if _acts_freely(model) else _borel_of(model, sign)
-
-
 def suite_product():
     """Every two-factor torus over ``PRODUCT_FACTORS`` (21 unordered pairs):
     the engine's route (the reduced tensor model of the factors) against
     the descriptor complex of the product nerve's unreduced model
-    (:func:`_descriptor_complex_of`), both signs,
+    (``cechengine._descriptor_of``), both signs,
     H^0..H^4, with Z and Z/2 coefficients, and with Q and the cone of
     multiplication by 2 where the nerve has at most ``SMALL_NERVE``
     subsets."""
@@ -423,7 +403,7 @@ def suite_product():
         small = len(nerve.intersections) <= SMALL_NERVE
         for sign in (-1, 1):
             integral = CoefficientSystem.integers(sign)
-            unreduced = _descriptor_complex_of(model, sign)
+            unreduced = _descriptor_of(model, sign)
             coeffs = [integral, CoefficientSystem.integers_mod(2, sign)]
             coeffs += [CoefficientSystem.rationals(sign)] if small else []
 
@@ -470,7 +450,7 @@ def suite_reduction():
             compare(f"plain H^{k}", nonequivariant_cohomology(cover, Z_TRIVIAL, k, top),
                     complex_cohomology(model.complex, k))
         for sign in (-1, 1):
-            unreduced = _descriptor_complex_of(model, sign)
+            unreduced = _descriptor_of(model, sign)
             for coeff in (CoefficientSystem.integers(sign), CoefficientSystem.integers_mod(2, sign)):
                 for k in range(top):
                     compare(f"H^{k} coeff {coeff}", equivariant_cohomology(cover, coeff, k, top),

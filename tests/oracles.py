@@ -5,7 +5,7 @@ arithmetic on one-dimensional cochain groups — deliberately sharing no code
 with the package under test.  Groups
 are reported as ``(rank, torsion_tuple)`` pairs.
 
-Two families, and three reference routes:
+Three families, and four reference routes:
 
 * cohomology of the two-element group acting on cyclic coefficient modules,
   via the 2-periodic free resolution (differentials alternate between
@@ -14,7 +14,10 @@ Two families, and three reference routes:
 * cellular cochain complexes of quotients of free actions — the point, the
   circle with a monodromy-twisted local system, and real projective space
   with twisted/untwisted integer coefficients (differentials alternate
-  between 0 and multiplication by 2).
+  between 0 and multiplication by 2);
+
+* equivariant cohomology above the dimension, which localizes to the
+  fixed points (:data:`FIXED_POINTS`, :func:`localized`).
 
 The reference routes, :func:`flat_checks_fraction_route` and
 :func:`flat_class_fraction_route`, are the flat cocycle checks and the flat
@@ -34,6 +37,10 @@ taken by the general Smith route on ``t - id``
 normalized bases and coboundaries nor the orbit-sum construction with the
 engine, so its cohomology is an independent check on every descriptor
 (Serre, FAC §20: the normalized and unnormalized models agree).
+
+The fourth, :func:`plain_smith_rank`, is the rank of H^k by plain Smith on
+whole differentials, against the unit-pivot diagonals every descriptor,
+rational ones included, is read from.
 """
 
 from fractions import Fraction
@@ -145,6 +152,49 @@ def sphere_quotient(n: int, sign: int, k: int):
     if n == 0:
         return quotient_point(k)
     return projective_space(n, sign == -1, k)
+
+
+# ---------------------------------------------------------------------------
+# Localization above the dimension
+# ---------------------------------------------------------------------------
+
+# Fixed points of the catalog actions, by catalog name: the doubled points
+# fix their point, complex conjugation fixes 1 and -1 on the circle, and
+# the rest are free.
+FIXED_POINTS = {
+    "point_trivial": 1,
+    "point_trivial_fine": 1,
+    "free_orbit": 0,
+    "circle_antipodal": 0,
+    "circle_antipodal_fine": 0,
+    "circle_conjugation": 2,
+    "sphere_antipodal": 0,
+}
+
+
+def fixed_points(name, params=()):
+    """Fixed points of the catalog space ``name``: a torus fixes the
+    product of its factors' fixed-point sets, so m conjugation circles fix
+    2^m points."""
+    if name != "torus":
+        return FIXED_POINTS[name]
+    count = 1
+    for factor in params:
+        count *= FIXED_POINTS[factor]
+    return count
+
+
+def localized(fixed_points: int, sign: int, k: int, modulus: int = 0):
+    """H^k, with integer coefficients (``modulus`` 0) or mod ``modulus``,
+    of a C2-space with finitely many fixed points, above its dimension:
+    one copy of H^k(C2; coefficients) per fixed point (localization:
+    Quillen, Ann. Math. 1971; tom Dieck, *Transformation Groups*, Ch.
+    III).  A rank/torsion pair."""
+    if modulus:
+        order = cyclic_two_mod(sign, modulus, k)
+        return (0, () if order == 1 else (order,) * fixed_points)
+    rank, torsion = cyclic_two_integer(sign, k)
+    return (rank * fixed_points, torsion * fixed_points)
 
 
 # ---------------------------------------------------------------------------
@@ -366,3 +416,17 @@ def degenerate_orbit_complex(cover, sign, top):
         image = [where[p][tuple(map(cover.t, word)), cover.sigma(c)] for word, c in basis]
         t[p] = SparseIntMatrix(len(basis), len(basis), [{j: sign} for j in image])
     return fixed_subcomplex(full, t)[0]
+
+
+# ---------------------------------------------------------------------------
+# the rank of H^k by plain Smith
+# ---------------------------------------------------------------------------
+
+
+def plain_smith_rank(c, k):
+    """``n_k - rank d_k - rank d_(k-1)`` of a complex, each rank by plain
+    Smith on the whole differential (:func:`realdeligne.exactalg.integer_rank`),
+    not by the cached unit-pivot diagonals the descriptors read."""
+    from realdeligne.exactalg import integer_rank
+
+    return c.rank(k) - integer_rank(c.diff(k)) - integer_rank(c.diff(k - 1))

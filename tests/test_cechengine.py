@@ -3,6 +3,7 @@ hypercohomology of coefficient complexes."""
 
 import gc
 import hashlib
+import itertools
 import json
 import random
 import weakref
@@ -15,7 +16,6 @@ import oracles
 from realdeligne import catalog, cechengine, coverdata, deligne, exactalg, verify
 from realdeligne.cechengine import (
     CoefficientComplex,
-    _rational_rank,
     build_equivariant_complex,
     build_full_complex,
     build_total_complex,
@@ -217,12 +217,16 @@ def test_circle_monodromy_table(spaces):
 
 
 def test_rational_dimensions(spaces):
+    """The rational dimension, read off the descriptor diagonals, equals
+    the rank of H^k of the descriptor complex by plain Smith, and the rank
+    of the integral group."""
     for cover in spaces.values():
         for integral, rational in ((IZ, IQ), (Z_TRIVIAL, Q_TRIVIAL)):
+            c = cechengine.build_descriptor_complex(cover, rational.sign)
             for k in range(4):
                 gz = equivariant_cohomology(cover, integral, k, 4)
                 gq = equivariant_cohomology(cover, rational, k, 4)
-                assert gq.torsion == ()
+                assert gq == GroupDescriptor(oracles.plain_smith_rank(c, k))
                 assert gz.rank == gq.rank
 
 
@@ -333,25 +337,31 @@ def _sort_sign(seq):
 def test_descriptor_complex_follows_the_alternating_action(entry):
     """Covers of free actions have a free alternating action and read the
     fixed complex of their reduced model (half its rank, zero above its
-    top); the doubled points and the conjugation circle read the Borel
-    complex.  The fixed complex and its embeddings are built at once to
-    degree top + 1, the first zero term, and never past it: H^k read far
-    above reads zero and leaves ``hi`` where it was."""
+    top); the doubled points and the conjugation circle read its Borel
+    complex.  ``_descriptor_of`` makes that choice; the cover's descriptor
+    complex is its answer on the reduced model, degree for degree.  The
+    fixed complex and its embeddings are built at once to degree top + 1,
+    the first zero term, and never past it: H^k read far above reads zero
+    and leaves ``hi`` where it was."""
     cover = _fresh(entry)
-    assert cechengine._alternating_action_is_free(cover) == entry.free_action
     model = cechengine._alternating_model(cover)
+    assert cechengine._acts_freely(model) == entry.free_action
     plain, top = model.complex, model.top
     assert plain is cechengine.build_alternating_complex(cover)
     alt = [plain.rank(j) for j in range(7)]
     assert alt[top] and not any(alt[top + 1 :])
     for sign in (-1, 1):
         c = cechengine.build_descriptor_complex(cover, sign)
+        assert cechengine.build_descriptor_complex(cover, sign) is c
         if not entry.free_action:
-            assert c is cechengine.build_borel_complex(cover, sign, 0)
+            borel = cechengine.build_borel_complex(cover, sign, 6)
+            assert [c.rank(n) for n in range(7)] == [borel.rank(n) for n in range(7)]
+            assert all(c.diff(n) == borel.diff(n) for n in range(6)), sign
             continue
         # the orbit sums are fixed by T and embed the complex as a chain map
-        sub, bases = cechengine._alternating_fixed_complex(cover, sign)
-        assert sub is c and sub.hi == top + 1 and sorted(bases) == list(range(top + 2))
+        sub, bases = cechengine._fixed_of(model, sign)
+        assert sub.hi == c.hi == top + 1 and sorted(bases) == list(range(top + 2))
+        assert sub.ranks == c.ranks and sub.diffs == c.diffs
         for k in bases:
             perm, eps = model.action(k)
             t = exactalg.SparseIntMatrix(
@@ -362,7 +372,7 @@ def test_descriptor_complex_follows_the_alternating_action(entry):
                 assert bases[k + 1].matmul(sub.diff(k)) == plain.diff(k).matmul(bases[k])
         assert [c.rank(j) for j in range(7)] == [r // 2 for r in alt]
         assert complex_cohomology(c, 10**20).is_trivial
-        assert c.hi == top + 1 and sorted(bases) == list(range(top + 2))
+        assert c.hi == top + 1
 
 
 def test_alternating_involution_is_signed_and_self_inverse(spaces):
@@ -372,7 +382,7 @@ def test_alternating_involution_is_signed_and_self_inverse(spaces):
     for cover in spaces.values():
         for j in range(4):
             basis = cechengine.alternating_basis(cover, j)
-            perm, eps = cechengine.alternating_involution(cover, j)
+            perm, eps = cechengine.alternating_involution(cover, basis)
             for r, ((tup, c), p, e) in enumerate(zip(basis.elements, perm, eps)):
                 image = tuple(cover.t(i) for i in tup)
                 assert basis.elements[p] == (tuple(sorted(image)), cover.sigma(c))
@@ -445,7 +455,7 @@ def test_reduced_and_unreduced_descriptors_agree(name, params):
         assert nonequivariant_cohomology(cover, Z_TRIVIAL, k, top) == want, k
     for coeff in (IZ, Z_TRIVIAL, IQ, CoefficientSystem.integers_mod(2, -1),
                   CoefficientSystem.integers_mod(4, 1)):
-        unreduced = verify._descriptor_complex_of(model, coeff.sign)
+        unreduced = cechengine._descriptor_of(model, coeff.sign)
         for k in range(top):
             want = cechengine._descriptor(unreduced, k, coeff)
             assert equivariant_cohomology(cover, coeff, k, top) == want, (coeff, k)
@@ -616,9 +626,10 @@ def test_embedding_is_a_chain_map(entry):
 
 def test_growth_drops_answers_cached_at_the_old_top():
     """An engine complex read at its top first grows by exactly one degree,
-    so H^hi and the rational rank at hi see the real d_hi, never a zero
-    map.  A bounded copy of the same degrees does read a zero d_hi; once
-    it is extended by hand, those answers are dropped and recomputed."""
+    so H^hi sees the real d_hi, never a zero map, and its rank is the
+    plain-Smith rank of a fresh complex.  A bounded copy of the same
+    degrees does read a zero d_hi; once it is extended by hand, that
+    answer is dropped and recomputed."""
     changed = 0
     for entry in catalog.ENTRIES:
         cover = _fresh(entry)
@@ -628,13 +639,14 @@ def test_growth_drops_answers_cached_at_the_old_top():
             bounded = exactalg.IntegerCochainComplex(
                 0, top, dict(sub.ranks), {k: sub.diff(k) for k in range(top)}
             )
-            truncated = (complex_cohomology(bounded, top), _rational_rank(bounded, top))
-            got = (complex_cohomology(sub, top), _rational_rank(sub, top))
+            truncated = complex_cohomology(bounded, top)
+            got = complex_cohomology(sub, top)
             assert sub.hi == top + 1
             ref, _ = build_equivariant_complex(_fresh(entry), coeff, 3)
-            assert got == (complex_cohomology(ref, top), _rational_rank(ref, top))
+            assert got == complex_cohomology(ref, top)
+            assert got.rank == oracles.plain_smith_rank(ref, top)
             bounded.extend(sub.rank(top + 1), sub.diff(top))
-            assert (complex_cohomology(bounded, top), _rational_rank(bounded, top)) == got
+            assert complex_cohomology(bounded, top) == got
             changed += got != truncated
     assert changed  # the catalog does exercise a nonzero top differential
 
@@ -666,17 +678,18 @@ def test_session_builds_each_fixed_degree_once(monkeypatch):
     max_degree its entry point uses, builds each (sign, n) degree of the
     descriptor complexes exactly once, and that growth makes no Smith
     reduction and no involution matrix.  No descriptor reads the ordered
-    orbit complex, so it is never built.  The antipodal sphere's
-    alternating action is free, so it reads the alternating fixed complex;
-    the conjugation circle's is not, so it reads the Borel complex.  With
+    orbit complex, so it is never built, and neither is a Borel complex
+    beside the descriptor complex.  The antipodal sphere's alternating
+    action is free, so it reads the alternating fixed complex; the
+    conjugation circle's is not, so it reads the Borel complex.  With
     sign -1 the highest degree read is 4: the mod-2 H^2 reads the torsion
     of H^3, and so d_3, and the cone's H^3 reads D_3 into Tot^4 = C^4 + C^3.
     With sign +1 the highest read is H^2, so degree 3.  The Borel complexes
     are built that far and no further; the alternating fixed complexes are
     built at once to dim N + 1 = 3, their first zero term, and no further."""
-    for name, params, route, other, tops in (
-        ("sphere_antipodal", (2,), "_alternating_fixed_complex", "_borel_complex", (3, 3)),
-        ("circle_conjugation", (), "_borel_complex", "_alternating_fixed_complex", (4, 3)),
+    for name, params, free, tops in (
+        ("sphere_antipodal", (2,), True, (3, 3)),
+        ("circle_conjugation", (), False, (4, 3)),
     ):
         cover = catalog.build(name, *params)
         inside, smith_inside, matrices_inside, orbit_builds = [0], [], [], []
@@ -735,8 +748,8 @@ def test_session_builds_each_fixed_degree_once(monkeypatch):
 
         assert smith_inside == [] and matrices_inside == [] and orbit_builds == [], name
         keys = {key[0] for key in cechengine._covercache[cover]}
-        assert route in keys and other not in keys, name
-        assert not keys & {"_orbit_complex", "_full_complex", "tuple_basis"}, name
+        assert keys == {"_alternating_model", "build_descriptor_complex", "build_total_complex"}, name
+        assert cechengine._acts_freely(cechengine._alternating_model(cover)) == free, name
         for sign, top in zip((-1, 1), tops):
             c = cechengine.build_descriptor_complex(cover, sign)
             assert c.hi == top, (name, sign)
@@ -851,6 +864,69 @@ def test_total_complex_grown_once(entry, monkeypatch):
         column = cechengine.build_descriptor_complex(cover, sign)
         assert column.hi == (at_once or read), sign
         assert sorted(n for c, n in extended if c is column) == list(range(column.hi))
+
+
+FOLD_COVERS = [pytest.param(e.name, e.params, id=catalog.entry_label(e)) for e in catalog.ENTRIES]
+FOLD_COVERS += [
+    pytest.param("torus", (a, b), id=f"{a},{b}")
+    for a, b in itertools.combinations_with_replacement(verify.PRODUCT_FACTORS, 2)
+]
+
+
+@pytest.mark.parametrize("name, params", FOLD_COVERS)
+def test_folded_degrees_equal_the_unfolded_ones(name, params):
+    """Every degree up to top + 8 read folded into the 2-periodic window
+    (the public entry points) equals the same degree read off the
+    descriptor or total complex itself, unfolded: both signs, Z, Z/2 and
+    Q, the cones, the three-term complexes and the inclusion of the
+    integers into the rationals."""
+    cover = catalog.build(name, *params)
+    top = cechengine._alternating_model(cover).top
+    for sign in (-1, 1):
+        c = cechengine.build_descriptor_complex(cover, sign)
+        for coeff in (CoefficientSystem.integers(sign), CoefficientSystem.integers_mod(2, sign),
+                      CoefficientSystem.rationals(sign)):
+            for k in range(top + 9):
+                want = cechengine._descriptor(c, k, coeff)
+                assert equivariant_cohomology(cover, coeff, k, k + 1) == want, (coeff, k)
+    for fstar in TOTAL_COMPLEXES + MIXED_COMPLEXES:
+        for k in range(top + 9):
+            want = cechengine._hyper_descriptor(cover, fstar, k)
+            assert hypercohomology(cover, fstar, k, k + 1) == want, (fstar, k)
+
+
+FAR = (10**6, 10**6 + 1, 10**20, 10**20 + 1)
+LOCALIZATION_COVERS = FOLD_COVERS + [
+    pytest.param("torus", ("circle_conjugation",) * m, id=f"circle_conjugation^{m}") for m in (3, 4)
+]
+
+
+@pytest.mark.parametrize("name, params", LOCALIZATION_COVERS)
+def test_far_degrees_localize(name, params):
+    """On the catalog, the 21 two-factor tori and three and four
+    conjugation circles, H^k for k = 10^6 and 10^20 and the next degrees is
+    that of the fixed points (localization, :func:`oracles.localized`),
+    with Z and Z/2 coefficients and both signs, and the cone of
+    multiplication by 2 one degree up gives the mod-2 group.  Nothing is
+    built past the window:
+    after the integral degrees the descriptor complex reaches top + 3 at
+    most, and after the mod-2 ones, which read one degree more, top + 4."""
+    cover = catalog.build(name, *params)
+    top = cechengine._alternating_model(cover).top
+    fixed_points = oracles.fixed_points(name, params)
+    for sign in (-1, 1):
+        integral = CoefficientSystem.integers(sign)
+        for k in FAR:
+            want = desc(oracles.localized(fixed_points, sign, k))
+            assert equivariant_cohomology(cover, integral, k, k + 1) == want, (sign, k)
+        assert cechengine.build_descriptor_complex(cover, sign).hi <= top + 3, sign
+        mod2 = CoefficientSystem.integers_mod(2, sign)
+        cone = CoefficientComplex((integral, integral), (2,))
+        for k in FAR:
+            want = desc(oracles.localized(fixed_points, sign, k, 2))
+            assert equivariant_cohomology(cover, mod2, k, k + 1) == want, (sign, k)
+            assert hypercohomology(cover, cone, k + 1, k + 2) == want, (sign, k)
+        assert cechengine.build_descriptor_complex(cover, sign).hi <= top + 4, sign
 
 
 def _built(kind, cover, sign, max_degree):
@@ -987,8 +1063,9 @@ def test_cover_and_its_cache_die_with_the_last_reference(name, params):
         growing = [cechengine.build_borel_complex(cover, sign, 2) for sign in (-1, 1)]
         growing += [cechengine.build_descriptor_complex(cover, sign) for sign in (-1, 1)]
         growing.append(build_total_complex(cover, TOTAL_COMPLEXES[0]))
-        finite = growing[2:4] if cechengine._alternating_action_is_free(cover) else []
-        zero_top = cechengine._alternating_model(cover).top + 1
+        model = cechengine._alternating_model(cover)
+        finite = growing[2:4] if cechengine._acts_freely(model) else []
+        zero_top = model.top + 1
         ordered = [build_full_complex(cover, 2), build_equivariant_complex(cover, IZ, 2)[0]]
         ref = weakref.ref(cover)
         del cover

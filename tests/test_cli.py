@@ -312,11 +312,11 @@ def test_exit_internal_invariant_failure(capsys, monkeypatch):
     exit 5 with a message, not exit 2 and not a traceback."""
     inner = cechengine.alternating_differential
 
-    def broken(cover, j):
-        d = inner(cover, j)
-        if j != 1:
+    def broken(cover, src, dst):
+        d = inner(cover, src, dst)
+        if src.degree != 1:
             return d
-        d0 = inner(cover, 0)
+        d0 = inner(cover, cechengine.alternating_basis(cover, 0), src)
         bad = d.copy()
         # a new entry in row 0 against a nonzero row of d_0 spoils d_1 @ d_0
         col = next(j for j, row in enumerate(d0.rows) if row)
@@ -338,8 +338,8 @@ def test_exit_broken_involution_is_internal(capsys, monkeypatch):
     the engine's own T^2 = id check: exit 5, naming the check."""
     inner = cechengine.alternating_involution
 
-    def rotated(cover, j):
-        perm, eps = inner(cover, j)
+    def rotated(cover, basis):
+        perm, eps = inner(cover, basis)
         return perm[1:] + perm[:1], eps
 
     monkeypatch.setattr(cechengine, "alternating_involution", rotated)
@@ -387,6 +387,22 @@ def test_four_conjugation_circles_localize(capsys, coeff, tail):
     assert len(groups) == 10
     for k in range(5, 10):
         assert groups[k] == (" + ".join(["Z/2"] * 16) if k % 2 == tail else "0"), k
+
+
+@pytest.mark.parametrize(
+    "coeff, degree, group",
+    [("iZ", "300000", "0"), ("Zmod:2", "100001", "Z/2 + Z/2"),
+     ("Z", str(10**20), "Z/2 + Z/2"), ("iZ", str(10**20 + 1), "Z/2 + Z/2")],
+)
+def test_far_degree_answers_from_the_window(capsys, coeff, degree, group):
+    """``--degree`` far above the dimension answers from the 2-periodic
+    window, as the conjugation circle's two fixed points give (one
+    H^k(C2; Z_s) each, or Z/2 each mod 2); no option asks for it."""
+    code, out, err = run(
+        capsys, "compute", "--space", "circle_conjugation", "--coeff", coeff, "--degree", degree
+    )
+    assert code == 0 and "Traceback" not in err
+    assert out.strip().startswith(f"H^{degree}(") and out.strip().endswith(f") = {group}")
 
 
 def test_verify_reduction_suite_passes(capsys):
