@@ -66,7 +66,9 @@ it.  No grower holds the cover (the ordered ones reach it through a weak
 reference), so a cover and its cache die with its last reference.
 Rational ranks are read off the same Smith diagonals as the integral
 groups, and mod-n results come from the integral complexes by universal
-coefficients degreewise.
+coefficients degreewise; hypercohomology splits its coefficient complex
+into single terms and pairs and reads each of those the same way
+(:func:`hypercohomology`).
 """
 
 from __future__ import annotations
@@ -91,7 +93,6 @@ from .exactalg import (
     _column_sets,
     _eliminate,
     _grow_orbit_complex,
-    _smith,
     complex_cohomology,
 )
 
@@ -545,7 +546,8 @@ def build_alternating_complex(cover: C2Cover) -> IntegerCochainComplex:
 @_per_cover
 def _borel_complex(cover: C2Cover, sign: int) -> IntegerCochainComplex:
     _require_free(cover)
-    return _borel_of(_alternating_model(cover), sign)
+    model = _alternating_model(cover)
+    return _borel_of(model, sign) if _acts_freely(model) else build_descriptor_complex(cover, sign)
 
 
 def _borel_of(model: AlternatingModel, sign: int) -> IntegerCochainComplex:
@@ -587,7 +589,8 @@ def build_borel_complex(cover: C2Cover, sign: int, max_degree: int) -> IntegerCo
     C^j'`` for every ``n >= j``.  ``D_n`` carries it by ``(-1)^i δ`` to
     ``(i, j + 1)`` and by ``1 - T`` or ``1 + T`` (``i + 1`` odd or even) to
     ``(i + 1, j)``, where ``T`` is ``sign`` times the model's action.
-    There is one complex per cover and sign, grown in place.  The model
+    There is one complex per cover and sign, grown in place: the
+    descriptor complex itself when that is the Borel complex.  The model
     was checked when it was made (``T^2 = id`` and ``T δ = δ T`` in every
     degree), and ``extend`` checks each new differential's shape and D∘D =
     0.
@@ -628,8 +631,8 @@ def build_descriptor_complex(cover: C2Cover, sign: int) -> IntegerCochainComplex
     Borel complex is quasi-isomorphic to the fixed complex ``C_alt^{C2}``:
     one orbit sum ``e_r + sign * ε_r * e_π(r)`` per orbit, at most half the
     Borel rank in every degree and zero above the model's top.  Otherwise
-    it is the Borel complex of the model (:func:`build_borel_complex`
-    builds the same complex, and keeps its own).
+    it is the Borel complex of the model, the one
+    :func:`build_borel_complex` returns.
     """
     _require_free(cover)
     return _descriptor_of(_alternating_model(cover), sign)
@@ -775,60 +778,6 @@ class CoefficientComplex:
         return len(self.terms)
 
 
-def _total_blocks(cover, fstar):
-    """The blocks of the total differential, as a function of the total
-    degree ``n``.
-
-    Columns are the summands (term degree i, Cech degree j = n - i); rows
-    the same at n + 1.  Vertical maps carry the sign (-1)^i on the Cech
-    coboundary; horizontal maps are the coefficient maps degreewise.  Each
-    call returns (A, B, C): integer-to-integer, integer-to-rational and
-    rational-to-rational blocks (there are no rational-to-integer maps).
-    The Cech direction is each sign's descriptor complex; the function
-    holds those, not the cover.
-    """
-    subs = {t.sign: build_descriptor_complex(cover, t.sign) for t in fstar.terms}
-
-    def layout(n):
-        # offset of each summand (i, n - i) in its term's part of Tot^n
-        offset, size = {}, {"Z": 0, "Q": 0}
-        for i, t in enumerate(fstar.terms[: n + 1]):
-            offset[i] = size[t.base]
-            size[t.base] += subs[t.sign].rank(n - i)
-        return offset, size
-
-    def blocks(n):
-        (src, ssize), (dst, dsize) = layout(n), layout(n + 1)
-        m = {(x, y): SparseIntMatrix(dsize[y], ssize[x]) for x, y in ("ZZ", "ZQ", "QQ")}
-        for i, col in src.items():
-            t, sub = fstar.terms[i], subs[fstar.terms[i].sign]
-            # vertical: same term, Cech degree up one
-            m[t.base, t.base].set_block(dst[i], col, sub.diff(n - i), scale=-1 if i % 2 else 1)
-            # horizontal: next term, same Cech degree
-            if i + 1 < len(fstar) and fstar.rate(i):
-                target = m[t.base, fstar.terms[i + 1].base]
-                for s in range(sub.rank(n - i)):
-                    target.set(dst[i + 1] + s, col + s, fstar.rate(i))
-        return m["Z", "Z"], m["Z", "Q"], m["Q", "Q"]
-
-    return blocks
-
-
-@_per_cover
-def build_total_complex(cover: C2Cover, fstar: CoefficientComplex) -> IntegerCochainComplex:
-    """Total complex of the equivariant double complex of an all-integer
-    ``fstar``.
-
-    There is one per cover and coefficient complex, grown in place one
-    total degree at a time as it is read; each new total differential is
-    checked (shape, d∘d = 0) once, when it is first built, and the Smith
-    answers cached on the complex serve every later question.
-    """
-    blocks = _total_blocks(cover, fstar)
-    # the map into total degree 0 has Tot^0 as its target
-    return _growing(blocks(-1)[0].nrows, lambda n: blocks(n)[0])
-
-
 def hypercohomology(
     cover: C2Cover,
     fstar: CoefficientComplex,
@@ -836,49 +785,49 @@ def hypercohomology(
     max_degree: int,
 ) -> GroupDescriptor:
     """H^k of the total complex of the equivariant double complex of
-    ``fstar``, whose Cech direction is the descriptor complex of each term's
-    sign.
+    ``fstar``, whose Cech direction is the descriptor complex ``C_s`` of
+    each term's sign ``s``; ``max_degree`` is only the range check.
 
-    Each column's differential is 2-periodic from its model's top on, so
-    the total differential is from ``top + len(fstar) - 1`` on, and degree
-    ``k`` is read folded into the window below ``top + len(fstar) + 2``, as
-    in :func:`equivariant_cohomology`; ``max_degree`` is only the range
-    check.  All-integer complexes produce the honest finitely generated
-    group, from the cover's one cached total complex
-    (:func:`build_total_complex`).  When rational terms are present the
-    divisible summand is not representable in a :class:`GroupDescriptor`;
-    the result then describes the reduced quotient (classes modulo
-    divisible ones), whose integral part is computed from the
-    kernel-with-rational-image presentation, a two-map complex read off its
-    Smith diagonals like any other.
+    No total complex is built.  No two consecutive maps of ``fstar`` are
+    nonzero and a nonzero map keeps the sign, so ``fstar`` is a direct sum
+    of single terms and pairs ``A_s --r--> B_s``, ``r != 0``, and each
+    piece in degrees from ``i`` on is read by
+    :func:`equivariant_cohomology` (folded) on ``C_s``:
+
+    * a term ``Z`` adds ``H^(k-i)(C_s; Z)``;
+    * a pair ``Z --r--> Z`` adds ``H^(k-i-1)(C_s; Z/|r|)``, 0 for ``|r| =
+      1``: the cone of ``r`` on a free complex is quasi-isomorphic to
+      ``C_s ⊗ Z/r`` (Weibel, *An Introduction to Homological Algebra*,
+      §3.6);
+    * a pair ``Z --r--> Q`` adds the torsion of ``H^(k-i)(C_s; Z)``, the
+      kernel of ``r`` into ``H^(k-i)(C_s; Q)``;
+    * a term ``Q`` or a pair ``Q --r--> Q`` adds nothing.
+
+    With rational terms the divisible summand is not representable in a
+    :class:`GroupDescriptor`, so beside other terms the result describes
+    the reduced quotient: the image of H^k in the cohomology of the
+    integer terms' total complex (classes modulo rational ones), which is
+    what the last two rules give.  A complex of one term is that term's
+    :func:`equivariant_cohomology`, a rational one included.
     """
     _check_degree(k, max_degree)
     if len(fstar) == 1:
         return equivariant_cohomology(cover, fstar.terms[0], k, max_degree)
     _require_free(cover)
-    return _hyper_descriptor(cover, fstar, _folded(k, _alternating_model(cover).top + len(fstar)))
-
-
-def _hyper_descriptor(cover: C2Cover, fstar: CoefficientComplex, k: int) -> GroupDescriptor:
-    """H^k of the total complex of a ``fstar`` of two or more terms itself,
-    unfolded (see :func:`hypercohomology`)."""
-    if {t.base for t in fstar.terms} == {"Z"}:
-        return complex_cohomology(build_total_complex(cover, fstar), k)
-
-    # mixed integers/rationals: block-triangular total differential
-    blocks = _total_blocks(cover, fstar)
-    a_k, b_k, c_k = blocks(k)
-    a_prev = blocks(k - 1)[0]
-
-    # E: saturated basis of the left kernel of the rational block, so that
-    # "E @ (B x) = 0" says B x lies in the rational column span of C
-    e = _smith(c_k.transpose(), transforms=True).kernel_basis().transpose()
-    stacked = SparseIntMatrix(a_k.nrows + e.nrows, a_k.ncols)
-    stacked.set_block(0, 0, a_k)
-    stacked.set_block(a_k.nrows, 0, e.matmul(b_k))
-    if not stacked.matmul(a_prev).is_zero():
-        raise InternalInvariantError("total differential blocks do not compose to zero")
-    # ker(stacked) is saturated, so ker(stacked) / im(a_prev) is the middle
-    # cohomology of the two-map complex a_prev, stacked: Smith diagonals only
-    ranks = {0: a_prev.ncols, 1: a_prev.nrows, 2: stacked.nrows}
-    return complex_cohomology(IntegerCochainComplex(0, 2, ranks, {0: a_prev, 1: stacked}), 1)
+    rank, torsion, i = 0, [], 0
+    while i < len(fstar):
+        t = fstar.terms[i]
+        j = k - i  # the piece's degree in its own Cech direction
+        n = abs(fstar.rate(i)) if i + 1 < len(fstar) else 0
+        if t.base == "Z" and j >= 0:
+            if n == 0:
+                g = equivariant_cohomology(cover, t, j, j + 1)
+                rank += g.rank
+                torsion += g.torsion
+            elif fstar.terms[i + 1].base == "Q":
+                torsion += equivariant_cohomology(cover, t, j, j + 1).torsion
+            elif n > 1 and j > 0:
+                mod_n = CoefficientSystem.integers_mod(n, t.sign)
+                torsion += equivariant_cohomology(cover, mod_n, j - 1, j).torsion
+        i += 2 if n else 1
+    return GroupDescriptor.from_cyclic_orders(rank, torsion)

@@ -784,15 +784,19 @@ def complex_cohomology(c: IntegerCochainComplex, k: int) -> GroupDescriptor:
     is ``n_k - rank d_k - rank d_(k-1)``, and since ``ker d_k`` is
     saturated the torsion is that of ``coker d_(k-1)``, its diagonal
     entries above 1.  No transforms are built; :func:`class_coordinates`
-    and its kin build them on demand.
+    and its kin build them on demand.  The group is cached on the complex
+    like the diagonals, and ``extend`` drops it with them.
 
     On a complex built by hand, differentials just outside the range count
     as zero maps, but ``k`` itself must lie inside ``[lo, hi]``.
     """
     c._require(k)
-    below = _diagonal(c, k - 1)
-    rank = c.rank(k) - sum(1 for x in _diagonal(c, k) if x) - sum(1 for x in below if x)
-    return GroupDescriptor.from_invariant_factors(rank, below)
+    hit = c._cache.get(("group", k))
+    if hit is None:
+        below = _diagonal(c, k - 1)
+        rank = c.rank(k) - sum(1 for x in _diagonal(c, k) if x) - sum(1 for x in below if x)
+        hit = c._cache["group", k] = GroupDescriptor.from_invariant_factors(rank, below)
+    return hit
 
 
 def _kernel_coordinates(c: IntegerCochainComplex, k: int, cocycle):

@@ -5,7 +5,7 @@ arithmetic on one-dimensional cochain groups — deliberately sharing no code
 with the package under test.  Groups
 are reported as ``(rank, torsion_tuple)`` pairs.
 
-Three families, and four reference routes:
+Three families, and five reference routes:
 
 * cohomology of the two-element group acting on cyclic coefficient modules,
   via the 2-periodic free resolution (differentials alternate between
@@ -41,6 +41,14 @@ engine, so its cohomology is an independent check on every descriptor
 The fourth, :func:`plain_smith_rank`, is the rank of H^k by plain Smith on
 whole differentials, against the unit-pivot diagonals every descriptor,
 rational ones included, is read from.
+
+The fifth, :func:`total_complex` and :func:`reduced_quotient`, is the
+total complex of a coefficient complex, assembled from its blocks
+(:func:`total_blocks`) and read unfolded: all-integer complexes by their
+Smith diagonals, those with rational terms by the transform route's
+kernel quotient.  The engine's hypercohomology builds no total complex;
+it splits the coefficient complex into single terms and pairs and reads
+each off the descriptor complexes, folded.
 """
 
 from fractions import Fraction
@@ -430,3 +438,81 @@ def plain_smith_rank(c, k):
     from realdeligne.exactalg import integer_rank
 
     return c.rank(k) - integer_rank(c.diff(k)) - integer_rank(c.diff(k - 1))
+
+
+# ---------------------------------------------------------------------------
+# the total complex of a coefficient complex
+# ---------------------------------------------------------------------------
+
+
+def total_blocks(cover, fstar):
+    """The blocks of the total differential, as a function of the total
+    degree ``n``.
+
+    Columns are the summands (term degree i, Cech degree j = n - i); rows
+    the same at n + 1.  Vertical maps carry the sign (-1)^i on the Cech
+    coboundary; horizontal maps are the coefficient maps degreewise.  Each
+    call returns (A, B, C): integer-to-integer, integer-to-rational and
+    rational-to-rational blocks (there are no rational-to-integer maps).
+    The Cech direction is each sign's descriptor complex; the function
+    holds those, not the cover.
+    """
+    from realdeligne.cechengine import build_descriptor_complex
+    from realdeligne.exactalg import SparseIntMatrix
+
+    subs = {t.sign: build_descriptor_complex(cover, t.sign) for t in fstar.terms}
+
+    def layout(n):
+        # offset of each summand (i, n - i) in its term's part of Tot^n
+        offset, size = {}, {"Z": 0, "Q": 0}
+        for i, t in enumerate(fstar.terms[: n + 1]):
+            offset[i] = size[t.base]
+            size[t.base] += subs[t.sign].rank(n - i)
+        return offset, size
+
+    def blocks(n):
+        (src, ssize), (dst, dsize) = layout(n), layout(n + 1)
+        m = {(x, y): SparseIntMatrix(dsize[y], ssize[x]) for x, y in ("ZZ", "ZQ", "QQ")}
+        for i, col in src.items():
+            t, sub = fstar.terms[i], subs[fstar.terms[i].sign]
+            # vertical: same term, Cech degree up one
+            m[t.base, t.base].set_block(dst[i], col, sub.diff(n - i), scale=-1 if i % 2 else 1)
+            # horizontal: next term, same Cech degree
+            if i + 1 < len(fstar) and fstar.rate(i):
+                target = m[t.base, fstar.terms[i + 1].base]
+                for s in range(sub.rank(n - i)):
+                    target.set(dst[i + 1] + s, col + s, fstar.rate(i))
+        return m["Z", "Z"], m["Z", "Q"], m["Q", "Q"]
+
+    return blocks
+
+
+def total_complex(cover, fstar):
+    """The total complex of the equivariant double complex of an
+    all-integer ``fstar``, read unfolded: its differential is the integer
+    block of :func:`total_blocks`, built one total degree at a time as it
+    is read, each checked (shape, d∘d = 0) once.  It holds the descriptor
+    complexes, not the cover."""
+    from realdeligne import cechengine
+
+    blocks = total_blocks(cover, fstar)
+    # the map into total degree 0 has Tot^0 as its target
+    return cechengine._growing(blocks(-1)[0].nrows, lambda n: blocks(n)[0])
+
+
+def reduced_quotient(cover, fstar, k):
+    """The reduced H^k of the total complex of a ``fstar`` with rational
+    terms, unfolded: the integer parts of its cocycles modulo the integer
+    coboundaries, ``ker [A_k; E B_k] / im A_(k-1)`` by the transform
+    route (:func:`realdeligne.exactalg.kernel_quotient`), with ``E`` the
+    left kernel of the rational block ``C_k``, so that ``E B_k x = 0``
+    says ``B_k x`` lies in the rational column span of ``C_k``."""
+    from realdeligne import exactalg
+
+    blocks = total_blocks(cover, fstar)
+    a_k, b_k, c_k = blocks(k)
+    e = exactalg.as_sparse(exactalg.kernel_basis(c_k.transpose().to_dense())).transpose()
+    stacked = exactalg.SparseIntMatrix(a_k.nrows + e.nrows, a_k.ncols)
+    stacked.set_block(0, 0, a_k)
+    stacked.set_block(a_k.nrows, 0, e.matmul(b_k))
+    return exactalg.kernel_quotient(stacked, blocks(k - 1)[0])

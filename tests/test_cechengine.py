@@ -11,6 +11,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import oracles
 from realdeligne import catalog, cechengine, coverdata, deligne, exactalg, verify
@@ -18,7 +19,6 @@ from realdeligne.cechengine import (
     CoefficientComplex,
     build_equivariant_complex,
     build_full_complex,
-    build_total_complex,
     cech_differential,
     equivariant_cohomology,
     hypercohomology,
@@ -339,7 +339,9 @@ def test_descriptor_complex_follows_the_alternating_action(entry):
     fixed complex of their reduced model (half its rank, zero above its
     top); the doubled points and the conjugation circle read its Borel
     complex.  ``_descriptor_of`` makes that choice; the cover's descriptor
-    complex is its answer on the reduced model, degree for degree.  The
+    complex is its answer on the reduced model, degree for degree, and when
+    that is the Borel complex it is the one ``build_borel_complex`` returns,
+    not an equal twin.  The
     fixed complex and its embeddings are built at once to degree top + 1,
     the first zero term, and never past it: H^k read far above reads zero
     and leaves ``hi`` where it was."""
@@ -354,7 +356,8 @@ def test_descriptor_complex_follows_the_alternating_action(entry):
         c = cechengine.build_descriptor_complex(cover, sign)
         assert cechengine.build_descriptor_complex(cover, sign) is c
         if not entry.free_action:
-            borel = cechengine.build_borel_complex(cover, sign, 6)
+            assert cechengine.build_borel_complex(cover, sign, 6) is c
+            borel = cechengine._borel_of(model, sign)
             assert [c.rank(n) for n in range(7)] == [borel.rank(n) for n in range(7)]
             assert all(c.diff(n) == borel.diff(n) for n in range(6)), sign
             continue
@@ -542,25 +545,21 @@ MIXED_COMPLEXES = (
     CoefficientComplex((IZ, IQ), ("incl",)),
     CoefficientComplex((Z_TRIVIAL, Q_TRIVIAL), ("incl",)),
     CoefficientComplex((IZ, IZ, IQ), (2, 0)),
+    CoefficientComplex((IZ, IQ, IQ), (-3, 0)),
+    CoefficientComplex((Z_TRIVIAL, IZ, IQ, IQ), (0, "incl", 0)),
 )
 
 
 @pytest.mark.parametrize("entry", catalog.ENTRIES, ids=catalog.entry_label)
 def test_mixed_hypercohomology_matches_the_kernel_quotient(entry):
-    """With rational terms present, the reduced quotient is read off the
-    Smith diagonals of the two-map complex ``A_(k-1)``, ``[A_k; E B_k]``;
-    it equals the transform route's ``ker [A_k; E B_k] / im A_(k-1)``,
-    with ``E`` the left kernel of the rational block."""
+    """With rational terms present, the reduced quotient, read off the
+    integer pieces, equals the transform route's ``ker [A_k; E B_k] / im
+    A_(k-1)`` on the total blocks, with ``E`` the left kernel of the
+    rational block (:func:`oracles.reduced_quotient`)."""
     cover = _fresh(entry)
     for fstar in MIXED_COMPLEXES:
-        blocks = cechengine._total_blocks(cover, fstar)
         for k in range(5):
-            a_k, b_k, c_k = blocks(k)
-            e = exactalg.as_sparse(exactalg.kernel_basis(c_k.transpose().to_dense())).transpose()
-            stacked = exactalg.SparseIntMatrix(a_k.nrows + e.nrows, a_k.ncols)
-            stacked.set_block(0, 0, a_k)
-            stacked.set_block(a_k.nrows, 0, e.matmul(b_k))
-            want = exactalg.kernel_quotient(stacked, blocks(k - 1)[0])
+            want = oracles.reduced_quotient(cover, fstar, k)
             assert hypercohomology(cover, fstar, k, k + 1) == want, (fstar, k)
 
 
@@ -683,7 +682,8 @@ def test_session_builds_each_fixed_degree_once(monkeypatch):
     action is free, so it reads the alternating fixed complex; the
     conjugation circle's is not, so it reads the Borel complex.  With
     sign -1 the highest degree read is 4: the mod-2 H^2 reads the torsion
-    of H^3, and so d_3, and the cone's H^3 reads D_3 into Tot^4 = C^4 + C^3.
+    of H^3, and so d_3, and so does the cone's H^3, which is the mod-3 H^2.
+    No total complex is built for the cone.
     With sign +1 the highest read is H^2, so degree 3.  The Borel complexes
     are built that far and no further; the alternating fixed complexes are
     built at once to dim N + 1 = 3, their first zero term, and no further."""
@@ -748,7 +748,7 @@ def test_session_builds_each_fixed_degree_once(monkeypatch):
 
         assert smith_inside == [] and matrices_inside == [] and orbit_builds == [], name
         keys = {key[0] for key in cechengine._covercache[cover]}
-        assert keys == {"_alternating_model", "build_descriptor_complex", "build_total_complex"}, name
+        assert keys == {"_alternating_model", "build_descriptor_complex"}, name
         assert cechengine._acts_freely(cechengine._alternating_model(cover)) == free, name
         for sign, top in zip((-1, 1), tops):
             c = cechengine.build_descriptor_complex(cover, sign)
@@ -822,17 +822,17 @@ TOTAL_COMPLEXES = (
 
 
 @pytest.mark.parametrize("entry", catalog.ENTRIES, ids=catalog.entry_label)
-def test_total_complex_grown_once(entry, monkeypatch):
-    """Hypercohomology asked in a shuffled order of degrees, with max_degree
-    going up and then down, answers as a fresh cover does, from one cached
-    total complex per coefficient complex, each total degree extended once,
-    over one descriptor complex per sign, each of its degrees extended once.
-    The highest total degree read is 4 (H^3 reads D_3).  Tot^4 of a cone
-    holds the sign -1 column's degree 4, so that column is built to 4; the
-    sign +1 column is the third term of the last complex, read up to Cech
-    degree 4 - 2 = 2.  Neither is built further, except that the
-    alternating fixed complex is built at once to degree dim N + 1, its
-    first zero term, and never past it."""
+def test_hypercohomology_builds_no_total_complex(entry, monkeypatch):
+    """Hypercohomology of an all-integer complex, asked in a shuffled order
+    of degrees with max_degree going up and then down, answers as a fresh
+    cover does, and builds no total complex: it never assembles the total
+    blocks, and the cover's memo holds its model and descriptor complexes
+    only, each degree of which is extended once.  The highest degree read
+    is 4: H^3 of a cone is the mod-n H^2 of the sign -1 column, which reads
+    its d_3.  The sign +1 column is the third term of the last complex,
+    read up to H^(3 - 2), so degree 2.  Neither is built further, except
+    that the alternating fixed complex is built at once to degree dim N +
+    1, its first zero term, and never past it."""
     extended = []
     inner_extend = exactalg.IntegerCochainComplex.extend
 
@@ -845,20 +845,16 @@ def test_total_complex_grown_once(entry, monkeypatch):
     rng = random.Random(entry.name + str(entry.params))
     fresh = {}
     for fstar in TOTAL_COMPLEXES:
-        totals = set()
         for md in (1, 3, 4, 2):
             degrees = list(range(md))
             rng.shuffle(degrees)
             for k in degrees:
                 got = hypercohomology(cover, fstar, k, md)
-                totals.add(id(build_total_complex(cover, fstar)))
                 if (fstar, k) not in fresh:
                     fresh[fstar, k] = hypercohomology(_fresh(entry), fstar, k, k + 1)
                 assert got == fresh[fstar, k], (fstar, k, md)
-        total = build_total_complex(cover, fstar)
-        assert totals == {id(total)}
-        assert total.hi == 4
-        assert sorted(n for c, n in extended if c is total) == list(range(4))
+    keys = {key[0] for key in cechengine._covercache[cover]}
+    assert keys == {"_alternating_model", "build_descriptor_complex"}
     at_once = cechengine._alternating_model(cover).top + 1 if entry.free_action else 0
     for sign, read in ((-1, 4), (1, 2)):
         column = cechengine.build_descriptor_complex(cover, sign)
@@ -878,8 +874,9 @@ def test_folded_degrees_equal_the_unfolded_ones(name, params):
     """Every degree up to top + 8 read folded into the 2-periodic window
     (the public entry points) equals the same degree read off the
     descriptor or total complex itself, unfolded: both signs, Z, Z/2 and
-    Q, the cones, the three-term complexes and the inclusion of the
-    integers into the rationals."""
+    Q, the cones and the three-term complex against the oracle total
+    complex, and the complexes with rational terms against the oracle
+    reduced quotient of their total blocks."""
     cover = catalog.build(name, *params)
     top = cechengine._alternating_model(cover).top
     for sign in (-1, 1):
@@ -889,10 +886,95 @@ def test_folded_degrees_equal_the_unfolded_ones(name, params):
             for k in range(top + 9):
                 want = cechengine._descriptor(c, k, coeff)
                 assert equivariant_cohomology(cover, coeff, k, k + 1) == want, (coeff, k)
-    for fstar in TOTAL_COMPLEXES + MIXED_COMPLEXES:
+    for fstar in TOTAL_COMPLEXES:
+        total = oracles.total_complex(cover, fstar)
         for k in range(top + 9):
-            want = cechengine._hyper_descriptor(cover, fstar, k)
+            assert hypercohomology(cover, fstar, k, k + 1) == complex_cohomology(total, k), (fstar, k)
+    for fstar in MIXED_COMPLEXES:
+        for k in range(top + 9):
+            want = oracles.reduced_quotient(cover, fstar, k)
             assert hypercohomology(cover, fstar, k, k + 1) == want, (fstar, k)
+
+
+RATES = (0, 1, -1, 2, -2, 3, -3, 4, -4, 6, -6)
+
+
+@st.composite
+def coefficient_complexes(draw, rational):
+    """A coefficient complex of 2 to 4 terms: random signs and rates, but
+    a nonzero map only after a zero one (consecutive maps compose to
+    zero) and only between terms of one sign.  All terms are integers,
+    or, if ``rational``, some integer terms are followed by at least one
+    rational term (rationals do not map to integers), and the map from
+    the last integer term may also be the inclusion."""
+    length = draw(st.integers(2, 4))
+    integers = draw(st.integers(0, length - 1)) if rational else length
+    signs, maps = [draw(st.sampled_from((-1, 1)))], []
+    for i in range(1, length):
+        rates = RATES + ("incl",) if i == integers else RATES
+        rate = draw(st.sampled_from(rates)) if not any(maps[-1:]) else 0
+        signs.append(signs[-1] if rate else draw(st.sampled_from((-1, 1))))
+        maps.append(rate)
+    terms = [CoefficientSystem.integers(s) for s in signs[:integers]]
+    terms += [CoefficientSystem.rationals(s) for s in signs[integers:]]
+    return CoefficientComplex(tuple(terms), tuple(maps))
+
+
+HYPER_COVERS = [(e.name, e.params) for e in catalog.ENTRIES]
+HYPER_COVERS += [("torus", ("circle_conjugation", "circle_conjugation")),
+                 ("torus", ("circle_antipodal", "sphere_antipodal"))]
+
+
+@settings(max_examples=50, deadline=None)
+@given(coefficient_complexes(rational=False))
+def test_integer_hypercohomology_equals_the_total_complex(fstar):
+    """Any all-integer coefficient complex, split into single terms and
+    cones and read off the descriptor complexes, answers as its total
+    complex (:func:`oracles.total_complex`) read unfolded, in degrees 0 ..
+    top + 6, on the catalog and two two-factor tori (one Borel, one
+    fixed)."""
+    for name, params in HYPER_COVERS:
+        cover = catalog.build(name, *params)
+        total = oracles.total_complex(cover, fstar)
+        for k in range(cechengine._alternating_model(cover).top + 7):
+            want = complex_cohomology(total, k)
+            assert hypercohomology(cover, fstar, k, k + 1) == want, (name, params, k)
+
+
+@settings(max_examples=30, deadline=None)
+@given(coefficient_complexes(rational=True))
+def test_mixed_hypercohomology_equals_the_reduced_quotient(fstar):
+    """Any coefficient complex with rational terms, read off its integer
+    pieces, answers as the transform route on its total blocks
+    (:func:`oracles.reduced_quotient`), unfolded, in degrees 0 .. top +
+    6, on the catalog and two two-factor tori."""
+    for name, params in HYPER_COVERS:
+        cover = catalog.build(name, *params)
+        for k in range(cechengine._alternating_model(cover).top + 7):
+            want = oracles.reduced_quotient(cover, fstar, k)
+            assert hypercohomology(cover, fstar, k, k + 1) == want, (name, params, k)
+
+
+def test_a_mixed_table_reads_the_cached_diagonals(monkeypatch):
+    """A complex with rational terms reduces nothing of its own: after an
+    iZ table H^0..H^5 on a warm cover, an inclusion table H^0..H^5, read
+    once and again, makes no Smith call, and each group is the torsion
+    of the iZ group in its degree."""
+    cover = catalog.build("torus", "circle_conjugation", "circle_conjugation")
+    integral = [equivariant_cohomology(cover, IZ, k, 6) for k in range(6)]
+    incl = CoefficientComplex((IZ, IQ), ("incl",))
+    calls = []
+    inner = exactalg._smith
+
+    def smith(m, transforms=True):
+        calls.append(m)
+        return inner(m, transforms)
+
+    monkeypatch.setattr(exactalg, "_smith", smith)
+    for _ in range(2):
+        table = [hypercohomology(cover, incl, k, 6) for k in range(6)]
+        assert table == [GroupDescriptor(0, g.torsion) for g in integral]
+    assert calls == []
 
 
 FAR = (10**6, 10**6 + 1, 10**20, 10**20 + 1)
@@ -940,7 +1022,7 @@ def _built(kind, cover, sign, max_degree):
     if kind == "descriptor":
         c = cechengine.build_descriptor_complex(cover, sign)
     else:
-        c = build_total_complex(cover, CoefficientComplex((coeff, coeff), (2,)))
+        c = oracles.total_complex(cover, CoefficientComplex((coeff, coeff), (2,)))
     c.rank(max_degree + 1)
     return c
 
@@ -953,7 +1035,8 @@ def test_no_cohomology_is_read_from_a_truncated_top(entry):
     instead of reading a zero map beyond the top (which gave Z + Z/2 for
     the Borel H^3 of the doubled point with sign -1, whose true group is
     Z/2).  The Borel, descriptor and orbit complexes all compute the
-    descriptor route's groups."""
+    descriptor route's groups, and the oracle total complex of the cone
+    of 2 the hypercohomology route's."""
     cover, fresh = _fresh(entry), _fresh(entry)
     for sign in (-1, 1):
         coeff = CoefficientSystem.integers(sign)
@@ -1044,8 +1127,9 @@ def test_unit_pass_does_the_work_on_the_borel_torus(monkeypatch):
 def test_cover_and_its_cache_die_with_the_last_reference(name, params):
     """Nothing reachable from a cover's cache refers back to the cover, so
     dropping the last reference frees it and its complexes at once, without
-    waiting for the cyclic garbage collector.  The Borel, descriptor and
-    total complexes grow on without it, up to the zero top dim N + 1 of an
+    waiting for the cyclic garbage collector.  The Borel and descriptor
+    complexes, and the oracle total complex read off them, grow on without
+    it, up to the zero top dim N + 1 of an
     alternating fixed complex; the ordered complexes, which reach it
     through a weak reference, refuse to."""
     gc.collect()
@@ -1062,7 +1146,7 @@ def test_cover_and_its_cache_die_with_the_last_reference(name, params):
         assert deligne.cocycles_equivalent(FlatCocycle.zero(cover), FlatCocycle.zero(cover))
         growing = [cechengine.build_borel_complex(cover, sign, 2) for sign in (-1, 1)]
         growing += [cechengine.build_descriptor_complex(cover, sign) for sign in (-1, 1)]
-        growing.append(build_total_complex(cover, TOTAL_COMPLEXES[0]))
+        growing.append(oracles.total_complex(cover, TOTAL_COMPLEXES[0]))
         model = cechengine._alternating_model(cover)
         finite = growing[2:4] if cechengine._acts_freely(model) else []
         zero_top = model.top + 1
