@@ -9,12 +9,11 @@ Betti signature of the underlying space as a sanity anchor.
 
 from __future__ import annotations
 
-import inspect
-from dataclasses import dataclass
 from itertools import product
 
 from .coverdata import C2Cover, _checked, double_fixed_indices, product_cover
 from .errors import UnknownSpace, UnsupportedDimension
+from .records import Record
 
 
 def _one_piece(name: str, involution_name: str, involution: dict, piece: dict) -> C2Cover:
@@ -101,16 +100,18 @@ def _sphere_antipodal(n: int = 2) -> C2Cover:
     return _checked(_one_piece(f"sphere_antipodal_{n}", "antipodal", opposite, piece))
 
 
-@dataclass(frozen=True)
-class CatalogEntry:
+class CatalogEntry(Record):
     """A named space: builder arguments, expected plain Betti numbers
     (ranks of H^k with integer coefficients, degrees 0..len-1), and flags."""
 
-    name: str
-    betti: tuple
-    compact: bool
-    free_action: bool
-    params: tuple = ()
+    __slots__ = ("name", "betti", "compact", "free_action", "params")
+
+    def __init__(self, name: str, betti: tuple, compact: bool, free_action: bool, params: tuple = ()):
+        object.__setattr__(self, "name", name)
+        object.__setattr__(self, "betti", betti)
+        object.__setattr__(self, "compact", compact)
+        object.__setattr__(self, "free_action", free_action)
+        object.__setattr__(self, "params", params)
 
     def build(self) -> C2Cover:
         return build(self.name, *self.params)
@@ -126,7 +127,8 @@ def _torus(*factors) -> C2Cover:
     return out
 
 
-# each builder takes exactly the parameters its catalog name accepts
+# each builder takes the parameters its catalog name accepts (see
+# _parameter_error for how many)
 _BUILDERS = {
     "point_trivial": lambda: double_fixed_indices(_point(1, "point_trivial")),
     "point_trivial_fine": lambda: double_fixed_indices(_point(2, "point_trivial_fine")),
@@ -141,20 +143,30 @@ _BUILDERS = {
 }
 
 
+def _parameter_error(name: str, count: int) -> str | None:
+    """Why catalog space ``name`` does not take ``count`` parameters, or
+    None when it does: a sphere takes its dimension or nothing, a torus no
+    factors (its default) or two or more, every other space nothing."""
+    if name == "torus":
+        return "a torus takes two or more factors, got 1" if count == 1 else None
+    if count > (1 if name == "sphere_antipodal" else 0):
+        return f"too many parameters for catalog space {name!r}: {count}"
+    return None
+
+
 def build(name: str, *params) -> C2Cover:
     """Construct a validated catalog cover by name; only ``sphere_antipodal``
-    (its dimension, 2 by default) and ``torus`` (its factors' names) take
-    parameters.  Raises :class:`UnknownSpace` for unknown names and
-    :class:`UnsupportedDimension` for parameters a space does not take and
-    sphere dimensions that are not integers or in range."""
+    (its dimension, 2 by default) and ``torus`` (the names of two or more
+    factors) take parameters.  Raises :class:`UnknownSpace` for unknown
+    names and :class:`UnsupportedDimension` for parameter counts a space
+    does not take and sphere dimensions that are not integers or in
+    range."""
     builder = _BUILDERS.get(name)
     if builder is None:
         raise UnknownSpace(f"no catalog space named {name!r}")
-    try:
-        if params:  # every builder can be called with none
-            inspect.signature(builder).bind(*params)
-    except TypeError:
-        raise UnsupportedDimension(f"too many parameters for catalog space {name!r}: {len(params)}") from None
+    error = _parameter_error(name, len(params))
+    if error:
+        raise UnsupportedDimension(error)
     return builder(*params)
 
 

@@ -73,7 +73,6 @@ into single terms and pairs and reads each of those the same way
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import wraps
 from math import gcd
 from weakref import WeakKeyDictionary, ref
@@ -95,6 +94,7 @@ from .exactalg import (
     _grow_orbit_complex,
     complex_cohomology,
 )
+from .records import Record
 
 _covercache: WeakKeyDictionary = WeakKeyDictionary()
 
@@ -155,7 +155,6 @@ def _require_free(cover: C2Cover) -> None:
         )
 
 
-@dataclass(eq=False)
 class TupleBasis:
     """Ordered basis of the degree-``p`` cochain space of a cover.
 
@@ -163,9 +162,12 @@ class TupleBasis:
     index name and then component id, so positions are reproducible.
     """
 
-    degree: int
-    elements: tuple
-    position: dict
+    __slots__ = ("degree", "elements", "position")
+
+    def __init__(self, degree: int, elements: tuple, position: dict):
+        self.degree = degree
+        self.elements = elements
+        self.position = position
 
     def __len__(self):
         return len(self.elements)
@@ -291,8 +293,7 @@ def build_equivariant_complex(cover: C2Cover, coeff: CoefficientSystem, max_degr
     return fixed
 
 
-@dataclass(frozen=True, slots=True)
-class AngleLayout:
+class AngleLayout(Record):
     """What checking and lifting a flat angle table needs of its cover.
 
     ``pairs`` maps every angle key ``(i, j, c)``, one per element of
@@ -306,9 +307,12 @@ class AngleLayout:
     cover.
     """
 
-    pairs: dict
-    triples: tuple
-    orbit_keys: tuple
+    __slots__ = ("pairs", "triples", "orbit_keys")
+
+    def __init__(self, pairs: dict, triples: tuple, orbit_keys: tuple):
+        object.__setattr__(self, "pairs", pairs)
+        object.__setattr__(self, "triples", triples)
+        object.__setattr__(self, "orbit_keys", orbit_keys)
 
 
 @_per_cover
@@ -716,8 +720,7 @@ def nonequivariant_cohomology(
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class CoefficientComplex:
+class CoefficientComplex(Record):
     """A bounded complex of coefficient systems in degrees ``0..m``.
 
     ``maps[i]`` is the map from term ``i`` to term ``i + 1``: an integer
@@ -725,12 +728,11 @@ class CoefficientComplex:
     integers into rationals.
     """
 
-    terms: tuple
-    maps: tuple = ()
+    __slots__ = ("terms", "maps")
 
-    def __post_init__(self):
-        terms = tuple(self.terms)
-        maps = tuple(self.maps)
+    def __init__(self, terms: tuple, maps: tuple = ()):
+        terms = tuple(terms)
+        maps = tuple(maps)
         object.__setattr__(self, "terms", terms)
         object.__setattr__(self, "maps", maps)
         if not terms:

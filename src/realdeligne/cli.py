@@ -15,7 +15,6 @@ import argparse
 import json
 import sys
 import time
-from dataclasses import asdict, dataclass
 
 from . import __version__, catalog
 from .cechengine import equivariant_cohomology, nonequivariant_cohomology
@@ -47,13 +46,15 @@ EXIT_INTERNAL = 5
 EXIT_OUT_OF_MEMORY = 6
 
 
-@dataclass
-class RunReport:
-    invocation: list
-    version: str
-    cover: dict | None
-    results: list
-    timings: dict
+def _run_report(invocation: list, cover: dict | None, results: list, timings: dict) -> dict:
+    """The ``--json`` run report, its keys in this order."""
+    return {
+        "invocation": invocation,
+        "version": __version__,
+        "cover": cover,
+        "results": results,
+        "timings": timings,
+    }
 
 
 def _parse_coeff(text: str) -> CoefficientSystem:
@@ -159,9 +160,9 @@ def _cmd_classify(args, cover):
     )
 
 
-def _emit(args, report: RunReport, lines):
+def _emit(args, report: dict, lines):
     if args.json:
-        print(json.dumps(asdict(report), indent=2, default=str))
+        print(json.dumps(report, indent=2, default=str))
     else:
         for line in lines:
             print(line)
@@ -175,16 +176,11 @@ def _dispatch(args) -> int:
         t0 = time.perf_counter()
         failures = run_suite(args.suite)
         timings = {"verify": time.perf_counter() - t0}
-        report = RunReport(invocation, __version__, None, failures, timings)
+        lines = [json.dumps(rec, default=str) for rec in failures] or [f"suite {args.suite}: pass"]
+        _emit(args, _run_report(invocation, None, failures, timings), lines)
         if failures:
-            if args.json:
-                print(json.dumps(asdict(report), indent=2, default=str))
-            else:
-                for rec in failures:
-                    print(json.dumps(rec, default=str))
             print(f"suite {args.suite}: {len(failures)} failure(s)", file=sys.stderr)
             return EXIT_VERIFY_FAILED
-        _emit(args, report, [f"suite {args.suite}: pass"])
         return EXIT_OK
 
     t0 = time.perf_counter()
@@ -203,7 +199,7 @@ def _dispatch(args) -> int:
     t0 = time.perf_counter()
     records, lines = handler(args, cover)
     timings = {"build": t_build, "compute": time.perf_counter() - t0}
-    report = RunReport(invocation, __version__, _cover_meta(cover), records, timings)
+    report = _run_report(invocation, _cover_meta(cover), records, timings)
     _emit(args, report, lines)
     return EXIT_OK
 

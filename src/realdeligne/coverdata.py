@@ -13,7 +13,6 @@ export -> parse -> export is byte identical.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
 from itertools import combinations
@@ -29,10 +28,10 @@ from .errors import (
     CoverValidationError,
     InvalidCocycle,
 )
+from .records import Record
 
 
-@dataclass(frozen=True)
-class CoefficientSystem:
+class CoefficientSystem(Record):
     """Locally constant coefficients with a sign action of the involution.
 
     ``base`` is "Z", "Q" or "Z/n" (with ``modulus`` = n); ``sign`` is the
@@ -40,21 +39,22 @@ class CoefficientSystem:
     -1 means negation mod n.
     """
 
-    base: str
-    sign: int
-    modulus: int | None = None
+    __slots__ = ("base", "sign", "modulus")
 
-    def __post_init__(self):
-        if self.sign not in (1, -1):
+    def __init__(self, base: str, sign: int, modulus: int | None = None):
+        if sign not in (1, -1):
             raise ValueError("sign must be +1 or -1")
-        if self.base == "Z/n":
-            if not isinstance(self.modulus, int) or self.modulus < 2:
+        if base == "Z/n":
+            if not isinstance(modulus, int) or modulus < 2:
                 raise ValueError("modulus must be an integer >= 2")
-        elif self.base in ("Z", "Q"):
-            if self.modulus is not None:
-                raise ValueError(f"base {self.base} takes no modulus")
+        elif base in ("Z", "Q"):
+            if modulus is not None:
+                raise ValueError(f"base {base} takes no modulus")
         else:
-            raise ValueError(f"unknown base {self.base!r}")
+            raise ValueError(f"unknown base {base!r}")
+        object.__setattr__(self, "base", base)
+        object.__setattr__(self, "sign", sign)
+        object.__setattr__(self, "modulus", modulus)
 
     @classmethod
     def integers(cls, sign: int = 1) -> "CoefficientSystem":
@@ -83,7 +83,6 @@ class _WeaklyReferenced:
     __slots__ = ("__weakref__",)  # the engine's caches key covers weakly
 
 
-@dataclass(eq=False, slots=True)
 class C2Cover(_WeaklyReferenced):
     """A validated combinatorial cover with a free index involution.
 
@@ -94,16 +93,43 @@ class C2Cover(_WeaklyReferenced):
     can key caches.  A product keeps its two factors in ``factors``.
     """
 
-    name: str
-    involution_name: str
-    indices: tuple
-    involution: dict
-    intersections: dict  # frozenset of indices -> tuple of component ids
-    faces: dict  # (component id, dropped index) -> component id
-    component_involution: dict
-    good: bool
-    compact: bool
-    factors: tuple = ()  # a product's factors; () for every other cover
+    # _ProductCover swaps its class for this one, so the two keep one layout
+    __slots__ = (
+        "name",
+        "involution_name",
+        "indices",
+        "involution",
+        "intersections",  # frozenset of indices -> tuple of component ids
+        "faces",  # (component id, dropped index) -> component id
+        "component_involution",
+        "good",
+        "compact",
+        "factors",  # a product's factors; () for every other cover
+    )
+
+    def __init__(
+        self,
+        name: str,
+        involution_name: str,
+        indices: tuple,
+        involution: dict,
+        intersections: dict,
+        faces: dict,
+        component_involution: dict,
+        good: bool,
+        compact: bool,
+        factors: tuple = (),
+    ):
+        self.name = name
+        self.involution_name = involution_name
+        self.indices = indices
+        self.involution = involution
+        self.intersections = intersections
+        self.faces = faces
+        self.component_involution = component_involution
+        self.good = good
+        self.compact = compact
+        self.factors = factors
 
     # -- lookups ----------------------------------------------------------
 
@@ -695,7 +721,6 @@ def product_cover(a: C2Cover, b: C2Cover, name: str | None = None) -> C2Cover:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(eq=False)
 class FlatCocycle:
     """Locally constant circle-valued transition data on a cover.
 
@@ -706,11 +731,12 @@ class FlatCocycle:
     ``theta[t(i), t(j), sigma(c)] = -theta[i, j, c]`` mod 1.
     """
 
-    cover: C2Cover
-    angles: dict  # (i, j, component) -> Fraction in [0, 1)
+    __slots__ = ("cover", "angles")
 
-    def __post_init__(self):
-        self.angles = {k: Fraction(v) % 1 for k, v in self.angles.items()}
+    def __init__(self, cover: C2Cover, angles: dict):
+        self.cover = cover
+        # (i, j, component) -> Fraction in [0, 1)
+        self.angles = {k: Fraction(v) % 1 for k, v in angles.items()}
 
     @classmethod
     def zero(cls, cover: C2Cover) -> "FlatCocycle":

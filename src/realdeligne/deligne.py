@@ -17,7 +17,6 @@ only in the angles that come in and the torus coordinates that go out.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .cechengine import _angle_layout, _orbit_complex, equivariant_cohomology
@@ -36,6 +35,7 @@ from .exactalg import (
     _class_and_preimage,
     class_coordinates,
 )
+from .records import Record
 
 SMOOTH_PART_SYMBOL = "E^{p-1}/E^{p-1}_0(M)"
 
@@ -44,8 +44,7 @@ COMPACT_EXTENSION = "compact_extension"
 MIXED = "mixed"
 
 
-@dataclass(frozen=True)
-class DeligneDescriptor:
+class DeligneDescriptor(Record):
     """Structured value of the (p, q) group over a cover.
 
     ``rank``/``torsion`` describe the discrete group (discrete shape), the
@@ -53,17 +52,45 @@ class DeligneDescriptor:
     where ``rank`` is 0 and ``torus_dim`` counts circle factors).
     """
 
-    space: str
-    p: int
-    q: int
-    shape: str
-    rank: int
-    torsion: tuple
-    torus_dim: int | None
-    smooth_part_symbolic: bool
-    split_assumed: bool
-    degrees_computed: tuple
-    good_cover_asserted: bool
+    __slots__ = (
+        "space",
+        "p",
+        "q",
+        "shape",
+        "rank",
+        "torsion",
+        "torus_dim",
+        "smooth_part_symbolic",
+        "split_assumed",
+        "degrees_computed",
+        "good_cover_asserted",
+    )
+
+    def __init__(
+        self,
+        space: str,
+        p: int,
+        q: int,
+        shape: str,
+        rank: int,
+        torsion: tuple,
+        torus_dim: int | None,
+        smooth_part_symbolic: bool,
+        split_assumed: bool,
+        degrees_computed: tuple,
+        good_cover_asserted: bool,
+    ):
+        object.__setattr__(self, "space", space)
+        object.__setattr__(self, "p", p)
+        object.__setattr__(self, "q", q)
+        object.__setattr__(self, "shape", shape)
+        object.__setattr__(self, "rank", rank)
+        object.__setattr__(self, "torsion", torsion)
+        object.__setattr__(self, "torus_dim", torus_dim)
+        object.__setattr__(self, "smooth_part_symbolic", smooth_part_symbolic)
+        object.__setattr__(self, "split_assumed", split_assumed)
+        object.__setattr__(self, "degrees_computed", degrees_computed)
+        object.__setattr__(self, "good_cover_asserted", good_cover_asserted)
 
     @property
     def group(self) -> GroupDescriptor:
@@ -219,14 +246,16 @@ def real_circle_maps(cover: C2Cover, max_degree: int = 2) -> GroupDescriptor:
     return equivariant_cohomology(cover, IZ, 1, max_degree)
 
 
-@dataclass(frozen=True)
-class QuotientCoefficients:
+class QuotientCoefficients(Record):
     """Descriptor of cohomology with circle (rationals-mod-integers)
     coefficients under the split assumption: a torus dimension plus the
     torsion shifted up from the next integral degree."""
 
-    torus_dim: int
-    torsion: tuple
+    __slots__ = ("torus_dim", "torsion")
+
+    def __init__(self, torus_dim: int, torsion: tuple):
+        object.__setattr__(self, "torus_dim", torus_dim)
+        object.__setattr__(self, "torsion", torsion)
 
 
 def quotient_coefficients_cohomology(
@@ -251,8 +280,7 @@ def quotient_coefficients_cohomology(
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class FlatClassCoordinates:
+class FlatClassCoordinates(Record):
     """Coordinates in the split flat group ``(R/Z)^d x torsion``.
 
     ``torus_part`` holds fractions in ``[0, 1)`` against the computed basis
@@ -260,8 +288,11 @@ class FlatClassCoordinates:
     (the class then sits outside the identity-component coordinates).
     """
 
-    torus_part: tuple | None
-    torsion_part: tuple
+    __slots__ = ("torus_part", "torsion_part")
+
+    def __init__(self, torus_part: tuple | None, torsion_part: tuple):
+        object.__setattr__(self, "torus_part", torus_part)
+        object.__setattr__(self, "torsion_part", torsion_part)
 
     @property
     def is_zero(self) -> bool:
@@ -270,11 +301,13 @@ class FlatClassCoordinates:
         )
 
 
-@dataclass(frozen=True)
-class FlatCocycleClass:
-    coords: FlatClassCoordinates
-    bockstein: ElementCoordinates
-    trivial: bool
+class FlatCocycleClass(Record):
+    __slots__ = ("coords", "bockstein", "trivial")
+
+    def __init__(self, coords: FlatClassCoordinates, bockstein: ElementCoordinates, trivial: bool):
+        object.__setattr__(self, "coords", coords)
+        object.__setattr__(self, "bockstein", bockstein)
+        object.__setattr__(self, "trivial", trivial)
 
 
 def _equivariant_lift(cover: C2Cover, table: dict) -> list:

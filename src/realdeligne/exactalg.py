@@ -34,7 +34,6 @@ per basis vector, with no reduction at all.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from fractions import Fraction
 from math import gcd
 
@@ -45,6 +44,7 @@ from .errors import (
     NotAnInvolution,
     NotEquivariant,
 )
+from .records import Record
 
 
 class SparseIntMatrix:
@@ -191,7 +191,6 @@ def _object_array(v):
 # ---------------------------------------------------------------------------
 
 
-@dataclass(eq=False, slots=True)
 class _SmithData:
     """Result of a Smith reduction ``u @ m @ v == d``.
 
@@ -202,13 +201,25 @@ class _SmithData:
     transforms all four are None.
     """
 
-    nrows: int
-    ncols: int
-    diag: list
-    u: SparseIntMatrix | None
-    vT: SparseIntMatrix | None
-    uinvT: SparseIntMatrix | None
-    vinv: SparseIntMatrix | None
+    __slots__ = ("nrows", "ncols", "diag", "u", "vT", "uinvT", "vinv")
+
+    def __init__(
+        self,
+        nrows: int,
+        ncols: int,
+        diag: list,
+        u: SparseIntMatrix | None,
+        vT: SparseIntMatrix | None,
+        uinvT: SparseIntMatrix | None,
+        vinv: SparseIntMatrix | None,
+    ):
+        self.nrows = nrows
+        self.ncols = ncols
+        self.diag = diag
+        self.u = u
+        self.vT = vT
+        self.uinvT = uinvT
+        self.vinv = vinv
 
     def kernel_columns(self):
         ncols = self.ncols
@@ -498,26 +509,25 @@ def solve_rational(m, b):
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class GroupDescriptor:
+class GroupDescriptor(Record):
     """Canonical form of a finitely generated abelian group.
 
     ``torsion`` holds the invariant factors, each at least 2 and each
     dividing the next, so equality of descriptors is isomorphism.
     """
 
-    rank: int
-    torsion: tuple = ()
+    __slots__ = ("rank", "torsion")
 
-    def __post_init__(self):
-        tor = tuple(int(d) for d in self.torsion)
-        object.__setattr__(self, "torsion", tor)
+    def __init__(self, rank: int, torsion: tuple = ()):
+        tor = tuple(int(d) for d in torsion)
         for d in tor:
             if d < 2:
                 raise ValueError("torsion invariants must be >= 2")
         for x, y in zip(tor, tor[1:]):
             if y % x:
                 raise ValueError("torsion invariants must form a divisibility chain")
+        object.__setattr__(self, "rank", rank)
+        object.__setattr__(self, "torsion", tor)
 
     @classmethod
     def from_invariant_factors(cls, rank, factors) -> "GroupDescriptor":
@@ -550,14 +560,16 @@ class GroupDescriptor:
         return " + ".join(parts) if parts else "0"
 
 
-@dataclass(frozen=True)
-class ElementCoordinates:
+class ElementCoordinates(Record):
     """Coordinates of a cohomology class in the canonical decomposition:
     ``free_part`` against the rank generators, ``torsion_part[i]`` a residue
     in ``[0, d_i)`` against the torsion generator of order ``d_i``."""
 
-    free_part: tuple
-    torsion_part: tuple
+    __slots__ = ("free_part", "torsion_part")
+
+    def __init__(self, free_part: tuple, torsion_part: tuple):
+        object.__setattr__(self, "free_part", free_part)
+        object.__setattr__(self, "torsion_part", torsion_part)
 
     @property
     def is_zero(self) -> bool:
@@ -569,7 +581,6 @@ class ElementCoordinates:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(eq=False)
 class IntegerCochainComplex:
     """A complex of free Z-modules ``C^lo -> ... -> C^hi``.
 
@@ -584,15 +595,15 @@ class IntegerCochainComplex:
     ``hi`` is only how far it has been read.
     """
 
-    lo: int
-    hi: int
-    ranks: dict
-    diffs: dict
-    _cache: dict = field(default_factory=dict, init=False, repr=False)
-    _grow: object = field(default=None, init=False, repr=False)
+    __slots__ = ("lo", "hi", "ranks", "diffs", "_cache", "_grow")
 
-    def __post_init__(self):
-        self.diffs = {k: as_sparse(d) for k, d in self.diffs.items()}
+    def __init__(self, lo: int, hi: int, ranks: dict, diffs: dict):
+        self.lo = lo
+        self.hi = hi
+        self.ranks = ranks
+        self.diffs = {k: as_sparse(d) for k, d in diffs.items()}
+        self._cache = {}
+        self._grow = None
 
     def _reach(self, k: int) -> None:
         while self.hi < k and self._grow is not None:

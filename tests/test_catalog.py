@@ -104,6 +104,14 @@ def test_torus_mixed_factors():
     assert t.is_free()
 
 
+@pytest.mark.parametrize("factor", ["circle_antipodal", "sphere_antipodal", "torus"])
+def test_torus_of_one_factor_is_refused(factor):
+    """A torus takes no factors (its default) or two or more; one factor is
+    not read as that factor's own cover."""
+    with pytest.raises(UnsupportedDimension, match="a torus takes two or more factors, got 1"):
+        catalog.build("torus", factor)
+
+
 def test_entry_labels_unique():
     labels = [catalog.entry_label(e) for e in catalog.ENTRIES]
     assert len(labels) == len(set(labels))

@@ -8,6 +8,7 @@ import sys
 import jsonschema
 import pytest
 
+import realdeligne
 from realdeligne import catalog, cechengine, cli
 from realdeligne.coverdata import IZ, product_cover
 from realdeligne.deligne import RESULT_RECORD_SCHEMA
@@ -164,6 +165,7 @@ def test_exit_unknown_space(capsys):
         ("circle_conjugation:x", "too many parameters for catalog space 'circle_conjugation': 1"),
         ("sphere_antipodal:1,5", "too many parameters for catalog space 'sphere_antipodal': 2"),
         ("torus:circle_antipodal,3", "no catalog space named 3"),
+        ("torus:sphere_antipodal", "a torus takes two or more factors, got 1"),
     ],
 )
 def test_exit_catalog_parameters_the_space_does_not_take(capsys, space, message):
@@ -421,9 +423,17 @@ def run_probe(probe):
     return proc.stdout
 
 
-@pytest.mark.parametrize("module", ["sympy", "numpy"])
+@pytest.mark.parametrize("module", ["sympy", "numpy", "dataclasses", "inspect"])
 def test_cli_import_leaves_module_unloaded(module):
-    probe = f"import realdeligne.cli, sys; print({module!r} in sys.modules)"
+    """``import realdeligne.cli`` does not load ``module``.  What a bare
+    interpreter has loaded before it does not count: ``site`` can preload
+    modules (``typing``, for one)."""
+    probe = f"""if True:
+        import sys
+        bare = set(sys.modules)
+        import realdeligne.cli
+        print({module!r} in set(sys.modules) - bare)
+    """
     assert run_probe(probe).strip() == "False"
 
 
@@ -545,6 +555,32 @@ def test_verify_unknown_suite_names_the_suites(capsys):
     assert out == ""
     assert "nonsense" in err and "Traceback" not in err
     assert all(name in err for name in SUITES + ("all",))
+
+
+@pytest.mark.parametrize("as_json", [False, True])
+def test_exit_verify_failure(capsys, monkeypatch, as_json):
+    """A suite with failures exits 1 and says how many on stderr; stdout has
+    the failure records, one JSON line each, or the ``--json`` report with
+    its keys in their documented order."""
+    from realdeligne import verify
+
+    failures = [
+        {"suite": "snf", "space": "point_trivial", "check": "H^0", "detail": "Z vs 0"},
+        {"suite": "snf", "space": "free_orbit", "check": "H^1", "detail": "0 vs Z/2"},
+    ]
+    monkeypatch.setattr(verify, "run_suite", lambda name: list(failures))
+    argv = ["verify", "--suite", "snf", *(["--json"] if as_json else [])]
+    code, out, err = run(capsys, *argv)
+    assert code == 1
+    assert err == "suite snf: 2 failure(s)\n"
+    if as_json:
+        rep = json.loads(out)
+        assert list(rep) == ["invocation", "version", "cover", "results", "timings"]
+        assert rep["invocation"] == argv and rep["version"] == realdeligne.__version__
+        assert rep["cover"] is None and rep["results"] == failures
+        assert list(rep["timings"]) == ["verify"]
+    else:
+        assert [json.loads(line) for line in out.splitlines()] == failures
 
 
 def test_verify_json_report(capsys):

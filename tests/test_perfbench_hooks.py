@@ -10,6 +10,8 @@ by path and exercise both hooks.
 import importlib
 import importlib.util
 import os
+import subprocess
+import sys
 
 from realdeligne import catalog, cechengine, deligne, exactalg
 from realdeligne.coverdata import IZ, FlatCocycle
@@ -41,6 +43,17 @@ def test_every_traced_function_resolves():
         tr.uninstall()
     for (m, n), fn in originals.items():
         assert getattr(importlib.import_module(f"realdeligne.{m}"), n) is fn
+
+
+def test_cli_import_loads_every_traced_module():
+    """``Tracer.install`` looks each traced module up in ``sys.modules``
+    right after ``import realdeligne.cli``, so that import alone, in a fresh
+    interpreter, must load every one of them."""
+    modules = sorted({f"realdeligne.{m}" for m, _ in _load_tracer().TRACED})
+    probe = f"import sys, realdeligne.cli; print([m for m in {modules!r} if m not in sys.modules])"
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([os.path.join(ROOT, "src"), os.environ.get("PYTHONPATH", "")]))
+    proc = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True, env=env, check=True)
+    assert proc.stdout.strip() == "[]"
 
 
 def test_flat_workload_reads_the_orbit_complex_and_its_bases():
