@@ -753,8 +753,9 @@ class FlatCocycle:
     def _integer_angles(self) -> tuple:
         """``(D, table)``: the angles as integers in ``[0, D)`` over their
         least common denominator ``D``; :meth:`_checked_angles` checks it and
-        hands it to the flat classifier."""
-        den = lcm(*(v.denominator for v in self.angles.values()))
+        hands it to the flat classifier.  ``angles`` is public and mutable,
+        so each value is still reduced mod ``D``."""
+        den = lcm(*{v.denominator for v in self.angles.values()})
         return den, {k: v.numerator * (den // v.denominator) % den for k, v in self.angles.items()}
 
     def validate(self) -> "FlatCocycle":

@@ -8,8 +8,8 @@ symbolically (q = p >= 1).
 
 The flat classifier takes concrete locally constant transition angles,
 lifts them equivariantly, reads off the integral obstruction class of the
-lift's coboundary, and — when that vanishes — the residual torus
-coordinates, all in the orbit coordinates of one complex, the ordered
+lift's coboundary, and — when that vanishes — the torus coordinates, each
+by one product with the cached coordinate rows of one complex, the ordered
 orbit complex of sign -1.  It runs on integers, ``D`` times the rational
 cochains for ``D`` the angles' least common denominator; Fractions appear
 only in the angles that come in and the torus coordinates that go out.
@@ -32,7 +32,7 @@ from .errors import (
 from .exactalg import (
     ElementCoordinates,
     GroupDescriptor,
-    _class_and_preimage,
+    _cohomology_data,
     class_coordinates,
 )
 from .records import Record
@@ -336,9 +336,12 @@ def flat_cocycle_class(fc: FlatCocycle, max_degree: int = 3) -> FlatCocycleClass
 
     Everything is read on the ordered orbit complex of sign -1, in degrees
     0..2 only: the lift is built in its orbit coordinates, its coboundary is
-    the orbit complex's ``d_1``, and the coordinates are taken against that
-    complex's Smith bases.  ``max_degree`` is the range check.  The angle
-    table is checked (:meth:`FlatCocycle.validate`) and read once.
+    the orbit complex's ``d_1``, and the coordinates are one product each
+    with that complex's cached rows: the checked obstruction through
+    ``R_2``, the lift through ``R_1`` mod ``D`` (it differs from the
+    rational cocycle by ``D`` times an integral cochain, and ``R_1`` is
+    integral).  ``max_degree`` is the range check.  The angle table is
+    checked (:meth:`FlatCocycle.validate`) and read once.
     """
     if max_degree < 3:
         raise InsufficientDegree(
@@ -351,8 +354,8 @@ def _flat_class(cover: C2Cover, den: int, table: dict) -> FlatCocycleClass:
     """The class of a checked integer angle table ``table`` over ``den``
     (:meth:`FlatCocycle._checked_angles` or ``_checked_difference``); see
     :func:`flat_cocycle_class`.  Scaling ``den`` and the table by ``m``
-    scales the lift, its coboundary and the residual by ``m`` and leaves the
-    obstruction and the torus coordinates as they are."""
+    scales the lift and its coboundary by ``m`` and leaves the obstruction
+    and the torus coordinates as they are."""
     sub, _ = _orbit_complex(cover, IZ.sign)
 
     lift = _equivariant_lift(cover, table)
@@ -364,8 +367,7 @@ def _flat_class(cover: C2Cover, den: int, table: dict) -> FlatCocycleClass:
             "coboundary of the lift is not integral; the angle data "
             "violates the cocycle condition"
         )
-    y_beta = [x // den for x in raw]
-    bockstein, mu = _class_and_preimage(sub, 2, y_beta)
+    bockstein = class_coordinates(sub, 2, [x // den for x in raw])
     if any(bockstein.free_part):
         raise InternalInvariantError("obstruction class of a flat cocycle must be torsion")
 
@@ -374,17 +376,12 @@ def _flat_class(cover: C2Cover, den: int, table: dict) -> FlatCocycleClass:
         coords = FlatClassCoordinates(torus_part=None, torsion_part=torsion_part)
         return FlatCocycleClass(coords=coords, bockstein=bockstein, trivial=False)
 
-    # obstruction vanishes: peel off an integral cochain and read the
-    # residual class, D times a rational cocycle, on the torus
-    if mu is None:
-        raise InternalInvariantError("vanishing obstruction class must bound integrally")
-    residual = [a - den * b for a, b in zip(lift, mu)]
-    free = class_coordinates(sub, 1, residual).free_part
+    # obstruction vanishes: the torus part is the lift's R_1 reading mod D
+    data = _cohomology_data(sub, 1)
+    free = data["rows"].matvec(lift)[: len(data["free_pos"])]
     torus = tuple(Fraction(x % den, den) for x in free)
     coords = FlatClassCoordinates(torus_part=torus, torsion_part=torsion_part)
-    return FlatCocycleClass(
-        coords=coords, bockstein=bockstein, trivial=not any(torus)
-    )
+    return FlatCocycleClass(coords=coords, bockstein=bockstein, trivial=not any(torus))
 
 
 def cocycles_equivalent(a: FlatCocycle, b: FlatCocycle) -> bool:

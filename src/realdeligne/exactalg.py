@@ -698,12 +698,19 @@ def kernel_quotient(matrix, generators) -> GroupDescriptor:
 
 def _cohomology_data(c: IntegerCochainComplex, k: int):
     """Kernel basis, its left inverse and the Smith reduction of
-    ``left @ d_(k-1)``, with transforms: the class coordinates' basis."""
+    ``left @ d_(k-1)``, with transforms: the class coordinates' basis.
+
+    ``rows`` is ``R_k``, the rows of ``u @ left`` at the free positions,
+    then at the torsion positions, for ``u`` the Smith row transform: one
+    product with it reads a cocycle's coordinates."""
     key = ("cohomology", k)
     hit = c._cache.get(key)
     if hit is not None:
         return hit
     data = _quotient_data(_smith(c.diff(k), transforms=True), c.diff(k - 1))
+    u = data["x_smith"].u
+    rows = [u.rows[i] for i in data["free_pos"] + [i for i, _ in data["torsion_pos"]]]
+    data["rows"] = SparseIntMatrix(len(rows), u.ncols, rows).matmul(data["left"])
     c._cache[key] = data
     return data
 
@@ -834,25 +841,6 @@ def _kernel_coordinates(c: IntegerCochainComplex, k: int, cocycle):
     return data, w
 
 
-def _class_and_preimage(c: IntegerCochainComplex, k: int, cocycle):
-    """Coordinates of an integral cocycle's class and an integral ``x`` with
-    ``d_(k-1) @ x == cocycle`` (None when the class is nonzero), from one
-    pass through :func:`_kernel_coordinates`.
-
-    In kernel coordinates ``w`` the preimage solves ``(left @ d_(k-1)) x ==
-    w``; the Smith reduction of that matrix is the one behind the
-    coordinates, and ``u @ w`` is shared, so nothing is reduced or
-    multiplied twice.
-    """
-    data, w = _kernel_coordinates(c, k, cocycle)
-    x_smith = data["x_smith"]
-    y = x_smith.u.matvec(w)
-    free = tuple(y[i] for i in data["free_pos"])
-    torsion = tuple(y[i] % d for i, d in data["torsion_pos"])
-    coords = ElementCoordinates(free, torsion)
-    return coords, x_smith.back_solve(y, rational=False) if coords.is_zero else None
-
-
 def class_coordinates(c: IntegerCochainComplex, k: int, cocycle) -> ElementCoordinates:
     """Coordinates of an integral cocycle's class, deterministically.
 
@@ -862,16 +850,29 @@ def class_coordinates(c: IntegerCochainComplex, k: int, cocycle) -> ElementCoord
     mutually consistent.  A vector of the wrong length or outside the
     kernel of ``d_k`` raises :class:`NotACocycle`; the kernel is tested on
     the kernel coordinates (:func:`_kernel_coordinates`), never with a
-    product by ``d_k``.
+    product by ``d_k``.  The coordinates are then one product with the
+    cached rows ``R_k`` of ``u @ left``, torsion entries reduced mod their
+    orders.
     """
-    return _class_and_preimage(c, k, cocycle)[0]
+    v = list(cocycle)
+    data, _ = _kernel_coordinates(c, k, v)
+    y = data["rows"].matvec(v)
+    nfree = len(data["free_pos"])
+    torsion = tuple(x % d for x, (_, d) in zip(y[nfree:], data["torsion_pos"]))
+    return ElementCoordinates(tuple(y[:nfree]), torsion)
 
 
 def coboundary_preimage(c: IntegerCochainComplex, k: int, cocycle):
     """An integral ``x`` with ``d_(k-1) @ x == cocycle``, or None when the
-    cocycle's class is nonzero (see :func:`_class_and_preimage`).  Checks
-    the cocycle as :func:`class_coordinates` does."""
-    return _class_and_preimage(c, k, cocycle)[1]
+    cocycle's class is nonzero.  Checks the cocycle as
+    :func:`class_coordinates` does.
+
+    In kernel coordinates ``w`` the preimage solves ``(left @ d_(k-1)) x ==
+    w``, whose Smith reduction is the one behind the coordinates; it is
+    solvable exactly when every coordinate vanishes."""
+    data, w = _kernel_coordinates(c, k, cocycle)
+    x_smith = data["x_smith"]
+    return x_smith.back_solve(x_smith.u.matvec(w), rational=False)
 
 
 def class_representative(c: IntegerCochainComplex, k: int, coords: ElementCoordinates):

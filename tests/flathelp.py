@@ -10,6 +10,10 @@ get all three by construction:
 * representatives of degree-1 classes are made antisymmetric by averaging
   with the order-reversal map (a chain map acting as the identity on
   cohomology), which keeps them fixed cocycles.
+
+Cocycles with a nonzero integral obstruction (:func:`obstructed_cocycles`)
+come from the torsion of fixed H^2 instead: ``n z = d_1 y`` for a torsion
+generator ``z`` of order ``n``, so ``y / n`` has coboundary ``z``.
 """
 
 from fractions import Fraction
@@ -25,6 +29,7 @@ from realdeligne.coverdata import IZ, FlatCocycle
 from realdeligne.exactalg import (
     ElementCoordinates,
     class_representative,
+    coboundary_preimage,
     complex_cohomology,
 )
 
@@ -118,3 +123,29 @@ def random_coboundary(cover, rng):
     eta_full = np.array(bases[0].matvec(eta_fix), dtype=object)
     vec = np.array(cech_differential(cover, 0).matvec(eta_full), dtype=object)
     return FlatCocycle(cover, angles_from_vector(cover, vec))
+
+
+def obstructed_cocycles(cover, rng, gens=None):
+    """Valid cocycles whose obstruction is nonzero, each with the torsion
+    part it must classify to: one per torsion generator ``z``, of order
+    ``n``, of fixed H^2 (the sign -1 orbit complex's).
+
+    With ``n z = d_1 y``, the angles are ``y / n`` on the sorted pairs
+    ``(i < j)``, each reversed pair carrying minus its partner, plus a
+    :func:`random_flat_cocycle`, whose obstruction is zero.
+    """
+    sub, bases = build_equivariant_complex(cover, IZ, 3)
+    h2 = complex_cohomology(sub, 2)
+    basis = tuple_basis(cover, 1)
+    out = []
+    for t, n in enumerate(h2.torsion):
+        torsion = tuple(int(j == t) for j in range(len(h2.torsion)))
+        z = class_representative(sub, 2, ElementCoordinates((0,) * h2.rank, torsion))
+        full = bases[1].matvec(coboundary_preimage(sub, 2, [n * x for x in z]))
+        angles = {}
+        for pos, ((i, j), c) in enumerate(basis.elements):
+            if i < j:
+                angles[(i, j, c)] = Fraction(full[pos], n)
+                angles[(j, i, c)] = -Fraction(full[pos], n)
+        out.append((FlatCocycle(cover, angles) + random_flat_cocycle(cover, rng, gens)[0], torsion))
+    return out

@@ -23,8 +23,11 @@ The reference routes, :func:`flat_checks_fraction_route` and
 :func:`flat_class_fraction_route`, are the flat cocycle checks and the flat
 classifier's arithmetic done the slow way, every angle sum and cochain
 product on Fractions.  The classifier route reads the package's bases and
-Smith data, so it checks the integer scaling of the classifier, not its
-algebra.  Unlike the classifier, which builds its lift in orbit
+Smith transforms (:func:`smith_reading`), so it checks the integer scaling
+of the classifier and its cached coordinate rows, not its algebra.  It
+takes an integral preimage of the obstruction and reads the residual
+cocycle, where the classifier reads the lift through the rows mod ``D``.
+Unlike the classifier, which builds its lift in orbit
 coordinates, it lifts to full ordered cochains, takes their coboundary
 with the full ``cech_differential`` and projects back with
 :func:`orbit_coordinates`.
@@ -368,14 +371,26 @@ def flat_class_fraction_route(fc):
     if any(x.denominator != 1 for x in raw):
         raise InvalidCocycle("coboundary of the lift is not integral")
     y_beta = orbit_coordinates(cechengine.basis_involution(cover, 2), -1, [int(x) for x in raw])
-    torsion = tuple(exactalg.class_coordinates(sub, 2, y_beta).torsion_part)
+    torsion = tuple(y % d for y, d in smith_reading(sub, 2, y_beta)[1])
     if any(torsion):
         return None, torsion
     mu = exactalg.coboundary_preimage(sub, 2, y_beta)
     residual = [a - b for a, b in zip(orbit_coordinates(perm, -1, lift), mu)]
-    data, w = exactalg._kernel_coordinates(sub, 1, residual)
+    return tuple(frac_mod1(y) for y in smith_reading(sub, 1, residual)[0]), torsion
+
+
+def smith_reading(c, k, cocycle):
+    """``(free, torsion)``: the entries of ``u (L v)`` at the free
+    positions, and ``(entry, order)`` at the torsion positions, for ``L``
+    the kernel left inverse and ``u`` the Smith row transform behind
+    ``class_coordinates``; the torsion entries are not reduced.  This reads
+    the transforms themselves, not the cached rows ``R_k`` the engine reads
+    its coordinates through."""
+    from realdeligne import exactalg
+
+    data, w = exactalg._kernel_coordinates(c, k, cocycle)
     y = data["x_smith"].u.matvec(w)
-    return tuple(frac_mod1(y[i]) for i in data["free_pos"]), torsion
+    return [y[i] for i in data["free_pos"]], [(y[i], d) for i, d in data["torsion_pos"]]
 
 
 # ---------------------------------------------------------------------------

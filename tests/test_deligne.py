@@ -218,26 +218,35 @@ def test_third_rotation_class_on_conjugation_circle(spaces):
     assert res.coords.torsion_part == ()
 
 
-def test_flat_class_reads_each_degree_once(spaces, monkeypatch):
-    """The obstruction's coordinates and its preimage come from one pass
-    through the kernel coordinates of degree 2, and the torus part from one
-    of degree 1: two passes per flat class, one per degree."""
+def test_flat_class_reads_degree_two_once_and_solves_nothing(spaces, monkeypatch):
+    """A flat class makes one kernel-coordinate pass, the obstruction's in
+    degree 2, and no Smith back-solve: the torus part is the lift read
+    through the cached degree-1 rows mod ``D``, with no integral preimage
+    of the obstruction and no residual cocycle to check."""
     from realdeligne import exactalg
 
-    degrees = []
-    inner = exactalg._kernel_coordinates
+    degrees, solves = [], []
+    inner, back_solve = exactalg._kernel_coordinates, exactalg._SmithData.back_solve
 
     def kernel_coordinates(c, k, cocycle):
         degrees.append(k)
         return inner(c, k, cocycle)
 
     monkeypatch.setattr(exactalg, "_kernel_coordinates", kernel_coordinates)
+    monkeypatch.setattr(
+        exactalg._SmithData, "back_solve", lambda *args, **kw: solves.append(None) or back_solve(*args, **kw)
+    )
     cover = spaces["circle_conjugation"]
     (gen,), _ = flathelp.class_generators(cover)
+    obstructed = flathelp.obstructed_cocycles(catalog.build("torus"), np.random.RandomState(2))
     degrees.clear()
+    solves.clear()
     fc = FlatCocycle(cover, flathelp.angles_from_vector(cover, gen * Fraction(1, 3)))
     assert flat_cocycle_class(fc).coords.torus_part == (Fraction(1, 3),)
-    assert degrees == [2, 1]
+    for fc, torsion in obstructed:
+        assert flat_cocycle_class(fc).coords.torsion_part == torsion
+    assert degrees == [2, 2]  # the torus's fixed H^2 is Z/2: one obstructed class
+    assert solves == []
 
 
 @pytest.mark.parametrize("name", ["circle_conjugation", "sphere_antipodal(2)"])
@@ -573,6 +582,33 @@ def test_obstruction_class_survives_lift_shifts(spaces):
         got = class_coordinates(sub, 2, y)
         assert got.free_part == base.bockstein.free_part
         assert got.torsion_part == base.bockstein.torsion_part
+
+
+@pytest.mark.parametrize("space", [("torus",), ("torus", "circle_antipodal", "circle_antipodal_fine")], ids=_space_id)
+def test_obstructed_classes_match_the_fraction_route(space):
+    """Classes whose integral obstruction is nonzero: the classifier reports
+    the obstruction's torsion coordinates and no torus part, as the
+    Fraction route does, and ``cocycles_equivalent`` agrees with that
+    route's class of the difference, against obstructed and unobstructed
+    cocycles alike."""
+    cover = catalog.build(*space)
+    rng = np.random.RandomState(23)
+    gens = flathelp.class_generators(cover)
+    obstructed = [pair for _ in range(3) for pair in flathelp.obstructed_cocycles(cover, rng, gens)]
+    assert obstructed
+    plain = [flathelp.random_flat_cocycle(cover, rng, gens)[0] for _ in range(2)]
+    for fc, torsion in obstructed:
+        got = flat_cocycle_class(fc)
+        assert (got.coords.torus_part, got.coords.torsion_part) == (None, torsion)
+        assert oracles.flat_class_fraction_route(fc) == (None, torsion)
+        assert got.bockstein.torsion_part == torsion and not got.trivial
+        assert cocycles_equivalent(fc, fc + flathelp.random_coboundary(cover, rng))
+    cocycles = [fc for fc, _ in obstructed] + plain
+    for a in cocycles:
+        for b in cocycles:
+            torus, torsion = oracles.flat_class_fraction_route(a - b)
+            reference = torus is not None and not any(torus) and not any(torsion)
+            assert cocycles_equivalent(a, b) == flat_cocycle_class(a - b).trivial == reference
 
 
 @pytest.mark.parametrize("entry", catalog.ENTRIES, ids=catalog.entry_label)

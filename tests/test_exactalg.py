@@ -511,6 +511,46 @@ def test_kernel_coordinate_check_on_a_top_degree_and_torsion():
         assert_cocycle_check_is_the_differential_check(c, 3, v)
 
 
+COORDINATE_SPACES = tuple((e.name, *e.params) for e in catalog.ENTRIES) + (
+    ("torus",),
+    ("torus", "circle_antipodal", "circle_antipodal_fine"),
+)
+
+
+@functools.cache
+def coordinate_complex(space, kind, sign):
+    """The sign ``sign`` orbit complex or descriptor complex of a catalog
+    cover, with the cover (which the complex holds only weakly)."""
+    cover = catalog.build(*space)
+    if kind == "orbit":
+        return cover, cechengine._orbit_complex(cover, sign)[0]
+    return cover, cechengine.build_descriptor_complex(cover, sign)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_coordinate_rows_read_what_the_smith_transforms_read(data):
+    """On the orbit and descriptor complexes of catalog covers, degrees 1
+    and 2, the coordinates of a random integral cocycle (a representative
+    of drawn coordinates plus a coboundary), read through the cached rows
+    ``R_k``, are the drawn ones and the reading of ``u (L v)``."""
+    space = data.draw(st.sampled_from(COORDINATE_SPACES))
+    kind = data.draw(st.sampled_from(("orbit", "descriptor")))
+    _, c = coordinate_complex(space, kind, data.draw(st.sampled_from((-1, 1))))
+    k = data.draw(st.sampled_from((1, 2)))
+    group = complex_cohomology(c, k)
+    free = data.draw(st.lists(st.integers(-6, 6), min_size=group.rank, max_size=group.rank))
+    torsion = [data.draw(st.integers(0, d - 1)) for d in group.torsion]
+    coords = ElementCoordinates(tuple(free), tuple(torsion))
+    n = c.rank(k - 1)
+    x = data.draw(st.lists(st.integers(-3, 3), min_size=n, max_size=n))
+    v = [a + b for a, b in zip(class_representative(c, k, coords), c.diff(k - 1).matvec(x))]
+    got = class_coordinates(c, k, v)
+    reading_free, reading_torsion = oracles.smith_reading(c, k, v)
+    assert got == coords
+    assert got == ElementCoordinates(tuple(reading_free), tuple(y % d for y, d in reading_torsion))
+
+
 def test_kernel_quotient_checks_generators():
     with pytest.raises(ValueError):
         kernel_quotient(intmat([[1, 0]]), intmat([[1], [0]]))
