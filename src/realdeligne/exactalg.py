@@ -4,11 +4,11 @@ Everything here runs on arbitrary-precision Python integers (Fractions for
 the few rational solves); no floating point is ever involved, so results are
 exact by construction.  Matrices are stored sparsely as dicts of rows, which
 keeps Smith reduction of the large but very sparse coboundary matrices cheap;
-vectors are plain lists.  Matrix arguments may be nested sequences of rows.
-numpy is imported only by the functions that return dense ``dtype=object``
-arrays (:meth:`SparseIntMatrix.to_dense`, :func:`smith_normal_form`,
-:func:`kernel_basis`, :func:`solve_int`, :func:`solve_rational` and
-:func:`class_representative`), so the rest of the engine never loads it.
+vectors are plain lists.  Matrix arguments may be nested sequences of rows
+or 2-D arrays.  The dense interchange (:meth:`SparseIntMatrix.to_dense`,
+:func:`smith_normal_form`, :func:`kernel_basis`) returns lists of row
+lists, and the solves and :func:`class_representative` return lists, so
+nothing here needs numpy.
 
 The main entry points are :func:`smith_normal_form`,
 :func:`complex_cohomology` and :func:`class_coordinates`.  Descriptors need
@@ -138,7 +138,8 @@ class SparseIntMatrix:
         return out
 
     def matmul(self, other: "SparseIntMatrix") -> "SparseIntMatrix":
-        assert self.ncols == other.nrows
+        if self.ncols != other.nrows:
+            raise ValueError(f"cannot multiply {self.shape} by {other.shape}")
         out = SparseIntMatrix(self.nrows, other.ncols)
         for i, row in enumerate(self.rows):
             acc: dict = {}
@@ -152,15 +153,9 @@ class SparseIntMatrix:
             out.rows[i] = acc
         return out
 
-    def to_dense(self):
-        """The matrix as a dense numpy array with ``dtype=object``."""
-        import numpy as np
-
-        a = np.zeros((self.nrows, self.ncols), dtype=object)
-        for i, row in enumerate(self.rows):
-            for j, x in row.items():
-                a[i, j] = x
-        return a
+    def to_dense(self) -> list:
+        """The matrix as a list of row lists; with no rows, ``[]``."""
+        return [[row.get(j, 0) for j in range(self.ncols)] for row in self.rows]
 
     def __eq__(self, other):
         if not isinstance(other, SparseIntMatrix):
@@ -175,15 +170,6 @@ def as_sparse(m) -> SparseIntMatrix:
     if isinstance(m, SparseIntMatrix):
         return m
     return SparseIntMatrix.from_dense(m)
-
-
-def _object_array(v):
-    """The list ``v`` as a numpy ``dtype=object`` vector; None stays None."""
-    if v is None:
-        return None
-    import numpy as np
-
-    return np.array(v, dtype=object)
 
 
 # ---------------------------------------------------------------------------
@@ -258,6 +244,10 @@ class _SmithData:
         With ``rational=False`` solutions are integral (divisibility
         enforced); with ``rational=True`` entries may be Fractions.
         """
+        if len(b) != self.nrows:
+            raise ValueError(f"right-hand side of length {len(b)} for {self.nrows} rows")
+        # Python ints and Fractions: products of numpy integers wrap around
+        b = [int(x) if x == int(x) else Fraction(x) for x in b]
         return self.back_solve(self.u.matvec(b), rational)
 
     def back_solve(self, y, rational: bool):
@@ -475,18 +465,19 @@ def _smith(m: SparseIntMatrix, transforms: bool = True) -> _SmithData:
 
 
 def smith_normal_form(m):
-    """Smith normal form with transforms: returns ``(d, u, v)`` dense with
-    ``u @ m @ v == d``, ``u`` and ``v`` unimodular, and the diagonal of ``d``
-    nonnegative with each entry dividing the next."""
+    """Smith normal form with transforms: ``(d, u, v)``, lists of row lists,
+    with ``u @ m @ v == d``, ``u`` and ``v`` unimodular, and the diagonal of
+    ``d`` nonnegative with each entry dividing the next."""
     res = _smith(as_sparse(m), transforms=True)
     d = SparseIntMatrix(res.nrows, res.ncols)
     for t, x in enumerate(res.diag):
         d.set(t, t, x)
-    return d.to_dense(), res.u.to_dense(), res.vT.to_dense().T
+    return d.to_dense(), res.u.to_dense(), res.vT.transpose().to_dense()
 
 
 def kernel_basis(m):
-    """Columns form a basis of the integer kernel (a saturated sublattice)."""
+    """A basis of the integer kernel (a saturated sublattice) as the columns
+    of a list of row lists."""
     return _smith(as_sparse(m), transforms=True).kernel_basis().to_dense()
 
 
@@ -495,13 +486,15 @@ def integer_rank(m) -> int:
 
 
 def solve_int(m, b):
-    """Exact integral solution of ``m @ x == b`` for a vector ``b``, or None."""
-    return _object_array(_smith(as_sparse(m), transforms=True).solve(b, rational=False))
+    """Exact integral solution of ``m @ x == b`` for a vector ``b``: a list,
+    or None.  ``b`` must have one entry per row of ``m`` (else ValueError)."""
+    return _smith(as_sparse(m), transforms=True).solve(b, rational=False)
 
 
 def solve_rational(m, b):
-    """Exact rational solution of ``m @ x == b`` for a vector ``b``, or None."""
-    return _object_array(_smith(as_sparse(m), transforms=True).solve(b, rational=True))
+    """Exact rational solution of ``m @ x == b`` for a vector ``b``: a list,
+    or None.  ``b`` must have one entry per row of ``m`` (else ValueError)."""
+    return _smith(as_sparse(m), transforms=True).solve(b, rational=True)
 
 
 # ---------------------------------------------------------------------------
@@ -876,7 +869,7 @@ def coboundary_preimage(c: IntegerCochainComplex, k: int, cocycle):
 
 
 def class_representative(c: IntegerCochainComplex, k: int, coords: ElementCoordinates):
-    """An integral cocycle whose class has the given coordinates."""
+    """An integral cocycle, as a list, whose class has the given coordinates."""
     c._require(k)
     data = _cohomology_data(c, k)
     want = (len(data["free_pos"]), len(data["torsion_pos"]))
@@ -896,7 +889,7 @@ def class_representative(c: IntegerCochainComplex, k: int, coords: ElementCoordi
             continue
         for j, x in uinvT.rows[i].items():
             w[j] += yi * x
-    return _object_array(data["kernel"].matvec(w))
+    return data["kernel"].matvec(w)
 
 
 # ---------------------------------------------------------------------------

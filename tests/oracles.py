@@ -526,7 +526,7 @@ def reduced_quotient(cover, fstar, k):
 
     blocks = total_blocks(cover, fstar)
     a_k, b_k, c_k = blocks(k)
-    e = exactalg.as_sparse(exactalg.kernel_basis(c_k.transpose().to_dense())).transpose()
+    e = exactalg.as_sparse(exactalg.kernel_basis(c_k.transpose())).transpose()
     stacked = exactalg.SparseIntMatrix(a_k.nrows + e.nrows, a_k.ncols)
     stacked.set_block(0, 0, a_k)
     stacked.set_block(a_k.nrows, 0, e.matmul(b_k))

@@ -94,7 +94,7 @@ def test_involution_matrix_is_signed_permutation(spaces):
     for p in (0, 1, 2):
         t = involution_matrix(circle, p, -1)
         n = len(tuple_basis(circle, p))
-        dense = t.to_dense()
+        dense = np.array(t.to_dense(), dtype=object)
         assert np.array_equal(dense @ dense, np.eye(n, dtype=object))
         for i in range(n):
             assert sum(1 for x in dense[i] if x != 0) == 1
@@ -108,7 +108,7 @@ def test_doubled_point_fixed_complex_is_periodic(spaces):
     for k in range(5):
         assert sub.rank(k) == 1
         d = sub.diff(k).to_dense()
-        mags.append(abs(d[0, 0]))
+        mags.append(abs(d[0][0]))
     assert mags == [2, 0, 2, 0, 2]
 
 

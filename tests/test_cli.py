@@ -438,9 +438,9 @@ def test_cli_import_leaves_module_unloaded(module):
 
 
 def test_cli_runs_and_flat_class_leave_numpy_unloaded():
-    """numpy is loaded only by the dense-interchange functions, so a CLI
-    table, a Deligne descriptor, a classifier and a flat class never load
-    it."""
+    """numpy is importable here, yet a CLI table, a Deligne descriptor, a
+    classifier and a flat class never load it: the package has no runtime
+    dependency, and no module imports numpy on the side."""
     probe = """if True:
         import sys
         from fractions import Fraction
@@ -466,6 +466,54 @@ def test_cli_runs_and_flat_class_leave_numpy_unloaded():
         print("numpy" in sys.modules)
     """
     assert run_probe(probe).splitlines()[-1] == "False"
+
+
+def test_cli_and_dense_interchange_run_without_numpy():
+    """With numpy unimportable, the CLI commands answer (``verify --suite
+    snf`` checks the public Smith forms with sparse products) and every
+    dense-interchange function returns exact lists."""
+    probe = """if True:
+        import sys
+
+        sys.modules["numpy"] = None
+        from fractions import Fraction
+        from realdeligne import cli
+        from realdeligne.exactalg import (
+            ElementCoordinates,
+            IntegerCochainComplex,
+            SparseIntMatrix,
+            class_representative,
+            kernel_basis,
+            smith_normal_form,
+            solve_int,
+            solve_rational,
+        )
+
+        for argv in (
+            ["compute", "--space", "circle_antipodal", "--coeff", "iZ", "--max-degree", "4"],
+            ["deligne", "--space", "circle_antipodal", "-p", "2", "-q", "2"],
+            ["classify", "--space", "circle_conjugation", "--what", "flat"],
+            ["verify", "--suite", "snf"],
+        ):
+            assert cli.main(argv) == 0, argv
+        m = SparseIntMatrix.from_dense([[0, 2], [-1, 0]])
+        assert m.to_dense() == [[0, 2], [-1, 0]]
+        assert SparseIntMatrix(2, 0).to_dense() == [[], []]
+        assert SparseIntMatrix(0, 3).to_dense() == []
+        assert smith_normal_form([[2, 4, 4], [-6, 6, 12], [10, -4, -16]]) == (
+            [[2, 0, 0], [0, 6, 0], [0, 0, 12]],
+            [[1, 0, 0], [2, -1, -1], [3, -4, -3]],
+            [[1, -2, 2], [0, 1, -2], [0, 0, 1]],
+        )
+        assert kernel_basis([[1, 2, 3], [2, 4, 6]]) == [[-2, -3], [1, 0], [0, 1]]
+        assert solve_int([[2, 0], [0, 3]], [4, 9]) == [2, 3]
+        assert solve_int([[2]], [1]) is None
+        assert solve_rational([[2, 0], [0, 3]], [1, 1]) == [Fraction(1, 2), Fraction(1, 3)]
+        times_two = IntegerCochainComplex(0, 1, {0: 1, 1: 1}, {0: [[2]]})
+        assert class_representative(times_two, 1, ElementCoordinates((), (1,))) == [1]
+        print("ok")
+    """
+    assert run_probe(probe).splitlines()[-1] == "ok"
 
 
 def test_cli_runs_leave_verify_unloaded():
