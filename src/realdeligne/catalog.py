@@ -20,15 +20,20 @@ def _one_piece(name: str, involution_name: str, involution: dict, piece: dict) -
     """The unchecked cover on the indices of ``involution`` whose nonempty
     intersections are the subsets keying ``piece``, each in one piece named
     ``piece[subset]``: dropping an index lands in the piece of the smaller
-    subset, and the involution sends a piece to the piece of the image."""
+    subset, and the involution sends a piece to the piece of the image.
+    Subsets are looked up by bit mask, so no member makes a set."""
+    bit = {i: 1 << n for n, i in enumerate(involution)}
+    mask = {s: sum(map(bit.__getitem__, s)) for s in piece}
+    by_mask = {mask[s]: c for s, c in piece.items()}
+    image = {i: bit[t] for i, t in involution.items()}.__getitem__
     return C2Cover(
         name=name,
         involution_name=involution_name,
         indices=tuple(involution),
         involution=involution,
         intersections={s: (c,) for s, c in piece.items()},
-        faces={(c, i): piece[s - {i}] for s, c in piece.items() if len(s) > 1 for i in s},
-        component_involution={c: piece[frozenset(map(involution.get, s))] for s, c in piece.items()},
+        faces={(c, i): by_mask[mask[s] ^ bit[i]] for s, c in piece.items() if len(s) > 1 for i in s},
+        component_involution={c: by_mask[sum(map(image, s))] for s, c in piece.items()},
         good=True,
         compact=True,
     )
@@ -94,7 +99,7 @@ def _sphere_antipodal(n: int = 2) -> C2Cover:
     choices = product(*(("", f"x{i}+", f"x{i}-") for i in range(n + 1)))
     piece = {}
     for choice in choices:
-        caps = sorted(c for c in choice if c)
+        caps = sorted(filter(None, choice))
         if caps:
             piece[frozenset(caps)] = "|".join(caps)
     return _checked(_one_piece(f"sphere_antipodal_{n}", "antipodal", opposite, piece))

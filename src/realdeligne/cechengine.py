@@ -342,17 +342,27 @@ def _angle_layout(cover: C2Cover) -> AngleLayout:
 # ---------------------------------------------------------------------------
 
 
-def alternating_basis(cover: C2Cover, j: int) -> TupleBasis:
-    """Basis of alternating degree-``j`` cochains: sorted ``(j + 1)``-subsets
-    with a nonempty intersection, one element per component, listed like
+def alternating_bases(cover: C2Cover, top: int) -> list:
+    """Bases of alternating cochains in degrees ``0 .. top``, from one pass
+    over the nerve: in degree ``j``, the sorted ``(j + 1)``-subsets with a
+    nonempty intersection, one element per component, listed like
     :func:`tuple_basis`.  Empty above the nerve's dimension.  Not memoized:
-    only the nerve model reads it, once per degree, before reducing."""
-    elements = [
-        (tup, c)
-        for tup in sorted(tuple(sorted(s)) for s in cover.intersections if len(s) == j + 1)
-        for c in sorted(cover.components_of(tup))
-    ]
-    return TupleBasis(j, tuple(elements), {e: n for n, e in enumerate(elements)})
+    only the nerve model reads them, once, before reducing."""
+    intersections = cover.intersections
+    by_degree = [[] for _ in range(top + 1)]
+    for s in intersections:
+        if 0 < len(s) <= top + 1:
+            by_degree[len(s) - 1].append(s)
+    bases = []
+    for j, subsets in enumerate(by_degree):
+        elements = [(tuple(sorted(s)), c) for s in sorted(subsets, key=sorted) for c in sorted(intersections[s])]
+        bases.append(TupleBasis(j, tuple(elements), {e: n for n, e in enumerate(elements)}))
+    return bases
+
+
+def alternating_basis(cover: C2Cover, j: int) -> TupleBasis:
+    """The degree-``j`` basis of :func:`alternating_bases`."""
+    return alternating_bases(cover, j)[j]
 
 
 def alternating_differential(cover: C2Cover, src: TupleBasis, dst: TupleBasis) -> SparseIntMatrix:
@@ -360,9 +370,10 @@ def alternating_differential(cover: C2Cover, src: TupleBasis, dst: TupleBasis) -
     ``dst`` of degree ``j + 1``: the value on a sorted subset is the
     alternating sum over its faces, transported along the face maps."""
     m = SparseIntMatrix(len(dst), len(src))
+    position, faces = src.position, cover.faces
     for row, (tup, c) in zip(m.rows, dst.elements):
         for k, i in enumerate(tup):
-            row[src.position[(tup[:k] + tup[k + 1 :], cover.face(c, i))]] = -1 if k % 2 else 1
+            row[position[(tup[:k] + tup[k + 1 :], faces[c, i])]] = -1 if k % 2 else 1
     return m
 
 
@@ -372,13 +383,18 @@ def alternating_involution(cover: C2Cover, basis: TupleBasis):
     times element ``perm[r]``, with ``eps[r]`` the sign of the sort that
     puts the relabelled subset back in order."""
     inv = cover.involution.__getitem__
-    sigma = cover.component_involution
+    sigma, position = cover.component_involution, basis.position
     perm, eps = [], []
     for tup, c in basis.elements:
         image = tuple(map(inv, tup))
-        inversions = sum(a > b for n, a in enumerate(image) for b in image[n + 1 :])
-        perm.append(basis.position[(tuple(sorted(image)), sigma[c])])
-        eps.append(-1 if inversions % 2 else 1)
+        ordered = tuple(sorted(image))
+        odd = 0
+        if ordered != image:  # count the inversions
+            for n, a in enumerate(image):
+                for b in image[n + 1 :]:
+                    odd ^= a > b
+        perm.append(position[(ordered, sigma[c])])
+        eps.append(-1 if odd else 1)
     return perm, eps
 
 
@@ -468,7 +484,7 @@ def _nerve_model(cover: C2Cover) -> AlternatingModel:
     """The model read off the nerve, unreduced, with top its dimension.
     Each basis is built once, here, and dropped with the call."""
     top = max(map(len, cover.intersections), default=1) - 1
-    bases = [alternating_basis(cover, j) for j in range(top + 2)]
+    bases = alternating_bases(cover, top + 1)
     diffs = [alternating_differential(cover, bases[j], bases[j + 1]) for j in range(top + 1)]
     c = _finite(_growing(len(bases[0]), diffs.__getitem__), top)
     return AlternatingModel(c, [alternating_involution(cover, b) for b in bases[: top + 1]], top)
@@ -499,13 +515,13 @@ def _reduced(model: AlternatingModel) -> AlternatingModel:
         live, live1 = alive[j], alive[j + 1]
         a = [{c: x for c, x in row.items() if live[c]} for row in model.complex.diff(j).rows]
         cols = _column_sets(a, len(live))
-        for r in sorted(range(len(a)), key=lambda i: len(a[i])):
+        for r in sorted(range(len(a)), key=list(map(len, a)).__getitem__):
             t = perm1[r]
-            units = (
-                c for c, x in a[r].items()
-                if (x == 1 or x == -1) and (perm[c] == c) == (t == r) and (t == r or c not in a[t])
-            )
-            c = min(units, key=lambda c: len(cols[c]), default=None)
+            fixed, c, fewest = t == r, None, None
+            for u, x in a[r].items():  # the first unit pivot of sparsest column
+                if (x == 1 or x == -1) and (perm[u] == u) == fixed and (fixed or u not in a[t]):
+                    if c is None or len(cols[u]) < fewest:
+                        c, fewest = u, len(cols[u])
             if c is None:
                 continue
             for pc, pr in ((c, r),) if t == r else ((c, r), (perm[c], t)):

@@ -244,13 +244,26 @@ def _read(raw) -> C2Cover:
     if violations:
         # the description cannot even be read; nothing else can be checked
         raise CoverValidationError(violations)
+    intersections, faces = {}, {}
+    for e in raw["intersections"]:
+        key = frozenset(e["sets"])
+        if key in intersections:
+            violations.append((MALFORMED_DESCRIPTION, f"subset {sorted(key)} listed twice in 'intersections'"))
+        intersections[key] = tuple(e["components"])
+    for e in raw.get("faces", []):
+        key = e["component"], e["drop"]
+        if key in faces:
+            violations.append((MALFORMED_DESCRIPTION, f"face entry ({key[0]!r}, drop {key[1]!r}) listed twice in 'faces'"))
+        faces[key] = e["in_component"]
+    if violations:  # a repeated key: which of its entries is meant is unknown
+        raise CoverValidationError(violations)
     return C2Cover(
         name=raw["name"],
         involution_name=raw.get("involution_name", "t"),
         indices=tuple(raw["indices"]),
         involution=dict(raw["involution"]),
-        intersections={frozenset(e["sets"]): tuple(e["components"]) for e in raw["intersections"]},
-        faces={(e["component"], e["drop"]): e["in_component"] for e in raw.get("faces", [])},
+        intersections=intersections,
+        faces=faces,
         component_involution=dict(raw.get("component_involution", {})),
         good=raw.get("good", False),
         compact=raw.get("compact", False),
@@ -278,174 +291,145 @@ def _fixed_index_violation(i: str) -> tuple:
     )
 
 
+def _without(members: list, i) -> list:
+    return [x for x in members if x != i]
+
+
 def _checked(cover: C2Cover) -> C2Cover:
     """Every structural check on a cover's parts: ``cover`` itself when it
     passes, else a :class:`CoverValidationError` with every violation."""
     indices, involution, intersections = cover.indices, cover.involution, cover.intersections
     faces, comp_inv = cover.faces, cover.component_involution
     violations = []
+    add = violations.append
     index_set = set(indices)
     if len(index_set) != len(indices):
-        violations.append((INVOLUTION_NOT_SELF_INVERSE, "duplicate index names"))
+        add((INVOLUTION_NOT_SELF_INVERSE, "duplicate index names"))
 
     for i in indices:
         ti = involution.get(i)
         if ti is None or ti not in index_set:
-            violations.append(
-                (INVOLUTION_NOT_SELF_INVERSE, f"involution undefined or escapes the index set at {i!r}")
-            )
+            add((INVOLUTION_NOT_SELF_INVERSE, f"involution undefined or escapes the index set at {i!r}"))
         elif involution.get(ti) != i:
-            violations.append(
-                (INVOLUTION_NOT_SELF_INVERSE, f"involution not self-inverse at {i!r}: t(t({i!r})) = {involution.get(ti)!r}")
-            )
+            add((INVOLUTION_NOT_SELF_INVERSE, f"involution not self-inverse at {i!r}: t(t({i!r})) = {involution.get(ti)!r}"))
     for i in sorted(set(involution) - index_set):
-        violations.append(
-            (INVOLUTION_NOT_SELF_INVERSE, f"involution defined on unknown index {i!r}")
-        )
+        add((INVOLUTION_NOT_SELF_INVERSE, f"involution defined on unknown index {i!r}"))
     if violations:
         # involution is structurally broken; later checks would cascade
         raise CoverValidationError(violations)
 
     for i in indices:
         if involution[i] == i:
-            violations.append(_fixed_index_violation(i))
+            add(_fixed_index_violation(i))
 
     # intersection bookkeeping: supports are known indices, component ids
-    # are globally unique, singletons are present
-    support_of = {}
+    # are globally unique, singletons are present.  A subset of known
+    # indices is also read as its bit mask, which later passes compare
+    bit = {i: 1 << n for n, i in enumerate(indices)}
+    support_of, mask_of, mask_at = {}, {}, {}  # mask_at: component -> its support's mask
     for subset, comps in intersections.items():
         if not subset:
-            violations.append((NOT_DOWNWARD_CLOSED, "empty subset listed in intersections"))
+            add((NOT_DOWNWARD_CLOSED, "empty subset listed in intersections"))
             continue
-        stray = subset - index_set
-        if stray:
-            violations.append(
-                (NOT_DOWNWARD_CLOSED, f"subset {sorted(subset)} uses unknown indices {sorted(stray)}")
-            )
+        if not subset <= index_set:
+            add((NOT_DOWNWARD_CLOSED, f"subset {sorted(subset)} uses unknown indices {sorted(subset - index_set)}"))
             continue
         if not comps:
-            violations.append(
-                (NOT_DOWNWARD_CLOSED, f"subset {sorted(subset)} listed with no components; omit empty intersections")
-            )
+            add((NOT_DOWNWARD_CLOSED, f"subset {sorted(subset)} listed with no components; omit empty intersections"))
+        m = mask_of[subset] = sum(map(bit.__getitem__, subset))
         for c in comps:
             if c in support_of:
-                violations.append(
-                    (FACE_INCOHERENCE, f"component id {c!r} used by two subsets")
-                )
-            support_of[c] = subset
+                add((FACE_INCOHERENCE, f"component id {c!r} used by two subsets"))
+            support_of[c], mask_at[c] = subset, m
+    masks = set(mask_of.values())
     for i in indices:
-        if frozenset([i]) not in intersections:
-            violations.append(
-                (NOT_DOWNWARD_CLOSED, f"singleton {{{i!r}}} missing from intersections")
-            )
+        if bit[i] not in masks:
+            add((NOT_DOWNWARD_CLOSED, f"singleton {{{i!r}}} missing from intersections"))
 
-    # downward closure, one step at a time; ``below`` lists each subset's
-    # one-step drops in index order
+    # downward closure, one step at a time; ``below`` holds each subset's
+    # members in order and its one-step drops in that order (as masks where
+    # it has one), for every later pass to read
     below = {}
     for subset in intersections:
         if len(subset) < 2:
             continue
-        below[subset] = [(i, subset - {i}) for i in sorted(subset)]
-        for i, smaller in below[subset]:
-            if smaller not in intersections:
-                violations.append(
-                    (
-                        NOT_DOWNWARD_CLOSED,
-                        f"subset {sorted(subset)} intersects but {sorted(smaller)} carries no components",
-                    )
-                )
+        members, m = sorted(subset), mask_of.get(subset)
+        drops = [subset - {i} for i in members] if m is None else [m ^ bit[i] for i in members]
+        below[subset] = members, drops
+        for i, smaller in zip(members, drops):
+            if smaller not in (intersections if m is None else masks):
+                add((NOT_DOWNWARD_CLOSED, f"subset {members} intersects but {_without(members, i)} carries no components"))
 
     # face maps: defined exactly on (component, member of support), landing
-    # in the right subset, coherent under dropping two elements.  The faces
-    # that land right are kept; the later checks read only those
-    face_of = {}
+    # in the right subset, coherent under dropping two elements.  ``landed``
+    # lists each component's faces by member, the target where it lands
+    # right and None elsewhere; the later checks read only those
+    faces_get, support_get, mask_get = faces.get, support_of.get, mask_at.get
+    landed, found = {}, 0
     for c, subset in support_of.items():
         if len(subset) < 2:
             continue
-        for i, smaller in below[subset]:
-            target = faces.get((c, i))
+        members, drops = below[subset]
+        row = landed[c] = []
+        for i, smaller in zip(members, drops):
+            target = faces_get((c, i))
             if target is None:
-                violations.append(
-                    (FACE_INCOHERENCE, f"face of component {c!r} dropping {i!r} is missing")
-                )
-                continue
-            if support_of.get(target) == smaller:
-                face_of[(c, i)] = target
+                add((FACE_INCOHERENCE, f"face of component {c!r} dropping {i!r} is missing"))
             else:
-                violations.append(
-                    (
-                        FACE_INCOHERENCE,
-                        f"face of {c!r} dropping {i!r} lands in {target!r}, "
-                        f"which is not a component of {sorted(smaller)}",
-                    )
-                )
-    for (c, i) in faces:
-        subset = support_of.get(c)
-        if subset is None or i not in subset or len(subset) < 2:
-            violations.append(
-                (FACE_INCOHERENCE, f"face entry ({c!r}, drop {i!r}) does not match any component support")
-            )
+                found += 1
+                if mask_get(target) == smaller:
+                    row.append(target)
+                    continue
+                add((FACE_INCOHERENCE, f"face of {c!r} dropping {i!r} lands in {target!r}, "
+                                       f"which is not a component of {_without(members, i)}"))
+            row.append(None)
+    if found != len(faces):  # else every face entry was just read at a support
+        for (c, i) in faces:
+            subset = support_get(c)
+            if subset is None or i not in subset or len(subset) < 2:
+                add((FACE_INCOHERENCE, f"face entry ({c!r}, drop {i!r}) does not match any component support"))
 
-    for c, subset in support_of.items():
-        if len(subset) < 3:
+    # dropping members a < b: the face of c without a, then without b (at
+    # position b - 1 there), against the other order
+    for c, row in landed.items():
+        if len(row) < 3:
             continue
-        for i, j in combinations(sorted(subset), 2):
-            ci = face_of.get((c, i))
-            cj = face_of.get((c, j))
+        members = below[support_of[c]][0]
+        for a, b in combinations(range(len(row)), 2):
+            ci, cj = row[a], row[b]
             if ci is None or cj is None:
                 continue  # already reported above
-            via_i = face_of.get((ci, j))
-            via_j = face_of.get((cj, i))
+            via_i, via_j = landed[ci][b - 1], landed[cj][a]
             if via_i is not None and via_j is not None and via_i != via_j:
-                violations.append(
-                    (
-                        FACE_INCOHERENCE,
-                        f"dropping {i!r} then {j!r} from {c!r} gives {via_i!r} "
-                        f"but the other order gives {via_j!r}",
-                    )
-                )
+                add((FACE_INCOHERENCE, f"dropping {members[a]!r} then {members[b]!r} from {c!r} gives "
+                                       f"{via_i!r} but the other order gives {via_j!r}"))
 
     # component involution: self-inverse bijection, support-compatible,
     # commuting with faces
-    for c in support_of:
+    image = involution.__getitem__
+    image_bit = {i: bit[image(i)] for i in index_set}.__getitem__
+    for c, subset in support_of.items():
         sc = comp_inv.get(c)
         if sc is None or sc not in support_of:
-            violations.append(
-                (
-                    INVOLUTION_FACE_MISMATCH,
-                    f"component involution undefined or escapes known components at {c!r}",
-                )
-            )
+            add((INVOLUTION_FACE_MISMATCH, f"component involution undefined or escapes known components at {c!r}"))
             continue
         if comp_inv.get(sc) != c:
-            violations.append(
-                (INVOLUTION_NOT_SELF_INVERSE, f"component involution not self-inverse at {c!r}")
-            )
-        expected = frozenset(map(involution.__getitem__, support_of[c]))
-        if support_of[sc] != expected:
-            violations.append(
-                (
-                    INVOLUTION_FACE_MISMATCH,
-                    f"component {c!r} of {sorted(support_of[c])} maps to {sc!r} "
-                    f"of {sorted(support_of[sc])}, expected a component of {sorted(expected)}",
-                )
-            )
-    for c in sorted(set(comp_inv) - set(support_of)):
-        violations.append(
-            (INVOLUTION_FACE_MISMATCH, f"component involution defined on unknown component {c!r}")
-        )
-    for (c, i), f in face_of.items():
+            add((INVOLUTION_NOT_SELF_INVERSE, f"component involution not self-inverse at {c!r}"))
+        if mask_at[sc] != sum(map(image_bit, subset)):
+            add((INVOLUTION_FACE_MISMATCH, f"component {c!r} of {sorted(subset)} maps to {sc!r} "
+                                           f"of {sorted(support_of[sc])}, expected a component of {sorted(map(image, subset))}"))
+    for c in sorted(comp_inv.keys() - support_of.keys()):
+        add((INVOLUTION_FACE_MISMATCH, f"component involution defined on unknown component {c!r}"))
+    for c, row in landed.items():
         sc = comp_inv.get(c)
-        if sc not in support_of or f not in comp_inv:
+        if sc not in support_of:
             continue
-        rhs = faces.get((sc, involution[i]))
-        if rhs is not None and comp_inv[f] != rhs:
-            violations.append(
-                (
-                    INVOLUTION_FACE_MISMATCH,
-                    f"involution and face maps disagree on component {c!r} dropping {i!r}",
-                )
-            )
+        for i, f in zip(below[support_of[c]][0], row):
+            if f is None or f not in comp_inv:
+                continue
+            rhs = faces_get((sc, involution[i]))
+            if rhs is not None and comp_inv[f] != rhs:
+                add((INVOLUTION_FACE_MISMATCH, f"involution and face maps disagree on component {c!r} dropping {i!r}"))
 
     if violations:
         raise CoverValidationError(violations)

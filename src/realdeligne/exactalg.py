@@ -184,7 +184,8 @@ class _SmithData:
     Transforms are kept sparse: ``u`` and ``vinv`` as plain row dicts,
     ``v`` and ``uinv`` through their transposes (so that the column
     operations performed on them become row operations).  Without
-    transforms all four are None.
+    transforms all four are None; with the column transforms only,
+    ``u`` and ``uinvT`` are.
     """
 
     __slots__ = ("nrows", "ncols", "diag", "u", "vT", "uinvT", "vinv")
@@ -285,7 +286,10 @@ def _axpy(dst: dict, src: dict, q) -> None:
             dst.pop(j, None)
 
 
-def _smith(m: SparseIntMatrix, transforms: bool = True) -> _SmithData:
+def _smith(m: SparseIntMatrix, transforms: bool = True, rows: bool = True) -> _SmithData:
+    """Smith reduction of ``m``; with ``rows=False`` only the column
+    transforms are built, which is all the kernel needs.  The transforms
+    never steer the pivots, so the diagonal and ``v`` are the same."""
     nr, nc = m.nrows, m.ncols
     a = [dict(r) for r in m.rows]
     colrows = [set() for _ in range(nc)]
@@ -293,13 +297,11 @@ def _smith(m: SparseIntMatrix, transforms: bool = True) -> _SmithData:
         for j in row:
             colrows[j].add(i)
 
+    u = uinvT = vT = vinv = None
     if transforms:
-        u = SparseIntMatrix.identity(nr)
-        uinvT = SparseIntMatrix.identity(nr)
-        vT = SparseIntMatrix.identity(nc)
-        vinv = SparseIntMatrix.identity(nc)
-    else:
-        u = uinvT = vT = vinv = None
+        vT, vinv = SparseIntMatrix.identity(nc), SparseIntMatrix.identity(nc)
+        if rows:
+            u, uinvT = SparseIntMatrix.identity(nr), SparseIntMatrix.identity(nr)
 
     def row_axpy(i, t, q):
         # row_i -= q * row_t
@@ -312,7 +314,7 @@ def _smith(m: SparseIntMatrix, transforms: bool = True) -> _SmithData:
             else:
                 ai.pop(j, None)
                 colrows[j].discard(i)
-        if transforms:
+        if u is not None:
             _axpy(u.rows[i], u.rows[t], -q)
             # u_inv column t += q * column i  (stored transposed)
             _axpy(uinvT.rows[t], uinvT.rows[i], q)
@@ -348,7 +350,7 @@ def _smith(m: SparseIntMatrix, transforms: bool = True) -> _SmithData:
                 members.add(i)
             if has_t:
                 members.add(t)
-        if transforms:
+        if u is not None:
             u.rows[i], u.rows[t] = u.rows[t], u.rows[i]
             uinvT.rows[i], uinvT.rows[t] = uinvT.rows[t], uinvT.rows[i]
 
@@ -371,7 +373,7 @@ def _smith(m: SparseIntMatrix, transforms: bool = True) -> _SmithData:
         at = a[t]
         for j in at:
             at[j] = -at[j]
-        if transforms:
+        if u is not None:
             for r in (u.rows[t], uinvT.rows[t]):
                 for j in r:
                     r[j] = -r[j]
@@ -478,7 +480,7 @@ def smith_normal_form(m):
 def kernel_basis(m):
     """A basis of the integer kernel (a saturated sublattice) as the columns
     of a list of row lists."""
-    return _smith(as_sparse(m), transforms=True).kernel_basis().to_dense()
+    return _smith(as_sparse(m), rows=False).kernel_basis().to_dense()
 
 
 def integer_rank(m) -> int:
@@ -627,8 +629,14 @@ class IntegerCochainComplex:
     def _check(self, k: int, d: SparseIntMatrix, rank_above: int) -> None:
         if d.shape != (rank_above, self.rank(k)):
             raise InternalInvariantError(f"differential at degree {k} has shape {d.shape}")
-        if not d.matmul(self.diff(k - 1)).is_zero():
-            raise InternalInvariantError(f"d∘d != 0 between degrees {k - 1} and {k + 1}")
+        below = self.diff(k - 1).rows
+        for row in d.rows:  # row by row, so the product is never stored
+            acc = {}
+            for j, x in row.items():
+                for i, y in below[j].items():
+                    acc[i] = acc.get(i, 0) + x * y
+            if any(acc.values()):
+                raise InternalInvariantError(f"d∘d != 0 between degrees {k - 1} and {k + 1}")
 
     def validate(self) -> "IntegerCochainComplex":
         for k in range(self.lo, self.hi):
@@ -686,7 +694,7 @@ def kernel_quotient(matrix, generators) -> GroupDescriptor:
     gens = as_sparse(generators)
     if not m.matmul(gens).is_zero():
         raise ValueError("generators do not lie in the kernel")
-    return _quotient_data(_smith(m, transforms=True), gens)["descriptor"]
+    return _quotient_data(_smith(m, rows=False), gens)["descriptor"]
 
 
 def _cohomology_data(c: IntegerCochainComplex, k: int):
@@ -700,7 +708,7 @@ def _cohomology_data(c: IntegerCochainComplex, k: int):
     hit = c._cache.get(key)
     if hit is not None:
         return hit
-    data = _quotient_data(_smith(c.diff(k), transforms=True), c.diff(k - 1))
+    data = _quotient_data(_smith(c.diff(k), rows=False), c.diff(k - 1))
     u = data["x_smith"].u
     rows = [u.rows[i] for i in data["free_pos"] + [i for i, _ in data["torsion_pos"]]]
     data["rows"] = SparseIntMatrix(len(rows), u.ncols, rows).matmul(data["left"])
@@ -1004,7 +1012,7 @@ def _fixed_lattice(k: int, tk: SparseIntMatrix, n: int) -> _SmithData:
         raise NotAnInvolution(f"map at degree {k} does not square to the identity")
     delta = tk.copy()
     delta.set_block(0, 0, SparseIntMatrix.identity(n), scale=-1)
-    return _smith(delta, transforms=True)
+    return _smith(delta, rows=False)
 
 
 def fixed_subcomplex(c: IntegerCochainComplex, involution: dict):

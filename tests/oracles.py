@@ -5,7 +5,7 @@ arithmetic on one-dimensional cochain groups — deliberately sharing no code
 with the package under test.  Groups
 are reported as ``(rank, torsion_tuple)`` pairs.
 
-Three families, and five reference routes:
+Three families, and six reference routes:
 
 * cohomology of the two-element group acting on cyclic coefficient modules,
   via the 2-periodic free resolution (differentials alternate between
@@ -52,6 +52,12 @@ Smith diagonals, those with rational terms by the transform route's
 kernel quotient.  The engine's hypercohomology builds no total complex;
 it splits the coefficient complex into single terms and pairs and reads
 each off the descriptor complexes, folded.
+
+The sixth, :func:`cover_violations` and :func:`nerve_model_parts`, is the
+cover layer the set-by-set way: every structural check on frozensets and
+keyed face lookups, and each alternating basis from its own scan of the
+nerve, where the package compares bit masks and builds every basis in one
+pass.
 """
 
 from fractions import Fraction
@@ -531,3 +537,162 @@ def reduced_quotient(cover, fstar, k):
     stacked.set_block(0, 0, a_k)
     stacked.set_block(a_k.nrows, 0, e.matmul(b_k))
     return exactalg.kernel_quotient(stacked, blocks(k - 1)[0])
+
+
+# ---------------------------------------------------------------------------
+# the cover checks and the nerve model, the set-by-set way
+# ---------------------------------------------------------------------------
+
+
+def cover_violations(cover):
+    """Every structural violation of a cover's parts, in the order the
+    package reports them, found the set-by-set way: every drop, face
+    target and involution image is a frozenset compared with the listed
+    ones, and every face pair is looked up by key.  The package's
+    ``coverdata._checked`` must raise exactly this list (or pass on [])."""
+    from itertools import combinations
+
+    from realdeligne.errors import (
+        FACE_INCOHERENCE,
+        FIXED_INDEX_PRESENT,
+        INVOLUTION_FACE_MISMATCH,
+        INVOLUTION_NOT_SELF_INVERSE,
+        NOT_DOWNWARD_CLOSED,
+    )
+
+    indices, involution, intersections = cover.indices, cover.involution, cover.intersections
+    faces, comp_inv = cover.faces, cover.component_involution
+    out = []
+    index_set = set(indices)
+    if len(index_set) != len(indices):
+        out.append((INVOLUTION_NOT_SELF_INVERSE, "duplicate index names"))
+    for i in indices:
+        ti = involution.get(i)
+        if ti is None or ti not in index_set:
+            out.append((INVOLUTION_NOT_SELF_INVERSE, f"involution undefined or escapes the index set at {i!r}"))
+        elif involution.get(ti) != i:
+            out.append((INVOLUTION_NOT_SELF_INVERSE,
+                        f"involution not self-inverse at {i!r}: t(t({i!r})) = {involution.get(ti)!r}"))
+    for i in sorted(set(involution) - index_set):
+        out.append((INVOLUTION_NOT_SELF_INVERSE, f"involution defined on unknown index {i!r}"))
+    if out:
+        return out
+    for i in indices:
+        if involution[i] == i:
+            out.append((FIXED_INDEX_PRESENT,
+                        f"index {i!r} is fixed by the involution; apply double_fixed_indices to obtain a free cover"))
+
+    support_of = {}
+    for subset, comps in intersections.items():
+        if not subset:
+            out.append((NOT_DOWNWARD_CLOSED, "empty subset listed in intersections"))
+            continue
+        stray = subset - index_set
+        if stray:
+            out.append((NOT_DOWNWARD_CLOSED, f"subset {sorted(subset)} uses unknown indices {sorted(stray)}"))
+            continue
+        if not comps:
+            out.append((NOT_DOWNWARD_CLOSED,
+                        f"subset {sorted(subset)} listed with no components; omit empty intersections"))
+        for c in comps:
+            if c in support_of:
+                out.append((FACE_INCOHERENCE, f"component id {c!r} used by two subsets"))
+            support_of[c] = subset
+    for i in indices:
+        if frozenset([i]) not in intersections:
+            out.append((NOT_DOWNWARD_CLOSED, f"singleton {{{i!r}}} missing from intersections"))
+
+    below = {}
+    for subset in intersections:
+        if len(subset) < 2:
+            continue
+        below[subset] = [(i, subset - {i}) for i in sorted(subset)]
+        for i, smaller in below[subset]:
+            if smaller not in intersections:
+                out.append((NOT_DOWNWARD_CLOSED,
+                            f"subset {sorted(subset)} intersects but {sorted(smaller)} carries no components"))
+
+    face_of = {}
+    for c, subset in support_of.items():
+        if len(subset) < 2:
+            continue
+        for i, smaller in below[subset]:
+            target = faces.get((c, i))
+            if target is None:
+                out.append((FACE_INCOHERENCE, f"face of component {c!r} dropping {i!r} is missing"))
+            elif support_of.get(target) == smaller:
+                face_of[(c, i)] = target
+            else:
+                out.append((FACE_INCOHERENCE, f"face of {c!r} dropping {i!r} lands in {target!r}, "
+                                              f"which is not a component of {sorted(smaller)}"))
+    for (c, i) in faces:
+        subset = support_of.get(c)
+        if subset is None or i not in subset or len(subset) < 2:
+            out.append((FACE_INCOHERENCE, f"face entry ({c!r}, drop {i!r}) does not match any component support"))
+    for c, subset in support_of.items():
+        if len(subset) < 3:
+            continue
+        for i, j in combinations(sorted(subset), 2):
+            ci, cj = face_of.get((c, i)), face_of.get((c, j))
+            if ci is None or cj is None:
+                continue
+            via_i, via_j = face_of.get((ci, j)), face_of.get((cj, i))
+            if via_i is not None and via_j is not None and via_i != via_j:
+                out.append((FACE_INCOHERENCE, f"dropping {i!r} then {j!r} from {c!r} gives {via_i!r} "
+                                              f"but the other order gives {via_j!r}"))
+
+    for c in support_of:
+        sc = comp_inv.get(c)
+        if sc is None or sc not in support_of:
+            out.append((INVOLUTION_FACE_MISMATCH,
+                        f"component involution undefined or escapes known components at {c!r}"))
+            continue
+        if comp_inv.get(sc) != c:
+            out.append((INVOLUTION_NOT_SELF_INVERSE, f"component involution not self-inverse at {c!r}"))
+        expected = frozenset(involution[i] for i in support_of[c])
+        if support_of[sc] != expected:
+            out.append((INVOLUTION_FACE_MISMATCH, f"component {c!r} of {sorted(support_of[c])} maps to {sc!r} "
+                                                  f"of {sorted(support_of[sc])}, expected a component of {sorted(expected)}"))
+    for c in sorted(set(comp_inv) - set(support_of)):
+        out.append((INVOLUTION_FACE_MISMATCH, f"component involution defined on unknown component {c!r}"))
+    for (c, i), f in face_of.items():
+        sc = comp_inv.get(c)
+        if sc not in support_of or f not in comp_inv:
+            continue
+        rhs = faces.get((sc, involution[i]))
+        if rhs is not None and comp_inv[f] != rhs:
+            out.append((INVOLUTION_FACE_MISMATCH,
+                        f"involution and face maps disagree on component {c!r} dropping {i!r}"))
+    return out
+
+
+def nerve_model_parts(cover):
+    """``(bases, diffs, actions)`` of a valid cover's unreduced alternating
+    model, degree by degree, each basis from its own scan of the nerve:
+    the element lists, the coboundaries as row dicts and the involution as
+    ``(perm, eps)``, its sign an inversion count.  The package's
+    ``cechengine._nerve_model`` must hold the same, in the same order."""
+    top = max(map(len, cover.intersections), default=1) - 1
+    bases = [
+        [(tup, c)
+         for tup in sorted(tuple(sorted(s)) for s in cover.intersections if len(s) == j + 1)
+         for c in sorted(cover.components_of(tup))]
+        for j in range(top + 2)
+    ]
+    where = [{e: n for n, e in enumerate(b)} for b in bases]
+    diffs = []
+    for j in range(top + 1):
+        rows = []
+        for tup, c in bases[j + 1]:
+            rows.append({where[j][tup[:k] + tup[k + 1 :], cover.face(c, i)]: (-1) ** k for k, i in enumerate(tup)})
+        diffs.append(rows)
+    actions = []
+    for j in range(top + 1):
+        perm, eps = [], []
+        for tup, c in bases[j]:
+            image = [cover.t(i) for i in tup]
+            inversions = sum(a > b for n, a in enumerate(image) for b in image[n + 1 :])
+            perm.append(where[j][tuple(sorted(image)), cover.sigma(c)])
+            eps.append((-1) ** inversions)
+        actions.append((perm, eps))
+    return bases, diffs, actions

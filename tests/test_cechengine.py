@@ -1059,9 +1059,9 @@ def test_descriptors_make_no_smith_transforms(monkeypatch):
     calls = []
     inner = exactalg._smith
 
-    def smith(m, transforms=True):
+    def smith(m, transforms=True, rows=True):
         calls.append(transforms)
-        return inner(m, transforms)
+        return inner(m, transforms, rows)
 
     monkeypatch.setattr(exactalg, "_smith", smith)
     for k in range(3):

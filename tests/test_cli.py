@@ -198,6 +198,28 @@ def test_exit_invalid_cover_file(tmp_path, capsys):
     assert err != ""
 
 
+@pytest.mark.parametrize(
+    "field, entry, message",
+    [
+        ("intersections", {"sets": ["a0"], "components": ["cX"]}, "subset ['a0'] listed twice in 'intersections'"),
+        ("faces", {"component": "c01", "drop": "a0", "in_component": "c0"},
+         "face entry ('c01', drop 'a0') listed twice in 'faces'"),
+    ],
+)
+def test_exit_cover_file_repeating_a_key(tmp_path, capsys, spaces, field, entry, message):
+    """A cover file that lists a subset or a face twice is an input error
+    (exit 2) naming the key: neither entry is silently dropped, even when
+    the later one is right."""
+    raw = spaces["circle_antipodal"].to_raw()
+    raw[field].insert(0, entry)
+    path = tmp_path / "repeated.json"
+    path.write_text(json.dumps(raw))
+    code, out, err = run(capsys, "compute", "--space", f"@{path}", "--coeff", "iZ", "--max-degree", "2")
+    assert code == 2
+    assert out == ""
+    assert message in err and "Traceback" not in err
+
+
 def test_exit_degree_range(capsys):
     code, _, _ = run(
         capsys,

@@ -2,6 +2,7 @@
 flat transition angles."""
 
 import copy
+import functools
 import hashlib
 import json
 from fractions import Fraction
@@ -13,7 +14,7 @@ from hypothesis import given, settings, strategies as st
 
 import flathelp
 import oracles
-from realdeligne import catalog
+from realdeligne import catalog, cechengine, coverdata
 from realdeligne.coverdata import (
     C2Cover,
     CoefficientSystem,
@@ -298,7 +299,21 @@ def number_name(raw):
     raw["indices"][0] = 0
 
 
-CORRUPTIONS = (drop_face, repoint_face, break_sigma, drop_subset, fix_index, number_name)
+def repeat_subset(raw):
+    """A second entry for the first subset, listed before it."""
+    raw["intersections"].insert(0, {"sets": raw["intersections"][0]["sets"], "components": ["cX"]})
+
+
+def repeat_face(raw):
+    """A second, wrong entry for the last face, listed before it."""
+    last = raw["faces"][-1]
+    raw["faces"].insert(0, dict(last, in_component=raw["faces"][0]["component"]))
+
+
+CORRUPTIONS = (drop_face, repoint_face, break_sigma, drop_subset, fix_index, number_name, repeat_subset, repeat_face)
+# what only a description can spell: a cover's parts hold no name that is
+# not a string and no key twice
+DESCRIPTION_ONLY = (number_name, repeat_subset, repeat_face)
 CORRUPTED_SPACES = (("circle_antipodal",), ("circle_conjugation",), ("sphere_antipodal", 2), ("point_trivial_fine",))
 
 
@@ -332,7 +347,7 @@ def test_violations_match_golden(space, corruption):
     raw = corrupted(space, corruption)
     want = GOLDENS["violations"][f"{space_key(space)}/{corruption.__name__}"]
     assert violations_of(raw) == want
-    if corruption is not number_name:
+    if corruption not in DESCRIPTION_ONLY:
         assert violations_of(unchecked(raw)) == want
 
 
@@ -364,6 +379,125 @@ def test_json_round_trip_byte_identical(spaces):
         back = C2Cover.from_json(text)
         assert back.to_json() == text
         assert json.loads(text)["name"] == cover.name
+
+
+# ---------------------------------------------------------------------------
+# the fast cover checks and nerve model against the set-by-set reference
+# (oracles.cover_violations, oracles.nerve_model_parts)
+# ---------------------------------------------------------------------------
+
+REFERENCE_SPACES = (
+    ("point_trivial",), ("point_trivial_fine",), ("free_orbit",), ("circle_antipodal",),
+    ("circle_antipodal_fine",), ("circle_conjugation",), ("sphere_antipodal", 0), ("sphere_antipodal", 1),
+    ("sphere_antipodal", 2), ("sphere_antipodal", 3), ("torus",),
+)
+
+
+@functools.cache
+def reference_cover(space):
+    """The catalog cover, or for a product its nerve re-read from its JSON;
+    built once, and never changed (mutants copy its parts)."""
+    cover = catalog.build(*space)
+    return validate_cover(cover.to_raw()) if cover.factors else cover
+
+
+def raised(cover):
+    try:
+        coverdata._checked(cover)
+    except CoverValidationError as err:
+        return err.violations
+    return []
+
+
+def assert_nerve_model_matches(cover):
+    bases, diffs, actions = oracles.nerve_model_parts(cover)
+    top = len(diffs) - 1
+    assert [list(b.elements) for b in cechengine.alternating_bases(cover, top + 1)] == bases
+    model = cechengine._nerve_model(cover)
+    assert model.top == top
+    assert [model.complex.diff(j).rows for j in range(top + 1)] == diffs
+    assert [(list(p), list(e)) for p, e in model.actions] == actions
+
+
+@pytest.mark.parametrize("space", REFERENCE_SPACES, ids=space_key)
+def test_nerve_model_matches_the_reference(space):
+    cover = reference_cover(space)
+    assert raised(cover) == oracles.cover_violations(cover) == []
+    assert_nerve_model_matches(cover)
+
+
+def components(parts):
+    return sorted({c for comps in parts["intersections"].values() for c in comps})
+
+
+def subsets(parts):
+    return sorted(parts["intersections"], key=lambda s: (len(s), sorted(s)))
+
+
+def drop_a_face(pick, parts):
+    del parts["faces"][pick(sorted(parts["faces"]))]
+
+
+def redirect_a_face(pick, parts):
+    parts["faces"][pick(sorted(parts["faces"]))] = pick(components(parts))
+
+
+def drop_a_subset(pick, parts):
+    del parts["intersections"][pick(subsets(parts))]
+
+
+def break_the_involution(pick, parts):
+    parts["component_involution"][pick(sorted(parts["component_involution"]))] = pick(components(parts))
+
+
+def rename_a_component(pick, parts):
+    subset = pick(subsets(parts))
+    comps = list(parts["intersections"][subset])
+    k = pick(range(len(comps)))
+    comps[k] += "~"
+    parts["intersections"][subset] = tuple(comps)
+
+
+def add_a_stray_face(pick, parts):
+    parts["faces"][pick(components(parts)), pick(sorted(parts["indices"]))] = pick(components(parts))
+
+
+class NothingToMutate(Exception):
+    pass
+
+
+MUTATIONS = (drop_a_face, redirect_a_face, drop_a_subset, break_the_involution, rename_a_component, add_a_stray_face)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.sampled_from(REFERENCE_SPACES), st.lists(st.sampled_from(MUTATIONS), min_size=1, max_size=3), st.data())
+def test_checks_raise_the_reference_violations(space, mutations, data):
+    """Mutated catalog covers, S^3 and a re-read product nerve: the checks
+    raise the reference's violations, the same kinds and messages in the
+    same order, and a mutant that is still valid has the reference's
+    nerve model."""
+    base = reference_cover(space)
+    parts = {
+        "indices": base.indices, "involution": dict(base.involution),
+        "intersections": dict(base.intersections), "faces": dict(base.faces),
+        "component_involution": dict(base.component_involution),
+    }
+
+    def pick(items):
+        if not items:
+            raise NothingToMutate
+        return data.draw(st.sampled_from(items))
+
+    for mutate in mutations:
+        try:
+            mutate(pick, parts)
+        except NothingToMutate:
+            pass
+    cover = C2Cover(base.name, base.involution_name, good=base.good, compact=base.compact, **parts)
+    want = oracles.cover_violations(cover)
+    assert raised(cover) == want
+    if not want:
+        assert_nerve_model_matches(cover)
 
 
 # ---------------------------------------------------------------------------

@@ -10,6 +10,7 @@ from hypothesis import example, given, settings, strategies as st
 
 import oracles
 from realdeligne import catalog, cechengine
+from realdeligne.coverdata import IZ
 from realdeligne.errors import (
     DegreeOutOfRange,
     InternalInvariantError,
@@ -193,6 +194,31 @@ def test_unit_pass_diagonal_matches_smith(rows):
     diag = unit_pass_diagonal(m)
     assert diag == _smith(m, transforms=False).diag
     assert [x for x in diag if x] == oracles.smith_diagonal(rows)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.one_of(structured_matrices(), nonunit_matrices()))
+def test_column_transforms_alone_match_the_full_reduction(rows):
+    """A reduction that builds only the column transforms makes the same
+    pivots: the same diagonal, ``v`` and ``v^-1``, so the same kernel."""
+    m = as_sparse(rows)
+    full, cols = _smith(m), _smith(m, rows=False)
+    assert cols.u is None and cols.uinvT is None
+    assert (cols.diag, cols.vT, cols.vinv) == (full.diag, full.vT, full.vinv)
+
+
+@pytest.mark.parametrize("space", (
+    ("circle_conjugation",), ("circle_antipodal_fine",), ("sphere_antipodal", 2), ("point_trivial_fine",),
+    ("torus",), ("torus", "circle_antipodal", "circle_antipodal_fine"),
+), ids=lambda space: ":".join(map(str, space)))
+def test_column_transforms_alone_on_the_flat_complexes(space):
+    """The kernels the flat classifier reads, d_1 and d_2 of the iZ complex,
+    are the same from a reduction with the column transforms alone."""
+    sub, _ = cechengine.build_equivariant_complex(catalog.build(*space), IZ, 3)
+    for k in (1, 2):
+        full, cols = _smith(sub.diff(k)), _smith(sub.diff(k), rows=False)
+        assert cols.kernel_basis() == full.kernel_basis()
+        assert cols.kernel_left_inverse() == full.kernel_left_inverse()
 
 
 @pytest.mark.parametrize(
