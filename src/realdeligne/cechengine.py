@@ -53,29 +53,29 @@ C_ord)`` is quasi-isomorphic to the orbit complex ``C_ord^{C2}``.
 
 Every per-cover object (bases, coboundaries, the involution's action and
 the complexes built on them) comes from one builder under
-:func:`_per_cover`, which keeps it in the cover's cache entry under the
-builder's name and positional arguments.  The unreduced nerve model's
-bases, coboundaries and action are the exception: they are built once, for
-the reduction, and not kept.  A complex is a seed plus a
-grower that returns the differential out of its top degree, and reading a
+:func:`_per_cover`, which keeps it in the cover's own memo (its
+``_memo`` slot) under the builder's name and positional arguments.  The
+unreduced nerve model's bases, coboundaries and action are the exception:
+one pass builds them (:func:`_nerve_parts`), for the reduction, and they
+are not kept.  A complex is a seed plus a grower that returns the differential out of its top degree, and reading a
 degree extends it to there, so, as H^k reads d_(k-1) and d_k, each degree
 is built and checked once and never past the highest degree read + 1;
 ``max_degree`` is only a range check.  The alternating complexes are built
 at once to degree top + 1 of their model and grow only zero terms above
 it.  No grower holds the cover (the ordered ones reach it through a weak
-reference), so a cover and its cache die with its last reference.
+reference), so a cover and its memo die with its last reference.
 Rational ranks are read off the same Smith diagonals as the integral
-groups, and mod-n results come from the integral complexes by universal
-coefficients degreewise; hypercohomology splits its coefficient complex
-into single terms and pairs and reads each of those the same way
-(:func:`hypercohomology`).
+groups, and mod-n groups come from the integral complexes by universal
+coefficients degreewise, cached like them; hypercohomology splits its
+coefficient complex into single terms and pairs and reads each of those
+the same way (:func:`hypercohomology`).
 """
 
 from __future__ import annotations
 
 from functools import wraps
 from math import gcd
-from weakref import WeakKeyDictionary, ref
+from weakref import ref
 
 from .coverdata import C2Cover, CoefficientSystem
 from .errors import (
@@ -90,29 +90,28 @@ from .exactalg import (
     SparseIntMatrix,
     _check_commutes,
     _column_sets,
+    _diagonal,
     _eliminate,
     _grow_orbit_complex,
     complex_cohomology,
 )
 from .records import Record
 
-_covercache: WeakKeyDictionary = WeakKeyDictionary()
-
-
 def _per_cover(builder):
-    """Memoize ``builder(cover, *args)`` in the cover's cache entry under the
-    builder's name and its positional arguments; the entry dies with the
-    cover."""
+    """Memoize ``builder(cover, *args)`` in the cover's own memo,
+    ``cover._memo``, under the builder's name and its positional arguments;
+    the memo dies with the cover."""
+    name = builder.__name__
 
     @wraps(builder)
     def memo(cover, *args):
-        key = (builder.__name__, args)
-        entry = _covercache.get(cover)
-        if entry is None:
-            entry = _covercache[cover] = {}
-        if key not in entry:
-            entry[key] = builder(cover, *args)
-        return entry[key]
+        key = (name, args)
+        try:
+            return cover._memo[key]
+        except KeyError:
+            pass
+        value = cover._memo[key] = builder(cover, *args)
+        return value
 
     return memo
 
@@ -342,60 +341,19 @@ def _angle_layout(cover: C2Cover) -> AngleLayout:
 # ---------------------------------------------------------------------------
 
 
-def alternating_bases(cover: C2Cover, top: int) -> list:
-    """Bases of alternating cochains in degrees ``0 .. top``, from one pass
-    over the nerve: in degree ``j``, the sorted ``(j + 1)``-subsets with a
-    nonempty intersection, one element per component, listed like
-    :func:`tuple_basis`.  Empty above the nerve's dimension.  Not memoized:
-    only the nerve model reads them, once, before reducing."""
-    intersections = cover.intersections
-    by_degree = [[] for _ in range(top + 1)]
-    for s in intersections:
-        if 0 < len(s) <= top + 1:
-            by_degree[len(s) - 1].append(s)
-    bases = []
-    for j, subsets in enumerate(by_degree):
-        elements = [(tuple(sorted(s)), c) for s in sorted(subsets, key=sorted) for c in sorted(intersections[s])]
-        bases.append(TupleBasis(j, tuple(elements), {e: n for n, e in enumerate(elements)}))
-    return bases
+def _nerve_order(cover: C2Cover) -> list:
+    """Every alternating basis element as ``(size, sorted members,
+    component)``, in basis order."""
+    return sorted((len(s), sorted(s), c) for s, comps in cover.intersections.items() for c in comps)
 
 
 def alternating_basis(cover: C2Cover, j: int) -> TupleBasis:
-    """The degree-``j`` basis of :func:`alternating_bases`."""
-    return alternating_bases(cover, j)[j]
-
-
-def alternating_differential(cover: C2Cover, src: TupleBasis, dst: TupleBasis) -> SparseIntMatrix:
-    """``δ_alt`` from the alternating basis ``src`` of degree ``j`` to
-    ``dst`` of degree ``j + 1``: the value on a sorted subset is the
-    alternating sum over its faces, transported along the face maps."""
-    m = SparseIntMatrix(len(dst), len(src))
-    position, faces = src.position, cover.faces
-    for row, (tup, c) in zip(m.rows, dst.elements):
-        for k, i in enumerate(tup):
-            row[position[(tup[:k] + tup[k + 1 :], faces[c, i])]] = -1 if k % 2 else 1
-    return m
-
-
-def alternating_involution(cover: C2Cover, basis: TupleBasis):
-    """The relabelling on the alternating basis ``basis`` as a signed
-    permutation ``(perm, eps)``: the image of element ``r`` is ``eps[r]``
-    times element ``perm[r]``, with ``eps[r]`` the sign of the sort that
-    puts the relabelled subset back in order."""
-    inv = cover.involution.__getitem__
-    sigma, position = cover.component_involution, basis.position
-    perm, eps = [], []
-    for tup, c in basis.elements:
-        image = tuple(map(inv, tup))
-        ordered = tuple(sorted(image))
-        odd = 0
-        if ordered != image:  # count the inversions
-            for n, a in enumerate(image):
-                for b in image[n + 1 :]:
-                    odd ^= a > b
-        perm.append(position[(ordered, sigma[c])])
-        eps.append(-1 if odd else 1)
-    return perm, eps
+    """The degree-``j`` alternating basis, in the order of the nerve model
+    (:func:`_nerve_parts`): the sorted ``(j + 1)``-subsets with a nonempty
+    intersection, one element per component, listed like
+    :func:`tuple_basis`; empty above the nerve's dimension."""
+    elements = tuple((tuple(members), c) for n, members, c in _nerve_order(cover) if n == j + 1)
+    return TupleBasis(j, elements, {e: n for n, e in enumerate(elements)})
 
 
 def _checked_action(j: int, perm, eps, n: int):
@@ -480,14 +438,37 @@ def _tensor_model(a: AlternatingModel, b: AlternatingModel) -> AlternatingModel:
     return AlternatingModel(c, actions, top)
 
 
-def _nerve_model(cover: C2Cover) -> AlternatingModel:
-    """The model read off the nerve, unreduced, with top its dimension.
-    Each basis is built once, here, and dropped with the call."""
+def _nerve_parts(cover: C2Cover):
+    """``(diffs, actions)`` of the unreduced nerve model in degrees ``0 ..
+    top`` (the nerve's dimension), from one pass over the basis elements in
+    :func:`alternating_basis` order, positions keyed by component id
+    (unique in a checked cover): ``(s, c)`` has the row ``{pos[c_i]:
+    (-1)^k}`` in ``δ_alt``, ``c_i`` the face of ``c`` without its ``k``-th
+    member ``i``, and T takes it to ``eps`` times ``pos[σ c]``, ``eps`` the
+    sign of the sort that puts the relabelled members back in order."""
     top = max(map(len, cover.intersections), default=1) - 1
-    bases = alternating_bases(cover, top + 1)
-    diffs = [alternating_differential(cover, bases[j], bases[j + 1]) for j in range(top + 1)]
-    c = _finite(_growing(len(bases[0]), diffs.__getitem__), top)
-    return AlternatingModel(c, [alternating_involution(cover, b) for b in bases[: top + 1]], top)
+    t, sigma, faces = cover.involution, cover.component_involution, cover.faces
+    pos, comps, eps = {}, [[] for _ in range(top + 1)], [[] for _ in range(top + 1)]
+    rows = [[] for _ in range(top + 2)]  # rows[j]: the rows of d_(j-1)
+    for n, members, c in _nerve_order(cover):
+        j = n - 1
+        pos[c] = len(comps[j])
+        comps[j].append(c)
+        if j:  # every face lies one degree down, so is already placed
+            rows[j].append({pos[faces[c, i]]: -1 if k % 2 else 1 for k, i in enumerate(members)})
+        image = [t[i] for i in members]
+        inversions = sum(a > b for k, a in enumerate(image) for b in image[k + 1 :])
+        eps[j].append(-1 if inversions % 2 else 1)
+    diffs = [SparseIntMatrix(len(rows[j + 1]), len(comps[j]), rows[j + 1]) for j in range(top + 1)]
+    return diffs, [([pos[sigma[c]] for c in comps[j]], eps[j]) for j in range(top + 1)]
+
+
+def _nerve_model(cover: C2Cover) -> AlternatingModel:
+    """The model read off the nerve (:func:`_nerve_parts`), unreduced, with
+    top its dimension; it is built once, for the reduction, and not kept."""
+    diffs, actions = _nerve_parts(cover)
+    c = _finite(_growing(len(actions[0][0]), diffs.__getitem__), len(diffs) - 1)
+    return AlternatingModel(c, actions, len(diffs) - 1)
 
 
 def _reduced(model: AlternatingModel) -> AlternatingModel:
@@ -669,13 +650,16 @@ def _check_degree(k: int, max_degree: int):
 
 def _descriptor_mod_n(c: IntegerCochainComplex, k: int, n: int) -> GroupDescriptor:
     """H^k of ``c`` with Z/n coefficients via universal coefficients:
-    reduce H^k mod n and add the n-torsion of H^(k+1)."""
-    hk = complex_cohomology(c, k)
-    hk1 = complex_cohomology(c, k + 1)
-    orders = [n] * hk.rank
-    orders += [gcd(d, n) for d in hk.torsion]
-    orders += [gcd(d, n) for d in hk1.torsion]
-    return GroupDescriptor.from_cyclic_orders(0, orders)
+    reduce H^k mod n and add the n-torsion of H^(k+1) (of ``coker d_k``).
+    It reads only d_(k-1) and d_k, so ``extend`` drops it when it is stale."""
+    key = ("mod", k, n)
+    hit = c._cache.get(key)
+    if hit is None:
+        hk = complex_cohomology(c, k)
+        orders = [n] * hk.rank + [gcd(d, n) for d in hk.torsion]
+        orders += [gcd(d, n) for d in _diagonal(c, k) if d > 1]
+        hit = c._cache[key] = GroupDescriptor.from_cyclic_orders(0, orders)
+    return hit
 
 
 def _descriptor(c: IntegerCochainComplex, k: int, coeff: CoefficientSystem) -> GroupDescriptor:
@@ -715,8 +699,15 @@ def equivariant_cohomology(
     coefficients over the integral complex.
     """
     _check_degree(k, max_degree)
-    c = build_descriptor_complex(cover, coeff.sign)
-    return _descriptor(c, _folded(k, _alternating_model(cover).top + 1), coeff)
+    c, periodic = _descriptor_read(cover, coeff.sign)
+    return _descriptor(c, _folded(k, periodic), coeff)
+
+
+@_per_cover
+def _descriptor_read(cover: C2Cover, sign: int):
+    """``(c, s)``: the descriptor complex of ``sign`` and the degree ``s``
+    (model top + 1) it is 2-periodic from, so a question reads one entry."""
+    return build_descriptor_complex(cover, sign), _alternating_model(cover).top + 1
 
 
 def nonequivariant_cohomology(

@@ -80,7 +80,7 @@ IQ = CoefficientSystem.rationals(-1)
 
 
 class _WeaklyReferenced:
-    __slots__ = ("__weakref__",)  # the engine's caches key covers weakly
+    __slots__ = ("__weakref__",)  # growers and tracers refer to covers weakly
 
 
 class C2Cover(_WeaklyReferenced):
@@ -90,7 +90,8 @@ class C2Cover(_WeaklyReferenced):
     :meth:`from_raw`) or a package builder; direct instantiation skips the
     invariant checks.
     Instances are immutable by convention and hashable by identity, so they
-    can key caches.  A product keeps its two factors in ``factors``.
+    can key caches.  A product keeps its two factors in ``factors``, and
+    the engine's memo of a cover lives in ``_memo``, dying with it.
     """
 
     # _ProductCover swaps its class for this one, so the two keep one layout
@@ -105,6 +106,7 @@ class C2Cover(_WeaklyReferenced):
         "good",
         "compact",
         "factors",  # a product's factors; () for every other cover
+        "_memo",  # (engine builder name, args) -> what it built
     )
 
     def __init__(
@@ -130,6 +132,7 @@ class C2Cover(_WeaklyReferenced):
         self.good = good
         self.compact = compact
         self.factors = factors
+        self._memo = {}
 
     # -- lookups ----------------------------------------------------------
 
@@ -247,6 +250,10 @@ def _read(raw) -> C2Cover:
     intersections, faces = {}, {}
     for e in raw["intersections"]:
         key = frozenset(e["sets"])
+        for what, names in (("index", e["sets"]), ("component", e["components"])):
+            if len(set(names)) < len(names):
+                for x in sorted({x for n, x in enumerate(names) if x in names[:n]}):
+                    violations.append((MALFORMED_DESCRIPTION, f"subset entry {e['sets']} lists {what} {x!r} twice"))
         if key in intersections:
             violations.append((MALFORMED_DESCRIPTION, f"subset {sorted(key)} listed twice in 'intersections'"))
         intersections[key] = tuple(e["components"])
@@ -255,7 +262,7 @@ def _read(raw) -> C2Cover:
         if key in faces:
             violations.append((MALFORMED_DESCRIPTION, f"face entry ({key[0]!r}, drop {key[1]!r}) listed twice in 'faces'"))
         faces[key] = e["in_component"]
-    if violations:  # a repeated key: which of its entries is meant is unknown
+    if violations:  # a repeated key or name: which of its entries is meant is unknown
         raise CoverValidationError(violations)
     return C2Cover(
         name=raw["name"],
@@ -655,6 +662,7 @@ class _ProductCover(C2Cover):
         self.good = a.good and b.good
         self.compact = a.compact and b.compact
         self.factors = (a, b)
+        self._memo = {}
 
     def __getattr__(self, name):
         # reached only for a slot not yet set: an unread nerve

@@ -379,13 +379,15 @@ def test_descriptor_complex_follows_the_alternating_action(entry):
 
 
 def test_alternating_involution_is_signed_and_self_inverse(spaces):
-    """On sorted subsets, T relabels, re-sorts and multiplies by the sign of
-    that sort, and it squares to the identity."""
+    """On sorted subsets, the nerve model's T relabels, re-sorts and
+    multiplies by the sign of that sort, and it squares to the identity."""
     flipped = 0
     for cover in spaces.values():
+        model = cechengine._nerve_model(cover)
         for j in range(4):
             basis = cechengine.alternating_basis(cover, j)
-            perm, eps = cechengine.alternating_involution(cover, basis)
+            perm, eps = model.action(j)
+            assert len(perm) == len(basis)
             for r, ((tup, c), p, e) in enumerate(zip(basis.elements, perm, eps)):
                 image = tuple(cover.t(i) for i in tup)
                 assert basis.elements[p] == (tuple(sorted(image)), cover.sigma(c))
@@ -681,15 +683,15 @@ def test_session_builds_each_fixed_degree_once(monkeypatch):
     beside the descriptor complex.  The antipodal sphere's alternating
     action is free, so it reads the alternating fixed complex; the
     conjugation circle's is not, so it reads the Borel complex.  With
-    sign -1 the highest degree read is 4: the mod-2 H^2 reads the torsion
-    of H^3, and so d_3, and so does the cone's H^3, which is the mod-3 H^2.
-    No total complex is built for the cone.
-    With sign +1 the highest read is H^2, so degree 3.  The Borel complexes
-    are built that far and no further; the alternating fixed complexes are
-    built at once to dim N + 1 = 3, their first zero term, and no further."""
+    either sign the highest degree read is 3: H^2 reads d_2, and so do the
+    mod-2 H^2, which adds the torsion of coker d_2, and the cone's H^3,
+    which is the mod-3 H^2.  No total complex is built for the cone.  The
+    Borel complexes are built that far and no further; the alternating
+    fixed complexes are built at once to dim N + 1 = 3, their first zero
+    term, and no further."""
     for name, params, free, tops in (
         ("sphere_antipodal", (2,), True, (3, 3)),
-        ("circle_conjugation", (), False, (4, 3)),
+        ("circle_conjugation", (), False, (3, 3)),
     ):
         cover = catalog.build(name, *params)
         inside, smith_inside, matrices_inside, orbit_builds = [0], [], [], []
@@ -747,8 +749,8 @@ def test_session_builds_each_fixed_degree_once(monkeypatch):
         monkeypatch.undo()
 
         assert smith_inside == [] and matrices_inside == [] and orbit_builds == [], name
-        keys = {key[0] for key in cechengine._covercache[cover]}
-        assert keys == {"_alternating_model", "build_descriptor_complex"}, name
+        keys = {key[0] for key in cover._memo}
+        assert keys == {"_alternating_model", "build_descriptor_complex", "_descriptor_read"}, name
         assert cechengine._acts_freely(cechengine._alternating_model(cover)) == free, name
         for sign, top in zip((-1, 1), tops):
             c = cechengine.build_descriptor_complex(cover, sign)
@@ -761,15 +763,21 @@ def test_torus_session_never_builds_the_product_nerve(monkeypatch):
     coefficient, cones, Deligne descriptors and classifiers) reads the
     tensor model of its factors: the product nerve is never built, and the
     memo holds no ordered cochains.  Its JSON builds the nerve exactly once
-    and is the golden one."""
-    built = []
-    inner = coverdata._nerve_of_product
+    and is the golden one.  The memo lives on through the class swap that
+    reading the nerve makes: asked again, the session builds no model."""
+    built, tensors = [], []
+    inner, inner_tensor = coverdata._nerve_of_product, cechengine._tensor_model
 
     def counted(*args):
         built.append(args)
         return inner(*args)
 
+    def tensor(*args):
+        tensors.append(args)
+        return inner_tensor(*args)
+
     monkeypatch.setattr(coverdata, "_nerve_of_product", counted)
+    monkeypatch.setattr(cechengine, "_tensor_model", tensor)
     cover = catalog.build("torus")
     repr(cover)
     for k in range(3):
@@ -788,10 +796,13 @@ def test_torus_session_never_builds_the_product_nerve(monkeypatch):
     deligne.real_circle_maps(cover)
     for k in (0, 1):
         deligne.quotient_coefficients_cohomology(cover, k)
-    assert built == []
-    assert not {key[0] for key in cechengine._covercache[cover]} & {"tuple_basis", "_full_complex"}
+    assert built == [] and len(tensors) == 1
+    assert not {key[0] for key in cover._memo} & {"tuple_basis", "_full_complex"}
+    before = [str(equivariant_cohomology(cover, coeff, k, 4)) for coeff in (IZ, Z_TRIVIAL) for k in range(4)]
     text = cover.to_json()
-    assert cover.to_json() == text and len(built) == 1
+    assert cover.to_json() == text and len(built) == 1 and type(cover) is C2Cover
+    assert [str(equivariant_cohomology(cover, coeff, k, 4)) for coeff in (IZ, Z_TRIVIAL) for k in range(4)] == before
+    assert len(tensors) == 1
     goldens = json.loads((Path(__file__).parent / "cover_goldens.json").read_text())
     assert hashlib.sha256(text.encode()).hexdigest() == goldens["to_json_sha256"]["torus"]
 
@@ -823,16 +834,19 @@ TOTAL_COMPLEXES = (
 
 @pytest.mark.parametrize("entry", catalog.ENTRIES, ids=catalog.entry_label)
 def test_hypercohomology_builds_no_total_complex(entry, monkeypatch):
-    """Hypercohomology of an all-integer complex, asked in a shuffled order
-    of degrees with max_degree going up and then down, answers as a fresh
-    cover does, and builds no total complex: it never assembles the total
-    blocks, and the cover's memo holds its model and descriptor complexes
-    only, each degree of which is extended once.  The highest degree read
-    is 4: H^3 of a cone is the mod-n H^2 of the sign -1 column, which reads
-    its d_3.  The sign +1 column is the third term of the last complex,
-    read up to H^(3 - 2), so degree 2.  Neither is built further, except
-    that the alternating fixed complex is built at once to degree dim N +
-    1, its first zero term, and never past it."""
+    """Hypercohomology of an all-integer complex, and of the single terms
+    Zmod:2, Zmod:3 and Zmod:4 first, asked in a shuffled order of degrees
+    with max_degree going up and then down, answers as a fresh cover does,
+    so no mod-n group cached on a complex goes stale as it grows; and it
+    builds no total complex: it never assembles the total blocks, and the
+    cover's memo holds its model and descriptor complexes only, each
+    degree of which is extended once.  H^3 of a cone is the mod-n H^2 of
+    the sign -1 column, which reads its d_2, and the mod-n H^3 reads d_j
+    for j the degree 3 folds to (:func:`cechengine._folded`), so the
+    highest degree read is 3 or j + 1.  The sign +1 column is the third
+    term of the last complex, read up to H^(3 - 2), so degree 2.  Neither
+    is built further, except that the alternating fixed complex is built
+    at once to degree dim N + 1, its first zero term, and never past it."""
     extended = []
     inner_extend = exactalg.IntegerCochainComplex.extend
 
@@ -844,7 +858,8 @@ def test_hypercohomology_builds_no_total_complex(entry, monkeypatch):
     cover = _fresh(entry)
     rng = random.Random(entry.name + str(entry.params))
     fresh = {}
-    for fstar in TOTAL_COMPLEXES:
+    mod_terms = tuple(CoefficientComplex((CoefficientSystem.integers_mod(n, -1),)) for n in (2, 3, 4))
+    for fstar in mod_terms + TOTAL_COMPLEXES:
         for md in (1, 3, 4, 2):
             degrees = list(range(md))
             rng.shuffle(degrees)
@@ -853,10 +868,11 @@ def test_hypercohomology_builds_no_total_complex(entry, monkeypatch):
                 if (fstar, k) not in fresh:
                     fresh[fstar, k] = hypercohomology(_fresh(entry), fstar, k, k + 1)
                 assert got == fresh[fstar, k], (fstar, k, md)
-    keys = {key[0] for key in cechengine._covercache[cover]}
-    assert keys == {"_alternating_model", "build_descriptor_complex"}
-    at_once = cechengine._alternating_model(cover).top + 1 if entry.free_action else 0
-    for sign, read in ((-1, 4), (1, 2)):
+    keys = {key[0] for key in cover._memo}
+    assert keys == {"_alternating_model", "build_descriptor_complex", "_descriptor_read"}
+    periodic = cechengine._alternating_model(cover).top + 1
+    at_once = periodic if entry.free_action else 0
+    for sign, read in ((-1, max(3, cechengine._folded(3, periodic) + 1)), (1, 2)):
         column = cechengine.build_descriptor_complex(cover, sign)
         assert column.hi == (at_once or read), sign
         assert sorted(n for c, n in extended if c is column) == list(range(column.hi))
@@ -1121,13 +1137,15 @@ def test_unit_pass_does_the_work_on_the_borel_torus(monkeypatch):
 
 @pytest.mark.parametrize(
     "name, params",
-    [(e.name, e.params) for e in catalog.ENTRIES] + [("torus", ())],
-    ids=[catalog.entry_label(e) for e in catalog.ENTRIES] + ["torus"],
+    [(e.name, e.params) for e in catalog.ENTRIES] + [("torus", ()), ("torus", ("circle_antipodal", "sphere_antipodal"))],
+    ids=[catalog.entry_label(e) for e in catalog.ENTRIES] + ["torus", "torus:circle_antipodal,sphere_antipodal"],
 )
 def test_cover_and_its_cache_die_with_the_last_reference(name, params):
-    """Nothing reachable from a cover's cache refers back to the cover, so
+    """Nothing reachable from a cover's memo refers back to the cover, so
     dropping the last reference frees it and its complexes at once, without
-    waiting for the cyclic garbage collector.  The Borel and descriptor
+    waiting for the cyclic garbage collector; a product whose nerve was
+    read (its class swapped, its memo kept) frees its factors with it.
+    The Borel and descriptor
     complexes, and the oracle total complex read off them, grow on without
     it, up to the zero top dim N + 1 of an
     alternating fixed complex; the ordered complexes, which reach it
@@ -1144,6 +1162,9 @@ def test_cover_and_its_cache_die_with_the_last_reference(name, params):
         deligne.deligne_descriptor(cover, 3, 2)
         assert deligne.flat_cocycle_class(FlatCocycle.zero(cover)).trivial
         assert deligne.cocycles_equivalent(FlatCocycle.zero(cover), FlatCocycle.zero(cover))
+        cover.to_json()
+        assert type(cover) is C2Cover and ("_alternating_model", ()) in cover._memo
+        factors = [weakref.ref(f) for f in cover.factors]
         growing = [cechengine.build_borel_complex(cover, sign, 2) for sign in (-1, 1)]
         growing += [cechengine.build_descriptor_complex(cover, sign) for sign in (-1, 1)]
         growing.append(oracles.total_complex(cover, TOTAL_COMPLEXES[0]))
@@ -1153,7 +1174,7 @@ def test_cover_and_its_cache_die_with_the_last_reference(name, params):
         ordered = [build_full_complex(cover, 2), build_equivariant_complex(cover, IZ, 2)[0]]
         ref = weakref.ref(cover)
         del cover
-        assert ref() is None
+        assert ref() is None and all(f() is None for f in factors)
         for c in growing:
             top = c.hi
             complex_cohomology(c, top + 1)

@@ -220,6 +220,29 @@ def test_exit_cover_file_repeating_a_key(tmp_path, capsys, spaces, field, entry,
     assert message in err and "Traceback" not in err
 
 
+@pytest.mark.parametrize(
+    "field, message",
+    [
+        ("sets", "subset entry ['a0', 'a1', 'a0'] lists index 'a0' twice"),
+        ("components", "subset entry ['a0', 'a1'] lists component 'c01' twice"),
+    ],
+)
+def test_exit_cover_file_repeating_a_name_in_an_entry(tmp_path, capsys, spaces, field, message):
+    """A subset entry that lists a member or a component twice is an input
+    error (exit 2) naming the entry: it is not read as the shorter entry,
+    nor reported as a component that two subsets share."""
+    raw = spaces["circle_antipodal"].to_raw()
+    entry = next(e for e in raw["intersections"] if len(e["sets"]) == 2)
+    entry[field] = entry[field] + entry[field][:1]
+    path = tmp_path / "repeated.json"
+    path.write_text(json.dumps(raw))
+    code, out, err = run(capsys, "compute", "--space", f"@{path}", "--coeff", "iZ", "--max-degree", "2")
+    assert code == 2
+    assert out == ""
+    assert message in err and "Traceback" not in err
+    assert "used by two subsets" not in err
+
+
 def test_exit_degree_range(capsys):
     code, _, _ = run(
         capsys,
@@ -334,20 +357,17 @@ def test_three_factor_torus_answers(capsys):
 def test_exit_internal_invariant_failure(capsys, monkeypatch):
     """A coboundary with d∘d != 0 is the package's fault, not the input's:
     exit 5 with a message, not exit 2 and not a traceback."""
-    inner = cechengine.alternating_differential
+    inner = cechengine._nerve_parts
 
-    def broken(cover, src, dst):
-        d = inner(cover, src, dst)
-        if src.degree != 1:
-            return d
-        d0 = inner(cover, cechengine.alternating_basis(cover, 0), src)
-        bad = d.copy()
+    def broken(cover):
+        diffs, actions = inner(cover)
+        bad = diffs[1].copy()
         # a new entry in row 0 against a nonzero row of d_0 spoils d_1 @ d_0
-        col = next(j for j, row in enumerate(d0.rows) if row)
+        col = next(j for j, row in enumerate(diffs[0].rows) if row)
         bad.set(0, col, bad.get(0, col) + 1)
-        return bad
+        return [diffs[0], bad, *diffs[2:]], actions
 
-    monkeypatch.setattr(cechengine, "alternating_differential", broken)
+    monkeypatch.setattr(cechengine, "_nerve_parts", broken)
     code, out, err = run(
         capsys, "compute", "--space", "sphere_antipodal:2", "--coeff", "iZ", "--max-degree", "2"
     )
@@ -360,13 +380,13 @@ def test_exit_internal_invariant_failure(capsys, monkeypatch):
 def test_exit_broken_involution_is_internal(capsys, monkeypatch):
     """An alternating action whose square is not the identity is caught by
     the engine's own T^2 = id check: exit 5, naming the check."""
-    inner = cechengine.alternating_involution
+    inner = cechengine._nerve_parts
 
-    def rotated(cover, basis):
-        perm, eps = inner(cover, basis)
-        return perm[1:] + perm[:1], eps
+    def rotated(cover):
+        diffs, actions = inner(cover)
+        return diffs, [(perm[1:] + perm[:1], eps) for perm, eps in actions]
 
-    monkeypatch.setattr(cechengine, "alternating_involution", rotated)
+    monkeypatch.setattr(cechengine, "_nerve_parts", rotated)
     code, out, err = run(
         capsys, "compute", "--space", "circle_antipodal", "--coeff", "iZ", "--max-degree", "2"
     )

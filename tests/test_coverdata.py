@@ -310,10 +310,25 @@ def repeat_face(raw):
     raw["faces"].insert(0, dict(last, in_component=raw["faces"][0]["component"]))
 
 
-CORRUPTIONS = (drop_face, repoint_face, break_sigma, drop_subset, fix_index, number_name, repeat_subset, repeat_face)
+def repeat_member(raw):
+    """The first pair's subset entry lists its first member twice."""
+    e = next(e for e in raw["intersections"] if len(e["sets"]) == 2)
+    e["sets"] = e["sets"] + e["sets"][:1]
+
+
+def repeat_component(raw):
+    """The first subset entry lists its first component twice."""
+    e = raw["intersections"][0]
+    e["components"] = e["components"] + e["components"][:1]
+
+
+CORRUPTIONS = (drop_face, repoint_face, break_sigma, drop_subset, fix_index, number_name, repeat_subset, repeat_face,
+               repeat_member, repeat_component)
 # what only a description can spell: a cover's parts hold no name that is
-# not a string and no key twice
-DESCRIPTION_ONLY = (number_name, repeat_subset, repeat_face)
+# not a string, no key twice and no subset member twice; a component
+# listed twice in one entry is refused as such before the cover's parts
+# are read
+DESCRIPTION_ONLY = (number_name, repeat_subset, repeat_face, repeat_member, repeat_component)
 CORRUPTED_SPACES = (("circle_antipodal",), ("circle_conjugation",), ("sphere_antipodal", 2), ("point_trivial_fine",))
 
 
@@ -412,7 +427,7 @@ def raised(cover):
 def assert_nerve_model_matches(cover):
     bases, diffs, actions = oracles.nerve_model_parts(cover)
     top = len(diffs) - 1
-    assert [list(b.elements) for b in cechengine.alternating_bases(cover, top + 1)] == bases
+    assert [list(cechengine.alternating_basis(cover, j).elements) for j in range(top + 2)] == bases
     model = cechengine._nerve_model(cover)
     assert model.top == top
     assert [model.complex.diff(j).rows for j in range(top + 1)] == diffs
