@@ -53,7 +53,7 @@ C_ord)`` is quasi-isomorphic to the orbit complex ``C_ord^{C2}``.
 
 Every per-cover object (bases, coboundaries, the involution's action and
 the complexes built on them) comes from one builder under
-:func:`_per_cover`, which keeps it in the cover's own memo (its
+``coverdata._per_cover``, which keeps it in the cover's own memo (its
 ``_memo`` slot) under the builder's name and positional arguments.  The
 unreduced nerve model's bases, coboundaries and action are the exception:
 one pass builds them (:func:`_nerve_parts`), for the reduction, and they
@@ -73,15 +73,13 @@ the same way (:func:`hypercohomology`).
 
 from __future__ import annotations
 
-from functools import wraps
 from math import gcd
 from weakref import ref
 
-from .coverdata import C2Cover, CoefficientSystem
+from .coverdata import C2Cover, CoefficientSystem, _per_cover
 from .errors import (
     CoverNotFree,
     DegreeOutOfRange,
-    InternalInvariantError,
     InvalidCoefficientComplex,
 )
 from .exactalg import (
@@ -89,6 +87,7 @@ from .exactalg import (
     IntegerCochainComplex,
     SparseIntMatrix,
     _check_commutes,
+    _checked_involution,
     _column_sets,
     _diagonal,
     _eliminate,
@@ -96,24 +95,6 @@ from .exactalg import (
     complex_cohomology,
 )
 from .records import Record
-
-def _per_cover(builder):
-    """Memoize ``builder(cover, *args)`` in the cover's own memo,
-    ``cover._memo``, under the builder's name and its positional arguments;
-    the memo dies with the cover."""
-    name = builder.__name__
-
-    @wraps(builder)
-    def memo(cover, *args):
-        key = (name, args)
-        try:
-            return cover._memo[key]
-        except KeyError:
-            pass
-        value = cover._memo[key] = builder(cover, *args)
-        return value
-
-    return memo
 
 
 def _growing(rank0: int, step) -> IntegerCochainComplex:
@@ -272,6 +253,15 @@ def _orbit_complex(cover: C2Cover, sign: int):
     )
 
 
+@_per_cover
+def _orbit_keys(cover: C2Cover) -> tuple:
+    """The angle key ``(i, j, c)`` of the earlier element of each orbit of
+    the sign -1 orbit complex's degree-1 basis, in orbit order: where
+    ``deligne._equivariant_lift`` reads each orbit coordinate."""
+    keys = [(i, j, c) for (i, j), c in tuple_basis(cover, 1).elements]
+    return tuple(keys[pos] for r, pos in enumerate(basis_involution(cover, 1)) if pos < r)
+
+
 def build_equivariant_complex(cover: C2Cover, coeff: CoefficientSystem, max_degree: int):
     """Integral complex of equivariant cochains, with its embedding.
 
@@ -290,50 +280,6 @@ def build_equivariant_complex(cover: C2Cover, coeff: CoefficientSystem, max_degr
     fixed = _orbit_complex(cover, coeff.sign)
     _carried(fixed[0], max_degree)
     return fixed
-
-
-class AngleLayout(Record):
-    """What checking and lifting a flat angle table needs of its cover.
-
-    ``pairs`` maps every angle key ``(i, j, c)``, one per element of
-    ``tuple_basis(cover, 1)`` (so its keys are the key set), to its
-    reversal partner ``(j, i, c)`` and its image ``(t i, t j, σ c)``.
-    ``triples`` lists ``((i, j, k), c, (j, k, c_i), (i, k, c_j), (i, j,
-    c_k))`` for each component ``c`` of each triple intersection, indices
-    sorted, faces ``c_x`` of ``c``, in the order of ``cover.intersections``.
-    ``orbit_keys`` has, per orbit of the sign -1 orbit complex's degree-1
-    basis, the key of its earlier element.  Only keys are kept, never the
-    cover.
-    """
-
-    __slots__ = ("pairs", "triples", "orbit_keys")
-
-    def __init__(self, pairs: dict, triples: tuple, orbit_keys: tuple):
-        object.__setattr__(self, "pairs", pairs)
-        object.__setattr__(self, "triples", triples)
-        object.__setattr__(self, "orbit_keys", orbit_keys)
-
-
-@_per_cover
-def _angle_layout(cover: C2Cover) -> AngleLayout:
-    keys = [(i, j, c) for (i, j), c in tuple_basis(cover, 1).elements]
-    held = {key: key for key in keys}  # so that every key tuple is held once
-    t, sigma = cover.involution, cover.component_involution
-    pairs = {}
-    for key in keys:
-        i, j, c = key
-        pairs[key] = (held[(j, i, c)], held[(t[i], t[j], sigma[c])])
-    triples = []
-    for subset, comps in cover.intersections.items():
-        if len(subset) != 3:
-            continue
-        i, j, k = ijk = tuple(sorted(subset))
-        for c in comps:
-            jk, ik, ij = (j, k, cover.face(c, i)), (i, k, cover.face(c, j)), (i, j, cover.face(c, k))
-            triples.append((ijk, c, held[jk], held[ik], held[ij]))
-    perm = basis_involution(cover, 1)
-    orbit_keys = tuple(keys[pos] for r, pos in enumerate(perm) if pos < r)
-    return AngleLayout(pairs, tuple(triples), orbit_keys)
 
 
 # ---------------------------------------------------------------------------
@@ -356,16 +302,6 @@ def alternating_basis(cover: C2Cover, j: int) -> TupleBasis:
     return TupleBasis(j, elements, {e: n for n, e in enumerate(elements)})
 
 
-def _checked_action(j: int, perm, eps, n: int):
-    """The signed permutation ``(perm, eps)`` of a degree-``j`` basis of
-    size ``n``, checked to be an involution, ``T^2 = id``."""
-    if len(perm) != n or len(eps) != n or not all(
-        0 <= p < n and perm[p] == r and eps[r] * eps[p] == 1 for r, p in enumerate(perm)
-    ):
-        raise InternalInvariantError(f"alternating action at degree {j}: T^2 != id")
-    return perm, eps
-
-
 class AlternatingModel:
     """The alternating cochains of a cover as every descriptor reads them:
     the plain complex, built to ``top + 1`` and zero above ``top``, and the
@@ -376,7 +312,7 @@ class AlternatingModel:
     __slots__ = ("complex", "actions", "top")
 
     def __init__(self, complex: IntegerCochainComplex, actions: list, top: int):
-        actions = [_checked_action(j, *act, complex.rank(j)) for j, act in enumerate(actions)]
+        actions = [_checked_involution(j, *act, complex.rank(j)) for j, act in enumerate(actions)]
         for j in range(top):
             _check_commutes(complex.diff(j), actions[j], actions[j + 1], j)
         self.complex, self.actions, self.top = complex, actions, top
@@ -519,7 +455,7 @@ def _reduced(model: AlternatingModel) -> AlternatingModel:
         for j in range(top)
     ]
     diffs.append(SparseIntMatrix(0, len(new[top])))
-    # a survivor whose partner is gone maps to -1, which _checked_action refuses
+    # a survivor whose partner is gone maps to -1, which _checked_involution refuses
     actions = [
         ([new[j].get(perm[r], -1) for r in new[j]], [eps[r] for r in new[j]])
         for j, (perm, eps) in enumerate(model.actions[: top + 1])

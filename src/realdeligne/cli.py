@@ -123,6 +123,8 @@ def _cmd_compute(args, cover):
         max_degree = args.max_degree
         if max_degree < 1:
             raise DegreeOutOfRange(f"--max-degree must be at least 1, got {max_degree}")
+        if max_degree > sys.maxsize:  # more degrees than a list can hold
+            raise DegreeOutOfRange(f"--max-degree must be at most {sys.maxsize}, got {max_degree}")
         degrees = list(range(max_degree))
     fn = nonequivariant_cohomology if args.nonequivariant else equivariant_cohomology
     records, lines = [], []

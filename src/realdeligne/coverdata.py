@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import json
 from fractions import Fraction
-from functools import cache
+from functools import cache, wraps
 from itertools import combinations
 from math import lcm
 
@@ -25,6 +25,7 @@ from .errors import (
     INVOLUTION_NOT_SELF_INVERSE,
     MALFORMED_DESCRIPTION,
     NOT_DOWNWARD_CLOSED,
+    CoverMismatch,
     CoverValidationError,
     InvalidCocycle,
 )
@@ -91,7 +92,8 @@ class C2Cover(_WeaklyReferenced):
     invariant checks.
     Instances are immutable by convention and hashable by identity, so they
     can key caches.  A product keeps its two factors in ``factors``, and
-    the engine's memo of a cover lives in ``_memo``, dying with it.
+    what is built once per cover (:func:`_per_cover`) lives in ``_memo``,
+    dying with it.
     """
 
     # _ProductCover swaps its class for this one, so the two keep one layout
@@ -106,7 +108,7 @@ class C2Cover(_WeaklyReferenced):
         "good",
         "compact",
         "factors",  # a product's factors; () for every other cover
-        "_memo",  # (engine builder name, args) -> what it built
+        "_memo",  # (builder name, args) -> what it built
     )
 
     def __init__(
@@ -192,6 +194,25 @@ class C2Cover(_WeaklyReferenced):
             f"C2Cover({self.name!r}, {len(self.indices)} indices, "
             f"{len(self.intersections)} intersecting subsets)"
         )
+
+
+def _per_cover(builder):
+    """Memoize ``builder(cover, *args)`` in the cover's own memo,
+    ``cover._memo``, under the builder's name and its positional arguments;
+    the memo dies with the cover."""
+    name = builder.__name__
+
+    @wraps(builder)
+    def memo(cover, *args):
+        key = (name, args)
+        try:
+            return cover._memo[key]
+        except KeyError:
+            pass
+        value = cover._memo[key] = builder(cover, *args)
+        return value
+
+    return memo
 
 
 def _names(v) -> bool:
@@ -732,15 +753,7 @@ class FlatCocycle:
 
     @classmethod
     def zero(cls, cover: C2Cover) -> "FlatCocycle":
-        angles = {}
-        for subset, comps in cover.intersections.items():
-            if len(subset) != 2:
-                continue
-            i, j = sorted(subset)
-            for c in comps:
-                angles[(i, j, c)] = Fraction(0)
-                angles[(j, i, c)] = Fraction(0)
-        return cls(cover, angles)
+        return cls(cover, dict.fromkeys(_angle_layout(cover).pairs, Fraction(0)))
 
     def _integer_angles(self) -> tuple:
         """``(D, table)``: the angles as integers in ``[0, D)`` over their
@@ -763,8 +776,8 @@ class FlatCocycle:
         """:meth:`_integer_angles` once every check of :meth:`validate` has
         passed on it; the flat classifier reads the table from here.  What
         the checks need of the cover (the key set, each key's partner and
-        image, the faces of each triple) is read from its angle layout,
-        built once per cover by the engine."""
+        image, the faces of each triple) is read from its angle layout
+        (:func:`_angle_layout`), built once per cover."""
         layout = _keys_checked(self.cover, self.angles)
         return _checked_values(layout, *self._integer_angles())
 
@@ -785,11 +798,11 @@ class FlatCocycle:
         return _checked_values(layout, den, table)
 
     def _same_keys(self, other: "FlatCocycle") -> None:
-        """Refuse arithmetic across covers (ValueError) or across angle
-        tables with different key sets (:class:`InvalidCocycle`, naming the
-        first of the two tables whose keys are not the cover's)."""
+        """Refuse arithmetic across covers (:class:`CoverMismatch`) or
+        across angle tables with different key sets (:class:`InvalidCocycle`,
+        naming the first of the two tables whose keys are not the cover's)."""
         if other.cover is not self.cover:
-            raise ValueError("cocycles live on different covers")
+            raise CoverMismatch("cocycles live on different covers")
         if self.angles.keys() != other.angles.keys():  # so one is not the cover's
             _keys_checked(self.cover, self.angles, other.angles)
 
@@ -808,12 +821,52 @@ class FlatCocycle:
         )
 
 
-def _keys_checked(cover: C2Cover, *tables: dict):
-    """The cover's angle layout (``cechengine.AngleLayout``, built once per
-    cover under the engine's memo) once every table has the cover's key
-    set; else :class:`InvalidCocycle` on the first table that has not."""
-    from .cechengine import _angle_layout  # the engine imports this module
+class AngleLayout(Record):
+    """What checking a flat angle table needs of its cover.
 
+    ``pairs`` maps every angle key ``(i, j, c)``, one per ordered pair of
+    distinct indices whose sets meet and component ``c`` of their
+    intersection (so its keys are the key set), to its reversal partner
+    ``(j, i, c)`` and its image ``(t i, t j, σ c)``; it lists ``(i, j, c)``
+    then ``(j, i, c)``, ``i < j``, in the order of ``cover.intersections``.
+    ``triples`` lists ``((i, j, k), c, (j, k, c_i), (i, k, c_j), (i, j,
+    c_k))`` for each component ``c`` of each triple intersection, indices
+    sorted, faces ``c_x`` of ``c``, in the same order.  Only keys are
+    kept, never the cover.
+    """
+
+    __slots__ = ("pairs", "triples")
+
+    def __init__(self, pairs: dict, triples: tuple):
+        object.__setattr__(self, "pairs", pairs)
+        object.__setattr__(self, "triples", triples)
+
+
+@_per_cover
+def _angle_layout(cover: C2Cover) -> AngleLayout:
+    """The cover's angle layout, read off its 2- and 3-subsets."""
+    t, sigma, faces = cover.involution, cover.component_involution, cover.faces
+    held = {}  # every key tuple, held once
+    for subset, comps in cover.intersections.items():
+        if len(subset) == 2:
+            i, j = sorted(subset)
+            held.update((key, key) for c in comps for key in ((i, j, c), (j, i, c)))
+    pairs = {}
+    for key in held:
+        i, j, c = key
+        pairs[key] = (held[j, i, c], held[t[i], t[j], sigma[c]])
+    triples = []
+    for subset, comps in cover.intersections.items():
+        if len(subset) == 3:
+            i, j, k = ijk = tuple(sorted(subset))
+            for c in comps:
+                triples.append((ijk, c, held[j, k, faces[c, i]], held[i, k, faces[c, j]], held[i, j, faces[c, k]]))
+    return AngleLayout(pairs, tuple(triples))
+
+
+def _keys_checked(cover: C2Cover, *tables: dict) -> AngleLayout:
+    """The cover's angle layout once every table has the cover's key set;
+    else :class:`InvalidCocycle` on the first table that has not."""
     layout = _angle_layout(cover)
     expected = layout.pairs.keys()
     for angles in tables:

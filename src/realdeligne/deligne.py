@@ -19,7 +19,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .cechengine import _angle_layout, _orbit_complex, equivariant_cohomology
+from .cechengine import _orbit_complex, _orbit_keys, equivariant_cohomology
 from .coverdata import IZ, C2Cover, FlatCocycle
 from .errors import (
     CoverMismatch,
@@ -217,24 +217,22 @@ def deligne_descriptor(
     )
 
 
-def classify_line_bundles(cover: C2Cover, max_degree: int = 3) -> GroupDescriptor:
+def classify_line_bundles(cover: C2Cover) -> GroupDescriptor:
     """Isomorphism classes of Real line bundles: integral H^2 with sign."""
-    return equivariant_cohomology(cover, IZ, 2, max_degree)
+    return equivariant_cohomology(cover, IZ, 2, 3)
 
 
-def classify_line_bundles_with_connection(
-    cover: C2Cover, max_degree: int = 3
-) -> DeligneDescriptor:
+def classify_line_bundles_with_connection(cover: C2Cover) -> DeligneDescriptor:
     """Real line bundles with Real connection: the (2, 2) mixed descriptor."""
-    return deligne_descriptor(cover, 2, 2, max_degree)
+    return deligne_descriptor(cover, 2, 2)
 
 
-def classify_flat_line_bundles(cover: C2Cover, max_degree: int = 3) -> DeligneDescriptor:
+def classify_flat_line_bundles(cover: C2Cover) -> DeligneDescriptor:
     """Real line bundles with flat Real connection: the (3, 2) descriptor."""
-    return deligne_descriptor(cover, 3, 2, max_degree)
+    return deligne_descriptor(cover, 3, 2)
 
 
-def real_circle_maps(cover: C2Cover, max_degree: int = 2) -> GroupDescriptor:
+def real_circle_maps(cover: C2Cover) -> GroupDescriptor:
     """Homotopy classes of Real maps to the circle: integral H^1 with sign.
 
     Requires a compact space (the compact flag on the cover)."""
@@ -243,7 +241,7 @@ def real_circle_maps(cover: C2Cover, max_degree: int = 2) -> GroupDescriptor:
             f"cover {cover.name!r} is not flagged compact; "
             "circle-map classification needs compactness"
         )
-    return equivariant_cohomology(cover, IZ, 1, max_degree)
+    return equivariant_cohomology(cover, IZ, 1, 2)
 
 
 class QuotientCoefficients(Record):
@@ -258,20 +256,12 @@ class QuotientCoefficients(Record):
         object.__setattr__(self, "torsion", torsion)
 
 
-def quotient_coefficients_cohomology(
-    cover: C2Cover, k: int, max_degree: int | None = None
-) -> QuotientCoefficients:
+def quotient_coefficients_cohomology(cover: C2Cover, k: int) -> QuotientCoefficients:
     """H^k with sign-twisted circle coefficients via the connecting map:
     the free part of degree k feeds the torus, the torsion of degree k+1 is
     hit isomorphically by the connecting homomorphism."""
-    if max_degree is None:
-        max_degree = k + 2
-    if k + 1 > max_degree - 1:
-        raise InsufficientDegree(
-            f"degree k={k} needs max_degree >= {k + 2}, got {max_degree}"
-        )
-    hk = equivariant_cohomology(cover, IZ, k, max_degree)
-    hk1 = equivariant_cohomology(cover, IZ, k + 1, max_degree)
+    hk = equivariant_cohomology(cover, IZ, k, k + 1)
+    hk1 = equivariant_cohomology(cover, IZ, k + 1, k + 2)
     return QuotientCoefficients(torus_dim=hk.rank, torsion=hk1.torsion)
 
 
@@ -318,14 +308,14 @@ def _equivariant_lift(cover: C2Cover, table: dict) -> list:
 
     The earlier element of each orbit takes its angle verbatim and its
     partner, the later one, minus that; the orbit coordinate is the entry
-    at the later position.  ``AngleLayout.orbit_keys`` lists the earlier
+    at the later position.  ``cechengine._orbit_keys`` lists the earlier
     elements' keys.  Freeness of the index involution means no basis
     element partners itself.
     """
-    return [-table[key] for key in _angle_layout(cover).orbit_keys]
+    return [-table[key] for key in _orbit_keys(cover)]
 
 
-def flat_cocycle_class(fc: FlatCocycle, max_degree: int = 3) -> FlatCocycleClass:
+def flat_cocycle_class(fc: FlatCocycle) -> FlatCocycleClass:
     """Classify concrete flat transition angles on their cover.
 
     The rational equivariant lift's coboundary is an integral equivariant
@@ -340,13 +330,9 @@ def flat_cocycle_class(fc: FlatCocycle, max_degree: int = 3) -> FlatCocycleClass
     with that complex's cached rows: the checked obstruction through
     ``R_2``, the lift through ``R_1`` mod ``D`` (it differs from the
     rational cocycle by ``D`` times an integral cochain, and ``R_1`` is
-    integral).  ``max_degree`` is the range check.  The angle table is
-    checked (:meth:`FlatCocycle.validate`) and read once.
+    integral).  The angle table is checked (:meth:`FlatCocycle.validate`)
+    and read once.
     """
-    if max_degree < 3:
-        raise InsufficientDegree(
-            f"the flat class reads degree 2, which needs max_degree >= 3, got {max_degree}"
-        )
     return _flat_class(fc.cover, *fc._checked_angles())
 
 

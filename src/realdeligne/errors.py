@@ -62,7 +62,7 @@ class InvalidCocycle(EngineError):
     """Angle data violating antisymmetry, equivariance or the cocycle rule."""
 
 
-class CoverMismatch(EngineError):
+class CoverMismatch(EngineError, ValueError):
     """Two cocycles living on different covers."""
 
 

@@ -905,6 +905,19 @@ def class_representative(c: IntegerCochainComplex, k: int, coords: ElementCoordi
 # ---------------------------------------------------------------------------
 
 
+def _checked_involution(k: int, perm, eps, n: int):
+    """The signed permutation ``e_i -> eps[i] * e_perm[i]`` of a degree-``k``
+    basis of size ``n``, checked to be an involution, ``T^2 = id``: every
+    image fits the basis and maps back, with the same sign.  The engine
+    supplies these maps itself, so a failure raises
+    InternalInvariantError."""
+    if len(perm) != n or len(eps) != n or not all(
+        0 <= p < n and perm[p] == r and eps[r] * eps[p] == 1 for r, p in enumerate(perm)
+    ):
+        raise InternalInvariantError(f"signed permutation at degree {k}: T^2 != id")
+    return perm, eps
+
+
 def _orbit_basis(k: int, perm, sign: int, n: int, eps):
     """Orbit-sum basis of the lattice fixed by ``e_i -> sign * eps[i] *
     e_perm[i]``.
@@ -919,20 +932,10 @@ def _orbit_basis(k: int, perm, sign: int, n: int, eps):
     lattice, and reading the entries at the representatives is their left
     inverse.  Returns ``(reps, basis)``.
     """
-    if len(perm) != n or len(eps) != n:
-        raise InternalInvariantError(
-            f"permutation at degree {k} has {len(perm)} entries, want {n}"
-        )
-    reps = []
-    for i, j in enumerate(perm):
-        if not 0 <= j < n or perm[j] != i or eps[j] != eps[i]:
-            raise InternalInvariantError(
-                f"permutation at degree {k} does not square to the identity"
-            )
-        if j == i:
-            raise InternalInvariantError(f"permutation at degree {k} fixes position {i}")
-        if j < i:
-            reps.append(i)
+    _checked_involution(k, perm, eps, n)
+    reps = [i for i, j in enumerate(perm) if j < i]
+    if 2 * len(reps) != n:  # an involution whose orbits are not all pairs
+        raise InternalInvariantError(f"permutation at degree {k} fixes {n - 2 * len(reps)} positions")
     basis = SparseIntMatrix(n, len(reps))
     for col, r in enumerate(reps):
         basis.rows[r][col] = 1

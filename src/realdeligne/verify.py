@@ -216,7 +216,7 @@ def suite_bockstein():
     for label, cover in _spaces():
         orbit, _ = _orbit_complex(cover, -1)
         for k in range(4):
-            assembled = quotient_coefficients_cohomology(cover, k, k + 3)
+            assembled = quotient_coefficients_cohomology(cover, k)
             total = hypercohomology(cover, incl, k + 1, k + 3)
             ordered = complex_cohomology(orbit, k + 1).torsion
             if total.rank != 0:

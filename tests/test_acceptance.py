@@ -149,7 +149,7 @@ def test_acceptance_07_circle_coefficients_vs_total_complex(spaces):
     incl = CoefficientComplex((IZ, IQ), ("incl",))
     for label, cover in spaces.items():
         for k in range(4):
-            qc = quotient_coefficients_cohomology(cover, k, k + 3)
+            qc = quotient_coefficients_cohomology(cover, k)
             h = hypercohomology(cover, incl, k + 1, k + 3)
             assert h.rank == 0, (label, k)
             assert h.torsion == qc.torsion, (label, k)

@@ -277,6 +277,7 @@ def test_exit_degree_range(capsys):
     [
         (["--max-degree", "0"], 3, "at least 1, got 0"),
         (["--max-degree", "-1"], 3, "at least 1, got -1"),
+        (["--max-degree", str(sys.maxsize + 1)], 3, f"at most {sys.maxsize}, got {sys.maxsize + 1}"),
     ],
 )
 def test_compute_degree_exit_codes(capsys, argv, code, message):
@@ -285,7 +286,7 @@ def test_compute_degree_exit_codes(capsys, argv, code, message):
     )
     assert got == code
     assert out == ""
-    assert message in err
+    assert message in err and "Traceback" not in err
 
 
 @pytest.mark.parametrize(

@@ -6,6 +6,7 @@ import functools
 import hashlib
 import json
 from fractions import Fraction
+from itertools import combinations_with_replacement
 from pathlib import Path
 
 import numpy as np
@@ -30,10 +31,12 @@ from realdeligne.errors import (
     INVOLUTION_NOT_SELF_INVERSE,
     MALFORMED_DESCRIPTION,
     NOT_DOWNWARD_CLOSED,
+    CoverMismatch,
     CoverValidationError,
     InvalidCocycle,
 )
-from realdeligne.deligne import flat_cocycle_class
+from realdeligne.deligne import cocycles_equivalent, flat_cocycle_class
+from realdeligne.verify import PRODUCT_FACTORS
 
 
 def free_orbit_raw():
@@ -624,6 +627,52 @@ def test_zero_cocycle_validates(spaces):
         FlatCocycle.zero(cover).validate()
 
 
+LAYOUT_SPACES = (
+    [(e.name, *e.params) for e in catalog.ENTRIES]
+    + [("sphere_antipodal", 3)]
+    + [("torus", a, b) for a, b in combinations_with_replacement(PRODUCT_FACTORS, 2)]
+)
+
+
+@pytest.mark.parametrize("space", LAYOUT_SPACES, ids=space_key)
+def test_angle_layout_matches_the_ordered_basis(space):
+    """The angle layout, read off the nerve, has one key per element of the
+    ordered degree-1 basis, each with the partner and image that basis and
+    its involution give; every triple leg is a key; and the orbit keys the
+    flat lift reads are the earlier elements of the orbits of the sign -1
+    orbit complex's degree-1 basis, in its column order."""
+    cover = catalog.build(*space)
+    layout = coverdata._angle_layout(cover)
+    basis = cechengine.tuple_basis(cover, 1)
+    perm = cechengine.basis_involution(cover, 1)
+    keys = [(i, j, c) for (i, j), c in basis.elements]
+    assert layout.pairs == {
+        key: ((key[1], key[0], key[2]), keys[perm[pos]]) for pos, key in enumerate(keys)
+    }
+    assert list(FlatCocycle.zero(cover).angles) == list(layout.pairs)
+    assert {leg for triple in layout.triples for leg in triple[2:]} <= layout.pairs.keys()
+    _, bases = cechengine.build_equivariant_complex(cover, coverdata.IZ, 2)
+    orbits = [[] for _ in range(bases[1].ncols)]
+    for pos, row in enumerate(bases[1].rows):
+        for col in row:
+            orbits[col].append(pos)
+    assert cechengine._orbit_keys(cover) == tuple(keys[min(orbit)] for orbit in orbits)
+
+
+@pytest.mark.parametrize("space", [("circle_conjugation",), ("torus", "circle_antipodal", "sphere_antipodal")], ids=space_key)
+def test_zero_cocycle_needs_no_ordered_basis(space, monkeypatch):
+    """Checking angles reads only the nerve: a fresh cover's zero cocycle
+    validates with the ordered-tuple basis and its involution unavailable."""
+
+    def refused(*args):
+        raise AssertionError("the ordered basis was read")
+
+    monkeypatch.setattr(cechengine, "tuple_basis", refused)
+    monkeypatch.setattr(cechengine, "basis_involution", refused)
+    cover = catalog.build(*space)
+    FlatCocycle.zero(cover).validate()
+
+
 def test_cocycle_key_completeness(spaces):
     cover = spaces["circle_antipodal"]
     fc = FlatCocycle.zero(cover)
@@ -751,6 +800,17 @@ def test_cocycle_difference_same_cover(spaces):
     other = FlatCocycle.zero(spaces["point_trivial"])
     with pytest.raises(ValueError):
         _ = a - other
+
+
+def test_cross_cover_arithmetic_is_a_cover_mismatch(spaces):
+    """Arithmetic and equivalence across covers raise the one exception
+    for that fault, which is also a ValueError."""
+    a = FlatCocycle.zero(spaces["circle_antipodal"])
+    other = FlatCocycle.zero(spaces["point_trivial"])
+    for attempt in (lambda: a - other, lambda: a + other, lambda: cocycles_equivalent(a, other)):
+        with pytest.raises(CoverMismatch, match="different covers"):
+            attempt()
+    assert issubclass(CoverMismatch, ValueError)
 
 
 def test_coefficient_system_spellings():

@@ -10,7 +10,7 @@ import pytest
 
 import flathelp
 import oracles
-from realdeligne import catalog, cechengine
+from realdeligne import catalog, cechengine, coverdata
 from realdeligne.cechengine import (
     build_equivariant_complex,
     cech_differential,
@@ -127,8 +127,6 @@ def test_degree_window_too_small(spaces):
     point = spaces["point_trivial"]
     with pytest.raises(InsufficientDegree):
         deligne_descriptor(point, 2, 2, max_degree=2)
-    with pytest.raises(InsufficientDegree):
-        quotient_coefficients_cohomology(point, 1, max_degree=2)
     with pytest.raises(ValueError):
         deligne_descriptor(point, -1, 0)
 
@@ -330,8 +328,8 @@ def test_warm_flat_class_reads_neither_the_cover_nor_d2(space, monkeypatch):
 
 def test_angle_layout_is_built_once_per_cover(monkeypatch):
     built = []
-    layout = cechengine.AngleLayout
-    monkeypatch.setattr(cechengine, "AngleLayout", lambda *parts: built.append(parts) or layout(*parts))
+    layout = coverdata.AngleLayout
+    monkeypatch.setattr(coverdata, "AngleLayout", lambda *parts: built.append(parts) or layout(*parts))
     cover = catalog.build("circle_conjugation")
     rng = np.random.RandomState(9)
     gens = flathelp.class_generators(cover)
@@ -630,10 +628,3 @@ def test_flat_class_reads_the_orbit_complex_to_degree_three(entry):
         assert cechengine._orbit_complex(cold, -1)[0].hi == 3
         want = flat_cocycle_class(fc)
         assert repr(got) == repr(want)
-
-
-def test_flat_class_degree_window_too_small(spaces):
-    fc = FlatCocycle.zero(spaces["circle_conjugation"])
-    with pytest.raises(InsufficientDegree):
-        flat_cocycle_class(fc, max_degree=2)
-    assert flat_cocycle_class(fc, max_degree=3).trivial
