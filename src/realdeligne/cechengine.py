@@ -57,13 +57,20 @@ the complexes built on them) comes from one builder under
 ``_memo`` slot) under the builder's name and positional arguments.  The
 unreduced nerve model's bases, coboundaries and action are the exception:
 one pass builds them (:func:`_nerve_parts`), for the reduction, and they
-are not kept.  A complex is a seed plus a grower that returns the differential out of its top degree, and reading a
-degree extends it to there, so, as H^k reads d_(k-1) and d_k, each degree
-is built and checked once and never past the highest degree read + 1;
-``max_degree`` is only a range check.  The alternating complexes are built
-at once to degree top + 1 of their model and grow only zero terms above
-it.  No grower holds the cover (the ordered ones reach it through a weak
-reference), so a cover and its memo die with its last reference.
+are not kept.  That pass reads each subset's sorted members and each
+component's faces from the rows the structural check
+(``coverdata._checked``) left in the memo, and takes them out, so a cold
+cover's nerve is sorted and looked up once, from the check to the
+reduced model; a cover that never went through the check has its rows
+read by the same function (``coverdata._nerve_rows``).  A complex is a
+seed plus a grower that returns the differential out of its top degree,
+and reading a degree extends it to there, so, as H^k reads d_(k-1) and
+d_k, each degree is built and checked once and never past the highest
+degree read + 1; ``max_degree`` is only a range check.  The alternating
+complexes are built at once to degree top + 1 of their model and grow
+only zero terms above it.  No grower holds the cover (the ordered ones
+reach it through a weak reference), so a cover and its memo die with its
+last reference.
 Rational ranks are read off the same Smith diagonals as the integral
 groups, and mod-n groups come from the integral complexes by universal
 coefficients degreewise, cached like them; hypercohomology splits its
@@ -76,7 +83,7 @@ from __future__ import annotations
 from math import gcd
 from weakref import ref
 
-from .coverdata import C2Cover, CoefficientSystem, _per_cover
+from .coverdata import C2Cover, CoefficientSystem, _nerve_rows, _per_cover
 from .errors import (
     CoverNotFree,
     DegreeOutOfRange,
@@ -287,18 +294,14 @@ def build_equivariant_complex(cover: C2Cover, coeff: CoefficientSystem, max_degr
 # ---------------------------------------------------------------------------
 
 
-def _nerve_order(cover: C2Cover) -> list:
-    """Every alternating basis element as ``(size, sorted members,
-    component)``, in basis order."""
-    return sorted((len(s), sorted(s), c) for s, comps in cover.intersections.items() for c in comps)
-
-
 def alternating_basis(cover: C2Cover, j: int) -> TupleBasis:
     """The degree-``j`` alternating basis, in the order of the nerve model
     (:func:`_nerve_parts`): the sorted ``(j + 1)``-subsets with a nonempty
     intersection, one element per component, listed like
     :func:`tuple_basis`; empty above the nerve's dimension."""
-    elements = tuple((tuple(members), c) for n, members, c in _nerve_order(cover) if n == j + 1)
+    elements = tuple(sorted(
+        (tuple(sorted(s)), c) for s, comps in cover.intersections.items() if len(s) == j + 1 for c in comps
+    ))
     return TupleBasis(j, elements, {e: n for n, e in enumerate(elements)})
 
 
@@ -381,20 +384,42 @@ def _nerve_parts(cover: C2Cover):
     (unique in a checked cover): ``(s, c)`` has the row ``{pos[c_i]:
     (-1)^k}`` in ``δ_alt``, ``c_i`` the face of ``c`` without its ``k``-th
     member ``i``, and T takes it to ``eps`` times ``pos[σ c]``, ``eps`` the
-    sign of the sort that puts the relabelled members back in order."""
-    top = max(map(len, cover.intersections), default=1) - 1
-    t, sigma, faces = cover.involution, cover.component_involution, cover.faces
-    pos, comps, eps = {}, [[] for _ in range(top + 1)], [[] for _ in range(top + 1)]
+    sign of the sort that puts the relabelled members back in order.
+
+    Each subset's members and each component's faces are the rows the
+    structural check left in the cover's memo, taken out here, or read
+    by the same function for a cover that never went through the check
+    (``coverdata._nerve_rows``).  The sort sign counts inversions among the
+    ranks of the images in the sorted index order."""
+    members, faces = _nerve_rows(cover)
+    intersections, t, sigma = cover.intersections, cover.involution, cover.component_involution
+    rank = {i: n for n, i in enumerate(sorted(cover.indices))}
+    image_rank = {i: rank[t[i]] for i in cover.indices}.__getitem__
+    top = max(map(len, intersections), default=1) - 1
+    signs = (1, -1) * (top // 2 + 1)  # (-1)^k for every member k
+    # degree 0 by member then component; a singleton's sort sign is 1
+    points = sorted((i, c) for s, comps in intersections.items() if len(s) == 1 for i in s for c in comps)
+    comps = [[c for _, c in points]] + [[] for _ in range(top)]
+    eps = [[1] * len(points)] + [[] for _ in range(top)]
+    pos = {c: n for n, c in enumerate(comps[0])}
+    place = pos.__getitem__
     rows = [[] for _ in range(top + 2)]  # rows[j]: the rows of d_(j-1)
-    for n, members, c in _nerve_order(cover):
-        j = n - 1
-        pos[c] = len(comps[j])
-        comps[j].append(c)
-        if j:  # every face lies one degree down, so is already placed
-            rows[j].append({pos[faces[c, i]]: -1 if k % 2 else 1 for k, i in enumerate(members)})
-        image = [t[i] for i in members]
-        inversions = sum(a > b for k, a in enumerate(image) for b in image[k + 1 :])
-        eps[j].append(-1 if inversions % 2 else 1)
+    for s in sorted(sorted(members, key=members.__getitem__), key=len):
+        m = members[s]
+        j = len(m) - 1
+        inversions = seen = 0  # seen: the image ranks of the earlier members
+        for r in map(image_rank, m):
+            inversions += (seen >> r).bit_count()
+            seen |= 1 << r
+        e = -1 if inversions % 2 else 1
+        level, signed, below = comps[j], eps[j], rows[j]
+        pieces = intersections[s]
+        for c in pieces if len(pieces) == 1 else sorted(pieces):
+            pos[c] = len(level)
+            level.append(c)
+            signed.append(e)
+            # every face lies one degree down, so is already placed
+            below.append(dict(zip(map(place, faces[c]), signs)))
     diffs = [SparseIntMatrix(len(rows[j + 1]), len(comps[j]), rows[j + 1]) for j in range(top + 1)]
     return diffs, [([pos[sigma[c]] for c in comps[j]], eps[j]) for j in range(top + 1)]
 

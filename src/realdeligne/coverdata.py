@@ -15,8 +15,9 @@ from __future__ import annotations
 import json
 from fractions import Fraction
 from functools import cache, wraps
-from itertools import combinations
+from itertools import chain, combinations
 from math import lcm
+from operator import itemgetter
 
 from .errors import (
     FACE_INCOHERENCE,
@@ -323,9 +324,28 @@ def _without(members: list, i) -> list:
     return [x for x in members if x != i]
 
 
+# where a checked cover keeps its nerve rows (:func:`_nerve_rows`)
+_ROWS = ("_nerve_rows", ())
+
+
+def _face_rows(members: dict, intersections: dict, faces: dict) -> dict:
+    """Each component of a subset keying ``members``, which holds each
+    subset's members in order, to its faces by member in that order: the
+    component ``faces`` lists, or None where it lists none.  A component of
+    two subsets keeps the row of the later one."""
+    get = faces.get
+    return {c: [get((c, i)) for i in m] for s, m in members.items() for c in intersections[s]}
+
+
 def _checked(cover: C2Cover) -> C2Cover:
     """Every structural check on a cover's parts: ``cover`` itself when it
-    passes, else a :class:`CoverValidationError` with every violation."""
+    passes, else a :class:`CoverValidationError` with every violation.
+
+    The face checks read each component's faces from :func:`_face_rows`.
+    A cover that passes keeps those rows, with its subsets' members, in its
+    memo until the nerve model takes them (:func:`_nerve_rows`), so a cold
+    cover's nerve is sorted and looked up once; while they are there, the
+    builders know it passed (:func:`_checked_but_freeness`)."""
     indices, involution, intersections = cover.indices, cover.involution, cover.intersections
     faces, comp_inv = cover.faces, cover.component_involution
     violations = []
@@ -374,43 +394,55 @@ def _checked(cover: C2Cover) -> C2Cover:
         if bit[i] not in masks:
             add((NOT_DOWNWARD_CLOSED, f"singleton {{{i!r}}} missing from intersections"))
 
-    # downward closure, one step at a time; ``below`` holds each subset's
-    # members in order and its one-step drops in that order (as masks where
-    # it has one), for every later pass to read
-    below = {}
+    # downward closure, one step at a time.  ``members_of`` and ``drops_of``
+    # hold each subset of known indices' members in order and its one-step
+    # drops as masks, in that order, for every later pass to read; a subset
+    # with unknown indices is dropped as sets, and read by no later pass
+    members_of, drops_of = {}, {}
+    bit_of = bit.__getitem__
     for subset in intersections:
         if len(subset) < 2:
             continue
         members, m = sorted(subset), mask_of.get(subset)
-        drops = [subset - {i} for i in members] if m is None else [m ^ bit[i] for i in members]
-        below[subset] = members, drops
+        if m is None:
+            drops, known = [subset - {i} for i in members], intersections
+        else:
+            members_of[subset] = members
+            drops = drops_of[subset] = list(map(m.__xor__, map(bit_of, members)))
+            if masks.issuperset(drops):
+                continue
+            known = masks
         for i, smaller in zip(members, drops):
-            if smaller not in (intersections if m is None else masks):
+            if smaller not in known:
                 add((NOT_DOWNWARD_CLOSED, f"subset {members} intersects but {_without(members, i)} carries no components"))
 
     # face maps: defined exactly on (component, member of support), landing
-    # in the right subset, coherent under dropping two elements.  ``landed``
-    # lists each component's faces by member, the target where it lands
-    # right and None elsewhere; the later checks read only those
-    faces_get, support_get, mask_get = faces.get, support_of.get, mask_at.get
-    landed, found = {}, 0
-    for c, subset in support_of.items():
-        if len(subset) < 2:
-            continue
-        members, drops = below[subset]
-        row = landed[c] = []
-        for i, smaller in zip(members, drops):
-            target = faces_get((c, i))
-            if target is None:
-                add((FACE_INCOHERENCE, f"face of component {c!r} dropping {i!r} is missing"))
-            else:
-                found += 1
-                if mask_get(target) == smaller:
-                    row.append(target)
+    # in the right subset, coherent under dropping two elements.  Each row
+    # keeps the face where it lands right and None elsewhere; the later
+    # checks read only those.  With no violation yet, each listed component
+    # has one support, so the rows run in support order and one comparison
+    # finds every face listed and landing right
+    rows = _face_rows(members_of, intersections, faces)
+    mask_get, support_get = mask_at.get, support_of.get
+    targets = list(chain.from_iterable(rows.values()))
+    found = len(targets)
+    if violations or list(map(mask_get, targets)) != list(
+        chain.from_iterable(map(drops_of.__getitem__, map(support_of.__getitem__, rows)))
+    ):
+        found = 0
+        for c, subset in support_of.items():
+            if len(subset) < 2:
+                continue
+            members, drops, row = members_of[subset], drops_of[subset], rows[c]
+            for k, (i, smaller, target) in enumerate(zip(members, drops, row)):
+                if target is None:
+                    add((FACE_INCOHERENCE, f"face of component {c!r} dropping {i!r} is missing"))
                     continue
-                add((FACE_INCOHERENCE, f"face of {c!r} dropping {i!r} lands in {target!r}, "
-                                       f"which is not a component of {_without(members, i)}"))
-            row.append(None)
+                found += 1
+                if mask_get(target) != smaller:
+                    add((FACE_INCOHERENCE, f"face of {c!r} dropping {i!r} lands in {target!r}, "
+                                           f"which is not a component of {_without(members, i)}"))
+                    row[k] = None
     if found != len(faces):  # else every face entry was just read at a support
         for (c, i) in faces:
             subset = support_get(c)
@@ -419,16 +451,17 @@ def _checked(cover: C2Cover) -> C2Cover:
 
     # dropping members a < b: the face of c without a, then without b (at
     # position b - 1 there), against the other order
-    for c, row in landed.items():
-        if len(row) < 3:
+    for c, subset in support_of.items():
+        if len(subset) < 3:
             continue
-        members = below[support_of[c]][0]
+        row = rows[c]
         for a, b in combinations(range(len(row)), 2):
             ci, cj = row[a], row[b]
             if ci is None or cj is None:
                 continue  # already reported above
-            via_i, via_j = landed[ci][b - 1], landed[cj][a]
+            via_i, via_j = rows[ci][b - 1], rows[cj][a]
             if via_i is not None and via_j is not None and via_i != via_j:
+                members = members_of[subset]
                 add((FACE_INCOHERENCE, f"dropping {members[a]!r} then {members[b]!r} from {c!r} gives "
                                        f"{via_i!r} but the other order gives {via_j!r}"))
 
@@ -448,20 +481,41 @@ def _checked(cover: C2Cover) -> C2Cover:
                                            f"of {sorted(support_of[sc])}, expected a component of {sorted(map(image, subset))}"))
     for c in sorted(comp_inv.keys() - support_of.keys()):
         add((INVOLUTION_FACE_MISMATCH, f"component involution defined on unknown component {c!r}"))
-    for c, row in landed.items():
-        sc = comp_inv.get(c)
-        if sc not in support_of:
-            continue
-        for i, f in zip(below[support_of[c]][0], row):
-            if f is None or f not in comp_inv:
+    # every face entry at once first: where σ of each listed face is the
+    # listed face of σ c without t(i), or neither is listed, no component
+    # disagrees
+    faces_get, sigma_get = faces.get, comp_inv.get
+    mirrored = zip(map(sigma_get, map(itemgetter(0), faces)), map(involution.get, map(itemgetter(1), faces)))
+    if list(map(sigma_get, faces.values())) != list(map(faces_get, mirrored)):
+        for c, subset in support_of.items():
+            sc = comp_inv.get(c)
+            if len(subset) < 2 or sc not in support_of:
                 continue
-            rhs = faces_get((sc, involution[i]))
-            if rhs is not None and comp_inv[f] != rhs:
-                add((INVOLUTION_FACE_MISMATCH, f"involution and face maps disagree on component {c!r} dropping {i!r}"))
+            for i, f in zip(members_of[subset], rows[c]):
+                if f is None or f not in comp_inv:
+                    continue
+                rhs = faces_get((sc, involution[i]))
+                if rhs is not None and comp_inv[f] != rhs:
+                    add((INVOLUTION_FACE_MISMATCH,
+                         f"involution and face maps disagree on component {c!r} dropping {i!r}"))
 
     if violations:
         raise CoverValidationError(violations)
+    cover._memo[_ROWS] = members_of, rows
     return cover
+
+
+def _nerve_rows(cover: C2Cover) -> tuple:
+    """``(members, rows)`` of a cover's subsets of two or more members: each
+    subset's members in order, and each component's faces by member
+    (:func:`_face_rows`).  A cover that passed :func:`_checked` gives up the
+    rows the check left in its memo, so they are read once; any other
+    cover's are read here, by the same function."""
+    held = cover._memo.pop(_ROWS, None)
+    if held is None:
+        members = {s: sorted(s) for s in cover.intersections if len(s) > 1}
+        held = members, _face_rows(members, cover.intersections, cover.faces)
+    return held
 
 
 # ---------------------------------------------------------------------------
@@ -479,7 +533,11 @@ def _primed(name: str, used) -> str:
 def _checked_but_freeness(cover: C2Cover) -> bool:
     """Every structural check on ``cover`` but freeness: whether it is
     free too, or a :class:`CoverValidationError` with every other
-    violation."""
+    violation.  A cover whose nerve rows are still in its memo passed
+    every check, freeness included, and has not been read since
+    (:func:`_checked`), so it is not checked again."""
+    if _ROWS in cover._memo:
+        return True
     try:
         _checked(cover)
         return True
@@ -498,7 +556,8 @@ def double_fixed_indices(raw) -> C2Cover:
     that is already free passes through unchanged (up to validation).
     ``raw`` is a cover description, shape-checked as by
     :func:`validate_cover`, or a :class:`C2Cover`, whose parts are checked
-    as they stand.
+    as they stand unless they passed every check and were not read since
+    (:func:`_checked_but_freeness`).  The doubled cover is checked in full.
     """
     cover = raw if isinstance(raw, C2Cover) else _read(raw)
     if _checked_but_freeness(cover):
@@ -714,8 +773,10 @@ def product_cover(a: C2Cover, b: C2Cover, name: str | None = None) -> C2Cover:
     ``component_involution``) stays lazy: it is built, and every structural
     check runs on it, on first read (``to_json``, the flat classifier,
     :class:`FlatCocycle`, ``verify``).  Here each factor runs every check
-    but freeness (a product factor ran them when built), and the pair
-    indices must be distinct and free, else :class:`CoverValidationError`.
+    but freeness, unless it is a product, which ran them when built, or
+    passed them all and was not read since, as a fresh catalog cover has
+    (:func:`_checked_but_freeness`).  The pair indices must be distinct
+    and free, else :class:`CoverValidationError`.
     """
     for factor in (a, b):
         if not factor.factors:  # a product factor was checked when it was built

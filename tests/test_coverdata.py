@@ -15,7 +15,7 @@ from hypothesis import given, settings, strategies as st
 
 import flathelp
 import oracles
-from realdeligne import catalog, cechengine, coverdata
+from realdeligne import catalog, cechengine, coverdata, verify
 from realdeligne.coverdata import (
     C2Cover,
     CoefficientSystem,
@@ -377,12 +377,66 @@ def test_hand_made_violations_match_golden(make):
 @pytest.mark.parametrize("corruption", (repoint_face, break_sigma, drop_subset, fix_index), ids=lambda f: f.__name__)
 def test_builders_check_hand_made_covers(corruption):
     """Products and doubling run every structural check on what they make,
-    so a broken factor or a broken cover to double is refused."""
+    so a broken factor or a broken cover to double is refused, with the
+    violations the check itself finds, and leaves no rows behind."""
     bad = unchecked(corrupted(("circle_antipodal",), corruption))
+    want = raised(bad)
+    assert want and want == oracles.cover_violations(bad)
     free = catalog.build("free_orbit")
     for make in (lambda: product_cover(bad, free), lambda: product_cover(free, bad), lambda: double_fixed_indices(bad)):
-        with pytest.raises(CoverValidationError):
+        with pytest.raises(CoverValidationError) as err:
             make()
+        assert err.value.violations == want
+    assert coverdata._ROWS not in bad._memo
+
+
+def counted_checks(monkeypatch) -> list:
+    """The covers ``coverdata._checked`` runs on from here on."""
+    calls, inner = [], coverdata._checked
+
+    def counted(cover):
+        calls.append(cover)
+        return inner(cover)
+
+    for module in (coverdata, catalog):
+        monkeypatch.setattr(module, "_checked", counted)
+    return calls
+
+
+@pytest.mark.parametrize(
+    "space, checks",
+    [pytest.param(space, checks, id=space_key(space)) for space, checks in (
+        (("sphere_antipodal", 3), 1), (("torus",), 2), (("torus", "circle_antipodal", "circle_antipodal_fine"), 2),
+        (("torus", "circle_conjugation", "circle_antipodal"), 3), (("point_trivial_fine",), 2),
+    )],
+)
+def test_catalog_checks_each_cover_once(monkeypatch, space, checks):
+    """A catalog cover is checked once, when it is made, and keeps the
+    check's rows in its memo until its model reads them, which takes them
+    out.  A product does not check its factors again (a torus of two
+    circles makes two checks, not four), and a doubled cover is checked
+    once before doubling (which finds its fixed indices) and once after."""
+    calls = counted_checks(monkeypatch)
+    cover = catalog.build(*space)
+    assert len(calls) == checks
+    read = cover.factors or (cover,)
+    assert all(set(c._memo) == {coverdata._ROWS} for c in read)
+    cechengine._alternating_model(cover)
+    assert not any(coverdata._ROWS in c._memo for c in read)
+
+
+def test_a_cover_read_since_its_check_is_checked_again(monkeypatch):
+    """Once its model has taken the check's rows, a cover given to a
+    builder is checked again, which leaves new rows; a cover whose rows
+    are still there is not."""
+    cover, free = catalog.build("circle_antipodal"), catalog.build("free_orbit")
+    cechengine._alternating_model(cover)
+    calls = counted_checks(monkeypatch)
+    product_cover(cover, free)
+    assert calls == [cover] and coverdata._ROWS in cover._memo
+    assert double_fixed_indices(cover) is cover and calls == [cover]
+    cechengine._nerve_model(cover)
+    assert double_fixed_indices(cover) is cover and calls == [cover, cover]
 
 
 def test_validation_is_idempotent_on_catalog(spaces):
@@ -428,20 +482,58 @@ def raised(cover):
 
 
 def assert_nerve_model_matches(cover):
+    """The reference's bases, differentials and actions, in the nerve model
+    of ``cover``, which reads the rows the check left in its memo where
+    there are any and takes them out, and in that of a copy of its parts
+    that never went through the check."""
     bases, diffs, actions = oracles.nerve_model_parts(cover)
     top = len(diffs) - 1
     assert [list(cechengine.alternating_basis(cover, j).elements) for j in range(top + 2)] == bases
-    model = cechengine._nerve_model(cover)
-    assert model.top == top
-    assert [model.complex.diff(j).rows for j in range(top + 1)] == diffs
-    assert [(list(p), list(e)) for p, e in model.actions] == actions
+    parts = (cover.name, cover.involution_name, cover.indices, cover.involution, cover.intersections,
+             cover.faces, cover.component_involution, cover.good, cover.compact)
+    for read in (cover, C2Cover(*parts)):
+        model = cechengine._nerve_model(read)
+        assert coverdata._ROWS not in read._memo
+        assert model.top == top
+        assert [model.complex.diff(j).rows for j in range(top + 1)] == diffs
+        assert [(list(p), list(e)) for p, e in model.actions] == actions
 
 
 @pytest.mark.parametrize("space", REFERENCE_SPACES, ids=space_key)
 def test_nerve_model_matches_the_reference(space):
     cover = reference_cover(space)
     assert raised(cover) == oracles.cover_violations(cover) == []
+    assert coverdata._ROWS in cover._memo
     assert_nerve_model_matches(cover)
+
+
+DOUBLED = {
+    "point of three sets": lambda: double_fixed_indices(catalog._point(3, "p3")),
+    "conjugation circle": lambda: double_fixed_indices(catalog._conjugation_circle()),
+    "point description": lambda: double_fixed_indices(point_raw()),
+    "conjugation circle doubled twice":
+        lambda: double_fixed_indices(double_fixed_indices(catalog._conjugation_circle())),
+}
+
+
+@pytest.mark.parametrize("name", DOUBLED)
+def test_doubled_nerve_model_matches_the_reference(name):
+    """Doubling checks what it makes and leaves the check's rows, which
+    the nerve model reads; doubling a free cover again returns it
+    without a second check, rows and all."""
+    cover = DOUBLED[name]()
+    assert oracles.cover_violations(cover) == [] and coverdata._ROWS in cover._memo
+    assert_nerve_model_matches(cover)
+
+
+def test_product_nerve_without_rows_matches_the_reference():
+    """A product's nerve as ``verify`` reads it (``_nerve_only``) never
+    went through the check as a cover of its own, so it holds no rows and
+    its nerve model reads them from its parts."""
+    for factors in (("circle_antipodal", "circle_conjugation"), ("point_trivial_fine", "sphere_antipodal")):
+        nerve = verify._nerve_only(catalog.build("torus", *factors))
+        assert not nerve._memo
+        assert_nerve_model_matches(nerve)
 
 
 def components(parts):
@@ -484,7 +576,18 @@ class NothingToMutate(Exception):
     pass
 
 
-MUTATIONS = (drop_a_face, redirect_a_face, drop_a_subset, break_the_involution, rename_a_component, add_a_stray_face)
+def relist(pick, parts):
+    """The same cover listed in another order: its subsets, faces and
+    component involution rotated, each subset's components reversed."""
+    for key in ("intersections", "faces", "component_involution"):
+        items = list(parts[key].items())
+        k = pick(range(len(items)))
+        parts[key] = dict(items[k:] + items[:k])
+    parts["intersections"] = {s: comps[::-1] for s, comps in parts["intersections"].items()}
+
+
+MUTATIONS = (drop_a_face, redirect_a_face, drop_a_subset, break_the_involution, rename_a_component, add_a_stray_face,
+             relist)
 
 
 @settings(max_examples=150, deadline=None)
@@ -492,8 +595,9 @@ MUTATIONS = (drop_a_face, redirect_a_face, drop_a_subset, break_the_involution, 
 def test_checks_raise_the_reference_violations(space, mutations, data):
     """Mutated catalog covers, S^3 and a re-read product nerve: the checks
     raise the reference's violations, the same kinds and messages in the
-    same order, and a mutant that is still valid has the reference's
-    nerve model."""
+    same order, and a mutant that is still valid (a relisted cover is) has
+    the reference's nerve model, read from the check's rows and from its
+    parts."""
     base = reference_cover(space)
     parts = {
         "indices": base.indices, "involution": dict(base.involution),
@@ -515,6 +619,7 @@ def test_checks_raise_the_reference_violations(space, mutations, data):
     want = oracles.cover_violations(cover)
     assert raised(cover) == want
     if not want:
+        assert coverdata._ROWS in cover._memo
         assert_nerve_model_matches(cover)
 
 
