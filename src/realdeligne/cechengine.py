@@ -294,17 +294,6 @@ def build_equivariant_complex(cover: C2Cover, coeff: CoefficientSystem, max_degr
 # ---------------------------------------------------------------------------
 
 
-def alternating_basis(cover: C2Cover, j: int) -> TupleBasis:
-    """The degree-``j`` alternating basis, in the order of the nerve model
-    (:func:`_nerve_parts`): the sorted ``(j + 1)``-subsets with a nonempty
-    intersection, one element per component, listed like
-    :func:`tuple_basis`; empty above the nerve's dimension."""
-    elements = tuple(sorted(
-        (tuple(sorted(s)), c) for s, comps in cover.intersections.items() if len(s) == j + 1 for c in comps
-    ))
-    return TupleBasis(j, elements, {e: n for n, e in enumerate(elements)})
-
-
 class AlternatingModel:
     """The alternating cochains of a cover as every descriptor reads them:
     the plain complex, built to ``top + 1`` and zero above ``top``, and the
@@ -379,12 +368,15 @@ def _tensor_model(a: AlternatingModel, b: AlternatingModel) -> AlternatingModel:
 
 def _nerve_parts(cover: C2Cover):
     """``(diffs, actions)`` of the unreduced nerve model in degrees ``0 ..
-    top`` (the nerve's dimension), from one pass over the basis elements in
-    :func:`alternating_basis` order, positions keyed by component id
-    (unique in a checked cover): ``(s, c)`` has the row ``{pos[c_i]:
-    (-1)^k}`` in ``δ_alt``, ``c_i`` the face of ``c`` without its ``k``-th
-    member ``i``, and T takes it to ``eps`` times ``pos[σ c]``, ``eps`` the
-    sign of the sort that puts the relabelled members back in order.
+    top`` (the nerve's dimension), from one pass over each degree's basis
+    elements ``(s, c)``: in degree ``j`` the sorted ``(j + 1)``-subsets
+    ``s`` with a nonempty intersection and their components ``c``, in
+    sorted order, as :func:`tuple_basis` lists them.  Positions are keyed
+    by component id (unique in a checked cover): ``(s, c)`` has the row
+    ``{pos[c_i]: (-1)^k}`` in ``δ_alt``, ``c_i`` the face of ``c`` without
+    its ``k``-th member ``i``, and T takes it to ``eps`` times ``pos[σ c]``,
+    ``eps`` the sign of the sort that puts the relabelled members back in
+    order.
 
     Each subset's members and each component's faces are the rows the
     structural check left in the cover's memo, taken out here, or read
@@ -501,7 +493,7 @@ def build_alternating_complex(cover: C2Cover) -> IntegerCochainComplex:
     """The plain complex of the cover's reduced alternating model, one per
     cover: built to its top + 1 at once, zero above.  It is chain homotopy
     equivalent to the alternating cochains; its ranks are the reduced
-    model's, not the sizes of ``alternating_basis``."""
+    model's, not the sizes of the nerve's alternating bases."""
     return _alternating_model(cover).complex
 
 

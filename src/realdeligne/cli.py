@@ -21,6 +21,7 @@ from .cechengine import equivariant_cohomology, nonequivariant_cohomology
 from .coverdata import C2Cover, CoefficientSystem
 from .deligne import (
     DISCRETE,
+    DeligneDescriptor,
     classify_flat_line_bundles,
     classify_line_bundles,
     classify_line_bundles_with_connection,
@@ -30,7 +31,6 @@ from .deligne import (
 from .errors import (
     CoverValidationError,
     DegreeOutOfRange,
-    InsufficientDegree,
     InternalInvariantError,
     NotCompact,
     UnknownSpace,
@@ -99,19 +99,13 @@ def _cover_meta(cover: C2Cover) -> dict:
     }
 
 
-def _group_record(cover, k, group, max_degree, p=None):
-    return {
-        "space": cover.name,
-        "p": p,
-        "q": k,
-        "shape": DISCRETE,
-        "rank": group.rank,
-        "torsion": list(group.torsion),
-        "torus_dim": None,
-        "smooth_part_symbolic": False,
-        "degrees_computed": [0, max_degree - 1],
-        "good_cover_asserted": cover.good,
-    }
+def _group_record(cover, k, group, max_degree) -> dict:
+    """The result row of H^k: a discrete descriptor with no weight ``p``."""
+    return DeligneDescriptor(
+        space=cover.name, p=None, q=k, shape=DISCRETE, rank=group.rank, torsion=group.torsion,
+        torus_dim=None, smooth_part_symbolic=False, split_assumed=False,
+        degrees_computed=(0, max_degree - 1), good_cover_asserted=cover.good,
+    ).to_record()
 
 
 def _cmd_compute(args, cover):
@@ -137,7 +131,7 @@ def _cmd_compute(args, cover):
 
 
 def _cmd_deligne(args, cover):
-    d = deligne_descriptor(cover, args.p, args.q, args.max_degree)
+    d = deligne_descriptor(cover, args.p, args.q)
     return [d.to_record()], [str(d)]
 
 
@@ -234,7 +228,6 @@ def _build_parser() -> argparse.ArgumentParser:
     add_space(p)
     p.add_argument("-p", type=int, required=True, dest="p")
     p.add_argument("-q", type=int, required=True, dest="q")
-    p.add_argument("--max-degree", type=int, default=None)
 
     p = sub.add_parser("classify", help="bundle and map classification")
     add_space(p)
@@ -273,7 +266,7 @@ def main(argv=None) -> int:
     except (UnknownSpace, UnsupportedDimension, OSError, ValueError) as exc:
         print(str(exc), file=sys.stderr)
         return EXIT_VALIDATION
-    except (DegreeOutOfRange, InsufficientDegree) as exc:
+    except DegreeOutOfRange as exc:
         print(str(exc), file=sys.stderr)
         return EXIT_DEGREE_RANGE
     except NotCompact as exc:

@@ -188,13 +188,33 @@ class C2Cover(_WeaklyReferenced):
 
     @classmethod
     def from_json(cls, text: str) -> "C2Cover":
-        return validate_cover(json.loads(text))
+        try:
+            raw = json.loads(text, object_pairs_hook=_json_object)
+        except RecursionError:  # the decoder recurses once per level of nesting
+            raise CoverValidationError(
+                [(MALFORMED_DESCRIPTION, "the JSON text nests too deeply to read")]
+            ) from None
+        return validate_cover(raw)
 
     def __repr__(self):
         return (
             f"C2Cover({self.name!r}, {len(self.indices)} indices, "
             f"{len(self.intersections)} intersecting subsets)"
         )
+
+
+def _json_object(pairs: list) -> dict:
+    """A JSON object of a cover file.  A key it lists twice is refused: which
+    of its values is meant is unknown."""
+    obj = dict(pairs)
+    if len(obj) < len(pairs):
+        seen, twice = set(), set()
+        for key, _ in pairs:
+            (twice if key in seen else seen).add(key)
+        raise CoverValidationError(
+            [(MALFORMED_DESCRIPTION, f"key {key!r} listed twice in one object") for key in sorted(twice)]
+        )
+    return obj
 
 
 def _per_cover(builder):

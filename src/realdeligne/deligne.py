@@ -24,7 +24,6 @@ from .coverdata import IZ, C2Cover, FlatCocycle
 from .errors import (
     CoverMismatch,
     DegreeOutOfRange,
-    InsufficientDegree,
     InternalInvariantError,
     InvalidCocycle,
     NotCompact,
@@ -49,7 +48,8 @@ class DeligneDescriptor(Record):
 
     ``rank``/``torsion`` describe the discrete group (discrete shape), the
     discrete quotient (mixed shape), or the finite part (compact extension,
-    where ``rank`` is 0 and ``torus_dim`` counts circle factors).
+    where ``rank`` is 0 and ``torus_dim`` counts circle factors).  A
+    plain cohomology group is the discrete descriptor with ``p`` None.
     """
 
     __slots__ = (
@@ -69,7 +69,7 @@ class DeligneDescriptor(Record):
     def __init__(
         self,
         space: str,
-        p: int,
+        p: int | None,
         q: int,
         shape: str,
         rank: int,
@@ -166,10 +166,9 @@ def _shape_of(p: int, q: int) -> str:
     return COMPACT_EXTENSION
 
 
-def deligne_descriptor(
-    cover: C2Cover, p: int, q: int, max_degree: int | None = None
-) -> DeligneDescriptor:
-    """The (p, q) descriptor, populated from twisted integral cohomology.
+def deligne_descriptor(cover: C2Cover, p: int, q: int) -> DeligneDescriptor:
+    """The (p, q) descriptor, populated from twisted integral cohomology
+    in degrees ``0 .. q``.
 
     For the compact-extension shape the torus dimension is the rank of
     integral H^(q-1), which is also the rational dimension: both are read
@@ -179,38 +178,30 @@ def deligne_descriptor(
         raise ValueError("p must be nonnegative")
     if q < 0:
         raise DegreeOutOfRange("negative cohomological degree")
-    if max_degree is None:
-        max_degree = q + 1
-    if q > max_degree - 1:
-        raise InsufficientDegree(
-            f"degree q={q} needs max_degree >= {q + 1}, got {max_degree}"
-        )
     shape = _shape_of(p, q)
     meta = {
         "space": cover.name,
         "p": p,
         "q": q,
         "shape": shape,
-        "degrees_computed": (0, max_degree - 1),
+        "degrees_computed": (0, q),
         "good_cover_asserted": cover.good,
     }
+    hq = equivariant_cohomology(cover, IZ, q, q + 1)
     if shape in (DISCRETE, MIXED):
-        g = equivariant_cohomology(cover, IZ, q, max_degree)
         return DeligneDescriptor(
-            rank=g.rank,
-            torsion=g.torsion,
+            rank=hq.rank,
+            torsion=hq.torsion,
             torus_dim=None,
             smooth_part_symbolic=(shape == MIXED),
             split_assumed=False,
             **meta,
         )
     # q < p: torus from degree q-1, finite part from the degree-q torsion
-    torus_dim = equivariant_cohomology(cover, IZ, q - 1, max_degree).rank if q else 0
-    hq = equivariant_cohomology(cover, IZ, q, max_degree)
     return DeligneDescriptor(
         rank=0,
         torsion=hq.torsion,
-        torus_dim=torus_dim,
+        torus_dim=equivariant_cohomology(cover, IZ, q - 1, q).rank if q else 0,
         smooth_part_symbolic=False,
         split_assumed=True,
         **meta,

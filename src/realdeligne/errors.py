@@ -73,10 +73,6 @@ class InvalidCoefficientComplex(EngineError):
 
 # --- descriptors and queries --------------------------------------------------
 
-class InsufficientDegree(EngineError):
-    """max_degree too small for the requested cohomological degree."""
-
-
 class NotCompact(EngineError):
     """A query that requires the compact flag on a cover lacking it."""
 

@@ -525,14 +525,12 @@ class GroupDescriptor(Record):
         object.__setattr__(self, "torsion", tor)
 
     @classmethod
-    def from_invariant_factors(cls, rank, factors) -> "GroupDescriptor":
-        return cls(rank, tuple(abs(int(d)) for d in factors if abs(int(d)) > 1))
-
-    @classmethod
     def from_cyclic_orders(cls, rank, orders) -> "GroupDescriptor":
         """Canonicalize a direct sum of cyclic groups of the given orders,
         skipping orders of at most 1.  ``Z/a + Z/b = Z/gcd + Z/lcm``, and a
-        sweep over every pair ``i < j`` leaves each order dividing the next."""
+        sweep over every pair ``i < j`` leaves each order dividing the next.
+        A chain, such as the entries above 1 of a Smith diagonal, passes
+        through unchanged."""
         factors = [n for n in (abs(int(n)) for n in orders) if n > 1]
         for i in range(len(factors)):
             for j in range(i + 1, len(factors)):
@@ -671,9 +669,7 @@ def _quotient_data(a_smith: _SmithData, generators: SparseIntMatrix) -> dict:
     diag = x_smith.diag
     free_pos = [i for i in range(z) if i >= len(diag) or diag[i] == 0]
     torsion_pos = [(i, diag[i]) for i in range(min(z, len(diag))) if diag[i] >= 2]
-    descriptor = GroupDescriptor.from_invariant_factors(
-        len(free_pos), [d for _, d in torsion_pos]
-    )
+    descriptor = GroupDescriptor.from_cyclic_orders(len(free_pos), [d for _, d in torsion_pos])
     return {
         "kernel": ker,
         "left": left,
@@ -814,7 +810,7 @@ def complex_cohomology(c: IntegerCochainComplex, k: int) -> GroupDescriptor:
     if hit is None:
         below = _diagonal(c, k - 1)
         rank = c.rank(k) - sum(1 for x in _diagonal(c, k) if x) - sum(1 for x in below if x)
-        hit = c._cache["group", k] = GroupDescriptor.from_invariant_factors(rank, below)
+        hit = c._cache["group", k] = GroupDescriptor.from_cyclic_orders(rank, below)
     return hit
 
 

@@ -45,9 +45,6 @@ from .exactalg import (
     smith_normal_form,
 )
 
-SUITES = ("snf", "les", "refinement", "bockstein", "fixed", "borel", "product", "reduction")
-
-
 def _spaces():
     return [(catalog.entry_label(e), e.build()) for e in catalog.ENTRIES]
 
@@ -462,23 +459,23 @@ def suite_reduction():
     return out
 
 
+SUITES = {
+    "snf": suite_snf,
+    "les": suite_les,
+    "refinement": suite_refinement,
+    "bockstein": suite_bockstein,
+    "fixed": suite_fixed,
+    "borel": suite_borel,
+    "product": suite_product,
+    "reduction": suite_reduction,
+}
+
+
 def run_suite(name: str):
-    """Run one named suite (or ``all``); returns the failure records."""
-    table = {
-        "snf": suite_snf,
-        "les": suite_les,
-        "refinement": suite_refinement,
-        "bockstein": suite_bockstein,
-        "fixed": suite_fixed,
-        "borel": suite_borel,
-        "product": suite_product,
-        "reduction": suite_reduction,
-    }
+    """Run one named suite of :data:`SUITES` (or ``all``); returns the
+    failure records."""
     if name == "all":
-        failures = []
-        for key in SUITES:
-            failures.extend(table[key]())
-        return failures
-    if name not in table:
-        raise ValueError(f"unknown suite {name!r}; choose from {SUITES + ('all',)}")
-    return table[name]()
+        return [rec for suite in SUITES.values() for rec in suite()]
+    if name not in SUITES:
+        raise ValueError(f"unknown suite {name!r}; choose from {(*SUITES, 'all')}")
+    return SUITES[name]()

@@ -53,11 +53,11 @@ kernel quotient.  The engine's hypercohomology builds no total complex;
 it splits the coefficient complex into single terms and pairs and reads
 each off the descriptor complexes, folded.
 
-The sixth, :func:`cover_violations` and :func:`nerve_model_parts`, is the
-cover layer the set-by-set way: every structural check on frozensets and
-keyed face lookups, and each alternating basis from its own scan of the
-nerve, where the package compares bit masks and builds every basis in one
-pass.
+The sixth, :func:`cover_violations`, :func:`alternating_basis` and
+:func:`nerve_model_parts`, is the cover layer the set-by-set way: every
+structural check on frozensets and keyed face lookups, and each
+alternating basis from its own scan of the nerve, where the package
+compares bit masks and builds every basis in one pass.
 """
 
 from fractions import Fraction
@@ -664,6 +664,16 @@ def cover_violations(cover):
             out.append((INVOLUTION_FACE_MISMATCH,
                         f"involution and face maps disagree on component {c!r} dropping {i!r}"))
     return out
+
+
+def alternating_basis(cover, j):
+    """The degree-``j`` alternating basis as the nerve model lists it: the
+    sorted ``(j + 1)``-subsets with a nonempty intersection, one element
+    ``(members, component)`` per component, in sorted order; empty above
+    the nerve's dimension."""
+    return sorted(
+        (tuple(sorted(s)), c) for s, comps in cover.intersections.items() if len(s) == j + 1 for c in comps
+    )
 
 
 def nerve_model_parts(cover):

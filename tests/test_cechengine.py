@@ -385,12 +385,12 @@ def test_alternating_involution_is_signed_and_self_inverse(spaces):
     for cover in spaces.values():
         model = cechengine._nerve_model(cover)
         for j in range(4):
-            basis = cechengine.alternating_basis(cover, j)
+            basis = oracles.alternating_basis(cover, j)
             perm, eps = model.action(j)
             assert len(perm) == len(basis)
-            for r, ((tup, c), p, e) in enumerate(zip(basis.elements, perm, eps)):
+            for r, ((tup, c), p, e) in enumerate(zip(basis, perm, eps)):
                 image = tuple(cover.t(i) for i in tup)
-                assert basis.elements[p] == (tuple(sorted(image)), cover.sigma(c))
+                assert basis[p] == (tuple(sorted(image)), cover.sigma(c))
                 assert e == _sort_sign(image)
                 assert perm[p] == r and eps[p] * e == 1
                 flipped += e == -1

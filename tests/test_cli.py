@@ -15,7 +15,10 @@ from realdeligne.deligne import RESULT_RECORD_SCHEMA
 
 
 def run(capsys, *argv):
-    code = cli.main(list(argv))
+    try:
+        code = cli.main(list(argv))
+    except SystemExit as exc:  # argparse refuses the command line
+        code = exc.code
     captured = capsys.readouterr()
     return code, captured.out, captured.err
 
@@ -221,6 +224,31 @@ def test_exit_cover_file_repeating_a_key(tmp_path, capsys, spaces, field, entry,
 
 
 @pytest.mark.parametrize(
+    "edit, message",
+    [
+        (lambda text: "[" * 100000, "the JSON text nests too deeply to read"),
+        (lambda text: text.rstrip()[:-1] + ', "compact": false}', "key 'compact' listed twice in one object"),
+        (lambda text: text.replace('"involution": {', '"involution": {"a": "a", ', 1),
+         "key 'a' listed twice in one object"),
+    ],
+    ids=["deep-nesting", "repeated-flag", "repeated-index"],
+)
+def test_exit_cover_file_unreadable_text(tmp_path, capsys, spaces, edit, message):
+    """A cover file nested too deeply to decode, or an object in it that
+    lists a key twice, is an input error (exit 2), not a traceback.  Which
+    of a repeated key's values is meant is unknown, so neither is kept: read
+    with its later ``compact``, the free orbit would not be compact (exit 4)."""
+    text = spaces["free_orbit"].to_json()
+    assert '"compact": true' in text
+    path = tmp_path / "cover.json"
+    path.write_text(edit(text))
+    code, out, err = run(capsys, "classify", "--space", f"@{path}", "--what", "circle-maps")
+    assert code == 2
+    assert out == ""
+    assert f"[MalformedDescription] {message}" in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize(
     "field, message",
     [
         ("sets", "subset entry ['a0', 'a1', 'a0'] lists index 'a0' twice"),
@@ -244,19 +272,6 @@ def test_exit_cover_file_repeating_a_name_in_an_entry(tmp_path, capsys, spaces, 
 
 
 def test_exit_degree_range(capsys):
-    code, _, _ = run(
-        capsys,
-        "deligne",
-        "--space",
-        "point_trivial",
-        "-p",
-        "2",
-        "-q",
-        "2",
-        "--max-degree",
-        "2",
-    )
-    assert code == 3
     code, _, _ = run(
         capsys,
         "compute",
@@ -296,12 +311,15 @@ def test_compute_degree_exit_codes(capsys, argv, code, message):
         (["deligne", "--space", "circle_antipodal", "-p", "-1", "-q", "1"], 2, "p must be nonnegative"),
         (["compute", "--space", "free_orbit", "--coeff", "iZ", "--degree", "-1"], 3, "negative cohomological degree"),
         (["compute", "--space", "free_orbit", "--coeff", "iZ", "--degree", str(10**20)], 0, ""),
+        (["deligne", "--space", "point_trivial", "-p", "2", "-q", "2", "--max-degree", "2"], 2,
+         "unrecognized arguments: --max-degree 2"),
     ],
 )
 def test_degree_sign_exit_codes(capsys, argv, code, message):
     """A negative q is a degree-range failure, as a negative --degree is; a
     negative p is an input failure.  A degree far above a finite complex's
-    top reads zero at once."""
+    top reads zero at once.  ``deligne`` takes no degree window: it reads
+    degrees 0 .. q, and ``--max-degree`` is an unknown option there."""
     got, out, err = run(capsys, *argv)
     assert got == code
     assert message in err
@@ -645,7 +663,7 @@ def test_verify_unknown_suite_names_the_suites(capsys):
     assert code == 2
     assert out == ""
     assert "nonsense" in err and "Traceback" not in err
-    assert all(name in err for name in SUITES + ("all",))
+    assert all(name in err for name in (*SUITES, "all"))
 
 
 @pytest.mark.parametrize("as_json", [False, True])

@@ -35,7 +35,7 @@ from realdeligne.deligne import (
 )
 from realdeligne.errors import (
     CoverMismatch,
-    InsufficientDegree,
+    DegreeOutOfRange,
     InvalidCocycle,
     NotCompact,
 )
@@ -124,9 +124,12 @@ def test_weight_without_degree_has_no_torus(spaces):
 
 
 def test_degree_window_too_small(spaces):
+    """A negative q lies below every degree window; a negative p is no
+    weight.  The window read is always ``0 .. q``."""
     point = spaces["point_trivial"]
-    with pytest.raises(InsufficientDegree):
-        deligne_descriptor(point, 2, 2, max_degree=2)
+    with pytest.raises(DegreeOutOfRange):
+        deligne_descriptor(point, 2, -1)
+    assert deligne_descriptor(point, 2, 5).degrees_computed == (0, 5)
     with pytest.raises(ValueError):
         deligne_descriptor(point, -1, 0)
 

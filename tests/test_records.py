@@ -8,6 +8,7 @@ import copy
 import json
 import re
 
+import jsonschema
 import numpy as np
 import pytest
 
@@ -17,6 +18,7 @@ from realdeligne.catalog import CatalogEntry
 from realdeligne.cechengine import CoefficientComplex, equivariant_cohomology
 from realdeligne.coverdata import IQ, IZ, CoefficientSystem
 from realdeligne.deligne import (
+    RESULT_RECORD_SCHEMA,
     FlatClassCoordinates,
     QuotientCoefficients,
     deligne_descriptor,
@@ -67,6 +69,44 @@ COMPUTE_JSON = """{
   }
 }
 """
+
+# the result row of a classify question, as its --json report prints it
+CLASSIFY_ROWS = {
+    ("line-bundles", "torus"): """    {
+      "space": "torus(circle_antipodal,circle_antipodal)",
+      "p": null,
+      "q": 2,
+      "shape": "discrete",
+      "rank": 0,
+      "torsion": [
+        2
+      ],
+      "torus_dim": null,
+      "smooth_part_symbolic": false,
+      "degrees_computed": [
+        0,
+        2
+      ],
+      "good_cover_asserted": true
+    }""",
+    ("circle-maps", "circle_conjugation"): """    {
+      "space": "circle_conjugation",
+      "p": null,
+      "q": 1,
+      "shape": "discrete",
+      "rank": 1,
+      "torsion": [
+        2
+      ],
+      "torus_dim": null,
+      "smooth_part_symbolic": false,
+      "degrees_computed": [
+        0,
+        1
+      ],
+      "good_cover_asserted": true
+    }""",
+}
 
 
 def test_group_descriptor_repr_and_str():
@@ -179,3 +219,15 @@ def test_compute_json_report_bytes(capsys):
     timings = json.loads(out)["timings"]
     assert all(isinstance(v, float) for v in timings.values())
     assert re.sub(r'("(?:build|compute)": )[-+.eE0-9]+', r"\1T", out) == COMPUTE_JSON
+
+
+@pytest.mark.parametrize("what, space", list(CLASSIFY_ROWS))
+def test_classify_json_row_bytes(capsys, what, space):
+    code = cli.main(["classify", "--space", space, "--what", what, "--json"])
+    out = capsys.readouterr().out
+    assert code == 0
+    _, rest = out.split('\n  "results": [\n')
+    row, _ = rest.split('\n  ],\n  "timings"')
+    assert row == CLASSIFY_ROWS[what, space]
+    (rec,) = json.loads(out)["results"]
+    jsonschema.validate(rec, RESULT_RECORD_SCHEMA)
