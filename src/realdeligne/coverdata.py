@@ -245,12 +245,25 @@ def _name_map(v) -> bool:
 
 
 def _entries(v, names=(), lists=()) -> bool:
-    return isinstance(v, (list, tuple)) and all(
-        isinstance(e, dict)
-        and _names([e.get(f) for f in names])
-        and all(_names(e.get(f)) for f in lists)
-        for e in v
-    )
+    """Whether ``v`` lists objects with a name at each field of ``names``
+    and a list of names at each of ``lists``, in one plain pass: a cover
+    file has an entry per subset and per face."""
+    if not isinstance(v, (list, tuple)):
+        return False
+    for e in v:
+        if not isinstance(e, dict):
+            return False
+        for f in names:
+            if not isinstance(e.get(f), str):
+                return False
+        for f in lists:
+            x = e.get(f)
+            if not isinstance(x, (list, tuple)):
+                return False
+            for y in x:
+                if not isinstance(y, str):
+                    return False
+    return True
 
 
 # field, required, test, what the field must be
@@ -543,13 +556,6 @@ def _nerve_rows(cover: C2Cover) -> tuple:
 # ---------------------------------------------------------------------------
 
 
-def _primed(name: str, used) -> str:
-    fresh = name + "'"
-    while fresh in used:
-        fresh += "'"
-    return fresh
-
-
 def _checked_but_freeness(cover: C2Cover) -> bool:
     """Every structural check on ``cover`` but freeness: whether it is
     free too, or a :class:`CoverValidationError` with every other
@@ -577,7 +583,8 @@ def double_fixed_indices(raw) -> C2Cover:
     ``raw`` is a cover description, shape-checked as by
     :func:`validate_cover`, or a :class:`C2Cover`, whose parts are checked
     as they stand unless they passed every check and were not read since
-    (:func:`_checked_but_freeness`).  The doubled cover is checked in full.
+    (:func:`_checked_but_freeness`).  The doubled cover is checked in full,
+    and refused at once if a component id of ``raw`` spells a doubled one.
     """
     cover = raw if isinstance(raw, C2Cover) else _read(raw)
     if _checked_but_freeness(cover):
@@ -586,72 +593,57 @@ def double_fixed_indices(raw) -> C2Cover:
     faces, comp_inv = cover.faces, cover.component_involution
     fixed = [i for i in indices if involution.get(i) == i]
 
-    used = set(indices)
-    copy_of = {}
+    used, originals = set(indices), set(indices)
+    partner = {}  # each fixed index and its copy, to the other
+    underlying = {i: i for i in indices}
     for i in fixed:
-        copy_of[i] = _primed(i, used)
-        used.add(copy_of[i])
-    underlying = {ip: i for i, ip in copy_of.items()}
-    for i in indices:
-        underlying[i] = i
+        ip = i + "'"
+        while ip in used:
+            ip += "'"
+        used.add(ip)
+        partner[i], partner[ip], underlying[ip] = ip, i, i
+    new_indices = [x for i in indices for x in ((i, partner[i]) if i in partner else (i,))]
+    new_involution = {x: partner[x] if x in partner else involution[x] for x in new_indices}
 
-    new_indices = []
-    new_involution = {}
-    for i in indices:
-        new_indices.append(i)
-        if i in copy_of:
-            new_indices.append(copy_of[i])
-            new_involution[i] = copy_of[i]
-            new_involution[copy_of[i]] = i
-        else:
-            new_involution[i] = involution[i]
-
-    originals = set(indices)
-
-    def decorate(comp: str, subset: frozenset) -> str:
-        # subsets made of original indices only keep the bare component ids,
-        # so an already-free cover is reproduced verbatim
-        if subset <= originals:
-            return comp
-        return comp + "|" + ",".join(sorted(subset))
-
-    # enumerate the new subsets over each old support: each fixed index in
-    # the support may appear as the original, the copy, or both
+    # each fixed index of an old support may appear as the original, the
+    # copy, or both.  A subset of original indices keeps the bare component
+    # ids, and any other's append its sorted members, worked out once here
     new_intersections = {}
-    comp_origin = {}  # new component id -> (old component id, new subset)
+    suffix = {}  # new subset -> what its component ids append
+    origin = []  # (new component id, old component id, new subset, its sorted members)
     for subset, comps in cover.intersections.items():
         stack = [()]
         for i in sorted(subset):
-            if i in copy_of:
-                opts = [(i,), (copy_of[i],), (i, copy_of[i])]
-            else:
-                opts = [(i,)]
+            opts = [(i,), (partner[i],), (i, partner[i])] if i in partner else [(i,)]
             stack = [acc + opt for acc in stack for opt in opts]
         for members in stack:
             new_subset = frozenset(members)
-            ids = tuple(decorate(c, new_subset) for c in comps)
-            new_intersections[new_subset] = ids
-            for cid, c in zip(ids, comps):
-                comp_origin[cid] = (c, new_subset)
+            ordered = sorted(new_subset)
+            tail = suffix[new_subset] = "" if new_subset <= originals else "|" + ",".join(ordered)
+            ids = new_intersections[new_subset] = tuple(c + tail for c in comps)
+            origin.extend((cid, c, new_subset, ordered) for cid, c in zip(ids, comps))
 
+    # dropping a copy whose partner stays keeps the underlying set, so the
+    # face lands on the same old component; any other drop takes its face
     new_faces = {}
-    for cid, (c, new_subset) in comp_origin.items():
-        if len(new_subset) < 2:
+    for cid, c, new_subset, ordered in origin:
+        if len(ordered) < 2:
             continue
-        old_support = frozenset(underlying[y] for y in new_subset)
-        for x in sorted(new_subset):
-            smaller = new_subset - {x}
-            smaller_support = frozenset(underlying[y] for y in smaller)
-            if smaller_support == old_support:
-                target_old = c  # dropped a redundant copy; same underlying set
-            else:
-                target_old = faces[(c, underlying[x])]
-            new_faces[(cid, x)] = decorate(target_old, smaller)
+        for x in ordered:
+            target = c if partner.get(x) in new_subset else faces[(c, underlying[x])]
+            new_faces[(cid, x)] = target + suffix[new_subset - {x}]
 
-    new_comp_inv = {}
-    for cid, (c, new_subset) in comp_origin.items():
-        t_subset = frozenset(new_involution[x] for x in new_subset)
-        new_comp_inv[cid] = decorate(comp_inv[c], t_subset)
+    image = new_involution.__getitem__
+    new_comp_inv = {cid: comp_inv[c] + suffix[frozenset(map(image, s))] for cid, c, s, _ in origin}
+    if len(new_comp_inv) < len(origin):  # a component id of the file spells a doubled one
+        seen, twice = set(), []
+        for cid, *_ in origin:
+            if cid in seen:
+                twice.append(cid)
+            seen.add(cid)
+        raise CoverValidationError(
+            [(FACE_INCOHERENCE, f"doubling names two components {cid!r}; rename the one listed") for cid in twice]
+        )
 
     return _checked(
         C2Cover(

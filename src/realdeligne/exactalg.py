@@ -15,8 +15,8 @@ The main entry points are :func:`smith_normal_form`,
 only the Smith diagonals of the differentials, reduced without transforms
 and cached on the complex (:func:`_diagonal`): the ±1 pivots, nearly every
 pivot of a coboundary, are eliminated first in Markowitz order
-(:func:`_unit_pivots`), and only the residual goes to Smith.  Every other
-reduction stays plain Smith on the whole matrix and so checks the
+(:func:`_unit_pivots`), and only a nonempty residual goes to Smith.
+Every other reduction stays plain Smith on the whole matrix and checks the
 descriptor path independently: ranks (:func:`integer_rank`, the check
 ``verify`` and the tests make on the rational descriptors, which read the
 integral ones' diagonals), :func:`kernel_quotient`, the transforms of the
@@ -529,8 +529,8 @@ class GroupDescriptor(Record):
         """Canonicalize a direct sum of cyclic groups of the given orders,
         skipping orders of at most 1.  ``Z/a + Z/b = Z/gcd + Z/lcm``, and a
         sweep over every pair ``i < j`` leaves each order dividing the next.
-        A chain, such as the entries above 1 of a Smith diagonal, passes
-        through unchanged."""
+        For orders that need not form a chain (``gcd(d, n)``, sums of
+        groups); a Smith diagonal's entries above 1 already are one."""
         factors = [n for n in (abs(int(n)) for n in orders) if n > 1]
         for i in range(len(factors)):
             for j in range(i + 1, len(factors)):
@@ -669,7 +669,7 @@ def _quotient_data(a_smith: _SmithData, generators: SparseIntMatrix) -> dict:
     diag = x_smith.diag
     free_pos = [i for i in range(z) if i >= len(diag) or diag[i] == 0]
     torsion_pos = [(i, diag[i]) for i in range(min(z, len(diag))) if diag[i] >= 2]
-    descriptor = GroupDescriptor.from_cyclic_orders(len(free_pos), [d for _, d in torsion_pos])
+    descriptor = GroupDescriptor(len(free_pos), tuple(d for _, d in torsion_pos))
     return {
         "kernel": ker,
         "left": left,
@@ -759,12 +759,16 @@ def _unit_pivots(m: SparseIntMatrix):
     Ślusarek 1998; Dumas, Heckenbach, Saunders and Welker 2003).  The
     working copy is freed on return, before the residual is reduced.
     """
+    if not any(m.rows):  # a zero map, as most of a small complex's are
+        return 0, SparseIntMatrix(0, 0)
     a = [dict(r) for r in m.rows]
     cols = _column_sets(a, m.ncols)
     eliminated = 0
-    for r in sorted(range(m.nrows), key=lambda i: len(a[i])):
-        units = (j for j, x in a[r].items() if x == 1 or x == -1)
-        c = min(units, key=lambda j: len(cols[j]), default=None)
+    for r in sorted(range(m.nrows), key=[len(row) for row in a].__getitem__):
+        c, fewest = None, m.nrows + 1
+        for j, x in a[r].items():  # the first unit of a sparsest column
+            if (x == 1 or x == -1) and len(cols[j]) < fewest:
+                c, fewest = j, len(cols[j])
         if c is None:
             continue
         _eliminate(a, cols, r, c)
@@ -777,8 +781,8 @@ def _unit_pivots(m: SparseIntMatrix):
 def _diagonal(c: IntegerCochainComplex, k: int) -> list:
     """Smith diagonal of ``d_k``, reduced once without transforms and
     cached: the unit pivots are eliminated first (:func:`_unit_pivots`) and
-    only the residual goes to :func:`_smith`.  The list is the one plain
-    ``_smith`` gives, zeros padded to ``min`` of the shape.  This is the
+    only a nonempty residual goes to :func:`_smith`.  The list is the one
+    plain ``_smith`` gives, zeros padded to ``min`` of the shape.  This is the
     descriptor path only; ranks (:func:`integer_rank`), coordinates and
     the other solves reduce the whole matrix with plain ``_smith``."""
     key = ("diag", k)
@@ -786,7 +790,9 @@ def _diagonal(c: IntegerCochainComplex, k: int) -> list:
     if hit is None:
         d = c.diff(k)
         eliminated, residual = _unit_pivots(d)
-        hit = [1] * eliminated + [x for x in _smith(residual, transforms=False).diag if x]
+        hit = [1] * eliminated
+        if residual.nrows:  # compacted, so it has columns too
+            hit += [x for x in _smith(residual, transforms=False).diag if x]
         hit += [0] * (min(d.nrows, d.ncols) - len(hit))
         c._cache[key] = hit
     return hit
@@ -798,8 +804,8 @@ def complex_cohomology(c: IntegerCochainComplex, k: int) -> GroupDescriptor:
     Read off the Smith diagonals of ``d_k`` and ``d_(k-1)`` alone: the rank
     is ``n_k - rank d_k - rank d_(k-1)``, and since ``ker d_k`` is
     saturated the torsion is that of ``coker d_(k-1)``, its diagonal
-    entries above 1.  No transforms are built; :func:`class_coordinates`
-    and its kin build them on demand.  The group is cached on the complex
+    entries above 1, a divisibility chain as they stand.  No transforms
+    are built; :func:`class_coordinates` and its kin build them on demand.  The group is cached on the complex
     like the diagonals, and ``extend`` drops it with them.
 
     On a complex built by hand, differentials just outside the range count
@@ -810,7 +816,7 @@ def complex_cohomology(c: IntegerCochainComplex, k: int) -> GroupDescriptor:
     if hit is None:
         below = _diagonal(c, k - 1)
         rank = c.rank(k) - sum(1 for x in _diagonal(c, k) if x) - sum(1 for x in below if x)
-        hit = c._cache["group", k] = GroupDescriptor.from_cyclic_orders(rank, below)
+        hit = c._cache["group", k] = GroupDescriptor(rank, tuple(x for x in below if x > 1))
     return hit
 
 

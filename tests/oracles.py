@@ -58,6 +58,10 @@ The sixth, :func:`cover_violations`, :func:`alternating_basis` and
 structural check on frozensets and keyed face lookups, and each
 alternating basis from its own scan of the nerve, where the package
 compares bit masks and builds every basis in one pass.
+:func:`doubled_parts` is the doubling of fixed indices the same way:
+every component id decorated and every face's underlying supports
+rebuilt on its own, where the package works out each new subset's id
+suffix once and reads a face's underlying set off the copy it drops.
 """
 
 from fractions import Fraction
@@ -706,3 +710,76 @@ def nerve_model_parts(cover):
             eps.append((-1) ** inversions)
         actions.append((perm, eps))
     return bases, diffs, actions
+
+
+def doubled_parts(cover):
+    """``(indices, involution, intersections, faces, component_involution)``
+    of ``coverdata.double_fixed_indices`` on a cover with fixed indices that
+    passes every other check, built the set-by-set way, every dict in the
+    order the package fills it."""
+    indices, involution = cover.indices, cover.involution
+    faces, comp_inv = cover.faces, cover.component_involution
+    fixed = [i for i in indices if involution.get(i) == i]
+
+    used = set(indices)
+    copy_of = {}
+    for i in fixed:
+        fresh = i + "'"
+        while fresh in used:
+            fresh += "'"
+        copy_of[i] = fresh
+        used.add(fresh)
+    underlying = {ip: i for i, ip in copy_of.items()}
+    for i in indices:
+        underlying[i] = i
+
+    new_indices = []
+    new_involution = {}
+    for i in indices:
+        new_indices.append(i)
+        if i in copy_of:
+            new_indices.append(copy_of[i])
+            new_involution[i] = copy_of[i]
+            new_involution[copy_of[i]] = i
+        else:
+            new_involution[i] = involution[i]
+
+    originals = set(indices)
+
+    def decorate(comp, subset):
+        if subset <= originals:
+            return comp
+        return comp + "|" + ",".join(sorted(subset))
+
+    new_intersections = {}
+    comp_origin = {}  # new component id -> (old component id, new subset)
+    for subset, comps in cover.intersections.items():
+        stack = [()]
+        for i in sorted(subset):
+            opts = [(i,), (copy_of[i],), (i, copy_of[i])] if i in copy_of else [(i,)]
+            stack = [acc + opt for acc in stack for opt in opts]
+        for members in stack:
+            new_subset = frozenset(members)
+            ids = tuple(decorate(c, new_subset) for c in comps)
+            new_intersections[new_subset] = ids
+            for cid, c in zip(ids, comps):
+                comp_origin[cid] = (c, new_subset)
+
+    new_faces = {}
+    for cid, (c, new_subset) in comp_origin.items():
+        if len(new_subset) < 2:
+            continue
+        old_support = frozenset(underlying[y] for y in new_subset)
+        for x in sorted(new_subset):
+            smaller = new_subset - {x}
+            if frozenset(underlying[y] for y in smaller) == old_support:
+                target_old = c  # dropped a redundant copy; same underlying set
+            else:
+                target_old = faces[(c, underlying[x])]
+            new_faces[(cid, x)] = decorate(target_old, smaller)
+
+    new_comp_inv = {}
+    for cid, (c, new_subset) in comp_origin.items():
+        t_subset = frozenset(new_involution[x] for x in new_subset)
+        new_comp_inv[cid] = decorate(comp_inv[c], t_subset)
+    return tuple(new_indices), new_involution, new_intersections, new_faces, new_comp_inv

@@ -656,6 +656,86 @@ def test_double_point():
     assert cover.sigma(c2) == c2
 
 
+def two_fixed_in_one_subset_raw():
+    """Two fixed sets, ``P`` and one already named ``P'``, meeting in two
+    swapped components, and a swapped pair ``A``, ``B`` meeting both: the
+    copies are ``P''`` and ``P'''``, and faces drop one fixed index while
+    the other stays."""
+    pieces = {
+        ("P",): ["p"], ("P'",): ["q"], ("A",): ["a"], ("B",): ["b"], ("P", "P'"): ["m", "n"],
+        ("A", "P"): ["ap"], ("B", "P"): ["bp"], ("A", "P'"): ["aq"], ("B", "P'"): ["bq"],
+        ("A", "P", "P'"): ["apq"], ("B", "P", "P'"): ["bpq"],
+    }
+    faces = {
+        ("ap", "A"): "p", ("ap", "P"): "a", ("bp", "B"): "p", ("bp", "P"): "b",
+        ("aq", "A"): "q", ("aq", "P'"): "a", ("bq", "B"): "q", ("bq", "P'"): "b",
+        ("m", "P"): "q", ("m", "P'"): "p", ("n", "P"): "q", ("n", "P'"): "p",
+        ("apq", "A"): "m", ("apq", "P"): "aq", ("apq", "P'"): "ap",
+        ("bpq", "B"): "n", ("bpq", "P"): "bq", ("bpq", "P'"): "bp",
+    }
+    swap = {"a": "b", "ap": "bp", "aq": "bq", "apq": "bpq", "m": "n"}
+    return {
+        "name": "two_fixed",
+        "involution_name": "t",
+        "indices": ["P", "P'", "A", "B"],
+        "involution": {"P": "P", "P'": "P'", "A": "B", "B": "A"},
+        "intersections": [{"sets": list(s), "components": c} for s, c in pieces.items()],
+        "faces": [{"component": c, "drop": i, "in_component": f} for (c, i), f in faces.items()],
+        "component_involution": {**swap, **{v: k for k, v in swap.items()}, "p": "p", "q": "q"},
+        "good": True,
+        "compact": True,
+    }
+
+
+DOUBLING_INPUTS = {
+    **{f"point of {k}": functools.partial(catalog._point, k, f"p{k}") for k in range(1, 5)},
+    "conjugation circle": catalog._conjugation_circle,
+    "two fixed indices in one subset": lambda: coverdata._read(two_fixed_in_one_subset_raw()),
+}
+
+
+@pytest.mark.parametrize("name", DOUBLING_INPUTS)
+def test_doubling_matches_the_reference(name):
+    """The doubling equals the set-by-set reference, dict order included,
+    and so does its file.  No input doubles twice: a doubling leaves no
+    fixed index, so a second one returns its cover as it stands."""
+    cover = DOUBLING_INPUTS[name]()
+    doubled = double_fixed_indices(cover)
+    parts = oracles.doubled_parts(cover)
+    fields = ("indices", "involution", "intersections", "faces", "component_involution")
+    got = [getattr(doubled, f) for f in fields]
+    assert [list(x.items()) if isinstance(x, dict) else x for x in got] == [
+        list(x.items()) if isinstance(x, dict) else x for x in parts
+    ]
+    want = C2Cover(doubled.name, doubled.involution_name, *parts, good=cover.good, compact=cover.compact)
+    assert doubled.to_json() == want.to_json()
+    assert oracles.cover_violations(doubled) == [] and doubled.is_free()
+
+
+def test_doubling_refuses_a_component_id_it_would_reuse():
+    """A component named ``c|U,U'`` of ``{V}`` spells the doubled id of the
+    component ``c`` of ``{U}`` on ``{U, U'}``: the doubling refuses the
+    cover with that one id, where the set-by-set reference builds a cover
+    that fails its checks with messages about ids the file never wrote."""
+    raw = {
+        "name": "clash",
+        "involution_name": "t",
+        "indices": ["U", "V"],
+        "involution": {"U": "U", "V": "V"},
+        "intersections": [{"sets": ["U"], "components": ["c"]}, {"sets": ["V"], "components": ["c|U,U'"]}],
+        "faces": [],
+        "component_involution": {"c": "c", "c|U,U'": "c|U,U'"},
+        "good": True,
+        "compact": True,
+    }
+    with pytest.raises(CoverValidationError) as err:
+        double_fixed_indices(raw)
+    assert err.value.violations == [(FACE_INCOHERENCE, "doubling names two components \"c|U,U'\"; rename the one listed")]
+    cover = coverdata._read(raw)
+    parts = oracles.doubled_parts(cover)
+    assert oracles.cover_violations(C2Cover("clash", "t", *parts, good=True, compact=True))
+
+
 def test_double_leaves_free_cover_alone():
     raw = free_orbit_raw()
     cover = double_fixed_indices(raw)

@@ -132,6 +132,7 @@ def test_degree_window_too_small(spaces):
     assert deligne_descriptor(point, 2, 5).degrees_computed == (0, 5)
     with pytest.raises(ValueError):
         deligne_descriptor(point, -1, 0)
+    assert deligne_descriptor(point, p=2, q=2) == deligne_descriptor(point, 2, 2)  # keywords too
 
 
 def test_records_validate_against_schema(spaces):
