@@ -30,7 +30,6 @@ from .coverdata import (
 from .deligne import (
     DeligneDescriptor,
     FlatCocycleClass,
-    QuotientCoefficients,
     classify_flat_line_bundles,
     classify_line_bundles,
     classify_line_bundles_with_connection,
@@ -67,7 +66,6 @@ __all__ = [
     "IntegerCochainComplex",
     "IQ",
     "IZ",
-    "QuotientCoefficients",
     "Z_TRIVIAL",
     "build_borel_complex",
     "build_equivariant_complex",

@@ -83,12 +83,8 @@ from __future__ import annotations
 from math import gcd
 from weakref import ref
 
-from .coverdata import C2Cover, CoefficientSystem, _nerve_rows, _per_cover
-from .errors import (
-    CoverNotFree,
-    DegreeOutOfRange,
-    InvalidCoefficientComplex,
-)
+from .coverdata import C2Cover, CoefficientSystem, _nerve_rows, _per_cover, _require_free
+from .errors import DegreeOutOfRange, InvalidCoefficientComplex
 from .exactalg import (
     GroupDescriptor,
     IntegerCochainComplex,
@@ -99,6 +95,7 @@ from .exactalg import (
     _diagonal,
     _eliminate,
     _grow_orbit_complex,
+    _whole,
     complex_cohomology,
 )
 from .records import Record
@@ -121,7 +118,7 @@ def _finite(c: IntegerCochainComplex, top: int) -> IntegerCochainComplex:
 
 
 def _carried(c: IntegerCochainComplex, max_degree: int) -> IntegerCochainComplex:
-    if max_degree < 0:
+    if _whole(max_degree, "max_degree") < 0:
         raise DegreeOutOfRange("max_degree must be nonnegative")
     c.rank(max_degree)
     return c
@@ -132,14 +129,6 @@ def _cover_of(cover_ref) -> C2Cover:
     if cover is None:
         raise DegreeOutOfRange("the complex's cover is gone, so it cannot grow")
     return cover
-
-
-def _require_free(cover: C2Cover) -> None:
-    if not cover.is_free():
-        raise CoverNotFree(
-            f"cover {cover.name!r} has an involution-fixed index; "
-            "double_fixed_indices produces a free model"
-        )
 
 
 class TupleBasis:
@@ -592,10 +581,17 @@ def build_descriptor_complex(cover: C2Cover, sign: int) -> IntegerCochainComplex
     return _descriptor_of(_alternating_model(cover), sign)
 
 
-def _check_degree(k: int, max_degree: int):
+def _degree(k: int) -> int:
+    """``k`` as an int if it is a cohomological degree: an integer (by
+    :func:`operator.index`) and nonnegative; else DegreeOutOfRange."""
+    k = _whole(k, "degree")
     if k < 0:
         raise DegreeOutOfRange("negative cohomological degree")
-    if k > max_degree - 1:
+    return k
+
+
+def _check_degree(k: int, max_degree: int):
+    if _degree(k) > _whole(max_degree, "max_degree") - 1:
         raise DegreeOutOfRange(
             f"degree {k} needs max_degree >= {k + 1}, got {max_degree}"
         )

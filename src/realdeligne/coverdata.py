@@ -88,9 +88,8 @@ class _WeaklyReferenced:
 class C2Cover(_WeaklyReferenced):
     """A validated combinatorial cover with a free index involution.
 
-    Construct through :func:`validate_cover` (or the convenience
-    :meth:`from_raw`) or a package builder; direct instantiation skips the
-    invariant checks.
+    Construct through :func:`validate_cover` (or :meth:`from_json`) or a
+    package builder; direct instantiation skips the invariant checks.
     Instances are immutable by convention and hashable by identity, so they
     can key caches.  A product keeps its two factors in ``factors``, and
     what is built once per cover (:func:`_per_cover`) lives in ``_memo``,
@@ -181,10 +180,6 @@ class C2Cover(_WeaklyReferenced):
 
     def to_json(self) -> str:
         return json.dumps(self.to_raw(), indent=2) + "\n"
-
-    @classmethod
-    def from_raw(cls, raw: dict) -> "C2Cover":
-        return validate_cover(raw)
 
     @classmethod
     def from_json(cls, text: str) -> "C2Cover":
@@ -351,6 +346,14 @@ def _fixed_index_violation(i: str) -> tuple:
         FIXED_INDEX_PRESENT,
         f"index {i!r} is fixed by the involution; apply double_fixed_indices to obtain a free cover",
     )
+
+
+def _require_free(cover: C2Cover) -> None:
+    """Refuse a cover whose index involution fixes an index, with one
+    violation per fixed index, as :func:`validate_cover` reports them."""
+    fixed = [i for i in cover.indices if cover.involution[i] == i]
+    if fixed:
+        raise CoverValidationError([_fixed_index_violation(i) for i in fixed])
 
 
 def _without(members: list, i) -> list:
@@ -796,9 +799,7 @@ def product_cover(a: C2Cover, b: C2Cover, name: str | None = None) -> C2Cover:
     cover = _ProductCover(a, b, name or f"{a.name}*{b.name}")
     if len(set(cover.indices)) != len(cover.indices):  # factor names with "*" can collide
         raise CoverValidationError([(INVOLUTION_NOT_SELF_INVERSE, "duplicate index names")])
-    fixed = [i for i in cover.indices if cover.involution[i] == i]
-    if fixed:
-        raise CoverValidationError([_fixed_index_violation(i) for i in fixed])
+    _require_free(cover)
     return cover
 
 

@@ -19,11 +19,10 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .cechengine import _orbit_complex, _orbit_keys, equivariant_cohomology
+from .cechengine import _degree, _orbit_complex, _orbit_keys, equivariant_cohomology
 from .coverdata import IZ, C2Cover, FlatCocycle
 from .errors import (
     CoverMismatch,
-    DegreeOutOfRange,
     InternalInvariantError,
     InvalidCocycle,
     NotCompact,
@@ -32,6 +31,7 @@ from .exactalg import (
     ElementCoordinates,
     GroupDescriptor,
     _cohomology_data,
+    _whole,
     class_coordinates,
 )
 from .records import Record
@@ -174,10 +174,9 @@ def deligne_descriptor(cover: C2Cover, p: int, q: int) -> DeligneDescriptor:
     integral H^(q-1), which is also the rational dimension: both are read
     off the same Smith diagonals.
     """
+    p, q = _whole(p, "p", ValueError), _degree(q)
     if p < 0:
         raise ValueError("p must be nonnegative")
-    if q < 0:
-        raise DegreeOutOfRange("negative cohomological degree")
     shape = _shape_of(p, q)
     meta = {
         "space": cover.name,
@@ -235,25 +234,14 @@ def real_circle_maps(cover: C2Cover) -> GroupDescriptor:
     return equivariant_cohomology(cover, IZ, 1, 2)
 
 
-class QuotientCoefficients(Record):
-    """Descriptor of cohomology with circle (rationals-mod-integers)
-    coefficients under the split assumption: a torus dimension plus the
-    torsion shifted up from the next integral degree."""
-
-    __slots__ = ("torus_dim", "torsion")
-
-    def __init__(self, torus_dim: int, torsion: tuple):
-        object.__setattr__(self, "torus_dim", torus_dim)
-        object.__setattr__(self, "torsion", torsion)
-
-
-def quotient_coefficients_cohomology(cover: C2Cover, k: int) -> QuotientCoefficients:
-    """H^k with sign-twisted circle coefficients via the connecting map:
-    the free part of degree k feeds the torus, the torsion of degree k+1 is
-    hit isomorphically by the connecting homomorphism."""
-    hk = equivariant_cohomology(cover, IZ, k, k + 1)
-    hk1 = equivariant_cohomology(cover, IZ, k + 1, k + 2)
-    return QuotientCoefficients(torus_dim=hk.rank, torsion=hk1.torsion)
+def quotient_coefficients_cohomology(cover: C2Cover, k: int) -> DeligneDescriptor:
+    """H^k with sign-twisted circle coefficients: the compact-extension
+    descriptor ``(k + 2, k + 1)``, the same group for every ``p > k + 1``.
+    By the connecting map, the free part of integral H^k feeds the torus
+    (``torus_dim``) and the torsion of H^(k+1) is hit isomorphically
+    (``torsion``), under the split assumption."""
+    k = _degree(k)
+    return deligne_descriptor(cover, k + 2, k + 1)
 
 
 # ---------------------------------------------------------------------------

@@ -54,10 +54,6 @@ INVOLUTION_FACE_MISMATCH = "InvolutionFaceMismatch"
 NOT_DOWNWARD_CLOSED = "NotDownwardClosed"
 
 
-class CoverNotFree(EngineError):
-    """The index involution has a fixed index; the engine needs a free one."""
-
-
 class InvalidCocycle(EngineError):
     """Angle data violating antisymmetry, equivariance or the cocycle rule."""
 

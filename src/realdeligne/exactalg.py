@@ -19,11 +19,12 @@ pivot of a coboundary, are eliminated first in Markowitz order
 Every other reduction stays plain Smith on the whole matrix and checks the
 descriptor path independently: ranks (:func:`integer_rank`, the check
 ``verify`` and the tests make on the rational descriptors, which read the
-integral ones' diagonals), :func:`kernel_quotient`, the transforms of the
-coordinate questions (:func:`class_coordinates`,
-:func:`coboundary_preimage`, :func:`class_representative`, built only
-there), :func:`smith_normal_form`, the solves and
-:func:`fixed_subcomplex`.
+integral ones' diagonals), the transforms of the coordinate questions
+(:func:`class_coordinates`, :func:`coboundary_preimage`,
+:func:`class_representative`, built only there), :func:`smith_normal_form`,
+the solves and :func:`fixed_subcomplex`.  The kernel-quotient route that
+the descriptors are checked against lives in ``verify``
+(``verify.kernel_quotient``).
 
 The subcomplex fixed by a degreewise involution has two routes:
 :func:`fixed_subcomplex` reads it off the Smith form of ``t_k - id`` for
@@ -36,6 +37,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import gcd
+from operator import index
 
 from .errors import (
     DegreeOutOfRange,
@@ -574,6 +576,15 @@ class ElementCoordinates(Record):
 # ---------------------------------------------------------------------------
 
 
+def _whole(n, what: str, error=DegreeOutOfRange) -> int:
+    """``n`` as an int, or ``error`` when :func:`operator.index` refuses it:
+    a degree is never a float or a string."""
+    try:
+        return index(n)
+    except TypeError:
+        raise error(f"{what} must be an integer, got {n!r}") from None
+
+
 class IntegerCochainComplex:
     """A complex of free Z-modules ``C^lo -> ... -> C^hi``.
 
@@ -607,7 +618,7 @@ class IntegerCochainComplex:
 
     def _require(self, k: int) -> None:
         """Refuse a degree outside ``[lo, hi]``, unless the complex grows."""
-        if k < self.lo or (k > self.hi and self._grow is None):
+        if _whole(k, "degree") < self.lo or (k > self.hi and self._grow is None):
             raise DegreeOutOfRange(f"degree {k} outside complex range [{self.lo}, {self.hi}]")
 
     def rank(self, k: int) -> int:
@@ -654,62 +665,37 @@ class IntegerCochainComplex:
         self._cache = {key: v for key, v in self._cache.items() if key[1] < k}
 
 
-def _quotient_data(a_smith: _SmithData, generators: SparseIntMatrix) -> dict:
-    """Presentation data of ``ker(a) / span(generators)``.
+def _cohomology_data(c: IntegerCochainComplex, k: int):
+    """Kernel basis, its left inverse and the Smith reduction of
+    ``left @ d_(k-1)``, with transforms: the class coordinates' basis.
 
-    The generator columns must already lie in the kernel lattice of the
-    matrix behind ``a_smith`` (callers check ``a @ gens == 0``); expressing
-    them in the kernel basis is then a single sparse product with the
-    left-inverse rows, no solving required.
-    """
-    ker = a_smith.kernel_basis()
-    left = a_smith.kernel_left_inverse()
-    x_smith = _smith(left.matmul(generators), transforms=True)
-    z = ker.ncols
+    ``kernel`` is saturated and ``d_(k-1)`` lands in it, so expressing its
+    columns in the kernel basis is one sparse product with the left-inverse
+    rows, no solving required.  ``rows`` is ``R_k``, the rows of ``u @
+    left`` at the free positions, then at the torsion positions, for ``u``
+    the Smith row transform: one product with it reads a cocycle's
+    coordinates."""
+    key = ("cohomology", k)
+    hit = c._cache.get(key)
+    if hit is not None:
+        return hit
+    a_smith = _smith(c.diff(k), rows=False)
+    ker, left = a_smith.kernel_basis(), a_smith.kernel_left_inverse()
+    x_smith = _smith(left.matmul(c.diff(k - 1)), transforms=True)
     diag = x_smith.diag
-    free_pos = [i for i in range(z) if i >= len(diag) or diag[i] == 0]
-    torsion_pos = [(i, diag[i]) for i in range(min(z, len(diag))) if diag[i] >= 2]
-    descriptor = GroupDescriptor(len(free_pos), tuple(d for _, d in torsion_pos))
-    return {
+    free_pos = [i for i in range(ker.ncols) if i >= len(diag) or diag[i] == 0]
+    torsion_pos = [(i, d) for i, d in enumerate(diag) if d >= 2]
+    u = x_smith.u
+    rows = [u.rows[i] for i in free_pos + [i for i, _ in torsion_pos]]
+    hit = c._cache[key] = {
         "kernel": ker,
         "left": left,
         "x_smith": x_smith,
         "free_pos": free_pos,
         "torsion_pos": torsion_pos,
-        "descriptor": descriptor,
+        "rows": SparseIntMatrix(len(rows), u.ncols, rows).matmul(left),
     }
-
-
-def kernel_quotient(matrix, generators) -> GroupDescriptor:
-    """Descriptor of ``ker(matrix) / span(generator columns)`` over Z.
-
-    The generators must be integral and annihilated by ``matrix``; since the
-    kernel basis is saturated this makes them honest lattice points.
-    """
-    m = as_sparse(matrix)
-    gens = as_sparse(generators)
-    if not m.matmul(gens).is_zero():
-        raise ValueError("generators do not lie in the kernel")
-    return _quotient_data(_smith(m, rows=False), gens)["descriptor"]
-
-
-def _cohomology_data(c: IntegerCochainComplex, k: int):
-    """Kernel basis, its left inverse and the Smith reduction of
-    ``left @ d_(k-1)``, with transforms: the class coordinates' basis.
-
-    ``rows`` is ``R_k``, the rows of ``u @ left`` at the free positions,
-    then at the torsion positions, for ``u`` the Smith row transform: one
-    product with it reads a cocycle's coordinates."""
-    key = ("cohomology", k)
-    hit = c._cache.get(key)
-    if hit is not None:
-        return hit
-    data = _quotient_data(_smith(c.diff(k), rows=False), c.diff(k - 1))
-    u = data["x_smith"].u
-    rows = [u.rows[i] for i in data["free_pos"] + [i for i, _ in data["torsion_pos"]]]
-    data["rows"] = SparseIntMatrix(len(rows), u.ncols, rows).matmul(data["left"])
-    c._cache[key] = data
-    return data
+    return hit
 
 
 def _column_sets(a: list, ncols: int) -> list:

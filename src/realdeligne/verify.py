@@ -41,7 +41,6 @@ from .exactalg import (
     fixed_subcomplex,
     integer_rank,
     kernel_basis,
-    kernel_quotient,
     smith_normal_form,
 )
 
@@ -72,6 +71,23 @@ def _check_smith(out, m, space, check):
         out.append(_record("snf", space, check, "kernel basis not annihilated"))
 
 
+def kernel_quotient(matrix, generators) -> GroupDescriptor:
+    """Descriptor of ``ker(matrix) / span(generator columns)`` over Z, the
+    route ``complex_cohomology`` is checked against.
+
+    The generators must be integral and annihilated by ``matrix``; since the
+    kernel basis is saturated this makes them honest lattice points, and
+    their coordinates in it are one product with the kernel's left inverse.
+    The quotient is read off the Smith diagonal of those coordinates."""
+    m, gens = as_sparse(matrix), as_sparse(generators)
+    if not m.matmul(gens).is_zero():
+        raise ValueError("generators do not lie in the kernel")
+    kernel = _smith(m, rows=False)
+    diag = _smith(kernel.kernel_left_inverse().matmul(gens), transforms=False).diag
+    rank = len(kernel.kernel_columns()) - sum(1 for x in diag if x)
+    return GroupDescriptor(rank, tuple(x for x in diag if x > 1))
+
+
 def _check_diagonal(out, c, k, space, check):
     """The descriptor diagonal (unit pivots, then Smith on the residual)
     against plain ``_smith`` of the whole differential, entry by entry."""
@@ -84,8 +100,8 @@ def suite_snf():
     """Smith-form postconditions on random matrices and real differentials,
     the descriptor diagonals (unit pivots first) against plain Smith on
     those matrices, and descriptors read off the Smith diagonals
-    (``complex_cohomology``) against the kernel-quotient route with
-    transforms (``kernel_quotient``) on the orbit, Borel and descriptor
+    (``complex_cohomology``) against the kernel-quotient route
+    (:func:`kernel_quotient`) on the orbit, Borel and descriptor
     complexes and the cones of multiplication by 2 and 3 on the sign -1
     descriptor complex."""
     out = []
@@ -205,7 +221,7 @@ def suite_refinement():
 
 
 def suite_bockstein():
-    """Connecting-map assembly of circle coefficients against the
+    """Circle coefficients (the compact-extension descriptor) against the
     hypercohomology of the inclusion of integers into rationals, and both
     against the torsion of the orbit complex one degree up."""
     out = []

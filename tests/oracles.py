@@ -529,10 +529,10 @@ def reduced_quotient(cover, fstar, k):
     """The reduced H^k of the total complex of a ``fstar`` with rational
     terms, unfolded: the integer parts of its cocycles modulo the integer
     coboundaries, ``ker [A_k; E B_k] / im A_(k-1)`` by the transform
-    route (:func:`realdeligne.exactalg.kernel_quotient`), with ``E`` the
+    route (:func:`realdeligne.verify.kernel_quotient`), with ``E`` the
     left kernel of the rational block ``C_k``, so that ``E B_k x = 0``
     says ``B_k x`` lies in the rational column span of ``C_k``."""
-    from realdeligne import exactalg
+    from realdeligne import exactalg, verify
 
     blocks = total_blocks(cover, fstar)
     a_k, b_k, c_k = blocks(k)
@@ -540,7 +540,7 @@ def reduced_quotient(cover, fstar, k):
     stacked = exactalg.SparseIntMatrix(a_k.nrows + e.nrows, a_k.ncols)
     stacked.set_block(0, 0, a_k)
     stacked.set_block(a_k.nrows, 0, e.matmul(b_k))
-    return exactalg.kernel_quotient(stacked, blocks(k - 1)[0])
+    return verify.kernel_quotient(stacked, blocks(k - 1)[0])
 
 
 # ---------------------------------------------------------------------------

@@ -37,7 +37,6 @@ from realdeligne.coverdata import (
 )
 from realdeligne.errors import (
     FIXED_INDEX_PRESENT,
-    CoverNotFree,
     CoverValidationError,
     DegreeOutOfRange,
     InvalidCoefficientComplex,
@@ -142,10 +141,16 @@ def test_cover_not_free_rejected():
         good=True,
         compact=True,
     )
-    with pytest.raises(CoverNotFree):
-        build_equivariant_complex(stuck, IZ, 2)
-    with pytest.raises(CoverNotFree):
-        equivariant_cohomology(stuck, IZ, 0, 2)
+    cone = CoefficientComplex((IZ, IZ), (2,))
+    for ask in (
+        lambda: build_equivariant_complex(stuck, IZ, 2),
+        lambda: equivariant_cohomology(stuck, IZ, 0, 2),
+        lambda: cechengine.build_descriptor_complex(stuck, -1),
+        lambda: hypercohomology(stuck, cone, 1, 2),
+    ):
+        with pytest.raises(CoverValidationError) as info:
+            ask()
+        assert [kind for kind, _ in info.value.violations] == [FIXED_INDEX_PRESENT]
 
 
 def test_degree_range_enforced(spaces):
@@ -154,6 +159,20 @@ def test_degree_range_enforced(spaces):
         equivariant_cohomology(pt, IZ, 3, 3)
     with pytest.raises(DegreeOutOfRange):
         equivariant_cohomology(pt, IZ, -1, 3)
+    cone = CoefficientComplex((IZ, IZ), (2,))
+    for bad in (1.5, "2"):  # refused as a degree and as a max_degree
+        for ask in (
+            lambda: equivariant_cohomology(pt, IZ, bad, 3),
+            lambda: equivariant_cohomology(pt, IZ, 1, bad),
+            lambda: nonequivariant_cohomology(pt, Z_TRIVIAL, bad, 3),
+            lambda: hypercohomology(pt, cone, bad, 3),
+            lambda: build_equivariant_complex(pt, IZ, bad),
+            lambda: build_full_complex(pt, bad),
+            lambda: cechengine.build_borel_complex(pt, -1, bad),
+        ):
+            with pytest.raises(DegreeOutOfRange):
+                ask()
+    assert equivariant_cohomology(pt, IZ, np.int64(1), np.int64(3)) == equivariant_cohomology(pt, IZ, 1, 3)
 
 
 # ---------------------------------------------------------------------------

@@ -23,6 +23,7 @@ from realdeligne.deligne import (
     MIXED,
     RESULT_RECORD_SCHEMA,
     SMOOTH_PART_SYMBOL,
+    DeligneDescriptor,
     _equivariant_lift,
     classify_flat_line_bundles,
     classify_line_bundles,
@@ -127,12 +128,16 @@ def test_degree_window_too_small(spaces):
     """A negative q lies below every degree window; a negative p is no
     weight.  The window read is always ``0 .. q``."""
     point = spaces["point_trivial"]
-    with pytest.raises(DegreeOutOfRange):
-        deligne_descriptor(point, 2, -1)
+    for q in (-1, 1.5, "2"):
+        with pytest.raises(DegreeOutOfRange):
+            deligne_descriptor(point, 2, q)
     assert deligne_descriptor(point, 2, 5).degrees_computed == (0, 5)
-    with pytest.raises(ValueError):
-        deligne_descriptor(point, -1, 0)
+    for p in (-1, 2.5, "2"):
+        with pytest.raises(ValueError):
+            deligne_descriptor(point, p, 0)
     assert deligne_descriptor(point, p=2, q=2) == deligne_descriptor(point, 2, 2)  # keywords too
+    record = deligne_descriptor(point, np.int64(3), np.int64(2)).to_record()
+    assert json.dumps(record) == json.dumps(deligne_descriptor(point, 3, 2).to_record())
 
 
 def test_records_validate_against_schema(spaces):
@@ -198,6 +203,26 @@ def test_circle_coefficient_groups(spaces):
     assert (qc.torus_dim, qc.torsion) == (0, ())
     qc = quotient_coefficients_cohomology(spaces["circle_conjugation"], 0)
     assert (qc.torus_dim, qc.torsion) == (0, (2,))
+
+
+def test_circle_coefficients_are_the_compact_extension(spaces):
+    """Circle coefficients in degree k are the (p, k + 1) compact extension
+    for every p > k + 1: the rank of integral H^k as the torus, the torsion
+    of H^(k+1) as the finite part."""
+    covers = [*spaces.values(), catalog.build("sphere_antipodal", 3)]
+    fields = [name for name in DeligneDescriptor.__slots__ if name != "p"]
+    for cover in covers:
+        for k in range(4):
+            qc = quotient_coefficients_cohomology(cover, k)
+            assert qc.shape == COMPACT_EXTENSION and (qc.p, qc.q) == (k + 2, k + 1)
+            assert qc.torus_dim == equivariant_cohomology(cover, IZ, k, k + 1).rank
+            assert qc.torsion == equivariant_cohomology(cover, IZ, k + 1, k + 2).torsion
+            for p in range(k + 2, k + 5):
+                other = deligne_descriptor(cover, p, k + 1)
+                for name in fields:
+                    assert getattr(qc, name) == getattr(other, name), (cover.name, k, p, name)
+        with pytest.raises(DegreeOutOfRange):
+            quotient_coefficients_cohomology(cover, -1)
 
 
 def test_zero_angles_classify_trivial(spaces):

@@ -37,11 +37,11 @@ from realdeligne.exactalg import (
     fixed_subcomplex,
     integer_rank,
     kernel_basis,
-    kernel_quotient,
     smith_normal_form,
     solve_int,
     solve_rational,
 )
+from realdeligne.verify import kernel_quotient
 
 
 def intmat(rows):
@@ -339,10 +339,10 @@ def test_periodic_complex_tables():
 
 def test_degree_out_of_range():
     c = times_two_complex()
-    with pytest.raises(DegreeOutOfRange):
-        complex_cohomology(c, 2)
-    with pytest.raises(DegreeOutOfRange):
-        complex_cohomology(c, -1)
+    for k in (2, -1, 1.5, "2"):  # above, below, and no integer at all
+        with pytest.raises(DegreeOutOfRange):
+            complex_cohomology(c, k)
+    assert complex_cohomology(c, 1) == complex_cohomology(c, np.int64(1))
 
 
 def test_dsquared_checked():
@@ -375,7 +375,7 @@ def complexes_with_torsion(draw):
 @given(complexes_with_torsion())
 def test_diagonal_descriptors_match_kernel_quotient(c):
     """Descriptors from the Smith diagonals alone agree with ker d_k / im
-    d_(k-1) computed through the kernel basis and transforms."""
+    d_(k-1) computed through the kernel basis (``verify.kernel_quotient``)."""
     for k in range(c.lo, c.hi + 1):
         assert complex_cohomology(c, k) == kernel_quotient(c.diff(k), c.diff(k - 1)), k
 

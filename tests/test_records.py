@@ -20,9 +20,9 @@ from realdeligne.coverdata import IQ, IZ, CoefficientSystem
 from realdeligne.deligne import (
     RESULT_RECORD_SCHEMA,
     FlatClassCoordinates,
-    QuotientCoefficients,
     deligne_descriptor,
     flat_cocycle_class,
+    quotient_coefficients_cohomology,
 )
 from realdeligne.exactalg import ElementCoordinates, GroupDescriptor
 
@@ -164,7 +164,7 @@ PAIRS = [
     (lambda: ElementCoordinates((1,), (0, 3)), "free_part"),
     (lambda: CoefficientSystem.integers_mod(4, -1), "modulus"),
     (lambda: CoefficientComplex([IZ, IQ], ["incl"]), "maps"),
-    (lambda: QuotientCoefficients(2, (2,)), "torus_dim"),
+    (lambda: quotient_coefficients_cohomology(catalog.build("circle_conjugation"), 0), "torus_dim"),
     (lambda: FlatClassCoordinates(None, (1,)), "torus_part"),
     (lambda: CatalogEntry("sphere_antipodal", (1, 1, 0), True, True, (1,)), "params"),
     (lambda: deligne_descriptor(catalog.build("circle_antipodal"), 3, 2), "torsion"),
