@@ -111,13 +111,6 @@ class CatalogEntry(Record):
 
     __slots__ = ("name", "betti", "compact", "free_action", "params")
 
-    def __init__(self, name: str, betti: tuple, compact: bool, free_action: bool, params: tuple = ()):
-        object.__setattr__(self, "name", name)
-        object.__setattr__(self, "betti", betti)
-        object.__setattr__(self, "compact", compact)
-        object.__setattr__(self, "free_action", free_action)
-        object.__setattr__(self, "params", params)
-
     def build(self) -> C2Cover:
         return build(self.name, *self.params)
 
@@ -176,12 +169,12 @@ def build(name: str, *params) -> C2Cover:
 
 
 ENTRIES = (
-    CatalogEntry("point_trivial", betti=(1, 0, 0), compact=True, free_action=False),
-    CatalogEntry("point_trivial_fine", betti=(1, 0, 0), compact=True, free_action=False),
-    CatalogEntry("free_orbit", betti=(2, 0, 0), compact=True, free_action=True),
-    CatalogEntry("circle_antipodal", betti=(1, 1, 0), compact=True, free_action=True),
-    CatalogEntry("circle_antipodal_fine", betti=(1, 1, 0), compact=True, free_action=True),
-    CatalogEntry("circle_conjugation", betti=(1, 1, 0), compact=True, free_action=False),
+    CatalogEntry("point_trivial", betti=(1, 0, 0), compact=True, free_action=False, params=()),
+    CatalogEntry("point_trivial_fine", betti=(1, 0, 0), compact=True, free_action=False, params=()),
+    CatalogEntry("free_orbit", betti=(2, 0, 0), compact=True, free_action=True, params=()),
+    CatalogEntry("circle_antipodal", betti=(1, 1, 0), compact=True, free_action=True, params=()),
+    CatalogEntry("circle_antipodal_fine", betti=(1, 1, 0), compact=True, free_action=True, params=()),
+    CatalogEntry("circle_conjugation", betti=(1, 1, 0), compact=True, free_action=False, params=()),
     CatalogEntry("sphere_antipodal", betti=(1, 1, 0), compact=True, free_action=True, params=(1,)),
     CatalogEntry("sphere_antipodal", betti=(1, 0, 1), compact=True, free_action=True, params=(2,)),
 )

@@ -131,7 +131,7 @@ def _cover_of(cover_ref) -> C2Cover:
     return cover
 
 
-class TupleBasis:
+class TupleBasis(Record):
     """Ordered basis of the degree-``p`` cochain space of a cover.
 
     Elements are pairs ``(tuple, component)`` listed lexicographically by
@@ -139,11 +139,6 @@ class TupleBasis:
     """
 
     __slots__ = ("degree", "elements", "position")
-
-    def __init__(self, degree: int, elements: tuple, position: dict):
-        self.degree = degree
-        self.elements = elements
-        self.position = position
 
     def __len__(self):
         return len(self.elements)

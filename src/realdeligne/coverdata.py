@@ -911,10 +911,6 @@ class AngleLayout(Record):
 
     __slots__ = ("pairs", "triples")
 
-    def __init__(self, pairs: dict, triples: tuple):
-        object.__setattr__(self, "pairs", pairs)
-        object.__setattr__(self, "triples", triples)
-
 
 @_per_cover
 def _angle_layout(cover: C2Cover) -> AngleLayout:

@@ -28,7 +28,6 @@ from .errors import (
     NotCompact,
 )
 from .exactalg import (
-    ElementCoordinates,
     GroupDescriptor,
     _cohomology_data,
     _whole,
@@ -65,32 +64,6 @@ class DeligneDescriptor(Record):
         "degrees_computed",
         "good_cover_asserted",
     )
-
-    def __init__(
-        self,
-        space: str,
-        p: int | None,
-        q: int,
-        shape: str,
-        rank: int,
-        torsion: tuple,
-        torus_dim: int | None,
-        smooth_part_symbolic: bool,
-        split_assumed: bool,
-        degrees_computed: tuple,
-        good_cover_asserted: bool,
-    ):
-        object.__setattr__(self, "space", space)
-        object.__setattr__(self, "p", p)
-        object.__setattr__(self, "q", q)
-        object.__setattr__(self, "shape", shape)
-        object.__setattr__(self, "rank", rank)
-        object.__setattr__(self, "torsion", torsion)
-        object.__setattr__(self, "torus_dim", torus_dim)
-        object.__setattr__(self, "smooth_part_symbolic", smooth_part_symbolic)
-        object.__setattr__(self, "split_assumed", split_assumed)
-        object.__setattr__(self, "degrees_computed", degrees_computed)
-        object.__setattr__(self, "good_cover_asserted", good_cover_asserted)
 
     @property
     def group(self) -> GroupDescriptor:
@@ -259,10 +232,6 @@ class FlatClassCoordinates(Record):
 
     __slots__ = ("torus_part", "torsion_part")
 
-    def __init__(self, torus_part: tuple | None, torsion_part: tuple):
-        object.__setattr__(self, "torus_part", torus_part)
-        object.__setattr__(self, "torsion_part", torsion_part)
-
     @property
     def is_zero(self) -> bool:
         return self.torus_part is not None and not any(self.torus_part) and not any(
@@ -272,11 +241,6 @@ class FlatClassCoordinates(Record):
 
 class FlatCocycleClass(Record):
     __slots__ = ("coords", "bockstein", "trivial")
-
-    def __init__(self, coords: FlatClassCoordinates, bockstein: ElementCoordinates, trivial: bool):
-        object.__setattr__(self, "coords", coords)
-        object.__setattr__(self, "bockstein", bockstein)
-        object.__setattr__(self, "trivial", trivial)
 
 
 def _equivariant_lift(cover: C2Cover, table: dict) -> list:

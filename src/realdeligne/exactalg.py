@@ -179,7 +179,7 @@ def as_sparse(m) -> SparseIntMatrix:
 # ---------------------------------------------------------------------------
 
 
-class _SmithData:
+class _SmithData(Record):
     """Result of a Smith reduction ``u @ m @ v == d``.
 
     ``diag`` lists the diagonal of ``d`` (nonnegative, divisibility chain).
@@ -191,24 +191,6 @@ class _SmithData:
     """
 
     __slots__ = ("nrows", "ncols", "diag", "u", "vT", "uinvT", "vinv")
-
-    def __init__(
-        self,
-        nrows: int,
-        ncols: int,
-        diag: list,
-        u: SparseIntMatrix | None,
-        vT: SparseIntMatrix | None,
-        uinvT: SparseIntMatrix | None,
-        vinv: SparseIntMatrix | None,
-    ):
-        self.nrows = nrows
-        self.ncols = ncols
-        self.diag = diag
-        self.u = u
-        self.vT = vT
-        self.uinvT = uinvT
-        self.vinv = vinv
 
     def kernel_columns(self):
         ncols = self.ncols
@@ -294,10 +276,7 @@ def _smith(m: SparseIntMatrix, transforms: bool = True, rows: bool = True) -> _S
     never steer the pivots, so the diagonal and ``v`` are the same."""
     nr, nc = m.nrows, m.ncols
     a = [dict(r) for r in m.rows]
-    colrows = [set() for _ in range(nc)]
-    for i, row in enumerate(a):
-        for j in row:
-            colrows[j].add(i)
+    colrows = _column_sets(a, nc)
 
     u = uinvT = vT = vinv = None
     if transforms:
@@ -516,6 +495,9 @@ class GroupDescriptor(Record):
     __slots__ = ("rank", "torsion")
 
     def __init__(self, rank: int, torsion: tuple = ()):
+        rank = index(rank)
+        if rank < 0:
+            raise ValueError("rank must be >= 0")
         tor = tuple(int(d) for d in torsion)
         for d in tor:
             if d < 2:
@@ -561,10 +543,6 @@ class ElementCoordinates(Record):
     in ``[0, d_i)`` against the torsion generator of order ``d_i``."""
 
     __slots__ = ("free_part", "torsion_part")
-
-    def __init__(self, free_part: tuple, torsion_part: tuple):
-        object.__setattr__(self, "free_part", free_part)
-        object.__setattr__(self, "torsion_part", torsion_part)
 
     @property
     def is_zero(self) -> bool:
@@ -830,6 +808,16 @@ def _kernel_coordinates(c: IntegerCochainComplex, k: int, cocycle):
     return data, w
 
 
+def _integral_kernel_coordinates(c: IntegerCochainComplex, k: int, cocycle):
+    """:func:`_kernel_coordinates` of a cocycle that must be integral.
+    ``v = K w`` is integral exactly when ``w`` is, so a closed vector with
+    a fractional kernel coordinate raises ValueError."""
+    data, w = _kernel_coordinates(c, k, cocycle)
+    if any(x % 1 for x in w):
+        raise ValueError("class coordinates are taken on integral cocycles only")
+    return data, w
+
+
 def class_coordinates(c: IntegerCochainComplex, k: int, cocycle) -> ElementCoordinates:
     """Coordinates of an integral cocycle's class, deterministically.
 
@@ -837,14 +825,14 @@ def class_coordinates(c: IntegerCochainComplex, k: int, cocycle) -> ElementCoord
     in ``_cohomology_data``, made on the first coordinate question for
     degree ``k`` and kept, so repeated calls against the same complex are
     mutually consistent.  A vector of the wrong length or outside the
-    kernel of ``d_k`` raises :class:`NotACocycle`; the kernel is tested on
-    the kernel coordinates (:func:`_kernel_coordinates`), never with a
-    product by ``d_k``.  The coordinates are then one product with the
-    cached rows ``R_k`` of ``u @ left``, torsion entries reduced mod their
-    orders.
+    kernel of ``d_k`` raises :class:`NotACocycle`, and a closed vector
+    that is not integral raises ValueError; both are tested on the kernel
+    coordinates (:func:`_kernel_coordinates`), never with a product by
+    ``d_k``.  The coordinates are then one product with the cached rows
+    ``R_k`` of ``u @ left``, torsion entries reduced mod their orders.
     """
     v = list(cocycle)
-    data, _ = _kernel_coordinates(c, k, v)
+    data, _ = _integral_kernel_coordinates(c, k, v)
     y = data["rows"].matvec(v)
     nfree = len(data["free_pos"])
     torsion = tuple(x % d for x, (_, d) in zip(y[nfree:], data["torsion_pos"]))
@@ -853,19 +841,20 @@ def class_coordinates(c: IntegerCochainComplex, k: int, cocycle) -> ElementCoord
 
 def coboundary_preimage(c: IntegerCochainComplex, k: int, cocycle):
     """An integral ``x`` with ``d_(k-1) @ x == cocycle``, or None when the
-    cocycle's class is nonzero.  Checks the cocycle as
-    :func:`class_coordinates` does.
+    cocycle's class is nonzero.  Checks the cocycle, and its integrality,
+    as :func:`class_coordinates` does.
 
     In kernel coordinates ``w`` the preimage solves ``(left @ d_(k-1)) x ==
     w``, whose Smith reduction is the one behind the coordinates; it is
     solvable exactly when every coordinate vanishes."""
-    data, w = _kernel_coordinates(c, k, cocycle)
+    data, w = _integral_kernel_coordinates(c, k, cocycle)
     x_smith = data["x_smith"]
     return x_smith.back_solve(x_smith.u.matvec(w), rational=False)
 
 
 def class_representative(c: IntegerCochainComplex, k: int, coords: ElementCoordinates):
-    """An integral cocycle, as a list, whose class has the given coordinates."""
+    """An integral cocycle, as a list, whose class has the given coordinates.
+    Coordinates of the wrong count, or not integers, raise ValueError."""
     c._require(k)
     data = _cohomology_data(c, k)
     want = (len(data["free_pos"]), len(data["torsion_pos"]))
@@ -873,9 +862,10 @@ def class_representative(c: IntegerCochainComplex, k: int, coords: ElementCoordi
         raise ValueError(f"coordinates need {want[0]} free and {want[1]} torsion entries")
     z = data["kernel"].ncols
     y = [0] * z
-    for val, i in zip(coords.free_part, data["free_pos"]):
-        y[i] = int(val)
-    for val, (i, _d) in zip(coords.torsion_part, data["torsion_pos"]):
+    positions = data["free_pos"] + [i for i, _ in data["torsion_pos"]]
+    for val, i in zip((*coords.free_part, *coords.torsion_part), positions):
+        if val % 1:
+            raise ValueError(f"coordinates must be integers, got {val!r}")
         y[i] = int(val)
     # w = u^{-1} @ y, with u^{-1} stored by columns
     uinvT = data["x_smith"].uinvT

@@ -484,7 +484,9 @@ def run_probe(probe):
     return proc.stdout
 
 
-@pytest.mark.parametrize("module", ["sympy", "numpy", "dataclasses", "inspect"])
+@pytest.mark.parametrize(
+    "module", ["sympy", "numpy", "dataclasses", "inspect", "ast", "dis", "tokenize", "linecache", "copy"]
+)
 def test_cli_import_leaves_module_unloaded(module):
     """``import realdeligne.cli`` does not load ``module``.  What a bare
     interpreter has loaded before it does not count: ``site`` can preload

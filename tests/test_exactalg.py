@@ -418,6 +418,29 @@ def test_class_representative_checks_degree_and_coordinate_counts():
     assert list(class_representative(c, 1, ElementCoordinates((), (1,)))) == [1]
 
 
+def test_coordinate_questions_refuse_fractions():
+    """On the sign -1 orbit complex of the conjugation circle (H^1 = Z +
+    Z/2), coordinates with a fractional entry are refused, not cut to the
+    zero cocycle, and half the representative of ``(1, 1)``, a closed but
+    not integral vector, is refused, not classified to a residue 1/2 in
+    Z/2 or read as a nonzero class."""
+    cover = catalog.build("circle_conjugation")
+    sub, _ = cechengine._orbit_complex(cover, -1)
+    assert str(complex_cohomology(sub, 1)) == "Z + Z/2"
+    with pytest.raises(ValueError, match="integers"):
+        class_representative(sub, 1, ElementCoordinates((Fraction(1, 2),), (0,)))
+    with pytest.raises(ValueError, match="integers"):
+        class_representative(sub, 1, ElementCoordinates((0,), (0.5,)))
+    rep = class_representative(sub, 1, ElementCoordinates((Fraction(1),), (1,)))
+    assert class_coordinates(sub, 1, rep) == ElementCoordinates((1,), (1,))
+    half = [Fraction(x, 2) for x in rep]
+    assert _kernel_coordinates(sub, 1, half)  # closed, so the check passes
+    for question in (class_coordinates, coboundary_preimage):
+        with pytest.raises(ValueError, match="integral"):
+            question(sub, 1, half)
+    assert coboundary_preimage(sub, 1, [Fraction(x) for x in rep]) is None
+
+
 def test_coordinates_vanish_exactly_on_images():
     """class_coordinates(v) == 0 iff v is a coboundary."""
     d0 = intmat([[2, 0], [0, 3], [0, 0]])
@@ -826,6 +849,17 @@ def test_descriptor_rejects_broken_chain():
         GroupDescriptor(0, (4, 2))
     with pytest.raises(ValueError):
         GroupDescriptor(0, (1,))
+
+
+def test_descriptor_rejects_negative_or_fractional_rank():
+    """A rank below 0 or not an integer is refused: ``GroupDescriptor(-1)``
+    would print ``0`` without being trivial, and ``GroupDescriptor(1.5)``
+    ``Z^1.5``."""
+    with pytest.raises(ValueError, match="rank"):
+        GroupDescriptor(-1)
+    with pytest.raises(TypeError):
+        GroupDescriptor(1.5)
+    assert GroupDescriptor(np.int64(2)) == GroupDescriptor(2)
 
 
 def test_element_coordinates_zero():

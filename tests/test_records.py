@@ -5,6 +5,7 @@ printed when these types were generated dataclasses; they must not change.
 """
 
 import copy
+import inspect
 import json
 import re
 
@@ -15,16 +16,17 @@ import pytest
 import flathelp
 from realdeligne import catalog, cli
 from realdeligne.catalog import CatalogEntry
-from realdeligne.cechengine import CoefficientComplex, equivariant_cohomology
-from realdeligne.coverdata import IQ, IZ, CoefficientSystem
+from realdeligne.cechengine import CoefficientComplex, equivariant_cohomology, tuple_basis
+from realdeligne.coverdata import IQ, IZ, CoefficientSystem, _angle_layout
 from realdeligne.deligne import (
     RESULT_RECORD_SCHEMA,
     FlatClassCoordinates,
+    FlatCocycleClass,
     deligne_descriptor,
     flat_cocycle_class,
     quotient_coefficients_cohomology,
 )
-from realdeligne.exactalg import ElementCoordinates, GroupDescriptor
+from realdeligne.exactalg import ElementCoordinates, GroupDescriptor, SparseIntMatrix, _smith
 
 COMPUTE_JSON = """{
   "invocation": [
@@ -199,6 +201,53 @@ def test_fields_cannot_be_assigned_or_deleted(make, field):
     with pytest.raises(AttributeError):
         record.unknown = 0
     assert repr(record) == before
+
+
+def smith_data():
+    return _smith(SparseIntMatrix.from_dense([[2, 1], [0, 3]]))
+
+
+# one value of each record that takes the constructor compiled from its
+# slots; the engine's own records among them hold dicts, so they do not hash
+COMPILED = [
+    lambda: ElementCoordinates((1,), (0, 3)),
+    lambda: FlatClassCoordinates(None, (1,)),
+    lambda: FlatCocycleClass(FlatClassCoordinates((), ()), ElementCoordinates((), ()), True),
+    lambda: _angle_layout(catalog.build("circle_antipodal")),
+    lambda: deligne_descriptor(catalog.build("circle_antipodal"), 3, 2),
+    lambda: catalog.ENTRIES[-1],
+    smith_data,
+    lambda: tuple_basis(catalog.build("circle_antipodal"), 1),
+]
+
+
+@pytest.mark.parametrize("make", COMPILED)
+def test_compiled_constructor_takes_the_slots_in_order(make):
+    record = make()
+    cls = type(record)
+    names = cls.__slots__
+    values = [getattr(record, name) for name in names]
+    assert list(inspect.signature(cls).parameters) == list(names)
+    assert cls(*values) == cls(**dict(zip(names, values))) == record
+    call = re.escape(f"{cls.__name__}.__init__()")
+    with pytest.raises(TypeError, match=f"^{call} missing 1 required positional argument: '{names[-1]}'$"):
+        cls(*values[:-1])
+    with pytest.raises(TypeError, match=f"^{call} got an unexpected keyword argument 'extra'$"):
+        cls(*values, extra=0)
+    with pytest.raises(TypeError, match=f"^{call} takes"):
+        cls(*values, 0)
+
+
+@pytest.mark.parametrize(
+    "make, field", [(smith_data, "diag"), (lambda: tuple_basis(catalog.build("free_orbit"), 0), "position")]
+)
+def test_engine_records_refuse_assignment_and_survive_deepcopy(make, field):
+    record = make()
+    with pytest.raises(AttributeError):
+        setattr(record, field, None)
+    copied = copy.deepcopy(record)
+    assert copied is not record and copied == record
+    assert getattr(copied, field) is not getattr(record, field)
 
 
 def test_shared_descriptors_stay_unchanged():
