@@ -9,7 +9,6 @@ __version__ = "0.1.0"
 
 from .cechengine import (
     CoefficientComplex,
-    build_borel_complex,
     build_equivariant_complex,
     build_full_complex,
     equivariant_cohomology,
@@ -67,7 +66,6 @@ __all__ = [
     "IQ",
     "IZ",
     "Z_TRIVIAL",
-    "build_borel_complex",
     "build_equivariant_complex",
     "build_full_complex",
     "class_coordinates",

@@ -13,6 +13,7 @@ from itertools import product
 
 from .coverdata import C2Cover, _checked, double_fixed_indices, product_cover
 from .errors import UnknownSpace, UnsupportedDimension
+from .exactalg import _whole
 from .records import Record
 
 
@@ -84,9 +85,9 @@ def _sphere_antipodal(n: int = 2) -> C2Cover:
     Any family of hemispheres avoiding an antipodal pair meets in a convex
     (hence contractible, connected) lens, so the intersection poset is the
     boundary complex of the cross-polytope; an antipodal pair is disjoint.
+    The dimension is read as every degree is (:func:`exactalg._whole`).
     """
-    if not isinstance(n, int):
-        raise UnsupportedDimension(f"sphere dimension must be an integer, got {n!r}")
+    n = _whole(n, "sphere dimension", UnsupportedDimension)
     if n < 0:
         raise UnsupportedDimension("sphere dimension must be nonnegative")
     if n > 3:

@@ -23,7 +23,10 @@ above ``dim N`` and every degree is read in a finite window
 to sign (every antipodal cover), each ``C^j_alt`` is Z[C2]-free and
 descriptors read the smaller fixed complex ``C_alt^{C2}`` instead, which
 is quasi-isomorphic; one function makes that choice
-(:func:`_descriptor_of`).  Plain cohomology reads ``C_alt``.
+(:func:`_descriptor_of`), and its answer is the one memo entry per cover
+and sign that descriptors read (:func:`_descriptor_read`).  The Borel
+complex of a free model is read by no answer: ``verify`` builds it
+(:func:`_borel_of`) as its cross-check.  Plain cohomology reads ``C_alt``.
 
 All of these read the cover's :class:`AlternatingModel`: the model of its
 nerve or, for a product, the tensor model ``C_alt(A) ⊗ C_alt(B)`` of its
@@ -248,7 +251,7 @@ def _orbit_complex(cover: C2Cover, sign: int):
 def _orbit_keys(cover: C2Cover) -> tuple:
     """The angle key ``(i, j, c)`` of the earlier element of each orbit of
     the sign -1 orbit complex's degree-1 basis, in orbit order: where
-    ``deligne._equivariant_lift`` reads each orbit coordinate."""
+    ``deligne._flat_class`` reads each orbit coordinate."""
     keys = [(i, j, c) for (i, j), c in tuple_basis(cover, 1).elements]
     return tuple(keys[pos] for r, pos in enumerate(basis_involution(cover, 1)) if pos < r)
 
@@ -473,23 +476,18 @@ def _alternating_model(cover: C2Cover) -> AlternatingModel:
     return _reduced(_nerve_model(cover))
 
 
-def build_alternating_complex(cover: C2Cover) -> IntegerCochainComplex:
-    """The plain complex of the cover's reduced alternating model, one per
-    cover: built to its top + 1 at once, zero above.  It is chain homotopy
-    equivalent to the alternating cochains; its ranks are the reduced
-    model's, not the sizes of the nerve's alternating bases."""
-    return _alternating_model(cover).complex
-
-
-@_per_cover
-def _borel_complex(cover: C2Cover, sign: int) -> IntegerCochainComplex:
-    _require_free(cover)
-    model = _alternating_model(cover)
-    return _borel_of(model, sign) if _acts_freely(model) else build_descriptor_complex(cover, sign)
-
-
 def _borel_of(model: AlternatingModel, sign: int) -> IntegerCochainComplex:
-    """The Borel complex of one model (see :func:`build_borel_complex`)."""
+    """The Borel complex ``Hom_C2(W, C_alt)`` of ``model`` with coefficient
+    sign ``sign``, grown in place from degree 0.
+
+    Summand ``(i, j)`` of ``Tot^n`` sits at offset ``Σ_{j' < j} rank
+    C^j'`` for every ``n >= j``.  ``D_n`` carries it by ``(-1)^i δ`` to
+    ``(i, j + 1)`` and by ``1 - T`` or ``1 + T`` (``i + 1`` odd or even) to
+    ``(i + 1, j)``, where ``T`` is ``sign`` times the model's action.  The
+    model was checked when it was made (``T^2 = id`` and ``T δ = δ T`` in
+    every degree), and ``extend`` checks each new differential's shape and
+    D∘D = 0.
+    """
     alt, actions, top = model.complex, model.actions, model.top
     offset = [0]
     for j in range(top + 1):
@@ -517,63 +515,46 @@ def _borel_of(model: AlternatingModel, sign: int) -> IntegerCochainComplex:
     return _growing(alt.rank(0), step)
 
 
-def build_borel_complex(cover: C2Cover, sign: int, max_degree: int) -> IntegerCochainComplex:
-    """The Borel complex ``Hom_C2(W, C_alt)`` with coefficient sign ``sign``,
-    carried in total degrees ``0 .. max_degree`` at least.
-
-    ``C_alt`` here is the cover's reduced alternating model
-    (:func:`_reduced`), so ranks and offsets are the reduced model's.
-    Summand ``(i, j)`` of ``Tot^n`` sits at offset ``Σ_{j' < j} rank
-    C^j'`` for every ``n >= j``.  ``D_n`` carries it by ``(-1)^i δ`` to
-    ``(i, j + 1)`` and by ``1 - T`` or ``1 + T`` (``i + 1`` odd or even) to
-    ``(i + 1, j)``, where ``T`` is ``sign`` times the model's action.
-    There is one complex per cover and sign, grown in place: the
-    descriptor complex itself when that is the Borel complex.  The model
-    was checked when it was made (``T^2 = id`` and ``T δ = δ T`` in every
-    degree), and ``extend`` checks each new differential's shape and D∘D =
-    0.
-    """
-    return _carried(_borel_complex(cover, sign), max_degree)
-
-
 def _acts_freely(model: AlternatingModel) -> bool:
     """True when T fixes no basis element of ``model``, even up to sign, in
     any degree; then every degree is a free Z[C2]-module."""
     return all(p != r for perm, _ in model.actions for r, p in enumerate(perm))
 
 
-def _fixed_of(model: AlternatingModel, sign: int):
-    """``(sub, bases)``: the fixed complex of a free action on ``model`` and
-    its orbit-sum embeddings, built at once to ``top + 1``."""
-    sub, bases = _grow_orbit_complex(
-        model.complex, lambda j: model.action(j)[0], sign, lambda j: model.action(j)[1]
-    )
-    return _finite(sub, model.top), bases
-
-
 def _descriptor_of(model: AlternatingModel, sign: int) -> IntegerCochainComplex:
     """The complex descriptors read off ``model`` for coefficient sign
-    ``sign``: its fixed complex when the action is free, else its Borel
-    complex (see :func:`build_descriptor_complex`)."""
-    return _fixed_of(model, sign)[0] if _acts_freely(model) else _borel_of(model, sign)
+    ``sign``.
+
+    When the action is free (T fixes no basis element even up to sign;
+    every antipodal cover), each degree is Z[C2]-free, so the Borel complex
+    is quasi-isomorphic to the fixed complex ``C_alt^{C2}``: one orbit sum
+    ``e_r + sign * ε_r * e_π(r)`` per orbit, at most half the Borel rank in
+    every degree, built at once to ``top + 1`` and zero above.  Otherwise
+    it is the Borel complex of the model (:func:`_borel_of`)."""
+    if not _acts_freely(model):
+        return _borel_of(model, sign)
+    sub, _ = _grow_orbit_complex(
+        model.complex, lambda j: model.action(j)[0], sign, lambda j: model.action(j)[1]
+    )
+    return _finite(sub, model.top)
 
 
 @_per_cover
-def build_descriptor_complex(cover: C2Cover, sign: int) -> IntegerCochainComplex:
-    """The complex every descriptor reads for coefficient sign ``sign``:
-    :func:`_descriptor_of` the cover's reduced model, one per cover and
-    sign.
-
-    When the action on the model is free (T fixes no basis element even up
-    to sign; every antipodal cover), each degree is Z[C2]-free, so the
-    Borel complex is quasi-isomorphic to the fixed complex ``C_alt^{C2}``:
-    one orbit sum ``e_r + sign * ε_r * e_π(r)`` per orbit, at most half the
-    Borel rank in every degree and zero above the model's top.  Otherwise
-    it is the Borel complex of the model, the one
-    :func:`build_borel_complex` returns.
-    """
+def _descriptor_read(cover: C2Cover, sign: int):
+    """``(c, s)``: :func:`_descriptor_of` the cover's reduced model for
+    ``sign`` and the degree ``s`` (model top + 1) it is 2-periodic from,
+    one entry per cover and sign, so a question makes one lookup."""
     _require_free(cover)
-    return _descriptor_of(_alternating_model(cover), sign)
+    model = _alternating_model(cover)
+    return _descriptor_of(model, sign), model.top + 1
+
+
+def build_descriptor_complex(cover: C2Cover, sign: int) -> IntegerCochainComplex:
+    """The complex every descriptor reads for coefficient sign ``sign``,
+    one per cover and sign, grown in place: the fixed complex of the
+    cover's reduced model when its action is free, else its Borel complex
+    (:func:`_descriptor_of`)."""
+    return _descriptor_read(cover, sign)[0]
 
 
 def _degree(k: int) -> int:
@@ -647,13 +628,6 @@ def equivariant_cohomology(
     return _descriptor(c, _folded(k, periodic), coeff)
 
 
-@_per_cover
-def _descriptor_read(cover: C2Cover, sign: int):
-    """``(c, s)``: the descriptor complex of ``sign`` and the degree ``s``
-    (model top + 1) it is 2-periodic from, so a question reads one entry."""
-    return build_descriptor_complex(cover, sign), _alternating_model(cover).top + 1
-
-
 def nonequivariant_cohomology(
     cover: C2Cover,
     coeff: CoefficientSystem,
@@ -663,7 +637,7 @@ def nonequivariant_cohomology(
     """H^k of the plain alternating cochain complex, the involution
     forgotten (the sign of ``coeff`` is irrelevant here)."""
     _check_degree(k, max_degree)
-    return _descriptor(build_alternating_complex(cover), k, coeff)
+    return _descriptor(_alternating_model(cover).complex, k, coeff)
 
 
 # ---------------------------------------------------------------------------

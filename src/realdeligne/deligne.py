@@ -243,21 +243,6 @@ class FlatCocycleClass(Record):
     __slots__ = ("coords", "bockstein", "trivial")
 
 
-def _equivariant_lift(cover: C2Cover, table: dict) -> list:
-    """An integral degree-1 cochain, fixed on the nose, that is ``D`` times
-    a rational lift of the angles ``table`` (``D`` and ``table`` from
-    :meth:`FlatCocycle._checked_angles`), in the orbit coordinates of the
-    sign -1 orbit complex: one integer per orbit of basis elements.
-
-    The earlier element of each orbit takes its angle verbatim and its
-    partner, the later one, minus that; the orbit coordinate is the entry
-    at the later position.  ``cechengine._orbit_keys`` lists the earlier
-    elements' keys.  Freeness of the index involution means no basis
-    element partners itself.
-    """
-    return [-table[key] for key in _orbit_keys(cover)]
-
-
 def flat_cocycle_class(fc: FlatCocycle) -> FlatCocycleClass:
     """Classify concrete flat transition angles on their cover.
 
@@ -286,8 +271,12 @@ def _flat_class(cover: C2Cover, den: int, table: dict) -> FlatCocycleClass:
     scales the lift and its coboundary by ``m`` and leaves the obstruction
     and the torus coordinates as they are."""
     sub, _ = _orbit_complex(cover, IZ.sign)
-
-    lift = _equivariant_lift(cover, table)
+    # D times a rational lift of the angles, fixed on the nose, in orbit
+    # coordinates (one integer per orbit): the earlier element of each
+    # orbit takes its angle verbatim and its partner, the later one, which
+    # carries the orbit coordinate, minus that.  The index involution is
+    # free, so no element partners itself
+    lift = [-table[key] for key in _orbit_keys(cover)]
     # the coboundary of a fixed cochain is fixed, so its entries at the
     # orbit representatives, its orbit coordinates, decide integrality
     raw = sub.diff(1).matvec(lift)

@@ -829,11 +829,12 @@ def class_coordinates(c: IntegerCochainComplex, k: int, cocycle) -> ElementCoord
     that is not integral raises ValueError; both are tested on the kernel
     coordinates (:func:`_kernel_coordinates`), never with a product by
     ``d_k``.  The coordinates are then one product with the cached rows
-    ``R_k`` of ``u @ left``, torsion entries reduced mod their orders.
+    ``R_k`` of ``u @ left``, read as ints (an integral cocycle given as
+    Fractions reads the same), torsion entries reduced mod their orders.
     """
     v = list(cocycle)
     data, _ = _integral_kernel_coordinates(c, k, v)
-    y = data["rows"].matvec(v)
+    y = list(map(int, data["rows"].matvec(v)))
     nfree = len(data["free_pos"])
     torsion = tuple(x % d for x, (_, d) in zip(y[nfree:], data["torsion_pos"]))
     return ElementCoordinates(tuple(y[:nfree]), torsion)

@@ -14,7 +14,8 @@ from . import catalog
 from .cechengine import (
     AlternatingModel,
     CoefficientComplex,
-    _borel_complex,
+    _alternating_model,
+    _borel_of,
     _descriptor,
     _descriptor_of,
     _nerve_model,
@@ -118,7 +119,8 @@ def suite_snf():
         for k in (0, 1):
             _check_smith(out, full.diff(k), label, f"differential d_{k}")
         complexes = [(f"fixed sign {sign}", _orbit_complex(cover, sign)[0]) for sign in (-1, 1)]
-        complexes += [(f"Borel sign {sign}", _borel_complex(cover, sign)) for sign in (-1, 1)]
+        model = _alternating_model(cover)
+        complexes += [(f"Borel sign {sign}", _borel_of(model, sign)) for sign in (-1, 1)]
         complexes += [
             (f"descriptor sign {sign}", build_descriptor_complex(cover, sign)) for sign in (-1, 1)
         ]
@@ -329,7 +331,8 @@ def _multiplication_cone(c, n: int, hi: int):
 def suite_borel():
     """The descriptor route (``equivariant_cohomology`` and
     ``hypercohomology``, which read the alternating fixed complex or the
-    Borel complex ``Hom_C2(W, C_alt)``) and the Borel complex itself,
+    Borel complex ``Hom_C2(W, C_alt)``) and the Borel complex of the
+    cover's reduced model, built here whether or not the route reads it,
     against the orbit complex of ordered cochains: H^0..H^4 with Z, Q, Z/2
     and Z/3 coefficients and both signs, and the cones of multiplication by
     2 and 3."""
@@ -339,7 +342,7 @@ def suite_borel():
         for sign in (-1, 1):
             integral = CoefficientSystem.integers(sign)
             orbit, _ = _orbit_complex(cover, sign)
-            borel = _borel_complex(cover, sign)
+            borel = _borel_of(_alternating_model(cover), sign)
 
             def compare(check, ordered, route, direct):
                 if not ordered == route == direct:

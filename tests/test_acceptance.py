@@ -13,6 +13,7 @@ import oracles
 from realdeligne import catalog
 from realdeligne.cechengine import (
     CoefficientComplex,
+    _orbit_keys,
     build_descriptor_complex,
     build_equivariant_complex,
     cech_differential,
@@ -23,7 +24,6 @@ from realdeligne.coverdata import IQ, IZ, Z_TRIVIAL, CoefficientSystem
 from realdeligne.deligne import (
     COMPACT_EXTENSION,
     DISCRETE,
-    _equivariant_lift,
     classify_flat_line_bundles,
     deligne_descriptor,
     flat_cocycle_class,
@@ -179,7 +179,7 @@ def test_acceptance_08_flat_cocycle_coherence(spaces):
                 # integral fixed cochain and re-read the obstruction class
                 # directly
                 den, table = fc._checked_angles()
-                lift = bases[1].matvec(_equivariant_lift(cover, table))
+                lift = bases[1].matvec([-table[key] for key in _orbit_keys(cover)])
                 shift = [den * int(rng.randint(-2, 3)) for _ in range(bases[1].ncols)]
                 shifted = np.array(lift, dtype=object) + bases[1].matvec(shift)
                 raw = delta1.matvec(shifted)

@@ -1,5 +1,6 @@
 """Catalog builders: structure, signatures, export round trips."""
 
+import numpy as np
 import pytest
 
 from realdeligne import catalog
@@ -73,6 +74,18 @@ def test_unsupported_sphere_dimensions():
         catalog.build("sphere_antipodal", 4)
     with pytest.raises(UnsupportedDimension):
         catalog.build("sphere_antipodal", -1)
+    for bad in (1.0, "2", None):
+        with pytest.raises(UnsupportedDimension, match="sphere dimension must be an integer"):
+            catalog.build("sphere_antipodal", bad)
+
+
+@pytest.mark.parametrize("given, n", [(True, 1), (np.int64(2), 2)])
+def test_sphere_dimension_is_read_as_a_degree(given, n):
+    """The dimension is read by ``operator.index``, as every degree is: a
+    bool or a numpy integer builds the sphere of that int, under its name."""
+    cover = catalog.build("sphere_antipodal", given)
+    assert cover.name == f"sphere_antipodal_{n}"
+    assert cover.to_json() == catalog.build("sphere_antipodal", n).to_json()
 
 
 def test_export_round_trip_bit_exact(spaces):

@@ -168,7 +168,6 @@ def test_degree_range_enforced(spaces):
             lambda: hypercohomology(pt, cone, bad, 3),
             lambda: build_equivariant_complex(pt, IZ, bad),
             lambda: build_full_complex(pt, bad),
-            lambda: cechengine.build_borel_complex(pt, -1, bad),
         ):
             with pytest.raises(DegreeOutOfRange):
                 ask()
@@ -207,7 +206,7 @@ def test_three_sphere_matches_projective_space_to_degree_ten():
     cover = catalog.build("sphere_antipodal", 3)
     for sign in (-1, 1):
         coeff = CoefficientSystem.integers(sign)
-        borel = cechengine.build_borel_complex(cover, sign, 10)
+        borel = cechengine._borel_of(cechengine._alternating_model(cover), sign)
         for k in range(11):
             expected = desc(oracles.sphere_quotient(3, sign, k))
             assert equivariant_cohomology(cover, coeff, k, 11) == expected, (sign, k)
@@ -326,15 +325,12 @@ def test_degenerate_oracle_is_a_larger_model(spaces):
 @pytest.mark.parametrize("entry", catalog.ENTRIES, ids=catalog.entry_label)
 def test_borel_rank_saturates(entry):
     """Tot^n has rank Σ_{j <= n} of the ranks of the cover's (reduced)
-    alternating model, constant once n passes the model's top, and one
-    complex per sign serves every max_degree."""
+    alternating model, constant once n passes the model's top."""
     cover = _fresh(entry)
     model = cechengine._alternating_model(cover)
     alt = [model.complex.rank(j) for j in range(8)]
     for sign in (-1, 1):
-        borel = cechengine.build_borel_complex(cover, sign, 2)
-        assert cechengine.build_borel_complex(cover, sign, 6) is borel
-        assert cechengine.build_borel_complex(cover, sign, 3) is borel
+        borel = cechengine._borel_of(model, sign)
         for n in range(8):
             assert borel.rank(n) == sum(alt[: n + 1]), (sign, n)
 
@@ -358,30 +354,30 @@ def test_descriptor_complex_follows_the_alternating_action(entry):
     fixed complex of their reduced model (half its rank, zero above its
     top); the doubled points and the conjugation circle read its Borel
     complex.  ``_descriptor_of`` makes that choice; the cover's descriptor
-    complex is its answer on the reduced model, degree for degree, and when
-    that is the Borel complex it is the one ``build_borel_complex`` returns,
-    not an equal twin.  The
-    fixed complex and its embeddings are built at once to degree top + 1,
-    the first zero term, and never past it: H^k read far above reads zero
-    and leaves ``hi`` where it was."""
+    complex is its answer on the reduced model, degree for degree: the
+    Borel complex ``_borel_of`` builds, or the fixed complex of the
+    model's actions.  The fixed complex is built at once to degree top +
+    1, the first zero term, and never past it: H^k read far above reads
+    zero and leaves ``hi`` where it was."""
     cover = _fresh(entry)
     model = cechengine._alternating_model(cover)
     assert cechengine._acts_freely(model) == entry.free_action
     plain, top = model.complex, model.top
-    assert plain is cechengine.build_alternating_complex(cover)
     alt = [plain.rank(j) for j in range(7)]
     assert alt[top] and not any(alt[top + 1 :])
     for sign in (-1, 1):
         c = cechengine.build_descriptor_complex(cover, sign)
         assert cechengine.build_descriptor_complex(cover, sign) is c
         if not entry.free_action:
-            assert cechengine.build_borel_complex(cover, sign, 6) is c
             borel = cechengine._borel_of(model, sign)
             assert [c.rank(n) for n in range(7)] == [borel.rank(n) for n in range(7)]
             assert all(c.diff(n) == borel.diff(n) for n in range(6)), sign
             continue
         # the orbit sums are fixed by T and embed the complex as a chain map
-        sub, bases = cechengine._fixed_of(model, sign)
+        sub, bases = exactalg._grow_orbit_complex(
+            plain, lambda j: model.action(j)[0], sign, lambda j: model.action(j)[1]
+        )
+        sub.rank(top + 1)
         assert sub.hi == c.hi == top + 1 and sorted(bases) == list(range(top + 2))
         assert sub.ranks == c.ranks and sub.diffs == c.diffs
         for k in bases:
@@ -418,7 +414,7 @@ def test_alternating_involution_is_signed_and_self_inverse(spaces):
 
 def test_plain_alternating_and_ordered_complexes_agree(spaces):
     for cover in spaces.values():
-        alt = cechengine.build_alternating_complex(cover)
+        alt = cechengine._alternating_model(cover).complex
         full = build_full_complex(cover, 4)
         for k in range(5):
             assert complex_cohomology(alt, k) == complex_cohomology(full, k)
@@ -686,11 +682,11 @@ def test_memo_keys_calls_on_their_positional_arguments():
                 builder(cover, **bad)
         with pytest.raises(TypeError):
             builder(cover)
-    minus, plus = (cechengine.build_descriptor_complex(cover, sign) for sign in (-1, 1))
+    minus, plus = (cechengine._descriptor_read(cover, sign) for sign in (-1, 1))
     assert minus is not plus
-    assert cechengine.build_descriptor_complex(cover, -1) is minus
+    assert cechengine._descriptor_read(cover, -1) is minus
     with pytest.raises(TypeError):
-        cechengine.build_descriptor_complex(cover, sign=1)
+        cechengine._descriptor_read(cover, sign=1)
 
 
 def test_session_builds_each_fixed_degree_once(monkeypatch):
@@ -769,7 +765,7 @@ def test_session_builds_each_fixed_degree_once(monkeypatch):
 
         assert smith_inside == [] and matrices_inside == [] and orbit_builds == [], name
         keys = {key[0] for key in cover._memo}
-        assert keys == {"_alternating_model", "build_descriptor_complex", "_descriptor_read"}, name
+        assert keys == {"_alternating_model", "_descriptor_read"}, name
         assert cechengine._acts_freely(cechengine._alternating_model(cover)) == free, name
         for sign, top in zip((-1, 1), tops):
             c = cechengine.build_descriptor_complex(cover, sign)
@@ -888,7 +884,7 @@ def test_hypercohomology_builds_no_total_complex(entry, monkeypatch):
                     fresh[fstar, k] = hypercohomology(_fresh(entry), fstar, k, k + 1)
                 assert got == fresh[fstar, k], (fstar, k, md)
     keys = {key[0] for key in cover._memo}
-    assert keys == {"_alternating_model", "build_descriptor_complex", "_descriptor_read"}
+    assert keys == {"_alternating_model", "_descriptor_read"}
     periodic = cechengine._alternating_model(cover).top + 1
     at_once = periodic if entry.free_action else 0
     for sign, read in ((-1, max(3, cechengine._folded(3, periodic) + 1)), (1, 2)):
@@ -897,11 +893,37 @@ def test_hypercohomology_builds_no_total_complex(entry, monkeypatch):
         assert sorted(n for c, n in extended if c is column) == list(range(column.hi))
 
 
-FOLD_COVERS = [pytest.param(e.name, e.params, id=catalog.entry_label(e)) for e in catalog.ENTRIES]
-FOLD_COVERS += [
+TWO_FACTOR_TORI = [
     pytest.param("torus", (a, b), id=f"{a},{b}")
     for a, b in itertools.combinations_with_replacement(verify.PRODUCT_FACTORS, 2)
 ]
+FOLD_COVERS = [pytest.param(e.name, e.params, id=catalog.entry_label(e)) for e in catalog.ENTRIES]
+FOLD_COVERS += TWO_FACTOR_TORI
+
+
+BOREL_COVERS = [
+    pytest.param("sphere_antipodal", (n,), id=f"sphere_antipodal:{n}") for n in range(4)
+] + TWO_FACTOR_TORI
+
+
+@pytest.mark.parametrize("name, params", BOREL_COVERS)
+def test_borel_reading_equals_the_descriptor_complex(name, params):
+    """On S^0..S^3 and the 21 two-factor tori over ``PRODUCT_FACTORS``, the
+    Borel complex of the cover's reduced model (``_borel_of``), whatever
+    complex the engine reads, gives the descriptor complex's Z and Z/2
+    groups for both signs (so iZ, Z and their mod-2 groups) in degrees 0 ..
+    top + 4, and those are the public answers."""
+    cover = catalog.build(name, *params)
+    model = cechengine._alternating_model(cover)
+    top = model.top + 5
+    for sign in (-1, 1):
+        borel = cechengine._borel_of(model, sign)
+        c = cechengine.build_descriptor_complex(cover, sign)
+        for coeff in (CoefficientSystem.integers(sign), CoefficientSystem.integers_mod(2, sign)):
+            for k in range(top):
+                want = cechengine._descriptor(borel, k, coeff)
+                assert cechengine._descriptor(c, k, coeff) == want, (coeff, k)
+                assert equivariant_cohomology(cover, coeff, k, top) == want, (coeff, k)
 
 
 @pytest.mark.parametrize("name, params", FOLD_COVERS)
@@ -1047,14 +1069,14 @@ def test_far_degrees_localize(name, params):
 
 
 def _built(kind, cover, sign, max_degree):
-    """The engine complex of one kind, carried as a public builder carries
-    it for ``max_degree``: to degree max_degree + 1."""
+    """The engine complex of one kind, carried as the public builders carry
+    theirs for ``max_degree``: to degree max_degree + 1."""
     coeff = CoefficientSystem.integers(sign)
-    if kind == "borel":
-        return cechengine.build_borel_complex(cover, sign, max_degree)
     if kind == "orbit":
         return build_equivariant_complex(cover, coeff, max_degree)[0]
-    if kind == "descriptor":
+    if kind == "borel":
+        c = cechengine._borel_of(cechengine._alternating_model(cover), sign)
+    elif kind == "descriptor":
         c = cechengine.build_descriptor_complex(cover, sign)
     else:
         c = oracles.total_complex(cover, CoefficientComplex((coeff, coeff), (2,)))
@@ -1159,7 +1181,7 @@ def test_empty_residual_skips_smith(monkeypatch):
     complex of ``sphere_antipodal:2`` (H = Z, 0, Z), so its descriptors
     make no Smith reduction at all, not even of the empty residual, and
     the diagonals are still those of plain Smith on each differential."""
-    c = cechengine.build_alternating_complex(catalog.build("sphere_antipodal", 2))
+    c = cechengine._alternating_model(catalog.build("sphere_antipodal", 2)).complex
     smith, calls = exactalg._smith, []
 
     def counted_smith(m, *args, **kwargs):
@@ -1204,10 +1226,10 @@ def test_cover_and_its_cache_die_with_the_last_reference(name, params):
         cover.to_json()
         assert type(cover) is C2Cover and ("_alternating_model", ()) in cover._memo
         factors = [weakref.ref(f) for f in cover.factors]
-        growing = [cechengine.build_borel_complex(cover, sign, 2) for sign in (-1, 1)]
+        model = cechengine._alternating_model(cover)
+        growing = [cechengine._borel_of(model, sign) for sign in (-1, 1)]
         growing += [cechengine.build_descriptor_complex(cover, sign) for sign in (-1, 1)]
         growing.append(oracles.total_complex(cover, TOTAL_COMPLEXES[0]))
-        model = cechengine._alternating_model(cover)
         finite = growing[2:4] if cechengine._acts_freely(model) else []
         zero_top = model.top + 1
         ordered = [build_full_complex(cover, 2), build_equivariant_complex(cover, IZ, 2)[0]]

@@ -420,10 +420,10 @@ def test_exit_out_of_memory(capsys, monkeypatch):
     message, not a traceback with exit 1 (verification failure).  The
     builder is made to raise; no memory is exhausted for real."""
 
-    def exhausted(cover, sign):
+    def exhausted(model, sign):
         raise MemoryError
 
-    monkeypatch.setattr(cechengine, "build_descriptor_complex", exhausted)
+    monkeypatch.setattr(cechengine, "_descriptor_of", exhausted)
     code, out, err = run(
         capsys, "compute", "--space", "circle_conjugation", "--coeff", "iZ", "--degree", "300000"
     )

@@ -12,6 +12,7 @@ import flathelp
 import oracles
 from realdeligne import catalog, cechengine, coverdata
 from realdeligne.cechengine import (
+    _orbit_keys,
     build_equivariant_complex,
     cech_differential,
     equivariant_cohomology,
@@ -24,7 +25,6 @@ from realdeligne.deligne import (
     RESULT_RECORD_SCHEMA,
     SMOOTH_PART_SYMBOL,
     DeligneDescriptor,
-    _equivariant_lift,
     classify_flat_line_bundles,
     classify_line_bundles,
     classify_line_bundles_with_connection,
@@ -598,7 +598,7 @@ def test_obstruction_class_survives_lift_shifts(spaces):
     sub, bases = build_equivariant_complex(cover, IZ, 3)
     delta1 = cech_differential(cover, 1)
     den, table = fc._checked_angles()
-    lift = bases[1].matvec(_equivariant_lift(cover, table))
+    lift = bases[1].matvec([-table[key] for key in _orbit_keys(cover)])
     for _ in range(5):
         shift_fix = [den * int(rng.randint(-3, 4)) for _ in range(bases[1].ncols)]
         shifted = np.array(lift, dtype=object) + bases[1].matvec(shift_fix)

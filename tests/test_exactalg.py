@@ -441,6 +441,19 @@ def test_coordinate_questions_refuse_fractions():
     assert coboundary_preimage(sub, 1, [Fraction(x) for x in rep]) is None
 
 
+def test_fraction_cocycle_reads_int_coordinates():
+    """An integral cocycle given as Fractions classifies to the int-valued
+    coordinates, repr included: the representative of ``(1, 1)`` on the
+    sign -1 orbit complex of the conjugation circle reads ``(1,), (1,)``."""
+    cover = catalog.build("circle_conjugation")
+    sub, _ = cechengine._orbit_complex(cover, -1)
+    want = ElementCoordinates((1,), (1,))
+    rep = class_representative(sub, 1, want)
+    got = class_coordinates(sub, 1, [Fraction(x) for x in rep])
+    assert repr(got) == repr(want) == repr(class_coordinates(sub, 1, rep))
+    assert all(type(x) is int for x in (*got.free_part, *got.torsion_part))
+
+
 def test_coordinates_vanish_exactly_on_images():
     """class_coordinates(v) == 0 iff v is a coboundary."""
     d0 = intmat([[2, 0], [0, 3], [0, 0]])
