@@ -106,7 +106,7 @@ from .records import Record
 
 def _growing(rank0: int, step) -> IntegerCochainComplex:
     """A complex with degree 0 of rank ``rank0``, grown by ``step(n) = d_n``."""
-    c = IntegerCochainComplex(lo=0, hi=0, ranks={0: rank0}, diffs={})
+    c = IntegerCochainComplex({0: rank0}, {})
     c._grow = step
     return c
 
@@ -182,7 +182,9 @@ def cech_differential(cover: C2Cover, p: int) -> SparseIntMatrix:
     Entry rule: the value on a target tuple is the alternating sum over
     deletions of one entry, transported along the face map when the deleted
     entry was the last occurrence of its index.  Deletions producing a tuple
-    outside the basis (a degenerate one) contribute nothing.
+    outside the basis (a degenerate one) contribute nothing.  Deleting
+    positions ``a < b`` gives the same tuple only when entries ``a .. b``
+    are all equal, which no basis tuple has, so each entry is written once.
     """
     src = tuple_basis(cover, p)
     dst = tuple_basis(cover, p + 1)
@@ -198,12 +200,7 @@ def cech_differential(cover: C2Cover, p: int) -> SparseIntMatrix:
             col = src.position.get((sub, c2))
             if col is None:
                 continue
-            sign = -1 if k % 2 else 1
-            val = row.get(col, 0) + sign
-            if val:
-                row[col] = val
-            else:
-                del row[col]
+            row[col] = -1 if k % 2 else 1
     return m
 
 
@@ -242,18 +239,22 @@ def build_full_complex(cover: C2Cover, max_degree: int) -> IntegerCochainComplex
 def _orbit_complex(cover: C2Cover, sign: int):
     _require_free(cover)
     cover_ref = ref(cover)
-    return _grow_orbit_complex(
-        _full_complex(cover), lambda k: basis_involution(_cover_of(cover_ref), k), sign
-    )
+
+    def action(k):
+        perm = basis_involution(_cover_of(cover_ref), k)
+        return perm, [1] * len(perm)
+
+    return _grow_orbit_complex(_full_complex(cover), action, sign)
 
 
 @_per_cover
 def _orbit_keys(cover: C2Cover) -> tuple:
-    """The angle key ``(i, j, c)`` of the earlier element of each orbit of
-    the sign -1 orbit complex's degree-1 basis, in orbit order: where
-    ``deligne._flat_class`` reads each orbit coordinate."""
+    """The angle key ``(i, j, c)`` of each orbit's representative in the
+    sign -1 orbit complex's degree-1 basis, in orbit order: the later
+    element of the orbit, whose entry is the orbit coordinate
+    (``exactalg._orbit_basis``), where ``deligne._flat_class`` reads it."""
     keys = [(i, j, c) for (i, j), c in tuple_basis(cover, 1).elements]
-    return tuple(keys[pos] for r, pos in enumerate(basis_involution(cover, 1)) if pos < r)
+    return tuple(keys[r] for r, pos in enumerate(basis_involution(cover, 1)) if pos < r)
 
 
 def build_equivariant_complex(cover: C2Cover, coeff: CoefficientSystem, max_degree: int):
@@ -285,16 +286,17 @@ class AlternatingModel:
     """The alternating cochains of a cover as every descriptor reads them:
     the plain complex, built to ``top + 1`` and zero above ``top``, and the
     involution on each degree ``0 .. top`` as a signed permutation ``(perm,
-    eps)``.  A model is checked when it is made: each action squares to the
-    identity and commutes with the differential.  It holds no cover."""
+    eps)``, one action per degree, so ``top`` is ``len(actions) - 1``.  A
+    model is checked when it is made: each action squares to the identity
+    and commutes with the differential.  It holds no cover."""
 
     __slots__ = ("complex", "actions", "top")
 
-    def __init__(self, complex: IntegerCochainComplex, actions: list, top: int):
+    def __init__(self, complex: IntegerCochainComplex, actions: list):
         actions = [_checked_involution(j, *act, complex.rank(j)) for j, act in enumerate(actions)]
-        for j in range(top):
+        for j in range(len(actions) - 1):
             _check_commutes(complex.diff(j), actions[j], actions[j + 1], j)
-        self.complex, self.actions, self.top = complex, actions, top
+        self.complex, self.actions, self.top = complex, actions, len(actions) - 1
 
     def action(self, j: int):
         return self.actions[j] if j <= self.top else ([], [])
@@ -350,7 +352,7 @@ def _tensor_model(a: AlternatingModel, b: AlternatingModel) -> AlternatingModel:
                 perm += [base + x for x in pb]
                 eps += [e * x for x in eb]
         actions.append((perm, eps))
-    return AlternatingModel(c, actions, top)
+    return AlternatingModel(c, actions)
 
 
 def _nerve_parts(cover: C2Cover):
@@ -408,7 +410,7 @@ def _nerve_model(cover: C2Cover) -> AlternatingModel:
     top its dimension; it is built once, for the reduction, and not kept."""
     diffs, actions = _nerve_parts(cover)
     c = _finite(_growing(len(actions[0][0]), diffs.__getitem__), len(diffs) - 1)
-    return AlternatingModel(c, actions, len(diffs) - 1)
+    return AlternatingModel(c, actions)
 
 
 def _reduced(model: AlternatingModel) -> AlternatingModel:
@@ -464,7 +466,7 @@ def _reduced(model: AlternatingModel) -> AlternatingModel:
         ([new[j].get(perm[r], -1) for r in new[j]], [eps[r] for r in new[j]])
         for j, (perm, eps) in enumerate(model.actions[: top + 1])
     ]
-    return AlternatingModel(_finite(_growing(len(new[0]), diffs.__getitem__), top), actions, top)
+    return AlternatingModel(_finite(_growing(len(new[0]), diffs.__getitem__), top), actions)
 
 
 @_per_cover
@@ -533,9 +535,7 @@ def _descriptor_of(model: AlternatingModel, sign: int) -> IntegerCochainComplex:
     it is the Borel complex of the model (:func:`_borel_of`)."""
     if not _acts_freely(model):
         return _borel_of(model, sign)
-    sub, _ = _grow_orbit_complex(
-        model.complex, lambda j: model.action(j)[0], sign, lambda j: model.action(j)[1]
-    )
+    sub, _ = _grow_orbit_complex(model.complex, model.action, sign)
     return _finite(sub, model.top)
 
 

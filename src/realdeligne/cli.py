@@ -20,7 +20,6 @@ from . import __version__, catalog
 from .cechengine import equivariant_cohomology, nonequivariant_cohomology
 from .coverdata import C2Cover, CoefficientSystem
 from .deligne import (
-    DISCRETE,
     DeligneDescriptor,
     classify_flat_line_bundles,
     classify_line_bundles,
@@ -102,8 +101,7 @@ def _cover_meta(cover: C2Cover) -> dict:
 def _group_record(cover, k, group, max_degree) -> dict:
     """The result row of H^k: a discrete descriptor with no weight ``p``."""
     return DeligneDescriptor(
-        space=cover.name, p=None, q=k, shape=DISCRETE, rank=group.rank, torsion=group.torsion,
-        torus_dim=None, smooth_part_symbolic=False, split_assumed=False,
+        space=cover.name, p=None, q=k, rank=group.rank, torsion=group.torsion, torus_dim=None,
         degrees_computed=(0, max_degree - 1), good_cover_asserted=cover.good,
     ).to_record()
 

@@ -49,21 +49,25 @@ class DeligneDescriptor(Record):
     discrete quotient (mixed shape), or the finite part (compact extension,
     where ``rank`` is 0 and ``torus_dim`` counts circle factors).  A
     plain cohomology group is the discrete descriptor with ``p`` None.
+    The shape is read off (p, q) (:attr:`shape`), and so are the flags a
+    record reports with it: the smooth part is symbolic exactly in the
+    mixed shape, and every compact extension is reported split.
     """
 
     __slots__ = (
         "space",
         "p",
         "q",
-        "shape",
         "rank",
         "torsion",
         "torus_dim",
-        "smooth_part_symbolic",
-        "split_assumed",
         "degrees_computed",
         "good_cover_asserted",
     )
+
+    @property
+    def shape(self) -> str:
+        return _shape_of(self.p, self.q)
 
     @property
     def group(self) -> GroupDescriptor:
@@ -71,30 +75,30 @@ class DeligneDescriptor(Record):
         return GroupDescriptor(self.rank, self.torsion)
 
     def to_record(self) -> dict:
+        shape = self.shape
         return {
             "space": self.space,
             "p": self.p,
             "q": self.q,
-            "shape": self.shape,
+            "shape": shape,
             "rank": self.rank,
             "torsion": list(self.torsion),
             "torus_dim": self.torus_dim,
-            "smooth_part_symbolic": self.smooth_part_symbolic,
+            "smooth_part_symbolic": shape == MIXED,
             "degrees_computed": list(self.degrees_computed),
             "good_cover_asserted": self.good_cover_asserted,
         }
 
     def __str__(self):
-        if self.shape == DISCRETE:
+        shape = self.shape
+        if shape == DISCRETE:
             body = str(self.group)
-        elif self.shape == MIXED:
+        elif shape == MIXED:
             body = f"{SMOOTH_PART_SYMBOL} -> quotient {self.group}"
         else:
-            tor = " x ".join(f"Z/{d}" for d in self.torsion)
-            body = f"torus_dim {self.torus_dim}" + (f" x {tor}" if tor else "")
-            if self.split_assumed:
-                body += " (split assumed)"
-        return f"H({self.p},{self.q})[{self.space}] = {self.shape}: {body}"
+            tor = "".join(f" x Z/{d}" for d in self.torsion)
+            body = f"torus_dim {self.torus_dim}{tor} (split assumed)"
+        return f"H({self.p},{self.q})[{self.space}] = {shape}: {body}"
 
 
 RESULT_RECORD_SCHEMA = {
@@ -131,8 +135,9 @@ RESULT_RECORD_SCHEMA = {
 }
 
 
-def _shape_of(p: int, q: int) -> str:
-    if p == 0 or q > p:
+def _shape_of(p: int | None, q: int) -> str:
+    """The shape of bidegree (p, q); a plain group (``p`` None) is discrete."""
+    if not p or q > p:
         return DISCRETE
     if q == p:
         return MIXED
@@ -150,32 +155,15 @@ def deligne_descriptor(cover: C2Cover, p: int, q: int) -> DeligneDescriptor:
     p, q = _whole(p, "p", ValueError), _degree(q)
     if p < 0:
         raise ValueError("p must be nonnegative")
-    shape = _shape_of(p, q)
-    meta = {
-        "space": cover.name,
-        "p": p,
-        "q": q,
-        "shape": shape,
-        "degrees_computed": (0, q),
-        "good_cover_asserted": cover.good,
-    }
+    meta = dict(space=cover.name, p=p, q=q, degrees_computed=(0, q), good_cover_asserted=cover.good)
     hq = equivariant_cohomology(cover, IZ, q, q + 1)
-    if shape in (DISCRETE, MIXED):
-        return DeligneDescriptor(
-            rank=hq.rank,
-            torsion=hq.torsion,
-            torus_dim=None,
-            smooth_part_symbolic=(shape == MIXED),
-            split_assumed=False,
-            **meta,
-        )
+    if _shape_of(p, q) != COMPACT_EXTENSION:
+        return DeligneDescriptor(rank=hq.rank, torsion=hq.torsion, torus_dim=None, **meta)
     # q < p: torus from degree q-1, finite part from the degree-q torsion
     return DeligneDescriptor(
         rank=0,
         torsion=hq.torsion,
         torus_dim=equivariant_cohomology(cover, IZ, q - 1, q).rank if q else 0,
-        smooth_part_symbolic=False,
-        split_assumed=True,
         **meta,
     )
 
@@ -240,7 +228,13 @@ class FlatClassCoordinates(Record):
 
 
 class FlatCocycleClass(Record):
-    __slots__ = ("coords", "bockstein", "trivial")
+    """A flat class: its coordinates and its integral obstruction."""
+
+    __slots__ = ("coords", "bockstein")
+
+    @property
+    def trivial(self) -> bool:
+        return self.coords.is_zero
 
 
 def flat_cocycle_class(fc: FlatCocycle) -> FlatCocycleClass:
@@ -250,7 +244,7 @@ def flat_cocycle_class(fc: FlatCocycle) -> FlatCocycleClass:
     2-cocycle; its class is the integral obstruction.  When that class
     vanishes the lift differs from an integral cochain by an honest rational
     cocycle whose free coordinates, taken mod 1, locate the class on the
-    torus.  ``trivial`` is equivalent to both coordinate vectors vanishing.
+    torus.  ``trivial`` is the class's coordinates being zero.
 
     Everything is read on the ordered orbit complex of sign -1, in degrees
     0..2 only: the lift is built in its orbit coordinates, its coboundary is
@@ -272,11 +266,11 @@ def _flat_class(cover: C2Cover, den: int, table: dict) -> FlatCocycleClass:
     and the torus coordinates as they are."""
     sub, _ = _orbit_complex(cover, IZ.sign)
     # D times a rational lift of the angles, fixed on the nose, in orbit
-    # coordinates (one integer per orbit): the earlier element of each
-    # orbit takes its angle verbatim and its partner, the later one, which
-    # carries the orbit coordinate, minus that.  The index involution is
-    # free, so no element partners itself
-    lift = [-table[key] for key in _orbit_keys(cover)]
+    # coordinates: the angle at each orbit's representative
+    # (:func:`_orbit_keys`), its partner taking minus that.  An equivariant
+    # table has minus that angle at the partner up to an integer, so the
+    # lift differs from the table by D times an integral cochain
+    lift = [table[key] for key in _orbit_keys(cover)]
     # the coboundary of a fixed cochain is fixed, so its entries at the
     # orbit representatives, its orbit coordinates, decide integrality
     raw = sub.diff(1).matvec(lift)
@@ -292,14 +286,14 @@ def _flat_class(cover: C2Cover, den: int, table: dict) -> FlatCocycleClass:
     torsion_part = tuple(bockstein.torsion_part)
     if any(torsion_part):
         coords = FlatClassCoordinates(torus_part=None, torsion_part=torsion_part)
-        return FlatCocycleClass(coords=coords, bockstein=bockstein, trivial=False)
+        return FlatCocycleClass(coords=coords, bockstein=bockstein)
 
     # obstruction vanishes: the torus part is the lift's R_1 reading mod D
     data = _cohomology_data(sub, 1)
     free = data["rows"].matvec(lift)[: len(data["free_pos"])]
     torus = tuple(Fraction(x % den, den) for x in free)
     coords = FlatClassCoordinates(torus_part=torus, torsion_part=torsion_part)
-    return FlatCocycleClass(coords=coords, bockstein=bockstein, trivial=not any(torus))
+    return FlatCocycleClass(coords=coords, bockstein=bockstein)
 
 
 def cocycles_equivalent(a: FlatCocycle, b: FlatCocycle) -> bool:

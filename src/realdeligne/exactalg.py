@@ -566,8 +566,11 @@ def _whole(n, what: str, error=DegreeOutOfRange) -> int:
 class IntegerCochainComplex:
     """A complex of free Z-modules ``C^lo -> ... -> C^hi``.
 
-    ``diffs[k]`` is the map ``C^k -> C^(k+1)``; missing keys mean the zero
-    map.  Consecutive differentials must compose to zero (``validate``).
+    ``ranks[k]`` is the rank of ``C^k`` (0 where no key), ``lo`` and ``hi``
+    its least and greatest keys; ``diffs[k]`` is the map ``C^k -> C^(k+1)``,
+    the zero map where no key.  The constructor checks integer degrees and
+    ranks, ranks >= 0, each differential keyed in ``lo .. hi - 1`` and
+    shaped to its ranks, and ``d∘d = 0``, and raises ValueError on a fault.
 
     A complex built by hand is zero outside ``[lo, hi]``.  The Cech engine
     sets a private grower on its own complexes, ``_grow(n)`` returning
@@ -579,13 +582,21 @@ class IntegerCochainComplex:
 
     __slots__ = ("lo", "hi", "ranks", "diffs", "_cache", "_grow")
 
-    def __init__(self, lo: int, hi: int, ranks: dict, diffs: dict):
-        self.lo = lo
-        self.hi = hi
-        self.ranks = ranks
-        self.diffs = {k: as_sparse(d) for k, d in diffs.items()}
+    def __init__(self, ranks: dict, diffs: dict):
+        if not ranks:
+            raise ValueError("a complex needs the rank of at least one degree")
+        self.ranks = {_whole(k, "degree", ValueError): _whole(r, "rank", ValueError)
+                      for k, r in ranks.items()}
+        self.lo, self.hi = min(self.ranks), max(self.ranks)
+        if min(self.ranks.values()) < 0:
+            raise ValueError(f"ranks must be nonnegative, got {ranks}")
+        self.diffs = {_whole(k, "degree", ValueError): as_sparse(d) for k, d in diffs.items()}
         self._cache = {}
         self._grow = None
+        for k in sorted(self.diffs):
+            if not self.lo <= k < self.hi:
+                raise ValueError(f"differential at degree {k} outside degrees {self.lo} .. {self.hi - 1}")
+            self._check(k, self.diffs[k], self.rank(k + 1), ValueError)
 
     def _reach(self, k: int) -> None:
         while self.hi < k and self._grow is not None:
@@ -613,9 +624,10 @@ class IntegerCochainComplex:
     def degrees(self):
         return range(self.lo, self.hi + 1)
 
-    def _check(self, k: int, d: SparseIntMatrix, rank_above: int) -> None:
+    def _check(self, k: int, d: SparseIntMatrix, rank_above: int, error) -> None:
+        """Raise ``error`` unless ``d_k = d`` fits the ranks and ``d_k d_(k-1) = 0``."""
         if d.shape != (rank_above, self.rank(k)):
-            raise InternalInvariantError(f"differential at degree {k} has shape {d.shape}")
+            raise error(f"differential at degree {k} has shape {d.shape}")
         below = self.diff(k - 1).rows
         for row in d.rows:  # row by row, so the product is never stored
             acc = {}
@@ -623,12 +635,7 @@ class IntegerCochainComplex:
                 for i, y in below[j].items():
                     acc[i] = acc.get(i, 0) + x * y
             if any(acc.values()):
-                raise InternalInvariantError(f"d∘d != 0 between degrees {k - 1} and {k + 1}")
-
-    def validate(self) -> "IntegerCochainComplex":
-        for k in range(self.lo, self.hi):
-            self._check(k, self.diff(k), self.rank(k + 1))
-        return self
+                raise error(f"d∘d != 0 between degrees {k - 1} and {k + 1}")
 
     def extend(self, rank: int, diff: SparseIntMatrix) -> None:
         """Carry the complex one degree higher, in place, checking only the
@@ -636,7 +643,7 @@ class IntegerCochainComplex:
         Answers cached from the old top degree up saw a zero map there and
         are dropped."""
         k = self.hi
-        self._check(k, diff, rank)
+        self._check(k, diff, rank, InternalInvariantError)
         self.hi = k + 1
         self.ranks[k + 1] = rank
         self.diffs[k] = diff
@@ -897,7 +904,7 @@ def _checked_involution(k: int, perm, eps, n: int):
     return perm, eps
 
 
-def _orbit_basis(k: int, perm, sign: int, n: int, eps):
+def _orbit_basis(k: int, perm, eps, sign: int, n: int):
     """Orbit-sum basis of the lattice fixed by ``e_i -> sign * eps[i] *
     e_perm[i]``.
 
@@ -939,16 +946,17 @@ def _check_commutes(d: SparseIntMatrix, src, dst, k: int) -> None:
                 )
 
 
-def _grow_orbit_complex(c: IntegerCochainComplex, perm, sign: int, eps=None):
+def _grow_orbit_complex(c: IntegerCochainComplex, action, sign: int):
     """The subcomplex of ``c`` fixed by the signed permutations ``e_i ->
-    sign * eps(k)[i] * e_perm(k)[i]`` (``eps`` all 1 when None), with its
-    orbit-sum embeddings (:func:`_orbit_basis`): ``(sub, bases)`` in
-    degree ``c.lo``, with a grower that carries both, and ``c``, one degree
-    higher.  ``perm(k)`` must fit degree k, so for a ``c`` built by hand it
-    is empty above the top.
+    sign * eps[i] * e_perm[i]``, where ``action(k)`` returns the pair
+    ``(perm, eps)`` of degree ``k``, with its orbit-sum embeddings
+    (:func:`_orbit_basis`): ``(sub, bases)`` in degree ``c.lo``, with a
+    grower that carries both, and ``c``, one degree higher.  ``action(k)``
+    must fit degree k, so for a ``c`` built by hand it is empty above the
+    top.
 
-    Each new degree checks that its permutation is a free involution and
-    that the differential into it commutes with the action
+    Each new degree checks that its action is a free involution and that
+    the differential into it commutes with the action
     (:func:`_check_commutes`); these are the engine's own invariants, so a
     failure raises InternalInvariantError.  Commutation
     carries fixed vectors to fixed vectors, so ``d @ bases[k]`` lies in the
@@ -957,16 +965,15 @@ def _grow_orbit_complex(c: IntegerCochainComplex, perm, sign: int, eps=None):
     ``dk[r', r] = d[r', r] + sign * ε_r * d[r', π(r)]``, one pass over
     those rows.
     """
-    signs = eps or (lambda k: [1] * c.rank(k))
-    _, basis = _orbit_basis(c.lo, perm(c.lo), sign, c.rank(c.lo), signs(c.lo))
-    sub = IntegerCochainComplex(c.lo, c.lo, {c.lo: basis.ncols}, {})
+    _, basis = _orbit_basis(c.lo, *action(c.lo), sign, c.rank(c.lo))
+    sub = IntegerCochainComplex({c.lo: basis.ncols}, {})
     bases = {c.lo: basis}
 
     def step(k):
-        p_next, e_next = perm(k + 1), signs(k + 1)
-        reps, basis = _orbit_basis(k + 1, p_next, sign, c.rank(k + 1), e_next)
+        act = action(k + 1)
+        reps, basis = _orbit_basis(k + 1, *act, sign, c.rank(k + 1))
         d = c.diff(k)
-        _check_commutes(d, (perm(k), signs(k)), (p_next, e_next), k)
+        _check_commutes(d, action(k), act, k)
         # each row of the source embedding holds one entry: (its orbit, ±1)
         src = bases[k].rows
         dk = SparseIntMatrix(len(reps), bases[k].ncols)
@@ -1012,7 +1019,7 @@ def fixed_subcomplex(c: IntegerCochainComplex, involution: dict):
     """
     t = {k: as_sparse(involution[k]) for k in c.degrees()}
     basis = _fixed_lattice(c.lo, t[c.lo], c.rank(c.lo)).kernel_basis()
-    sub = IntegerCochainComplex(c.lo, c.lo, {c.lo: basis.ncols}, {})
+    sub = IntegerCochainComplex({c.lo: basis.ncols}, {})
     bases = {c.lo: basis}
     for k in range(c.lo, c.hi):
         sm = _fixed_lattice(k + 1, t[k + 1], c.rank(k + 1))

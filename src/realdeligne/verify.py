@@ -112,7 +112,7 @@ def suite_snf():
         m = [[rng.randint(-4, 4) for _ in range(ncols)] for _ in range(nrows)]
         check = f"case {case} shape {(nrows, ncols)}"
         _check_smith(out, m, "random", check)
-        single = IntegerCochainComplex(0, 1, {0: ncols, 1: nrows}, {0: m})
+        single = IntegerCochainComplex({0: ncols, 1: nrows}, {0: m})
         _check_diagonal(out, single, 0, "random", f"diagonal of {check}")
     for label, cover in _spaces():
         full = build_full_complex(cover, 2)
@@ -317,7 +317,7 @@ def suite_fixed():
 def _multiplication_cone(c, n: int, hi: int):
     """Total complex of ``c --n--> c`` in degrees ``0 .. hi``: ``Tot^k =
     C^k + C^(k-1)`` and ``D_k = [[d_k, 0], [n, -d_(k-1)]]``."""
-    cone = IntegerCochainComplex(lo=0, hi=0, ranks={0: c.rank(0)}, diffs={})
+    cone = IntegerCochainComplex({0: c.rank(0)}, {})
     for k in range(hi):
         d = SparseIntMatrix(c.rank(k + 1) + c.rank(k), c.rank(k) + c.rank(k - 1))
         d.set_block(0, 0, c.diff(k))

@@ -442,8 +442,7 @@ def degenerate_orbit_complex(cover, sign, top):
                 if not row[col]:
                     del row[col]
         diffs[p] = d
-    full = IntegerCochainComplex(0, top, {p: len(b) for p, b in enumerate(bases)}, diffs)
-    full.validate()
+    full = IntegerCochainComplex({p: len(b) for p, b in enumerate(bases)}, diffs)
     t = {}
     for p, basis in enumerate(bases):
         image = [where[p][tuple(map(cover.t, word)), cover.sigma(c)] for word, c in basis]

@@ -179,7 +179,7 @@ def test_acceptance_08_flat_cocycle_coherence(spaces):
                 # integral fixed cochain and re-read the obstruction class
                 # directly
                 den, table = fc._checked_angles()
-                lift = bases[1].matvec([-table[key] for key in _orbit_keys(cover)])
+                lift = bases[1].matvec([table[key] for key in _orbit_keys(cover)])
                 shift = [den * int(rng.randint(-2, 3)) for _ in range(bases[1].ncols)]
                 shifted = np.array(lift, dtype=object) + bases[1].matvec(shift)
                 raw = delta1.matvec(shifted)

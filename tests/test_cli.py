@@ -11,7 +11,7 @@ import pytest
 import realdeligne
 from realdeligne import catalog, cechengine, cli
 from realdeligne.coverdata import IZ, product_cover
-from realdeligne.deligne import RESULT_RECORD_SCHEMA
+from realdeligne.deligne import RESULT_RECORD_SCHEMA, deligne_descriptor
 
 
 def run(capsys, *argv):
@@ -95,6 +95,40 @@ def test_classify_line_bundles_with_params(capsys):
     assert code == 0
     assert out.startswith("line-bundles(")
     assert out.strip().endswith("= Z")
+
+
+@pytest.mark.parametrize("space", ["circle_conjugation", "sphere_antipodal:2"])
+def test_classify_with_connection(capsys, space):
+    """The (2, 2) descriptor as a line, and its record in the report."""
+    want = deligne_descriptor(cli._load_cover(space), 2, 2)
+    code, out, _ = run(capsys, "classify", "--space", space, "--what", "with-connection")
+    assert (code, out) == (0, f"{want}\n")
+    code, out, _ = run(capsys, "classify", "--space", space, "--what", "with-connection", "--json")
+    assert code == 0 and json.loads(out)["results"] == [want.to_record()]
+
+
+def test_compute_rational_rows_are_the_integral_ranks(capsys):
+    rows = {}
+    for coeff in ("iZ", "iQ-"):
+        code, out, _ = run(
+            capsys, "compute", "--space", "circle_conjugation", "--coeff", coeff, "--max-degree", "4", "--json"
+        )
+        assert code == 0
+        rows[coeff] = json.loads(out)["results"]
+    assert [r["rank"] for r in rows["iQ-"]] == [r["rank"] for r in rows["iZ"]]
+    assert any(r["rank"] for r in rows["iZ"]) and any(r["torsion"] for r in rows["iZ"])
+    assert not any(r["torsion"] for r in rows["iQ-"])
+
+
+@pytest.mark.parametrize(
+    "coeff, message",
+    [("Zmod:x", "bad modulus"), ("Zmod:", "bad modulus"), ("Zmod:1", "modulus must be >= 2"),
+     ("Zmod:-3", "modulus must be >= 2")],
+)
+def test_bad_modulus_is_an_argument_error(capsys, coeff, message):
+    code, out, err = run(capsys, "compute", "--space", "point_trivial", "--coeff", coeff, "--degree", "0")
+    assert (code, out) == (2, "")
+    assert message in err and "Traceback" not in err
 
 
 def test_json_report_compute(capsys):
@@ -572,7 +606,7 @@ def test_cli_and_dense_interchange_run_without_numpy():
         assert solve_int([[2, 0], [0, 3]], [4, 9]) == [2, 3]
         assert solve_int([[2]], [1]) is None
         assert solve_rational([[2, 0], [0, 3]], [1, 1]) == [Fraction(1, 2), Fraction(1, 3)]
-        times_two = IntegerCochainComplex(0, 1, {0: 1, 1: 1}, {0: [[2]]})
+        times_two = IntegerCochainComplex({0: 1, 1: 1}, {0: [[2]]})
         assert class_representative(times_two, 1, ElementCoordinates((), (1,))) == [1]
         print("ok")
     """

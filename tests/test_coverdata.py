@@ -623,6 +623,62 @@ def test_checks_raise_the_reference_violations(space, mutations, data):
         assert_nerve_model_matches(cover)
 
 
+def list_the_empty_subset(parts):
+    parts["intersections"][frozenset()] = ("nowhere",)
+
+
+def use_an_unknown_index(parts):
+    parts["intersections"][frozenset(["stranger"])] = ("strange",)
+
+
+def list_a_subset_without_components(parts):
+    parts["intersections"][subsets(parts)[-1]] = ()
+
+
+def share_a_component_id(parts):
+    first, last = subsets(parts)[0], subsets(parts)[-1]
+    parts["intersections"][last] = (parts["intersections"][first][0],) + parts["intersections"][last][1:]
+
+
+def repeat_an_index(parts):
+    parts["indices"] = (*parts["indices"], parts["indices"][0])
+
+
+def map_an_unknown_index(parts):
+    parts["involution"]["stranger"] = parts["indices"][0]
+
+
+# each with a phrase of the violation it must raise
+MALFORMATIONS = (
+    (list_the_empty_subset, "empty subset listed"),
+    (use_an_unknown_index, "uses unknown indices"),
+    (list_a_subset_without_components, "listed with no components"),
+    (share_a_component_id, "used by two subsets"),
+    (repeat_an_index, "duplicate index names"),
+    (map_an_unknown_index, "involution defined on unknown index"),
+)
+
+
+@pytest.mark.parametrize("mutate, message", MALFORMATIONS, ids=[m.__name__ for m, _ in MALFORMATIONS])
+@pytest.mark.parametrize("space", [("circle_antipodal",), ("circle_conjugation",), ("sphere_antipodal", 2)],
+                         ids=space_key)
+def test_checks_raise_the_reference_violations_of_malformed_parts(space, mutate, message):
+    """Six malformations the random mutations never make, each checked on
+    its own: the check raises exactly the reference's violations, among
+    them the one the malformation names."""
+    base = reference_cover(space)
+    parts = {
+        "indices": tuple(base.indices), "involution": dict(base.involution),
+        "intersections": dict(base.intersections), "faces": dict(base.faces),
+        "component_involution": dict(base.component_involution),
+    }
+    mutate(parts)
+    cover = C2Cover(base.name, base.involution_name, good=base.good, compact=base.compact, **parts)
+    want = oracles.cover_violations(cover)
+    assert any(message in text for _, text in want)
+    assert raised(cover) == want
+
+
 # ---------------------------------------------------------------------------
 # doubling
 # ---------------------------------------------------------------------------
@@ -824,8 +880,9 @@ def test_angle_layout_matches_the_ordered_basis(space):
     """The angle layout, read off the nerve, has one key per element of the
     ordered degree-1 basis, each with the partner and image that basis and
     its involution give; every triple leg is a key; and the orbit keys the
-    flat lift reads are the earlier elements of the orbits of the sign -1
-    orbit complex's degree-1 basis, in its column order."""
+    flat lift reads are the representatives, the later elements, of the
+    orbits of the sign -1 orbit complex's degree-1 basis, in its column
+    order."""
     cover = catalog.build(*space)
     layout = coverdata._angle_layout(cover)
     basis = cechengine.tuple_basis(cover, 1)
@@ -841,7 +898,7 @@ def test_angle_layout_matches_the_ordered_basis(space):
     for pos, row in enumerate(bases[1].rows):
         for col in row:
             orbits[col].append(pos)
-    assert cechengine._orbit_keys(cover) == tuple(keys[min(orbit)] for orbit in orbits)
+    assert cechengine._orbit_keys(cover) == tuple(keys[max(orbit)] for orbit in orbits)
 
 
 @pytest.mark.parametrize("space", [("circle_conjugation",), ("torus", "circle_antipodal", "sphere_antipodal")], ids=space_key)

@@ -48,18 +48,20 @@ def test_shape_law_grid(spaces):
     for p in range(5):
         for q in range(5):
             d = deligne_descriptor(cover, p, q)
+            symbolic = d.to_record()["smooth_part_symbolic"]
             if p == 0 or q > p:
                 assert d.shape == DISCRETE
                 assert d.torus_dim is None
-                assert not d.smooth_part_symbolic
-                assert not d.split_assumed
+                assert not symbolic
+                assert "split assumed" not in str(d)
             elif q == p:
                 assert d.shape == MIXED
-                assert d.smooth_part_symbolic
+                assert symbolic
                 assert d.torus_dim is None
             else:
                 assert d.shape == COMPACT_EXTENSION
-                assert d.split_assumed
+                assert str(d).endswith(" (split assumed)")
+                assert not symbolic
                 assert d.rank == 0
                 assert d.torus_dim is not None
 
@@ -89,7 +91,7 @@ def test_antipodal_circle_descriptor_family(spaces):
     assert oracles.sphere_quotient(1, -1, 1) == (0, (2,))
     d = deligne_descriptor(cover, 3, 2)
     assert d.shape == COMPACT_EXTENSION
-    assert (d.torus_dim, d.torsion, d.split_assumed) == (0, (), True)
+    assert (d.torus_dim, d.torsion) == (0, ())
     assert "split assumed" in str(d)
 
 
@@ -108,7 +110,8 @@ def test_flat_descriptor_on_rigid_spaces(spaces):
     for label in ("point_trivial", "free_orbit", "circle_antipodal"):
         d = classify_flat_line_bundles(spaces[label])
         assert d.shape == COMPACT_EXTENSION
-        assert (d.torus_dim, d.torsion, d.split_assumed) == (0, (), True)
+        assert (d.torus_dim, d.torsion) == (0, ())
+        assert str(d).endswith("torus_dim 0 (split assumed)")
 
 
 def test_flat_descriptor_conjugation_circle(spaces):
@@ -598,7 +601,7 @@ def test_obstruction_class_survives_lift_shifts(spaces):
     sub, bases = build_equivariant_complex(cover, IZ, 3)
     delta1 = cech_differential(cover, 1)
     den, table = fc._checked_angles()
-    lift = bases[1].matvec([-table[key] for key in _orbit_keys(cover)])
+    lift = bases[1].matvec([table[key] for key in _orbit_keys(cover)])
     for _ in range(5):
         shift_fix = [den * int(rng.randint(-3, 4)) for _ in range(bases[1].ncols)]
         shifted = np.array(lift, dtype=object) + bases[1].matvec(shift_fix)

@@ -179,7 +179,7 @@ def nonunit_matrices(draw):
 def unit_pass_diagonal(m):
     """``_diagonal`` of ``m`` as the only differential of a complex."""
     m = as_sparse(m)
-    return _diagonal(IntegerCochainComplex(0, 1, {0: m.ncols, 1: m.nrows}, {0: m}), 0)
+    return _diagonal(IntegerCochainComplex({0: m.ncols, 1: m.nrows}, {0: m}), 0)
 
 
 @settings(max_examples=300, deadline=None)
@@ -305,9 +305,7 @@ def test_solve_int_roundtrip(rows, xs):
 
 def times_two_complex():
     # 0 -> Z --2--> Z -> 0 carried in degrees 0, 1
-    return IntegerCochainComplex(
-        lo=0, hi=1, ranks={0: 1, 1: 1}, diffs={0: intmat([[2]])}
-    ).validate()
+    return IntegerCochainComplex({0: 1, 1: 1}, {0: intmat([[2]])})
 
 
 def periodic_complex(sign, n):
@@ -316,9 +314,7 @@ def periodic_complex(sign, n):
     for k in range(n):
         c = (sign - 1) if k % 2 == 0 else (sign + 1)
         diffs[k] = intmat([[c]])
-    return IntegerCochainComplex(
-        lo=0, hi=n, ranks={k: 1 for k in range(n + 1)}, diffs=diffs
-    ).validate()
+    return IntegerCochainComplex({k: 1 for k in range(n + 1)}, diffs)
 
 
 def test_cokernel_of_two():
@@ -346,13 +342,42 @@ def test_degree_out_of_range():
 
 
 def test_dsquared_checked():
-    with pytest.raises(ValueError):
-        IntegerCochainComplex(
-            lo=0,
-            hi=2,
-            ranks={0: 1, 1: 1, 2: 1},
-            diffs={0: intmat([[1]]), 1: intmat([[1]])},
-        ).validate()
+    with pytest.raises(ValueError, match="d∘d") as caught:
+        IntegerCochainComplex({0: 1, 1: 1, 2: 1}, {0: intmat([[1]]), 1: intmat([[1]])})
+    assert not isinstance(caught.value, InternalInvariantError)
+
+
+@pytest.mark.parametrize(
+    "ranks, diffs",
+    [
+        ({0: 2, 1: 3}, {0: [[1, 2]]}),  # the shape of 1 x 2 into rank 3 from rank 2
+        ({0: 1, 1: 1}, {1: [[1]]}),  # out of the top degree
+        ({0: 1, 1: 1}, {-1: [[1]]}),  # into the bottom degree
+        ({0: 1, 1: -1}, {}),
+        ({0: 1.5}, {}),
+        ({"0": 1}, {}),
+        ({}, {}),
+    ],
+    ids=["shape", "above", "below", "negative-rank", "fractional-rank", "text-degree", "empty"],
+)
+def test_hand_built_complexes_are_checked_when_made(ranks, diffs):
+    """A complex built by hand is checked by its constructor, and a bad one
+    is the caller's input error, a plain ValueError, not an internal
+    invariant failure (d∘d != 0 is ``test_dsquared_checked``)."""
+    with pytest.raises(ValueError) as caught:
+        IntegerCochainComplex(ranks, diffs)
+    assert not isinstance(caught.value, InternalInvariantError)
+
+
+def test_complex_range_is_read_off_its_ranks():
+    """``lo`` and ``hi`` are the least and greatest keys of ``ranks``; a
+    degree between them with no key has rank 0.  Growth checks as before:
+    a differential of the wrong shape is the engine's own fault."""
+    c = IntegerCochainComplex({2: 1, 3: 1, 5: 2}, {2: [[3]]})
+    assert (c.lo, c.hi, c.rank(4)) == (2, 5, 0)
+    assert complex_cohomology(c, 3) == GroupDescriptor(0, (3,))
+    with pytest.raises(InternalInvariantError, match="shape"):
+        c.extend(1, SparseIntMatrix(1, 1))
 
 
 @st.composite
@@ -366,9 +391,7 @@ def complexes_with_torsion(draw):
     z = kernel.shape[1]
     r = np.array(draw(st.lists(entries, min_size=z * a, max_size=z * a)), dtype=object)
     d0 = kernel @ r.reshape(z, a) if z else np.zeros((b, a), dtype=object)
-    return IntegerCochainComplex(
-        lo=0, hi=2, ranks={0: a, 1: b, 2: c}, diffs={0: d0, 1: d1.reshape(c, b)}
-    ).validate()
+    return IntegerCochainComplex({0: a, 1: b, 2: c}, {0: d0, 1: d1.reshape(c, b)})
 
 
 @settings(max_examples=150, deadline=None)
@@ -458,9 +481,7 @@ def test_coordinates_vanish_exactly_on_images():
     """class_coordinates(v) == 0 iff v is a coboundary."""
     d0 = intmat([[2, 0], [0, 3], [0, 0]])
     d1 = intmat([[0, 0, 0]])
-    c = IntegerCochainComplex(
-        lo=0, hi=2, ranks={0: 2, 1: 3, 2: 1}, diffs={0: d0, 1: d1}
-    ).validate()
+    c = IntegerCochainComplex({0: 2, 1: 3, 2: 1}, {0: d0, 1: d1})
     rng = np.random.RandomState(7)
     for _ in range(40):
         x = np.array(rng.randint(-5, 6, size=2), dtype=object)
@@ -474,12 +495,7 @@ def test_coordinates_vanish_exactly_on_images():
 
 def test_representative_roundtrip_mixed():
     d1 = intmat([[0, 0, 0]])
-    c = IntegerCochainComplex(
-        lo=0,
-        hi=2,
-        ranks={0: 2, 1: 3, 2: 1},
-        diffs={0: intmat([[2, 0], [0, 3], [0, 0]]), 1: d1},
-    ).validate()
+    c = IntegerCochainComplex({0: 2, 1: 3, 2: 1}, {0: intmat([[2, 0], [0, 3], [0, 0]]), 1: d1})
     g = complex_cohomology(c, 1)
     assert g == GroupDescriptor(1, (6,))
     for free in ([-2], [0], [5]):
@@ -496,7 +512,7 @@ def test_coboundary_preimage_exactly_on_zero_classes():
         coboundary_preimage(times_two_complex(), 0, [1])
     rng = np.random.RandomState(5)
     d0 = intmat([[1, 2, 0], [0, 2, 4], [3, 0, 6], [1, 1, 1]])
-    wide = IntegerCochainComplex(lo=0, hi=1, ranks={0: 3, 1: 4}, diffs={0: d0}).validate()
+    wide = IntegerCochainComplex({0: 3, 1: 4}, {0: d0})
     for _ in range(20):
         v = d0 @ np.array(rng.randint(-5, 6, size=3), dtype=object)
         x = coboundary_preimage(wide, 1, v)
@@ -651,12 +667,7 @@ def test_kernel_quotient_checks_generators():
 
 def two_term_swap_complex():
     """Rank-2 in degrees 0 and 1, differential the identity."""
-    return IntegerCochainComplex(
-        lo=0,
-        hi=1,
-        ranks={0: 2, 1: 2},
-        diffs={0: intmat([[1, 0], [0, 1]])},
-    ).validate()
+    return IntegerCochainComplex({0: 2, 1: 2}, {0: intmat([[1, 0], [0, 1]])})
 
 
 def test_fixed_subcomplex_plain_swap():
@@ -685,12 +696,7 @@ def test_fixed_subcomplex_rejects_non_involution():
 
 
 def test_fixed_subcomplex_rejects_non_equivariant():
-    c = IntegerCochainComplex(
-        lo=0,
-        hi=1,
-        ranks={0: 2, 1: 2},
-        diffs={0: intmat([[1, 0], [0, 2]])},
-    ).validate()
+    c = IntegerCochainComplex({0: 2, 1: 2}, {0: intmat([[1, 0], [0, 2]])})
     swap = intmat([[0, 1], [1, 0]])
     ident = intmat([[1, 0], [0, 1]])
     with pytest.raises(NotEquivariant):
@@ -699,15 +705,16 @@ def test_fixed_subcomplex_rejects_non_equivariant():
 
 def swap_pairs_complex(d):
     """Rank 4 in degrees 0 and 1; the involution swaps 0<->1 and 2<->3."""
-    return IntegerCochainComplex(lo=0, hi=1, ranks={0: 4, 1: 4}, diffs={0: intmat(d)}).validate()
+    return IntegerCochainComplex({0: 4, 1: 4}, {0: intmat(d)})
 
 
 SWAP_PAIRS = [1, 0, 3, 2]
 
 
-def _swap_pairs_to(top):
-    """The swap in every degree up to ``top``, and nothing above."""
-    return lambda k: SWAP_PAIRS if k <= top else []
+def _swap_pairs_to(top, eps=(1, 1, 1, 1)):
+    """The swap with signs ``eps`` in every degree up to ``top``, and
+    nothing above."""
+    return lambda k: (SWAP_PAIRS, list(eps)) if k <= top else ([], [])
 
 
 def test_orbit_complex_of_swapped_pairs():
@@ -737,9 +744,7 @@ def test_orbit_complex_of_sign_twisted_pairs():
     d = [[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 0, 2], [0, 0, 2, 0]]
     eps = [1, 1, -1, -1]
     for sign in (-1, 1):
-        sub, bases = _grow_orbit_complex(
-            swap_pairs_complex(d), _swap_pairs_to(1), sign, lambda k: eps if k <= 1 else []
-        )
+        sub, bases = _grow_orbit_complex(swap_pairs_complex(d), _swap_pairs_to(1, eps), sign)
         assert bases[0].transpose().to_dense() == [[sign, 1, 0, 0], [0, 0, -sign, 1]]
         assert sub.diff(0).to_dense() == [[1, 0], [0, -2 * sign]]
         t = np.array(_signed_permutation(SWAP_PAIRS, sign)) * np.array(eps, dtype=object)[:, None]
@@ -747,9 +752,7 @@ def test_orbit_complex_of_sign_twisted_pairs():
         for k in (0, 1):
             assert complex_cohomology(sub, k) == complex_cohomology(ref, k)
     with pytest.raises(InternalInvariantError):  # eps not constant on an orbit
-        _grow_orbit_complex(
-            swap_pairs_complex(d), lambda k: SWAP_PAIRS, 1, lambda k: [1, -1, 1, 1]
-        )
+        _grow_orbit_complex(swap_pairs_complex(d), lambda k: (SWAP_PAIRS, [1, -1, 1, 1]), 1)
 
 
 def _signed_permutation(perm, sign):
@@ -771,7 +774,7 @@ def test_orbit_complex_rejects_non_involution(perm):
     this is an internal invariant failure."""
     c = swap_pairs_complex(np.eye(4, dtype=object).tolist())
     with pytest.raises(InternalInvariantError):
-        _grow_orbit_complex(c, lambda k: perm, -1)
+        _grow_orbit_complex(c, lambda k: (perm, [1] * len(perm)), -1)
 
 
 def test_orbit_complex_rejects_non_equivariant():
@@ -781,7 +784,7 @@ def test_orbit_complex_rejects_non_equivariant():
     degree is first read, and leaves the fixed part unextended."""
     c = swap_pairs_complex([[1, 0, 0, 0], [0, 2, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]])
     for sign in (-1, 1):
-        sub, _ = _grow_orbit_complex(c, lambda k: SWAP_PAIRS, sign)
+        sub, _ = _grow_orbit_complex(c, _swap_pairs_to(1), sign)
         with pytest.raises(InternalInvariantError):
             sub.diff(0)
         assert sub.hi == 0
@@ -798,7 +801,7 @@ def test_orbit_coordinates_read_representatives():
     assert list(oracles.orbit_coordinates(SWAP_PAIRS, 1, half)) == [Fraction(1, 2), 0]
     c = swap_pairs_complex([[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]])
     for sign in (-1, 1):
-        _, bases = _grow_orbit_complex(c, lambda k: SWAP_PAIRS, sign)
+        _, bases = _grow_orbit_complex(c, _swap_pairs_to(1), sign)
         for w in ([5, -7], [0, 3]):
             full = bases[0].matvec(w)
             assert oracles.orbit_coordinates(SWAP_PAIRS, sign, full) == w
@@ -821,7 +824,7 @@ def test_fixed_vectors_lie_in_span(perm, flips):
         t[i, invol[i]] = s
     if np.any(t @ t != np.eye(4, dtype=object)):
         return
-    c = IntegerCochainComplex(lo=0, hi=0, ranks={0: 4}, diffs={}).validate()
+    c = IntegerCochainComplex({0: 4}, {})
     sub, bases = fixed_subcomplex(c, {0: t})
     rng = np.random.RandomState(11)
     coeff = np.array(rng.randint(-3, 4, size=bases[0].ncols), dtype=object)

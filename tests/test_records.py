@@ -130,16 +130,15 @@ def test_coefficient_system_repr_and_str():
 def test_deligne_descriptor_repr_and_str():
     d = deligne_descriptor(catalog.build("circle_conjugation"), 2, 1)
     assert repr(d) == (
-        "DeligneDescriptor(space='circle_conjugation', p=2, q=1, shape='compact_extension', "
-        "rank=0, torsion=(2,), torus_dim=0, smooth_part_symbolic=False, split_assumed=True, "
-        "degrees_computed=(0, 1), good_cover_asserted=True)"
+        "DeligneDescriptor(space='circle_conjugation', p=2, q=1, rank=0, torsion=(2,), "
+        "torus_dim=0, degrees_computed=(0, 1), good_cover_asserted=True)"
     )
     assert str(d) == "H(2,1)[circle_conjugation] = compact_extension: torus_dim 0 x Z/2 (split assumed)"
     d = deligne_descriptor(catalog.build("torus"), 2, 2)
     assert repr(d) == (
         "DeligneDescriptor(space='torus(circle_antipodal,circle_antipodal)', p=2, q=2, "
-        "shape='mixed', rank=0, torsion=(2,), torus_dim=None, smooth_part_symbolic=True, "
-        "split_assumed=False, degrees_computed=(0, 2), good_cover_asserted=True)"
+        "rank=0, torsion=(2,), torus_dim=None, degrees_computed=(0, 2), "
+        "good_cover_asserted=True)"
     )
     assert str(d) == (
         "H(2,2)[torus(circle_antipodal,circle_antipodal)] = mixed: "
@@ -152,8 +151,7 @@ def test_flat_cocycle_class_repr_and_str():
     fc, _ = flathelp.random_flat_cocycle(cover, np.random.RandomState(5))
     golden = (
         "FlatCocycleClass(coords=FlatClassCoordinates(torus_part=(Fraction(1, 2),), "
-        "torsion_part=()), bockstein=ElementCoordinates(free_part=(), torsion_part=()), "
-        "trivial=False)"
+        "torsion_part=()), bockstein=ElementCoordinates(free_part=(), torsion_part=()))"
     )
     got = flat_cocycle_class(fc)
     assert repr(got) == str(got) == golden
@@ -212,7 +210,7 @@ def smith_data():
 COMPILED = [
     lambda: ElementCoordinates((1,), (0, 3)),
     lambda: FlatClassCoordinates(None, (1,)),
-    lambda: FlatCocycleClass(FlatClassCoordinates((), ()), ElementCoordinates((), ()), True),
+    lambda: FlatCocycleClass(FlatClassCoordinates((), ()), ElementCoordinates((), ())),
     lambda: _angle_layout(catalog.build("circle_antipodal")),
     lambda: deligne_descriptor(catalog.build("circle_antipodal"), 3, 2),
     lambda: catalog.ENTRIES[-1],
