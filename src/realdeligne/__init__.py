@@ -23,6 +23,7 @@ from .coverdata import (
     CoefficientSystem,
     FlatCocycle,
     double_fixed_indices,
+    join_cover,
     product_cover,
     validate_cover,
 )
@@ -81,6 +82,7 @@ __all__ = [
     "fixed_subcomplex",
     "flat_cocycle_class",
     "hypercohomology",
+    "join_cover",
     "kernel_basis",
     "nonequivariant_cohomology",
     "product_cover",

@@ -9,9 +9,7 @@ Betti signature of the underlying space as a sanity anchor.
 
 from __future__ import annotations
 
-from itertools import product
-
-from .coverdata import C2Cover, _checked, double_fixed_indices, product_cover
+from .coverdata import C2Cover, _checked, double_fixed_indices, join_cover, product_cover
 from .errors import UnknownSpace, UnsupportedDimension
 from .exactalg import _whole
 from .records import Record
@@ -21,20 +19,15 @@ def _one_piece(name: str, involution_name: str, involution: dict, piece: dict) -
     """The unchecked cover on the indices of ``involution`` whose nonempty
     intersections are the subsets keying ``piece``, each in one piece named
     ``piece[subset]``: dropping an index lands in the piece of the smaller
-    subset, and the involution sends a piece to the piece of the image.
-    Subsets are looked up by bit mask, so no member makes a set."""
-    bit = {i: 1 << n for n, i in enumerate(involution)}
-    mask = {s: sum(map(bit.__getitem__, s)) for s in piece}
-    by_mask = {mask[s]: c for s, c in piece.items()}
-    image = {i: bit[t] for i, t in involution.items()}.__getitem__
+    subset, and the involution sends a piece to the piece of the image."""
     return C2Cover(
         name=name,
         involution_name=involution_name,
         indices=tuple(involution),
         involution=involution,
         intersections={s: (c,) for s, c in piece.items()},
-        faces={(c, i): by_mask[mask[s] ^ bit[i]] for s, c in piece.items() if len(s) > 1 for i in s},
-        component_involution={c: by_mask[sum(map(image, s))] for s, c in piece.items()},
+        faces={(c, i): piece[s - {i}] for s, c in piece.items() if len(s) > 1 for i in s},
+        component_involution={c: piece[frozenset(map(involution.get, s))] for s, c in piece.items()},
         good=True,
         compact=True,
     )
@@ -78,6 +71,19 @@ def _conjugation_circle() -> C2Cover:
     return _one_piece("circle_conjugation", "conjugation", involution, piece)
 
 
+def _antipodal_join(n: int) -> C2Cover:
+    """The antipodal ``n``-sphere, for any ``n``, as the join of ``n + 1``
+    checked two-point covers ``{x_i+, x_i-}``, axis 0 first; the join of
+    axes ``0 .. i`` is named ``sphere_antipodal_i``."""
+    out = None
+    for i in range(n + 1):
+        plus, minus = f"x{i}+", f"x{i}-"
+        pair = _checked(_one_piece("sphere_antipodal_0", "antipodal", {plus: minus, minus: plus},
+                                   {frozenset([plus]): plus, frozenset([minus]): minus}))
+        out = pair if out is None else join_cover(out, pair, name=f"sphere_antipodal_{i}")
+    return out
+
+
 def _sphere_antipodal(n: int = 2) -> C2Cover:
     """Sphere of dimension ``n`` covered by the 2(n+1) open hemispheres
     x_i > 0 and x_i < 0, with the antipodal involution.
@@ -85,7 +91,10 @@ def _sphere_antipodal(n: int = 2) -> C2Cover:
     Any family of hemispheres avoiding an antipodal pair meets in a convex
     (hence contractible, connected) lens, so the intersection poset is the
     boundary complex of the cross-polytope; an antipodal pair is disjoint.
-    The dimension is read as every degree is (:func:`exactalg._whole`).
+    It is the join of the n + 1 pairs ``{x_i+, x_i-}``, so the cover is that
+    join (:func:`_antipodal_join`), answering from its factors; its nerve
+    is built and checked when read.  The dimension is read as every degree
+    is (:func:`exactalg._whole`).
     """
     n = _whole(n, "sphere dimension", UnsupportedDimension)
     if n < 0:
@@ -94,16 +103,7 @@ def _sphere_antipodal(n: int = 2) -> C2Cover:
         raise UnsupportedDimension(
             f"sphere dimension {n} exceeds the supported desk-scale bound of 3"
         )
-    opposite = {f"x{i}{s}": f"x{i}{t}" for i in range(n + 1) for s, t in ("+-", "-+")}
-    # each axis contributes its + cap, its - cap or neither: the
-    # 3^(n+1) - 1 nonempty faces of the cross-polytope
-    choices = product(*(("", f"x{i}+", f"x{i}-") for i in range(n + 1)))
-    piece = {}
-    for choice in choices:
-        caps = sorted(filter(None, choice))
-        if caps:
-            piece[frozenset(caps)] = "|".join(caps)
-    return _checked(_one_piece(f"sphere_antipodal_{n}", "antipodal", opposite, piece))
+    return _antipodal_join(n)
 
 
 class CatalogEntry(Record):

@@ -28,17 +28,18 @@ and sign that descriptors read (:func:`_descriptor_read`).  The Borel
 complex of a free model is read by no answer: ``verify`` builds it
 (:func:`_borel_of`) as its cross-check.  Plain cohomology reads ``C_alt``.
 
-All of these read the cover's :class:`AlternatingModel`: the model of its
-nerve or, for a product, the tensor model ``C_alt(A) ⊗ C_alt(B)`` of its
-factors' models (recursively), which Eilenberg–Zilber (Amer. J. Math. 75,
-1953; Dold–Puppe 1961) makes naturally, so equivariantly,
-quasi-isomorphic to the product's cochains.  Each model is reduced as soon
-as it is built, by equivariant Gaussian elimination of its unit pivots
-(:func:`_reduced`), to a Z[C2]-chain homotopy equivalent model that is
-much smaller (the conjugation circle's 6/10/4 becomes 2/2), so the ranks
-and offsets of every complex above are those of the reduced model, not of
-the alternating basis.  A product's nerve is built only when read:
-``to_json``, the ordered cochains, ``FlatCocycle``, ``verify``.
+All of these read the cover's :class:`AlternatingModel`, one of three:
+the model of its nerve; for a product, the tensor model ``C_alt(A) ⊗
+C_alt(B)`` of its factors' models, naturally (so equivariantly)
+quasi-isomorphic to the product's cochains by Eilenberg–Zilber (Amer. J.
+Math. 75, 1953; Dold–Puppe 1961); for a join, that of its factors'
+augmented models without degree 0 (:func:`_augmented_model`).  Each model is
+reduced as soon as it is built, by equivariant Gaussian elimination of its
+unit pivots (:func:`_reduced`), to a Z[C2]-chain homotopy equivalent model
+that is much smaller (the conjugation circle's 6/10/4 becomes 2/2), so the
+ranks of every complex above are those of the reduced model, not of the
+alternating basis.  A product's or a join's nerve is built only when
+read: ``to_json``, the ordered cochains, ``FlatCocycle``, ``verify``.
 
 *Ordered cochains* ``C_ord`` live on ordered index tuples, normalized by
 dropping tuples with two equal consecutive entries; the tuple involution
@@ -57,23 +58,16 @@ C_ord)`` is quasi-isomorphic to the orbit complex ``C_ord^{C2}``.
 Every per-cover object (bases, coboundaries, the involution's action and
 the complexes built on them) comes from one builder under
 ``coverdata._per_cover``, which keeps it in the cover's own memo (its
-``_memo`` slot) under the builder's name and positional arguments.  The
-unreduced nerve model's bases, coboundaries and action are the exception:
-one pass builds them (:func:`_nerve_parts`), for the reduction, and they
-are not kept.  That pass reads each subset's sorted members and each
-component's faces from the rows the structural check
-(``coverdata._checked``) left in the memo, and takes them out, so a cold
-cover's nerve is sorted and looked up once, from the check to the
-reduced model; a cover that never went through the check has its rows
-read by the same function (``coverdata._nerve_rows``).  A complex is a
-seed plus a grower that returns the differential out of its top degree,
-and reading a degree extends it to there, so, as H^k reads d_(k-1) and
-d_k, each degree is built and checked once and never past the highest
-degree read + 1; ``max_degree`` is only a range check.  The alternating
-complexes are built at once to degree top + 1 of their model and grow
-only zero terms above it.  No grower holds the cover (the ordered ones
-reach it through a weak reference), so a cover and its memo die with its
-last reference.
+``_memo`` slot) under the builder's name and positional arguments, but
+for the unreduced nerve model's parts, built in one pass for the
+reduction and not kept (:func:`_nerve_parts`).  A complex is a seed plus a
+grower that returns the differential out of its top degree, and reading a
+degree extends it to there, so, as H^k reads d_(k-1) and d_k, each degree
+is built and checked once and never past the highest degree read + 1;
+``max_degree`` is only a range check.  The alternating complexes are
+built at once to degree top + 1 of their model and grow only zero terms
+above it.  No grower holds the cover (the ordered ones reach it through a
+weak reference), so a cover and its memo die with its last reference.
 Rational ranks are read off the same Smith diagonals as the integral
 groups, and mod-n groups come from the integral complexes by universal
 coefficients degreewise, cached like them; hypercohomology splits its
@@ -302,6 +296,19 @@ class AlternatingModel:
         return self.actions[j] if j <= self.top else ([], [])
 
 
+def _model_of(diffs: list, actions: list) -> AlternatingModel:
+    """The checked model with ``d_j = diffs[j]``, the last into zero."""
+    c = IntegerCochainComplex({0: len(actions[0][0])}, {})
+    for d in diffs:
+        c.extend(d.nrows, d)
+    return AlternatingModel(_finite(c, len(diffs) - 1), actions)
+
+
+def _parts(model: AlternatingModel) -> tuple:
+    """``(diffs, actions)`` of ``model``, as :func:`_model_of` takes them."""
+    return [model.complex.diff(j) for j in range(model.top + 1)], model.actions
+
+
 def _tensor_model(a: AlternatingModel, b: AlternatingModel) -> AlternatingModel:
     """``C_alt(A) ⊗ C_alt(B)``: degree ``n`` lists the blocks ``(p, n - p)``
     by ascending ``p``, each ``|A^p| × |B^(n-p)|`` row-major; ``d(a ⊗ b) =
@@ -309,50 +316,48 @@ def _tensor_model(a: AlternatingModel, b: AlternatingModel) -> AlternatingModel:
     top = a.top + b.top
     ra = [a.complex.rank(p) for p in range(a.top + 2)]
     rb = [b.complex.rank(q) for q in range(b.top + 2)]
-
-    def blocks(n):
-        """Offset of each block ``(p, n - p)`` in degree ``n``, and the rank."""
+    da, db = ([d.rows for d in _parts(m)[0]] for m in (a, b))
+    blocks = []  # per degree n: the offset of each block (p, n - p), and the rank
+    for n in range(top + 2):
         offset, size = {}, 0
         for p in range(max(0, n - b.top), min(n, a.top) + 1):
             offset[p] = size
             size += ra[p] * rb[n - p]
-        return offset, size
+        blocks.append((offset, size))
 
-    def step(n):
-        src, ncols = blocks(n)
-        dst, nrows = blocks(n + 1)
+    diffs = []
+    for n in range(top + 1):
+        (src, ncols), (dst, nrows) = blocks[n], blocks[n + 1]
         d = SparseIntMatrix(nrows, ncols)
+        rows = d.rows
         for p, col in src.items():
             q = n - p
             w, w1 = rb[q], rb[q + 1]
             if p + 1 in dst:  # da ⊗ b
                 row0 = dst[p + 1]
-                for r1, row in enumerate(a.complex.diff(p).rows):
+                for r1, row in enumerate(da[p]):
                     for r, x in row.items():
                         for s in range(w):
-                            d.rows[row0 + r1 * w + s][col + r * w + s] = x
+                            rows[row0 + r1 * w + s][col + r * w + s] = x
             if p in dst and w1:  # (-1)^p a ⊗ db
                 row0, sign = dst[p], -1 if p % 2 else 1
-                db = b.complex.diff(q).rows
                 for r in range(ra[p]):
-                    for s1, row in enumerate(db):
-                        target = d.rows[row0 + r * w1 + s1]
+                    for s1, row in enumerate(db[q]):
+                        target = rows[row0 + r * w1 + s1]
                         for s, x in row.items():
                             target[col + r * w + s] = sign * x
-        return d
-
-    c = _finite(_growing(ra[0] * rb[0], step), top)
+        diffs.append(d)
     actions = []
     for n in range(top + 1):
         perm, eps = [], []
-        for p, off in blocks(n)[0].items():
+        for p, off in blocks[n][0].items():
             (pa, ea), (pb, eb), w = a.actions[p], b.actions[n - p], rb[n - p]
             for r in range(ra[p]):
                 base, e = off + pa[r] * w, ea[r]
                 perm += [base + x for x in pb]
                 eps += [e * x for x in eb]
         actions.append((perm, eps))
-    return AlternatingModel(c, actions)
+    return _model_of(diffs, actions)
 
 
 def _nerve_parts(cover: C2Cover):
@@ -408,9 +413,7 @@ def _nerve_parts(cover: C2Cover):
 def _nerve_model(cover: C2Cover) -> AlternatingModel:
     """The model read off the nerve (:func:`_nerve_parts`), unreduced, with
     top its dimension; it is built once, for the reduction, and not kept."""
-    diffs, actions = _nerve_parts(cover)
-    c = _finite(_growing(len(actions[0][0]), diffs.__getitem__), len(diffs) - 1)
-    return AlternatingModel(c, actions)
+    return _model_of(*_nerve_parts(cover))
 
 
 def _reduced(model: AlternatingModel) -> AlternatingModel:
@@ -430,9 +433,9 @@ def _reduced(model: AlternatingModel) -> AlternatingModel:
     with them.  That makes no new pivot below degree ``j + 1``, so one pass
     up the degrees leaves none.  The survivors keep their order and the
     restricted action, the new model is checked like any other, and its
-    top is its highest nonzero degree."""
+    top is its highest nonzero degree; without a pivot, it is ``model``."""
     alive = [[True] * model.complex.rank(j) for j in range(model.top + 2)]
-    rows = []
+    rows, eliminated = [], False
     for j in range(model.top):
         (perm, _), (perm1, _) = model.actions[j], model.actions[j + 1]
         live, live1 = alive[j], alive[j + 1]
@@ -450,7 +453,10 @@ def _reduced(model: AlternatingModel) -> AlternatingModel:
             for pc, pr in ((c, r),) if t == r else ((c, r), (perm[c], t)):
                 _eliminate(a, cols, pr, pc)
                 live[pc] = live1[pr] = False
+            eliminated = True
         rows.append(a)
+    if not eliminated:
+        return model
     # each survivor's new position, per degree, in the old order
     new = [{old: n for n, old in enumerate(i for i, x in enumerate(live) if x)} for live in alive]
     top = max((j for j in range(model.top + 1) if new[j]), default=0)
@@ -466,13 +472,43 @@ def _reduced(model: AlternatingModel) -> AlternatingModel:
         ([new[j].get(perm[r], -1) for r in new[j]], [eps[r] for r in new[j]])
         for j, (perm, eps) in enumerate(model.actions[: top + 1])
     ]
-    return AlternatingModel(_finite(_growing(len(new[0]), diffs.__getitem__), top), actions)
+    return _model_of(diffs, actions)
+
+
+def _augmented(diffs: list, actions: list) -> AlternatingModel:
+    """:func:`_model_of` with the empty simplex as a new degree 0: rank 1,
+    fixed with ``ε = +1``, ``d_0`` the column of ones."""
+    n = len(actions[0][0])
+    return _model_of([SparseIntMatrix(n, 1, [{0: 1} for _ in range(n)]), *diffs], [([0], [1]), *actions])
+
+
+def _unaugmented(model: AlternatingModel) -> AlternatingModel:
+    """An augmented model without its degree 0, the empty simplex."""
+    return _model_of(*(x[1:] for x in _parts(model)))
+
+
+@_per_cover
+def _augmented_model(cover: C2Cover) -> AlternatingModel:
+    """The cover's reduced model augmented (:func:`_augmented`, a nerve's
+    before its model is built), graded by vertex count.  A join's simplices
+    are the pairs of its factors' simplices, one maybe empty, so its model
+    is the reduced tensor model of theirs, whose sign ``(-1)^p`` is the
+    join's when the first factor's indices sort first (else the same up to
+    sort signs); the fixed empty simplex never pairs with a free vertex."""
+    if cover.joined:
+        return _reduced(_tensor_model(*map(_augmented_model, cover.factors)))
+    if cover.factors:
+        return _augmented(*_parts(_alternating_model(cover)))
+    return _reduced(_augmented(*_nerve_parts(cover)))
 
 
 @_per_cover
 def _alternating_model(cover: C2Cover) -> AlternatingModel:
-    """The model every reader reads: the nerve's, or for a product the
-    tensor model of its factors' models, reduced (:func:`_reduced`)."""
+    """The model every reader reads, reduced (:func:`_reduced`): the
+    nerve's, a product's tensor model of its factors' models, or a join's
+    augmented model without degree 0."""
+    if cover.joined:
+        return _unaugmented(_augmented_model(cover))
     if cover.factors:
         return _reduced(_tensor_model(*map(_alternating_model, cover.factors)))
     return _reduced(_nerve_model(cover))

@@ -91,12 +91,12 @@ class C2Cover(_WeaklyReferenced):
     Construct through :func:`validate_cover` (or :meth:`from_json`) or a
     package builder; direct instantiation skips the invariant checks.
     Instances are immutable by convention and hashable by identity, so they
-    can key caches.  A product keeps its two factors in ``factors``, and
-    what is built once per cover (:func:`_per_cover`) lives in ``_memo``,
-    dying with it.
+    can key caches.  A product or a join keeps its two factors in
+    ``factors`` (``joined`` tells which), and what is built once per cover
+    (:func:`_per_cover`) lives in ``_memo``, dying with it.
     """
 
-    # _ProductCover swaps its class for this one, so the two keep one layout
+    # _LazyNerveCover swaps its class for this one, so the two keep one layout
     __slots__ = (
         "name",
         "involution_name",
@@ -107,7 +107,8 @@ class C2Cover(_WeaklyReferenced):
         "component_involution",
         "good",
         "compact",
-        "factors",  # a product's factors; () for every other cover
+        "factors",  # a product's or a join's factors; () for every other cover
+        "joined",  # True when the factors are joined rather than multiplied
         "_memo",  # (builder name, args) -> what it built
     )
 
@@ -134,6 +135,7 @@ class C2Cover(_WeaklyReferenced):
         self.good = good
         self.compact = compact
         self.factors = factors
+        self.joined = False
         self._memo = {}
 
     # -- lookups ----------------------------------------------------------
@@ -664,7 +666,7 @@ def double_fixed_indices(raw) -> C2Cover:
 
 
 # ---------------------------------------------------------------------------
-# Products
+# Products and joins
 # ---------------------------------------------------------------------------
 
 
@@ -739,31 +741,68 @@ def _nerve_of_product(a: C2Cover, b: C2Cover):
     return intersections, faces, comp_inv
 
 
+def _nerve_of_join(a: C2Cover, b: C2Cover):
+    """``(intersections, faces, component_involution)`` of the join of
+    ``a`` and ``b``: the subsets ``I ⊔ J`` of a subset of each or ``∅``
+    (``J`` running fastest), with components ``ca|cb`` (``ca`` or ``cb`` if
+    the other part is empty), faces and ``σ`` taken factorwise."""
+    side_a, side_b = ([(frozenset(), (None,)), *f.intersections.items()] for f in (a, b))
+    sigma_a, sigma_b = ({None: None, **f.component_involution}.__getitem__ for f in (a, b))
+
+    def joined(ca, cb):
+        return cb if ca is None else ca if cb is None else f"{ca}|{cb}"
+
+    intersections, faces, comp_inv = {}, {}, {}
+    for sa, comps_a in side_a:
+        for sb, comps_b in side_b:
+            if not (sa or sb):
+                continue
+            pairs = [(ca, cb) for ca in comps_a for cb in comps_b]
+            ids = intersections[sa | sb] = tuple(joined(*pair) for pair in pairs)
+            for c, (ca, cb) in zip(ids, pairs):
+                comp_inv[c] = joined(sigma_a(ca), sigma_b(cb))
+                if len(sa) + len(sb) > 1:
+                    faces.update(((c, i), joined(a.faces[ca, i] if len(sa) > 1 else None, cb)) for i in sa)
+                    faces.update(((c, j), joined(ca, b.faces[cb, j] if len(sb) > 1 else None)) for j in sb)
+    return intersections, faces, comp_inv
+
+
 _NERVE = ("intersections", "faces", "component_involution")
 
 
-class _ProductCover(C2Cover):
-    """A product whose first read of a nerve field builds and checks the
-    nerve, then makes the cover a plain :class:`C2Cover` (same slots), so
-    later reads cost what they cost on any cover."""
+class _LazyNerveCover(C2Cover):
+    """A product or a join whose first read of a nerve field builds and
+    checks the nerve, then makes the cover a plain :class:`C2Cover` (same
+    slots), so later reads cost what they cost on any cover.  Each factor
+    runs every check but freeness unless it is a product or a join or
+    passed them all and was not read since (:func:`_checked_but_freeness`);
+    the indices must be distinct and free, else :class:`CoverValidationError`."""
 
     __slots__ = ()
 
-    def __init__(self, a: C2Cover, b: C2Cover, name: str):
-        self.name = name
-        self.involution_name = f"{a.involution_name}*{b.involution_name}"
-        self.indices = tuple(_pair(i, j) for i in a.indices for j in b.indices)
-        self.involution = {_pair(i, j): _pair(a.t(i), b.t(j)) for i in a.indices for j in b.indices}
-        self.good = a.good and b.good
-        self.compact = a.compact and b.compact
-        self.factors = (a, b)
-        self._memo = {}
+    def __init__(self, a: C2Cover, b: C2Cover, joined: bool, name: str, involution_name: str):
+        for factor in (a, b):
+            if not factor.factors:  # a product or a join was checked when it was built
+                _checked_but_freeness(factor)
+        self.name, self.involution_name = name, involution_name
+        if joined:
+            self.indices = a.indices + b.indices
+            self.involution = {i: f.t(i) for f in (a, b) for i in f.indices}
+        else:
+            self.indices = tuple(_pair(i, j) for i in a.indices for j in b.indices)
+            self.involution = {_pair(i, j): _pair(a.t(i), b.t(j)) for i in a.indices for j in b.indices}
+        self.good, self.compact = a.good and b.good, a.compact and b.compact
+        self.factors, self.joined, self._memo = (a, b), joined, {}
+        if len(set(self.indices)) != len(self.indices):  # factor names can collide
+            raise CoverValidationError([(INVOLUTION_NOT_SELF_INVERSE, "duplicate index names")])
+        _require_free(self)
 
     def __getattr__(self, name):
         # reached only for a slot not yet set: an unread nerve
         if name not in _NERVE:
             raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
-        parts = dict(zip(_NERVE, _nerve_of_product(*self.factors)))
+        nerve = _nerve_of_join if self.joined else _nerve_of_product
+        parts = dict(zip(_NERVE, nerve(*self.factors)))
         _checked(C2Cover(self.name, self.involution_name, self.indices, self.involution,
                          good=self.good, compact=self.compact, **parts))
         self.intersections, self.faces, self.component_involution = parts.values()
@@ -773,7 +812,7 @@ class _ProductCover(C2Cover):
 
     def __repr__(self):
         names = " x ".join(repr(f.name) for f in self.factors)
-        return f"C2Cover({self.name!r}, {len(self.indices)} indices, product of {names})"
+        return f"C2Cover({self.name!r}, {len(self.indices)} indices, {'join' if self.joined else 'product'} of {names})"
 
 
 def product_cover(a: C2Cover, b: C2Cover, name: str | None = None) -> C2Cover:
@@ -787,20 +826,24 @@ def product_cover(a: C2Cover, b: C2Cover, name: str | None = None) -> C2Cover:
     alternating complexes.  The nerve (``intersections``, ``faces``,
     ``component_involution``) stays lazy: it is built, and every structural
     check runs on it, on first read (``to_json``, the flat classifier,
-    :class:`FlatCocycle`, ``verify``).  Here each factor runs every check
-    but freeness, unless it is a product, which ran them when built, or
-    passed them all and was not read since, as a fresh catalog cover has
-    (:func:`_checked_but_freeness`).  The pair indices must be distinct
-    and free, else :class:`CoverValidationError`.
+    :class:`FlatCocycle`, ``verify``), as :class:`_LazyNerveCover` says.
     """
-    for factor in (a, b):
-        if not factor.factors:  # a product factor was checked when it was built
-            _checked_but_freeness(factor)
-    cover = _ProductCover(a, b, name or f"{a.name}*{b.name}")
-    if len(set(cover.indices)) != len(cover.indices):  # factor names with "*" can collide
-        raise CoverValidationError([(INVOLUTION_NOT_SELF_INVERSE, "duplicate index names")])
-    _require_free(cover)
-    return cover
+    involution_name = f"{a.involution_name}*{b.involution_name}"
+    return _LazyNerveCover(a, b, False, name or f"{a.name}*{b.name}", involution_name)
+
+
+def join_cover(a: C2Cover, b: C2Cover, name: str | None = None) -> C2Cover:
+    """Cover of the join ``A * B`` on the indices of both: ``U_I ∩ V_J`` is
+    ``U_I × V_J × (0, 1)`` and ``U_I`` alone is ``U_I`` times a cone, so the
+    nerve is the join of the nerves (:func:`_nerve_of_join`), good when
+    both are; S^n is the join of n + 1 copies of S^0 (J. Milnor, Ann. of
+    Math. 63, 1956).  Cohomology is read from the factors' augmented
+    models, and the nerve stays lazy as a product's does.  The involution
+    name is the factors' if they share one, else both joined by ``*``."""
+    involution_name = a.involution_name
+    if b.involution_name != involution_name:
+        involution_name = f"{involution_name}*{b.involution_name}"
+    return _LazyNerveCover(a, b, True, name or f"join({a.name},{b.name})", involution_name)
 
 
 # ---------------------------------------------------------------------------

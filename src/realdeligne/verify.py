@@ -15,12 +15,15 @@ from .cechengine import (
     AlternatingModel,
     CoefficientComplex,
     _alternating_model,
+    _augmented,
     _borel_of,
     _descriptor,
     _descriptor_of,
     _nerve_model,
     _orbit_complex,
+    _parts,
     _tensor_model,
+    _unaugmented,
     build_descriptor_complex,
     build_equivariant_complex,
     build_full_complex,
@@ -29,7 +32,7 @@ from .cechengine import (
     involution_matrix,
     nonequivariant_cohomology,
 )
-from .coverdata import IQ, IZ, C2Cover, CoefficientSystem, Z_TRIVIAL
+from .coverdata import IQ, IZ, C2Cover, CoefficientSystem, Z_TRIVIAL, join_cover
 from .deligne import deligne_descriptor, quotient_coefficients_cohomology
 from .exactalg import (
     GroupDescriptor,
@@ -387,8 +390,8 @@ SMALL_NERVE = 5000
 
 
 def _nerve_only(cover: C2Cover) -> C2Cover:
-    """The product's nerve, checked, as a cover without factors, as its
-    file reads back."""
+    """The cover's nerve, checked, as a cover without factors, as its file
+    reads back."""
     return C2Cover(
         cover.name, cover.involution_name, cover.indices, cover.involution,
         cover.intersections, cover.faces, cover.component_involution,
@@ -398,49 +401,60 @@ def _nerve_only(cover: C2Cover) -> C2Cover:
 
 def _unreduced_model(cover: C2Cover) -> AlternatingModel:
     """The alternating model as it is built, before the engine reduces it:
-    the nerve's, or for a product the tensor model of its factors'
-    unreduced models."""
+    the nerve's, or the tensor model of the factors' unreduced models (for
+    a join, of their augmented ones, without degree 0)."""
+    if cover.joined:
+        return _unaugmented(_tensor_model(*(_augmented(*_parts(_unreduced_model(f))) for f in cover.factors)))
     if cover.factors:
         return _tensor_model(*map(_unreduced_model, cover.factors))
     return _nerve_model(cover)
 
 
+# Joins beside the spheres; only the second's model is not free (Borel route)
+JOIN_PAIRS = (("circle_antipodal", "free_orbit"), ("free_orbit", "circle_conjugation"))
+
+
 def suite_product():
-    """Every two-factor torus over ``PRODUCT_FACTORS`` (21 unordered pairs):
-    the engine's route (the reduced tensor model of the factors) against
-    the descriptor complex of the product nerve's unreduced model
-    (``cechengine._descriptor_of``), both signs,
-    H^0..H^4, with Z and Z/2 coefficients, and with Q and the cone of
-    multiplication by 2 where the nerve has at most ``SMALL_NERVE``
-    subsets."""
+    """The engine's route on every two-factor torus over
+    ``PRODUCT_FACTORS`` (21 pairs), S^0..S^3 and the joins of
+    ``JOIN_PAIRS`` against the descriptor complex of the cover's own
+    nerve's unreduced model (``cechengine._descriptor_of``): both signs,
+    H^0..H^4 (to H^(top + 3) on a join) with Z and Z/2, and with Q, the
+    cone of 2 and plain cohomology where the nerve has at most
+    ``SMALL_NERVE`` subsets."""
     out = []
-    top = 5
-    for a, b in combinations_with_replacement(PRODUCT_FACTORS, 2):
-        label = f"torus:{a},{b}"
-        product = catalog.build("torus", a, b)
+    covers = [(f"torus:{a},{b}", catalog.build("torus", a, b))
+              for a, b in combinations_with_replacement(PRODUCT_FACTORS, 2)]
+    covers += [(f"sphere_antipodal:{n}", catalog.build("sphere_antipodal", n)) for n in range(4)]
+    covers += [(f"join:{a},{b}", join_cover(catalog.build(a), catalog.build(b))) for a, b in JOIN_PAIRS]
+    for label, product in covers:
         nerve = _nerve_only(product)
         model = _nerve_model(nerve)
+        top = model.top + 4 if product.joined else 5
         small = len(nerve.intersections) <= SMALL_NERVE
+
+        def compare(check, tensor, direct):
+            if tensor != direct:
+                detail = f"tensor {tensor} vs nerve {direct}"
+                out.append(_record("product", label, check, detail))
+
+        for k in range(top if small else 0):
+            compare(f"plain H^{k}", nonequivariant_cohomology(product, Z_TRIVIAL, k, top),
+                    complex_cohomology(model.complex, k))
         for sign in (-1, 1):
             integral = CoefficientSystem.integers(sign)
             unreduced = _descriptor_of(model, sign)
             coeffs = [integral, CoefficientSystem.integers_mod(2, sign)]
             coeffs += [CoefficientSystem.rationals(sign)] if small else []
-
-            def compare(check, tensor, direct):
-                if tensor != direct:
-                    detail = f"tensor {tensor} vs nerve {direct}"
-                    out.append(_record("product", label, f"{check} sign {sign}", detail))
-
             for coeff in coeffs:
                 for k in range(top):
-                    compare(f"H^{k} coeff {coeff}", equivariant_cohomology(product, coeff, k, top),
+                    compare(f"H^{k} coeff {coeff} sign {sign}", equivariant_cohomology(product, coeff, k, top),
                             _descriptor(unreduced, k, coeff))
             if small:
                 cone = CoefficientComplex((integral, integral), (2,))
                 direct = _multiplication_cone(unreduced, 2, top)
                 for k in range(top):
-                    compare(f"H^{k} cone 2", hypercohomology(product, cone, k, top),
+                    compare(f"H^{k} cone 2 sign {sign}", hypercohomology(product, cone, k, top),
                             complex_cohomology(direct, k))
     return out
 

@@ -62,9 +62,13 @@ compares bit masks and builds every basis in one pass.
 every component id decorated and every face's underlying supports
 rebuilt on its own, where the package works out each new subset's id
 suffix once and reads a face's underlying set off the copy it drops.
+:func:`cross_polytope_raw` is the antipodal sphere's cover file from an
+enumeration of the faces of the cross-polytope, where the catalog joins
+two-point covers.
 """
 
 from fractions import Fraction
+from itertools import product
 
 
 def _one_by_one_cohomology(d_prev: int, d_here: int):
@@ -782,3 +786,29 @@ def doubled_parts(cover):
         t_subset = frozenset(new_involution[x] for x in new_subset)
         new_comp_inv[cid] = decorate(comp_inv[c], t_subset)
     return tuple(new_indices), new_involution, new_intersections, new_faces, new_comp_inv
+
+
+def cross_polytope_raw(n):
+    """The cover file (``C2Cover.to_raw``) of the antipodal ``n``-sphere by
+    its ``2(n + 1)`` open hemispheres ``x_i > 0`` and ``x_i < 0``: each axis
+    contributes its + cap, its - cap or neither, which gives the ``3^(n+1)
+    - 1`` nonempty faces of the cross-polytope, each in one piece named by
+    its caps in order joined by ``|``."""
+    opposite = {f"x{i}{s}": f"x{i}{t}" for i in range(n + 1) for s, t in ("+-", "-+")}
+    faces = [sorted(filter(None, choice)) for choice in product(*(("", f"x{i}+", f"x{i}-") for i in range(n + 1)))]
+    faces = sorted((caps for caps in faces if caps), key=lambda caps: (len(caps), caps))
+    name = "|".join
+    return {
+        "name": f"sphere_antipodal_{n}",
+        "involution_name": "antipodal",
+        "indices": list(opposite),
+        "involution": opposite,
+        "intersections": [{"sets": caps, "components": [name(caps)]} for caps in faces],
+        "faces": [
+            {"component": name(caps), "drop": i, "in_component": name([x for x in caps if x != i])}
+            for caps in sorted(faces, key=name) if len(caps) > 1 for i in caps
+        ],
+        "component_involution": {name(caps): name(sorted(map(opposite.get, caps))) for caps in sorted(faces, key=name)},
+        "good": True,
+        "compact": True,
+    }

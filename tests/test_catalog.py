@@ -1,8 +1,11 @@
 """Catalog builders: structure, signatures, export round trips."""
 
+import json
+
 import numpy as np
 import pytest
 
+import oracles
 from realdeligne import catalog
 from realdeligne.cechengine import equivariant_cohomology, nonequivariant_cohomology
 from realdeligne.coverdata import C2Cover, IZ, Z_TRIVIAL, validate_cover
@@ -47,6 +50,17 @@ def test_sphere_cap_counts(spaces):
     s3 = catalog.build("sphere_antipodal", 3)
     assert len(s3.indices) == 8
     assert s3.is_free()
+
+
+@pytest.mark.parametrize("n", range(4))
+def test_sphere_is_the_cross_polytope(n):
+    """The sphere the catalog joins from two-point covers writes the cover
+    file of the cross-polytope's faces (``oracles.cross_polytope_raw``),
+    element for element and in the same order."""
+    raw = catalog.build("sphere_antipodal", n).to_raw()
+    want = oracles.cross_polytope_raw(n)
+    assert raw == want
+    assert json.dumps(raw) == json.dumps(want)
 
 
 def test_nonequivariant_signatures(entries, spaces):

@@ -6,6 +6,7 @@ import hashlib
 import itertools
 import json
 import random
+import time
 import weakref
 from pathlib import Path
 
@@ -33,6 +34,7 @@ from realdeligne.coverdata import (
     C2Cover,
     CoefficientSystem,
     FlatCocycle,
+    join_cover,
     product_cover,
 )
 from realdeligne.errors import (
@@ -433,16 +435,33 @@ def _ranks(model):
 )
 def test_reduced_ranks_are_pinned(name, params, unreduced, reduced):
     """Equivariant elimination shrinks each model to these ranks.  The
-    unreduced model is the nerve's, or for the torus the tensor model of
-    its factors' reduced models; the reduced model's top is its highest
-    nonzero degree."""
+    unreduced model is the nerve's (for the sphere, the nerve it builds
+    when read), or for the torus the tensor model of its factors' reduced
+    models; the reduced model's top is its highest nonzero degree."""
     cover = catalog.build(name, *params)
-    if cover.factors:
+    if cover.factors and not cover.joined:
         before = cechengine._tensor_model(*map(cechengine._alternating_model, cover.factors))
+        after = cechengine._alternating_model(cover)
     else:
         before = cechengine._nerve_model(cover)
+        after = cechengine._reduced(before)
     assert _ranks(before) == unreduced
+    assert _ranks(after) == reduced
     assert _ranks(cechengine._alternating_model(cover)) == reduced
+
+
+def test_join_ranks_are_pinned():
+    """The antipodal S^3 is the join of S^2 and S^0: the tensor model of
+    their reduced augmented models (ranks 1/2/2/2 and 1/2, the empty
+    simplex first) has ranks 1/4/6/6/4 and reduces to 1/2/2/2/2, which
+    without the empty simplex is the reduced model 2/2/2/2, as its nerve
+    model reduces to."""
+    s2, s0 = catalog.build("sphere_antipodal", 3).factors
+    aug = [cechengine._augmented_model(f) for f in (s2, s0)]
+    assert [_ranks(m) for m in aug] == [[1, 2, 2, 2, 0], [1, 2, 0]]
+    before = cechengine._tensor_model(*aug)
+    assert _ranks(before) == [1, 4, 6, 6, 4, 0]
+    assert _ranks(cechengine._reduced(before)) == [1, 2, 2, 2, 2, 0]
 
 
 REDUCTION_COVERS = [pytest.param(e.name, e.params, id=catalog.entry_label(e)) for e in catalog.ENTRIES]
@@ -478,6 +497,92 @@ def test_reduced_and_unreduced_descriptors_agree(name, params):
         for k in range(top):
             want = cechengine._descriptor(unreduced, k, coeff)
             assert equivariant_cohomology(cover, coeff, k, top) == want, (coeff, k)
+
+
+def test_reduction_without_a_pivot_returns_its_model():
+    """A model with no unit pivot, a reduced one or the augmented model of
+    a two-point cover, is returned as it is, not rebuilt and checked
+    again."""
+    for space in (("circle_conjugation",), ("sphere_antipodal", 3), ("torus",)):
+        model = cechengine._alternating_model(catalog.build(*space))
+        assert cechengine._reduced(model) is model, space
+    pair = cechengine._augmented_model(catalog.build("sphere_antipodal", 0))
+    assert _ranks(pair) == [1, 2, 0] and cechengine._reduced(pair) is pair
+
+
+def assert_answers_as_its_nerve(cover, top):
+    """Every answer on ``cover`` equals the one read off the nerve model of
+    its own nerve (``verify._nerve_only``): Z, Q and Z/2 of both signs in
+    degrees 0 .. top - 1, and plain cohomology."""
+    model = cechengine._nerve_model(verify._nerve_only(cover))
+    for k in range(top):
+        want = complex_cohomology(model.complex, k)
+        assert nonequivariant_cohomology(cover, Z_TRIVIAL, k, top) == want, k
+    for sign in (-1, 1):
+        nerve = cechengine._descriptor_of(model, sign)
+        for coeff in (CoefficientSystem.integers(sign), CoefficientSystem.rationals(sign),
+                      CoefficientSystem.integers_mod(2, sign)):
+            for k in range(top):
+                want = cechengine._descriptor(nerve, k, coeff)
+                assert equivariant_cohomology(cover, coeff, k, top) == want, (coeff, k)
+
+
+@pytest.mark.parametrize("n", range(4))
+def test_sphere_join_answers_as_its_nerve(n):
+    """S^n, the join of n + 1 two-point covers, answers from its factors'
+    augmented models as the nerve model of its own nerve does, in degrees
+    0 .. n + 3: iZ, Z, iQ, Q and Z/2 of both signs, and plain cohomology.
+    No answer builds the nerve; the comparison reads it."""
+    cover = catalog.build("sphere_antipodal", n)
+    assert cover.joined == (n > 0)
+    cechengine._alternating_model(cover)
+    assert type(cover) is not C2Cover or n == 0  # the nerve is still unread
+    assert_answers_as_its_nerve(cover, n + 4)
+
+
+def test_join_model_answers_as_projective_space_to_dimension_twenty():
+    """The join model alone, past the catalog's bound of 3
+    (``catalog._antipodal_join``): S^n for n <= 20 has the reduced model
+    of cellular RP^n, rank 2 in each degree 0..n, and answers as RP^n
+    (``oracles.sphere_quotient``) with Z of both signs in degrees
+    0..n + 2, all of it in under a second, with no nerve built."""
+    start = time.perf_counter()
+    for n in range(21):
+        cover = catalog._antipodal_join(n)
+        assert _ranks(cechengine._alternating_model(cover)) == [2] * (n + 1) + [0], n
+        for sign in (-1, 1):
+            coeff = CoefficientSystem.integers(sign)
+            for k in range(n + 3):
+                want = desc(oracles.sphere_quotient(n, sign, k))
+                assert equivariant_cohomology(cover, coeff, k, n + 3) == want, (n, sign, k)
+        assert type(cover) is not C2Cover or n == 0
+    assert time.perf_counter() - start < 1.0
+
+
+@pytest.mark.parametrize("a, b", verify.JOIN_PAIRS, ids=lambda name: name)
+def test_join_cover_answers_as_its_nerve(a, b):
+    """Joins of catalog covers other than two-point ones answer as the
+    nerve model of their own nerve, in degrees 0 .. top + 4 of the
+    model.  The conjugation circle's model is not free, and neither is
+    that of its join, so that join reads the Borel complex."""
+    cover = join_cover(catalog.build(a), catalog.build(b))
+    model = cechengine._alternating_model(cover)
+    assert cechengine._acts_freely(model) == ("circle_conjugation" not in (a, b))
+    assert_answers_as_its_nerve(cover, model.top + 5)
+
+
+def test_join_cover_refuses_what_product_cover_refuses():
+    """A join of a cover with itself repeats every index, and a join with
+    a factor that fixes an index fixes it too: both are refused."""
+    circle = catalog.build("circle_antipodal")
+    with pytest.raises(CoverValidationError, match="duplicate index names"):
+        join_cover(circle, circle)
+    with pytest.raises(CoverValidationError) as err:
+        join_cover(catalog._point(1, "point"), circle)
+    assert {kind for kind, _ in err.value.violations} == {FIXED_INDEX_PRESENT}
+    joined = join_cover(circle, catalog.build("free_orbit"))
+    assert repr(joined) == "C2Cover('join(circle_antipodal,free_orbit)', 6 indices, join of 'circle_antipodal' x 'free_orbit')"
+    assert joined.involution_name == "antipodal*swap"
 
 
 # ---------------------------------------------------------------------------
@@ -686,6 +791,12 @@ def test_memo_keys_calls_on_their_positional_arguments():
         cechengine._descriptor_read(cover, sign=1)
 
 
+def models_of_joins(cover) -> set:
+    """What a join's memo holds beside the models every cover's does: the
+    augmented model its alternating model comes from."""
+    return {"_augmented_model"} if cover.joined else set()
+
+
 def test_session_builds_each_fixed_degree_once(monkeypatch):
     """A session of every public question on one cover, each at the
     max_degree its entry point uses, builds each (sign, n) degree of the
@@ -700,7 +811,8 @@ def test_session_builds_each_fixed_degree_once(monkeypatch):
     which is the mod-3 H^2.  No total complex is built for the cone.  The
     Borel complexes are built that far and no further; the alternating
     fixed complexes are built at once to dim N + 1 = 3, their first zero
-    term, and no further."""
+    term, and no further.  The sphere is a join, so its memo also holds
+    the augmented model its alternating model comes from."""
     for name, params, free, tops in (
         ("sphere_antipodal", (2,), True, (3, 3)),
         ("circle_conjugation", (), False, (3, 3)),
@@ -762,7 +874,7 @@ def test_session_builds_each_fixed_degree_once(monkeypatch):
 
         assert smith_inside == [] and matrices_inside == [] and orbit_builds == [], name
         keys = {key[0] for key in cover._memo}
-        assert keys == {"_alternating_model", "_descriptor_read"}, name
+        assert keys == {"_alternating_model", "_descriptor_read"} | models_of_joins(cover), name
         assert cechengine._acts_freely(cechengine._alternating_model(cover)) == free, name
         for sign, top in zip((-1, 1), tops):
             c = cechengine.build_descriptor_complex(cover, sign)
@@ -851,7 +963,8 @@ def test_hypercohomology_builds_no_total_complex(entry, monkeypatch):
     with max_degree going up and then down, answers as a fresh cover does,
     so no mod-n group cached on a complex goes stale as it grows; and it
     builds no total complex: it never assembles the total blocks, and the
-    cover's memo holds its model and descriptor complexes only, each
+    cover's memo holds its model (a join's, with the augmented model it
+    comes from) and descriptor complexes only, each
     degree of which is extended once.  H^3 of a cone is the mod-n H^2 of
     the sign -1 column, which reads its d_2, and the mod-n H^3 reads d_j
     for j the degree 3 folds to (:func:`cechengine._folded`), so the
@@ -881,7 +994,7 @@ def test_hypercohomology_builds_no_total_complex(entry, monkeypatch):
                     fresh[fstar, k] = hypercohomology(_fresh(entry), fstar, k, k + 1)
                 assert got == fresh[fstar, k], (fstar, k, md)
     keys = {key[0] for key in cover._memo}
-    assert keys == {"_alternating_model", "_descriptor_read"}
+    assert keys == {"_alternating_model", "_descriptor_read"} | models_of_joins(cover)
     periodic = cechengine._alternating_model(cover).top + 1
     at_once = periodic if entry.free_action else 0
     for sign, read in ((-1, max(3, cechengine._folded(3, periodic) + 1)), (1, 2)):

@@ -407,9 +407,13 @@ def test_three_factor_torus_answers(capsys):
     assert [str(cechengine.equivariant_cohomology(right, IZ, k, 7)) for k in range(7)] == groups
 
 
-def test_exit_internal_invariant_failure(capsys, monkeypatch):
+def test_exit_internal_invariant_failure(tmp_path, capsys, monkeypatch):
     """A coboundary with d∘d != 0 is the package's fault, not the input's:
-    exit 5 with a message, not exit 2 and not a traceback."""
+    exit 5 with a message, not exit 2 and not a traceback.  The catalog
+    sphere answers from its two-point factors, so the cover is its file,
+    whose model is read off its nerve."""
+    path = tmp_path / "sphere.json"
+    path.write_text(catalog.build("sphere_antipodal", 2).to_json())
     inner = cechengine._nerve_parts
 
     def broken(cover):
@@ -422,7 +426,7 @@ def test_exit_internal_invariant_failure(capsys, monkeypatch):
 
     monkeypatch.setattr(cechengine, "_nerve_parts", broken)
     code, out, err = run(
-        capsys, "compute", "--space", "sphere_antipodal:2", "--coeff", "iZ", "--max-degree", "2"
+        capsys, "compute", "--space", f"@{path}", "--coeff", "iZ", "--max-degree", "2"
     )
     assert code == cli.EXIT_INTERNAL == 5
     assert out == ""

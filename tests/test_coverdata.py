@@ -403,26 +403,40 @@ def counted_checks(monkeypatch) -> list:
     return calls
 
 
+def leaves(cover) -> list:
+    """The covers a product or a join is made of, through every level; a
+    cover that is neither is its own leaf."""
+    return [leaf for f in cover.factors for leaf in leaves(f)] if cover.factors else [cover]
+
+
 @pytest.mark.parametrize(
-    "space, checks",
-    [pytest.param(space, checks, id=space_key(space)) for space, checks in (
-        (("sphere_antipodal", 3), 1), (("torus",), 2), (("torus", "circle_antipodal", "circle_antipodal_fine"), 2),
-        (("torus", "circle_conjugation", "circle_antipodal"), 3), (("point_trivial_fine",), 2),
+    "space, checks, nerves",
+    [pytest.param(space, checks, nerves, id=space_key(space)) for space, checks, nerves in (
+        (("sphere_antipodal", 3), 4, 3), (("torus",), 2, 1),
+        (("torus", "circle_antipodal", "circle_antipodal_fine"), 2, 1),
+        (("torus", "circle_conjugation", "circle_antipodal"), 3, 1), (("point_trivial_fine",), 2, 0),
     )],
 )
-def test_catalog_checks_each_cover_once(monkeypatch, space, checks):
+def test_catalog_checks_each_cover_once(monkeypatch, space, checks, nerves):
     """A catalog cover is checked once, when it is made, and keeps the
     check's rows in its memo until its model reads them, which takes them
-    out.  A product does not check its factors again (a torus of two
-    circles makes two checks, not four), and a doubled cover is checked
-    once before doubling (which finds its fixed indices) and once after."""
+    out.  A product or a join does not check its factors again (a torus of
+    two circles makes two checks, not four, and S^3, the join of four
+    two-point covers, makes four, one per factor), and a doubled cover is
+    checked once before doubling (which finds its fixed indices) and once
+    after.  A product's or a join's nerve is checked once, when it is
+    first read, and not by its model: S^3's nerve reads those of the
+    joins S^2 and S^1 inside it, so reading it makes three checks."""
     calls = counted_checks(monkeypatch)
     cover = catalog.build(*space)
     assert len(calls) == checks
-    read = cover.factors or (cover,)
+    read = leaves(cover)
     assert all(set(c._memo) == {coverdata._ROWS} for c in read)
     cechengine._alternating_model(cover)
     assert not any(coverdata._ROWS in c._memo for c in read)
+    assert len(calls) == checks
+    assert cover.to_json() == cover.to_json()
+    assert len(calls) == checks + nerves
 
 
 def test_a_cover_read_since_its_check_is_checked_again(monkeypatch):
