@@ -559,12 +559,13 @@ def test_join_model_answers_as_projective_space_to_dimension_twenty():
     assert time.perf_counter() - start < 1.0
 
 
-@pytest.mark.parametrize("a, b", verify.JOIN_PAIRS, ids=lambda name: name)
+@pytest.mark.parametrize("a, b", verify.JOIN_PAIRS + (("torus", "free_orbit"),), ids=lambda name: name)
 def test_join_cover_answers_as_its_nerve(a, b):
-    """Joins of catalog covers other than two-point ones answer as the
-    nerve model of their own nerve, in degrees 0 .. top + 4 of the
-    model.  The conjugation circle's model is not free, and neither is
-    that of its join, so that join reads the Borel complex."""
+    """Joins of catalog covers other than two-point ones, a product among
+    them, answer as the nerve model of their own nerve, in degrees 0 ..
+    top + 4 of the model.  The conjugation circle's model is not free,
+    and neither is that of its join, so that join reads the Borel
+    complex."""
     cover = join_cover(catalog.build(a), catalog.build(b))
     model = cechengine._alternating_model(cover)
     assert cechengine._acts_freely(model) == ("circle_conjugation" not in (a, b))
