@@ -3,6 +3,12 @@ involution, and descriptors of Real smooth Deligne cohomology built from it.
 
 Everything is computed over the integers with exact arithmetic; rationals
 enter only as `fractions.Fraction`.
+
+The flat-class names (``FlatCocycle``, ``FlatCocycleClass``,
+``flat_cocycle_class``, ``cocycles_equivalent``, ``class_coordinates``,
+``class_representative``) are defined in ``flatclasses``, which no
+descriptor needs; it is imported on the first read of one of them here
+(:func:`__getattr__`).
 """
 
 __version__ = "0.1.0"
@@ -21,7 +27,6 @@ from .coverdata import (
     Z_TRIVIAL,
     C2Cover,
     CoefficientSystem,
-    FlatCocycle,
     double_fixed_indices,
     join_cover,
     product_cover,
@@ -29,13 +34,10 @@ from .coverdata import (
 )
 from .deligne import (
     DeligneDescriptor,
-    FlatCocycleClass,
     classify_flat_line_bundles,
     classify_line_bundles,
     classify_line_bundles_with_connection,
-    cocycles_equivalent,
     deligne_descriptor,
-    flat_cocycle_class,
     quotient_coefficients_cohomology,
     real_circle_maps,
 )
@@ -43,8 +45,6 @@ from .exactalg import (
     ElementCoordinates,
     GroupDescriptor,
     IntegerCochainComplex,
-    class_coordinates,
-    class_representative,
     complex_cohomology,
     fixed_subcomplex,
     kernel_basis,
@@ -93,3 +93,15 @@ __all__ = [
     "solve_rational",
     "validate_cover",
 ]
+
+
+def __getattr__(name):
+    """A flat-class name: imported from ``flatclasses`` on its first read
+    here (PEP 562), then kept in this namespace."""
+    if name not in ("FlatCocycle", "FlatCocycleClass", "class_coordinates", "class_representative",
+                    "cocycles_equivalent", "flat_cocycle_class"):
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    from . import flatclasses
+
+    globals()[name] = value = getattr(flatclasses, name)
+    return value

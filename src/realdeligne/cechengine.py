@@ -39,16 +39,17 @@ unit pivots (:func:`_reduced`), to a Z[C2]-chain homotopy equivalent model
 that is much smaller (the conjugation circle's 6/10/4 becomes 2/2), so the
 ranks of every complex above are those of the reduced model, not of the
 alternating basis.  A product's or a join's nerve is built only when
-read: ``to_json``, the ordered cochains, ``FlatCocycle``, ``verify``.
+read (``nerves``): ``to_json``, the ordered cochains, a ``FlatCocycle``
+and its class, ``verify``.
 
 *Ordered cochains* ``C_ord`` live on ordered index tuples, normalized by
 dropping tuples with two equal consecutive entries; the tuple involution
 is free because the index involution is, so the fixed complex has one
 orbit sum ``e + sign * t(e)`` per orbit, read off the representative rows
 of the full coboundary (the induced-module picture; Brown, §III.5).  The
-flat classifier takes its torus and torsion coordinates against this
-complex's Smith bases, and ``verify`` keeps it as the independent
-cross-check of the descriptor route.
+flat classifier (``flatclasses``) takes its torus and torsion
+coordinates against this complex's Smith bases, and ``verify`` keeps it as
+the independent cross-check of the descriptor route.
 
 The two agree: ``C_alt -> C_ord`` (extend by the sort sign, zero on
 repeats) is an equivariant quasi-isomorphism (Serre, FAC §20), ``Hom_C2(W,
@@ -246,7 +247,7 @@ def _orbit_keys(cover: C2Cover) -> tuple:
     """The angle key ``(i, j, c)`` of each orbit's representative in the
     sign -1 orbit complex's degree-1 basis, in orbit order: the later
     element of the orbit, whose entry is the orbit coordinate
-    (``exactalg._orbit_basis``), where ``deligne._flat_class`` reads it."""
+    (``exactalg._orbit_basis``), where ``flatclasses._flat_class`` reads it."""
     keys = [(i, j, c) for (i, j), c in tuple_basis(cover, 1).elements]
     return tuple(keys[r] for r, pos in enumerate(basis_involution(cover, 1)) if pos < r)
 

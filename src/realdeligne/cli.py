@@ -12,7 +12,6 @@ memory (the question needs more memory than the process can get).
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 import time
 
@@ -156,6 +155,8 @@ def _cmd_classify(args, cover):
 
 def _emit(args, report: dict, lines):
     if args.json:
+        import json  # only a JSON report loads it
+
         print(json.dumps(report, indent=2, default=str))
     else:
         for line in lines:
@@ -165,6 +166,8 @@ def _emit(args, report: dict, lines):
 def _dispatch(args) -> int:
     invocation = list(args.argv_echo)
     if args.command == "verify":
+        import json
+
         from .verify import run_suite  # only this command loads the suites
 
         t0 = time.perf_counter()

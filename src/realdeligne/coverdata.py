@@ -6,17 +6,19 @@ one-step face maps between components, and an involution on components.  The
 geometry never appears; "good" (all components contractible) is a declared
 flag carried into every report.
 
-JSON import/export uses a canonical field and key ordering so that
-export -> parse -> export is byte identical.
+Three features that no descriptor reads live in modules of their own,
+loaded on first use: cover files (``coverfiles``: the JSON shape check
+and reading, and the bodies of :meth:`C2Cover.to_raw`, ``to_json`` and
+``from_json``), the nerves of products and joins (``nerves``), and flat
+cocycles (``flatclasses``), whose names :class:`FlatCocycle` and
+:class:`AngleLayout` resolve here too, on first read
+(:func:`__getattr__`).
 """
 
 from __future__ import annotations
 
-import json
-from fractions import Fraction
-from functools import cache, wraps
+from functools import wraps
 from itertools import chain, combinations
-from math import lcm
 from operator import itemgetter
 
 from .errors import (
@@ -24,11 +26,8 @@ from .errors import (
     FIXED_INDEX_PRESENT,
     INVOLUTION_FACE_MISMATCH,
     INVOLUTION_NOT_SELF_INVERSE,
-    MALFORMED_DESCRIPTION,
     NOT_DOWNWARD_CLOSED,
-    CoverMismatch,
     CoverValidationError,
-    InvalidCocycle,
 )
 from .records import Record
 
@@ -155,63 +154,29 @@ class C2Cover(_WeaklyReferenced):
     def is_free(self) -> bool:
         return all(self.involution[i] != i for i in self.indices)
 
-    # -- serialization -----------------------------------------------------
+    # -- serialization, in coverfiles --------------------------------------
 
     def to_raw(self) -> dict:
-        subsets = sorted(self.intersections, key=lambda s: (len(s), sorted(s)))
-        return {
-            "name": self.name,
-            "involution_name": self.involution_name,
-            "indices": list(self.indices),
-            "involution": {i: self.involution[i] for i in self.indices},
-            "intersections": [
-                {"sets": sorted(s), "components": list(self.intersections[s])}
-                for s in subsets
-            ],
-            "faces": [
-                {"component": c, "drop": i, "in_component": self.faces[(c, i)]}
-                for (c, i) in sorted(self.faces)
-            ],
-            "component_involution": {
-                c: self.component_involution[c]
-                for c in sorted(self.component_involution)
-            },
-            "good": self.good,
-            "compact": self.compact,
-        }
+        from .coverfiles import raw_of
+
+        return raw_of(self)
 
     def to_json(self) -> str:
-        return json.dumps(self.to_raw(), indent=2) + "\n"
+        from .coverfiles import json_of
+
+        return json_of(self)
 
     @classmethod
     def from_json(cls, text: str) -> "C2Cover":
-        try:
-            raw = json.loads(text, object_pairs_hook=_json_object)
-        except RecursionError:  # the decoder recurses once per level of nesting
-            raise CoverValidationError(
-                [(MALFORMED_DESCRIPTION, "the JSON text nests too deeply to read")]
-            ) from None
-        return validate_cover(raw)
+        from .coverfiles import parsed
+
+        return validate_cover(parsed(text))
 
     def __repr__(self):
         return (
             f"C2Cover({self.name!r}, {len(self.indices)} indices, "
             f"{len(self.intersections)} intersecting subsets)"
         )
-
-
-def _json_object(pairs: list) -> dict:
-    """A JSON object of a cover file.  A key it lists twice is refused: which
-    of its values is meant is unknown."""
-    obj = dict(pairs)
-    if len(obj) < len(pairs):
-        seen, twice = set(), set()
-        for key, _ in pairs:
-            (twice if key in seen else seen).add(key)
-        raise CoverValidationError(
-            [(MALFORMED_DESCRIPTION, f"key {key!r} listed twice in one object") for key in sorted(twice)]
-        )
-    return obj
 
 
 def _per_cover(builder):
@@ -233,102 +198,6 @@ def _per_cover(builder):
     return memo
 
 
-def _names(v) -> bool:
-    return isinstance(v, (list, tuple)) and all(isinstance(x, str) for x in v)
-
-
-def _name_map(v) -> bool:
-    return isinstance(v, dict) and _names([*v, *v.values()])
-
-
-def _entries(v, names=(), lists=()) -> bool:
-    """Whether ``v`` lists objects with a name at each field of ``names``
-    and a list of names at each of ``lists``, in one plain pass: a cover
-    file has an entry per subset and per face."""
-    if not isinstance(v, (list, tuple)):
-        return False
-    for e in v:
-        if not isinstance(e, dict):
-            return False
-        for f in names:
-            if not isinstance(e.get(f), str):
-                return False
-        for f in lists:
-            x = e.get(f)
-            if not isinstance(x, (list, tuple)):
-                return False
-            for y in x:
-                if not isinstance(y, str):
-                    return False
-    return True
-
-
-# field, required, test, what the field must be
-_SHAPE = (
-    ("name", True, lambda v: isinstance(v, str), "a string"),
-    ("involution_name", False, lambda v: isinstance(v, str), "a string"),
-    ("indices", True, _names, "a list of names"),
-    ("involution", True, _name_map, "an object of names"),
-    ("intersections", True, lambda v: _entries(v, lists=("sets", "components")),
-     "a list of objects with name lists 'sets' and 'components'"),
-    ("faces", False, lambda v: _entries(v, names=("component", "drop", "in_component")),
-     "a list of objects with names 'component', 'drop' and 'in_component'"),
-    ("component_involution", False, _name_map, "an object of names"),
-    ("good", False, lambda v: isinstance(v, bool), "true or false"),
-    ("compact", False, lambda v: isinstance(v, bool), "true or false"),
-)
-
-
-def _shape_violations(raw) -> list:
-    """Missing fields and wrong types, which every later check relies on."""
-    if not isinstance(raw, dict):
-        return [(MALFORMED_DESCRIPTION, f"a cover description is an object, not {type(raw).__name__}")]
-    out = []
-    for key, required, ok, what in _SHAPE:
-        if key not in raw and required:
-            out.append((MALFORMED_DESCRIPTION, f"required field {key!r} is missing"))
-        elif key in raw and not ok(raw[key]):
-            out.append((MALFORMED_DESCRIPTION, f"field {key!r} must be {what}"))
-    return out
-
-
-def _read(raw) -> C2Cover:
-    """The unchecked cover a description read from outside spells out, after
-    the JSON shape check."""
-    violations = _shape_violations(raw)
-    if violations:
-        # the description cannot even be read; nothing else can be checked
-        raise CoverValidationError(violations)
-    intersections, faces = {}, {}
-    for e in raw["intersections"]:
-        key = frozenset(e["sets"])
-        for what, names in (("index", e["sets"]), ("component", e["components"])):
-            if len(set(names)) < len(names):
-                for x in sorted({x for n, x in enumerate(names) if x in names[:n]}):
-                    violations.append((MALFORMED_DESCRIPTION, f"subset entry {e['sets']} lists {what} {x!r} twice"))
-        if key in intersections:
-            violations.append((MALFORMED_DESCRIPTION, f"subset {sorted(key)} listed twice in 'intersections'"))
-        intersections[key] = tuple(e["components"])
-    for e in raw.get("faces", []):
-        key = e["component"], e["drop"]
-        if key in faces:
-            violations.append((MALFORMED_DESCRIPTION, f"face entry ({key[0]!r}, drop {key[1]!r}) listed twice in 'faces'"))
-        faces[key] = e["in_component"]
-    if violations:  # a repeated key or name: which of its entries is meant is unknown
-        raise CoverValidationError(violations)
-    return C2Cover(
-        name=raw["name"],
-        involution_name=raw.get("involution_name", "t"),
-        indices=tuple(raw["indices"]),
-        involution=dict(raw["involution"]),
-        intersections=intersections,
-        faces=faces,
-        component_involution=dict(raw.get("component_involution", {})),
-        good=raw.get("good", False),
-        compact=raw.get("compact", False),
-    )
-
-
 def validate_cover(raw) -> C2Cover:
     """Check a cover description read from outside the package.
 
@@ -340,6 +209,8 @@ def validate_cover(raw) -> C2Cover:
     collected and reported together in a :class:`CoverValidationError`; a
     clean description returns the validated cover.
     """
+    from .coverfiles import _read
+
     return _checked(_read(raw.to_raw() if isinstance(raw, C2Cover) else raw))
 
 
@@ -591,7 +462,12 @@ def double_fixed_indices(raw) -> C2Cover:
     (:func:`_checked_but_freeness`).  The doubled cover is checked in full,
     and refused at once if a component id of ``raw`` spells a doubled one.
     """
-    cover = raw if isinstance(raw, C2Cover) else _read(raw)
+    if isinstance(raw, C2Cover):
+        cover = raw
+    else:
+        from .coverfiles import _read
+
+        cover = _read(raw)
     if _checked_but_freeness(cover):
         return cover
     indices, involution = cover.indices, cover.involution
@@ -670,109 +546,16 @@ def double_fixed_indices(raw) -> C2Cover:
 # ---------------------------------------------------------------------------
 
 
-@cache
-def _filling(m: int, n: int) -> list:
-    """The subsets of the cells of an ``m`` by ``n`` grid (cell ``r * n + c``)
-    that meet every row and every column, in the order of their bit masks."""
-    out = []
-    for mask in range(1, 1 << m * n):
-        cells = [k for k in range(m * n) if mask >> k & 1]
-        if len({k // n for k in cells}) == m and len({k % n for k in cells}) == n:
-            out.append(cells)
-    return out
-
-
 def _pair(i: str, j: str) -> str:
     return f"{i}*{j}"
-
-
-def _nerve_of_product(a: C2Cover, b: C2Cover):
-    """``(intersections, faces, component_involution)`` of the product of
-    ``a`` and ``b`` on the pair indices :func:`_pair`.
-
-    A set of product indices intersects exactly when both projections do,
-    and its components are the pairs of projection components (a product of
-    connected sets being connected).
-    """
-    pair_name = {(i, j): _pair(i, j) for i in a.indices for j in b.indices}
-    split = {ij: pair for pair, ij in pair_name.items()}
-    involution = {ij: pair_name[(a.t(i), b.t(j))] for (i, j), ij in pair_name.items()}
-    ids = {}
-
-    def comp_id(ca, cb, subset):
-        key = (ca, cb, subset)
-        if key not in ids:
-            ids[key] = f"{ca}*{cb}|" + ",".join(sorted(subset))
-        return ids[key]
-
-    intersections = {}
-    comp_data = {}  # id -> (ca, cb, subset)
-    for sa, comps_a in a.intersections.items():
-        for sb, comps_b in b.intersections.items():
-            members = [pair_name[(i, j)] for i in sorted(sa) for j in sorted(sb)]
-            for cells in _filling(len(sa), len(sb)):
-                subset = frozenset([members[k] for k in cells])
-                cids = []
-                for ca in comps_a:
-                    for cb in comps_b:
-                        cid = comp_id(ca, cb, subset)
-                        cids.append(cid)
-                        comp_data[cid] = (ca, cb, subset)
-                intersections[subset] = tuple(cids)
-
-    faces = {}
-    for cid, (ca, cb, subset) in comp_data.items():
-        if len(subset) < 2:
-            continue
-        # dropping x keeps a factor's projection when another member shares
-        # x's index there; otherwise that factor takes its own face
-        firsts = [split[y][0] for y in subset]
-        seconds = [split[y][1] for y in subset]
-        for x in subset:
-            i, j = split[x]
-            fa = ca if firsts.count(i) > 1 else a.face(ca, i)
-            fb = cb if seconds.count(j) > 1 else b.face(cb, j)
-            faces[(cid, x)] = comp_id(fa, fb, subset - {x})
-
-    comp_inv = {}
-    for cid, (ca, cb, subset) in comp_data.items():
-        t_subset = frozenset(involution[x] for x in subset)
-        comp_inv[cid] = comp_id(a.sigma(ca), b.sigma(cb), t_subset)
-    return intersections, faces, comp_inv
-
-
-def _nerve_of_join(a: C2Cover, b: C2Cover):
-    """``(intersections, faces, component_involution)`` of the join of
-    ``a`` and ``b``: the subsets ``I ⊔ J`` of a subset of each or ``∅``
-    (``J`` running fastest), with components ``ca|cb`` (``ca`` or ``cb`` if
-    the other part is empty), faces and ``σ`` taken factorwise."""
-    side_a, side_b = ([(frozenset(), (None,)), *f.intersections.items()] for f in (a, b))
-    sigma_a, sigma_b = ({None: None, **f.component_involution}.__getitem__ for f in (a, b))
-
-    def joined(ca, cb):
-        return cb if ca is None else ca if cb is None else f"{ca}|{cb}"
-
-    intersections, faces, comp_inv = {}, {}, {}
-    for sa, comps_a in side_a:
-        for sb, comps_b in side_b:
-            if not (sa or sb):
-                continue
-            pairs = [(ca, cb) for ca in comps_a for cb in comps_b]
-            ids = intersections[sa | sb] = tuple(joined(*pair) for pair in pairs)
-            for c, (ca, cb) in zip(ids, pairs):
-                comp_inv[c] = joined(sigma_a(ca), sigma_b(cb))
-                if len(sa) + len(sb) > 1:
-                    faces.update(((c, i), joined(a.faces[ca, i] if len(sa) > 1 else None, cb)) for i in sa)
-                    faces.update(((c, j), joined(ca, b.faces[cb, j] if len(sb) > 1 else None)) for j in sb)
-    return intersections, faces, comp_inv
 
 
 _NERVE = ("intersections", "faces", "component_involution")
 
 
 class _LazyNerveCover(C2Cover):
-    """A product or a join whose first read of a nerve field builds and
-    checks the nerve, then makes the cover a plain :class:`C2Cover` (same
+    """A product or a join whose first read of a nerve field builds the
+    nerve (``nerves``, loaded then) and checks it, then makes the cover a plain :class:`C2Cover` (same
     slots), so later reads cost what they cost on any cover.  Each factor
     runs every check but freeness unless it is a product or a join or
     passed them all and was not read since (:func:`_checked_but_freeness`);
@@ -801,6 +584,8 @@ class _LazyNerveCover(C2Cover):
         # reached only for a slot not yet set: an unread nerve
         if name not in _NERVE:
             raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
+        from .nerves import _nerve_of_join, _nerve_of_product
+
         nerve = _nerve_of_join if self.joined else _nerve_of_product
         parts = dict(zip(_NERVE, nerve(*self.factors)))
         _checked(C2Cover(self.name, self.involution_name, self.indices, self.involution,
@@ -825,8 +610,9 @@ def product_cover(a: C2Cover, b: C2Cover, name: str | None = None) -> C2Cover:
     The cover keeps its factors, and cohomology is read from their
     alternating complexes.  The nerve (``intersections``, ``faces``,
     ``component_involution``) stays lazy: it is built, and every structural
-    check runs on it, on first read (``to_json``, the flat classifier,
-    :class:`FlatCocycle`, ``verify``), as :class:`_LazyNerveCover` says.
+    check runs on it, on first read (``to_json``, the ordered cochains, a
+    :class:`FlatCocycle` and its class, ``verify``), as
+    :class:`_LazyNerveCover` says, by ``nerves._nerve_of_product``.
     """
     involution_name = f"{a.involution_name}*{b.involution_name}"
     return _LazyNerveCover(a, b, False, name or f"{a.name}*{b.name}", involution_name)
@@ -835,7 +621,7 @@ def product_cover(a: C2Cover, b: C2Cover, name: str | None = None) -> C2Cover:
 def join_cover(a: C2Cover, b: C2Cover, name: str | None = None) -> C2Cover:
     """Cover of the join ``A * B`` on the indices of both: ``U_I ∩ V_J`` is
     ``U_I × V_J × (0, 1)`` and ``U_I`` alone is ``U_I`` times a cone, so the
-    nerve is the join of the nerves (:func:`_nerve_of_join`), good when
+    nerve is the join of the nerves (``nerves._nerve_of_join``), good when
     both are; S^n is the join of n + 1 copies of S^0 (J. Milnor, Ann. of
     Math. 63, 1956).  Cohomology is read from the factors' augmented
     models, and the nerve stays lazy as a product's does.  The involution
@@ -846,165 +632,12 @@ def join_cover(a: C2Cover, b: C2Cover, name: str | None = None) -> C2Cover:
     return _LazyNerveCover(a, b, True, name or f"join({a.name},{b.name})", involution_name)
 
 
-# ---------------------------------------------------------------------------
-# Flat cocycles
-# ---------------------------------------------------------------------------
+def __getattr__(name):
+    """The flat cocycles, defined in ``flatclasses``: imported on the first
+    read of one of their names here (PEP 562), then kept in this namespace."""
+    if name not in ("AngleLayout", "FlatCocycle"):
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    from . import flatclasses
 
-
-class FlatCocycle:
-    """Locally constant circle-valued transition data on a cover.
-
-    ``angles`` assigns to each ordered pair ``(i, j)`` with ``i != j`` whose
-    sets meet, and each component ``c`` of the pair intersection, a rational
-    ``theta`` mod 1 standing for the constant value ``exp(2*pi*i*theta)``.
-    Conjugation negates angles, so equivariance reads
-    ``theta[t(i), t(j), sigma(c)] = -theta[i, j, c]`` mod 1.
-    """
-
-    __slots__ = ("cover", "angles")
-
-    def __init__(self, cover: C2Cover, angles: dict):
-        self.cover = cover
-        # (i, j, component) -> Fraction in [0, 1)
-        self.angles = {k: Fraction(v) % 1 for k, v in angles.items()}
-
-    @classmethod
-    def zero(cls, cover: C2Cover) -> "FlatCocycle":
-        return cls(cover, dict.fromkeys(_angle_layout(cover).pairs, Fraction(0)))
-
-    def _integer_angles(self) -> tuple:
-        """``(D, table)``: the angles as integers in ``[0, D)`` over their
-        least common denominator ``D``; :meth:`_checked_angles` checks it and
-        hands it to the flat classifier.  ``angles`` is public and mutable,
-        so each value is still reduced mod ``D``."""
-        den = lcm(*{v.denominator for v in self.angles.values()})
-        return den, {k: v.numerator * (den // v.denominator) % den for k, v in self.angles.items()}
-
-    def validate(self) -> "FlatCocycle":
-        """Raise :class:`InvalidCocycle` on the first violated invariant: a
-        key set other than the cover's, then, in the table's own order, a
-        key whose reversal partner or image under the involution does not
-        carry minus its angle, then, in the order of the cover's
-        intersections, a triple whose faces do not sum to zero mod 1."""
-        self._checked_angles()
-        return self
-
-    def _checked_angles(self) -> tuple:
-        """:meth:`_integer_angles` once every check of :meth:`validate` has
-        passed on it; the flat classifier reads the table from here.  What
-        the checks need of the cover (the key set, each key's partner and
-        image, the faces of each triple) is read from its angle layout
-        (:func:`_angle_layout`), built once per cover."""
-        layout = _keys_checked(self.cover, self.angles)
-        return _checked_values(layout, *self._integer_angles())
-
-    def _checked_difference(self, other: "FlatCocycle") -> tuple:
-        """``(D, table)`` of ``self - other`` on integers: ``D`` is the lcm
-        of the two tables' denominators and ``table``, in this table's key
-        order, holds ``t_self * D/D_self - t_other * D/D_other`` mod ``D``.
-        It runs the checks, and raises the messages, of ``(self -
-        other).validate()``, but forms no Fraction and no FlatCocycle.  Any
-        common denominator gives the classifier the same answers as the
-        least one."""
-        layout = _keys_checked(self.cover, self.angles, other.angles)
-        da, ta = self._integer_angles()
-        db, tb = other._integer_angles()
-        den = lcm(da, db)
-        ma, mb = den // da, den // db
-        table = {k: (x * ma - tb[k] * mb) % den for k, x in ta.items()}
-        return _checked_values(layout, den, table)
-
-    def _same_keys(self, other: "FlatCocycle") -> None:
-        """Refuse arithmetic across covers (:class:`CoverMismatch`) or
-        across angle tables with different key sets (:class:`InvalidCocycle`,
-        naming the first of the two tables whose keys are not the cover's)."""
-        if other.cover is not self.cover:
-            raise CoverMismatch("cocycles live on different covers")
-        if self.angles.keys() != other.angles.keys():  # so one is not the cover's
-            _keys_checked(self.cover, self.angles, other.angles)
-
-    def __sub__(self, other: "FlatCocycle") -> "FlatCocycle":
-        self._same_keys(other)
-        return FlatCocycle(
-            self.cover,
-            {k: self.angles[k] - other.angles[k] for k in self.angles},
-        )
-
-    def __add__(self, other: "FlatCocycle") -> "FlatCocycle":
-        self._same_keys(other)
-        return FlatCocycle(
-            self.cover,
-            {k: self.angles[k] + other.angles[k] for k in self.angles},
-        )
-
-
-class AngleLayout(Record):
-    """What checking a flat angle table needs of its cover.
-
-    ``pairs`` maps every angle key ``(i, j, c)``, one per ordered pair of
-    distinct indices whose sets meet and component ``c`` of their
-    intersection (so its keys are the key set), to its reversal partner
-    ``(j, i, c)`` and its image ``(t i, t j, σ c)``; it lists ``(i, j, c)``
-    then ``(j, i, c)``, ``i < j``, in the order of ``cover.intersections``.
-    ``triples`` lists ``((i, j, k), c, (j, k, c_i), (i, k, c_j), (i, j,
-    c_k))`` for each component ``c`` of each triple intersection, indices
-    sorted, faces ``c_x`` of ``c``, in the same order.  Only keys are
-    kept, never the cover.
-    """
-
-    __slots__ = ("pairs", "triples")
-
-
-@_per_cover
-def _angle_layout(cover: C2Cover) -> AngleLayout:
-    """The cover's angle layout, read off its 2- and 3-subsets."""
-    t, sigma, faces = cover.involution, cover.component_involution, cover.faces
-    held = {}  # every key tuple, held once
-    for subset, comps in cover.intersections.items():
-        if len(subset) == 2:
-            i, j = sorted(subset)
-            held.update((key, key) for c in comps for key in ((i, j, c), (j, i, c)))
-    pairs = {}
-    for key in held:
-        i, j, c = key
-        pairs[key] = (held[j, i, c], held[t[i], t[j], sigma[c]])
-    triples = []
-    for subset, comps in cover.intersections.items():
-        if len(subset) == 3:
-            i, j, k = ijk = tuple(sorted(subset))
-            for c in comps:
-                triples.append((ijk, c, held[j, k, faces[c, i]], held[i, k, faces[c, j]], held[i, j, faces[c, k]]))
-    return AngleLayout(pairs, tuple(triples))
-
-
-def _keys_checked(cover: C2Cover, *tables: dict) -> AngleLayout:
-    """The cover's angle layout once every table has the cover's key set;
-    else :class:`InvalidCocycle` on the first table that has not."""
-    layout = _angle_layout(cover)
-    expected = layout.pairs.keys()
-    for angles in tables:
-        if angles.keys() != expected:
-            missing = sorted(expected - angles.keys())
-            stray = sorted(angles.keys() - expected)
-            raise InvalidCocycle(
-                f"angle table mismatch: missing {missing[:3]}..., stray {stray[:3]}..."
-            )
-    return layout
-
-
-def _checked_values(layout, den: int, table: dict) -> tuple:
-    """``(den, table)`` once the integer angles ``table`` over ``den``, with
-    the cover's key set, are antisymmetric, equivariant and closed on
-    triples mod ``den``; else :class:`InvalidCocycle` on the first failure
-    (see :meth:`FlatCocycle.validate` for the order)."""
-    pairs = layout.pairs
-    for key, theta in table.items():
-        partner, image = pairs[key]
-        if (table[partner] + theta) % den:
-            raise InvalidCocycle(f"antisymmetry fails on ({key[0]}, {key[1]}) component {key[2]}")
-        if (table[image] + theta) % den:
-            raise InvalidCocycle(f"equivariance fails on ({key[0]}, {key[1]}) component {key[2]}")
-    for ijk, c, jk, ik, ij in layout.triples:
-        if (table[jk] - table[ik] + table[ij]) % den:
-            raise InvalidCocycle(f"cocycle condition fails on {list(ijk)} component {c}")
-    return den, table
+    globals()[name] = value = getattr(flatclasses, name)
+    return value

@@ -6,33 +6,18 @@ group by a torus (q < p, reported as a split product with an explicit flag),
 or a quotient of an infinite-dimensional smooth part that is only carried
 symbolically (q = p >= 1).
 
-The flat classifier takes concrete locally constant transition angles,
-lifts them equivariantly, reads off the integral obstruction class of the
-lift's coboundary, and — when that vanishes — the torus coordinates, each
-by one product with the cached coordinate rows of one complex, the ordered
-orbit complex of sign -1.  It runs on integers, ``D`` times the rational
-cochains for ``D`` the angles' least common denominator; Fractions appear
-only in the angles that come in and the torus coordinates that go out.
+The classes of concrete flat cocycles (``flat_cocycle_class``,
+``cocycles_equivalent``, ``FlatCocycleClass``, ``FlatClassCoordinates``)
+live in ``flatclasses``, which no descriptor loads; their names resolve
+here too, on first read (:func:`__getattr__`).
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
-
-from .cechengine import _degree, _orbit_complex, _orbit_keys, equivariant_cohomology
-from .coverdata import IZ, C2Cover, FlatCocycle
-from .errors import (
-    CoverMismatch,
-    InternalInvariantError,
-    InvalidCocycle,
-    NotCompact,
-)
-from .exactalg import (
-    GroupDescriptor,
-    _cohomology_data,
-    _whole,
-    class_coordinates,
-)
+from .cechengine import _degree, equivariant_cohomology
+from .coverdata import IZ, C2Cover
+from .errors import NotCompact
+from .exactalg import GroupDescriptor, _whole
 from .records import Record
 
 SMOOTH_PART_SYMBOL = "E^{p-1}/E^{p-1}_0(M)"
@@ -205,106 +190,12 @@ def quotient_coefficients_cohomology(cover: C2Cover, k: int) -> DeligneDescripto
     return deligne_descriptor(cover, k + 2, k + 1)
 
 
-# ---------------------------------------------------------------------------
-# Concrete flat cocycles
-# ---------------------------------------------------------------------------
+def __getattr__(name):
+    """The flat classes, defined in ``flatclasses``: imported on the first
+    read of one of their names here (PEP 562), then kept in this namespace."""
+    if name not in ("FlatClassCoordinates", "FlatCocycleClass", "cocycles_equivalent", "flat_cocycle_class"):
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    from . import flatclasses
 
-
-class FlatClassCoordinates(Record):
-    """Coordinates in the split flat group ``(R/Z)^d x torsion``.
-
-    ``torus_part`` holds fractions in ``[0, 1)`` against the computed basis
-    of the torus factor; it is None when the integral obstruction is nonzero
-    (the class then sits outside the identity-component coordinates).
-    """
-
-    __slots__ = ("torus_part", "torsion_part")
-
-    @property
-    def is_zero(self) -> bool:
-        return self.torus_part is not None and not any(self.torus_part) and not any(
-            self.torsion_part
-        )
-
-
-class FlatCocycleClass(Record):
-    """A flat class: its coordinates and its integral obstruction."""
-
-    __slots__ = ("coords", "bockstein")
-
-    @property
-    def trivial(self) -> bool:
-        return self.coords.is_zero
-
-
-def flat_cocycle_class(fc: FlatCocycle) -> FlatCocycleClass:
-    """Classify concrete flat transition angles on their cover.
-
-    The rational equivariant lift's coboundary is an integral equivariant
-    2-cocycle; its class is the integral obstruction.  When that class
-    vanishes the lift differs from an integral cochain by an honest rational
-    cocycle whose free coordinates, taken mod 1, locate the class on the
-    torus.  ``trivial`` is the class's coordinates being zero.
-
-    Everything is read on the ordered orbit complex of sign -1, in degrees
-    0..2 only: the lift is built in its orbit coordinates, its coboundary is
-    the orbit complex's ``d_1``, and the coordinates are one product each
-    with that complex's cached rows: the checked obstruction through
-    ``R_2``, the lift through ``R_1`` mod ``D`` (it differs from the
-    rational cocycle by ``D`` times an integral cochain, and ``R_1`` is
-    integral).  The angle table is checked (:meth:`FlatCocycle.validate`)
-    and read once.
-    """
-    return _flat_class(fc.cover, *fc._checked_angles())
-
-
-def _flat_class(cover: C2Cover, den: int, table: dict) -> FlatCocycleClass:
-    """The class of a checked integer angle table ``table`` over ``den``
-    (:meth:`FlatCocycle._checked_angles` or ``_checked_difference``); see
-    :func:`flat_cocycle_class`.  Scaling ``den`` and the table by ``m``
-    scales the lift and its coboundary by ``m`` and leaves the obstruction
-    and the torus coordinates as they are."""
-    sub, _ = _orbit_complex(cover, IZ.sign)
-    # D times a rational lift of the angles, fixed on the nose, in orbit
-    # coordinates: the angle at each orbit's representative
-    # (:func:`_orbit_keys`), its partner taking minus that.  An equivariant
-    # table has minus that angle at the partner up to an integer, so the
-    # lift differs from the table by D times an integral cochain
-    lift = [table[key] for key in _orbit_keys(cover)]
-    # the coboundary of a fixed cochain is fixed, so its entries at the
-    # orbit representatives, its orbit coordinates, decide integrality
-    raw = sub.diff(1).matvec(lift)
-    if any(x % den for x in raw):
-        raise InvalidCocycle(
-            "coboundary of the lift is not integral; the angle data "
-            "violates the cocycle condition"
-        )
-    bockstein = class_coordinates(sub, 2, [x // den for x in raw])
-    if any(bockstein.free_part):
-        raise InternalInvariantError("obstruction class of a flat cocycle must be torsion")
-
-    torsion_part = tuple(bockstein.torsion_part)
-    if any(torsion_part):
-        coords = FlatClassCoordinates(torus_part=None, torsion_part=torsion_part)
-        return FlatCocycleClass(coords=coords, bockstein=bockstein)
-
-    # obstruction vanishes: the torus part is the lift's R_1 reading mod D
-    data = _cohomology_data(sub, 1)
-    free = data["rows"].matvec(lift)[: len(data["free_pos"])]
-    torus = tuple(Fraction(x % den, den) for x in free)
-    coords = FlatClassCoordinates(torus_part=torus, torsion_part=torsion_part)
-    return FlatCocycleClass(coords=coords, bockstein=bockstein)
-
-
-def cocycles_equivalent(a: FlatCocycle, b: FlatCocycle) -> bool:
-    """True when the two angle systems differ by an equivariant coboundary.
-
-    This is ``flat_cocycle_class(a - b).trivial``, with the same
-    :class:`InvalidCocycle` messages as ``(a - b).validate()`` (key sets are
-    checked for ``a``, then ``b``), read from the two integer angle tables
-    over the lcm of their denominators: no Fraction difference and no
-    :class:`FlatCocycle` is formed.
-    """
-    if a.cover is not b.cover:
-        raise CoverMismatch("cocycles live on different covers")
-    return _flat_class(a.cover, *a._checked_difference(b)).trivial
+    globals()[name] = value = getattr(flatclasses, name)
+    return value

@@ -7,24 +7,24 @@ keeps Smith reduction of the large but very sparse coboundary matrices cheap;
 vectors are plain lists.  Matrix arguments may be nested sequences of rows
 or 2-D arrays.  The dense interchange (:meth:`SparseIntMatrix.to_dense`,
 :func:`smith_normal_form`, :func:`kernel_basis`) returns lists of row
-lists, and the solves and :func:`class_representative` return lists, so
-nothing here needs numpy.
+lists, and the solves return lists, so nothing here needs numpy.
 
-The main entry points are :func:`smith_normal_form`,
-:func:`complex_cohomology` and :func:`class_coordinates`.  Descriptors need
-only the Smith diagonals of the differentials, reduced without transforms
-and cached on the complex (:func:`_diagonal`): the ±1 pivots, nearly every
-pivot of a coboundary, are eliminated first in Markowitz order
-(:func:`_unit_pivots`), and only a nonempty residual goes to Smith.
+The main entry points are :func:`smith_normal_form` and
+:func:`complex_cohomology`.  Descriptors need only the Smith diagonals of
+the differentials, reduced without transforms and cached on the complex
+(:func:`_diagonal`): the ±1 pivots, nearly every pivot of a coboundary,
+are eliminated first in Markowitz order (:func:`_unit_pivots`), and only
+a nonempty residual goes to Smith.
 Every other reduction stays plain Smith on the whole matrix and checks the
 descriptor path independently: ranks (:func:`integer_rank`, the check
 ``verify`` and the tests make on the rational descriptors, which read the
-integral ones' diagonals), the transforms of the coordinate questions
-(:func:`class_coordinates`, :func:`coboundary_preimage`,
-:func:`class_representative`, built only there), :func:`smith_normal_form`,
-the solves and :func:`fixed_subcomplex`.  The kernel-quotient route that
-the descriptors are checked against lives in ``verify``
-(``verify.kernel_quotient``).
+integral ones' diagonals), the transforms of the coordinate questions,
+:func:`smith_normal_form`, the solves and :func:`fixed_subcomplex`.  The
+kernel-quotient route that the descriptors are checked against lives in
+``verify`` (``verify.kernel_quotient``).  The coordinate questions
+(``class_coordinates``, ``coboundary_preimage``, ``class_representative``)
+live in ``flatclasses``, which only the flat classifier loads; their names
+resolve here too, on first read (:func:`__getattr__`).
 
 The subcomplex fixed by a degreewise involution has two routes:
 :func:`fixed_subcomplex` reads it off the Smith form of ``t_k - id`` for
@@ -35,14 +35,12 @@ per basis vector, with no reduction at all.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from math import gcd
 from operator import index
 
 from .errors import (
     DegreeOutOfRange,
     InternalInvariantError,
-    NotACocycle,
     NotAnInvolution,
     NotEquivariant,
 )
@@ -231,6 +229,8 @@ class _SmithData(Record):
         """
         if len(b) != self.nrows:
             raise ValueError(f"right-hand side of length {len(b)} for {self.nrows} rows")
+        from fractions import Fraction  # not loaded by a cold descriptor command
+
         # Python ints and Fractions: products of numpy integers wrap around
         b = [int(x) if x == int(x) else Fraction(x) for x in b]
         return self.back_solve(self.u.matvec(b), rational)
@@ -238,6 +238,8 @@ class _SmithData(Record):
     def back_solve(self, y, rational: bool):
         """:meth:`solve` from ``y = u @ b``: divide by the diagonal and map
         back through ``v``."""
+        if rational:
+            from fractions import Fraction
         nd = len(self.diag)
         z = [0] * self.ncols
         for i, yi in enumerate(y):
@@ -650,39 +652,6 @@ class IntegerCochainComplex:
         self._cache = {key: v for key, v in self._cache.items() if key[1] < k}
 
 
-def _cohomology_data(c: IntegerCochainComplex, k: int):
-    """Kernel basis, its left inverse and the Smith reduction of
-    ``left @ d_(k-1)``, with transforms: the class coordinates' basis.
-
-    ``kernel`` is saturated and ``d_(k-1)`` lands in it, so expressing its
-    columns in the kernel basis is one sparse product with the left-inverse
-    rows, no solving required.  ``rows`` is ``R_k``, the rows of ``u @
-    left`` at the free positions, then at the torsion positions, for ``u``
-    the Smith row transform: one product with it reads a cocycle's
-    coordinates."""
-    key = ("cohomology", k)
-    hit = c._cache.get(key)
-    if hit is not None:
-        return hit
-    a_smith = _smith(c.diff(k), rows=False)
-    ker, left = a_smith.kernel_basis(), a_smith.kernel_left_inverse()
-    x_smith = _smith(left.matmul(c.diff(k - 1)), transforms=True)
-    diag = x_smith.diag
-    free_pos = [i for i in range(ker.ncols) if i >= len(diag) or diag[i] == 0]
-    torsion_pos = [(i, d) for i, d in enumerate(diag) if d >= 2]
-    u = x_smith.u
-    rows = [u.rows[i] for i in free_pos + [i for i, _ in torsion_pos]]
-    hit = c._cache[key] = {
-        "kernel": ker,
-        "left": left,
-        "x_smith": x_smith,
-        "free_pos": free_pos,
-        "torsion_pos": torsion_pos,
-        "rows": SparseIntMatrix(len(rows), u.ncols, rows).matmul(left),
-    }
-    return hit
-
-
 def _column_sets(a: list, ncols: int) -> list:
     """Per column, the set of rows of the sparse rows ``a`` with an entry there."""
     cols = [set() for _ in range(ncols)]
@@ -776,8 +745,9 @@ def complex_cohomology(c: IntegerCochainComplex, k: int) -> GroupDescriptor:
     is ``n_k - rank d_k - rank d_(k-1)``, and since ``ker d_k`` is
     saturated the torsion is that of ``coker d_(k-1)``, its diagonal
     entries above 1, a divisibility chain as they stand.  No transforms
-    are built; :func:`class_coordinates` and its kin build them on demand.  The group is cached on the complex
-    like the diagonals, and ``extend`` drops it with them.
+    are built; the class-coordinate questions (``flatclasses``) build them
+    on demand.  The group is cached on the complex like the diagonals, and
+    ``extend`` drops it with them.
 
     On a complex built by hand, differentials just outside the range count
     as zero maps, but ``k`` itself must lie inside ``[lo, hi]``.
@@ -789,101 +759,6 @@ def complex_cohomology(c: IntegerCochainComplex, k: int) -> GroupDescriptor:
         rank = c.rank(k) - sum(1 for x in _diagonal(c, k) if x) - sum(1 for x in below if x)
         hit = c._cache["group", k] = GroupDescriptor(rank, tuple(x for x in below if x > 1))
     return hit
-
-
-def _kernel_coordinates(c: IntegerCochainComplex, k: int, cocycle):
-    """Check that the flat sequence ``cocycle`` is a cocycle of ``c`` in
-    degree ``k``; return the degree's coordinate data and the cocycle's
-    coordinates against its kernel basis.
-
-    The check reads the kernel coordinates ``w = L v`` it returns anyway:
-    ``v`` is a cocycle exactly when ``K w == v``, for ``K`` the saturated
-    kernel basis and ``L`` its left inverse.  If ``d_k v == 0``, ``v`` is in
-    the span of ``K`` (over Q too: the basis of a lattice spans its rational
-    span), so ``w`` is its coordinate vector; if ``K w == v``, ``v`` lies in
-    the image of ``K``, inside the kernel.  So integer and Fraction vectors
-    are checked exactly, at the cost of ``nnz(K)``, not of ``nnz(d_k)``.
-    """
-    c._require(k)
-    v = list(cocycle)
-    if len(v) != c.rank(k):
-        raise NotACocycle(f"vector has length {len(v)}, expected {c.rank(k)}")
-    data = _cohomology_data(c, k)
-    w = data["left"].matvec(v)
-    if data["kernel"].matvec(w) != v:
-        raise NotACocycle("vector is not annihilated by the differential")
-    return data, w
-
-
-def _integral_kernel_coordinates(c: IntegerCochainComplex, k: int, cocycle):
-    """:func:`_kernel_coordinates` of a cocycle that must be integral.
-    ``v = K w`` is integral exactly when ``w`` is, so a closed vector with
-    a fractional kernel coordinate raises ValueError."""
-    data, w = _kernel_coordinates(c, k, cocycle)
-    if any(x % 1 for x in w):
-        raise ValueError("class coordinates are taken on integral cocycles only")
-    return data, w
-
-
-def class_coordinates(c: IntegerCochainComplex, k: int, cocycle) -> ElementCoordinates:
-    """Coordinates of an integral cocycle's class, deterministically.
-
-    The basis is the one produced by the Smith reductions with transforms
-    in ``_cohomology_data``, made on the first coordinate question for
-    degree ``k`` and kept, so repeated calls against the same complex are
-    mutually consistent.  A vector of the wrong length or outside the
-    kernel of ``d_k`` raises :class:`NotACocycle`, and a closed vector
-    that is not integral raises ValueError; both are tested on the kernel
-    coordinates (:func:`_kernel_coordinates`), never with a product by
-    ``d_k``.  The coordinates are then one product with the cached rows
-    ``R_k`` of ``u @ left``, read as ints (an integral cocycle given as
-    Fractions reads the same), torsion entries reduced mod their orders.
-    """
-    v = list(cocycle)
-    data, _ = _integral_kernel_coordinates(c, k, v)
-    y = list(map(int, data["rows"].matvec(v)))
-    nfree = len(data["free_pos"])
-    torsion = tuple(x % d for x, (_, d) in zip(y[nfree:], data["torsion_pos"]))
-    return ElementCoordinates(tuple(y[:nfree]), torsion)
-
-
-def coboundary_preimage(c: IntegerCochainComplex, k: int, cocycle):
-    """An integral ``x`` with ``d_(k-1) @ x == cocycle``, or None when the
-    cocycle's class is nonzero.  Checks the cocycle, and its integrality,
-    as :func:`class_coordinates` does.
-
-    In kernel coordinates ``w`` the preimage solves ``(left @ d_(k-1)) x ==
-    w``, whose Smith reduction is the one behind the coordinates; it is
-    solvable exactly when every coordinate vanishes."""
-    data, w = _integral_kernel_coordinates(c, k, cocycle)
-    x_smith = data["x_smith"]
-    return x_smith.back_solve(x_smith.u.matvec(w), rational=False)
-
-
-def class_representative(c: IntegerCochainComplex, k: int, coords: ElementCoordinates):
-    """An integral cocycle, as a list, whose class has the given coordinates.
-    Coordinates of the wrong count, or not integers, raise ValueError."""
-    c._require(k)
-    data = _cohomology_data(c, k)
-    want = (len(data["free_pos"]), len(data["torsion_pos"]))
-    if (len(coords.free_part), len(coords.torsion_part)) != want:
-        raise ValueError(f"coordinates need {want[0]} free and {want[1]} torsion entries")
-    z = data["kernel"].ncols
-    y = [0] * z
-    positions = data["free_pos"] + [i for i, _ in data["torsion_pos"]]
-    for val, i in zip((*coords.free_part, *coords.torsion_part), positions):
-        if val % 1:
-            raise ValueError(f"coordinates must be integers, got {val!r}")
-        y[i] = int(val)
-    # w = u^{-1} @ y, with u^{-1} stored by columns
-    uinvT = data["x_smith"].uinvT
-    w = [0] * z
-    for i, yi in enumerate(y):
-        if not yi:
-            continue
-        for j, x in uinvT.rows[i].items():
-            w[j] += yi * x
-    return data["kernel"].matvec(w)
 
 
 # ---------------------------------------------------------------------------
@@ -1036,3 +911,14 @@ def fixed_subcomplex(c: IntegerCochainComplex, involution: dict):
         bases[k + 1] = basis
         sub.extend(basis.ncols, dk)
     return sub, bases
+
+
+def __getattr__(name):
+    """The coordinate questions, defined in ``flatclasses``: imported on
+    the first read of one here (PEP 562), then kept in this namespace."""
+    if name not in ("class_coordinates", "class_representative", "coboundary_preimage"):
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    from . import flatclasses
+
+    globals()[name] = value = getattr(flatclasses, name)
+    return value

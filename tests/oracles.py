@@ -400,9 +400,9 @@ def smith_reading(c, k, cocycle):
     ``class_coordinates``; the torsion entries are not reduced.  This reads
     the transforms themselves, not the cached rows ``R_k`` the engine reads
     its coordinates through."""
-    from realdeligne import exactalg
+    from realdeligne import flatclasses
 
-    data, w = exactalg._kernel_coordinates(c, k, cocycle)
+    data, w = flatclasses._kernel_coordinates(c, k, cocycle)
     y = data["x_smith"].u.matvec(w)
     return [y[i] for i in data["free_pos"]], [(y[i], d) for i, d in data["torsion_pos"]]
 

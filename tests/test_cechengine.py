@@ -15,7 +15,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import oracles
-from realdeligne import catalog, cechengine, coverdata, deligne, exactalg, verify
+from realdeligne import catalog, cechengine, deligne, exactalg, flatclasses, nerves, verify
 from realdeligne.cechengine import (
     CoefficientComplex,
     build_equivariant_complex,
@@ -852,7 +852,7 @@ def test_session_builds_each_fixed_degree_once(monkeypatch):
             return inner_extend(self, rank, diff)
 
         monkeypatch.setattr(exactalg.IntegerCochainComplex, "_reach", reach)
-        for module in (cechengine, deligne):
+        for module in (cechengine, flatclasses):
             monkeypatch.setattr(module, "_orbit_complex", orbit)
         monkeypatch.setattr(cechengine, "involution_matrix", matrix)
         monkeypatch.setattr(exactalg, "_smith", smith)
@@ -891,7 +891,7 @@ def test_torus_session_never_builds_the_product_nerve(monkeypatch):
     and is the golden one.  The memo lives on through the class swap that
     reading the nerve makes: asked again, the session builds no model."""
     built, tensors = [], []
-    inner, inner_tensor = coverdata._nerve_of_product, cechengine._tensor_model
+    inner, inner_tensor = nerves._nerve_of_product, cechengine._tensor_model
 
     def counted(*args):
         built.append(args)
@@ -901,7 +901,7 @@ def test_torus_session_never_builds_the_product_nerve(monkeypatch):
         tensors.append(args)
         return inner_tensor(*args)
 
-    monkeypatch.setattr(coverdata, "_nerve_of_product", counted)
+    monkeypatch.setattr(nerves, "_nerve_of_product", counted)
     monkeypatch.setattr(cechengine, "_tensor_model", tensor)
     cover = catalog.build("torus")
     repr(cover)
@@ -1222,7 +1222,7 @@ def test_no_cohomology_is_read_from_a_truncated_top(entry):
 
 def test_descriptors_make_no_smith_transforms(monkeypatch):
     """Descriptor questions read Smith diagonals only; the transforms are
-    built on the first coordinate question."""
+    built on the first coordinate question (in ``flatclasses``)."""
     cover = catalog.build("sphere_antipodal", 2)
     calls = []
     inner = exactalg._smith
@@ -1231,7 +1231,8 @@ def test_descriptors_make_no_smith_transforms(monkeypatch):
         calls.append(transforms)
         return inner(m, transforms, rows)
 
-    monkeypatch.setattr(exactalg, "_smith", smith)
+    for module in (exactalg, flatclasses):
+        monkeypatch.setattr(module, "_smith", smith)
     for k in range(3):
         for coeff in (IZ, Z_TRIVIAL, IQ, CoefficientSystem.integers_mod(2, -1)):
             equivariant_cohomology(cover, coeff, k, k + 1)

@@ -522,8 +522,13 @@ def run_probe(probe):
     return proc.stdout
 
 
+LAZY_MODULES = ("realdeligne.coverfiles", "realdeligne.flatclasses", "realdeligne.nerves")
+
+
 @pytest.mark.parametrize(
-    "module", ["sympy", "numpy", "dataclasses", "inspect", "ast", "dis", "tokenize", "linecache", "copy"]
+    "module",
+    ["sympy", "numpy", "dataclasses", "inspect", "ast", "dis", "tokenize", "linecache", "copy",
+     "fractions", "decimal", "numbers", "json", "realdeligne.verify", *LAZY_MODULES],
 )
 def test_cli_import_leaves_module_unloaded(module):
     """``import realdeligne.cli`` does not load ``module``.  What a bare
@@ -536,6 +541,107 @@ def test_cli_import_leaves_module_unloaded(module):
         print({module!r} in set(sys.modules) - bare)
     """
     assert run_probe(probe).strip() == "False"
+
+
+@pytest.mark.parametrize(
+    "use, loaded",
+    [
+        ("compute --json", ["json"]),
+        ("compute @file", ["json", "realdeligne.coverfiles"]),
+        ("flat class", ["fractions", "realdeligne.flatclasses"]),
+    ],
+)
+def test_each_use_loads_only_the_lazy_module_it_needs(tmp_path, capsys, use, loaded):
+    """In a fresh interpreter, a JSON report, a table of an ``@file`` cover
+    and a flat class on ``circle_conjugation`` each answer as they do here,
+    and each loads, of ``json``, ``fractions`` and the modules loaded on
+    first use, only what it reads."""
+    cover_file = tmp_path / "sphere.json"
+    cover_file.write_text(catalog.build("sphere_antipodal", 2).to_json())
+    if use == "flat class":
+        from realdeligne.coverdata import FlatCocycle
+        from realdeligne.deligne import cocycles_equivalent, flat_cocycle_class
+
+        cover = catalog.build("circle_conjugation")
+        zero = FlatCocycle.zero(cover)
+        want = repr((flat_cocycle_class(zero), cocycles_equivalent(zero, zero)))
+        answer = """
+        from realdeligne import catalog
+        from realdeligne.coverdata import FlatCocycle
+        from realdeligne.deligne import cocycles_equivalent, flat_cocycle_class
+
+        zero = FlatCocycle.zero(catalog.build("circle_conjugation"))
+        print(repr((flat_cocycle_class(zero), cocycles_equivalent(zero, zero))))"""
+    else:
+        argv = ["compute", "--space", "circle_antipodal", "--coeff", "iZ", "--max-degree", "3", "--json"]
+        if use == "compute @file":
+            argv = ["compute", "--space", f"@{cover_file}", "--coeff", "iZ", "--max-degree", "3"]
+        code, want, _ = run(capsys, *argv)
+        assert code == 0
+        answer = f"""
+        from realdeligne import cli
+
+        assert cli.main({argv!r}) == 0"""
+    probe = f"""if True:
+        import sys
+
+        bare = set(sys.modules)
+        {answer.strip()}
+        print([m for m in {["fractions", "json", *LAZY_MODULES]!r} if m in set(sys.modules) - bare])
+    """
+    *lines, modules = run_probe(probe).splitlines()
+    if use != "compute --json":  # the report's timings differ from run to run
+        assert "\n".join(lines).strip() == want.strip()
+    else:
+        report = json.loads("\n".join(lines))
+        assert report["results"] == json.loads(want)["results"]
+    assert modules == repr(loaded)
+
+
+def test_public_names_resolve_to_the_objects_their_modules_define():
+    """In a fresh interpreter, every name of ``realdeligne.__all__`` (38),
+    read as an attribute, by ``from realdeligne import`` and by ``import
+    *``, is the object of the module that defines it, and so is each
+    public name that moved to ``flatclasses`` at its old path.  Reading an
+    unknown name loads nothing, and a moved name is kept where it was
+    read, so its next read is a plain lookup."""
+    probe = """if True:
+        import importlib
+        import sys
+
+        import realdeligne
+        from realdeligne import coverdata, deligne, exactalg
+
+        moved = {
+            "realdeligne.coverdata": ["AngleLayout", "FlatCocycle"],
+            "realdeligne.exactalg": ["class_coordinates", "class_representative", "coboundary_preimage"],
+            "realdeligne.deligne": ["FlatClassCoordinates", "FlatCocycleClass", "cocycles_equivalent",
+                                    "flat_cocycle_class"],
+        }
+        for module in (realdeligne, coverdata, deligne, exactalg):
+            assert not hasattr(module, "_angle_layout") and not hasattr(module, "no_such_name")
+        assert "realdeligne.flatclasses" not in sys.modules
+        moved_names = {name for names in moved.values() for name in names}
+        faults = []
+        for path, names in [("realdeligne", realdeligne.__all__), *moved.items(),
+                            ("realdeligne.coverdata", ["validate_cover"])]:
+            module = importlib.import_module(path)
+            for name in names:
+                got = getattr(module, name)
+                spelled = {}
+                exec(f"from {path} import {name} as x", spelled)
+                if name in moved_names:
+                    home = "realdeligne.flatclasses"
+                else:  # a value (IZ, __version__) is checked where it is read
+                    home = got.__module__ if callable(got) else path
+                if not (got is getattr(sys.modules[home], name) is spelled["x"] and name in vars(module)):
+                    faults.append((path, name))
+        star = {}
+        exec("from realdeligne import *", star)
+        faults += [name for name in realdeligne.__all__ if star[name] is not getattr(realdeligne, name)]
+        print(len(realdeligne.__all__), faults)
+    """
+    assert run_probe(probe).strip() == "38 []"
 
 
 def test_cli_runs_and_flat_class_leave_numpy_unloaded():

@@ -15,7 +15,7 @@ from hypothesis import given, settings, strategies as st
 
 import flathelp
 import oracles
-from realdeligne import catalog, cechengine, coverdata, verify
+from realdeligne import catalog, cechengine, coverdata, coverfiles, flatclasses, verify
 from realdeligne.coverdata import (
     C2Cover,
     CoefficientSystem,
@@ -760,7 +760,7 @@ def two_fixed_in_one_subset_raw():
 DOUBLING_INPUTS = {
     **{f"point of {k}": functools.partial(catalog._point, k, f"p{k}") for k in range(1, 5)},
     "conjugation circle": catalog._conjugation_circle,
-    "two fixed indices in one subset": lambda: coverdata._read(two_fixed_in_one_subset_raw()),
+    "two fixed indices in one subset": lambda: coverfiles._read(two_fixed_in_one_subset_raw()),
 }
 
 
@@ -801,7 +801,7 @@ def test_doubling_refuses_a_component_id_it_would_reuse():
     with pytest.raises(CoverValidationError) as err:
         double_fixed_indices(raw)
     assert err.value.violations == [(FACE_INCOHERENCE, "doubling names two components \"c|U,U'\"; rename the one listed")]
-    cover = coverdata._read(raw)
+    cover = coverfiles._read(raw)
     parts = oracles.doubled_parts(cover)
     assert oracles.cover_violations(C2Cover("clash", "t", *parts, good=True, compact=True))
 
@@ -898,7 +898,7 @@ def test_angle_layout_matches_the_ordered_basis(space):
     orbits of the sign -1 orbit complex's degree-1 basis, in its column
     order."""
     cover = catalog.build(*space)
-    layout = coverdata._angle_layout(cover)
+    layout = flatclasses._angle_layout(cover)
     basis = cechengine.tuple_basis(cover, 1)
     perm = cechengine.basis_involution(cover, 1)
     keys = [(i, j, c) for (i, j), c in basis.elements]

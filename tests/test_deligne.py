@@ -10,7 +10,7 @@ import pytest
 
 import flathelp
 import oracles
-from realdeligne import catalog, cechengine, coverdata
+from realdeligne import catalog, cechengine, flatclasses
 from realdeligne.cechengine import (
     _orbit_keys,
     build_equivariant_complex,
@@ -256,13 +256,13 @@ def test_flat_class_reads_degree_two_once_and_solves_nothing(spaces, monkeypatch
     from realdeligne import exactalg
 
     degrees, solves = [], []
-    inner, back_solve = exactalg._kernel_coordinates, exactalg._SmithData.back_solve
+    inner, back_solve = flatclasses._kernel_coordinates, exactalg._SmithData.back_solve
 
     def kernel_coordinates(c, k, cocycle):
         degrees.append(k)
         return inner(c, k, cocycle)
 
-    monkeypatch.setattr(exactalg, "_kernel_coordinates", kernel_coordinates)
+    monkeypatch.setattr(flatclasses, "_kernel_coordinates", kernel_coordinates)
     monkeypatch.setattr(
         exactalg._SmithData, "back_solve", lambda *args, **kw: solves.append(None) or back_solve(*args, **kw)
     )
@@ -360,8 +360,8 @@ def test_warm_flat_class_reads_neither_the_cover_nor_d2(space, monkeypatch):
 
 def test_angle_layout_is_built_once_per_cover(monkeypatch):
     built = []
-    layout = coverdata.AngleLayout
-    monkeypatch.setattr(coverdata, "AngleLayout", lambda *parts: built.append(parts) or layout(*parts))
+    layout = flatclasses.AngleLayout
+    monkeypatch.setattr(flatclasses, "AngleLayout", lambda *parts: built.append(parts) or layout(*parts))
     cover = catalog.build("circle_conjugation")
     rng = np.random.RandomState(9)
     gens = flathelp.class_generators(cover)

@@ -24,9 +24,7 @@ from realdeligne.exactalg import (
     GroupDescriptor,
     IntegerCochainComplex,
     SparseIntMatrix,
-    _cohomology_data,
     _diagonal,
-    _kernel_coordinates,
     _smith,
     _unit_pivots,
     as_sparse,
@@ -41,6 +39,7 @@ from realdeligne.exactalg import (
     solve_int,
     solve_rational,
 )
+from realdeligne.flatclasses import _cohomology_data, _kernel_coordinates
 from realdeligne.verify import kernel_quotient
 
 

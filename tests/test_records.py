@@ -17,7 +17,7 @@ import flathelp
 from realdeligne import catalog, cli
 from realdeligne.catalog import CatalogEntry
 from realdeligne.cechengine import CoefficientComplex, equivariant_cohomology, tuple_basis
-from realdeligne.coverdata import IQ, IZ, CoefficientSystem, _angle_layout
+from realdeligne.coverdata import IQ, IZ, CoefficientSystem
 from realdeligne.deligne import (
     RESULT_RECORD_SCHEMA,
     FlatClassCoordinates,
@@ -27,6 +27,7 @@ from realdeligne.deligne import (
     quotient_coefficients_cohomology,
 )
 from realdeligne.exactalg import ElementCoordinates, GroupDescriptor, SparseIntMatrix, _smith
+from realdeligne.flatclasses import _angle_layout
 
 COMPUTE_JSON = """{
   "invocation": [
