@@ -32,15 +32,16 @@ All of these read the cover's :class:`AlternatingModel`, one of three:
 the model of its nerve; for a product, the tensor model ``C_alt(A) ⊗
 C_alt(B)`` of its factors' models, naturally (so equivariantly)
 quasi-isomorphic to the product's cochains by Eilenberg–Zilber (Amer. J.
-Math. 75, 1953; Dold–Puppe 1961); for a join, that of its factors'
-augmented models without degree 0 (:func:`_augmented_model`).  Each model is
-reduced as soon as it is built, by equivariant Gaussian elimination of its
-unit pivots (:func:`_reduced`), to a Z[C2]-chain homotopy equivalent model
-that is much smaller (the conjugation circle's 6/10/4 becomes 2/2), so the
-ranks of every complex above are those of the reduced model, not of the
-alternating basis.  A product's or a join's nerve is built only when
-read (``nerves``): ``to_json``, the ordered cochains, a ``FlatCocycle``
-and its class, ``verify``.
+Math. 75, 1953; Dold–Puppe 1961); for a join, the tensor model of its
+factors' models each with the empty simplex prepended, without degree 0
+(:func:`_join_model`).  Each model is reduced as soon as it is built,
+by equivariant Gaussian elimination of its unit pivots (:func:`_reduced`),
+to a Z[C2]-chain homotopy equivalent model that is much smaller (the
+conjugation circle's 6/10/4 becomes 2/2), so the ranks of every complex
+above are those of the reduced model, not of the alternating basis.  A
+product's or a join's nerve is built only when read (``nerves``):
+``to_json``, the ordered cochains, a ``FlatCocycle`` and its class,
+``verify``.
 
 *Ordered cochains* ``C_ord`` live on ordered index tuples, normalized by
 dropping tuples with two equal consecutive entries; the tuple involution
@@ -279,49 +280,46 @@ def build_equivariant_complex(cover: C2Cover, coeff: CoefficientSystem, max_degr
 
 class AlternatingModel:
     """The alternating cochains of a cover as every descriptor reads them:
-    the plain complex, built to ``top + 1`` and zero above ``top``, and the
-    involution on each degree ``0 .. top`` as a signed permutation ``(perm,
-    eps)``, one action per degree, so ``top`` is ``len(actions) - 1``.  A
-    model is checked when it is made: each action squares to the identity
-    and commutes with the differential.  It holds no cover."""
+    ``diffs[j]``, the differential out of degree ``j`` for ``j = 0 ..
+    top``, the last into zero; the involution on each degree ``0 .. top``
+    as a signed permutation ``(perm, eps)``, one action per degree, so
+    ``top`` is ``len(actions) - 1``; and the plain complex they make,
+    built to ``top + 1`` and zero above ``top``.  A model is checked when
+    it is made: ``extend`` checks each differential's shape and d∘d = 0,
+    and each action squares to the identity and commutes with the
+    differential.  It holds no cover."""
 
-    __slots__ = ("complex", "actions", "top")
+    __slots__ = ("diffs", "complex", "actions", "top")
 
-    def __init__(self, complex: IntegerCochainComplex, actions: list):
-        actions = [_checked_involution(j, *act, complex.rank(j)) for j, act in enumerate(actions)]
+    def __init__(self, diffs: list, actions: list):
+        c = IntegerCochainComplex({0: len(actions[0][0])}, {})
+        for d in diffs:
+            c.extend(d.nrows, d)
+        actions = [_checked_involution(j, *act, c.rank(j)) for j, act in enumerate(actions)]
         for j in range(len(actions) - 1):
-            _check_commutes(complex.diff(j), actions[j], actions[j + 1], j)
-        self.complex, self.actions, self.top = complex, actions, len(actions) - 1
+            _check_commutes(diffs[j], actions[j], actions[j + 1], j)
+        self.diffs, self.actions, self.top = diffs, actions, len(actions) - 1
+        self.complex = _finite(c, self.top)
 
     def action(self, j: int):
         return self.actions[j] if j <= self.top else ([], [])
 
 
-def _model_of(diffs: list, actions: list) -> AlternatingModel:
-    """The checked model with ``d_j = diffs[j]``, the last into zero."""
-    c = IntegerCochainComplex({0: len(actions[0][0])}, {})
-    for d in diffs:
-        c.extend(d.nrows, d)
-    return AlternatingModel(_finite(c, len(diffs) - 1), actions)
-
-
-def _parts(model: AlternatingModel) -> tuple:
-    """``(diffs, actions)`` of ``model``, as :func:`_model_of` takes them."""
-    return [model.complex.diff(j) for j in range(model.top + 1)], model.actions
-
-
-def _tensor_model(a: AlternatingModel, b: AlternatingModel) -> AlternatingModel:
-    """``C_alt(A) ⊗ C_alt(B)``: degree ``n`` lists the blocks ``(p, n - p)``
-    by ascending ``p``, each ``|A^p| × |B^(n-p)|`` row-major; ``d(a ⊗ b) =
-    da ⊗ b + (-1)^p a ⊗ db`` and ``T(a ⊗ b) = T_A a ⊗ T_B b``."""
-    top = a.top + b.top
-    ra = [a.complex.rank(p) for p in range(a.top + 2)]
-    rb = [b.complex.rank(q) for q in range(b.top + 2)]
-    da, db = ([d.rows for d in _parts(m)[0]] for m in (a, b))
+def _tensor(a: tuple, b: tuple) -> tuple:
+    """``(diffs, actions)`` of ``C(A) ⊗ C(B)`` from those of ``A`` and
+    ``B``, as :class:`AlternatingModel` takes them: degree ``n`` lists the
+    blocks ``(p, n - p)`` by ascending ``p``, each ``|A^p| × |B^(n-p)|``
+    row-major; ``d(a ⊗ b) = da ⊗ b + (-1)^p a ⊗ db`` and ``T(a ⊗ b) = T_A
+    a ⊗ T_B b``."""
+    (da, acts_a), (db, acts_b) = a, b
+    top_a, top_b = len(acts_a) - 1, len(acts_b) - 1
+    top = top_a + top_b
+    ra, rb = ([len(perm) for perm, _ in acts] + [0] for acts in (acts_a, acts_b))
+    da, db = ([d.rows for d in diffs] for diffs in (da, db))
     blocks = []  # per degree n: the offset of each block (p, n - p), and the rank
     for n in range(top + 2):
         offset, size = {}, 0
-        for p in range(max(0, n - b.top), min(n, a.top) + 1):
+        for p in range(max(0, n - top_b), min(n, top_a) + 1):
             offset[p] = size
             size += ra[p] * rb[n - p]
         blocks.append((offset, size))
@@ -352,13 +350,45 @@ def _tensor_model(a: AlternatingModel, b: AlternatingModel) -> AlternatingModel:
     for n in range(top + 1):
         perm, eps = [], []
         for p, off in blocks[n][0].items():
-            (pa, ea), (pb, eb), w = a.actions[p], b.actions[n - p], rb[n - p]
+            (pa, ea), (pb, eb), w = acts_a[p], acts_b[n - p], rb[n - p]
             for r in range(ra[p]):
                 base, e = off + pa[r] * w, ea[r]
                 perm += [base + x for x in pb]
                 eps += [e * x for x in eb]
         actions.append((perm, eps))
-    return _model_of(diffs, actions)
+    return diffs, actions
+
+
+def _tensor_model(a: AlternatingModel, b: AlternatingModel) -> AlternatingModel:
+    """The checked model ``C_alt(A) ⊗ C_alt(B)`` (:func:`_tensor`)."""
+    return AlternatingModel(*_tensor((a.diffs, a.actions), (b.diffs, b.actions)))
+
+
+def _join_model(a: AlternatingModel, b: AlternatingModel) -> AlternatingModel:
+    """The checked model of the join of covers with models ``a`` and
+    ``b``, graded by vertex count less one.  A join's simplices are the
+    pairs of its factors' simplices, one maybe empty, so its augmented
+    cochains are the tensor product (:func:`_tensor`) of theirs: each
+    factor's model with the empty simplex prepended as a new degree 0
+    (rank 1, fixed with ``ε = +1``, ``d`` the column of ones).  The sign
+    ``(-1)^p`` is the join's when the first factor's indices sort first
+    (else the same up to sort signs).  Degree 0 of the product, the
+    empty simplex, is dropped before the one check, whose d∘d and
+    commutation checks so cover both factors' augmentations too.
+
+    The factors may be reduced first: a model's augmentation is the
+    column of ones into its degree 0, and eliminating a unit pivot keeps
+    each row sum of ``d_0`` at zero, so it keeps that column a cocycle;
+    and :func:`_reduced` never pivots on the fixed empty simplex, as every
+    vertex of an accepted cover is free.  So reducing commutes with
+    prepending it."""
+    parts = []
+    for m in (a, b):
+        n = len(m.actions[0][0])
+        ones = SparseIntMatrix(n, 1, [{0: 1} for _ in range(n)])
+        parts.append(([ones, *m.diffs], [([0], [1]), *m.actions]))
+    diffs, actions = _tensor(*parts)
+    return AlternatingModel(diffs[1:], actions[1:])
 
 
 def _nerve_parts(cover: C2Cover):
@@ -414,7 +444,7 @@ def _nerve_parts(cover: C2Cover):
 def _nerve_model(cover: C2Cover) -> AlternatingModel:
     """The model read off the nerve (:func:`_nerve_parts`), unreduced, with
     top its dimension; it is built once, for the reduction, and not kept."""
-    return _model_of(*_nerve_parts(cover))
+    return AlternatingModel(*_nerve_parts(cover))
 
 
 def _reduced(model: AlternatingModel) -> AlternatingModel:
@@ -440,7 +470,7 @@ def _reduced(model: AlternatingModel) -> AlternatingModel:
     for j in range(model.top):
         (perm, _), (perm1, _) = model.actions[j], model.actions[j + 1]
         live, live1 = alive[j], alive[j + 1]
-        a = [{c: x for c, x in row.items() if live[c]} for row in model.complex.diff(j).rows]
+        a = [{c: x for c, x in row.items() if live[c]} for row in model.diffs[j].rows]
         cols = _column_sets(a, len(live))
         for r in sorted(range(len(a)), key=list(map(len, a)).__getitem__):
             t = perm1[r]
@@ -473,45 +503,16 @@ def _reduced(model: AlternatingModel) -> AlternatingModel:
         ([new[j].get(perm[r], -1) for r in new[j]], [eps[r] for r in new[j]])
         for j, (perm, eps) in enumerate(model.actions[: top + 1])
     ]
-    return _model_of(diffs, actions)
-
-
-def _augmented(diffs: list, actions: list) -> AlternatingModel:
-    """:func:`_model_of` with the empty simplex as a new degree 0: rank 1,
-    fixed with ``ε = +1``, ``d_0`` the column of ones."""
-    n = len(actions[0][0])
-    return _model_of([SparseIntMatrix(n, 1, [{0: 1} for _ in range(n)]), *diffs], [([0], [1]), *actions])
-
-
-def _unaugmented(model: AlternatingModel) -> AlternatingModel:
-    """An augmented model without its degree 0, the empty simplex."""
-    return _model_of(*(x[1:] for x in _parts(model)))
-
-
-@_per_cover
-def _augmented_model(cover: C2Cover) -> AlternatingModel:
-    """The cover's reduced model augmented (:func:`_augmented`, a nerve's
-    before its model is built), graded by vertex count.  A join's simplices
-    are the pairs of its factors' simplices, one maybe empty, so its model
-    is the reduced tensor model of theirs, whose sign ``(-1)^p`` is the
-    join's when the first factor's indices sort first (else the same up to
-    sort signs); the fixed empty simplex never pairs with a free vertex."""
-    if cover.joined:
-        return _reduced(_tensor_model(*map(_augmented_model, cover.factors)))
-    if cover.factors:
-        return _augmented(*_parts(_alternating_model(cover)))
-    return _reduced(_augmented(*_nerve_parts(cover)))
+    return AlternatingModel(diffs, actions)
 
 
 @_per_cover
 def _alternating_model(cover: C2Cover) -> AlternatingModel:
     """The model every reader reads, reduced (:func:`_reduced`): the
-    nerve's, a product's tensor model of its factors' models, or a join's
-    augmented model without degree 0."""
-    if cover.joined:
-        return _unaugmented(_augmented_model(cover))
+    nerve's, or the join model (:func:`_join_model`) or tensor model
+    (:func:`_tensor_model`) of its factors' models."""
     if cover.factors:
-        return _reduced(_tensor_model(*map(_alternating_model, cover.factors)))
+        return _reduced((_join_model if cover.joined else _tensor_model)(*map(_alternating_model, cover.factors)))
     return _reduced(_nerve_model(cover))
 
 

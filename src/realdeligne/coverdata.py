@@ -623,8 +623,9 @@ def join_cover(a: C2Cover, b: C2Cover, name: str | None = None) -> C2Cover:
     ``U_I × V_J × (0, 1)`` and ``U_I`` alone is ``U_I`` times a cone, so the
     nerve is the join of the nerves (``nerves._nerve_of_join``), good when
     both are; S^n is the join of n + 1 copies of S^0 (J. Milnor, Ann. of
-    Math. 63, 1956).  Cohomology is read from the factors' augmented
-    models, and the nerve stays lazy as a product's does.  The involution
+    Math. 63, 1956).  Cohomology is read from the factors' models
+    (``cechengine._join_model``), and the nerve stays lazy as a product's
+    does.  The involution
     name is the factors' if they share one, else both joined by ``*``."""
     involution_name = a.involution_name
     if b.involution_name != involution_name:

@@ -500,7 +500,7 @@ class GroupDescriptor(Record):
         rank = index(rank)
         if rank < 0:
             raise ValueError("rank must be >= 0")
-        tor = tuple(int(d) for d in torsion)
+        tor = tuple(map(index, torsion))
         for d in tor:
             if d < 2:
                 raise ValueError("torsion invariants must be >= 2")
@@ -517,7 +517,7 @@ class GroupDescriptor(Record):
         sweep over every pair ``i < j`` leaves each order dividing the next.
         For orders that need not form a chain (``gcd(d, n)``, sums of
         groups); a Smith diagonal's entries above 1 already are one."""
-        factors = [n for n in (abs(int(n)) for n in orders) if n > 1]
+        factors = [n for n in (abs(index(n)) for n in orders) if n > 1]
         for i in range(len(factors)):
             for j in range(i + 1, len(factors)):
                 a, b = factors[i], factors[j]

@@ -15,15 +15,13 @@ from .cechengine import (
     AlternatingModel,
     CoefficientComplex,
     _alternating_model,
-    _augmented,
     _borel_of,
     _descriptor,
     _descriptor_of,
+    _join_model,
     _nerve_model,
     _orbit_complex,
-    _parts,
     _tensor_model,
-    _unaugmented,
     build_descriptor_complex,
     build_equivariant_complex,
     build_full_complex,
@@ -401,12 +399,10 @@ def _nerve_only(cover: C2Cover) -> C2Cover:
 
 def _unreduced_model(cover: C2Cover) -> AlternatingModel:
     """The alternating model as it is built, before the engine reduces it:
-    the nerve's, or the tensor model of the factors' unreduced models (for
-    a join, of their augmented ones, without degree 0)."""
-    if cover.joined:
-        return _unaugmented(_tensor_model(*(_augmented(*_parts(_unreduced_model(f))) for f in cover.factors)))
+    the nerve's, or the join or tensor model of the factors' unreduced
+    models."""
     if cover.factors:
-        return _tensor_model(*map(_unreduced_model, cover.factors))
+        return (_join_model if cover.joined else _tensor_model)(*map(_unreduced_model, cover.factors))
     return _nerve_model(cover)
 
 

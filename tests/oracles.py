@@ -5,7 +5,7 @@ arithmetic on one-dimensional cochain groups — deliberately sharing no code
 with the package under test.  Groups
 are reported as ``(rank, torsion_tuple)`` pairs.
 
-Three families, and six reference routes:
+Three families, and seven reference routes:
 
 * cohomology of the two-element group acting on cyclic coefficient modules,
   via the 2-periodic free resolution (differentials alternate between
@@ -65,6 +65,14 @@ suffix once and reads a face's underlying set off the copy it drops.
 :func:`cross_polytope_raw` is the antipodal sphere's cover file from an
 enumeration of the faces of the cross-polytope, where the catalog joins
 two-point covers.
+
+The seventh, :func:`join_model`, is a join's reduced model the augmented
+way: each factor's model with the empty simplex prepended, made and
+checked as its own model (a nerve's augmented before it is reduced, a
+join's recursively), their tensor model reduced, then its copy without
+the empty simplex.  The package prepends the empty simplex to its
+factors' reduced models as plain parts and reduces once, after dropping
+it (``cechengine._join_model``).
 """
 
 from fractions import Fraction
@@ -713,6 +721,39 @@ def nerve_model_parts(cover):
             eps.append((-1) ** inversions)
         actions.append((perm, eps))
     return bases, diffs, actions
+
+
+def augmented(diffs, actions):
+    """The checked model of ``(diffs, actions)`` with the empty simplex as
+    a new degree 0: rank 1, fixed with sign +1, ``d`` the column of ones."""
+    from realdeligne.cechengine import AlternatingModel
+    from realdeligne.exactalg import SparseIntMatrix
+
+    n = len(actions[0][0])
+    return AlternatingModel([SparseIntMatrix(n, 1, [{0: 1} for _ in range(n)]), *diffs], [([0], [1]), *actions])
+
+
+def augmented_model(cover):
+    """The cover's reduced model with the empty simplex prepended: a
+    nerve's augmented before it is reduced, a product's reduced model
+    augmented, a join's the reduced tensor model of its factors'."""
+    from realdeligne import cechengine
+
+    if cover.joined:
+        return cechengine._reduced(cechengine._tensor_model(*map(augmented_model, cover.factors)))
+    if cover.factors:
+        model = cechengine._alternating_model(cover)
+        return augmented(model.diffs, model.actions)
+    return cechengine._reduced(augmented(*cechengine._nerve_parts(cover)))
+
+
+def join_model(cover):
+    """A join's reduced model: :func:`augmented_model` without degree 0,
+    checked again as a model of its own."""
+    from realdeligne.cechengine import AlternatingModel
+
+    model = augmented_model(cover)
+    return AlternatingModel(model.diffs[1:], model.actions[1:])
 
 
 def doubled_parts(cover):

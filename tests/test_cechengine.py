@@ -451,17 +451,65 @@ def test_reduced_ranks_are_pinned(name, params, unreduced, reduced):
 
 
 def test_join_ranks_are_pinned():
-    """The antipodal S^3 is the join of S^2 and S^0: the tensor model of
-    their reduced augmented models (ranks 1/2/2/2 and 1/2, the empty
-    simplex first) has ranks 1/4/6/6/4 and reduces to 1/2/2/2/2, which
-    without the empty simplex is the reduced model 2/2/2/2, as its nerve
-    model reduces to."""
-    s2, s0 = catalog.build("sphere_antipodal", 3).factors
-    aug = [cechengine._augmented_model(f) for f in (s2, s0)]
-    assert [_ranks(m) for m in aug] == [[1, 2, 2, 2, 0], [1, 2, 0]]
-    before = cechengine._tensor_model(*aug)
-    assert _ranks(before) == [1, 4, 6, 6, 4, 0]
-    assert _ranks(cechengine._reduced(before)) == [1, 2, 2, 2, 2, 0]
+    """The antipodal S^3 is the join of S^2 and S^0: with the empty
+    simplex prepended, their reduced models (ranks 2/2/2 and 2) have
+    ranks 1/2/2/2 and 1/2, whose tensor model has ranks 1/4/6/6/4, so
+    their join model, which drops the empty simplex, has ranks 4/6/6/4.
+    It reduces to the reduced model 2/2/2/2, as its nerve model does."""
+    cover = catalog.build("sphere_antipodal", 3)
+    models = [cechengine._alternating_model(f) for f in cover.factors]
+    assert [_ranks(m) for m in models] == [[2, 2, 2, 0], [2, 0]]
+    before = cechengine._join_model(*models)
+    assert _ranks(before) == [4, 6, 6, 4, 0]
+    assert _ranks(cechengine._reduced(before)) == [2, 2, 2, 2, 0]
+    assert _ranks(cechengine._alternating_model(cover)) == [2, 2, 2, 2, 0]
+
+
+# S^0 is a two-point cover, not a join; S^1 .. S^8 join one more each
+JOIN_COVERS = [pytest.param(lambda n=n: catalog._antipodal_join(n), True, id=f"S^{n}") for n in range(1, 9)]
+JOIN_COVERS += [
+    pytest.param(lambda a=a, b=b: join_cover(catalog.build(a), catalog.build(b)), free, id=f"{a},{b}")
+    for (a, b), free in zip(verify.JOIN_PAIRS + (("torus", "free_orbit"), ("point_trivial", "free_orbit")),
+                            (True, False, True, False))
+]
+
+
+@pytest.mark.parametrize("make, free", JOIN_COVERS)
+def test_join_model_matches_the_augmented_route(make, free):
+    """A join's reduced model equals, diff for diff and action for action,
+    the one made the augmented way (``oracles.join_model``): each
+    factor's model with the empty simplex prepended checked as a model of
+    its own, their tensor model reduced, then without the empty simplex.
+    A join with the conjugation circle, or of the point with the free
+    orbit (whose cone point is fixed), has a model that is not free, so it
+    reads the Borel complex."""
+    cover = make()
+    got, want = cechengine._alternating_model(cover), oracles.join_model(cover)
+    assert cover.joined and got.top == want.top
+    assert got.diffs == want.diffs and got.actions == want.actions
+    assert cechengine._acts_freely(got) == free
+
+
+@pytest.mark.parametrize("n, made", [(1, 4), (3, 10)])
+def test_fresh_sphere_checks_each_model_once(n, made, monkeypatch):
+    """A fresh antipodal S^n answering H^0..H^(n + 2) in both signs makes
+    n + 1 checked models for its two-point covers (each already reduced)
+    and two per join, its join model and the reduced one: 4 on S^1, 10 on
+    S^3.  So no model restates another's matrices, as an augmented copy
+    of a factor's model or a copy without the empty simplex would."""
+    models = []
+    inner = cechengine.AlternatingModel.__init__
+
+    def init(self, diffs, actions):
+        models.append(self)
+        inner(self, diffs, actions)
+
+    monkeypatch.setattr(cechengine.AlternatingModel, "__init__", init)
+    cover = catalog.build("sphere_antipodal", n)
+    for coeff in (IZ, Z_TRIVIAL):
+        for k in range(n + 3):
+            equivariant_cohomology(cover, coeff, k, n + 3)
+    assert len(models) == made
 
 
 REDUCTION_COVERS = [pytest.param(e.name, e.params, id=catalog.entry_label(e)) for e in catalog.ENTRIES]
@@ -500,13 +548,17 @@ def test_reduced_and_unreduced_descriptors_agree(name, params):
 
 
 def test_reduction_without_a_pivot_returns_its_model():
-    """A model with no unit pivot, a reduced one or the augmented model of
-    a two-point cover, is returned as it is, not rebuilt and checked
-    again."""
+    """A model with no unit pivot, a reduced one, the nerve model of a
+    two-point cover, or that model with the empty simplex prepended
+    (``oracles.augmented``), is returned as it is, not rebuilt and
+    checked again: the fixed empty simplex is never a pivot."""
     for space in (("circle_conjugation",), ("sphere_antipodal", 3), ("torus",)):
         model = cechengine._alternating_model(catalog.build(*space))
         assert cechengine._reduced(model) is model, space
-    pair = cechengine._augmented_model(catalog.build("sphere_antipodal", 0))
+    two_points = catalog.build("sphere_antipodal", 0)
+    nerve = cechengine._nerve_model(two_points)
+    assert _ranks(nerve) == [2, 0] and cechengine._reduced(nerve) is nerve
+    pair = oracles.augmented(nerve.diffs, nerve.actions)
     assert _ranks(pair) == [1, 2, 0] and cechengine._reduced(pair) is pair
 
 
@@ -530,7 +582,7 @@ def assert_answers_as_its_nerve(cover, top):
 @pytest.mark.parametrize("n", range(4))
 def test_sphere_join_answers_as_its_nerve(n):
     """S^n, the join of n + 1 two-point covers, answers from its factors'
-    augmented models as the nerve model of its own nerve does, in degrees
+    models as the nerve model of its own nerve does, in degrees
     0 .. n + 3: iZ, Z, iQ, Q and Z/2 of both signs, and plain cohomology.
     No answer builds the nerve; the comparison reads it."""
     cover = catalog.build("sphere_antipodal", n)
@@ -792,12 +844,6 @@ def test_memo_keys_calls_on_their_positional_arguments():
         cechengine._descriptor_read(cover, sign=1)
 
 
-def models_of_joins(cover) -> set:
-    """What a join's memo holds beside the models every cover's does: the
-    augmented model its alternating model comes from."""
-    return {"_augmented_model"} if cover.joined else set()
-
-
 def test_session_builds_each_fixed_degree_once(monkeypatch):
     """A session of every public question on one cover, each at the
     max_degree its entry point uses, builds each (sign, n) degree of the
@@ -812,8 +858,8 @@ def test_session_builds_each_fixed_degree_once(monkeypatch):
     which is the mod-3 H^2.  No total complex is built for the cone.  The
     Borel complexes are built that far and no further; the alternating
     fixed complexes are built at once to dim N + 1 = 3, their first zero
-    term, and no further.  The sphere is a join, so its memo also holds
-    the augmented model its alternating model comes from."""
+    term, and no further.  The sphere is a join, and its memo holds no
+    model beside its alternating model either."""
     for name, params, free, tops in (
         ("sphere_antipodal", (2,), True, (3, 3)),
         ("circle_conjugation", (), False, (3, 3)),
@@ -875,7 +921,7 @@ def test_session_builds_each_fixed_degree_once(monkeypatch):
 
         assert smith_inside == [] and matrices_inside == [] and orbit_builds == [], name
         keys = {key[0] for key in cover._memo}
-        assert keys == {"_alternating_model", "_descriptor_read"} | models_of_joins(cover), name
+        assert keys == {"_alternating_model", "_descriptor_read"}, name
         assert cechengine._acts_freely(cechengine._alternating_model(cover)) == free, name
         for sign, top in zip((-1, 1), tops):
             c = cechengine.build_descriptor_complex(cover, sign)
@@ -964,8 +1010,8 @@ def test_hypercohomology_builds_no_total_complex(entry, monkeypatch):
     with max_degree going up and then down, answers as a fresh cover does,
     so no mod-n group cached on a complex goes stale as it grows; and it
     builds no total complex: it never assembles the total blocks, and the
-    cover's memo holds its model (a join's, with the augmented model it
-    comes from) and descriptor complexes only, each
+    cover's memo holds its model (a join's too, with no second model) and
+    descriptor complexes only, each
     degree of which is extended once.  H^3 of a cone is the mod-n H^2 of
     the sign -1 column, which reads its d_2, and the mod-n H^3 reads d_j
     for j the degree 3 folds to (:func:`cechengine._folded`), so the
@@ -995,7 +1041,7 @@ def test_hypercohomology_builds_no_total_complex(entry, monkeypatch):
                     fresh[fstar, k] = hypercohomology(_fresh(entry), fstar, k, k + 1)
                 assert got == fresh[fstar, k], (fstar, k, md)
     keys = {key[0] for key in cover._memo}
-    assert keys == {"_alternating_model", "_descriptor_read"} | models_of_joins(cover)
+    assert keys == {"_alternating_model", "_descriptor_read"}
     periodic = cechengine._alternating_model(cover).top + 1
     at_once = periodic if entry.free_action else 0
     for sign, read in ((-1, max(3, cechengine._folded(3, periodic) + 1)), (1, 2)):

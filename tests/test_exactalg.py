@@ -869,12 +869,22 @@ def test_descriptor_rejects_broken_chain():
 def test_descriptor_rejects_negative_or_fractional_rank():
     """A rank below 0 or not an integer is refused: ``GroupDescriptor(-1)``
     would print ``0`` without being trivial, and ``GroupDescriptor(1.5)``
-    ``Z^1.5``."""
+    ``Z^1.5``.  So is a torsion order or cyclic order that is not an
+    integer, which would otherwise be truncated (``2.5`` read as ``Z/2``)
+    or parsed from a string; numpy integers are read as ints."""
     with pytest.raises(ValueError, match="rank"):
         GroupDescriptor(-1)
     with pytest.raises(TypeError):
         GroupDescriptor(1.5)
     assert GroupDescriptor(np.int64(2)) == GroupDescriptor(2)
+    for rank, torsion in ((0, (2.5,)), (0, (2, 4.9)), (1, ("4",)), (0, (Fraction(4),))):
+        with pytest.raises(TypeError):
+            GroupDescriptor(rank, torsion)
+        with pytest.raises(TypeError):
+            GroupDescriptor.from_cyclic_orders(rank, torsion)
+    read = GroupDescriptor(1, (np.int64(2), np.int32(4)))
+    assert read == GroupDescriptor(1, (2, 4)) and all(type(d) is int for d in read.torsion)
+    assert GroupDescriptor.from_cyclic_orders(0, (np.int64(4), np.int64(6))) == GroupDescriptor(0, (2, 12))
 
 
 def test_element_coordinates_zero():
