@@ -4,23 +4,15 @@ involution, and descriptors of Real smooth Deligne cohomology built from it.
 Everything is computed over the integers with exact arithmetic; rationals
 enter only as `fractions.Fraction`.
 
-The flat-class names (``FlatCocycle``, ``FlatCocycleClass``,
-``flat_cocycle_class``, ``cocycles_equivalent``, ``class_coordinates``,
-``class_representative``) are defined in ``flatclasses``, which no
-descriptor needs; it is imported on the first read of one of them here
-(:func:`__getattr__`).
+Names no descriptor needs are defined in ``flatclasses`` (the flat
+classes and the ordered-tuple complexes) and ``verify`` (the dense
+interchange, the solves and the general fixed route); each module is
+imported on the first read of one of its names here (:func:`__getattr__`).
 """
 
 __version__ = "0.1.0"
 
-from .cechengine import (
-    CoefficientComplex,
-    build_equivariant_complex,
-    build_full_complex,
-    equivariant_cohomology,
-    hypercohomology,
-    nonequivariant_cohomology,
-)
+from .cechengine import CoefficientComplex, equivariant_cohomology, hypercohomology, nonequivariant_cohomology
 from .coverdata import (
     IQ,
     IZ,
@@ -41,17 +33,8 @@ from .deligne import (
     quotient_coefficients_cohomology,
     real_circle_maps,
 )
-from .exactalg import (
-    ElementCoordinates,
-    GroupDescriptor,
-    IntegerCochainComplex,
-    complex_cohomology,
-    fixed_subcomplex,
-    kernel_basis,
-    smith_normal_form,
-    solve_int,
-    solve_rational,
-)
+from .exactalg import ElementCoordinates, GroupDescriptor, IntegerCochainComplex, complex_cohomology
+from .records import moved_names
 
 __all__ = [
     "__version__",
@@ -95,13 +78,10 @@ __all__ = [
 ]
 
 
-def __getattr__(name):
-    """A flat-class name: imported from ``flatclasses`` on its first read
-    here (PEP 562), then kept in this namespace."""
-    if name not in ("FlatCocycle", "FlatCocycleClass", "class_coordinates", "class_representative",
-                    "cocycles_equivalent", "flat_cocycle_class"):
-        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    from . import flatclasses
-
-    globals()[name] = value = getattr(flatclasses, name)
-    return value
+__getattr__ = moved_names(globals(), {
+    **dict.fromkeys(("FlatCocycle", "FlatCocycleClass", "build_equivariant_complex", "build_full_complex",
+                     "class_coordinates", "class_representative", "cocycles_equivalent", "flat_cocycle_class"),
+                    "flatclasses"),
+    **dict.fromkeys(("fixed_subcomplex", "kernel_basis", "smith_normal_form", "solve_int", "solve_rational"),
+                    "verify"),
+})

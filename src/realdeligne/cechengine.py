@@ -1,7 +1,5 @@
 """Cech cochain complexes of a cover with involution, and their cohomology.
 
-Two cochain models live here.
-
 *Alternating cochains* ``C_alt`` have one basis vector per (sorted
 ``(j + 1)``-subset of indices with a nonempty intersection, component of
 that intersection); the coboundary ``δ_alt`` is the alternating sum over
@@ -43,19 +41,10 @@ product's or a join's nerve is built only when read (``nerves``):
 ``to_json``, the ordered cochains, a ``FlatCocycle`` and its class,
 ``verify``.
 
-*Ordered cochains* ``C_ord`` live on ordered index tuples, normalized by
-dropping tuples with two equal consecutive entries; the tuple involution
-is free because the index involution is, so the fixed complex has one
-orbit sum ``e + sign * t(e)`` per orbit, read off the representative rows
-of the full coboundary (the induced-module picture; Brown, §III.5).  The
-flat classifier (``flatclasses``) takes its torus and torsion
-coordinates against this complex's Smith bases, and ``verify`` keeps it as
-the independent cross-check of the descriptor route.
-
-The two agree: ``C_alt -> C_ord`` (extend by the sort sign, zero on
-repeats) is an equivariant quasi-isomorphism (Serre, FAC §20), ``Hom_C2(W,
--)`` preserves it, and ``C_ord`` is degreewise Z[C2]-free, so ``Hom_C2(W,
-C_ord)`` is quasi-isomorphic to the orbit complex ``C_ord^{C2}``.
+The ordered-tuple cochains ``C_ord``, which the flat classifier reads and
+``verify`` checks this route against, live in ``flatclasses``, which no
+descriptor loads; the names of that route (:func:`tuple_basis`,
+:func:`build_equivariant_complex`, ...) still resolve here, on first read.
 
 Every per-cover object (bases, coboundaries, the involution's action and
 the complexes built on them) comes from one builder under
@@ -68,8 +57,8 @@ degree extends it to there, so, as H^k reads d_(k-1) and d_k, each degree
 is built and checked once and never past the highest degree read + 1;
 ``max_degree`` is only a range check.  The alternating complexes are
 built at once to degree top + 1 of their model and grow only zero terms
-above it.  No grower holds the cover (the ordered ones reach it through a
-weak reference), so a cover and its memo die with its last reference.
+above it.  No grower holds the cover, so a cover and its memo die with
+its last reference.
 Rational ranks are read off the same Smith diagonals as the integral
 groups, and mod-n groups come from the integral complexes by universal
 coefficients degreewise, cached like them; hypercohomology splits its
@@ -80,7 +69,6 @@ the same way (:func:`hypercohomology`).
 from __future__ import annotations
 
 from math import gcd
-from weakref import ref
 
 from .coverdata import C2Cover, CoefficientSystem, _nerve_rows, _per_cover, _require_free
 from .errors import DegreeOutOfRange, InvalidCoefficientComplex
@@ -97,7 +85,7 @@ from .exactalg import (
     _whole,
     complex_cohomology,
 )
-from .records import Record
+from .records import Record, moved_names
 
 
 def _growing(rank0: int, step) -> IntegerCochainComplex:
@@ -114,163 +102,6 @@ def _finite(c: IntegerCochainComplex, top: int) -> IntegerCochainComplex:
     c.rank(top + 1)
     c._grow = lambda n: None
     return c
-
-
-def _carried(c: IntegerCochainComplex, max_degree: int) -> IntegerCochainComplex:
-    if _whole(max_degree, "max_degree") < 0:
-        raise DegreeOutOfRange("max_degree must be nonnegative")
-    c.rank(max_degree)
-    return c
-
-
-def _cover_of(cover_ref) -> C2Cover:
-    cover = cover_ref()
-    if cover is None:
-        raise DegreeOutOfRange("the complex's cover is gone, so it cannot grow")
-    return cover
-
-
-class TupleBasis(Record):
-    """Ordered basis of the degree-``p`` cochain space of a cover.
-
-    Elements are pairs ``(tuple, component)`` listed lexicographically by
-    index name and then component id, so positions are reproducible.
-    """
-
-    __slots__ = ("degree", "elements", "position")
-
-    def __len__(self):
-        return len(self.elements)
-
-
-@_per_cover
-def tuple_basis(cover: C2Cover, p: int) -> TupleBasis:
-    """Basis of degree-``p`` cochains: tuples of ``p + 1`` indices whose
-    support intersects, no two consecutive entries equal, one element per
-    component."""
-    order = sorted(cover.indices)
-    # prefixes grown one entry at a time stay in lexicographic order.  No
-    # self-calling nested function here: its closure is a reference cycle
-    # that would keep the cover, and so its cache, alive until the cyclic
-    # garbage collector runs
-    prefixes = [((), frozenset())]
-    for _ in range(p + 1):
-        longer = []
-        for tup, support in prefixes:
-            for i in order:
-                if tup and tup[-1] == i:
-                    continue
-                if i in support:
-                    longer.append((tup + (i,), support))
-                elif (grown := support | {i}) in cover.intersections:
-                    longer.append((tup + (i,), grown))
-        prefixes = longer
-    elements = [
-        (tup, c) for tup, support in prefixes for c in sorted(cover.components_of(support))
-    ]
-    return TupleBasis(p, tuple(elements), {e: n for n, e in enumerate(elements)})
-
-
-@_per_cover
-def cech_differential(cover: C2Cover, p: int) -> SparseIntMatrix:
-    """Coboundary matrix from degree ``p`` to degree ``p + 1``.
-
-    Entry rule: the value on a target tuple is the alternating sum over
-    deletions of one entry, transported along the face map when the deleted
-    entry was the last occurrence of its index.  Deletions producing a tuple
-    outside the basis (a degenerate one) contribute nothing.  Deleting
-    positions ``a < b`` gives the same tuple only when entries ``a .. b``
-    are all equal, which no basis tuple has, so each entry is written once.
-    """
-    src = tuple_basis(cover, p)
-    dst = tuple_basis(cover, p + 1)
-    m = SparseIntMatrix(len(dst), len(src))
-    for r, (tup, c) in enumerate(dst.elements):
-        row = m.rows[r]
-        for k in range(len(tup)):
-            sub = tup[:k] + tup[k + 1 :]
-            if tup[k] in sub:
-                c2 = c  # support unchanged; same component
-            else:
-                c2 = cover.face(c, tup[k])
-            col = src.position.get((sub, c2))
-            if col is None:
-                continue
-            row[col] = -1 if k % 2 else 1
-    return m
-
-
-@_per_cover
-def basis_involution(cover: C2Cover, p: int) -> list:
-    """The index/component involution on degree-``p`` basis positions:
-    entry ``pos`` is the position of the image of element ``pos``."""
-    basis = tuple_basis(cover, p)
-    inv = cover.involution.__getitem__
-    sigma = cover.component_involution
-    return [basis.position[(tuple(map(inv, tup)), sigma[c])] for tup, c in basis.elements]
-
-
-def involution_matrix(cover: C2Cover, p: int, sign: int) -> SparseIntMatrix:
-    """Action of the involution on degree-``p`` cochains: permute basis
-    elements by the index/component involution, times the coefficient sign."""
-    perm = basis_involution(cover, p)
-    return SparseIntMatrix(len(perm), len(perm), [{j: sign} for j in perm])
-
-
-@_per_cover
-def _full_complex(cover: C2Cover) -> IntegerCochainComplex:
-    cover_ref = ref(cover)
-    return _growing(
-        len(tuple_basis(cover, 0)), lambda n: cech_differential(_cover_of(cover_ref), n)
-    )
-
-
-def build_full_complex(cover: C2Cover, max_degree: int) -> IntegerCochainComplex:
-    """The plain (non-equivariant) normalized cochain complex, carried in
-    degrees ``0 .. max_degree`` at least: one per cover, grown in place."""
-    return _carried(_full_complex(cover), max_degree)
-
-
-@_per_cover
-def _orbit_complex(cover: C2Cover, sign: int):
-    _require_free(cover)
-    cover_ref = ref(cover)
-
-    def action(k):
-        perm = basis_involution(_cover_of(cover_ref), k)
-        return perm, [1] * len(perm)
-
-    return _grow_orbit_complex(_full_complex(cover), action, sign)
-
-
-@_per_cover
-def _orbit_keys(cover: C2Cover) -> tuple:
-    """The angle key ``(i, j, c)`` of each orbit's representative in the
-    sign -1 orbit complex's degree-1 basis, in orbit order: the later
-    element of the orbit, whose entry is the orbit coordinate
-    (``exactalg._orbit_basis``), where ``flatclasses._flat_class`` reads it."""
-    keys = [(i, j, c) for (i, j), c in tuple_basis(cover, 1).elements]
-    return tuple(keys[r] for r, pos in enumerate(basis_involution(cover, 1)) if pos < r)
-
-
-def build_equivariant_complex(cover: C2Cover, coeff: CoefficientSystem, max_degree: int):
-    """Integral complex of equivariant cochains, with its embedding.
-
-    Returns ``(sub, bases)`` where ``bases[k]`` embeds the fixed basis into
-    the full degree-``k`` cochain space.  The basis has one orbit sum
-    ``e_r + sign * e_t(r)`` per orbit of the (free) basis involution, with
-    ``r`` the later position of the pair, and the fixed differential is read
-    off the representative rows of the full coboundary; no Smith reduction
-    is involved.  There is one pair per cover and sign, carried to degree
-    ``max_degree`` at least; reading ``sub`` further grows both.  The
-    involution is checked to be free, to square to the identity and to
-    commute with the coboundary once per degree, when that degree is first
-    built.  The coefficient base is ignored here — this is the integral
-    model, and rational or mod-n answers are derived from it downstream.
-    """
-    fixed = _orbit_complex(cover, coeff.sign)
-    _carried(fixed[0], max_degree)
-    return fixed
 
 
 # ---------------------------------------------------------------------------
@@ -396,8 +227,8 @@ def _nerve_parts(cover: C2Cover):
     top`` (the nerve's dimension), from one pass over each degree's basis
     elements ``(s, c)``: in degree ``j`` the sorted ``(j + 1)``-subsets
     ``s`` with a nonempty intersection and their components ``c``, in
-    sorted order, as :func:`tuple_basis` lists them.  Positions are keyed
-    by component id (unique in a checked cover): ``(s, c)`` has the row
+    sorted order, as ``flatclasses.tuple_basis`` lists them.  Positions are
+    keyed by component id (unique in a checked cover): ``(s, c)`` has the row
     ``{pos[c_i]: (-1)^k}`` in ``δ_alt``, ``c_i`` the face of ``c`` without
     its ``k``-th member ``i``, and T takes it to ``eps`` times ``pos[σ c]``,
     ``eps`` the sign of the sort that puts the relabelled members back in
@@ -796,3 +627,10 @@ def hypercohomology(
                 torsion += equivariant_cohomology(cover, mod_n, j - 1, j).torsion
         i += 2 if n else 1
     return GroupDescriptor.from_cyclic_orders(rank, torsion)
+
+
+# the ordered-tuple route, defined in flatclasses
+__getattr__ = moved_names(globals(), dict.fromkeys((
+    "TupleBasis", "tuple_basis", "cech_differential", "basis_involution", "involution_matrix", "_full_complex",
+    "build_full_complex", "_orbit_complex", "_orbit_keys", "build_equivariant_complex", "_carried", "_cover_of",
+), "flatclasses"))

@@ -80,11 +80,13 @@ def _load_cover(space: str) -> C2Cover:
     if space.startswith("@"):
         with open(space[1:], "r", encoding="utf-8") as fh:
             return C2Cover.from_json(fh.read())
-    name, _, rest = space.partition(":")
+    name, colon, rest = space.partition(":")
+    if colon and not rest:
+        raise UnsupportedDimension(f"no parameters after ':' in {space!r}")
     params = []
-    if rest:
-        for piece in rest.split(","):
-            params.append(int(piece) if piece.lstrip("-").isdigit() else piece)
+    for piece in rest.split(",") if colon else ():
+        digits = piece.removeprefix("-")  # an int only as ASCII -?[0-9]+; the catalog checks the rest
+        params.append(int(piece) if digits.isascii() and digits.isdigit() else piece)
     return catalog.build(name, *params)
 
 

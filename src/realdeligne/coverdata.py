@@ -29,7 +29,7 @@ from .errors import (
     NOT_DOWNWARD_CLOSED,
     CoverValidationError,
 )
-from .records import Record
+from .records import Record, moved_names
 
 
 class CoefficientSystem(Record):
@@ -633,12 +633,5 @@ def join_cover(a: C2Cover, b: C2Cover, name: str | None = None) -> C2Cover:
     return _LazyNerveCover(a, b, True, name or f"join({a.name},{b.name})", involution_name)
 
 
-def __getattr__(name):
-    """The flat cocycles, defined in ``flatclasses``: imported on the first
-    read of one of their names here (PEP 562), then kept in this namespace."""
-    if name not in ("AngleLayout", "FlatCocycle"):
-        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    from . import flatclasses
-
-    globals()[name] = value = getattr(flatclasses, name)
-    return value
+# the flat cocycles, defined in flatclasses
+__getattr__ = moved_names(globals(), dict.fromkeys(("AngleLayout", "FlatCocycle"), "flatclasses"))

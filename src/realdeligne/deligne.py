@@ -18,7 +18,7 @@ from .cechengine import _degree, equivariant_cohomology
 from .coverdata import IZ, C2Cover
 from .errors import NotCompact
 from .exactalg import GroupDescriptor, _whole
-from .records import Record
+from .records import Record, moved_names
 
 SMOOTH_PART_SYMBOL = "E^{p-1}/E^{p-1}_0(M)"
 
@@ -190,12 +190,6 @@ def quotient_coefficients_cohomology(cover: C2Cover, k: int) -> DeligneDescripto
     return deligne_descriptor(cover, k + 2, k + 1)
 
 
-def __getattr__(name):
-    """The flat classes, defined in ``flatclasses``: imported on the first
-    read of one of their names here (PEP 562), then kept in this namespace."""
-    if name not in ("FlatClassCoordinates", "FlatCocycleClass", "cocycles_equivalent", "flat_cocycle_class"):
-        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    from . import flatclasses
-
-    globals()[name] = value = getattr(flatclasses, name)
-    return value
+# the flat classes, defined in flatclasses
+__getattr__ = moved_names(globals(), dict.fromkeys(
+    ("FlatClassCoordinates", "FlatCocycleClass", "cocycles_equivalent", "flat_cocycle_class"), "flatclasses"))

@@ -4,33 +4,27 @@ Everything here runs on arbitrary-precision Python integers (Fractions for
 the few rational solves); no floating point is ever involved, so results are
 exact by construction.  Matrices are stored sparsely as dicts of rows, which
 keeps Smith reduction of the large but very sparse coboundary matrices cheap;
-vectors are plain lists.  Matrix arguments may be nested sequences of rows
-or 2-D arrays.  The dense interchange (:meth:`SparseIntMatrix.to_dense`,
-:func:`smith_normal_form`, :func:`kernel_basis`) returns lists of row
-lists, and the solves return lists, so nothing here needs numpy.
+vectors are plain lists, so nothing here needs numpy.
 
-The main entry points are :func:`smith_normal_form` and
-:func:`complex_cohomology`.  Descriptors need only the Smith diagonals of
-the differentials, reduced without transforms and cached on the complex
-(:func:`_diagonal`): the ±1 pivots, nearly every pivot of a coboundary,
-are eliminated first in Markowitz order (:func:`_unit_pivots`), and only
-a nonempty residual goes to Smith.
-Every other reduction stays plain Smith on the whole matrix and checks the
-descriptor path independently: ranks (:func:`integer_rank`, the check
-``verify`` and the tests make on the rational descriptors, which read the
-integral ones' diagonals), the transforms of the coordinate questions,
-:func:`smith_normal_form`, the solves and :func:`fixed_subcomplex`.  The
-kernel-quotient route that the descriptors are checked against lives in
-``verify`` (``verify.kernel_quotient``).  The coordinate questions
-(``class_coordinates``, ``coboundary_preimage``, ``class_representative``)
-live in ``flatclasses``, which only the flat classifier loads; their names
-resolve here too, on first read (:func:`__getattr__`).
+The main entry point is :func:`complex_cohomology`.  Descriptors need only
+the Smith diagonals of the differentials, reduced without transforms and
+cached on the complex (:func:`_diagonal`): the ±1 pivots, nearly every
+pivot of a coboundary, are eliminated first in Markowitz order
+(:func:`_unit_pivots`), and only a nonempty residual goes to Smith.
+Every other reduction is plain Smith (:func:`_smith`) on the whole
+matrix: the transforms of the coordinate questions, and the routes the
+descriptor path is checked against.  The subcomplex fixed by a free
+signed permutation is read off its orbits, one orbit sum per basis
+vector, with no reduction at all (:func:`_grow_orbit_complex`).
 
-The subcomplex fixed by a degreewise involution has two routes:
-:func:`fixed_subcomplex` reads it off the Smith form of ``t_k - id`` for
-any involution, and :func:`_grow_orbit_complex`, which the Cech engine
-uses, reads it off the orbits of a free signed permutation, one orbit sum
-per basis vector, with no reduction at all.
+What no descriptor reads lives in the module that reads it, loaded on
+first use, and its names resolve here too, on first read: the coordinate
+questions (``class_coordinates``, ``coboundary_preimage``,
+``class_representative``) in ``flatclasses``; the dense interchange
+(``smith_normal_form``, ``kernel_basis``), the plain Smith rank and solves
+(``integer_rank``, ``solve_int``, ``solve_rational``) and the fixed
+subcomplex of any involution by the Smith form of ``t_k - id``
+(``fixed_subcomplex``) in ``verify``, their only reader in the package.
 """
 
 from __future__ import annotations
@@ -38,13 +32,8 @@ from __future__ import annotations
 from math import gcd
 from operator import index
 
-from .errors import (
-    DegreeOutOfRange,
-    InternalInvariantError,
-    NotAnInvolution,
-    NotEquivariant,
-)
-from .records import Record
+from .errors import DegreeOutOfRange, InternalInvariantError
+from .records import Record, moved_names
 
 
 class SparseIntMatrix:
@@ -449,39 +438,6 @@ def _smith(m: SparseIntMatrix, transforms: bool = True, rows: bool = True) -> _S
     return _SmithData(nr, nc, diag, u, vT, uinvT, vinv)
 
 
-def smith_normal_form(m):
-    """Smith normal form with transforms: ``(d, u, v)``, lists of row lists,
-    with ``u @ m @ v == d``, ``u`` and ``v`` unimodular, and the diagonal of
-    ``d`` nonnegative with each entry dividing the next."""
-    res = _smith(as_sparse(m), transforms=True)
-    d = SparseIntMatrix(res.nrows, res.ncols)
-    for t, x in enumerate(res.diag):
-        d.set(t, t, x)
-    return d.to_dense(), res.u.to_dense(), res.vT.transpose().to_dense()
-
-
-def kernel_basis(m):
-    """A basis of the integer kernel (a saturated sublattice) as the columns
-    of a list of row lists."""
-    return _smith(as_sparse(m), rows=False).kernel_basis().to_dense()
-
-
-def integer_rank(m) -> int:
-    return _smith(as_sparse(m), transforms=False).rank()
-
-
-def solve_int(m, b):
-    """Exact integral solution of ``m @ x == b`` for a vector ``b``: a list,
-    or None.  ``b`` must have one entry per row of ``m`` (else ValueError)."""
-    return _smith(as_sparse(m), transforms=True).solve(b, rational=False)
-
-
-def solve_rational(m, b):
-    """Exact rational solution of ``m @ x == b`` for a vector ``b``: a list,
-    or None.  ``b`` must have one entry per row of ``m`` (else ValueError)."""
-    return _smith(as_sparse(m), transforms=True).solve(b, rational=True)
-
-
 # ---------------------------------------------------------------------------
 # Group descriptors
 # ---------------------------------------------------------------------------
@@ -723,8 +679,8 @@ def _diagonal(c: IntegerCochainComplex, k: int) -> list:
     cached: the unit pivots are eliminated first (:func:`_unit_pivots`) and
     only a nonempty residual goes to :func:`_smith`.  The list is the one
     plain ``_smith`` gives, zeros padded to ``min`` of the shape.  This is the
-    descriptor path only; ranks (:func:`integer_rank`), coordinates and
-    the other solves reduce the whole matrix with plain ``_smith``."""
+    descriptor path only; coordinates and the cross-checks in ``verify``
+    reduce the whole matrix with plain ``_smith``."""
     key = ("diag", k)
     hit = c._cache.get(key)
     if hit is None:
@@ -867,58 +823,10 @@ def _grow_orbit_complex(c: IntegerCochainComplex, action, sign: int):
     return sub, bases
 
 
-def _fixed_lattice(k: int, tk: SparseIntMatrix, n: int) -> _SmithData:
-    """Check that ``tk`` is an involution of ``Z^n``; return the Smith
-    reduction of ``t_k - id``, whose kernel is the saturated fixed lattice."""
-    if tk.shape != (n, n):
-        raise NotAnInvolution(f"map at degree {k} has shape {tk.shape}, want ({n}, {n})")
-    if tk.matmul(tk) != SparseIntMatrix.identity(n):
-        raise NotAnInvolution(f"map at degree {k} does not square to the identity")
-    delta = tk.copy()
-    delta.set_block(0, 0, SparseIntMatrix.identity(n), scale=-1)
-    return _smith(delta, rows=False)
-
-
-def fixed_subcomplex(c: IntegerCochainComplex, involution: dict):
-    """Subcomplex of vectors fixed by a degreewise involution.
-
-    ``involution[k]`` must be a square integer matrix with ``t_k^2 = id``
-    commuting with the differentials.  Returns ``(sub, bases)`` where
-    ``bases[k]`` has as columns a basis of the saturated fixed sublattice
-    ``ker(t_k - id)`` (computed from its Smith form) and ``sub`` carries the
-    rewritten differentials in those bases.
-
-    This is the general route, for any involution: the engine's free
-    signed permutations go through :func:`_grow_orbit_complex`, and this
-    one serves as its independent cross-check.
-    """
-    t = {k: as_sparse(involution[k]) for k in c.degrees()}
-    basis = _fixed_lattice(c.lo, t[c.lo], c.rank(c.lo)).kernel_basis()
-    sub = IntegerCochainComplex({c.lo: basis.ncols}, {})
-    bases = {c.lo: basis}
-    for k in range(c.lo, c.hi):
-        sm = _fixed_lattice(k + 1, t[k + 1], c.rank(k + 1))
-        d = c.diff(k)
-        if t[k + 1].matmul(d) != d.matmul(t[k]):
-            raise NotEquivariant(f"map does not commute with the differential at degree {k}")
-        basis = sm.kernel_basis()
-        image = d.matmul(bases[k])
-        dk = sm.kernel_left_inverse().matmul(image)
-        if basis.matmul(dk) != image:
-            raise NotEquivariant(
-                f"differential at degree {k} does not preserve the fixed sublattice"
-            )
-        bases[k + 1] = basis
-        sub.extend(basis.ncols, dk)
-    return sub, bases
-
-
-def __getattr__(name):
-    """The coordinate questions, defined in ``flatclasses``: imported on
-    the first read of one here (PEP 562), then kept in this namespace."""
-    if name not in ("class_coordinates", "class_representative", "coboundary_preimage"):
-        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    from . import flatclasses
-
-    globals()[name] = value = getattr(flatclasses, name)
-    return value
+# the coordinate questions, defined in flatclasses, and the dense
+# interchange and the general fixed route, defined in verify
+__getattr__ = moved_names(globals(), {
+    **dict.fromkeys(("class_coordinates", "class_representative", "coboundary_preimage"), "flatclasses"),
+    **dict.fromkeys(("smith_normal_form", "kernel_basis", "integer_rank", "solve_int", "solve_rational",
+                     "_fixed_lattice", "fixed_subcomplex"), "verify"),
+})

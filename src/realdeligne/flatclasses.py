@@ -1,6 +1,20 @@
 """Flat classes: concrete flat transition angles on a cover, the class of
-such angles in the split flat group, and the class coordinates of a
-cochain complex they are read through.
+such angles in the split flat group, the ordered cochain complex it is
+read on, and the class coordinates of a cochain complex.
+
+*Ordered cochains* ``C_ord`` live on ordered index tuples, normalized by
+dropping tuples with two equal consecutive entries; the tuple involution
+is free because the index involution is, so the fixed complex has one
+orbit sum ``e + sign * t(e)`` per orbit, read off the representative rows
+of the full coboundary (the induced-module picture; K. S. Brown,
+*Cohomology of Groups*, §III.5).  The flat classifier takes its torus and
+torsion coordinates against this complex's Smith bases, and ``verify``
+keeps it as the independent cross-check of the descriptor route, which
+reads the alternating cochains ``C_alt`` (``cechengine``).  The two
+agree: ``C_alt -> C_ord`` (extend by the sort sign, zero on repeats) is an
+equivariant quasi-isomorphism (Serre, FAC §20), ``Hom_C2(W, -)`` preserves
+it, and ``C_ord`` is degreewise Z[C2]-free, so ``Hom_C2(W, C_ord)`` is
+quasi-isomorphic to the orbit complex ``C_ord^{C2}``.
 
 The flat classifier takes concrete locally constant transition angles,
 lifts them equivariantly, reads off the integral obstruction class of the
@@ -17,21 +31,193 @@ question for a degree and cached on the complex (:func:`_cohomology_data`).
 
 No descriptor reads any of this, so no CLI command loads this module.
 Its public names also resolve, on first read, where they were defined
-before: ``coverdata`` (:class:`FlatCocycle`, :class:`AngleLayout`),
-``exactalg`` (the coordinate questions), ``deligne`` (the flat classes)
-and the package itself.
+before: ``cechengine`` (the ordered cochains), ``coverdata``
+(:class:`FlatCocycle`, :class:`AngleLayout`), ``exactalg`` (the
+coordinate questions), ``deligne`` (the flat classes) and the package
+itself.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from math import lcm
+from weakref import ref
 
-from .cechengine import _orbit_complex, _orbit_keys
-from .coverdata import IZ, C2Cover, _per_cover
-from .errors import CoverMismatch, InternalInvariantError, InvalidCocycle, NotACocycle
-from .exactalg import ElementCoordinates, IntegerCochainComplex, SparseIntMatrix, _smith
+from .cechengine import _growing
+from .coverdata import IZ, C2Cover, CoefficientSystem, _per_cover, _require_free
+from .errors import CoverMismatch, DegreeOutOfRange, InternalInvariantError, InvalidCocycle, NotACocycle
+from .exactalg import (
+    ElementCoordinates,
+    IntegerCochainComplex,
+    SparseIntMatrix,
+    _grow_orbit_complex,
+    _smith,
+    _whole,
+)
 from .records import Record
+
+# ---------------------------------------------------------------------------
+# Ordered cochains
+# ---------------------------------------------------------------------------
+
+
+def _carried(c: IntegerCochainComplex, max_degree: int) -> IntegerCochainComplex:
+    if _whole(max_degree, "max_degree") < 0:
+        raise DegreeOutOfRange("max_degree must be nonnegative")
+    c.rank(max_degree)
+    return c
+
+
+def _cover_of(cover_ref) -> C2Cover:
+    cover = cover_ref()
+    if cover is None:
+        raise DegreeOutOfRange("the complex's cover is gone, so it cannot grow")
+    return cover
+
+
+class TupleBasis(Record):
+    """Ordered basis of the degree-``p`` cochain space of a cover.
+
+    Elements are pairs ``(tuple, component)`` listed lexicographically by
+    index name and then component id, so positions are reproducible.
+    """
+
+    __slots__ = ("degree", "elements", "position")
+
+    def __len__(self):
+        return len(self.elements)
+
+
+@_per_cover
+def tuple_basis(cover: C2Cover, p: int) -> TupleBasis:
+    """Basis of degree-``p`` cochains: tuples of ``p + 1`` indices whose
+    support intersects, no two consecutive entries equal, one element per
+    component."""
+    order = sorted(cover.indices)
+    # prefixes grown one entry at a time stay in lexicographic order.  No
+    # self-calling nested function here: its closure is a reference cycle
+    # that would keep the cover, and so its cache, alive until the cyclic
+    # garbage collector runs
+    prefixes = [((), frozenset())]
+    for _ in range(p + 1):
+        longer = []
+        for tup, support in prefixes:
+            for i in order:
+                if tup and tup[-1] == i:
+                    continue
+                if i in support:
+                    longer.append((tup + (i,), support))
+                elif (grown := support | {i}) in cover.intersections:
+                    longer.append((tup + (i,), grown))
+        prefixes = longer
+    elements = [
+        (tup, c) for tup, support in prefixes for c in sorted(cover.components_of(support))
+    ]
+    return TupleBasis(p, tuple(elements), {e: n for n, e in enumerate(elements)})
+
+
+@_per_cover
+def cech_differential(cover: C2Cover, p: int) -> SparseIntMatrix:
+    """Coboundary matrix from degree ``p`` to degree ``p + 1``.
+
+    Entry rule: the value on a target tuple is the alternating sum over
+    deletions of one entry, transported along the face map when the deleted
+    entry was the last occurrence of its index.  Deletions producing a tuple
+    outside the basis (a degenerate one) contribute nothing.  Deleting
+    positions ``a < b`` gives the same tuple only when entries ``a .. b``
+    are all equal, which no basis tuple has, so each entry is written once.
+    """
+    src = tuple_basis(cover, p)
+    dst = tuple_basis(cover, p + 1)
+    m = SparseIntMatrix(len(dst), len(src))
+    for r, (tup, c) in enumerate(dst.elements):
+        row = m.rows[r]
+        for k in range(len(tup)):
+            sub = tup[:k] + tup[k + 1 :]
+            if tup[k] in sub:
+                c2 = c  # support unchanged; same component
+            else:
+                c2 = cover.face(c, tup[k])
+            col = src.position.get((sub, c2))
+            if col is None:
+                continue
+            row[col] = -1 if k % 2 else 1
+    return m
+
+
+@_per_cover
+def basis_involution(cover: C2Cover, p: int) -> list:
+    """The index/component involution on degree-``p`` basis positions:
+    entry ``pos`` is the position of the image of element ``pos``."""
+    basis = tuple_basis(cover, p)
+    inv = cover.involution.__getitem__
+    sigma = cover.component_involution
+    return [basis.position[(tuple(map(inv, tup)), sigma[c])] for tup, c in basis.elements]
+
+
+def involution_matrix(cover: C2Cover, p: int, sign: int) -> SparseIntMatrix:
+    """Action of the involution on degree-``p`` cochains: permute basis
+    elements by the index/component involution, times the coefficient sign."""
+    perm = basis_involution(cover, p)
+    return SparseIntMatrix(len(perm), len(perm), [{j: sign} for j in perm])
+
+
+@_per_cover
+def _full_complex(cover: C2Cover) -> IntegerCochainComplex:
+    cover_ref = ref(cover)
+    return _growing(
+        len(tuple_basis(cover, 0)), lambda n: cech_differential(_cover_of(cover_ref), n)
+    )
+
+
+def build_full_complex(cover: C2Cover, max_degree: int) -> IntegerCochainComplex:
+    """The plain (non-equivariant) normalized cochain complex, carried in
+    degrees ``0 .. max_degree`` at least: one per cover, grown in place."""
+    return _carried(_full_complex(cover), max_degree)
+
+
+@_per_cover
+def _orbit_complex(cover: C2Cover, sign: int):
+    _require_free(cover)
+    cover_ref = ref(cover)
+
+    def action(k):
+        perm = basis_involution(_cover_of(cover_ref), k)
+        return perm, [1] * len(perm)
+
+    return _grow_orbit_complex(_full_complex(cover), action, sign)
+
+
+@_per_cover
+def _orbit_keys(cover: C2Cover) -> tuple:
+    """The angle key ``(i, j, c)`` of each orbit's representative in the
+    sign -1 orbit complex's degree-1 basis, in orbit order: the later
+    element of the orbit, whose entry is the orbit coordinate
+    (``exactalg._orbit_basis``), where :func:`_flat_class` reads it."""
+    keys = [(i, j, c) for (i, j), c in tuple_basis(cover, 1).elements]
+    return tuple(keys[r] for r, pos in enumerate(basis_involution(cover, 1)) if pos < r)
+
+
+def build_equivariant_complex(cover: C2Cover, coeff: CoefficientSystem, max_degree: int):
+    """Integral complex of equivariant cochains, with its embedding.
+
+    Returns ``(sub, bases)`` where ``bases[k]`` embeds the fixed basis into
+    the full degree-``k`` cochain space.  The basis has one orbit sum
+    ``e_r + sign * e_t(r)`` per orbit of the (free) basis involution, with
+    ``r`` the later position of the pair, and the fixed differential is read
+    off the representative rows of the full coboundary; no Smith reduction
+    is involved.  There is one pair per cover and sign, carried to degree
+    ``max_degree`` at least; reading ``sub`` further grows both.  The
+    involution is checked to be free, to square to the identity and to
+    commute with the coboundary once per degree, when that degree is first
+    built.  The coefficient base is ignored here — this is the integral
+    model, and rational or mod-n answers are derived from it downstream.
+    """
+    fixed = _orbit_complex(cover, coeff.sign)
+    _carried(fixed[0], max_degree)
+    return fixed
+
+
 
 # ---------------------------------------------------------------------------
 # Class coordinates of a cochain complex

@@ -9,6 +9,7 @@ the slot names alone.  A record that checks or normalizes its input writes
 its own.  Two records are equal when they are of the same class and their
 fields are equal, a record hashes as the tuple of its fields, and its repr
 names each field, as in ``GroupDescriptor(rank=1, torsion=(2,))``.
+Every module loads this one, so it also holds :func:`moved_names`.
 """
 
 from __future__ import annotations
@@ -63,3 +64,21 @@ class Record:
         # copy and pickle rebuild a record through its constructor, which
         # takes the fields in slot order
         return type(self), self._fields(self)
+
+
+def moved_names(namespace: dict, homes: dict):
+    """The module ``__getattr__`` (PEP 562) of the module whose globals are
+    ``namespace``, for names defined elsewhere in the package: ``homes``
+    maps each to the sibling module that defines it, imported on the first
+    read of one of its names here.  The name is then kept in ``namespace``,
+    so its next read is a plain lookup; any other name loads nothing."""
+
+    def __getattr__(name):
+        home = homes.get(name)
+        if home is None:
+            raise AttributeError(f"module {namespace['__name__']!r} has no attribute {name!r}")
+        module = __import__(home, namespace, None, (name,), 1)  # as ``from .home import name``
+        namespace[name] = value = getattr(module, name)
+        return value
+
+    return __getattr__

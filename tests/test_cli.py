@@ -203,11 +203,19 @@ def test_exit_unknown_space(capsys):
         ("sphere_antipodal:1,5", "too many parameters for catalog space 'sphere_antipodal': 2"),
         ("torus:circle_antipodal,3", "no catalog space named 3"),
         ("torus:sphere_antipodal", "a torus takes two or more factors, got 1"),
+        ("sphere_antipodal:²", "sphere dimension must be an integer, got '²'"),
+        ("sphere_antipodal:--1", "sphere dimension must be an integer, got '--1'"),
+        ("sphere_antipodal:٣", "sphere dimension must be an integer, got '٣'"),
+        ("sphere_antipodal:", "no parameters after ':' in 'sphere_antipodal:'"),
+        ("torus:", "no parameters after ':' in 'torus:'"),
     ],
 )
 def test_exit_catalog_parameters_the_space_does_not_take(capsys, space, message):
     """A parameter the named catalog space does not take is an input error
-    (exit 2), not silently dropped; a torus factor must be a catalog name."""
+    (exit 2), not silently dropped; a torus factor must be a catalog name,
+    a number only ASCII ``-?[0-9]+`` (a superscript or another script's
+    digit reaches the catalog's own check as text), and a ``:`` must be
+    followed by parameters."""
     code, out, err = run(capsys, "classify", "--what", "line-bundles", "--space", space)
     assert code == 2
     assert out == ""
@@ -524,6 +532,27 @@ def run_probe(probe):
 
 LAZY_MODULES = ("realdeligne.coverfiles", "realdeligne.flatclasses", "realdeligne.nerves")
 
+# the names defined elsewhere that resolve at each old path, with the module
+# that defines each: the flat classes, the coordinate questions and the
+# ordered-tuple route (flatclasses), and the dense interchange, the solves
+# and the general fixed route (verify)
+MOVED = {
+    "realdeligne.cechengine": dict.fromkeys(
+        ["TupleBasis", "tuple_basis", "cech_differential", "basis_involution", "involution_matrix",
+         "_full_complex", "build_full_complex", "_orbit_complex", "_orbit_keys", "build_equivariant_complex",
+         "_carried", "_cover_of"], "realdeligne.flatclasses"),
+    "realdeligne.coverdata": dict.fromkeys(["AngleLayout", "FlatCocycle"], "realdeligne.flatclasses"),
+    "realdeligne.exactalg": {
+        **dict.fromkeys(["class_coordinates", "class_representative", "coboundary_preimage"],
+                        "realdeligne.flatclasses"),
+        **dict.fromkeys(["smith_normal_form", "kernel_basis", "integer_rank", "solve_int", "solve_rational",
+                         "_fixed_lattice", "fixed_subcomplex"], "realdeligne.verify"),
+    },
+    "realdeligne.deligne": dict.fromkeys(
+        ["FlatClassCoordinates", "FlatCocycleClass", "cocycles_equivalent", "flat_cocycle_class"],
+        "realdeligne.flatclasses"),
+}
+
 
 @pytest.mark.parametrize(
     "module",
@@ -554,8 +583,10 @@ def test_cli_import_leaves_module_unloaded(module):
 def test_each_use_loads_only_the_lazy_module_it_needs(tmp_path, capsys, use, loaded):
     """In a fresh interpreter, a JSON report, a table of an ``@file`` cover
     and a flat class on ``circle_conjugation`` each answer as they do here,
-    and each loads, of ``json``, ``fractions`` and the modules loaded on
-    first use, only what it reads."""
+    and each loads, of ``json``, ``fractions``, ``verify`` and the modules
+    loaded on first use, only what it reads.  None of them reads a name
+    that moved out of the engine at its old path, so none is kept in
+    ``cechengine``, ``exactalg`` or the package."""
     cover_file = tmp_path / "sphere.json"
     cover_file.write_text(catalog.build("sphere_antipodal", 2).to_json())
     if use == "flat class":
@@ -587,9 +618,14 @@ def test_each_use_loads_only_the_lazy_module_it_needs(tmp_path, capsys, use, loa
 
         bare = set(sys.modules)
         {answer.strip()}
-        print([m for m in {["fractions", "json", *LAZY_MODULES]!r} if m in set(sys.modules) - bare])
+        print([m for m in {["fractions", "json", "realdeligne.verify", *LAZY_MODULES]!r}
+               if m in set(sys.modules) - bare])
+        engine = [sys.modules[m] for m in ("realdeligne", "realdeligne.cechengine", "realdeligne.exactalg")]
+        print([n for n in {sorted({n for names in MOVED.values() for n in names})!r}
+               if any(n in vars(m) for m in engine)])
     """
-    *lines, modules = run_probe(probe).splitlines()
+    *lines, modules, kept = run_probe(probe).splitlines()
+    assert kept == "[]"
     if use != "compute --json":  # the report's timings differ from run to run
         assert "\n".join(lines).strip() == want.strip()
     else:
@@ -601,40 +637,36 @@ def test_each_use_loads_only_the_lazy_module_it_needs(tmp_path, capsys, use, loa
 def test_public_names_resolve_to_the_objects_their_modules_define():
     """In a fresh interpreter, every name of ``realdeligne.__all__`` (38),
     read as an attribute, by ``from realdeligne import`` and by ``import
-    *``, is the object of the module that defines it, and so is each
-    public name that moved to ``flatclasses`` at its old path.  Reading an
-    unknown name loads nothing, and a moved name is kept where it was
-    read, so its next read is a plain lookup."""
-    probe = """if True:
+    *``, is the object of the module that defines it, and so is each name
+    that moved to ``flatclasses`` or ``verify`` (``MOVED``) at its old
+    path.  Reading an unknown name loads nothing, and a moved name is kept
+    where it was read, so its next read is a plain lookup."""
+    probe = f"MOVED = {MOVED!r}\n" + """if True:
         import importlib
         import sys
 
         import realdeligne
-        from realdeligne import coverdata, deligne, exactalg
+        from realdeligne import cechengine, coverdata, deligne, exactalg
 
-        moved = {
-            "realdeligne.coverdata": ["AngleLayout", "FlatCocycle"],
-            "realdeligne.exactalg": ["class_coordinates", "class_representative", "coboundary_preimage"],
-            "realdeligne.deligne": ["FlatClassCoordinates", "FlatCocycleClass", "cocycles_equivalent",
-                                    "flat_cocycle_class"],
-        }
-        for module in (realdeligne, coverdata, deligne, exactalg):
+        for module in (realdeligne, cechengine, coverdata, deligne, exactalg):
             assert not hasattr(module, "_angle_layout") and not hasattr(module, "no_such_name")
-        assert "realdeligne.flatclasses" not in sys.modules
-        moved_names = {name for names in moved.values() for name in names}
+        assert "realdeligne.flatclasses" not in sys.modules and "realdeligne.verify" not in sys.modules
+        homes = {name: home for names in MOVED.values() for name, home in names.items()}
         faults = []
-        for path, names in [("realdeligne", realdeligne.__all__), *moved.items(),
+        for path, names in [("realdeligne", realdeligne.__all__), *MOVED.items(),
                             ("realdeligne.coverdata", ["validate_cover"])]:
             module = importlib.import_module(path)
             for name in names:
                 got = getattr(module, name)
                 spelled = {}
                 exec(f"from {path} import {name} as x", spelled)
-                if name in moved_names:
-                    home = "realdeligne.flatclasses"
+                if name in homes:  # the object its new home defines
+                    home = homes[name]
+                    defined = got.__module__ == home
                 else:  # a value (IZ, __version__) is checked where it is read
                     home = got.__module__ if callable(got) else path
-                if not (got is getattr(sys.modules[home], name) is spelled["x"] and name in vars(module)):
+                    defined = True
+                if not (defined and got is getattr(sys.modules[home], name) is spelled["x"] and name in vars(module)):
                     faults.append((path, name))
         star = {}
         exec("from realdeligne import *", star)

@@ -923,8 +923,8 @@ def test_zero_cocycle_needs_no_ordered_basis(space, monkeypatch):
     def refused(*args):
         raise AssertionError("the ordered basis was read")
 
-    monkeypatch.setattr(cechengine, "tuple_basis", refused)
-    monkeypatch.setattr(cechengine, "basis_involution", refused)
+    monkeypatch.setattr(flatclasses, "tuple_basis", refused)
+    monkeypatch.setattr(flatclasses, "basis_involution", refused)
     cover = catalog.build(*space)
     FlatCocycle.zero(cover).validate()
 
