@@ -1,5 +1,6 @@
-"""Exact equivariant Čech cohomology over combinatorial covers with a free
-involution, and descriptors of Real smooth Deligne cohomology built from it.
+"""Exact equivariant Čech cohomology over combinatorial covers with an
+involution, which may fix indices (only the flat classes need it free), and
+descriptors of Real smooth Deligne cohomology built from it.
 
 Everything is computed over the integers with exact arithmetic; rationals
 enter only as `fractions.Fraction`.

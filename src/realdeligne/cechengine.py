@@ -70,7 +70,7 @@ from __future__ import annotations
 
 from math import gcd
 
-from .coverdata import C2Cover, CoefficientSystem, _nerve_rows, _per_cover, _require_free
+from .coverdata import C2Cover, CoefficientSystem, _nerve_rows, _per_cover
 from .errors import DegreeOutOfRange, InvalidCoefficientComplex
 from .exactalg import (
     GroupDescriptor,
@@ -209,10 +209,11 @@ def _join_model(a: AlternatingModel, b: AlternatingModel) -> AlternatingModel:
 
     The factors may be reduced first: a model's augmentation is the
     column of ones into its degree 0, and eliminating a unit pivot keeps
-    each row sum of ``d_0`` at zero, so it keeps that column a cocycle;
-    and :func:`_reduced` never pivots on the fixed empty simplex, as every
-    vertex of an accepted cover is free.  So reducing commutes with
-    prepending it."""
+    each row sum of ``d_0`` at zero, so it keeps that column a cocycle.
+    A fixed vertex and the fixed empty simplex would make a pivot, but
+    each factor is reduced before the empty simplex is prepended, and the
+    join's model after it is dropped, so :func:`_reduced` never pivots on
+    it.  So reducing commutes with prepending it, fixed vertices or not."""
     parts = []
     for m in (a, b):
         n = len(m.actions[0][0])
@@ -413,7 +414,6 @@ def _descriptor_read(cover: C2Cover, sign: int):
     """``(c, s)``: :func:`_descriptor_of` the cover's reduced model for
     ``sign`` and the degree ``s`` (model top + 1) it is 2-periodic from,
     one entry per cover and sign, so a question makes one lookup."""
-    _require_free(cover)
     model = _alternating_model(cover)
     return _descriptor_of(model, sign), model.top + 1
 
@@ -609,7 +609,6 @@ def hypercohomology(
     _check_degree(k, max_degree)
     if len(fstar) == 1:
         return equivariant_cohomology(cover, fstar.terms[0], k, max_degree)
-    _require_free(cover)
     rank, torsion, i = 0, [], 0
     while i < len(fstar):
         t = fstar.terms[i]

@@ -55,6 +55,16 @@ def _run_report(invocation: list, cover: dict | None, results: list, timings: di
     }
 
 
+def _integer(text: str) -> int:
+    """``text`` as an int if it is ASCII ``-?[0-9]+``, the one spelling the
+    command line reads (Python's ``int`` would also take ``1_0``, ``+1``,
+    spaces and other scripts' digits); else ArgumentTypeError, exit 2."""
+    digits = text.removeprefix("-")
+    if not (digits.isascii() and digits.isdigit()):
+        raise argparse.ArgumentTypeError(f"not an integer: {text!r}")
+    return int(text)
+
+
 def _parse_coeff(text: str) -> CoefficientSystem:
     if text == "iZ":
         return CoefficientSystem.integers(-1)
@@ -64,9 +74,9 @@ def _parse_coeff(text: str) -> CoefficientSystem:
         return CoefficientSystem.rationals(-1)
     if text.startswith("Zmod:"):
         try:
-            n = int(text.split(":", 1)[1])
-        except ValueError:
-            raise argparse.ArgumentTypeError(f"bad modulus in {text!r}")
+            n = _integer(text.removeprefix("Zmod:"))
+        except argparse.ArgumentTypeError:
+            raise argparse.ArgumentTypeError(f"bad modulus in {text!r}") from None
         if n < 2:
             raise argparse.ArgumentTypeError("modulus must be >= 2")
         return CoefficientSystem.integers_mod(n, -1)
@@ -85,8 +95,10 @@ def _load_cover(space: str) -> C2Cover:
         raise UnsupportedDimension(f"no parameters after ':' in {space!r}")
     params = []
     for piece in rest.split(",") if colon else ():
-        digits = piece.removeprefix("-")  # an int only as ASCII -?[0-9]+; the catalog checks the rest
-        params.append(int(piece) if digits.isascii() and digits.isdigit() else piece)
+        try:
+            params.append(_integer(piece))
+        except argparse.ArgumentTypeError:  # the catalog checks what is not an int
+            params.append(piece)
     return catalog.build(name, *params)
 
 
@@ -223,14 +235,14 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("compute", help="cohomology of a cover")
     add_space(p)
     p.add_argument("--coeff", type=_parse_coeff, required=True)
-    p.add_argument("--degree", type=int, default=None)
-    p.add_argument("--max-degree", type=int, default=None)
+    p.add_argument("--degree", type=_integer, default=None)
+    p.add_argument("--max-degree", type=_integer, default=None)
     p.add_argument("--nonequivariant", action="store_true")
 
     p = sub.add_parser("deligne", help="descriptor for one bidegree")
     add_space(p)
-    p.add_argument("-p", type=int, required=True, dest="p")
-    p.add_argument("-q", type=int, required=True, dest="q")
+    p.add_argument("-p", type=_integer, required=True, dest="p")
+    p.add_argument("-q", type=_integer, required=True, dest="q")
 
     p = sub.add_parser("classify", help="bundle and map classification")
     add_space(p)

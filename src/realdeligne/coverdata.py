@@ -1,10 +1,10 @@
 """Combinatorial covers with involution.
 
-A cover is described purely combinatorially: a finite index set with a free
-involution, the set of components of each nonempty finite intersection, the
-one-step face maps between components, and an involution on components.  The
-geometry never appears; "good" (all components contractible) is a declared
-flag carried into every report.
+A cover is described purely combinatorially: a finite index set with an
+involution, which may fix indices, the set of components of each nonempty
+finite intersection, the one-step face maps between components, and an
+involution on components.  The geometry never appears; "good" (all
+components contractible) is a declared flag carried into every report.
 
 Three features that no descriptor reads live in modules of their own,
 loaded on first use: cover files (``coverfiles``: the JSON shape check
@@ -23,7 +23,6 @@ from operator import itemgetter
 
 from .errors import (
     FACE_INCOHERENCE,
-    FIXED_INDEX_PRESENT,
     INVOLUTION_FACE_MISMATCH,
     INVOLUTION_NOT_SELF_INVERSE,
     NOT_DOWNWARD_CLOSED,
@@ -85,7 +84,8 @@ class _WeaklyReferenced:
 
 
 class C2Cover(_WeaklyReferenced):
-    """A validated combinatorial cover with a free index involution.
+    """A validated combinatorial cover with an index involution, which
+    may fix indices (only the flat classes need it free).
 
     Construct through :func:`validate_cover` (or :meth:`from_json`) or a
     package builder; direct instantiation skips the invariant checks.
@@ -207,26 +207,13 @@ def validate_cover(raw) -> C2Cover:
     only; then come the structural checks that every cover the package
     builds (catalog, doubling, products) passes too.  All violations are
     collected and reported together in a :class:`CoverValidationError`; a
-    clean description returns the validated cover.
+    clean description returns the validated cover.  The involution may fix
+    indices: every descriptor reads such a cover as it is, and only the
+    flat classes refuse it (``FixedIndexPresent``).
     """
     from .coverfiles import _read
 
     return _checked(_read(raw.to_raw() if isinstance(raw, C2Cover) else raw))
-
-
-def _fixed_index_violation(i: str) -> tuple:
-    return (
-        FIXED_INDEX_PRESENT,
-        f"index {i!r} is fixed by the involution; apply double_fixed_indices to obtain a free cover",
-    )
-
-
-def _require_free(cover: C2Cover) -> None:
-    """Refuse a cover whose index involution fixes an index, with one
-    violation per fixed index, as :func:`validate_cover` reports them."""
-    fixed = [i for i in cover.indices if cover.involution[i] == i]
-    if fixed:
-        raise CoverValidationError([_fixed_index_violation(i) for i in fixed])
 
 
 def _without(members: list, i) -> list:
@@ -254,7 +241,8 @@ def _checked(cover: C2Cover) -> C2Cover:
     A cover that passes keeps those rows, with its subsets' members, in its
     memo until the nerve model takes them (:func:`_nerve_rows`), so a cold
     cover's nerve is sorted and looked up once; while they are there, the
-    builders know it passed (:func:`_checked_but_freeness`)."""
+    builders (:func:`double_fixed_indices`, products and joins) know it
+    passed and do not check it again."""
     indices, involution, intersections = cover.indices, cover.involution, cover.intersections
     faces, comp_inv = cover.faces, cover.component_involution
     violations = []
@@ -274,10 +262,6 @@ def _checked(cover: C2Cover) -> C2Cover:
     if violations:
         # involution is structurally broken; later checks would cascade
         raise CoverValidationError(violations)
-
-    for i in indices:
-        if involution[i] == i:
-            add(_fixed_index_violation(i))
 
     # intersection bookkeeping: supports are known indices, component ids
     # are globally unique, singletons are present.  A subset of known
@@ -432,35 +416,17 @@ def _nerve_rows(cover: C2Cover) -> tuple:
 # ---------------------------------------------------------------------------
 
 
-def _checked_but_freeness(cover: C2Cover) -> bool:
-    """Every structural check on ``cover`` but freeness: whether it is
-    free too, or a :class:`CoverValidationError` with every other
-    violation.  A cover whose nerve rows are still in its memo passed
-    every check, freeness included, and has not been read since
-    (:func:`_checked`), so it is not checked again."""
-    if _ROWS in cover._memo:
-        return True
-    try:
-        _checked(cover)
-        return True
-    except CoverValidationError as err:
-        if any(kind != FIXED_INDEX_PRESENT for kind, _ in err.violations):
-            raise
-        return False
-
-
 def double_fixed_indices(raw) -> C2Cover:
     """Replace every involution-fixed index by a swapped pair of copies.
 
     Both copies denote the same underlying set, so every subset of new
     indices inherits the components of its set of underlying indices; in
-    particular the pair {U, U'} of copies intersects in all of U.  A cover
-    that is already free passes through unchanged (up to validation).
-    ``raw`` is a cover description, shape-checked as by
-    :func:`validate_cover`, or a :class:`C2Cover`, whose parts are checked
-    as they stand unless they passed every check and were not read since
-    (:func:`_checked_but_freeness`).  The doubled cover is checked in full,
-    and refused at once if a component id of ``raw`` spells a doubled one.
+    particular the pair {U, U'} of copies intersects in all of U.  ``raw``
+    is a cover description, shape-checked as by :func:`validate_cover`, or
+    a :class:`C2Cover`; either is checked as it stands, unless its check's
+    rows are still in its memo (:func:`_checked`), and a free one is
+    returned unchanged.  The doubled cover is checked in full, and refused
+    at once if a component id of ``raw`` spells a doubled one.
     """
     if isinstance(raw, C2Cover):
         cover = raw
@@ -468,11 +434,13 @@ def double_fixed_indices(raw) -> C2Cover:
         from .coverfiles import _read
 
         cover = _read(raw)
-    if _checked_but_freeness(cover):
-        return cover
+    if _ROWS not in cover._memo:
+        _checked(cover)
     indices, involution = cover.indices, cover.involution
+    fixed = [i for i in indices if involution[i] == i]
+    if not fixed:
+        return cover
     faces, comp_inv = cover.faces, cover.component_involution
-    fixed = [i for i in indices if involution.get(i) == i]
 
     used, originals = set(indices), set(indices)
     partner = {}  # each fixed index and its copy, to the other
@@ -557,16 +525,17 @@ class _LazyNerveCover(C2Cover):
     """A product or a join whose first read of a nerve field builds the
     nerve (``nerves``, loaded then) and checks it, then makes the cover a plain :class:`C2Cover` (same
     slots), so later reads cost what they cost on any cover.  Each factor
-    runs every check but freeness unless it is a product or a join or
-    passed them all and was not read since (:func:`_checked_but_freeness`);
-    the indices must be distinct and free, else :class:`CoverValidationError`."""
+    is checked unless it is a product or a join or its check's rows are
+    still in its memo (:func:`_checked`); the indices must be distinct,
+    else :class:`CoverValidationError`.  A factor may fix indices, and so
+    may the cover."""
 
     __slots__ = ()
 
     def __init__(self, a: C2Cover, b: C2Cover, joined: bool, name: str, involution_name: str):
         for factor in (a, b):
-            if not factor.factors:  # a product or a join was checked when it was built
-                _checked_but_freeness(factor)
+            if not factor.factors and _ROWS not in factor._memo:  # a product or a join was checked when made
+                _checked(factor)
         self.name, self.involution_name = name, involution_name
         if joined:
             self.indices = a.indices + b.indices
@@ -578,7 +547,6 @@ class _LazyNerveCover(C2Cover):
         self.factors, self.joined, self._memo = (a, b), joined, {}
         if len(set(self.indices)) != len(self.indices):  # factor names can collide
             raise CoverValidationError([(INVOLUTION_NOT_SELF_INVERSE, "duplicate index names")])
-        _require_free(self)
 
     def __getattr__(self, name):
         # reached only for a slot not yet set: an unread nerve

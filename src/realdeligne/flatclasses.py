@@ -4,8 +4,8 @@ read on, and the class coordinates of a cochain complex.
 
 *Ordered cochains* ``C_ord`` live on ordered index tuples, normalized by
 dropping tuples with two equal consecutive entries; the tuple involution
-is free because the index involution is, so the fixed complex has one
-orbit sum ``e + sign * t(e)`` per orbit, read off the representative rows
+is free when the index involution is, so the fixed complex has one orbit
+sum ``e + sign * t(e)`` per orbit, read off the representative rows
 of the full coboundary (the induced-module picture; K. S. Brown,
 *Cohomology of Groups*, §III.5).  The flat classifier takes its torus and
 torsion coordinates against this complex's Smith bases, and ``verify``
@@ -44,8 +44,9 @@ from math import lcm
 from weakref import ref
 
 from .cechengine import _growing
-from .coverdata import IZ, C2Cover, CoefficientSystem, _per_cover, _require_free
-from .errors import CoverMismatch, DegreeOutOfRange, InternalInvariantError, InvalidCocycle, NotACocycle
+from .coverdata import IZ, C2Cover, CoefficientSystem, _per_cover
+from .errors import (FIXED_INDEX_PRESENT, CoverMismatch, CoverValidationError, DegreeOutOfRange, InternalInvariantError,
+                     InvalidCocycle, NotACocycle)
 from .exactalg import (
     ElementCoordinates,
     IntegerCochainComplex,
@@ -174,6 +175,16 @@ def build_full_complex(cover: C2Cover, max_degree: int) -> IntegerCochainComplex
     """The plain (non-equivariant) normalized cochain complex, carried in
     degrees ``0 .. max_degree`` at least: one per cover, grown in place."""
     return _carried(_full_complex(cover), max_degree)
+
+
+def _require_free(cover: C2Cover) -> None:
+    """Refuse a cover whose index involution fixes an index, with one
+    violation per fixed index: a fixed index makes a fixed tuple, which
+    has no orbit sum.  The descriptors read such a cover as it is."""
+    fixed = [i for i in cover.indices if cover.involution[i] == i]
+    if fixed:
+        message = "index {!r} is fixed by the involution; apply double_fixed_indices to obtain a free cover"
+        raise CoverValidationError([(FIXED_INDEX_PRESENT, message.format(i)) for i in fixed])
 
 
 @_per_cover

@@ -13,6 +13,7 @@ from __future__ import annotations
 from functools import cache
 
 from .coverdata import C2Cover, _pair
+from .errors import FACE_INCOHERENCE, CoverValidationError
 
 
 @cache
@@ -86,7 +87,13 @@ def _nerve_of_join(a: C2Cover, b: C2Cover):
     """``(intersections, faces, component_involution)`` of the join of
     ``a`` and ``b``: the subsets ``I ⊔ J`` of a subset of each or ``∅``
     (``J`` running fastest), with components ``ca|cb`` (``ca`` or ``cb`` if
-    the other part is empty), faces and ``σ`` taken factorwise."""
+    the other part is empty), faces and ``σ`` taken factorwise.  A
+    component id of both factors would so name two components of the
+    join: such factors are refused, before any id is built."""
+    shared = sorted(a.component_involution.keys() & b.component_involution.keys())  # each factor's components
+    if shared:
+        message = "both factors of the join have a component {!r}; rename it in one of them"
+        raise CoverValidationError([(FACE_INCOHERENCE, message.format(c)) for c in shared])
     side_a, side_b = ([(frozenset(), (None,)), *f.intersections.items()] for f in (a, b))
     sigma_a, sigma_b = ({None: None, **f.component_involution}.__getitem__ for f in (a, b))
 

@@ -5,7 +5,7 @@ arithmetic on one-dimensional cochain groups — deliberately sharing no code
 with the package under test.  Groups
 are reported as ``(rank, torsion_tuple)`` pairs.
 
-Three families, and seven reference routes:
+Four families, and seven reference routes:
 
 * cohomology of the two-element group acting on cyclic coefficient modules,
   via the 2-periodic free resolution (differentials alternate between
@@ -17,7 +17,11 @@ Three families, and seven reference routes:
   between 0 and multiplication by 2);
 
 * equivariant cohomology above the dimension, which localizes to the
-  fixed points (:data:`FIXED_POINTS`, :func:`localized`).
+  fixed points (:data:`FIXED_POINTS`, :func:`localized`);
+
+* the representation spheres ``S(a + bσ)`` with ``a >= 1``, split by a
+  fixed point (:func:`representation_sphere`), and their covers by
+  undoubled joins (:func:`representation_sphere_cover`).
 
 The reference routes, :func:`flat_checks_fraction_route` and
 :func:`flat_class_fraction_route`, are the flat cocycle checks and the flat
@@ -72,7 +76,9 @@ checked as its own model (a nerve's augmented before it is reduced, a
 join's recursively), their tensor model reduced, then its copy without
 the empty simplex.  The package prepends the empty simplex to its
 factors' reduced models as plain parts and reduces once, after dropping
-it (``cechengine._join_model``).
+it (``cechengine._join_model``).  It holds for free vertices only: a
+fixed vertex and the fixed empty simplex make a unit pivot, so a join
+with a fixed vertex is checked against its own nerve instead.
 """
 
 from fractions import Fraction
@@ -228,6 +234,59 @@ def localized(fixed_points: int, sign: int, k: int, modulus: int = 0):
         return (0, () if order == 1 else (order,) * fixed_points)
     rank, torsion = cyclic_two_integer(sign, k)
     return (rank * fixed_points, torsion * fixed_points)
+
+
+# ---------------------------------------------------------------------------
+# Representation spheres
+# ---------------------------------------------------------------------------
+
+
+def _group_cohomology(base: str, sign: int, j: int):
+    """H^j of the two-element group with coefficients ``base`` ("Z", "Q"
+    or "Z/2"), the generator acting by ``sign``; 0 below degree 0."""
+    if j < 0:
+        return (0, ())
+    if base == "Z":
+        return cyclic_two_integer(sign, j)
+    if base == "Q":
+        return (1, ()) if j == 0 and sign == 1 else (0, ())
+    return (0, (cyclic_two_mod(sign, 2, j),))
+
+
+def representation_sphere(a: int, b: int, base: str, sign: int, k: int):
+    """H^k of S(a + bσ), the unit sphere of ``a >= 1`` trivial and ``b``
+    sign coordinates (Atiyah's S^{b,a}), with coefficients ``base`` twisted
+    by ``sign``.  With ``n = a + b - 1``,
+
+        H^k = H^k(C2; M(s)) ⊕ H^(k - n)(C2; M(s (-1)^b)),
+
+    the Gysin sequence of the sphere bundle of ``a + bL`` over BC2, whose
+    Euler class vanishes with the trivial summand and which a fixed point
+    splits; ``(-1)^b`` is the bundle's orientation character.  A
+    rank/torsion pair."""
+    assert a >= 1
+    n = a + b - 1
+    parts = (_group_cohomology(base, sign, k), _group_cohomology(base, sign * (-1) ** b, k - n))
+    return (sum(rank for rank, _ in parts), tuple(sorted(t for _, torsion in parts for t in torsion)))
+
+
+def representation_sphere_cover(a: int, b: int):
+    """S(a + bσ) covered as the join of ``a`` checked two-point covers
+    ``{y_i+, y_i-}`` whose indices and pieces the involution fixes, then
+    ``b`` checked two-point covers ``{x_i+, x_i-}`` it swaps, axis 0
+    first: fixed indices as they are, not doubled."""
+    from realdeligne.catalog import _one_piece
+    from realdeligne.coverdata import _checked, join_cover
+
+    out = None
+    for i in range(a + b):
+        axis = "y" if i < a else "x"
+        plus, minus = f"{axis}{i}+", f"{axis}{i}-"
+        involution = {plus: plus, minus: minus} if i < a else {plus: minus, minus: plus}
+        pair = _checked(_one_piece(f"S({a}+{b}σ)", "reflection", involution,
+                                   {frozenset([plus]): plus, frozenset([minus]): minus}))
+        out = pair if out is None else join_cover(out, pair, name=f"S({a}+{b}σ)")
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -569,7 +628,6 @@ def cover_violations(cover):
 
     from realdeligne.errors import (
         FACE_INCOHERENCE,
-        FIXED_INDEX_PRESENT,
         INVOLUTION_FACE_MISMATCH,
         INVOLUTION_NOT_SELF_INVERSE,
         NOT_DOWNWARD_CLOSED,
@@ -592,10 +650,6 @@ def cover_violations(cover):
         out.append((INVOLUTION_NOT_SELF_INVERSE, f"involution defined on unknown index {i!r}"))
     if out:
         return out
-    for i in indices:
-        if involution[i] == i:
-            out.append((FIXED_INDEX_PRESENT,
-                        f"index {i!r} is fixed by the involution; apply double_fixed_indices to obtain a free cover"))
 
     support_of = {}
     for subset, comps in intersections.items():
@@ -749,7 +803,9 @@ def augmented_model(cover):
 
 def join_model(cover):
     """A join's reduced model: :func:`augmented_model` without degree 0,
-    checked again as a model of its own."""
+    checked again as a model of its own.  It holds for joins of covers
+    with free vertices only: it reduces with the empty simplex in place,
+    and a fixed vertex could pivot it away."""
     from realdeligne.cechengine import AlternatingModel
 
     model = augmented_model(cover)

@@ -123,9 +123,14 @@ def test_compute_rational_rows_are_the_integral_ranks(capsys):
 @pytest.mark.parametrize(
     "coeff, message",
     [("Zmod:x", "bad modulus"), ("Zmod:", "bad modulus"), ("Zmod:1", "modulus must be >= 2"),
-     ("Zmod:-3", "modulus must be >= 2")],
+     ("Zmod:-3", "modulus must be >= 2"), ("Zmod:1_0", "bad modulus in 'Zmod:1_0'"),
+     ("Zmod:٣", "bad modulus in 'Zmod:٣'"), ("Zmod:+3", "bad modulus in 'Zmod:+3'"),
+     ("Zmod: 3", "bad modulus in 'Zmod: 3'")],
 )
 def test_bad_modulus_is_an_argument_error(capsys, coeff, message):
+    """A modulus is read as ASCII ``-?[0-9]+`` only, as every integer on
+    the command line is: Python's ``int`` would read ``1_0`` as 10 and
+    ``٣`` as 3."""
     code, out, err = run(capsys, "compute", "--space", "point_trivial", "--coeff", coeff, "--degree", "0")
     assert (code, out) == (2, "")
     assert message in err and "Traceback" not in err
@@ -206,6 +211,7 @@ def test_exit_unknown_space(capsys):
         ("sphere_antipodal:²", "sphere dimension must be an integer, got '²'"),
         ("sphere_antipodal:--1", "sphere dimension must be an integer, got '--1'"),
         ("sphere_antipodal:٣", "sphere dimension must be an integer, got '٣'"),
+        ("sphere_antipodal:1_0", "sphere dimension must be an integer, got '1_0'"),
         ("sphere_antipodal:", "no parameters after ':' in 'sphere_antipodal:'"),
         ("torus:", "no parameters after ':' in 'torus:'"),
     ],
@@ -223,8 +229,11 @@ def test_exit_catalog_parameters_the_space_does_not_take(capsys, space, message)
 
 
 def test_exit_invalid_cover_file(tmp_path, capsys):
+    """A cover file whose involution fixes its one index is valid, and
+    answers the table of the doubled catalog point (exit 0); once its
+    involution leaves the indices, it is refused (exit 2)."""
     bad = {
-        "name": "bad",
+        "name": "point",
         "involution_name": "id",
         "indices": ["u"],
         "involution": {"u": "u"},
@@ -236,11 +245,15 @@ def test_exit_invalid_cover_file(tmp_path, capsys):
     }
     path = tmp_path / "bad.json"
     path.write_text(json.dumps(bad))
-    code, _, err = run(
-        capsys, "compute", "--space", f"@{path}", "--coeff", "iZ", "--degree", "0"
-    )
-    assert code == 2
-    assert err != ""
+    table = ("compute", "--coeff", "iZ", "--max-degree", "5")
+    code, out, _ = run(capsys, *table, "--space", f"@{path}")
+    assert code == 0
+    assert out == run(capsys, *table, "--space", "point_trivial")[1].replace("point_trivial", "point")
+    bad["involution"] = {"u": "v"}
+    path.write_text(json.dumps(bad))
+    code, out, err = run(capsys, *table, "--space", f"@{path}")
+    assert (code, out) == (2, "")
+    assert "involution undefined or escapes the index set at 'u'" in err
 
 
 @pytest.mark.parametrize(
@@ -355,13 +368,27 @@ def test_compute_degree_exit_codes(capsys, argv, code, message):
         (["compute", "--space", "free_orbit", "--coeff", "iZ", "--degree", str(10**20)], 0, ""),
         (["deligne", "--space", "point_trivial", "-p", "2", "-q", "2", "--max-degree", "2"], 2,
          "unrecognized arguments: --max-degree 2"),
+        (["compute", "--space", "free_orbit", "--coeff", "iZ", "--degree", "1_0"], 2,
+         "argument --degree: not an integer: '1_0'"),
+        (["compute", "--space", "free_orbit", "--coeff", "iZ", "--degree", "٣"], 2,
+         "argument --degree: not an integer: '٣'"),
+        (["compute", "--space", "free_orbit", "--coeff", "iZ", "--degree", "+1"], 2,
+         "argument --degree: not an integer: '+1'"),
+        (["compute", "--space", "free_orbit", "--coeff", "iZ", "--max-degree", "1_0"], 2,
+         "argument --max-degree: not an integer: '1_0'"),
+        (["compute", "--space", "free_orbit", "--coeff", "iZ", "--max-degree", " 2"], 2,
+         "argument --max-degree: not an integer: ' 2'"),
+        (["deligne", "--space", "circle_antipodal", "-p", "1_0", "-q", "1"], 2, "argument -p: not an integer: '1_0'"),
+        (["deligne", "--space", "circle_antipodal", "-p", "1", "-q", "²"], 2, "argument -q: not an integer: '²'"),
     ],
 )
 def test_degree_sign_exit_codes(capsys, argv, code, message):
     """A negative q is a degree-range failure, as a negative --degree is; a
     negative p is an input failure.  A degree far above a finite complex's
     top reads zero at once.  ``deligne`` takes no degree window: it reads
-    degrees 0 .. q, and ``--max-degree`` is an unknown option there."""
+    degrees 0 .. q, and ``--max-degree`` is an unknown option there.  An
+    integer is read as ASCII ``-?[0-9]+`` only, so ``1_0``, ``+1``, a
+    space and other scripts' digits are input failures."""
     got, out, err = run(capsys, *argv)
     assert got == code
     assert message in err

@@ -89,10 +89,19 @@ def test_malformed_descriptions_collected():
 
 
 def test_fixed_index_reported():
+    """Two points, each fixed with its set, make a valid cover: only the
+    flat classes refuse it, with one ``FixedIndexPresent`` per fixed
+    index."""
     raw = free_orbit_raw()
     raw["involution"] = {"U": "U", "V": "V"}
     raw["component_involution"] = {"cU": "cU", "cV": "cV"}
-    assert FIXED_INDEX_PRESENT in kinds_of(raw)
+    cover = validate_cover(raw)
+    with pytest.raises(CoverValidationError) as err:
+        flat_cocycle_class(FlatCocycle.zero(cover))
+    assert err.value.violations == [
+        (FIXED_INDEX_PRESENT, f"index {i!r} is fixed by the involution; apply double_fixed_indices to obtain a free cover")
+        for i in ("U", "V")
+    ]
 
 
 def test_involution_not_self_inverse():
@@ -586,6 +595,20 @@ def add_a_stray_face(pick, parts):
     parts["faces"][pick(components(parts)), pick(sorted(parts["indices"]))] = pick(components(parts))
 
 
+def fix_an_index(pick, parts):
+    """The involution fixes a picked index and its partner, and σ each
+    component of a subset meeting them that it now fixes; fixing every
+    orbit of a catalog cover so makes a valid cover."""
+    i = pick(sorted(parts["indices"]))
+    involution = parts["involution"]
+    pair = {i, involution.get(i, i)}
+    for x in pair:
+        involution[x] = x
+    for subset, comps in parts["intersections"].items():
+        if subset & pair and {involution.get(x) for x in subset} == subset:
+            parts["component_involution"].update((c, c) for c in comps)
+
+
 class NothingToMutate(Exception):
     pass
 
@@ -601,7 +624,7 @@ def relist(pick, parts):
 
 
 MUTATIONS = (drop_a_face, redirect_a_face, drop_a_subset, break_the_involution, rename_a_component, add_a_stray_face,
-             relist)
+             relist, fix_an_index)
 
 
 @settings(max_examples=150, deadline=None)
